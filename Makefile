@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: tier1 vet lint escapes allocgate build test race obs-smoke trace-smoke scale-smoke cover bench bench-diff fidelity-smoke tail-fidelity-smoke clean
+.PHONY: tier1 vet lint escapes allocgate build test race obs-smoke trace-smoke scale-smoke cover bench bench-diff bench-check fidelity-smoke tail-fidelity-smoke clean
 
 # tier1 is the CI gate. Target graph (each arrow is a declared prerequisite,
 # so the graph is fail-fast even under `make -j`: nothing downstream of a
@@ -19,7 +19,8 @@ GOFMT ?= gofmt
 #          ├─ tail-fidelity-smoke ─→ build
 #          ├─ trace-smoke ─→ build (span plane against a real kvserver)
 #          ├─ scale-smoke ─→ build (2k-connection shard-engine fleet)
-#          └─ bench-diff ─→ build
+#          ├─ bench-diff ─→ build
+#          └─ bench-check ─→ build (bench/ is its own module: vet, tests, lint)
 #   cover ──→ build           (slow; run on demand, not part of the gate)
 #
 # race runs the short-mode suite only: full sweeps are skipped under -short
@@ -27,7 +28,7 @@ GOFMT ?= gofmt
 # fuzz-seed and stress tests all still run. fidelity-smoke and bench-diff
 # are both short-run-safe: the smoke replays the zoo at a reduced duration,
 # and bench-diff degrades to a no-op note until two archives exist.
-tier1: vet lint escapes allocgate build test race obs-smoke trace-smoke scale-smoke fidelity-smoke tail-fidelity-smoke bench-diff
+tier1: vet lint escapes allocgate build test race obs-smoke trace-smoke scale-smoke fidelity-smoke tail-fidelity-smoke bench-diff bench-check
 
 vet:
 	$(GO) vet ./...
@@ -159,6 +160,14 @@ bench-diff: build
 	else \
 		$(GO) run ./cmd/benchjson -compare "$$1" "$$2" -maxregress 15; \
 	fi
+
+# bench-check covers the repository benchmark (BENCHMARK.json, bench/): it is
+# a Go module of its own that compiles against internal/..., so no ./... above
+# reaches it and a change to what it calls would otherwise first fail in the
+# benchmark driver. Vet, its unit tests under -race (about a second: every
+# gate has a deliberately wrong case) and the e2elint analyzers.
+bench-check: build
+	cd bench && $(GO) vet . && $(GO) test -race . && $(GO) run e2ebatch/cmd/e2elint .
 
 # fidelity-smoke replays the whole workload zoo through the model-fidelity
 # harness at a reduced duration — a fast end-to-end check that cmd/fidelity

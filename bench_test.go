@@ -19,11 +19,14 @@ import (
 
 	"e2ebatch"
 	"e2ebatch/internal/core"
+	"e2ebatch/internal/cpumodel"
 	"e2ebatch/internal/engine"
 	"e2ebatch/internal/figures"
+	"e2ebatch/internal/netem"
 	"e2ebatch/internal/obs"
 	"e2ebatch/internal/policy"
 	"e2ebatch/internal/qstate"
+	"e2ebatch/internal/sim"
 	"e2ebatch/internal/tcpsim"
 )
 
@@ -299,6 +302,34 @@ func BenchmarkEngineTick(b *testing.B) {
 		now += qstate.Time(time.Millisecond)
 		p.st.Track(now, -1)
 		ep.Tick(now)
+	}
+}
+
+// BenchmarkTcpsimBytePath measures what one 16 KiB request costs the
+// simulator's byte path alone: Send, the flushes and ACKs drained over hosts
+// and a wire that cost no virtual time, Read on the far side. ns/op, B/op and
+// allocs/op are per request.
+func BenchmarkTcpsimBytePath(b *testing.B) {
+	s := sim.New(1)
+	free := func(name string) *tcpsim.Stack {
+		st := tcpsim.NewStack(s, name)
+		st.TxCosts, st.RxCosts, st.AckTxCost, st.AckRxCost = cpumodel.Costs{}, cpumodel.Costs{}, 0, 0
+		return st
+	}
+	cfg := tcpsim.DefaultConfig()
+	cfg.Nagle = false
+	cc, sc := tcpsim.Connect(free("client"), free("server"), netem.NewLink(s, "wire", netem.Config{}), cfg)
+	sc.OnReadable(func() { sc.Read(0) })
+	wire := make([]byte, 16<<10)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cc.Send(wire)
+		for s.Step() {
+		}
+	}
+	if cc.Stats().SentDigest != sc.Stats().ReadDigest || sc.Readable() != 0 {
+		b.Fatal("byte streams differ between sender and receiver")
 	}
 }
 

@@ -344,7 +344,6 @@ func (g *Generator) wake() {
 		now := g.sim.Now()
 		g.parser.Feed(data)
 		var procCost time.Duration
-		completedBytes := 0
 		for {
 			v, ok, err := g.parser.Next()
 			if err != nil {
@@ -386,7 +385,6 @@ func (g *Generator) wake() {
 				h.Record(lat)
 			}
 			respBytes := len(v.Str)
-			completedBytes += respBytes
 			procCost += g.cfg.PerResponse + time.Duration(float64(respBytes)*g.cfg.PerRespByteNS)
 
 			// Closed loop: replace the completed request while the
@@ -395,7 +393,6 @@ func (g *Generator) wake() {
 				g.issueOne(now)
 			}
 		}
-		_ = completedBytes
 		g.conn.Stack().AppCPU.Exec(procCost, func() {
 			g.busy = false
 			if g.conn.Readable() > 0 {

@@ -1,6 +1,7 @@
 package loadgen
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -107,4 +108,37 @@ func rigOn(t testing.TB, s *sim.Sim) (*sim.Sim, *Generator, func(cfg Config, mk 
 		return New(s, cc, cfg, mk)
 	}
 	return s, nil, mkGen, struct{}{}
+}
+
+// TestSendAliasingContract: tcpsim.Conn.Send keeps its argument by reference
+// until the peer reads it, so neither the generator (the makers' shared wire
+// forms, the syscall-batch buffer) nor kv.SimServer (its replies) may touch a
+// slice after sending it. A violation would change bytes between the
+// sender's digest, taken at Send, and the receiver's, taken at Read.
+func TestSendAliasingContract(t *testing.T) {
+	for _, batch := range []int{1, 4} {
+		s := sim.New(7)
+		_, _, mkGen, _ := rigOn(t, s)
+		cfg := DefaultConfig(40000, 50*time.Millisecond)
+		cfg.SyscallBatch = batch
+		mk := MixedWorkload(16, 2048, 500)
+		g := mkGen(cfg, mk)
+		res := g.Run()
+		if res.Completed == 0 || res.Dropped != 0 {
+			t.Fatalf("batch %d: completed %d, dropped %d", batch, res.Completed, res.Dropped)
+		}
+		c, srv := g.conn.Stats(), g.conn.Peer().Stats()
+		if c.SentDigest != srv.ReadDigest || srv.SentDigest != c.ReadDigest {
+			t.Fatalf("batch %d: a slice changed between Send and the peer's Read: client %x/%x server %x/%x",
+				batch, c.SentDigest, c.ReadDigest, srv.SentDigest, srv.ReadDigest)
+		}
+		fresh := MixedWorkload(16, 2048, 500)
+		for i := uint64(0); i < 1000; i++ {
+			got, _ := mk(i)
+			want, _ := fresh(i)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("batch %d: the maker's wire form for request %d was modified by the run", batch, i)
+			}
+		}
+	}
 }

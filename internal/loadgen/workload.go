@@ -1,6 +1,8 @@
 package loadgen
 
 import (
+	"bytes"
+
 	"e2ebatch/internal/resp"
 )
 
@@ -14,15 +16,12 @@ const (
 // SetWorkload reproduces the paper's Figure 4a workload: every request is a
 // SET of a valSize-byte value to a keySize-byte key ("a single client that
 // sets 16 KiB values to 16 B keys"). Keys rotate over a small set so the
-// store stays bounded.
+// store stays bounded — and so does the maker: the wire form of each key's
+// SET is built once and handed out again, never modified.
 func SetWorkload(keySize, valSize int) RequestMaker {
-	keys := makeKeys(keySize, 16)
-	val := make([]byte, valSize)
-	for i := range val {
-		val[i] = byte('v')
-	}
+	sets, _ := wireForms(keySize, valSize)
 	return func(i uint64) ([]byte, int) {
-		return resp.AppendCommand(nil, []byte("SET"), keys[i%uint64(len(keys))], val), KindSet
+		return sets[i%uint64(len(sets))], KindSet
 	}
 }
 
@@ -35,20 +34,27 @@ func MixedWorkload(keySize, valSize int, setPermille int) RequestMaker {
 	if setPermille < 0 || setPermille > 1000 {
 		panic("loadgen: setPermille out of range")
 	}
-	keys := makeKeys(keySize, 16)
-	val := make([]byte, valSize)
-	for i := range val {
-		val[i] = byte('v')
-	}
+	sets, gets := wireForms(keySize, valSize)
 	return func(i uint64) ([]byte, int) {
-		key := keys[i%uint64(len(keys))]
+		k := i % uint64(len(sets))
 		// Spread the GETs evenly: request i is a GET when its
 		// position within each block of 1000 falls in the GET share.
 		if int(i%1000) >= setPermille {
-			return resp.AppendCommand(nil, []byte("GET"), key), KindGet
+			return gets[k], KindGet
 		}
-		return resp.AppendCommand(nil, []byte("SET"), key, val), KindSet
+		return sets[k], KindSet
 	}
+}
+
+// wireForms builds the immutable wire form of a SET (of valSize 'v' bytes)
+// and a GET for each of the 16 keys the workloads rotate over.
+func wireForms(keySize, valSize int) (sets, gets [][]byte) {
+	val := bytes.Repeat([]byte{'v'}, valSize)
+	for _, key := range makeKeys(keySize, 16) {
+		sets = append(sets, resp.AppendCommand(nil, []byte("SET"), key, val))
+		gets = append(gets, resp.AppendCommand(nil, []byte("GET"), key))
+	}
+	return sets, gets
 }
 
 // PingWorkload issues PINGs — the minimal fixed-size request/response pair,

@@ -147,6 +147,42 @@ func TestPipelinedCallsCompleteOutOfNothing(t *testing.T) {
 	}
 }
 
+// TestCallersMayReuseBuffers: tcpsim.Conn.Send keeps its argument by
+// reference until the peer reads it, but the runtime frames every call and
+// reply into a slice of its own, so the contract stops here: an application
+// may scribble over its payload right after Call, and a handler over its
+// reply buffer on the next call, without changing the stream.
+func TestCallersMayReuseBuffers(t *testing.T) {
+	reply := make([]byte, 0, 64)
+	s, cli, srv := rig(t, func(_ uint64, p []byte) ([]byte, error) {
+		reply = append(reply[:0], p...) // one buffer for every reply
+		return reply, nil
+	})
+	const n = 100
+	payload := make([]byte, 32)
+	done := 0
+	for i := 0; i < n; i++ {
+		copy(payload, fmt.Sprintf("call-%026d", i))
+		want := string(payload)
+		cli.Call(payload, func(f Frame) {
+			if string(f.Payload) != want {
+				t.Errorf("mismatched response: %q != %q", f.Payload, want)
+			}
+			done++
+		})
+		clear(payload)
+	}
+	s.RunUntil(sim.Time(time.Second))
+	if done != n {
+		t.Fatalf("done = %d, want %d", done, n)
+	}
+	c, sv := cli.conn.Stats(), srv.conn.Stats()
+	if c.SentDigest != sv.ReadDigest || sv.SentDigest != c.ReadDigest {
+		t.Fatalf("a slice changed between Send and the peer's Read: client %x/%x server %x/%x",
+			c.SentDigest, c.ReadDigest, sv.SentDigest, sv.ReadDigest)
+	}
+}
+
 // TestRuntimeHintsMeasureEndToEnd: the runtime's built-in tracker must
 // yield the true call latency with zero app-side instrumentation — the
 // §3.3 framework-integration claim.

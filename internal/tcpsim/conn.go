@@ -12,11 +12,13 @@ import (
 // segment is what travels on the wire: a (possibly empty) payload flush plus
 // the piggybacked cumulative ACK, advertised window, sender message
 // boundaries, and — when due — the 36-byte queue-state metadata exchange.
+// The payload is the stream range [start, start+n): the bytes themselves stay
+// in the sender's sndBuf until the receiving application reads them.
 type segment struct {
-	payload []byte
-	start   int64 // absolute stream offset of payload[0]
-	nsegs   int   // number of MSS wire segments in this flush
-	bounds  []int64
+	start  int64 // absolute stream offset of the payload's first byte
+	n      int64 // payload bytes
+	nsegs  int   // number of MSS wire segments in this flush
+	bounds []int64
 
 	ack int64
 	wnd int64
@@ -51,12 +53,13 @@ type Stats struct {
 	StatesDelayed   uint64 // inbound exchanges deferred by the fault hook
 	StatesDuped     uint64 // inbound exchanges replayed by the fault hook
 
-	// SentDigest and ReadDigest are not counts but running FNV-1a digests
-	// of every byte the application has written to (Send) and read from
-	// (Read) this endpoint — the replay seam the model-fidelity harness
-	// uses: two runs of a deterministic workload produced byte-identical
-	// streams iff their digests match, with nothing retained. They start
-	// at the FNV-1a offset basis.
+	// SentDigest and ReadDigest are not counts but running digests (type
+	// digest: FNV-1a over 8-byte words, independent of how calls split the
+	// stream) of every byte the application has written to (Send) and read
+	// from (Read) this endpoint — the replay seam the model-fidelity
+	// harness uses: two runs of a deterministic workload produced
+	// byte-identical streams iff their digests match, with nothing
+	// retained. An untouched direction reads the FNV-1a offset basis.
 	SentDigest uint64
 	ReadDigest uint64
 }
@@ -75,7 +78,11 @@ type Conn struct {
 	sndUna   int64 // oldest unacknowledged offset
 	sndNxt   int64 // next offset to transmit
 	sndLimit int64 // highest offset the peer's window permits
-	wq       []byte
+	unsent   int64 // bytes written but not yet transmitted
+	// sndBuf holds, by reference, every byte written by Send and not yet
+	// Read by the peer application: the unsent tail, the bytes in flight
+	// (go-back-N resends from it) and the peer's receive queue.
+	sndBuf byteFIFO
 	// msgEndsUntx are send-call boundaries not yet transmitted (carried
 	// to the peer in flushes); msgEndsUnacked are boundaries not yet
 	// ACKed (for UnitSends unacked accounting). Both ascending.
@@ -85,17 +92,14 @@ type Conn struct {
 	nodelay        bool
 	corkBytes      int64 // Nagle hold threshold (MSS = classic Nagle)
 	corkEv         *sim.Event
-	// rtxBuf holds the unACKed byte range [sndUna, sndNxt) for go-back-N
-	// retransmission on lossy links (Config.RTO > 0).
-	rtxBuf     []byte
-	rtoEv      *sim.Event
-	rtoBackoff int
+	rtoEv          *sim.Event
+	rtoBackoff     int
 
 	// ---- receiver state ----
 	rcvNxt         int64
-	rcvWup         int64 // last offset acknowledged to the peer
-	rq             []byte
-	rqStart        int64
+	rcvWup         int64  // last offset acknowledged to the peer
+	rqStart        int64  // next offset Read returns; [rqStart, rcvNxt) is readable
+	rbuf           []byte // what Read last returned
 	rcvSegEnds     []int64
 	rcvMsgEnds     []int64
 	ackPendingSegs int64
@@ -122,7 +126,8 @@ type Conn struct {
 	onReadable      func()
 	readablePending bool
 
-	stats Stats
+	stats      Stats
+	sent, read digest
 }
 
 // Connect establishes a connection between two host stacks over link,
@@ -141,15 +146,15 @@ func Connect(a, b *Stack, link *netem.Link, cfg Config) (*Conn, *Conn) {
 	if cork <= 0 {
 		cork = int64(cfg.MSS)
 	}
-	ca := &Conn{stack: a, cfg: cfg, tx: link.AtoB, name: a.Name, nodelay: !cfg.Nagle,
-		corkBytes: cork, sndLimit: cfg.RecvBuf, lastAdvWnd: cfg.RecvBuf, lastExchange: now}
-	cb := &Conn{stack: b, cfg: cfg, tx: link.BtoA, name: b.Name, nodelay: !cfg.Nagle,
-		corkBytes: cork, sndLimit: cfg.RecvBuf, lastAdvWnd: cfg.RecvBuf, lastExchange: now}
-	ca.stats.SentDigest, ca.stats.ReadDigest = fnvOffset, fnvOffset
-	cb.stats.SentDigest, cb.stats.ReadDigest = fnvOffset, fnvOffset
+	endpoint := func(st *Stack, tx *netem.Pipe) *Conn {
+		c := &Conn{stack: st, cfg: cfg, tx: tx, name: st.Name, nodelay: !cfg.Nagle,
+			corkBytes: cork, sndLimit: cfg.RecvBuf, lastAdvWnd: cfg.RecvBuf, lastExchange: now,
+			sent: digest{h: digestBasis}, read: digest{h: digestBasis}}
+		c.instr.init(now)
+		return c
+	}
+	ca, cb := endpoint(a, link.AtoB), endpoint(b, link.BtoA)
 	ca.peer, cb.peer = cb, ca
-	ca.instr.init(now)
-	cb.instr.init(now)
 	return ca, cb
 }
 
@@ -163,7 +168,11 @@ func (c *Conn) Stack() *Stack { return c.stack }
 func (c *Conn) Peer() *Conn { return c.peer }
 
 // Stats returns a copy of the endpoint's counters.
-func (c *Conn) Stats() Stats { return c.stats }
+func (c *Conn) Stats() Stats {
+	s := c.stats
+	s.SentDigest, s.ReadDigest = c.sent.sum(), c.read.sum()
+	return s
+}
 
 // Instr exposes the endpoint's queue instrumentation.
 func (c *Conn) Instr() *Instrumentation { return &c.instr }
@@ -241,40 +250,44 @@ func (c *Conn) SetStateFault(fn func(qstate.WireState) StateFaultAction) { c.sta
 
 // Send writes data to the connection, as one send(2) invocation. The caller
 // is responsible for charging its own application CPU cost before calling.
+//
+// The connection keeps data by reference until the peer application has read
+// it: the caller must not modify data after Send. Sending the same slice
+// again is allowed.
 func (c *Conn) Send(data []byte) {
 	if len(data) == 0 {
 		return
 	}
 	now := c.stack.Sim.Now()
-	c.wq = append(c.wq, data...)
-	end := c.sndNxt + int64(len(c.wq))
+	c.sndBuf.push(data)
+	c.unsent += int64(len(data))
+	end := c.sndNxt + c.unsent
 	c.msgEndsUntx = append(c.msgEndsUntx, end)
 	c.msgEndsUnacked = append(c.msgEndsUnacked, end)
 	c.instr.unacked.track(now, int64(len(data)), 0, 1)
 	c.stats.Sends++
-	c.stats.SentDigest = fnv1a(c.stats.SentDigest, data)
+	c.sent.fold(data)
 	c.pump()
 }
 
 // Readable returns the number of delivered, unread bytes.
-func (c *Conn) Readable() int { return len(c.rq) }
+func (c *Conn) Readable() int { return int(c.rcvNxt - c.rqStart) }
 
 // Read consumes up to max bytes from the receive buffer (all of it if max
-// <= 0), returning nil when nothing is readable. As with Send, the caller
-// charges its own app CPU cost.
+// <= 0), returning nil when nothing is readable. The result is the
+// connection's own buffer, valid until the next Read. As with Send, the
+// caller charges its own app CPU cost.
 func (c *Conn) Read(max int) []byte {
-	n := len(c.rq)
+	n := c.Readable()
 	if n == 0 {
 		return nil
 	}
 	if max > 0 && max < n {
 		n = max
 	}
-	data := make([]byte, n)
-	copy(data, c.rq[:n])
-	c.rq = c.rq[n:]
+	c.rbuf = c.peer.sndBuf.take(c.rbuf[:0], n)
 	c.rqStart += int64(n)
-	c.stats.ReadDigest = fnv1a(c.stats.ReadDigest, data)
+	c.read.fold(c.rbuf)
 
 	segs := popLE(&c.rcvSegEnds, c.rqStart)
 	msgs := popLE(&c.rcvMsgEnds, c.rqStart)
@@ -285,23 +298,18 @@ func (c *Conn) Read(max int) []byte {
 	if c.advertiseWnd()-c.lastAdvWnd >= c.cfg.RecvBuf/2 {
 		c.scheduleAck()
 	}
-	return data
+	return c.rbuf
 }
 
 // InFlight returns transmitted-but-unACKed bytes.
 func (c *Conn) InFlight() int64 { return c.sndNxt - c.sndUna }
 
 // Unsent returns bytes written but not yet transmitted.
-func (c *Conn) Unsent() int64 { return int64(len(c.wq)) }
+func (c *Conn) Unsent() int64 { return c.unsent }
 
 // Snapshots captures the three local queue snapshots in the given unit.
 func (c *Conn) Snapshots(u Unit) (unacked, unread, ackdelay qstate.Snapshot) {
 	return c.instr.Snapshots(c.stack.Sim.Now(), u)
-}
-
-// LocalWireState encodes the local queue states for exchange in unit u.
-func (c *Conn) LocalWireState(u Unit) qstate.WireState {
-	return c.instr.WireState(c.stack.Sim.Now(), u)
 }
 
 // PeerWireState returns the most recently received peer metadata, its
@@ -334,108 +342,66 @@ func (c *Conn) RequestExchange() {
 
 // Close cancels the endpoint's timers. Data in flight is abandoned.
 func (c *Conn) Close() {
-	c.cancelCork()
-	c.cancelDelack()
+	c.cancel(&c.corkEv)
+	c.cancel(&c.delackEv)
+	c.cancel(&c.rtoEv)
 	c.onReadable = nil
 	c.onPeerState = nil
 }
 
 // ---- transmit path ----
 
-func (c *Conn) pump() {
-	for {
-		avail := int64(len(c.wq))
-		if avail == 0 {
-			c.cancelCork()
-			return
-		}
-		mss := int64(c.cfg.MSS)
-
-		// Generalized Nagle (§5 "Better Batching Heuristics"): hold all
-		// available data while peers still owe ACKs and the pile is
-		// below the cork threshold (threshold == MSS is classic Nagle).
-		if !c.nodelay && avail < c.corkBytes && c.InFlight() > 0 {
-			c.stats.NagleHolds++
-			c.armCork()
-			return
-		}
-		// Auto-corking: hold a sub-MSS dribble while the NIC queue has
-		// not drained, even with NODELAY set.
-		if c.cfg.AutoCork && avail < mss && c.tx.QueueDelay() > 0 {
-			c.stats.NagleHolds++
-			c.armCork()
-			return
-		}
-
-		wnd := c.sndLimit - c.sndNxt
-		if wnd <= 0 {
-			c.stats.WindowStalls++
-			return
-		}
-		n := avail
-		if n > wnd {
-			n = wnd
-		}
-		if m := int64(c.cfg.TSOMaxBytes); n > m {
-			n = m
-		}
-		if n < mss && n < avail {
-			// Window-limited below one MSS: wait for a window
-			// update rather than dribbling.
-			c.stats.WindowStalls++
-			return
-		}
-		if n >= mss {
-			n -= n % mss // full segments only; tail handled next loop
-		}
-		c.cancelCork()
-		c.transmit(n)
-	}
-}
+// pump transmits what the batching heuristics and the peer's window allow.
+func (c *Conn) pump() { c.flush(false) }
 
 // flushHeld transmits everything the window allows, bypassing Nagle and
 // auto-corking — used by the cork timer and by SetNoDelay(true).
-func (c *Conn) flushHeld() {
-	c.cancelCork()
-	for {
-		avail := int64(len(c.wq))
-		if avail == 0 {
+func (c *Conn) flushHeld() { c.flush(true) }
+
+func (c *Conn) flush(force bool) {
+	if force {
+		c.cancel(&c.corkEv)
+	}
+	mss := int64(c.cfg.MSS)
+	for c.unsent > 0 {
+		avail := c.unsent
+		// Generalized Nagle (§5 "Better Batching Heuristics"): hold all
+		// available data while peers still owe ACKs and the pile is
+		// below the cork threshold (threshold == MSS is classic Nagle).
+		// Auto-corking: hold a sub-MSS dribble while the NIC queue has
+		// not drained, even with NODELAY set.
+		if !force && (!c.nodelay && avail < c.corkBytes && c.InFlight() > 0 ||
+			c.cfg.AutoCork && avail < mss && c.tx.QueueDelay() > 0) {
+			c.stats.NagleHolds++
+			c.armCork()
 			return
 		}
-		wnd := c.sndLimit - c.sndNxt
-		if wnd <= 0 {
+		// A closed window stalls; so, unforced, does one open less than
+		// an MSS: wait for a window update rather than dribbling.
+		n := min(avail, c.sndLimit-c.sndNxt, int64(c.cfg.TSOMaxBytes))
+		if n <= 0 || !force && n < mss && n < avail {
 			c.stats.WindowStalls++
 			return
 		}
-		n := avail
-		if n > wnd {
-			n = wnd
+		if !force && n >= mss {
+			n -= n % mss // full segments only; tail handled next loop
 		}
-		if m := int64(c.cfg.TSOMaxBytes); n > m {
-			n = m
-		}
+		c.cancel(&c.corkEv)
 		c.transmit(n)
 	}
+	c.cancel(&c.corkEv)
 }
 
 func (c *Conn) transmit(n int64) {
 	now := c.stack.Sim.Now()
-	payload := make([]byte, n)
-	copy(payload, c.wq[:n])
-	c.wq = c.wq[n:]
+	c.unsent -= n
 	start := c.sndNxt
 	c.sndNxt += n
 	end := start + n
 
 	mss := int64(c.cfg.MSS)
 	nsegs := int((n + mss - 1) / mss)
-	for k := int64(1); k <= int64(nsegs); k++ {
-		segEnd := start + k*mss
-		if segEnd > end {
-			segEnd = end
-		}
-		c.segEnds = append(c.segEnds, segEnd)
-	}
+	c.segEnds = appendSegEnds(c.segEnds, start, end, mss)
 
 	var bounds []int64
 	for len(c.msgEndsUntx) > 0 && c.msgEndsUntx[0] <= end {
@@ -447,16 +413,17 @@ func (c *Conn) transmit(n int64) {
 	c.stats.Flushes++
 	c.stats.Segments += uint64(nsegs)
 	c.stats.BytesSent += uint64(n)
-	if c.cfg.RTO > 0 {
-		c.rtxBuf = append(c.rtxBuf, payload...)
-		c.armRTO()
-	}
+	c.armRTO()
+	c.sendSegment(&segment{start: start, n: n, nsegs: nsegs, bounds: bounds})
+}
 
-	cost := c.stack.TxCosts.Batch(nsegs, int(n))
+// sendSegment charges the transmit cost of a payload flush on the softirq
+// CPU, then stamps it and puts it on the wire.
+func (c *Conn) sendSegment(seg *segment) {
+	cost := c.stack.TxCosts.Batch(seg.nsegs, int(seg.n))
 	c.stack.SoftirqCPU.Exec(cost, func() {
-		seg := &segment{payload: payload, start: start, nsegs: nsegs, bounds: bounds}
 		c.finishSegment(seg)
-		wire := len(payload) + nsegs*c.cfg.HeaderBytes
+		wire := int(seg.n) + seg.nsegs*c.cfg.HeaderBytes
 		c.tx.Send(wire, func() { c.peer.receive(seg) })
 	})
 }
@@ -496,11 +463,7 @@ func (c *Conn) exchangeDue() bool {
 }
 
 func (c *Conn) advertiseWnd() int64 {
-	w := c.cfg.RecvBuf - int64(len(c.rq))
-	if w < 0 {
-		w = 0
-	}
-	return w
+	return max(0, c.cfg.RecvBuf-(c.rcvNxt-c.rqStart))
 }
 
 // noteAckSent records that an acknowledgment covering everything received
@@ -516,18 +479,18 @@ func (c *Conn) noteAckSent() {
 	c.ackPendingSegs = 0
 	c.ackPendingMsgs = 0
 	c.lastAdvWnd = c.advertiseWnd()
-	c.cancelDelack()
+	c.cancel(&c.delackEv)
 }
 
 // ---- receive path ----
 
 func (c *Conn) receive(seg *segment) {
-	if len(seg.payload) == 0 {
+	if seg.n == 0 {
 		c.stack.SoftirqCPU.Exec(c.stack.AckRxCost, func() { c.deliver(seg) })
 		return
 	}
 	if !c.cfg.GRO {
-		cost := c.stack.RxCosts.Batch(seg.nsegs, len(seg.payload))
+		cost := c.stack.RxCosts.Batch(seg.nsegs, int(seg.n))
 		c.stack.SoftirqCPU.Exec(cost, func() { c.deliver(seg) })
 		return
 	}
@@ -555,7 +518,7 @@ func (c *Conn) groPoll() {
 	segs, bytes := 0, 0
 	for _, seg := range batch {
 		segs += seg.nsegs
-		bytes += len(seg.payload)
+		bytes += int(seg.n)
 	}
 	c.stats.GROBatches++
 	c.stats.GROMerged += uint64(len(batch) - 1)
@@ -574,7 +537,7 @@ func (c *Conn) deliver(seg *segment) {
 	}
 	c.processAck(seg.ack, seg.wnd)
 
-	if len(seg.payload) == 0 {
+	if seg.n == 0 {
 		return
 	}
 	if seg.start != c.rcvNxt {
@@ -583,49 +546,28 @@ func (c *Conn) deliver(seg *segment) {
 			// Without recovery machinery a sequence hole is a model
 			// bug, not a recoverable condition.
 			panic(fmt.Sprintf("tcpsim: out-of-order delivery at %d, expected %d (lossy pipe without Config.RTO?)", seg.start, c.rcvNxt))
-		case seg.start+int64(len(seg.payload)) <= c.rcvNxt:
-			// Pure duplicate (a retransmission raced the ack):
+		case seg.start+seg.n <= c.rcvNxt, seg.start > c.rcvNxt:
+			// Pure duplicate (a retransmission raced the ack) or a
+			// gap (an earlier segment was lost, and go-back-N drops
+			// everything until the retransmission fills the hole):
 			// discard, but re-ack so the sender resyncs.
 			c.stats.DupPayloads++
 			c.needDupAck = true
 			c.scheduleAck()
 			return
-		case seg.start < c.rcvNxt:
-			// Overlapping retransmission: accept only the new tail.
-			cut := c.rcvNxt - seg.start
-			seg.payload = seg.payload[cut:]
-			seg.start = c.rcvNxt
-			seg.nsegs = int((int64(len(seg.payload)) + int64(c.cfg.MSS) - 1) / int64(c.cfg.MSS))
-			var kept []int64
-			for _, b := range seg.bounds {
-				if b > c.rcvNxt {
-					kept = append(kept, b)
-				}
-			}
-			seg.bounds = kept
-			c.stats.DupPayloads++
 		default:
-			// Gap: an earlier segment was lost. Go-back-N drops
-			// everything until the retransmission fills the hole.
+			// Overlapping retransmission: accept only the new tail.
+			seg.n -= c.rcvNxt - seg.start
+			seg.start = c.rcvNxt
+			seg.nsegs = int((seg.n + int64(c.cfg.MSS) - 1) / int64(c.cfg.MSS))
+			popLE(&seg.bounds, c.rcvNxt)
 			c.stats.DupPayloads++
-			c.needDupAck = true
-			c.scheduleAck()
-			return
 		}
 	}
-	n := int64(len(seg.payload))
-	c.rq = append(c.rq, seg.payload...)
+	n := seg.n
 	c.rcvNxt += n
 
-	mss := int64(c.cfg.MSS)
-	end := seg.start + n
-	for k := int64(1); k <= int64(seg.nsegs); k++ {
-		segEnd := seg.start + k*mss
-		if segEnd > end {
-			segEnd = end
-		}
-		c.rcvSegEnds = append(c.rcvSegEnds, segEnd)
-	}
+	c.rcvSegEnds = appendSegEnds(c.rcvSegEnds, seg.start, seg.start+n, int64(c.cfg.MSS))
 	c.rcvMsgEnds = append(c.rcvMsgEnds, seg.bounds...)
 
 	c.instr.unread.track(now, n, int64(seg.nsegs), int64(len(seg.bounds)))
@@ -693,13 +635,10 @@ func (c *Conn) processAck(ack, wnd int64) {
 		msgs := popLE(&c.msgEndsUnacked, ack)
 		c.instr.unacked.track(now, -delta, -segs, -msgs)
 		c.sndUna = ack
-		if c.cfg.RTO > 0 {
-			c.rtxBuf = c.rtxBuf[delta:]
-			c.rtoBackoff = 0
-			c.cancelRTO()
-			if c.InFlight() > 0 {
-				c.armRTO()
-			}
+		c.rtoBackoff = 0
+		c.cancel(&c.rtoEv)
+		if c.InFlight() > 0 {
+			c.armRTO() // a no-op without Config.RTO
 		}
 	}
 	if limit := ack + wnd; limit > c.sndLimit {
@@ -714,15 +653,7 @@ func (c *Conn) armRTO() {
 	if c.rtoEv != nil || c.cfg.RTO <= 0 {
 		return
 	}
-	timeout := c.cfg.RTO << uint(c.rtoBackoff)
-	c.rtoEv = c.stack.Sim.After(timeout, c.rtoFire)
-}
-
-func (c *Conn) cancelRTO() {
-	if c.rtoEv != nil {
-		c.stack.Sim.Cancel(c.rtoEv)
-		c.rtoEv = nil
-	}
+	c.rtoEv = c.stack.Sim.After(c.cfg.RTO<<uint(c.rtoBackoff), c.rtoFire)
 }
 
 // rtoFire retransmits everything unACKed in TSO-sized flushes. Counters are
@@ -734,19 +665,11 @@ func (c *Conn) rtoFire() {
 		return
 	}
 	c.stats.Retransmits++
-	if c.rtoBackoff < 6 {
-		c.rtoBackoff++
-	}
+	c.rtoBackoff = min(c.rtoBackoff+1, 6)
 	mss := int64(c.cfg.MSS)
-	for off := int64(0); off < int64(len(c.rtxBuf)); {
-		n := int64(len(c.rtxBuf)) - off
-		if m := int64(c.cfg.TSOMaxBytes); n > m {
-			n = m
-		}
-		start := c.sndUna + off
-		end := start + n
-		payload := make([]byte, n)
-		copy(payload, c.rtxBuf[off:off+n])
+	for start, end := c.sndUna, int64(0); start < c.sndNxt; start = end {
+		n := min(c.sndNxt-start, int64(c.cfg.TSOMaxBytes))
+		end = start + n
 		nsegs := int((n + mss - 1) / mss)
 		var bounds []int64
 		for _, b := range c.msgEndsUnacked {
@@ -754,12 +677,7 @@ func (c *Conn) rtoFire() {
 				bounds = append(bounds, b)
 			}
 		}
-		c.stack.SoftirqCPU.Exec(c.stack.TxCosts.Batch(nsegs, int(n)), func() {
-			seg := &segment{payload: payload, start: start, nsegs: nsegs, bounds: bounds}
-			c.finishSegment(seg)
-			c.tx.Send(len(payload)+nsegs*c.cfg.HeaderBytes, func() { c.peer.receive(seg) })
-		})
-		off += n
+		c.sendSegment(&segment{start: start, n: n, nsegs: nsegs, bounds: bounds})
 	}
 	c.armRTO()
 }
@@ -800,11 +718,10 @@ func (c *Conn) armCork() {
 	})
 }
 
-func (c *Conn) cancelCork() {
-	if c.corkEv != nil {
-		c.stack.Sim.Cancel(c.corkEv)
-		c.corkEv = nil
-	}
+// cancel disarms one of the endpoint's timers, if armed.
+func (c *Conn) cancel(ev **sim.Event) {
+	c.stack.Sim.Cancel(*ev)
+	*ev = nil
 }
 
 func (c *Conn) armDelack() {
@@ -816,13 +733,6 @@ func (c *Conn) armDelack() {
 		c.stats.DelAckTimeouts++
 		c.scheduleAck()
 	})
-}
-
-func (c *Conn) cancelDelack() {
-	if c.delackEv != nil {
-		c.stack.Sim.Cancel(c.delackEv)
-		c.delackEv = nil
-	}
 }
 
 func (c *Conn) notifyReadable() {
@@ -838,6 +748,15 @@ func (c *Conn) notifyReadable() {
 	})
 }
 
+// appendSegEnds appends the end offsets of the MSS-sized wire segments that
+// carry the non-empty stream range [start, end).
+func appendSegEnds(dst []int64, start, end, mss int64) []int64 {
+	for e := start + mss; e < end; e += mss {
+		dst = append(dst, e)
+	}
+	return append(dst, end)
+}
+
 // popLE removes leading elements of *s that are <= limit and returns how
 // many were removed. The slice must be ascending.
 func popLE(s *[]int64, limit int64) int64 {
@@ -848,17 +767,3 @@ func popLE(s *[]int64, limit int64) int64 {
 	*s = (*s)[i:]
 	return int64(i)
 }
-
-// fnv1a folds data into a running 64-bit FNV-1a digest (h starts at
-// fnvOffset). Hand-rolled rather than hash/fnv to stay allocation-free on
-// the per-Read/Send path.
-func fnv1a(h uint64, data []byte) uint64 {
-	for _, b := range data {
-		h ^= uint64(b)
-		h *= 1099511628211
-	}
-	return h
-}
-
-// fnvOffset is the FNV-1a 64-bit offset basis.
-const fnvOffset = 14695981039346656037

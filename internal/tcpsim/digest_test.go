@@ -1,6 +1,8 @@
 package tcpsim
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -8,31 +10,91 @@ import (
 	"e2ebatch/internal/sim"
 )
 
-// TestFNV1aKnownVectors pins the digest primitive against the published
-// FNV-1a 64 test vectors, so the replay seam can never silently become a
-// different hash.
-func TestFNV1aKnownVectors(t *testing.T) {
-	if fnvOffset != 14695981039346656037 {
-		t.Fatalf("offset basis = %d", uint64(fnvOffset))
-	}
-	cases := []struct {
-		in   string
-		want uint64
-	}{
-		{"", fnvOffset},
-		{"a", 0xaf63dc4c8601ec8c},
-		{"foobar", 0x85944171f73967e8},
-	}
-	for _, c := range cases {
-		if got := fnv1a(fnvOffset, []byte(c.in)); got != c.want {
-			t.Errorf("fnv1a(%q) = %#x, want %#x", c.in, got, c.want)
+// digestOf is the one-shot reference: the digest of data written in one
+// piece.
+func digestOf(data []byte) uint64 {
+	d := digest{h: digestBasis}
+	d.fold(data)
+	return d.sum()
+}
+
+// TestDigestSplitInvariance: however a stream is cut into Send- or Read-sized
+// pieces — empty ones, single bytes and pieces one either side of the word
+// size included — the digest is the one a single write gives.
+func TestDigestSplitInvariance(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	sizes := []int{0, 1, 7, 8, 9}
+	for trial := 0; trial < 500; trial++ {
+		data := make([]byte, rng.Intn(200))
+		rng.Read(data)
+		d := digest{h: digestBasis}
+		for rest := data; len(rest) > 0; {
+			n := sizes[rng.Intn(len(sizes))]
+			if rng.Intn(3) == 0 {
+				n = rng.Intn(40)
+			}
+			n = min(n, len(rest))
+			d.fold(rest[:n])
+			rest = rest[n:]
+		}
+		if got, want := d.sum(), digestOf(data); got != want {
+			t.Fatalf("trial %d (%d bytes): split digest %#x, one-shot %#x", trial, len(data), got, want)
 		}
 	}
-	// Incremental hashing over split inputs equals one-shot hashing —
-	// the property Send/Read rely on.
-	split := fnv1a(fnv1a(fnvOffset, []byte("foo")), []byte("bar"))
-	if split != 0x85944171f73967e8 {
-		t.Errorf("split digest = %#x", split)
+	if got := digestOf(nil); got != digestBasis {
+		t.Fatalf("empty stream digest = %#x, want the offset basis", got)
+	}
+}
+
+// FuzzDigestSplit is the same property under the fuzzer: one cut anywhere.
+func FuzzDigestSplit(f *testing.F) {
+	f.Add([]byte("hello stream"), uint(5))
+	f.Add(make([]byte, 17), uint(8))
+	f.Add([]byte{}, uint(0))
+	f.Fuzz(func(t *testing.T, data []byte, cut uint) {
+		at := int(cut % uint(len(data)+1))
+		d := digest{h: digestBasis}
+		d.fold(data[:at])
+		d.fold(data[at:])
+		if got, want := d.sum(), digestOf(data); got != want {
+			t.Fatalf("cut at %d of %d: %#x, one-shot %#x", at, len(data), got, want)
+		}
+	})
+}
+
+// TestDigestSensitivity: the digest covers every byte and the length — the
+// properties a byte counter lacks.
+func TestDigestSensitivity(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, n := range []int{1, 7, 8, 9, 16, 61, 64} {
+		data := make([]byte, n)
+		rng.Read(data)
+		want := digestOf(data)
+		for i := range data {
+			for bit := 0; bit < 8; bit++ {
+				data[i] ^= 1 << bit
+				if digestOf(data) == want {
+					t.Fatalf("len %d: flipping bit %d of byte %d left the digest unchanged", n, bit, i)
+				}
+				data[i] ^= 1 << bit
+			}
+		}
+		if digestOf(append(data[:n:n], 0)) == want {
+			t.Fatalf("len %d: appending a zero byte left the digest unchanged", n)
+		}
+		if digestOf(data[:n-1]) == want {
+			t.Fatalf("len %d: dropping the last byte left the digest unchanged", n)
+		}
+	}
+	// All-zero streams of different lengths fold the same words; only the
+	// pending length tells them apart.
+	seen := map[uint64]int{}
+	for n := 0; n <= 24; n++ {
+		d := digestOf(make([]byte, n))
+		if m, dup := seen[d]; dup {
+			t.Fatalf("zero streams of %d and %d bytes share digest %#x", m, n, d)
+		}
+		seen[d] = n
 	}
 }
 
@@ -46,7 +108,7 @@ func TestStreamDigestsTrackBytes(t *testing.T) {
 	link := netem.NewLink(s, "lnk", netem.Config{BitsPerSec: 100_000_000_000, Propagation: time.Microsecond})
 	cc, sc := Connect(cs, ss, link, DefaultConfig())
 
-	if st := cc.Stats(); st.SentDigest != fnvOffset || st.ReadDigest != fnvOffset {
+	if st := cc.Stats(); st.SentDigest != digestBasis || st.ReadDigest != digestBasis {
 		t.Fatalf("fresh conn digests not at offset basis: %+v", st)
 	}
 
@@ -61,11 +123,12 @@ func TestStreamDigestsTrackBytes(t *testing.T) {
 		}
 	})
 	payloads := [][]byte{[]byte("hello "), []byte("stream"), make([]byte, 3000)}
-	var want uint64 = fnvOffset
+	var all []byte
 	for _, p := range payloads {
 		cc.Send(p)
-		want = fnv1a(want, p)
+		all = append(all, p...)
 	}
+	want := digestOf(all)
 	s.RunFor(10 * time.Millisecond)
 
 	ccSt, scSt := cc.Stats(), sc.Stats()
@@ -75,12 +138,12 @@ func TestStreamDigestsTrackBytes(t *testing.T) {
 	if scSt.ReadDigest != want {
 		t.Fatalf("server ReadDigest = %#x, want sender's %#x", scSt.ReadDigest, want)
 	}
-	if len(serverRead) != 6+6+3000 {
-		t.Fatalf("server read %d bytes", len(serverRead))
+	if !bytes.Equal(serverRead, all) {
+		t.Fatalf("server read %d bytes, not the %d sent", len(serverRead), len(all))
 	}
 	// The server sent nothing: its sent digest is untouched, as is the
 	// client's read digest.
-	if scSt.SentDigest != fnvOffset || ccSt.ReadDigest != fnvOffset {
+	if scSt.SentDigest != digestBasis || ccSt.ReadDigest != digestBasis {
 		t.Fatalf("idle direction digests moved: %#x %#x", scSt.SentDigest, ccSt.ReadDigest)
 	}
 	// Different payload bytes produce a different digest even at equal

@@ -2,6 +2,7 @@ package tcpsim
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -132,6 +133,27 @@ func TestLossInflatesMeasuredResidency(t *testing.T) {
 	lossy := run(0.25)
 	if lossy < 3*clean {
 		t.Fatalf("unacked latency clean=%v lossy=%v: recovery delay not reflected", clean, lossy)
+	}
+}
+
+// TestCloseCancelsRTO: Close abandons data in flight, so a closed endpoint on
+// a dead link must stop retransmitting — the event queue drains and Run
+// returns instead of re-arming the RTO forever.
+func TestCloseCancelsRTO(t *testing.T) {
+	s, ca, _ := lossyNet(t, 4, math.Nextafter(1, 0)) // as dead as netem allows
+	ca.Send(payload(20000))
+	s.RunFor(50 * time.Millisecond)
+	before := ca.Stats().Retransmits
+	if before == 0 || ca.InFlight() == 0 {
+		t.Fatalf("retransmits %d, in flight %d: the dead link was not exercised", before, ca.InFlight())
+	}
+	ca.Close()
+	s.RunUntil(s.Now().Add(time.Hour))
+	if got := ca.Stats().Retransmits; got != before {
+		t.Fatalf("retransmits grew %d -> %d after Close", before, got)
+	}
+	if s.Step() {
+		t.Fatal("events still pending an hour after Close on a dead link")
 	}
 }
 

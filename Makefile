@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: tier1 vet lint escapes allocgate build test race obs-smoke trace-smoke scale-smoke cover bench bench-diff bench-check fidelity-smoke tail-fidelity-smoke clean
+.PHONY: tier1 vet lint escapes allocgate build test race fuzz-smoke obs-smoke trace-smoke scale-smoke cover bench bench-diff bench-check fidelity-smoke tail-fidelity-smoke clean
 
 # tier1 is the CI gate. Target graph (each arrow is a declared prerequisite,
 # so the graph is fail-fast even under `make -j`: nothing downstream of a
@@ -15,6 +15,7 @@ GOFMT ?= gofmt
 #          ├─ build
 #          ├─ test ─→ build
 #          ├─ race ─→ build
+#          ├─ fuzz-smoke ─→ build (every resp fuzz target, 3 s each)
 #          ├─ fidelity-smoke ─→ build
 #          ├─ tail-fidelity-smoke ─→ build
 #          ├─ trace-smoke ─→ build (span plane against a real kvserver)
@@ -28,7 +29,7 @@ GOFMT ?= gofmt
 # fuzz-seed and stress tests all still run. fidelity-smoke and bench-diff
 # are both short-run-safe: the smoke replays the zoo at a reduced duration,
 # and bench-diff degrades to a no-op note until two archives exist.
-tier1: vet lint escapes allocgate build test race obs-smoke trace-smoke scale-smoke fidelity-smoke tail-fidelity-smoke bench-diff bench-check
+tier1: vet lint escapes allocgate build test race fuzz-smoke obs-smoke trace-smoke scale-smoke fidelity-smoke tail-fidelity-smoke bench-diff bench-check
 
 vet:
 	$(GO) vet ./...
@@ -65,6 +66,16 @@ test: build
 race: build
 	$(GO) test -short -race ./...
 
+# fuzz-smoke runs every fuzz target of the wire parser for a few seconds of
+# new inputs each (`go test -fuzz` takes one target per run): the parser
+# reads bytes straight off the network, and the equivalence of its two
+# decoders (Next and NextCommand) is a fuzz property. The seed corpora
+# already run as plain tests; this is the part that generates.
+fuzz-smoke: build
+	@for f in $$($(GO) test -list '^Fuzz' ./internal/resp | grep '^Fuzz'); do \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime=3s ./internal/resp || exit 1; \
+	done
+
 # obs-smoke exercises the telemetry plane end to end against the real
 # kvserver binary: spawn with -obs, drive a request over real TCP, scrape
 # /metrics and the /debug endpoints, then SIGINT and require exit 0. The
@@ -100,12 +111,14 @@ scale-smoke: build
 # tail-SLO objectives landed), the PR-8 telemetry plane (obs) and its span
 # tracing/audit plane (obs/span), the benchmark artifact parser (benchfmt),
 # the model-fidelity corpus: the workload zoo (loadgen) and the closed-form
-# rival (analytic), and the invariant analyzer suite itself (lint). Floors
-# sit a few points under measured coverage at introduction (qstate 98.9%,
-# core 92.9%, faults 95.5%, engine 96.1%, obs 89.6%, obs/span 93.4%,
-# benchfmt 92.6%, loadgen 96.1%, analytic 96.4%, lint 90.0%, policy 98.7%;
-# core re-floored at 90 with the tail-composition coverage) so incidental
-# drift passes but a feature landing untested does not.
+# rival (analytic), the invariant analyzer suite itself (lint), and the two
+# packages every request crosses, where bytes off the network are parsed
+# (resp) and executed (kv). Floors sit a few points under measured coverage
+# at introduction (qstate 98.9%, core 92.9%, faults 95.5%, engine 96.1%,
+# obs 89.6%, obs/span 93.4%, benchfmt 92.6%, loadgen 96.1%, analytic 96.4%,
+# lint 90.0%, policy 98.7%, resp 97.1%, kv 97.4%; core re-floored at 90 with
+# the tail-composition coverage) so incidental drift passes but a feature
+# landing untested does not.
 cover: build
 	@$(GO) test -coverprofile=cover.out ./... > cover.txt || { cat cover.txt; rm -f cover.txt cover.out; exit 1; }
 	@cat cover.txt
@@ -120,7 +133,9 @@ cover: build
 		floor["e2ebatch/internal/lint"]=85; \
 		floor["e2ebatch/internal/benchfmt"]=88; \
 		floor["e2ebatch/internal/loadgen"]=92; \
-		floor["e2ebatch/internal/analytic"]=92 } \
+		floor["e2ebatch/internal/analytic"]=92; \
+		floor["e2ebatch/internal/resp"]=93; \
+		floor["e2ebatch/internal/kv"]=93 } \
 		/^ok/ && /coverage:/ { \
 			v=""; for (i=1;i<=NF;i++) if ($$i=="coverage:") { v=$$(i+1); sub("%","",v) } \
 			if (($$2 in floor) && v+0 < floor[$$2]) { \

@@ -22,10 +22,12 @@ import (
 	"e2ebatch/internal/cpumodel"
 	"e2ebatch/internal/engine"
 	"e2ebatch/internal/figures"
+	"e2ebatch/internal/kv"
 	"e2ebatch/internal/netem"
 	"e2ebatch/internal/obs"
 	"e2ebatch/internal/policy"
 	"e2ebatch/internal/qstate"
+	"e2ebatch/internal/resp"
 	"e2ebatch/internal/sim"
 	"e2ebatch/internal/tcpsim"
 )
@@ -330,6 +332,47 @@ func BenchmarkTcpsimBytePath(b *testing.B) {
 	}
 	if cc.Stats().SentDigest != sc.Stats().ReadDigest || sc.Readable() != 0 {
 		b.Fatal("byte streams differ between sender and receiver")
+	}
+}
+
+// BenchmarkKVRequestPath measures what the server pays per request between
+// the socket read and the socket write: bytes in the parser's buffer →
+// argument views → kv.Engine.Exec → the reply appended to the connection's
+// output buffer. One op is a SET and a GET of one key, 16 pairs to a batch
+// as a pipelining client sends them; ns/op, B/op and allocs/op are per
+// request.
+func BenchmarkKVRequestPath(b *testing.B) {
+	for _, size := range []int{64, 16 << 10} {
+		b.Run(fmt.Sprintf("value=%d", size), func(b *testing.B) {
+			eng := kv.NewEngine(kv.NewStore(func() time.Duration { return 0 }))
+			var wire []byte
+			for i := 0; i < 8; i++ {
+				wire = resp.AppendCommand(wire, []byte("SET"), []byte("key0000000000000"), make([]byte, size))
+				wire = resp.AppendCommand(wire, []byte("GET"), []byte("key0000000000000"))
+			}
+			var parser resp.Parser
+			var args [][]byte
+			var out []byte
+			b.SetBytes(int64(len(wire) / 16))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; {
+				copy(parser.Space(len(wire)), wire)
+				parser.Commit(len(wire))
+				out = out[:0]
+				for {
+					var ok bool
+					if args, ok, _ = parser.NextCommand(args[:0]); !ok {
+						break
+					}
+					out = resp.AppendValue(out, eng.Exec(args))
+					done++
+				}
+			}
+			if want := 8 * (len("+OK\r\n") + len(resp.AppendValue(nil, resp.Bulk(make([]byte, size))))); len(out) != want {
+				b.Fatalf("a batch produced %d reply bytes, want %d", len(out), want)
+			}
+		})
 	}
 }
 

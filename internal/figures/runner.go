@@ -247,9 +247,9 @@ func Run(spec RunSpec) *RunOut {
 
 	store := kv.NewStore(func() time.Duration { return s.Now().Duration() })
 	if spec.PreloadKeys {
-		val := make([]byte, cal.ValSize)
 		for _, k := range loadgen.Keys(cal.KeySize, 16) {
-			store.Set(string(k), val, 0)
+			// One buffer per key: the store owns and overwrites them.
+			store.Set(string(k), make([]byte, cal.ValSize), 0)
 		}
 	}
 	srv := kv.NewSimServer(kv.NewEngine(store), sc, cal.Server)

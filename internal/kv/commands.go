@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"bytes"
 	"strconv"
 	"strings"
 	"time"
@@ -33,193 +34,177 @@ func (e *Engine) Store() *Store { return e.store }
 // errors.
 func (e *Engine) Commands() (total, errors uint64) { return e.commands, e.errors }
 
-// Execute runs one client command (an array of bulk strings) and returns
-// the reply. Malformed input yields RESP errors, never panics.
-func (e *Engine) Execute(v resp.Value) resp.Value {
+// Execute runs one client command held as a parsed value: an adapter over
+// Exec for callers that have no argument views.
+func (e *Engine) Execute(v resp.Value) resp.Value { return e.Exec(v.AppendArgs(nil)) }
+
+// Exec runs one client command, given as its arguments with the name first
+// (none at all: the request was no command), and returns the reply. Malformed
+// input yields RESP errors, never panics. The arguments are only read, and
+// only until Exec returns: the store copies what it keeps. A reply, though,
+// may be a view of the store's own buffer (see Store.Get), so encode it
+// before the next command runs.
+func (e *Engine) Exec(args [][]byte) resp.Value {
 	e.commands++
-	reply := e.execute(v)
+	reply := e.exec(args)
 	if reply.IsError() {
 		e.errors++
 	}
 	return reply
 }
 
-func (e *Engine) execute(v resp.Value) resp.Value {
-	if v.Type != resp.Array || v.Null || len(v.Array) == 0 {
-		return resp.Err("ERR protocol: expected command array")
-	}
-	args := make([][]byte, len(v.Array))
-	for i, a := range v.Array {
-		if a.Type != resp.BulkString || a.Null {
-			return resp.Err("ERR protocol: command arguments must be bulk strings")
-		}
-		args[i] = a.Str
-	}
-	name := strings.ToUpper(string(args[0]))
-	args = args[1:]
+// Replies without a variable part are built once and shared.
+var (
+	errNoCommand = resp.Err("ERR protocol: expected command array")
+	errWrongType = resp.Err("WRONGTYPE Operation against a key holding the wrong kind of value")
+	errSyntax    = resp.Err("ERR syntax error")
+	errNotInt    = resp.Err("ERR value is not an integer or out of range")
+)
 
-	switch name {
+func (e *Engine) exec(args [][]byte) resp.Value {
+	if len(args) == 0 {
+		return errNoCommand
+	}
+	// The name is upper-cased into a stack buffer and the switch compares
+	// it there: no string is built. No command is longer than the buffer,
+	// so a longer name stays empty and falls through to "unknown".
+	var up [12]byte
+	name := up[:0]
+	if len(args[0]) <= len(up) {
+		name = up[:copy(up[:], args[0])]
+	}
+	for i, c := range name {
+		if 'a' <= c && c <= 'z' {
+			name[i] = c - 'a' + 'A'
+		}
+	}
+	cmd, args := args[0], args[1:]
+
+	switch string(name) {
 	case "PING":
 		if len(args) == 1 {
 			return resp.Bulk(args[0])
 		}
 		if len(args) > 1 {
-			return arity("ping")
+			return arity(string(name))
 		}
 		return resp.Pong()
 
 	case "ECHO":
 		if len(args) != 1 {
-			return arity("echo")
+			return arity(string(name))
 		}
 		return resp.Bulk(args[0])
 
 	case "SET":
 		if len(args) < 2 {
-			return arity("set")
+			return arity(string(name))
 		}
 		var ttl time.Duration
-		for i := 2; i < len(args); i++ {
-			switch strings.ToUpper(string(args[i])) {
-			case "EX", "PX":
-				unit := time.Second
-				if strings.EqualFold(string(args[i]), "PX") {
-					unit = time.Millisecond
-				}
-				if i+1 >= len(args) {
-					return resp.Err("ERR syntax error")
-				}
-				n, err := strconv.ParseInt(string(args[i+1]), 10, 64)
-				if err != nil || n <= 0 {
-					return resp.Err("ERR invalid expire time in 'set' command")
-				}
-				ttl = time.Duration(n) * unit
-				i++
+		for opts := args[2:]; len(opts) > 0; opts = opts[2:] {
+			unit := time.Second
+			switch {
+			case bytes.EqualFold(opts[0], []byte("EX")):
+			case bytes.EqualFold(opts[0], []byte("PX")):
+				unit = time.Millisecond
 			default:
-				return resp.Err("ERR syntax error")
+				return errSyntax
 			}
+			if len(opts) < 2 {
+				return errSyntax
+			}
+			n, err := strconv.ParseInt(string(opts[1]), 10, 64)
+			if err != nil || n <= 0 {
+				return resp.Err("ERR invalid expire time in 'set' command")
+			}
+			ttl = time.Duration(n) * unit
 		}
-		e.store.Set(string(args[0]), append([]byte(nil), args[1]...), ttl)
+		e.set(args[0], args[1], ttl)
 		return resp.OK()
 
 	case "GET":
 		if len(args) != 1 {
-			return arity("get")
+			return arity(string(name))
 		}
-		if !stringKind(e.store, args[0]) {
-			return wrongType()
-		}
-		val, ok := e.store.Get(string(args[0]))
-		if !ok {
-			return resp.NullBulk()
-		}
-		return resp.Bulk(val)
+		return e.get(args[0])
 
 	case "SETNX":
 		if len(args) != 2 {
-			return arity("setnx")
+			return arity(string(name))
 		}
-		if e.store.Kind(string(args[0])) != KindNone {
+		if e.store.find(args[0]) != nil {
 			return resp.Int(0)
 		}
-		e.store.Set(string(args[0]), append([]byte(nil), args[1]...), 0)
+		e.store.Set(string(args[0]), bytes.Clone(args[1]), 0)
 		return resp.Int(1)
 
 	case "GETSET":
 		if len(args) != 2 {
-			return arity("getset")
+			return arity(string(name))
 		}
-		if !stringKind(e.store, args[0]) {
-			return wrongType()
+		// The old value is the reply, so the new one gets a buffer of its
+		// own instead of overwriting it in place.
+		old := e.get(args[0])
+		if !old.IsError() {
+			e.store.Set(string(args[0]), bytes.Clone(args[1]), 0)
 		}
-		old, ok := e.store.Get(string(args[0]))
-		e.store.Set(string(args[0]), append([]byte(nil), args[1]...), 0)
-		if !ok {
-			return resp.NullBulk()
-		}
-		return resp.Bulk(old)
+		return old
 
 	case "GETDEL":
 		if len(args) != 1 {
-			return arity("getdel")
+			return arity(string(name))
 		}
-		if !stringKind(e.store, args[0]) {
-			return wrongType()
+		val := e.get(args[0])
+		if !val.IsError() {
+			e.store.Del(string(args[0]))
 		}
-		val, ok := e.store.Get(string(args[0]))
-		if !ok {
-			return resp.NullBulk()
-		}
-		e.store.Del(string(args[0]))
-		return resp.Bulk(val)
+		return val
 
 	case "PERSIST":
 		if len(args) != 1 {
-			return arity("persist")
+			return arity(string(name))
 		}
-		if e.store.Persist(string(args[0])) {
-			return resp.Int(1)
-		}
-		return resp.Int(0)
+		return boolInt(e.store.Persist(string(args[0])))
 
 	case "TYPE":
 		if len(args) != 1 {
-			return arity("type")
+			return arity(string(name))
 		}
 		return resp.Value{Type: resp.SimpleString, Str: []byte(e.store.Kind(string(args[0])).String())}
 
 	case "HSET":
-		if len(args) < 3 || len(args)%2 != 1 {
-			return arity("hset")
-		}
-		if k := e.store.Kind(string(args[0])); k != KindNone && k != KindHash {
-			return wrongType()
+		if bad := e.guard(name, args, len(args) >= 3 && len(args)%2 == 1, KindHash); bad.IsError() {
+			return bad
 		}
 		var added int64
 		for i := 1; i < len(args); i += 2 {
-			if e.store.HSet(string(args[0]), string(args[i]), append([]byte(nil), args[i+1]...)) {
+			if e.store.HSet(string(args[0]), string(args[i]), bytes.Clone(args[i+1])) {
 				added++
 			}
 		}
 		return resp.Int(added)
 
 	case "HGET":
-		if len(args) != 2 {
-			return arity("hget")
+		if bad := e.guard(name, args, len(args) == 2, KindHash); bad.IsError() {
+			return bad
 		}
-		if k := e.store.Kind(string(args[0])); k != KindNone && k != KindHash {
-			return wrongType()
-		}
-		v, ok := e.store.HGet(string(args[0]), string(args[1]))
-		if !ok {
-			return resp.NullBulk()
-		}
-		return resp.Bulk(v)
+		return bulkIf(e.store.HGet(string(args[0]), string(args[1])))
 
 	case "HDEL":
-		if len(args) < 2 {
-			return arity("hdel")
-		}
-		if k := e.store.Kind(string(args[0])); k != KindNone && k != KindHash {
-			return wrongType()
+		if bad := e.guard(name, args, len(args) >= 2, KindHash); bad.IsError() {
+			return bad
 		}
 		return resp.Int(e.store.HDel(string(args[0]), keysOf(args[1:])...))
 
 	case "HLEN":
-		if len(args) != 1 {
-			return arity("hlen")
-		}
-		if k := e.store.Kind(string(args[0])); k != KindNone && k != KindHash {
-			return wrongType()
+		if bad := e.guard(name, args, len(args) == 1, KindHash); bad.IsError() {
+			return bad
 		}
 		return resp.Int(e.store.HLen(string(args[0])))
 
 	case "HGETALL":
-		if len(args) != 1 {
-			return arity("hgetall")
-		}
-		if k := e.store.Kind(string(args[0])); k != KindNone && k != KindHash {
-			return wrongType()
+		if bad := e.guard(name, args, len(args) == 1, KindHash); bad.IsError() {
+			return bad
 		}
 		pairs := e.store.HGetAll(string(args[0]))
 		out := make([]resp.Value, 0, 2*len(pairs))
@@ -229,97 +214,68 @@ func (e *Engine) execute(v resp.Value) resp.Value {
 		return resp.Value{Type: resp.Array, Array: out}
 
 	case "LPUSH", "RPUSH":
-		if len(args) < 2 {
-			return arity(strings.ToLower(name))
-		}
-		if k := e.store.Kind(string(args[0])); k != KindNone && k != KindList {
-			return wrongType()
+		if bad := e.guard(name, args, len(args) >= 2, KindList); bad.IsError() {
+			return bad
 		}
 		vals := make([][]byte, len(args)-1)
 		for i, a := range args[1:] {
-			vals[i] = append([]byte(nil), a...)
+			vals[i] = bytes.Clone(a)
 		}
-		if name == "LPUSH" {
+		if name[0] == 'L' {
 			return resp.Int(e.store.LPush(string(args[0]), vals...))
 		}
 		return resp.Int(e.store.RPush(string(args[0]), vals...))
 
 	case "LPOP", "RPOP":
-		if len(args) != 1 {
-			return arity(strings.ToLower(name))
+		if bad := e.guard(name, args, len(args) == 1, KindList); bad.IsError() {
+			return bad
 		}
-		if k := e.store.Kind(string(args[0])); k != KindNone && k != KindList {
-			return wrongType()
-		}
-		var v []byte
-		var ok bool
-		if name == "LPOP" {
-			v, ok = e.store.LPop(string(args[0]))
-		} else {
-			v, ok = e.store.RPop(string(args[0]))
-		}
-		if !ok {
-			return resp.NullBulk()
-		}
-		return resp.Bulk(v)
+		return bulkIf(e.store.pop(string(args[0]), name[0] == 'L'))
 
 	case "LLEN":
-		if len(args) != 1 {
-			return arity("llen")
-		}
-		if k := e.store.Kind(string(args[0])); k != KindNone && k != KindList {
-			return wrongType()
+		if bad := e.guard(name, args, len(args) == 1, KindList); bad.IsError() {
+			return bad
 		}
 		return resp.Int(e.store.LLen(string(args[0])))
 
 	case "LRANGE":
-		if len(args) != 3 {
-			return arity("lrange")
-		}
-		if k := e.store.Kind(string(args[0])); k != KindNone && k != KindList {
-			return wrongType()
+		if bad := e.guard(name, args, len(args) == 3, KindList); bad.IsError() {
+			return bad
 		}
 		start, err1 := strconv.ParseInt(string(args[1]), 10, 64)
 		stop, err2 := strconv.ParseInt(string(args[2]), 10, 64)
 		if err1 != nil || err2 != nil {
-			return resp.Err("ERR value is not an integer or out of range")
+			return errNotInt
 		}
-		vals := e.store.LRange(string(args[0]), start, stop)
-		out := make([]resp.Value, len(vals))
-		for i, v := range vals {
-			out[i] = resp.Bulk(v)
-		}
-		return resp.Value{Type: resp.Array, Array: out}
+		return bulks(e.store.LRange(string(args[0]), start, stop))
 
 	case "KEYS":
 		if len(args) != 1 {
-			return arity("keys")
+			return arity(string(name))
 		}
 		keys := e.store.Keys(string(args[0]))
-		out := make([]resp.Value, len(keys))
+		out := make([][]byte, len(keys))
 		for i, k := range keys {
-			out[i] = resp.Bulk([]byte(k))
+			out[i] = []byte(k)
 		}
-		return resp.Value{Type: resp.Array, Array: out}
+		return bulks(out)
 
 	case "MSET":
 		if len(args) == 0 || len(args)%2 != 0 {
-			return arity("mset")
+			return arity(string(name))
 		}
 		for i := 0; i < len(args); i += 2 {
-			e.store.Set(string(args[i]), append([]byte(nil), args[i+1]...), 0)
+			e.set(args[i], args[i+1], 0)
 		}
 		return resp.OK()
 
 	case "MGET":
 		if len(args) == 0 {
-			return arity("mget")
+			return arity(string(name))
 		}
 		out := make([]resp.Value, len(args))
 		for i, k := range args {
-			if val, ok := e.store.Get(string(k)); ok {
-				out[i] = resp.Bulk(val)
-			} else {
+			if out[i] = e.get(k); out[i].IsError() {
 				out[i] = resp.NullBulk()
 			}
 		}
@@ -327,88 +283,67 @@ func (e *Engine) execute(v resp.Value) resp.Value {
 
 	case "DEL":
 		if len(args) == 0 {
-			return arity("del")
+			return arity(string(name))
 		}
 		return resp.Int(e.store.Del(keysOf(args)...))
 
 	case "EXISTS":
 		if len(args) == 0 {
-			return arity("exists")
+			return arity(string(name))
 		}
 		return resp.Int(e.store.Exists(keysOf(args)...))
 
 	case "INCR", "DECR", "INCRBY", "DECRBY":
-		if len(args) >= 1 && !stringKind(e.store, args[0]) {
-			return wrongType()
+		by := len(name) == len("INCRBY")
+		if bad := e.guard(name, args, len(args) == 1 && !by || len(args) == 2 && by, KindString); bad.IsError() {
+			return bad
 		}
 		delta := int64(1)
-		switch name {
-		case "INCR":
-			if len(args) != 1 {
-				return arity("incr")
-			}
-		case "DECR":
-			if len(args) != 1 {
-				return arity("decr")
-			}
-			delta = -1
-		default:
-			if len(args) != 2 {
-				return arity(strings.ToLower(name))
-			}
+		if by {
 			n, err := strconv.ParseInt(string(args[1]), 10, 64)
 			if err != nil {
-				return resp.Err("ERR value is not an integer or out of range")
+				return errNotInt
 			}
 			delta = n
-			if name == "DECRBY" {
-				delta = -n
-			}
+		}
+		if name[0] == 'D' {
+			delta = -delta
 		}
 		nv, ok := e.store.IncrBy(string(args[0]), delta)
 		if !ok {
-			return resp.Err("ERR value is not an integer or out of range")
+			return errNotInt
 		}
 		return resp.Int(nv)
 
 	case "APPEND":
-		if len(args) != 2 {
-			return arity("append")
-		}
-		if !stringKind(e.store, args[0]) {
-			return wrongType()
+		if bad := e.guard(name, args, len(args) == 2, KindString); bad.IsError() {
+			return bad
 		}
 		return resp.Int(e.store.Append(string(args[0]), args[1]))
 
 	case "STRLEN":
-		if len(args) != 1 {
-			return arity("strlen")
-		}
-		if !stringKind(e.store, args[0]) {
-			return wrongType()
+		if bad := e.guard(name, args, len(args) == 1, KindString); bad.IsError() {
+			return bad
 		}
 		return resp.Int(e.store.Strlen(string(args[0])))
 
 	case "EXPIRE", "PEXPIRE":
 		if len(args) != 2 {
-			return arity(strings.ToLower(name))
+			return arity(string(name))
 		}
 		n, err := strconv.ParseInt(string(args[1]), 10, 64)
 		if err != nil {
-			return resp.Err("ERR value is not an integer or out of range")
+			return errNotInt
 		}
 		unit := time.Second
-		if name == "PEXPIRE" {
+		if name[0] == 'P' {
 			unit = time.Millisecond
 		}
-		if e.store.Expire(string(args[0]), time.Duration(n)*unit) {
-			return resp.Int(1)
-		}
-		return resp.Int(0)
+		return boolInt(e.store.Expire(string(args[0]), time.Duration(n)*unit))
 
 	case "TTL", "PTTL":
 		if len(args) != 1 {
-			return arity(strings.ToLower(name))
+			return arity(string(name))
 		}
 		ttl, ok := e.store.TTL(string(args[0]))
 		if !ok {
@@ -417,14 +352,14 @@ func (e *Engine) execute(v resp.Value) resp.Value {
 		if ttl < 0 {
 			return resp.Int(-1)
 		}
-		if name == "TTL" {
+		if name[0] == 'T' {
 			return resp.Int(int64((ttl + time.Second - 1) / time.Second))
 		}
 		return resp.Int(int64(ttl / time.Millisecond))
 
 	case "DBSIZE":
 		if len(args) != 0 {
-			return arity("dbsize")
+			return arity(string(name))
 		}
 		return resp.Int(e.store.DBSize())
 
@@ -435,24 +370,69 @@ func (e *Engine) execute(v resp.Value) resp.Value {
 	case "COMMAND", "CONFIG", "CLIENT", "INFO":
 		// Accepted no-ops so standard clients can handshake.
 		return resp.OK()
+	}
+	return resp.Err("ERR unknown command '%s'", strings.ToLower(string(cmd)))
+}
 
-	default:
-		return resp.Err("ERR unknown command '%s'", strings.ToLower(name))
+// get is GET's reply for key: a view of the store's buffer, a null, or
+// WRONGTYPE.
+//
+//e2e:hotpath
+func (e *Engine) get(key []byte) resp.Value {
+	en := e.store.find(key)
+	if en == nil {
+		return resp.NullBulk()
+	}
+	if en.kind != KindString {
+		return errWrongType
+	}
+	return resp.Bulk(en.val)
+}
+
+// set is SET's work, and the one copy of the value it makes: into the buffer
+// key already owns when that fits, into a new one when not.
+func (e *Engine) set(key, val []byte, ttl time.Duration) {
+	if !e.store.overwrite(key, val, ttl) {
+		e.store.Set(string(key), bytes.Clone(val), ttl)
 	}
 }
 
-func arity(cmd string) resp.Value {
-	return resp.Err("ERR wrong number of arguments for '%s' command", cmd)
+// guard opens the commands on one kind of value: the arity error unless
+// arityOK, WRONGTYPE when the key, args[0], holds a value of another kind.
+func (e *Engine) guard(name []byte, args [][]byte, arityOK bool, kind Kind) (bad resp.Value) {
+	if !arityOK {
+		return arity(string(name))
+	}
+	if en := e.store.find(args[0]); en != nil && en.kind != kind {
+		return errWrongType
+	}
+	return bad
 }
 
-func wrongType() resp.Value {
-	return resp.Err("WRONGTYPE Operation against a key holding the wrong kind of value")
+func arity(name string) resp.Value {
+	return resp.Err("ERR wrong number of arguments for '%s' command", strings.ToLower(name))
 }
 
-// stringKind reports whether key is absent or holds a string.
-func stringKind(s *Store, key []byte) bool {
-	k := s.Kind(string(key))
-	return k == KindNone || k == KindString
+func boolInt(b bool) resp.Value {
+	if b {
+		return resp.Int(1)
+	}
+	return resp.Int(0)
+}
+
+func bulkIf(v []byte, ok bool) resp.Value {
+	if !ok {
+		return resp.NullBulk()
+	}
+	return resp.Bulk(v)
+}
+
+func bulks(vals [][]byte) resp.Value {
+	out := make([]resp.Value, len(vals))
+	for i, v := range vals {
+		out[i] = resp.Bulk(v)
+	}
+	return resp.Value{Type: resp.Array, Array: out}
 }
 
 func keysOf(args [][]byte) []string {

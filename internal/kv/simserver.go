@@ -45,8 +45,14 @@ type SimServer struct {
 	conn   *tcpsim.Conn
 	cfg    SimServerConfig
 
-	parser  resp.Parser
-	pending []resp.Value
+	parser resp.Parser
+	// argv holds the arguments of one read's requests back to back, as views
+	// of the parser's buffer; pending[head:] are the requests not yet
+	// served. The views stay valid because only a read cycle feeds the
+	// parser and one starts only after pending has drained.
+	argv    [][]byte
+	pending [][][]byte
+	head    int
 	busy    bool
 	stalled bool
 
@@ -94,15 +100,15 @@ func (s *SimServer) wake() {
 func (s *SimServer) readCycle() {
 	s.conn.Stack().AppCPU.Exec(s.cfg.ReadCosts.PerBatch, func() {
 		data := s.conn.Read(0)
-		if len(data) == 0 && len(s.pending) == 0 {
+		if len(data) == 0 {
 			s.finishCycle()
 			return
 		}
 		s.stats.BytesIn += uint64(len(data))
 		s.parser.Feed(data)
-		batch := 0
+		s.argv, s.pending, s.head = s.argv[:0], s.pending[:0], 0
 		for {
-			v, ok, err := s.parser.Next()
+			args, ok, err := s.parser.NextCommand(s.argv)
 			if err != nil {
 				// Corrupt stream: answer with an error and stop
 				// reading — the mini-Redis equivalent of closing.
@@ -114,13 +120,11 @@ func (s *SimServer) readCycle() {
 			if !ok {
 				break
 			}
-			s.pending = append(s.pending, v)
-			batch++
+			s.pending = append(s.pending, args[len(s.argv):])
+			s.argv = args
 		}
 		s.stats.ReadBatches++
-		if batch > s.stats.MaxBatch {
-			s.stats.MaxBatch = batch
-		}
+		s.stats.MaxBatch = max(s.stats.MaxBatch, len(s.pending))
 		s.processNext()
 	})
 }
@@ -128,17 +132,22 @@ func (s *SimServer) readCycle() {
 // processNext handles one pending command, charging α plus byte costs, then
 // recurses; when the queue drains it re-checks the socket.
 func (s *SimServer) processNext() {
-	if len(s.pending) == 0 {
+	if s.head == len(s.pending) {
 		s.finishCycle()
 		return
 	}
-	cmd := s.pending[0]
-	s.pending = s.pending[1:]
+	cmd := s.pending[s.head]
+	s.head++
 	cost := s.cfg.ReadCosts.PerItem + time.Duration(float64(wireSize(cmd))*s.cfg.ReadCosts.PerByteNS)
 	s.conn.Stack().AppCPU.Exec(cost, func() {
-		reply := s.engine.Execute(cmd)
+		reply := s.engine.Exec(cmd)
 		s.stats.Requests++
-		wire := resp.AppendValue(nil, reply)
+		// Send keeps the slice it is given, so "+OK" is one shared slice and
+		// any other reply gets its own.
+		wire := okWire
+		if reply.Type != resp.SimpleString || string(reply.Str) != "OK" {
+			wire = resp.AppendValue(nil, reply)
+		}
 		s.conn.Stack().AppCPU.Exec(s.cfg.WriteCosts.Item(len(wire)), func() {
 			s.send(wire)
 			s.processNext()
@@ -161,13 +170,14 @@ func (s *SimServer) finishCycle() {
 	}
 }
 
+var okWire = resp.AppendValue(nil, resp.OK())
+
 // wireSize approximates the wire size of a parsed command for cost
 // accounting (header bytes are negligible next to 16 KiB values).
-func wireSize(v resp.Value) int {
+func wireSize(args [][]byte) int {
 	n := 16
-	for _, e := range v.Array {
-		n += len(e.Str) + 16
+	for _, a := range args {
+		n += len(a) + 16
 	}
-	n += len(v.Str)
 	return n
 }

@@ -20,7 +20,7 @@ type Clock func() time.Duration
 // itself does with its single-threaded command loop).
 type Store struct {
 	clock Clock
-	m     map[string]entry
+	m     map[string]*entry
 
 	expired uint64
 }
@@ -50,6 +50,7 @@ func (k Kind) String() string {
 }
 
 type entry struct {
+	key      string
 	kind     Kind
 	val      []byte
 	hash     map[string][]byte
@@ -62,59 +63,97 @@ func NewStore(clock Clock) *Store {
 	if clock == nil {
 		panic("kv: nil clock")
 	}
-	return &Store{clock: clock, m: make(map[string]entry)}
+	return &Store{clock: clock, m: make(map[string]*entry)}
 }
 
-// live fetches the entry if present and unexpired, lazily reaping it
-// otherwise (Redis-style lazy expiry).
-func (s *Store) live(key string) (entry, bool) {
-	e, ok := s.m[key]
-	if !ok {
-		return entry{}, false
-	}
-	if e.expireAt != 0 && s.clock() >= e.expireAt {
-		delete(s.m, key)
+// live fetches the entry if present and unexpired, or nil, lazily reaping
+// an expired one (Redis-style lazy expiry).
+func (s *Store) live(key string) *entry { return s.alive(s.m[key]) }
+
+// find is live for the command path: looking up a []byte key builds no string.
+//
+//e2e:hotpath
+func (s *Store) find(key []byte) *entry { return s.alive(s.m[string(key)]) }
+
+func (s *Store) alive(e *entry) *entry {
+	if e != nil && e.expireAt != 0 && s.clock() >= e.expireAt {
+		delete(s.m, e.key)
 		s.expired++
-		return entry{}, false
+		return nil
 	}
-	return e, true
+	return e
+}
+
+// typed fetches the live entry under key, creating an empty one of the given
+// kind if asked to. The commands of one kind assume the engine has answered
+// WRONGTYPE for a key of another; finding one means that guard is missing.
+func (s *Store) typed(key string, kind Kind, create bool) *entry {
+	e := s.live(key)
+	if e == nil && create {
+		e = &entry{key: key, kind: kind}
+		s.m[key] = e
+	}
+	if e != nil && e.kind != kind {
+		panic("kv: " + kind.String() + " operation on a key of another kind (engine guard missing)")
+	}
+	return e
 }
 
 // Kind reports the live value's type (KindNone when missing).
 func (s *Store) Kind(key string) Kind {
-	e, ok := s.live(key)
-	if !ok {
-		return KindNone
+	if e := s.live(key); e != nil {
+		return e.kind
 	}
-	return e.kind
+	return KindNone
 }
 
 // Set stores a string value under key with optional ttl (0 = no expiry),
-// overwriting any previous value of any kind (as Redis SET does).
+// overwriting any previous value of any kind (as Redis SET does). The store
+// takes ownership of value and may later overwrite it in place.
 func (s *Store) Set(key string, value []byte, ttl time.Duration) {
-	e := entry{kind: KindString, val: value}
+	e := &entry{key: key, kind: KindString, val: value}
 	if ttl > 0 {
 		e.expireAt = s.clock() + ttl
 	}
 	s.m[key] = e
 }
 
+// overwrite is Set for the command path when key already holds a string whose
+// buffer fits value: the bytes are copied over the old ones and no key
+// string, entry or buffer is built. In every other case it does nothing and
+// reports false.
+//
+//e2e:hotpath
+func (s *Store) overwrite(key, value []byte, ttl time.Duration) bool {
+	e := s.m[string(key)]
+	if e == nil || e.kind != KindString || cap(e.val) < len(value) {
+		return false
+	}
+	e.val = e.val[:len(value)]
+	copy(e.val, value)
+	e.expireAt = 0
+	if ttl > 0 {
+		e.expireAt = s.clock() + ttl
+	}
+	return true
+}
+
 // Get returns the string value and whether the key exists as a string.
 // Callers that must distinguish "missing" from "wrong type" check Kind
-// first, as the command engine does.
+// first, as the command engine does. The slice is the store's own buffer:
+// it is valid until the next write to key, which may overwrite it in place.
 func (s *Store) Get(key string) ([]byte, bool) {
-	e, ok := s.live(key)
-	if !ok || e.kind != KindString {
-		return nil, false
+	if e := s.live(key); e != nil && e.kind == KindString {
+		return e.val, true
 	}
-	return e.val, true
+	return nil, false
 }
 
 // Del removes keys, returning how many existed.
 func (s *Store) Del(keys ...string) int64 {
 	var n int64
 	for _, k := range keys {
-		if _, ok := s.live(k); ok {
+		if s.live(k) != nil {
 			delete(s.m, k)
 			n++
 		}
@@ -127,7 +166,7 @@ func (s *Store) Del(keys ...string) int64 {
 func (s *Store) Exists(keys ...string) int64 {
 	var n int64
 	for _, k := range keys {
-		if _, ok := s.live(k); ok {
+		if s.live(k) != nil {
 			n++
 		}
 	}
@@ -135,45 +174,39 @@ func (s *Store) Exists(keys ...string) int64 {
 }
 
 // IncrBy adds delta to the integer stored at key (0 if missing), returning
-// the new value; ok is false if the current value is not an integer.
+// the new value; ok is false if the current value is not an integer. The key
+// keeps any TTL it has, as in Redis.
 func (s *Store) IncrBy(key string, delta int64) (int64, bool) {
-	var cur int64
-	if e, ok := s.live(key); ok {
+	if e := s.live(key); e != nil {
 		v, err := strconv.ParseInt(string(e.val), 10, 64)
 		if err != nil {
 			return 0, false
 		}
-		cur = v
+		delta += v
 	}
-	cur += delta
-	// Preserve any existing TTL, as Redis does.
-	e := s.m[key]
-	e.kind = KindString
-	e.val = strconv.AppendInt(nil, cur, 10)
-	s.m[key] = e
-	return cur, true
+	e := s.typed(key, KindString, true)
+	e.val = strconv.AppendInt(e.val[:0], delta, 10)
+	return delta, true
 }
 
 // Append appends data to the value at key (creating it), returning the new
 // length.
 func (s *Store) Append(key string, data []byte) int64 {
-	e, _ := s.live(key)
-	e.kind = KindString
+	e := s.typed(key, KindString, true)
 	e.val = append(e.val, data...)
-	s.m[key] = e
 	return int64(len(e.val))
 }
 
 // Strlen returns the value length (0 for a missing key).
 func (s *Store) Strlen(key string) int64 {
-	e, _ := s.live(key)
-	return int64(len(e.val))
+	v, _ := s.Get(key)
+	return int64(len(v))
 }
 
 // Expire sets a ttl on an existing key; it reports whether the key existed.
 func (s *Store) Expire(key string, ttl time.Duration) bool {
-	e, ok := s.live(key)
-	if !ok {
+	e := s.live(key)
+	if e == nil {
 		return false
 	}
 	if ttl <= 0 {
@@ -181,15 +214,14 @@ func (s *Store) Expire(key string, ttl time.Duration) bool {
 		return true
 	}
 	e.expireAt = s.clock() + ttl
-	s.m[key] = e
 	return true
 }
 
 // TTL returns the remaining lifetime: (-2, false) if missing, (-1, true)
 // if persistent, otherwise (ttl, true).
 func (s *Store) TTL(key string) (time.Duration, bool) {
-	e, ok := s.live(key)
-	if !ok {
+	e := s.live(key)
+	if e == nil {
 		return -2, false
 	}
 	if e.expireAt == 0 {
@@ -200,12 +232,11 @@ func (s *Store) TTL(key string) (time.Duration, bool) {
 
 // Persist removes the TTL from key, reporting whether a TTL was removed.
 func (s *Store) Persist(key string) bool {
-	e, ok := s.live(key)
-	if !ok || e.expireAt == 0 {
+	e := s.live(key)
+	if e == nil || e.expireAt == 0 {
 		return false
 	}
 	e.expireAt = 0
-	s.m[key] = e
 	return true
 }
 
@@ -213,11 +244,8 @@ func (s *Store) Persist(key string) bool {
 // '?' wildcards), sorted for determinism.
 func (s *Store) Keys(pattern string) []string {
 	var out []string
-	for k := range s.m {
-		if _, ok := s.live(k); !ok {
-			continue
-		}
-		if globMatch(pattern, k) {
+	for k, e := range s.m {
+		if s.alive(e) != nil && globMatch(pattern, k) {
 			out = append(out, k)
 		}
 	}
@@ -252,30 +280,14 @@ func globMatch(pattern, s string) bool {
 	return pi == len(pattern)
 }
 
-// ---- hashes ----
-// The hash and list methods assume the key's kind has been validated by
-// the caller (the command engine returns WRONGTYPE first); operating on a
-// mismatched kind panics, as it indicates a missing guard.
-
-func (s *Store) hashEntry(key string, create bool) (entry, bool) {
-	e, ok := s.live(key)
-	if !ok {
-		if !create {
-			return entry{}, false
-		}
-		e = entry{kind: KindHash, hash: make(map[string][]byte)}
-		s.m[key] = e
-		return e, true
-	}
-	if e.kind != KindHash {
-		panic("kv: hash operation on non-hash key (engine guard missing)")
-	}
-	return e, true
-}
+// ---- hashes and lists ----
 
 // HSet sets field in the hash at key, reporting whether the field is new.
 func (s *Store) HSet(key, field string, value []byte) bool {
-	e, _ := s.hashEntry(key, true)
+	e := s.typed(key, KindHash, true)
+	if e.hash == nil {
+		e.hash = make(map[string][]byte)
+	}
 	_, existed := e.hash[field]
 	e.hash[field] = value
 	return !existed
@@ -283,8 +295,8 @@ func (s *Store) HSet(key, field string, value []byte) bool {
 
 // HGet fetches a hash field.
 func (s *Store) HGet(key, field string) ([]byte, bool) {
-	e, ok := s.hashEntry(key, false)
-	if !ok {
+	e := s.typed(key, KindHash, false)
+	if e == nil {
 		return nil, false
 	}
 	v, ok := e.hash[field]
@@ -294,36 +306,32 @@ func (s *Store) HGet(key, field string) ([]byte, bool) {
 // HDel removes fields, returning how many existed; an emptied hash is
 // removed, like Redis.
 func (s *Store) HDel(key string, fields ...string) int64 {
-	e, ok := s.hashEntry(key, false)
-	if !ok {
+	e := s.typed(key, KindHash, false)
+	if e == nil {
 		return 0
 	}
-	var n int64
+	before := len(e.hash)
 	for _, f := range fields {
-		if _, exists := e.hash[f]; exists {
-			delete(e.hash, f)
-			n++
-		}
+		delete(e.hash, f)
 	}
 	if len(e.hash) == 0 {
 		delete(s.m, key)
 	}
-	return n
+	return int64(before - len(e.hash))
 }
 
 // HLen returns the number of fields.
 func (s *Store) HLen(key string) int64 {
-	e, ok := s.hashEntry(key, false)
-	if !ok {
-		return 0
+	if e := s.typed(key, KindHash, false); e != nil {
+		return int64(len(e.hash))
 	}
-	return int64(len(e.hash))
+	return 0
 }
 
 // HGetAll returns field/value pairs sorted by field for determinism.
 func (s *Store) HGetAll(key string) [][2][]byte {
-	e, ok := s.hashEntry(key, false)
-	if !ok {
+	e := s.typed(key, KindHash, false)
+	if e == nil {
 		return nil
 	}
 	fields := make([]string, 0, len(e.hash))
@@ -338,39 +346,20 @@ func (s *Store) HGetAll(key string) [][2][]byte {
 	return out
 }
 
-// ---- lists ----
-
-func (s *Store) listEntry(key string, create bool) (*entry, bool) {
-	e, ok := s.live(key)
-	if !ok {
-		if !create {
-			return nil, false
-		}
-		e = entry{kind: KindList}
-		s.m[key] = e
-	} else if e.kind != KindList {
-		panic("kv: list operation on non-list key (engine guard missing)")
-	}
-	// Mutate through a copy written back by the callers below.
-	return &e, true
-}
-
 // LPush prepends values (leftmost argument ends up at the head last, like
 // Redis), returning the new length.
 func (s *Store) LPush(key string, values ...[]byte) int64 {
-	e, _ := s.listEntry(key, true)
+	e := s.typed(key, KindList, true)
 	for _, v := range values {
 		e.list = append([][]byte{v}, e.list...)
 	}
-	s.m[key] = *e
 	return int64(len(e.list))
 }
 
 // RPush appends values, returning the new length.
 func (s *Store) RPush(key string, values ...[]byte) int64 {
-	e, _ := s.listEntry(key, true)
+	e := s.typed(key, KindList, true)
 	e.list = append(e.list, values...)
-	s.m[key] = *e
 	return int64(len(e.list))
 }
 
@@ -381,40 +370,35 @@ func (s *Store) LPop(key string) ([]byte, bool) { return s.pop(key, true) }
 func (s *Store) RPop(key string) ([]byte, bool) { return s.pop(key, false) }
 
 func (s *Store) pop(key string, head bool) ([]byte, bool) {
-	e, ok := s.listEntry(key, false)
-	if !ok || len(e.list) == 0 {
+	e := s.typed(key, KindList, false)
+	if e == nil || len(e.list) == 0 {
 		return nil, false
 	}
-	var v []byte
+	v, last := e.list[0], len(e.list)-1
 	if head {
-		v = e.list[0]
 		e.list = e.list[1:]
 	} else {
-		v = e.list[len(e.list)-1]
-		e.list = e.list[:len(e.list)-1]
+		v, e.list = e.list[last], e.list[:last]
 	}
 	if len(e.list) == 0 {
 		delete(s.m, key)
-	} else {
-		s.m[key] = *e
 	}
 	return v, true
 }
 
 // LLen returns the list length.
 func (s *Store) LLen(key string) int64 {
-	e, ok := s.listEntry(key, false)
-	if !ok {
-		return 0
+	if e := s.typed(key, KindList, false); e != nil {
+		return int64(len(e.list))
 	}
-	return int64(len(e.list))
+	return 0
 }
 
 // LRange returns elements start..stop inclusive with Redis's negative-index
 // semantics.
 func (s *Store) LRange(key string, start, stop int64) [][]byte {
-	e, ok := s.listEntry(key, false)
-	if !ok {
+	e := s.typed(key, KindList, false)
+	if e == nil {
 		return nil
 	}
 	n := int64(len(e.list))
@@ -433,18 +417,14 @@ func (s *Store) LRange(key string, start, stop int64) [][]byte {
 	if start > stop || start >= n {
 		return nil
 	}
-	out := make([][]byte, 0, stop-start+1)
-	for i := start; i <= stop; i++ {
-		out = append(out, e.list[i])
-	}
-	return out
+	return append([][]byte(nil), e.list[start:stop+1]...)
 }
 
 // DBSize returns the number of live keys, reaping expired ones it touches.
 func (s *Store) DBSize() int64 {
 	var n int64
-	for k := range s.m {
-		if _, ok := s.live(k); ok {
+	for _, e := range s.m {
+		if s.alive(e) != nil {
 			n++
 		}
 	}
@@ -453,7 +433,7 @@ func (s *Store) DBSize() int64 {
 
 // FlushAll removes every key.
 func (s *Store) FlushAll() {
-	s.m = make(map[string]entry)
+	s.m = make(map[string]*entry)
 }
 
 // Expired returns how many keys lazy expiry has reaped.

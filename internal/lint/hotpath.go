@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -23,8 +24,14 @@ import (
 //     captures move to the heap);
 //   - fmt/errors calls (formatting allocates; errors.New escapes);
 //   - map and slice composite literals, and make of a map/slice/chan;
-//   - append (growth reallocates; hot paths use pre-sized scratch);
-//   - string ↔ []byte conversions (both directions copy);
+//   - append (growth reallocates; hot paths use pre-sized scratch), except
+//     to a slice the function received as a parameter — the strconv.AppendInt
+//     idiom: the caller owns the buffer and its capacity, and its allocgate
+//     pins the steady state;
+//   - string ↔ []byte conversions (both directions copy), except string(b)
+//     where the compiler is documented to alias b instead of copying it: as
+//     the key of a map read (m[string(b)], never a map write), as a switch
+//     tag, and as an operand of a comparison;
 //   - interface boxing at call sites: a non-pointer-shaped concrete value
 //     passed where an interface is expected heap-allocates the value.
 //
@@ -185,6 +192,13 @@ func scanHotBody(p *ModulePass, fn hotFunc, root string) {
 	if name := funcDisplayName(fn.decl); name != root {
 		where = name + ", on the hot path of //e2e:hotpath " + root
 	}
+	free := aliasedConversions(info, fn.decl.Body)
+	params := map[types.Object]bool{}
+	for _, f := range fn.decl.Type.Params.List {
+		for _, name := range f.Names {
+			params[info.Defs[name]] = true
+		}
+	}
 	var walk func(n ast.Node) bool
 	walk = func(n ast.Node) bool {
 		switch x := n.(type) {
@@ -201,6 +215,9 @@ func scanHotBody(p *ModulePass, fn hotFunc, root string) {
 				// A panicking tick is already dead; its message may format.
 				return false
 			}
+			if free[x] || appendsToParam(info, x, params) {
+				return true
+			}
 			checkHotCall(p, info, x, where)
 		case *ast.CompositeLit:
 			switch info.TypeOf(x).Underlying().(type) {
@@ -213,6 +230,62 @@ func scanHotBody(p *ModulePass, fn hotFunc, root string) {
 		return true
 	}
 	ast.Inspect(fn.decl.Body, walk)
+}
+
+// aliasedConversions collects the string(b) conversions in body that the
+// compiler performs without copying b: the key of a map read, a switch tag,
+// and the operands of a comparison. A map write is not among them — a new
+// key has to own its bytes.
+func aliasedConversions(info *types.Info, body *ast.BlockStmt) map[*ast.CallExpr]bool {
+	free := map[*ast.CallExpr]bool{}
+	written := map[ast.Expr]bool{}
+	mark := func(e ast.Expr) {
+		if call, ok := ast.Unparen(e).(*ast.CallExpr); ok && len(call.Args) == 1 {
+			if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && isString(tv.Type) {
+				free[call] = true
+			}
+		}
+	}
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range x.Lhs {
+				written[ast.Unparen(lhs)] = true
+			}
+		case *ast.IncDecStmt:
+			written[ast.Unparen(x.X)] = true
+		case *ast.IndexExpr:
+			if _, isMap := info.TypeOf(x.X).Underlying().(*types.Map); isMap && !written[x] {
+				mark(x.Index)
+			}
+		case *ast.SwitchStmt:
+			if x.Tag != nil {
+				mark(x.Tag)
+			}
+		case *ast.BinaryExpr:
+			switch x.Op {
+			case token.EQL, token.NEQ, token.LSS, token.LEQ, token.GTR, token.GEQ:
+				mark(x.X)
+				mark(x.Y)
+			}
+		}
+		return true
+	})
+	return free
+}
+
+// appendsToParam reports whether call is an append whose destination is one
+// of the enclosing function's own parameters.
+func appendsToParam(info *types.Info, call *ast.CallExpr, params map[types.Object]bool) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	if !ok || len(call.Args) == 0 {
+		return false
+	}
+	if b, ok := info.Uses[id].(*types.Builtin); !ok || b.Name() != "append" {
+		return false
+	}
+	dst, ok := ast.Unparen(call.Args[0]).(*ast.Ident)
+	return ok && params[info.Uses[dst]]
 }
 
 // capturesLocals reports whether lit references a variable declared in the

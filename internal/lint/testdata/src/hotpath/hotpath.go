@@ -69,6 +69,24 @@ func cold() string {
 	return fmt.Sprintf("%s", string(bs))
 }
 
+// Lookup uses the string(b) forms the compiler aliases instead of copying, and
+// appends to the buffer its caller owns; only the map write builds a string.
+//
+//e2e:hotpath
+func Lookup(m map[string]int, key []byte, dst []byte) []byte {
+	switch string(key) { // ok: switch tag
+	case "a":
+		dst = append(dst, 'a') // ok: dst is a parameter, the caller owns its capacity
+	}
+	if n, ok := m[string(key)]; ok && string(key) != "b" { // ok: map read, comparison
+		dst = append(dst, byte(n))
+	}
+	m[string(key)] = 1 // want "string/\\[\\]byte conversion in"
+	local := dst[:0]
+	local = append(local, 1) // want "append in //e2e:hotpath function Lookup"
+	return append(dst, local...)
+}
+
 //e2e:hotpath
 func Justified() {
 	//lint:ignore e2elint/hotpath startup-only formatting, measured free

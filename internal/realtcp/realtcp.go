@@ -8,7 +8,6 @@
 package realtcp
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -30,13 +29,12 @@ type Server struct {
 	mu     sync.Mutex
 	engine *kv.Engine
 
-	wg        sync.WaitGroup
-	listener  net.Listener // guarded by connMu: Serve publishes, Close reads
-	closed    chan struct{}
-	closeOnce sync.Once
+	wg sync.WaitGroup
 
-	connMu sync.Mutex // guards conns and listener
-	conns  map[net.Conn]struct{}
+	connMu   sync.Mutex   // guards the three below
+	listener net.Listener // Serve publishes, Close reads
+	closed   bool
+	conns    map[net.Conn]struct{}
 
 	// Nagle controls whether accepted connections keep Nagle enabled
 	// (false sets TCP_NODELAY, Redis's default behaviour).
@@ -73,7 +71,7 @@ type Server struct {
 
 // NewServer returns a server around engine.
 func NewServer(engine *kv.Engine) *Server {
-	return &Server{engine: engine, closed: make(chan struct{}), conns: make(map[net.Conn]struct{})}
+	return &Server{engine: engine, conns: make(map[net.Conn]struct{})}
 }
 
 // Serve accepts connections on l until Close. It returns the first
@@ -81,24 +79,23 @@ func NewServer(engine *kv.Engine) *Server {
 func (s *Server) Serve(l net.Listener) error {
 	s.connMu.Lock()
 	s.listener = l
+	closed := s.closed
 	s.connMu.Unlock()
-	select {
-	case <-s.closed:
+	if closed {
 		// Close ran before the listener was published; it is our job to
 		// release it.
 		l.Close()
 		return nil
-	default:
 	}
 	for {
 		conn, err := l.Accept()
 		if err != nil {
-			select {
-			case <-s.closed:
+			s.connMu.Lock()
+			defer s.connMu.Unlock()
+			if s.closed {
 				return nil
-			default:
-				return err
 			}
+			return err
 		}
 		if tc, ok := conn.(*net.TCPConn); ok {
 			if err := tc.SetNoDelay(!s.Nagle); err != nil {
@@ -106,14 +103,21 @@ func (s *Server) Serve(l net.Listener) error {
 				continue
 			}
 		}
+		// Counted under connMu, like Close's decision to wait: a handler is
+		// either counted before Close waits or never started.
 		s.connMu.Lock()
+		if s.closed {
+			s.connMu.Unlock()
+			conn.Close()
+			return nil
+		}
 		s.conns[conn] = struct{}{}
+		s.wg.Add(1)
 		s.connMu.Unlock()
 		sid := s.shardOf(conn)
 		if s.OnConnShard != nil {
 			s.OnConnShard(sid, +1)
 		}
-		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
 			defer func() {
@@ -150,8 +154,8 @@ func (s *Server) DropConnections() {
 // Close stops accepting, closes active connections, and waits for their
 // handlers to finish. It is idempotent.
 func (s *Server) Close() {
-	s.closeOnce.Do(func() { close(s.closed) })
 	s.connMu.Lock()
+	s.closed = true
 	if s.listener != nil {
 		s.listener.Close()
 	}
@@ -168,34 +172,28 @@ func (s *Server) handle(conn net.Conn, sid int) {
 	if bufBytes <= 0 {
 		bufBytes = 64 << 10
 	}
-	br := bufio.NewReaderSize(conn, bufBytes)
-	bw := bufio.NewWriterSize(conn, bufBytes)
+	// Two buffers per connection: the parser's, which the socket is read
+	// into directly, and out, which collects the replies of one batch.
 	var parser resp.Parser
-	buf := make([]byte, bufBytes)
+	parser.Space(bufBytes)
+	out := make([]byte, 0, bufBytes)
+	var args [][]byte
+	timed := s.OnRequest != nil || s.OnRequestShard != nil
 	for {
-		// Serve everything already parsed before blocking on the
-		// socket again, so pipelined commands share flushes.
-		served := false
-		for {
-			cmd, ok, err := parser.Next()
-			if err != nil {
-				s.mu.Lock()
-				reply := resp.Err("ERR protocol error: %v", err)
-				s.mu.Unlock()
-				bw.Write(resp.AppendValue(nil, reply))
-				bw.Flush()
-				return
-			}
-			if !ok {
-				break
-			}
-			var begin time.Time
-			timed := s.OnRequest != nil || s.OnRequestShard != nil
-			if timed {
-				begin = time.Now()
-			}
+		var begin time.Time
+		if timed {
+			begin = time.Now()
+		}
+		var ok bool
+		var perr error
+		if args, ok, perr = parser.NextCommand(args[:0]); perr != nil {
+			out = resp.AppendValue(out, resp.Err("ERR protocol error: %v", perr))
+		} else if ok {
+			// The reply is encoded under the lock: a GET's is a view of the
+			// store's buffer, which the next SET of that key, from any
+			// connection, may overwrite in place.
 			s.mu.Lock()
-			reply := s.engine.Execute(cmd)
+			out = resp.AppendValue(out, s.engine.Exec(args))
 			s.mu.Unlock()
 			if timed {
 				d := time.Since(begin)
@@ -206,22 +204,26 @@ func (s *Server) handle(conn net.Conn, sid int) {
 					s.OnRequestShard(sid, d)
 				}
 			}
-			if _, err := bw.Write(resp.AppendValue(nil, reply)); err != nil {
+		}
+		// Replies go out when nothing more is decodable, so pipelined commands
+		// share one write — and early once out holds BufBytes, so a client that
+		// pipelines reads of large values and never reads cannot grow it.
+		if len(out) > 0 && (!ok || len(out) >= bufBytes) {
+			if _, err := conn.Write(out); err != nil {
 				return
 			}
-			served = true
+			out = out[:0]
 		}
-		if served {
-			if err := bw.Flush(); err != nil {
-				return
-			}
-		}
-		n, err := br.Read(buf)
-		if n > 0 {
-			parser.Feed(buf[:n])
-		}
-		if err != nil {
+		if perr != nil {
 			return
+		}
+		if !ok {
+			// The buffer grows only for a request over half its size.
+			n, err := conn.Read(parser.Space(bufBytes / 2))
+			parser.Commit(n)
+			if err != nil {
+				return
+			}
 		}
 	}
 }
@@ -363,10 +365,7 @@ func (c *Client) Send(cmd []byte) error {
 	c.writeMu.Lock()
 	_, err := c.conn.Write(cmd)
 	c.writeMu.Unlock()
-	if err != nil {
-		return err
-	}
-	return nil
+	return err
 }
 
 // Do issues one request and waits until all currently outstanding responses
@@ -464,7 +463,7 @@ func (c *Client) readLoop() {
 		if n > 0 {
 			parser.Feed(buf[:n])
 			for {
-				v, ok, perr := parser.Next()
+				_, ok, perr := parser.Next()
 				if perr != nil {
 					c.fail(fmt.Errorf("realtcp: corrupt response stream: %w", perr))
 					return
@@ -472,7 +471,6 @@ func (c *Client) readLoop() {
 				if !ok {
 					break
 				}
-				_ = v
 				select {
 				case sentAt := <-c.inflight:
 					c.tracker.Complete(1)

@@ -2,6 +2,7 @@ package resp
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -16,6 +17,9 @@ func FuzzParser(f *testing.F) {
 	f.Add([]byte("PING\r\n"))
 	f.Add([]byte("*1000000\r\n"))
 	f.Add(Command("SET", "k", "v"))
+	for _, hostile := range hostileSeeds {
+		f.Add(hostile)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var p Parser
 		p.Feed(data)
@@ -82,6 +86,76 @@ func FuzzParserChunked(f *testing.F) {
 		for i := range wholeVals {
 			if !fuzzValueEqual(wholeVals[i], chunkVals[i]) {
 				t.Fatalf("value %d differs between whole and chunked parse", i)
+			}
+		}
+	})
+}
+
+// hostileSeeds are the inputs that used to take the process down or make it
+// buffer without end: a header reserving 10 M and 512 Mi elements, nesting a
+// parser recurses into, and a length line that never ends.
+var hostileSeeds = [][]byte{
+	[]byte("*10000000\r\n"),
+	[]byte("*536870912\r\n"),
+	bytes.Repeat([]byte("*1\r\n"), 4096),
+	[]byte("$" + strings.Repeat("1", 4096)),
+	// An inline command is an array too: at the deepest level it used to slip
+	// past the bound and re-encode into a value the parser rejects.
+	[]byte(strings.Repeat("*1\r\n", maxDepth) + "PING\r\n"),
+}
+
+// FuzzCommandAgreesWithNext: on any input, cut into any chunks, NextCommand
+// and Next accept, wait and reject at the same points, and NextCommand's
+// arguments are the bytes of Next's command (none when it is no command).
+func FuzzCommandAgreesWithNext(f *testing.F) {
+	f.Add([]byte("*2\r\n$3\r\nGET\r\n$1\r\nk\r\nPING\r\n*1\r\n:5\r\n"), uint64(0x9e3779b97f4a7c15))
+	f.Add([]byte("*2\r\n$4\r\nECHO\r\n$-1\r\n*0\r\n*-1\r\n+OK\r\n$3\r\nfooXY"), uint64(3))
+	f.Add(append(Command("SET", "k", "v"), "*1\r\n$abc\r\n"...), uint64(1))
+	for i, hostile := range hostileSeeds {
+		f.Add(hostile, uint64(i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, cuts uint64) {
+		if len(data) > 1<<16 {
+			return
+		}
+		var byValue, byView Parser
+		var args [][]byte
+		for len(data) > 0 {
+			// Chunk lengths come from cuts: 1 to 16 bytes, then the rest.
+			n := min(len(data), 1+int(cuts&15))
+			if cuts >>= 4; cuts == 0 {
+				n = len(data)
+			}
+			byValue.Feed(data[:n])
+			copy(byView.Space(n), data[:n])
+			byView.Commit(n)
+			data = data[n:]
+			for {
+				v, ok, err := byValue.Next()
+				var vok bool
+				var verr error
+				args, vok, verr = byView.NextCommand(args[:0])
+				if ok != vok || (err == nil) != (verr == nil) {
+					t.Fatalf("Next: ok %v, err %v; NextCommand: ok %v, err %v", ok, err, vok, verr)
+				}
+				if err != nil {
+					return
+				}
+				if !ok {
+					break
+				}
+				want := v.AppendArgs(nil)
+				if len(args) != len(want) {
+					t.Fatalf("NextCommand args %q, Next's %q", args, want)
+				}
+				for i := range want {
+					if !bytes.Equal(args[i], want[i]) {
+						t.Fatalf("NextCommand args %q, Next's %q", args, want)
+					}
+				}
+				if byValue.Buffered() != byView.Buffered() {
+					t.Fatalf("consumed differently: %d and %d bytes left", byValue.Buffered(), byView.Buffered())
+				}
 			}
 		}
 	})

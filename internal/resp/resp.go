@@ -6,8 +6,10 @@
 package resp
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -35,11 +37,13 @@ type Value struct {
 
 // Convenience constructors.
 
-// OK is the "+OK" reply.
-func OK() Value { return Value{Type: SimpleString, Str: []byte("OK")} }
+var okBytes, pongBytes = []byte("OK"), []byte("PONG")
 
-// Pong is the "+PONG" reply.
-func Pong() Value { return Value{Type: SimpleString, Str: []byte("PONG")} }
+// OK is the "+OK" reply. Its bytes are shared: do not modify them.
+func OK() Value { return Value{Type: SimpleString, Str: okBytes} }
+
+// Pong is the "+PONG" reply, shared like OK.
+func Pong() Value { return Value{Type: SimpleString, Str: pongBytes} }
 
 // Err builds an error reply.
 func Err(format string, args ...any) Value {
@@ -87,6 +91,8 @@ func (v Value) String() string {
 var crlf = []byte("\r\n")
 
 // AppendValue appends the wire encoding of v to buf.
+//
+//e2e:hotpath
 func AppendValue(buf []byte, v Value) []byte {
 	switch v.Type {
 	case SimpleString, ErrorString:
@@ -145,9 +151,23 @@ func Command(args ...string) []byte {
 // ErrProtocol is wrapped by all parse errors.
 var ErrProtocol = errors.New("resp: protocol error")
 
-// maxLength bounds declared bulk/array lengths to keep a malformed or
-// malicious peer from forcing huge allocations.
-const maxLength = 512 << 20
+// Parse errors are built once: the decoder is on the request path.
+var (
+	errHeader = fmt.Errorf("%w: bad length or integer line", ErrProtocol)
+	errBulk   = fmt.Errorf("%w: bulk not CRLF-terminated", ErrProtocol)
+	errDepth  = fmt.Errorf("%w: arrays nested too deep", ErrProtocol)
+	errInline = fmt.Errorf("%w: empty or unterminated inline command", ErrProtocol)
+)
+
+// Bounds on what a malformed or malicious peer can make the parser hold.
+const (
+	maxLength = 512 << 20 // declared bulk and array lengths
+	// A sign and 19 digits fit a '$', '*' or ':' line with room to spare, so
+	// a longer one without CRLF is garbage, not a header still arriving.
+	maxHeader       = 32
+	maxDepth        = 32       // array nesting: parseValue recurses per level
+	maxInlineLength = 64 << 10 // unframed inline lines, as in Redis
+)
 
 // Parser incrementally decodes RESP values from a byte stream. The zero
 // value is ready to use.
@@ -158,13 +178,29 @@ type Parser struct {
 
 // Feed appends stream bytes to the parse buffer.
 func (p *Parser) Feed(data []byte) {
-	// Compact lazily once consumed bytes dominate.
-	if p.off > 0 && p.off >= len(p.buf)/2 {
-		p.buf = append(p.buf[:0], p.buf[p.off:]...)
-		p.off = 0
-	}
-	p.buf = append(p.buf, data...)
+	p.Commit(copy(p.Space(len(data)), data))
 }
+
+// Space returns the free tail of the parse buffer, at least n bytes long,
+// for a reader to fill in place; Commit then marks what it read as fed. Like
+// Feed, Space may move the buffered bytes and so ends the life of every view
+// NextCommand returned.
+func (p *Parser) Space(n int) []byte {
+	if p.off == len(p.buf) {
+		p.buf, p.off = p.buf[:0], 0
+	} else if cap(p.buf)-len(p.buf) < n {
+		// Compact only when the tail is short: what is left is part of one
+		// request, not worth moving after every read.
+		p.buf, p.off = p.buf[:copy(p.buf, p.buf[p.off:])], 0
+	}
+	if cap(p.buf)-len(p.buf) < n {
+		p.buf = append(p.buf, make([]byte, n)...)[:len(p.buf)]
+	}
+	return p.buf[len(p.buf):cap(p.buf)]
+}
+
+// Commit marks the first n bytes of the slice Space returned as fed.
+func (p *Parser) Commit(n int) { p.buf = p.buf[:len(p.buf)+n] }
 
 // Buffered returns the number of unconsumed bytes.
 func (p *Parser) Buffered() int { return len(p.buf) - p.off }
@@ -173,7 +209,7 @@ func (p *Parser) Buffered() int { return len(p.buf) - p.off }
 // needed. A non-nil error means the stream is corrupt; the parser is then
 // unusable for further input.
 func (p *Parser) Next() (v Value, ok bool, err error) {
-	v, n, err := parseValue(p.buf[p.off:])
+	v, n, err := parseValue(p.buf[p.off:], 0)
 	if err != nil || n == 0 {
 		return Value{}, false, err
 	}
@@ -181,72 +217,115 @@ func (p *Parser) Next() (v Value, ok bool, err error) {
 	return v, true, nil
 }
 
+// NextCommand decodes the next request and appends its arguments to args
+// (pass args[:0] to reuse one slice). ok and err are Next's. The arguments of
+// an array of bulk strings — what every client sends — are views of the
+// parse buffer, valid until the parser is next fed (Feed or Space). Anything
+// else goes through Next: an inline command's arguments are copies, and a
+// value that is no command at all (a null, a nested or non-bulk element, an
+// empty array) is consumed and reported as ok with no argument appended.
+func (p *Parser) NextCommand(args [][]byte) ([][]byte, bool, error) {
+	args, n, err := commandViews(p.buf[p.off:], args)
+	if n < 0 {
+		v, ok, err := p.Next()
+		return v.AppendArgs(args), ok, err
+	}
+	p.off += n
+	return args, n > 0, err
+}
+
+// AppendArgs appends the arguments of the command v holds — an array of
+// non-null bulk strings — to args, and nothing if v is anything else.
+func (v Value) AppendArgs(args [][]byte) [][]byte {
+	keep := len(args)
+	for _, a := range v.Array {
+		if v.Type != Array || a.Type != BulkString || a.Null {
+			return args[:keep]
+		}
+		args = append(args, a.Str)
+	}
+	return args
+}
+
+// commandViews decodes one array of non-null bulk strings at the head of b,
+// appending a view of each to args. n is the bytes it spans, 0 when it is
+// still incomplete and -1 when b holds anything else; args comes back
+// unextended in both cases and on error.
+//
+//e2e:hotpath
+func commandViews(b []byte, args [][]byte) (_ [][]byte, n int, err error) {
+	if len(b) == 0 {
+		return args, 0, nil
+	}
+	if b[0] != byte(Array) {
+		return args, -1, nil
+	}
+	count, off, err := header(b)
+	if err != nil || off == 0 {
+		return args, 0, err
+	}
+	if count < 1 {
+		return args, -1, nil
+	}
+	keep := len(args)
+	for ; count > 0; count-- {
+		if off == len(b) {
+			return args[:keep], 0, nil
+		}
+		if b[off] != byte(BulkString) {
+			return args[:keep], -1, nil
+		}
+		str, null, used, err := bulk(b[off:])
+		if null {
+			return args[:keep], -1, nil
+		}
+		if err != nil || used == 0 {
+			return args[:keep], 0, err
+		}
+		args = append(args, str)
+		off += used
+	}
+	return args, off, nil
+}
+
 // parseValue attempts to decode one value from b, returning the bytes
 // consumed (0 when incomplete).
-func parseValue(b []byte) (Value, int, error) {
+func parseValue(b []byte, depth int) (Value, int, error) {
 	if len(b) == 0 {
 		return Value{}, 0, nil
 	}
 	t := Type(b[0])
 	switch t {
-	case SimpleString, ErrorString, Integer:
+	case SimpleString, ErrorString:
 		line, n := takeLine(b[1:])
 		if n == 0 {
 			return Value{}, 0, nil
 		}
-		v := Value{Type: t}
-		if t == Integer {
-			i, err := strconv.ParseInt(string(line), 10, 64)
-			if err != nil {
-				return Value{}, 0, fmt.Errorf("%w: bad integer %q", ErrProtocol, line)
-			}
-			v.Int = i
-		} else {
-			v.Str = append([]byte(nil), line...)
-		}
-		return v, 1 + n, nil
+		return Value{Type: t, Str: append([]byte(nil), line...)}, 1 + n, nil
+	case Integer:
+		i, n, err := header(b)
+		return Value{Type: t, Int: i}, n, err
 	case BulkString:
-		line, n := takeLine(b[1:])
-		if n == 0 {
-			return Value{}, 0, nil
+		str, null, n, err := bulk(b)
+		if !null && n > 0 {
+			str = append([]byte(nil), str...)
 		}
-		length, err := strconv.ParseInt(string(line), 10, 64)
-		if err != nil || length < -1 || length > maxLength {
-			return Value{}, 0, fmt.Errorf("%w: bad bulk length %q", ErrProtocol, line)
-		}
-		if length == -1 {
-			return Value{Type: t, Null: true}, 1 + n, nil
-		}
-		head := 1 + n
-		need := head + int(length) + 2
-		if len(b) < need {
-			return Value{}, 0, nil
-		}
-		if b[need-2] != '\r' || b[need-1] != '\n' {
-			return Value{}, 0, fmt.Errorf("%w: bulk not CRLF-terminated", ErrProtocol)
-		}
-		return Value{Type: t, Str: append([]byte(nil), b[head:head+int(length)]...)}, need, nil
+		return Value{Type: t, Str: str, Null: null}, n, err
 	case Array:
-		line, n := takeLine(b[1:])
-		if n == 0 {
-			return Value{}, 0, nil
+		count, off, err := header(b)
+		if err != nil || off == 0 || count < 0 {
+			return Value{Type: t, Null: count < 0}, off, err
 		}
-		count, err := strconv.ParseInt(string(line), 10, 64)
-		if err != nil || count < -1 || count > maxLength {
-			return Value{}, 0, fmt.Errorf("%w: bad array length %q", ErrProtocol, line)
+		if depth == maxDepth {
+			return Value{}, 0, errDepth
 		}
-		if count == -1 {
-			return Value{Type: t, Null: true}, 1 + n, nil
-		}
-		off := 1 + n
-		elems := make([]Value, 0, count)
-		for i := int64(0); i < count; i++ {
-			e, n, err := parseValue(b[off:])
-			if err != nil {
+		// No element is shorter than 3 bytes ("+\r\n"), so the header alone
+		// reserves no more than the buffered bytes could still hold.
+		elems := make([]Value, 0, min(count, int64(len(b)-off)/3))
+		for ; count > 0; count-- {
+			e, n, err := parseValue(b[off:], depth+1)
+			if err != nil || n == 0 {
 				return Value{}, 0, err
-			}
-			if n == 0 {
-				return Value{}, 0, nil
 			}
 			elems = append(elems, e)
 			off += n
@@ -254,51 +333,72 @@ func parseValue(b []byte) (Value, int, error) {
 		return Value{Type: t, Array: elems}, off, nil
 	}
 	// Inline command (the Redis telnet convenience): a bare line split on
-	// whitespace becomes an array of bulk strings, e.g. "PING\r\n".
-	return parseInline(b)
-}
-
-// maxInlineLength bounds unframed inline lines, as Redis does (64 KiB).
-const maxInlineLength = 64 << 10
-
-func parseInline(b []byte) (Value, int, error) {
+	// whitespace becomes an array of bulk strings, e.g. "PING\r\n" — an
+	// array like any other to the nesting bound.
+	if depth == maxDepth {
+		return Value{}, 0, errDepth
+	}
 	line, n := takeLine(b)
-	if n == 0 {
-		if len(b) > maxInlineLength {
-			return Value{}, 0, fmt.Errorf("%w: unterminated inline command", ErrProtocol)
-		}
+	if n == 0 && len(b) <= maxInlineLength {
 		return Value{}, 0, nil
 	}
-	fields := splitInline(line)
-	if len(fields) == 0 {
-		// Empty line: consumed, no value; the caller's loop retries on
-		// the remaining buffer via zero-value-with-consumed semantics,
-		// which parseValue cannot express — so treat as protocol noise.
-		return Value{}, 0, fmt.Errorf("%w: empty inline command", ErrProtocol)
+	// An empty line would be a value of zero bytes' worth, which the callers'
+	// loops cannot express — so treat it as protocol noise.
+	var arr []Value
+	for _, f := range bytes.FieldsFunc(line, func(r rune) bool { return r == ' ' || r == '\t' }) {
+		arr = append(arr, Bulk(append([]byte(nil), f...)))
 	}
-	arr := make([]Value, len(fields))
-	for i, f := range fields {
-		arr[i] = Bulk(append([]byte(nil), f...))
+	if len(arr) == 0 {
+		return Value{}, 0, errInline
 	}
 	return Value{Type: Array, Array: arr}, n, nil
 }
 
-func splitInline(line []byte) [][]byte {
-	var out [][]byte
-	i := 0
-	for i < len(line) {
-		for i < len(line) && (line[i] == ' ' || line[i] == '\t') {
-			i++
+// header decodes the integer line after the type byte b[0], bounded for
+// lengths ('$', '*') to -1..maxLength. n is the bytes it spans, 0 when the
+// line is still incomplete.
+func header(b []byte) (v int64, n int, err error) {
+	line, n := takeLine(b[1:min(len(b), 1+maxHeader)])
+	if n == 0 {
+		if len(b) > maxHeader {
+			err = errHeader
 		}
-		start := i
-		for i < len(line) && line[i] != ' ' && line[i] != '\t' {
-			i++
-		}
-		if i > start {
-			out = append(out, line[start:i])
-		}
+		return 0, 0, err
 	}
-	return out
+	neg := len(line) > 0 && line[0] == '-'
+	if neg || (len(line) > 0 && line[0] == '+') {
+		line = line[1:]
+	}
+	var u uint64
+	ok := len(line) > 0 && len(line) <= 19 // 19 digits cannot wrap a uint64
+	for _, c := range line {
+		ok = ok && c-'0' <= 9
+		u = u*10 + uint64(c-'0')
+	}
+	if v = int64(u); neg {
+		v = -v
+	}
+	if !ok || u > math.MaxInt64 || b[0] != byte(Integer) && (v < -1 || v > maxLength) {
+		return 0, 0, errHeader
+	}
+	return v, 1 + n, nil
+}
+
+// bulk decodes the bulk string at the head of b ('$') as a view of b. n is
+// the bytes it spans, 0 when it is still incomplete.
+func bulk(b []byte) (str []byte, null bool, n int, err error) {
+	length, head, err := header(b)
+	if err != nil || head == 0 || length < 0 {
+		return nil, length < 0, head, err
+	}
+	end := head + int(length)
+	if len(b) < end+2 {
+		return nil, false, 0, nil
+	}
+	if b[end] != '\r' || b[end+1] != '\n' {
+		return nil, false, 0, errBulk
+	}
+	return b[head:end:end], false, end + 2, nil
 }
 
 // takeLine returns the bytes before the next CRLF and the total bytes

@@ -126,16 +126,16 @@ func TestCrossCheckAgainstDES(t *testing.T) {
 			record := func() { finish = append(finish, float64(s.Now())) }
 			unit := func(x float64) int { return int(x) } // 1ns per model unit
 			if batched {
-				server.Exec(time.Duration(unit(float64(p.N)*p.Alpha+p.Beta)), func() {
+				server.Exec(time.Duration(unit(float64(p.N)*p.Alpha+p.Beta)), sim.Func(func() {
 					for i := 0; i < p.N; i++ {
-						client.Exec(time.Duration(unit(p.C)), record)
+						client.Exec(time.Duration(unit(p.C)), sim.Func(record), 0, nil)
 					}
-				})
+				}), 0, nil)
 			} else {
 				for i := 0; i < p.N; i++ {
-					server.Exec(time.Duration(unit(p.Alpha+p.Beta)), func() {
-						client.Exec(time.Duration(unit(p.C)), record)
-					})
+					server.Exec(time.Duration(unit(p.Alpha+p.Beta)), sim.Func(func() {
+						client.Exec(time.Duration(unit(p.C)), sim.Func(record), 0, nil)
+					}), 0, nil)
 				}
 			}
 			s.Run()

@@ -77,10 +77,10 @@ func TestMD1MatchesDES(t *testing.T) {
 		var arrive func()
 		arrive = func() {
 			start := s.Now()
-			cpu.Exec(service, func() {
+			cpu.Exec(service, sim.Func(func() {
 				total += s.Now().Sub(start)
 				n++
-			})
+			}), 0, nil)
 			gap := time.Duration(s.Rand().ExpFloat64() * float64(time.Second) / lambda)
 			if n < jobs {
 				s.After(gap, arrive)

@@ -41,24 +41,20 @@ func New(s *sim.Sim, name string) *CPU {
 // Name returns the CPU's diagnostic name.
 func (c *CPU) Name() string { return c.name }
 
-// Exec queues a work item costing cost and schedules done (which may be nil)
-// at its completion time, which is returned. Zero or negative cost completes
-// immediately after the queue drains.
-func (c *CPU) Exec(cost time.Duration, done func()) sim.Time {
-	if cost < 0 {
-		cost = 0
-	}
-	now := c.sim.Now()
-	start := now
-	if c.nextFree > start {
-		start = c.nextFree
-	}
-	finish := start.Add(cost)
+// Exec queues a work item costing cost and posts the completion event
+// done.HandleEvent(kind, arg) at its completion time, which is returned; a
+// nil done posts nothing. Zero or negative cost completes immediately after
+// the queue drains.
+//
+//e2e:hotpath
+func (c *CPU) Exec(cost time.Duration, done sim.Handler, kind int, arg any) sim.Time {
+	cost = max(cost, 0)
+	finish := max(c.sim.Now(), c.nextFree).Add(cost)
 	c.nextFree = finish
 	c.busy += cost
 	c.jobs++
 	if done != nil {
-		c.sim.At(finish, done)
+		c.sim.Post(finish, done, kind, arg)
 	}
 	return finish
 }

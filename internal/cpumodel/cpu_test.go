@@ -11,7 +11,7 @@ func TestExecRunsAfterCost(t *testing.T) {
 	s := sim.New(1)
 	c := New(s, "app")
 	var doneAt sim.Time
-	c.Exec(10*time.Nanosecond, func() { doneAt = s.Now() })
+	c.Exec(10*time.Nanosecond, sim.Func(func() { doneAt = s.Now() }), 0, nil)
 	s.Run()
 	if doneAt != 10 {
 		t.Fatalf("done at %v, want 10", doneAt)
@@ -23,9 +23,9 @@ func TestExecFIFOQueueing(t *testing.T) {
 	c := New(s, "app")
 	var finishes []sim.Time
 	rec := func() { finishes = append(finishes, s.Now()) }
-	c.Exec(10*time.Nanosecond, rec)
-	c.Exec(5*time.Nanosecond, rec)
-	c.Exec(1*time.Nanosecond, rec)
+	c.Exec(10*time.Nanosecond, sim.Func(rec), 0, nil)
+	c.Exec(5*time.Nanosecond, sim.Func(rec), 0, nil)
+	c.Exec(1*time.Nanosecond, sim.Func(rec), 0, nil)
 	s.Run()
 	want := []sim.Time{10, 15, 16}
 	for i := range want {
@@ -38,10 +38,10 @@ func TestExecFIFOQueueing(t *testing.T) {
 func TestExecAfterIdleStartsNow(t *testing.T) {
 	s := sim.New(1)
 	c := New(s, "app")
-	c.Exec(10*time.Nanosecond, nil)
+	c.Exec(10*time.Nanosecond, nil, 0, nil)
 	s.RunUntil(100)
 	var doneAt sim.Time
-	c.Exec(5*time.Nanosecond, func() { doneAt = s.Now() })
+	c.Exec(5*time.Nanosecond, sim.Func(func() { doneAt = s.Now() }), 0, nil)
 	s.Run()
 	if doneAt != 105 {
 		t.Fatalf("done at %v, want 105 (no stale backlog)", doneAt)
@@ -52,8 +52,8 @@ func TestExecZeroAndNegativeCost(t *testing.T) {
 	s := sim.New(1)
 	c := New(s, "app")
 	ran := 0
-	c.Exec(0, func() { ran++ })
-	c.Exec(-time.Second, func() { ran++ })
+	c.Exec(0, sim.Func(func() { ran++ }), 0, nil)
+	c.Exec(-time.Second, sim.Func(func() { ran++ }), 0, nil)
 	s.Run()
 	if ran != 2 {
 		t.Fatalf("ran = %d, want 2", ran)
@@ -66,7 +66,7 @@ func TestExecZeroAndNegativeCost(t *testing.T) {
 func TestExecNilDone(t *testing.T) {
 	s := sim.New(1)
 	c := New(s, "app")
-	finish := c.Exec(7*time.Nanosecond, nil)
+	finish := c.Exec(7*time.Nanosecond, nil, 0, nil)
 	if finish != 7 {
 		t.Fatalf("finish = %v, want 7", finish)
 	}
@@ -79,8 +79,8 @@ func TestBacklog(t *testing.T) {
 	if c.Backlog() != 0 {
 		t.Fatal("fresh CPU has backlog")
 	}
-	c.Exec(100*time.Nanosecond, nil)
-	c.Exec(50*time.Nanosecond, nil)
+	c.Exec(100*time.Nanosecond, nil, 0, nil)
+	c.Exec(50*time.Nanosecond, nil, 0, nil)
 	if c.Backlog() != 150*time.Nanosecond {
 		t.Fatalf("backlog = %v, want 150ns", c.Backlog())
 	}
@@ -93,7 +93,7 @@ func TestBacklog(t *testing.T) {
 func TestUtilizationWindows(t *testing.T) {
 	s := sim.New(1)
 	c := New(s, "app")
-	c.Exec(50*time.Nanosecond, nil)
+	c.Exec(50*time.Nanosecond, nil, 0, nil)
 	s.RunUntil(100)
 	if got := c.Utilization(); got != 0.5 {
 		t.Fatalf("utilization = %v, want 0.5", got)
@@ -116,8 +116,8 @@ func TestUtilizationZeroWindow(t *testing.T) {
 func TestJobsAndBusyTime(t *testing.T) {
 	s := sim.New(1)
 	c := New(s, "x")
-	c.Exec(3*time.Nanosecond, nil)
-	c.Exec(4*time.Nanosecond, nil)
+	c.Exec(3*time.Nanosecond, nil, 0, nil)
+	c.Exec(4*time.Nanosecond, nil, 0, nil)
 	s.Run()
 	if c.Jobs() != 2 {
 		t.Fatalf("jobs = %d", c.Jobs())

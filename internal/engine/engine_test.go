@@ -307,6 +307,46 @@ func TestSimClockDrivesTicks(t *testing.T) {
 	}
 }
 
+// TestSimClockTickerStopsFromItsOwnCallback: the tick that calls Stop is the
+// last one, and nothing stays scheduled behind it.
+func TestSimClockTickerStopsFromItsOwnCallback(t *testing.T) {
+	s := sim.New(1)
+	var tk engine.Ticker
+	var at []qstate.Time
+	tk = engine.SimClock{Sim: s}.Tick(time.Millisecond, func(now qstate.Time) {
+		if at = append(at, now); len(at) == 3 {
+			tk.Stop()
+		}
+	})
+	s.RunUntil(sim.Time(10 * time.Millisecond))
+	if len(at) != 3 || at[2] != qstate.Time(3*time.Millisecond) {
+		t.Fatalf("ticks at %v, want 1ms, 2ms, 3ms and none after Stop", at)
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("%d events still scheduled after Stop", s.Pending())
+	}
+	tk.Stop() // idempotent
+}
+
+func TestTickerFuncStopCallsThrough(t *testing.T) {
+	calls := 0
+	var tk engine.Ticker = engine.TickerFunc(func() { calls++ })
+	tk.Stop()
+	if calls != 1 {
+		t.Fatalf("Stop ran the cancel function %d times, want 1", calls)
+	}
+}
+
+func TestControllerAccessor(t *testing.T) {
+	ctl := &fakeController{}
+	if got := engine.New(engine.Config{Controller: ctl}, newFakePort()).Controller(); got != ctl {
+		t.Fatalf("Controller() = %v, want the configured one", got)
+	}
+	if got := engine.New(engine.Config{}, newFakePort()).Controller(); got != nil {
+		t.Fatalf("passive endpoint reports controller %v", got)
+	}
+}
+
 func TestNewValidation(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		defer func() {

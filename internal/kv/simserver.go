@@ -53,6 +53,7 @@ type SimServer struct {
 	argv    [][]byte
 	pending [][][]byte
 	head    int
+	reply   []byte // wire form of the reply whose send cost is being paid
 	busy    bool
 	stalled bool
 
@@ -92,67 +93,81 @@ func (s *SimServer) wake() {
 		return
 	}
 	s.busy = true
-	s.readCycle()
+	s.conn.Stack().AppCPU.Exec(s.cfg.ReadCosts.PerBatch, s, evRead, nil)
 }
 
-// readCycle charges the per-wakeup cost, drains the socket, parses the
-// newly arrived commands, and processes them one by one.
-func (s *SimServer) readCycle() {
-	s.conn.Stack().AppCPU.Exec(s.cfg.ReadCosts.PerBatch, func() {
-		data := s.conn.Read(0)
-		if len(data) == 0 {
-			s.finishCycle()
+// The server's events, one chain per read cycle — charge the per-wakeup cost,
+// drain the socket, parse, then serve the commands one by one: evRead, then
+// evExec and evWrite per command. The app thread does one thing at a time, so the
+// command in hand is pending[head] and the reply in hand is s.reply.
+const (
+	evRead  = iota // the wakeup's cost is paid: drain the socket and parse
+	evExec         // a command's α and byte costs are paid: execute it
+	evWrite        // the reply's send cost is paid: write it, take the next command
+)
+
+// HandleEvent runs one step of the read cycle (sim.Handler).
+func (s *SimServer) HandleEvent(kind int, _ any) {
+	switch kind {
+	case evRead:
+		s.readBatch()
+	case evExec:
+		reply := s.engine.Exec(s.pending[s.head])
+		s.head++
+		s.stats.Requests++
+		// Send keeps the slice it is given, so "+OK" is one shared slice and
+		// any other reply gets its own.
+		s.reply = okWire
+		if reply.Type != resp.SimpleString || string(reply.Str) != "OK" {
+			s.reply = resp.AppendValue(nil, reply)
+		}
+		s.conn.Stack().AppCPU.Exec(s.cfg.WriteCosts.Item(len(s.reply)), s, evWrite, nil)
+	case evWrite:
+		s.send(s.reply)
+		s.processNext()
+	}
+}
+
+// readBatch drains the socket and parses the newly arrived commands.
+func (s *SimServer) readBatch() {
+	data := s.conn.Read(0)
+	if len(data) == 0 {
+		s.finishCycle()
+		return
+	}
+	s.stats.BytesIn += uint64(len(data))
+	s.parser.Feed(data)
+	s.argv, s.pending, s.head = s.argv[:0], s.pending[:0], 0
+	for {
+		args, ok, err := s.parser.NextCommand(s.argv)
+		if err != nil {
+			// Corrupt stream: answer with an error and stop
+			// reading — the mini-Redis equivalent of closing.
+			s.send(resp.AppendValue(nil, resp.Err("ERR protocol error: %v", err)))
+			s.conn.OnReadable(nil)
+			s.busy = false
 			return
 		}
-		s.stats.BytesIn += uint64(len(data))
-		s.parser.Feed(data)
-		s.argv, s.pending, s.head = s.argv[:0], s.pending[:0], 0
-		for {
-			args, ok, err := s.parser.NextCommand(s.argv)
-			if err != nil {
-				// Corrupt stream: answer with an error and stop
-				// reading — the mini-Redis equivalent of closing.
-				s.send(resp.AppendValue(nil, resp.Err("ERR protocol error: %v", err)))
-				s.conn.OnReadable(nil)
-				s.busy = false
-				return
-			}
-			if !ok {
-				break
-			}
-			s.pending = append(s.pending, args[len(s.argv):])
-			s.argv = args
+		if !ok {
+			break
 		}
-		s.stats.ReadBatches++
-		s.stats.MaxBatch = max(s.stats.MaxBatch, len(s.pending))
-		s.processNext()
-	})
+		s.pending = append(s.pending, args[len(s.argv):])
+		s.argv = args
+	}
+	s.stats.ReadBatches++
+	s.stats.MaxBatch = max(s.stats.MaxBatch, len(s.pending))
+	s.processNext()
 }
 
-// processNext handles one pending command, charging α plus byte costs, then
-// recurses; when the queue drains it re-checks the socket.
+// processNext charges the next pending command's α plus byte costs; evExec
+// then handles it. When the queue drains it re-checks the socket.
 func (s *SimServer) processNext() {
 	if s.head == len(s.pending) {
 		s.finishCycle()
 		return
 	}
-	cmd := s.pending[s.head]
-	s.head++
-	cost := s.cfg.ReadCosts.PerItem + time.Duration(float64(wireSize(cmd))*s.cfg.ReadCosts.PerByteNS)
-	s.conn.Stack().AppCPU.Exec(cost, func() {
-		reply := s.engine.Exec(cmd)
-		s.stats.Requests++
-		// Send keeps the slice it is given, so "+OK" is one shared slice and
-		// any other reply gets its own.
-		wire := okWire
-		if reply.Type != resp.SimpleString || string(reply.Str) != "OK" {
-			wire = resp.AppendValue(nil, reply)
-		}
-		s.conn.Stack().AppCPU.Exec(s.cfg.WriteCosts.Item(len(wire)), func() {
-			s.send(wire)
-			s.processNext()
-		})
-	})
+	cost := s.cfg.ReadCosts.PerItem + time.Duration(float64(wireSize(s.pending[s.head]))*s.cfg.ReadCosts.PerByteNS)
+	s.conn.Stack().AppCPU.Exec(cost, s, evExec, nil)
 }
 
 func (s *SimServer) send(wire []byte) {

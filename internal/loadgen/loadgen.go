@@ -172,11 +172,15 @@ type Generator struct {
 	Hints *hints.Tracker
 
 	parser   resp.Parser
-	inflight []pending
+	inflight sim.FIFO[pending]
+	// sendQ holds the wire bytes of sends whose app-CPU cost is being paid,
+	// oldest first: the CPU is FIFO, so each evSend takes the front one.
+	sendQ    sim.FIFO[[]byte]
 	busy     bool
 	stopped  bool
 	start    sim.Time
 	issueEnd sim.Time
+	nextAt   sim.Time // open loop: the next scheduled arrival
 
 	sendBuf      []byte // userspace aggregation buffer (SyscallBatch > 1)
 	sendBuffered int
@@ -212,7 +216,7 @@ func (g *Generator) Run() *Result {
 	g.sim.RunUntil(end)
 	g.flushSends() // release any partial userspace batch
 	deadline := g.sim.Now().Add(drain)
-	for g.sim.Now() < deadline && len(g.inflight) > 0 {
+	for g.sim.Now() < deadline && g.inflight.Len() > 0 {
 		if !g.sim.Step() {
 			break
 		}
@@ -238,40 +242,58 @@ func (g *Generator) Start() sim.Time {
 		return end
 	}
 
-	gap := func() time.Duration {
-		rate := g.cfg.Rate
-		if g.cfg.RateFn != nil {
-			f := g.cfg.RateFn(g.sim.Now().Sub(start))
-			if f < 1e-3 {
-				f = 1e-3
-			}
-			rate *= f
-		}
-		mean := float64(time.Second) / rate
-		if g.cfg.Arrival == Poisson {
-			return time.Duration(g.sim.Rand().ExpFloat64() * mean)
-		}
-		return time.Duration(mean)
-	}
-
-	var issue func()
-	next := start.Add(gap())
-	issue = func() {
-		g.issueOne(g.sim.Now())
-		next = next.Add(gap())
-		if next < g.sim.Now() {
-			// The gap rounded to < 1ns event resolution; keep the
-			// offered process moving.
-			next = g.sim.Now() + 1
-		}
-		if next <= end {
-			g.sim.At(next, issue)
-		}
-	}
-	if next <= end {
-		g.sim.At(next, issue)
+	g.nextAt = start.Add(g.gap())
+	if g.nextAt <= end {
+		g.sim.Post(g.nextAt, g, evIssue, nil)
 	}
 	return end
+}
+
+// gap draws the next open-loop inter-arrival time.
+func (g *Generator) gap() time.Duration {
+	rate := g.cfg.Rate
+	if g.cfg.RateFn != nil {
+		rate *= max(g.cfg.RateFn(g.sim.Now().Sub(g.start)), 1e-3)
+	}
+	mean := float64(time.Second) / rate
+	if g.cfg.Arrival == Poisson {
+		return time.Duration(g.sim.Rand().ExpFloat64() * mean)
+	}
+	return time.Duration(mean)
+}
+
+// The generator's events; HandleEvent dispatches them.
+const (
+	evIssue    = iota // open loop: a request arrives
+	evSend            // a send's app-CPU cost is paid: write sendQ's front to the socket
+	evRead            // a wakeup's cost is paid: read and complete responses
+	evProcDone        // the responses' processing cost is paid: ready for the next wakeup
+)
+
+// HandleEvent runs one of the generator's scheduled events (sim.Handler).
+func (g *Generator) HandleEvent(kind int, _ any) {
+	switch kind {
+	case evIssue:
+		g.issueOne(g.sim.Now())
+		g.nextAt = g.nextAt.Add(g.gap())
+		if g.nextAt < g.sim.Now() {
+			// The gap rounded to < 1ns event resolution; keep the
+			// offered process moving.
+			g.nextAt = g.sim.Now() + 1
+		}
+		if g.nextAt <= g.issueEnd {
+			g.sim.Post(g.nextAt, g, evIssue, nil)
+		}
+	case evSend:
+		g.conn.Send(g.sendQ.Pop())
+	case evRead:
+		g.readResponses()
+	case evProcDone:
+		g.busy = false
+		if g.conn.Readable() > 0 {
+			g.wake()
+		}
+	}
 }
 
 // FlushSends releases any partial userspace syscall batch; call it after
@@ -279,13 +301,13 @@ func (g *Generator) Start() sim.Time {
 func (g *Generator) FlushSends() { g.flushSends() }
 
 // Outstanding returns requests issued but not yet answered.
-func (g *Generator) Outstanding() int { return len(g.inflight) }
+func (g *Generator) Outstanding() int { return g.inflight.Len() }
 
 // Finalize stops measurement and computes the result. Responses arriving
 // afterwards are ignored.
 func (g *Generator) Finalize() *Result {
 	g.stopped = true
-	g.res.Dropped = uint64(len(g.inflight))
+	g.res.Dropped = uint64(g.inflight.Len())
 	meas := g.cfg.Duration - g.cfg.Warmup
 	if meas > 0 {
 		g.res.AchievedRate = float64(g.res.Latency.Count()) / meas.Seconds()
@@ -301,7 +323,7 @@ func (g *Generator) issueOne(scheduled sim.Time) {
 	i := g.res.Issued
 	g.res.Issued++
 	wire, kind := g.mk(i)
-	g.inflight = append(g.inflight, pending{scheduledAt: scheduled, kind: kind})
+	g.inflight.Push(pending{scheduledAt: scheduled, kind: kind})
 	if g.Hints != nil {
 		g.Hints.Create(1)
 	}
@@ -313,9 +335,13 @@ func (g *Generator) issueOne(scheduled sim.Time) {
 		}
 		return
 	}
-	g.conn.Stack().AppCPU.Exec(g.cfg.SendCosts.Item(len(wire)), func() {
-		g.conn.Send(wire)
-	})
+	g.send(g.cfg.SendCosts.Item(len(wire)), wire)
+}
+
+// send charges cost on the app CPU, then writes wire to the socket.
+func (g *Generator) send(cost time.Duration, wire []byte) {
+	g.sendQ.Push(wire)
+	g.conn.Stack().AppCPU.Exec(cost, g, evSend, nil)
 }
 
 // flushSends issues the buffered requests as one send(2).
@@ -327,9 +353,7 @@ func (g *Generator) flushSends() {
 	n := g.sendBuffered
 	g.sendBuf = nil
 	g.sendBuffered = 0
-	g.conn.Stack().AppCPU.Exec(g.cfg.SendCosts.Batch(n, len(wire)), func() {
-		g.conn.Send(wire)
-	})
+	g.send(g.cfg.SendCosts.Batch(n, len(wire)), wire)
 }
 
 // wake is the client's readable event: charge β, read, parse, complete
@@ -339,65 +363,62 @@ func (g *Generator) wake() {
 		return
 	}
 	g.busy = true
-	g.conn.Stack().AppCPU.Exec(g.cfg.ReadCosts.PerBatch, func() {
-		data := g.conn.Read(0)
-		now := g.sim.Now()
-		g.parser.Feed(data)
-		var procCost time.Duration
-		for {
-			v, ok, err := g.parser.Next()
-			if err != nil {
-				panic(fmt.Sprintf("loadgen: corrupt response stream: %v", err))
-			}
-			if !ok {
-				break
-			}
-			if len(g.inflight) == 0 {
-				panic("loadgen: response without a pending request")
-			}
-			p := g.inflight[0]
-			g.inflight = g.inflight[1:]
-			g.res.Completed++
-			if g.Hints != nil {
-				g.Hints.Complete(1)
-			}
-			if g.cfg.OnComplete != nil {
-				g.cfg.OnComplete(g.res.Completed-1, int64(p.scheduledAt), int64(now))
-			}
-			lat := now.Sub(p.scheduledAt)
-			if g.cfg.WindowEvery > 0 {
-				idx := int(now.Sub(g.start) / g.cfg.WindowEvery)
-				for len(g.res.Windows) <= idx {
-					g.res.Windows = append(g.res.Windows, Window{
-						Start: time.Duration(len(g.res.Windows)) * g.cfg.WindowEvery,
-					})
-				}
-				g.res.Windows[idx].Count++
-				g.res.Windows[idx].Sum += lat
-			}
-			if p.scheduledAt.Sub(g.start) >= g.cfg.Warmup && !g.stopped {
-				g.res.Latency.Record(lat)
-				h := g.res.ByKind[p.kind]
-				if h == nil {
-					h = &metrics.Histogram{}
-					g.res.ByKind[p.kind] = h
-				}
-				h.Record(lat)
-			}
-			respBytes := len(v.Str)
-			procCost += g.cfg.PerResponse + time.Duration(float64(respBytes)*g.cfg.PerRespByteNS)
+	g.conn.Stack().AppCPU.Exec(g.cfg.ReadCosts.PerBatch, g, evRead, nil)
+}
 
-			// Closed loop: replace the completed request while the
-			// issuing window is open.
-			if g.cfg.Concurrency > 0 && !g.stopped && now < g.issueEnd {
-				g.issueOne(now)
-			}
+// readResponses is the body of a wakeup; evProcDone ends it.
+func (g *Generator) readResponses() {
+	data := g.conn.Read(0)
+	now := g.sim.Now()
+	g.parser.Feed(data)
+	var procCost time.Duration
+	for {
+		v, ok, err := g.parser.Next()
+		if err != nil {
+			panic(fmt.Sprintf("loadgen: corrupt response stream: %v", err))
 		}
-		g.conn.Stack().AppCPU.Exec(procCost, func() {
-			g.busy = false
-			if g.conn.Readable() > 0 {
-				g.wake()
+		if !ok {
+			break
+		}
+		if g.inflight.Len() == 0 {
+			panic("loadgen: response without a pending request")
+		}
+		p := g.inflight.Pop()
+		g.res.Completed++
+		if g.Hints != nil {
+			g.Hints.Complete(1)
+		}
+		if g.cfg.OnComplete != nil {
+			g.cfg.OnComplete(g.res.Completed-1, int64(p.scheduledAt), int64(now))
+		}
+		lat := now.Sub(p.scheduledAt)
+		if g.cfg.WindowEvery > 0 {
+			idx := int(now.Sub(g.start) / g.cfg.WindowEvery)
+			for len(g.res.Windows) <= idx {
+				g.res.Windows = append(g.res.Windows, Window{
+					Start: time.Duration(len(g.res.Windows)) * g.cfg.WindowEvery,
+				})
 			}
-		})
-	})
+			g.res.Windows[idx].Count++
+			g.res.Windows[idx].Sum += lat
+		}
+		if p.scheduledAt.Sub(g.start) >= g.cfg.Warmup && !g.stopped {
+			g.res.Latency.Record(lat)
+			h := g.res.ByKind[p.kind]
+			if h == nil {
+				h = &metrics.Histogram{}
+				g.res.ByKind[p.kind] = h
+			}
+			h.Record(lat)
+		}
+		respBytes := len(v.Str)
+		procCost += g.cfg.PerResponse + time.Duration(float64(respBytes)*g.cfg.PerRespByteNS)
+
+		// Closed loop: replace the completed request while the
+		// issuing window is open.
+		if g.cfg.Concurrency > 0 && !g.stopped && now < g.issueEnd {
+			g.issueOne(now)
+		}
+	}
+	g.conn.Stack().AppCPU.Exec(procCost, g, evProcDone, nil)
 }

@@ -98,10 +98,13 @@ func (p *Pipe) SetJitter(d time.Duration) {
 // Jitter returns the current jitter bound.
 func (p *Pipe) Jitter() time.Duration { return p.cfg.Jitter }
 
-// Send enqueues a packet of size bytes. deliver runs at the packet's arrival
-// time at the far end; it is not called if the packet is dropped. Send
-// returns the arrival time (or the drop decision time for dropped packets).
-func (p *Pipe) Send(size int, deliver func()) sim.Time {
+// Send enqueues a packet of size bytes. to.HandleEvent(kind, arg) runs at the
+// packet's arrival time at the far end; it is not called if the packet is
+// dropped. Send returns the arrival time (or the drop decision time for
+// dropped packets).
+//
+//e2e:hotpath
+func (p *Pipe) Send(size int, to sim.Handler, kind int, arg any) sim.Time {
 	now := p.sim.Now()
 	if p.cfg.LossProb > 0 && p.sim.Rand().Float64() < p.cfg.LossProb {
 		p.dropped++
@@ -127,7 +130,7 @@ func (p *Pipe) Send(size int, deliver func()) sim.Time {
 	p.lastArrive = arrive
 	p.packets++
 	p.bytes += uint64(size)
-	p.sim.At(arrive, deliver)
+	p.sim.Post(arrive, to, kind, arg)
 	return arrive
 }
 

@@ -16,7 +16,7 @@ func TestSendDeliversAfterSerializationAndPropagation(t *testing.T) {
 	s := sim.New(1)
 	p := NewPipe(s, "t", gbpsCfg(1, 100*time.Nanosecond)) // 1 Gbps: 8ns/byte
 	var at sim.Time
-	p.Send(125, func() { at = s.Now() }) // 125B = 1000 bits = 1µs at 1Gbps
+	p.Send(125, sim.Func(func() { at = s.Now() }), 0, nil) // 125B = 1000 bits = 1µs at 1Gbps
 	s.Run()
 	want := sim.Time(0).Add(time.Microsecond + 100*time.Nanosecond)
 	if at != want {
@@ -29,8 +29,8 @@ func TestSendFIFOSerialization(t *testing.T) {
 	p := NewPipe(s, "t", gbpsCfg(1, 0))
 	var arrivals []sim.Time
 	rec := func() { arrivals = append(arrivals, s.Now()) }
-	p.Send(125, rec) // finishes serializing at 1µs
-	p.Send(125, rec) // queues behind: 2µs
+	p.Send(125, sim.Func(rec), 0, nil) // finishes serializing at 1µs
+	p.Send(125, sim.Func(rec), 0, nil) // queues behind: 2µs
 	s.Run()
 	if arrivals[0] != sim.Time(time.Microsecond) || arrivals[1] != sim.Time(2*time.Microsecond) {
 		t.Fatalf("arrivals = %v", arrivals)
@@ -40,10 +40,10 @@ func TestSendFIFOSerialization(t *testing.T) {
 func TestSendAfterIdleNoStaleQueue(t *testing.T) {
 	s := sim.New(1)
 	p := NewPipe(s, "t", gbpsCfg(1, 0))
-	p.Send(125, func() {})
+	p.Send(125, sim.Func(func() {}), 0, nil)
 	s.RunUntil(sim.Time(10 * time.Microsecond))
 	var at sim.Time
-	p.Send(125, func() { at = s.Now() })
+	p.Send(125, sim.Func(func() { at = s.Now() }), 0, nil)
 	s.Run()
 	if at != sim.Time(11*time.Microsecond) {
 		t.Fatalf("delivered at %v, want 11µs", at)
@@ -54,7 +54,7 @@ func TestInfiniteRate(t *testing.T) {
 	s := sim.New(1)
 	p := NewPipe(s, "t", Config{Propagation: 5 * time.Nanosecond})
 	var at sim.Time
-	p.Send(1<<20, func() { at = s.Now() })
+	p.Send(1<<20, sim.Func(func() { at = s.Now() }), 0, nil)
 	s.Run()
 	if at != 5 {
 		t.Fatalf("delivered at %v, want 5 (no serialization)", at)
@@ -65,7 +65,7 @@ func TestPerPacketOverhead(t *testing.T) {
 	s := sim.New(1)
 	p := NewPipe(s, "t", Config{PerPacketOverhead: 10 * time.Nanosecond})
 	var at sim.Time
-	p.Send(100, func() { at = s.Now() })
+	p.Send(100, sim.Func(func() { at = s.Now() }), 0, nil)
 	s.Run()
 	if at != 10 {
 		t.Fatalf("delivered at %v, want 10", at)
@@ -78,7 +78,7 @@ func TestQueueDelay(t *testing.T) {
 	if p.QueueDelay() != 0 {
 		t.Fatal("fresh pipe has queue delay")
 	}
-	p.Send(1250, func() {}) // 10µs serialization
+	p.Send(1250, sim.Func(func() {}), 0, nil) // 10µs serialization
 	if p.QueueDelay() != 10*time.Microsecond {
 		t.Fatalf("queue delay = %v, want 10µs", p.QueueDelay())
 	}
@@ -87,8 +87,8 @@ func TestQueueDelay(t *testing.T) {
 func TestStats(t *testing.T) {
 	s := sim.New(1)
 	p := NewPipe(s, "t", Config{})
-	p.Send(10, func() {})
-	p.Send(20, func() {})
+	p.Send(10, sim.Func(func() {}), 0, nil)
+	p.Send(20, sim.Func(func() {}), 0, nil)
 	pk, by, dr := p.Stats()
 	if pk != 2 || by != 30 || dr != 0 {
 		t.Fatalf("stats = %d,%d,%d", pk, by, dr)
@@ -100,7 +100,7 @@ func TestLossDropsAndNeverDelivers(t *testing.T) {
 	p := NewPipe(s, "t", Config{LossProb: 1.0 - 1e-12})
 	delivered := 0
 	for i := 0; i < 100; i++ {
-		p.Send(10, func() { delivered++ })
+		p.Send(10, sim.Func(func() { delivered++ }), 0, nil)
 	}
 	s.Run()
 	_, _, dr := p.Stats()
@@ -156,7 +156,7 @@ func TestRuntimeKnobsAffectTraffic(t *testing.T) {
 	l := NewLink(s, "lnk", Config{Propagation: 100 * time.Nanosecond})
 	delivered := 0
 	for i := 0; i < 50; i++ {
-		l.AtoB.Send(10, func() { delivered++ })
+		l.AtoB.Send(10, sim.Func(func() { delivered++ }), 0, nil)
 	}
 	s.Run()
 	if delivered != 50 {
@@ -164,7 +164,7 @@ func TestRuntimeKnobsAffectTraffic(t *testing.T) {
 	}
 	l.SetLossProb(1 - 1e-12)
 	for i := 0; i < 50; i++ {
-		l.AtoB.Send(10, func() { delivered++ })
+		l.AtoB.Send(10, sim.Func(func() { delivered++ }), 0, nil)
 	}
 	s.Run()
 	_, _, dr := l.AtoB.Stats()
@@ -188,7 +188,7 @@ func TestJitterAddsBoundedDelay(t *testing.T) {
 	p := NewPipe(s, "t", cfg)
 	for i := 0; i < 200; i++ {
 		sent := s.Now()
-		p.Send(0, func() {})
+		p.Send(0, sim.Func(func() {}), 0, nil)
 		arr, ok := s.NextAt()
 		if !ok {
 			t.Fatal("no event")
@@ -205,8 +205,8 @@ func TestLinkIsFullDuplex(t *testing.T) {
 	s := sim.New(1)
 	l := NewLink(s, "lnk", gbpsCfg(1, 0))
 	var a2b, b2a sim.Time
-	l.AtoB.Send(125, func() { a2b = s.Now() })
-	l.BtoA.Send(125, func() { b2a = s.Now() })
+	l.AtoB.Send(125, sim.Func(func() { a2b = s.Now() }), 0, nil)
+	l.BtoA.Send(125, sim.Func(func() { b2a = s.Now() }), 0, nil)
 	s.Run()
 	// The directions must not serialize behind each other.
 	if a2b != sim.Time(time.Microsecond) || b2a != sim.Time(time.Microsecond) {
@@ -230,7 +230,7 @@ func TestJitterNeverReorders(t *testing.T) {
 	var order []int
 	for i := 0; i < 500; i++ {
 		i := i
-		p.Send(10, func() { order = append(order, i) })
+		p.Send(10, sim.Func(func() { order = append(order, i) }), 0, nil)
 	}
 	s.Run()
 	if len(order) != 500 {
@@ -249,12 +249,12 @@ func TestJitteredArrivalsMonotonic(t *testing.T) {
 	last := sim.Time(-1)
 	ok := true
 	for i := 0; i < 300; i++ {
-		p.Send(1, func() {
+		p.Send(1, sim.Func(func() {
 			if s.Now() < last {
 				ok = false
 			}
 			last = s.Now()
-		})
+		}), 0, nil)
 		s.RunFor(500 * time.Nanosecond)
 	}
 	s.Run()

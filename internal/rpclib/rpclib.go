@@ -172,7 +172,7 @@ func (s *Server) next() {
 	f := s.pending[0]
 	s.pending = s.pending[1:]
 	cost := s.PerCall + time.Duration(float64(len(f.Payload))*s.PerByteNS)
-	s.conn.Stack().AppCPU.Exec(cost, func() {
+	s.conn.Stack().AppCPU.Exec(cost, sim.Func(func() {
 		out, err := s.handler(f.ID, f.Payload)
 		kind := byte(KindResponse)
 		if err != nil {
@@ -182,7 +182,7 @@ func (s *Server) next() {
 		s.conn.Send(AppendFrame(nil, f.ID, kind, out))
 		s.served++
 		s.next()
-	})
+	}), 0, nil)
 }
 
 // Client issues RPC calls over a simulated connection. The runtime owns a
@@ -244,9 +244,7 @@ func (c *Client) Call(payload []byte, done func(resp Frame)) uint64 {
 	c.pending[id] = done
 	c.tracker.Create(1)
 	wire := AppendFrame(nil, id, KindRequest, payload)
-	c.conn.Stack().AppCPU.Exec(c.PerCall, func() {
-		c.conn.Send(wire)
-	})
+	c.conn.Stack().AppCPU.Exec(c.PerCall, sim.Func(func() { c.conn.Send(wire) }), 0, nil)
 	return id
 }
 

@@ -1,15 +1,15 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine drives all userspace emulation in this repository: a virtual
-// clock measured in nanoseconds, an event heap ordered by (time, insertion
-// sequence), cancellable timers, and a seeded random source. Determinism is
-// a design goal — running the same scenario twice produces byte-identical
-// results, which is what makes the estimator-accuracy experiments
-// reproducible.
+// clock measured in nanoseconds, one queue of value-type events ordered by
+// (time, insertion sequence), cancellable timers, and a seeded random source.
+// Determinism is a design goal — running the same scenario twice produces
+// byte-identical results, which is what makes the estimator-accuracy
+// experiments reproducible.
 package sim
 
 import (
-	"container/heap"
+	"errors"
 	"fmt"
 	"math/rand"
 	"time"
@@ -33,51 +33,52 @@ func (t Time) Sub(earlier Time) time.Duration { return time.Duration(t - earlier
 // String formats the instant as a duration since the epoch.
 func (t Time) String() string { return time.Duration(t).String() }
 
-// Event is a scheduled callback. Events are managed by the engine; user code
-// holds *Event only to cancel it.
-type Event struct {
-	at     Time
-	seq    uint64 // tie-breaker: FIFO among simultaneous events
-	index  int    // heap index, -1 when not queued
-	fn     func()
-	cancel bool
+// Handler is the target of an event: the model object that owns it. When the
+// event fires the engine calls HandleEvent with the kind and argument it was
+// scheduled with, and the model dispatches on kind — one switch per model in
+// place of one closure per event. arg should be nil or pointer-shaped, which
+// an interface holds without allocating.
+type Handler interface {
+	HandleEvent(kind int, arg any)
 }
 
-// Cancelled reports whether the event was cancelled before it fired.
-func (e *Event) Cancelled() bool { return e.cancel }
+// Func adapts a plain callback to Handler: At and After schedule one, so a
+// closure is just one more kind of event in the same queue.
+type Func func()
 
-// eventHeap implements container/heap ordered by (at, seq).
-type eventHeap []*Event
+// HandleEvent calls f.
+func (f Func) HandleEvent(int, any) { f() }
 
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+// A pending event is two values: its key in the heap — pointer-free, so
+// sifting copies three words and the collector never scans the heap — and the
+// slot the key names, which holds what to call and where the key currently
+// sits.
+type key struct {
+	at   Time
+	seq  uint64 // tie-breaker: FIFO among simultaneous events
+	slot int32
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+func (k key) before(o key) bool {
+	return k.at < o.at || k.at == o.at && k.seq < o.seq
 }
 
-func (h *eventHeap) Push(x any) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
+type slot struct {
+	h    Handler
+	arg  any
+	kind int32
+	pos  int32  // heap index of the key; on a free slot, the next free slot
+	gen  uint32 // bumped when the event fires or is cancelled
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
+// Timer is the handle to a scheduled event, for Cancel: a slot number and the
+// generation the slot had when the event was scheduled. It is a plain value —
+// most callers drop it — and the zero Timer refers to nothing. Once the event
+// has fired or been cancelled its slot moves to the next generation, so a
+// handle kept past that point can never cancel the slot's next tenant.
+type Timer struct {
+	slot int32
+	gen  uint32
 }
 
 // Sim is a discrete-event simulator. The zero value is not ready for use;
@@ -92,7 +93,9 @@ func (h *eventHeap) Pop() any {
 type Sim struct {
 	now     Time
 	seq     uint64
-	heap    eventHeap
+	heap    []key
+	slots   []slot // slots[0] is unused: the zero Timer refers to nothing
+	free    int32  // head of the free-slot list, 0 when empty
 	rng     *rand.Rand
 	stopped bool
 
@@ -102,7 +105,7 @@ type Sim struct {
 
 // New returns a simulator whose random source is seeded with seed.
 func New(seed int64) *Sim {
-	return &Sim{rng: rand.New(rand.NewSource(seed))}
+	return &Sim{rng: rand.New(rand.NewSource(seed)), slots: make([]slot, 1)}
 }
 
 // Now returns the current virtual time.
@@ -111,71 +114,87 @@ func (s *Sim) Now() Time { return s.now }
 // Rand returns the simulator's deterministic random source.
 func (s *Sim) Rand() *rand.Rand { return s.rng }
 
-// Pending returns the number of scheduled, uncancelled events.
-func (s *Sim) Pending() int {
-	n := 0
-	for _, e := range s.heap {
-		if !e.cancel {
-			n++
-		}
-	}
-	return n
-}
+// Pending returns the number of scheduled events.
+func (s *Sim) Pending() int { return len(s.heap) }
 
 // Fired returns the total number of events executed so far.
 func (s *Sim) Fired() uint64 { return s.fired }
 
-// At schedules fn to run at virtual time t. Scheduling in the past panics:
-// it indicates a logic error in the model, and silently clamping would warp
-// measured delays.
-func (s *Sim) At(t Time, fn func()) *Event {
+// Post schedules h.HandleEvent(kind, arg) at virtual time t. Scheduling in
+// the past panics: it indicates a logic error in the model, and silently
+// clamping would warp measured delays.
+//
+//e2e:hotpath
+func (s *Sim) Post(t Time, h Handler, kind int, arg any) Timer {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
-	if fn == nil {
-		panic("sim: nil event func")
+	i := s.free
+	if i != 0 {
+		s.free = s.slots[i].pos
+	} else {
+		i = int32(len(s.slots))
+		//lint:ignore e2elint/hotpath the slot table grows to the peak number of pending events, then is reused
+		s.slots = append(s.slots, slot{})
 	}
-	e := &Event{at: t, seq: s.seq, fn: fn, index: -1}
+	sl := &s.slots[i]
+	sl.h, sl.arg, sl.kind = h, arg, int32(kind)
+	//lint:ignore e2elint/hotpath the heap grows to the peak number of pending events, then is reused
+	s.heap = append(s.heap, key{at: t, seq: s.seq, slot: i})
 	s.seq++
-	heap.Push(&s.heap, e)
-	return e
+	s.up(len(s.heap) - 1)
+	return Timer{slot: i, gen: sl.gen}
+}
+
+var errNilFunc = errors.New("sim: nil event func")
+
+// At schedules fn to run at virtual time t.
+//
+//e2e:hotpath
+func (s *Sim) At(t Time, fn func()) Timer {
+	if fn == nil {
+		panic(errNilFunc)
+	}
+	return s.Post(t, Func(fn), 0, nil)
 }
 
 // After schedules fn to run d from now. Negative d is treated as zero.
-func (s *Sim) After(d time.Duration, fn func()) *Event {
-	if d < 0 {
-		d = 0
-	}
-	return s.At(s.now.Add(d), fn)
+//
+//e2e:hotpath
+func (s *Sim) After(d time.Duration, fn func()) Timer {
+	return s.At(s.now.Add(max(d, 0)), fn)
 }
 
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (s *Sim) Cancel(e *Event) {
-	if e == nil || e.cancel || e.index < 0 {
-		if e != nil {
-			e.cancel = true
-		}
-		return
+// Cancel removes the event tm refers to from the queue and reports whether it
+// did, as time.Timer.Stop does: false means the event already fired or was
+// already cancelled (or tm is the zero Timer), and nothing changed.
+func (s *Sim) Cancel(tm Timer) bool {
+	if tm.slot == 0 || s.slots[tm.slot].gen != tm.gen {
+		return false
 	}
-	e.cancel = true
-	heap.Remove(&s.heap, e.index)
+	s.remove(int(s.slots[tm.slot].pos))
+	s.release(tm.slot)
+	return true
 }
 
 // Step executes the next event, advancing the clock to its scheduled time.
 // It reports whether an event was executed.
+//
+//e2e:hotpath
 func (s *Sim) Step() bool {
-	for len(s.heap) > 0 {
-		e := heap.Pop(&s.heap).(*Event)
-		if e.cancel {
-			continue
-		}
-		s.now = e.at
-		s.fired++
-		e.fn()
-		return true
+	if len(s.heap) == 0 {
+		return false
 	}
-	return false
+	k := s.heap[0]
+	s.remove(0)
+	sl := s.slots[k.slot]
+	// Before the callback, so that cancelling its own handle from inside it
+	// reports "already fired".
+	s.release(k.slot)
+	s.now = k.at
+	s.fired++
+	sl.h.HandleEvent(int(sl.kind), sl.arg)
+	return true
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -190,14 +209,7 @@ func (s *Sim) Run() {
 // exactly t do run.
 func (s *Sim) RunUntil(t Time) {
 	s.stopped = false
-	for !s.stopped {
-		if len(s.heap) == 0 {
-			break
-		}
-		next := s.peek()
-		if next == nil || next.at > t {
-			break
-		}
+	for !s.stopped && len(s.heap) > 0 && s.heap[0].at <= t {
 		s.Step()
 	}
 	if s.now < t {
@@ -212,23 +224,65 @@ func (s *Sim) RunFor(d time.Duration) { s.RunUntil(s.now.Add(d)) }
 // event completes.
 func (s *Sim) Stop() { s.stopped = true }
 
-func (s *Sim) peek() *Event {
-	for len(s.heap) > 0 {
-		if s.heap[0].cancel {
-			heap.Pop(&s.heap)
-			continue
-		}
-		return s.heap[0]
-	}
-	return nil
-}
-
 // NextAt returns the scheduled time of the next pending event and whether
 // one exists.
 func (s *Sim) NextAt() (Time, bool) {
-	e := s.peek()
-	if e == nil {
+	if len(s.heap) == 0 {
 		return 0, false
 	}
-	return e.at, true
+	return s.heap[0].at, true
+}
+
+// release ends a slot's tenancy: handles to it go stale, what it referred to
+// is dropped, and it joins the free list.
+func (s *Sim) release(i int32) {
+	s.slots[i] = slot{pos: s.free, gen: s.slots[i].gen + 1}
+	s.free = i
+}
+
+// remove deletes the key at heap index i.
+func (s *Sim) remove(i int) {
+	n := len(s.heap) - 1
+	last := s.heap[n]
+	s.heap = s.heap[:n]
+	if i < n {
+		s.heap[i] = last
+		s.down(i)
+		s.up(i)
+	}
+}
+
+// place stores k at heap index i and records the position in its slot.
+func (s *Sim) place(i int, k key) {
+	s.heap[i] = k
+	s.slots[k.slot].pos = int32(i)
+}
+
+func (s *Sim) up(i int) {
+	k := s.heap[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !k.before(s.heap[p]) {
+			break
+		}
+		s.place(i, s.heap[p])
+		i = p
+	}
+	s.place(i, k)
+}
+
+func (s *Sim) down(i int) {
+	k := s.heap[i]
+	for n := len(s.heap); ; {
+		m := 2*i + 1 // the earlier of i's children
+		if m+1 < n && s.heap[m+1].before(s.heap[m]) {
+			m++
+		}
+		if m >= n || !s.heap[m].before(k) {
+			break
+		}
+		s.place(i, s.heap[m])
+		i = m
+	}
+	s.place(i, k)
 }

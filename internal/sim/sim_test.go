@@ -93,30 +93,72 @@ func TestCancelPreventsExecution(t *testing.T) {
 	s := New(1)
 	fired := false
 	e := s.At(10, func() { fired = true })
-	s.Cancel(e)
+	if !s.Cancel(e) {
+		t.Fatal("Cancel of a pending event reported false")
+	}
 	s.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
+}
+
+// TestCancelReportsWhetherItStopped pins time.Timer.Stop's contract: true
+// exactly when the call is what kept the event from firing.
+func TestCancelReportsWhetherItStopped(t *testing.T) {
+	s := New(1)
+	e := s.At(10, func() {})
+	if !s.Cancel(e) || s.Cancel(e) {
+		t.Fatal("want true from the first Cancel and false from the second")
+	}
+	if s.Cancel(Timer{}) {
+		t.Fatal("the zero Timer cancelled something")
+	}
+	fired := s.At(20, func() {})
+	var self Timer
+	var fromInside bool
+	self = s.At(30, func() { fromInside = s.Cancel(self) })
+	s.Run()
+	if s.Cancel(fired) {
+		t.Fatal("Cancel after the event fired reported true")
+	}
+	if fromInside {
+		t.Fatal("an event cancelling its own handle while firing reported true")
 	}
 }
 
-func TestCancelIsIdempotent(t *testing.T) {
+// TestStaleHandleCannotCancelSlotsNextTenant reuses one slot many times: the
+// handle of every earlier tenant must be a no-op against the current one.
+func TestStaleHandleCannotCancelSlotsNextTenant(t *testing.T) {
 	s := New(1)
-	e := s.At(10, func() {})
-	s.Cancel(e)
-	s.Cancel(e) // must not panic
-	s.Cancel(nil)
-	s.Run()
+	var stale []Timer
+	for i := 0; i < 100; i++ {
+		e := s.At(Time(i), func() {})
+		if i%2 == 0 {
+			s.Cancel(e)
+		} else {
+			s.Step()
+		}
+		stale = append(stale, e)
+	}
+	fired := false
+	live := s.At(1000, func() { fired = true })
+	if live.slot != stale[0].slot {
+		t.Fatalf("test premise: slot %d was not reused (got %d)", stale[0].slot, live.slot)
+	}
+	for _, e := range stale {
+		if s.Cancel(e) {
+			t.Fatalf("stale handle %+v cancelled the live event %+v", e, live)
+		}
+	}
+	if s.Run(); !fired {
+		t.Fatal("live event did not fire")
+	}
 }
 
 func TestCancelFromWithinEarlierEvent(t *testing.T) {
 	s := New(1)
 	fired := false
-	var e *Event
-	e = s.At(20, func() { fired = true })
+	e := s.At(20, func() { fired = true })
 	s.At(10, func() { s.Cancel(e) })
 	s.Run()
 	if fired {

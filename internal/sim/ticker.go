@@ -9,7 +9,7 @@ type Ticker struct {
 	sim    *Sim
 	period time.Duration
 	fn     func(now Time)
-	ev     *Event
+	ev     Timer
 	stop   bool
 }
 
@@ -24,26 +24,20 @@ func NewTicker(s *Sim, period time.Duration, fn func(now Time)) *Ticker {
 	return t
 }
 
-func (t *Ticker) arm() {
-	t.ev = t.sim.After(t.period, func() {
-		if t.stop {
-			return
-		}
-		t.fn(t.sim.Now())
-		if !t.stop {
-			t.arm()
-		}
-	})
-}
+func (t *Ticker) arm() { t.ev = t.sim.Post(t.sim.now.Add(t.period), t, 0, nil) }
 
-// Stop cancels future ticks. Safe to call multiple times and from within the
-// tick callback.
-func (t *Ticker) Stop() {
-	t.stop = true
-	if t.ev != nil {
-		t.sim.Cancel(t.ev)
+// HandleEvent is one tick: run the callback, then re-arm unless it stopped
+// the ticker.
+func (t *Ticker) HandleEvent(int, any) {
+	t.fn(t.sim.now)
+	if !t.stop {
+		t.arm()
 	}
 }
 
-// Period returns the tick period.
-func (t *Ticker) Period() time.Duration { return t.period }
+// Stop cancels future ticks. Safe to call multiple times and from within the
+// tick callback, where the handle is already stale and only the flag acts.
+func (t *Ticker) Stop() {
+	t.stop = true
+	t.sim.Cancel(t.ev)
+}

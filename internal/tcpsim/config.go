@@ -17,8 +17,8 @@
 // metadata (36-byte wire form, §3.2) can be piggybacked on outgoing
 // segments, emulating the TCP-option exchange of §5.
 //
-// The emulation is deliberately lossless and in-order (back-to-back LAN like
-// the paper's testbed); it has no retransmission machinery.
+// Links are in-order and, like the paper's back-to-back testbed, lossless by
+// default; on a lossy one Config.RTO turns on go-back-N retransmission.
 package tcpsim
 
 import (

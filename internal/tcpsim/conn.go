@@ -1,6 +1,7 @@
 package tcpsim
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -14,22 +15,45 @@ import (
 // boundaries, and — when due — the 36-byte queue-state metadata exchange.
 // The payload is the stream range [start, start+n): the bytes themselves stay
 // in the sender's sndBuf until the receiving application reads them.
+//
+// A segment belongs to the Conn that sent it and to exactly one event or
+// receive queue at a time; once the receiver has delivered it, it goes back to
+// the sender's free list, bounds buffer included. One the wire drops is simply
+// never returned.
 type segment struct {
 	start  int64 // absolute stream offset of the payload's first byte
 	n      int64 // payload bytes
 	nsegs  int   // number of MSS wire segments in this flush
 	bounds []int64
+	pooled bool // on the free list: an event firing with it is a use after free
 
 	ack int64
 	wnd int64
 
-	hasState bool
-	state    qstate.WireState
-	// tails is the v2 frame extension (Config.ExchangeTails): the sender's
-	// cumulative per-queue delay histograms, nil on v1 exchanges. A pointer
-	// so v1 segments stay as small as before the extension existed.
-	tails *qstate.WireTails
+	// The metadata exchange, when hasState; on a v2 frame
+	// (Config.ExchangeTails) hasTails is set too and tails holds the sender's
+	// cumulative per-queue delay histograms.
+	hasState, hasTails bool
+	state              qstate.WireState
+	tails              qstate.WireTails
 }
+
+// The kinds of event a Conn schedules on itself (or, for evArrive, on its
+// peer); HandleEvent is the one switch that dispatches them. Those taking a
+// segment carry it as the event argument.
+const (
+	evTxDone    = iota // softirq finished a flush's transmit work: stamp it, put it on the wire
+	evArrive           // a segment reached this end of the wire
+	evRxDone           // softirq finished receive processing of one segment
+	evGROPoll          // softirq reached the parked GRO work
+	evGRODone          // softirq finished the merged GRO batch
+	evAckTx            // softirq reached a scheduled standalone ACK
+	evDelack           // delayed-ACK timer
+	evRTO              // retransmission timer
+	evCork             // cork (Nagle hold) timer
+	evReadable         // tell the application data is readable
+	evPeerState        // a metadata exchange the fault hook deferred is due
+)
 
 // Stats counts connection-level events; all fields are cumulative.
 type Stats struct {
@@ -86,28 +110,30 @@ type Conn struct {
 	// msgEndsUntx are send-call boundaries not yet transmitted (carried
 	// to the peer in flushes); msgEndsUnacked are boundaries not yet
 	// ACKed (for UnitSends unacked accounting). Both ascending.
-	msgEndsUntx    []int64
-	msgEndsUnacked []int64
-	segEnds        []int64 // ends of in-flight wire segments, ascending
+	msgEndsUntx    offsets
+	msgEndsUnacked offsets
+	segEnds        offsets // ends of in-flight wire segments
 	nodelay        bool
 	corkBytes      int64 // Nagle hold threshold (MSS = classic Nagle)
-	corkEv         *sim.Event
-	rtoEv          *sim.Event
+	corkEv         sim.Timer
+	rtoEv          sim.Timer
 	rtoBackoff     int
+	segFree        []*segment // segments this endpoint sent, back for reuse
 
 	// ---- receiver state ----
 	rcvNxt         int64
 	rcvWup         int64  // last offset acknowledged to the peer
 	rqStart        int64  // next offset Read returns; [rqStart, rcvNxt) is readable
 	rbuf           []byte // what Read last returned
-	rcvSegEnds     []int64
-	rcvMsgEnds     []int64
+	rcvSegEnds     offsets
+	rcvMsgEnds     offsets
 	ackPendingSegs int64
 	ackPendingMsgs int64
-	delackEv       *sim.Event
+	delackEv       sim.Timer
 	ackScheduled   bool
 	lastAdvWnd     int64
 	rxQueue        []*segment // GRO accumulation
+	rxBatch        []*segment // the batch the softirq context is processing
 	rxScheduled    bool
 	needDupAck     bool // force the next scheduled ACK out (loss resync)
 
@@ -121,7 +147,6 @@ type Conn struct {
 	peerStateValid  bool
 	peerTails       qstate.WireTails
 	peerTailsValid  bool
-	onPeerState     func(qstate.WireState)
 	stateFault      func(qstate.WireState) StateFaultAction
 	onReadable      func()
 	readablePending bool
@@ -186,7 +211,7 @@ func (c *Conn) SetNoDelay(v bool) {
 	}
 	c.nodelay = v
 	if v {
-		c.flushHeld()
+		c.flush(true)
 	}
 }
 
@@ -205,7 +230,7 @@ func (c *Conn) SetCorkBytes(n int) {
 	}
 	if v < c.corkBytes {
 		c.corkBytes = v
-		c.pump()
+		c.flush(false)
 		return
 	}
 	c.corkBytes = v
@@ -218,10 +243,6 @@ func (c *Conn) CorkBytes() int { return int(c.corkBytes) }
 // when newly delivered data becomes readable. The app must drain with Read
 // and re-check Readable after processing, as with edge-triggered epoll.
 func (c *Conn) OnReadable(fn func()) { c.onReadable = fn }
-
-// OnPeerState registers fn to be invoked whenever a metadata exchange
-// arrives from the peer.
-func (c *Conn) OnPeerState(fn func(qstate.WireState)) { c.onPeerState = fn }
 
 // StateFaultAction directs the fate of one arriving metadata exchange — the
 // fault-injection surface for the 36-byte queue-state sharing (§3.2): real
@@ -254,6 +275,8 @@ func (c *Conn) SetStateFault(fn func(qstate.WireState) StateFaultAction) { c.sta
 // The connection keeps data by reference until the peer application has read
 // it: the caller must not modify data after Send. Sending the same slice
 // again is allowed.
+//
+//e2e:hotpath
 func (c *Conn) Send(data []byte) {
 	if len(data) == 0 {
 		return
@@ -262,12 +285,12 @@ func (c *Conn) Send(data []byte) {
 	c.sndBuf.push(data)
 	c.unsent += int64(len(data))
 	end := c.sndNxt + c.unsent
-	c.msgEndsUntx = append(c.msgEndsUntx, end)
-	c.msgEndsUnacked = append(c.msgEndsUnacked, end)
+	c.msgEndsUntx.Push(end)
+	c.msgEndsUnacked.Push(end)
 	c.instr.unacked.track(now, int64(len(data)), 0, 1)
 	c.stats.Sends++
 	c.sent.fold(data)
-	c.pump()
+	c.flush(false)
 }
 
 // Readable returns the number of delivered, unread bytes.
@@ -277,6 +300,8 @@ func (c *Conn) Readable() int { return int(c.rcvNxt - c.rqStart) }
 // <= 0), returning nil when nothing is readable. The result is the
 // connection's own buffer, valid until the next Read. As with Send, the
 // caller charges its own app CPU cost.
+//
+//e2e:hotpath
 func (c *Conn) Read(max int) []byte {
 	n := c.Readable()
 	if n == 0 {
@@ -346,18 +371,14 @@ func (c *Conn) Close() {
 	c.cancel(&c.delackEv)
 	c.cancel(&c.rtoEv)
 	c.onReadable = nil
-	c.onPeerState = nil
 }
 
 // ---- transmit path ----
 
-// pump transmits what the batching heuristics and the peer's window allow.
-func (c *Conn) pump() { c.flush(false) }
-
-// flushHeld transmits everything the window allows, bypassing Nagle and
-// auto-corking — used by the cork timer and by SetNoDelay(true).
-func (c *Conn) flushHeld() { c.flush(true) }
-
+// flush transmits what the peer's window allows and — unless force, which
+// the cork timer and SetNoDelay(true) use — the batching heuristics too.
+//
+//e2e:hotpath
 func (c *Conn) flush(force bool) {
 	if force {
 		c.cancel(&c.corkEv)
@@ -373,7 +394,7 @@ func (c *Conn) flush(force bool) {
 		if !force && (!c.nodelay && avail < c.corkBytes && c.InFlight() > 0 ||
 			c.cfg.AutoCork && avail < mss && c.tx.QueueDelay() > 0) {
 			c.stats.NagleHolds++
-			c.armCork()
+			c.arm(&c.corkEv, c.cfg.CorkTimeout, evCork)
 			return
 		}
 		// A closed window stalls; so, unforced, does one open less than
@@ -399,33 +420,107 @@ func (c *Conn) transmit(n int64) {
 	c.sndNxt += n
 	end := start + n
 
-	mss := int64(c.cfg.MSS)
-	nsegs := int((n + mss - 1) / mss)
-	c.segEnds = appendSegEnds(c.segEnds, start, end, mss)
-
-	var bounds []int64
-	for len(c.msgEndsUntx) > 0 && c.msgEndsUntx[0] <= end {
-		bounds = append(bounds, c.msgEndsUntx[0])
-		c.msgEndsUntx = c.msgEndsUntx[1:]
+	seg := c.newSegment(start, n)
+	pushSegEnds(&c.segEnds, start, end, int64(c.cfg.MSS))
+	for _, b := range c.msgEndsUntx.Live() {
+		if b > end {
+			break
+		}
+		//lint:ignore e2elint/hotpath a recycled segment's bounds keep their capacity
+		seg.bounds = append(seg.bounds, b)
 	}
+	popLE(&c.msgEndsUntx, end)
 
-	c.instr.unacked.track(now, 0, int64(nsegs), 0)
+	c.instr.unacked.track(now, 0, int64(seg.nsegs), 0)
 	c.stats.Flushes++
-	c.stats.Segments += uint64(nsegs)
+	c.stats.Segments += uint64(seg.nsegs)
 	c.stats.BytesSent += uint64(n)
 	c.armRTO()
-	c.sendSegment(&segment{start: start, n: n, nsegs: nsegs, bounds: bounds})
+	c.sendSegment(seg)
+}
+
+// newSegment returns a segment for the stream range [start, start+n), off
+// the free list when it has one. Not inlined, so that the escape analyzer
+// reports the refill here, where its justification is, and not in each caller.
+//
+//go:noinline
+func (c *Conn) newSegment(start, n int64) *segment {
+	var seg *segment
+	if k := len(c.segFree) - 1; k >= 0 {
+		seg, c.segFree = c.segFree[k], c.segFree[:k]
+	} else {
+		//lint:ignore e2elint/escapes refills the free list: runs until it holds the peak number of segments in flight
+		seg = &segment{}
+	}
+	mss := int64(c.cfg.MSS)
+	seg.start, seg.n, seg.nsegs, seg.pooled = start, n, int((n+mss-1)/mss), false
+	return seg
+}
+
+var errPooled = errors.New("tcpsim: segment recycled while an event or queue still held it")
+
+// recycle takes back a segment this endpoint sent, once the peer has
+// delivered it and nothing refers to it any more.
+func (c *Conn) recycle(seg *segment) {
+	if seg.pooled {
+		panic(errPooled)
+	}
+	seg.bounds, seg.hasState, seg.hasTails, seg.pooled = seg.bounds[:0], false, false, true
+	//lint:ignore e2elint/hotpath the free list grows to the peak number of segments in flight, then is reused
+	c.segFree = append(c.segFree, seg)
 }
 
 // sendSegment charges the transmit cost of a payload flush on the softirq
-// CPU, then stamps it and puts it on the wire.
+// CPU; evTxDone then stamps it and puts it on the wire.
 func (c *Conn) sendSegment(seg *segment) {
-	cost := c.stack.TxCosts.Batch(seg.nsegs, int(seg.n))
-	c.stack.SoftirqCPU.Exec(cost, func() {
+	c.stack.SoftirqCPU.Exec(c.stack.TxCosts.Batch(seg.nsegs, int(seg.n)), c, evTxDone, seg)
+}
+
+// HandleEvent dispatches the endpoint's scheduled events (sim.Handler).
+//
+//e2e:hotpath
+func (c *Conn) HandleEvent(kind int, arg any) {
+	seg, _ := arg.(*segment)
+	if seg != nil && seg.pooled {
+		panic(errPooled)
+	}
+	switch kind {
+	case evTxDone:
 		c.finishSegment(seg)
-		wire := int(seg.n) + seg.nsegs*c.cfg.HeaderBytes
-		c.tx.Send(wire, func() { c.peer.receive(seg) })
-	})
+		c.tx.Send(int(seg.n)+seg.nsegs*c.cfg.HeaderBytes, c.peer, evArrive, seg)
+	case evArrive:
+		c.receive(seg)
+	case evRxDone:
+		c.deliver(seg)
+		c.peer.recycle(seg)
+	case evGROPoll:
+		c.groPoll()
+	case evGRODone:
+		for _, seg := range c.rxBatch {
+			c.deliver(seg)
+			c.peer.recycle(seg)
+		}
+		c.rxBatch = c.rxBatch[:0]
+	case evAckTx:
+		c.sendAck()
+	case evDelack:
+		c.delackEv = sim.Timer{}
+		c.stats.DelAckTimeouts++
+		c.scheduleAck()
+	case evRTO:
+		c.rtoFire()
+	case evCork:
+		c.corkEv = sim.Timer{}
+		c.stats.CorkTimeouts++
+		c.flush(true)
+	case evReadable:
+		c.readablePending = false
+		if c.onReadable != nil {
+			c.onReadable()
+		}
+	case evPeerState:
+		c.applyPeerState(seg)
+	}
 }
 
 // finishSegment stamps the outgoing segment with the piggybacked ACK,
@@ -439,8 +534,7 @@ func (c *Conn) finishSegment(seg *segment) {
 		seg.hasState = true
 		seg.state = c.instr.WireState(c.stack.Sim.Now(), c.cfg.ExchangeUnit)
 		if c.cfg.ExchangeTails {
-			tails := c.instr.WireTails(c.cfg.ExchangeUnit)
-			seg.tails = &tails
+			seg.tails, seg.hasTails = c.instr.WireTails(c.cfg.ExchangeUnit), true
 		}
 		c.lastExchange = c.stack.Sim.Now()
 		c.exchangedOnce = true
@@ -486,54 +580,49 @@ func (c *Conn) noteAckSent() {
 
 func (c *Conn) receive(seg *segment) {
 	if seg.n == 0 {
-		c.stack.SoftirqCPU.Exec(c.stack.AckRxCost, func() { c.deliver(seg) })
+		c.stack.SoftirqCPU.Exec(c.stack.AckRxCost, c, evRxDone, seg)
 		return
 	}
 	if !c.cfg.GRO {
-		cost := c.stack.RxCosts.Batch(seg.nsegs, int(seg.n))
-		c.stack.SoftirqCPU.Exec(cost, func() { c.deliver(seg) })
+		c.stack.SoftirqCPU.Exec(c.stack.RxCosts.Batch(seg.nsegs, int(seg.n)), c, evRxDone, seg)
 		return
 	}
 	// GRO: park the flush; one poll task drains everything that
 	// accumulated while the softirq context was busy, charging the
 	// per-delivery cost once for the whole batch.
+	//lint:ignore e2elint/hotpath rxQueue and rxBatch swap; both keep the capacity of the largest batch seen
 	c.rxQueue = append(c.rxQueue, seg)
 	if c.rxScheduled {
 		return
 	}
 	c.rxScheduled = true
-	c.stack.SoftirqCPU.Exec(0, c.groPoll)
+	c.stack.SoftirqCPU.Exec(0, c, evGROPoll, nil)
 }
 
 // groPoll runs when the softirq context reaches the parked work: it takes
-// the entire accumulated batch, charges one merged receive cost, and then
-// delivers the flushes in order.
+// the entire accumulated batch and charges one merged receive cost; evGRODone
+// then delivers the flushes in order. The softirq CPU is FIFO, so the previous
+// batch is done (rxBatch is empty) before the next poll runs.
 func (c *Conn) groPoll() {
 	c.rxScheduled = false
-	batch := c.rxQueue
-	c.rxQueue = nil
-	if len(batch) == 0 {
+	c.rxBatch, c.rxQueue = c.rxQueue, c.rxBatch
+	if len(c.rxBatch) == 0 {
 		return
 	}
 	segs, bytes := 0, 0
-	for _, seg := range batch {
+	for _, seg := range c.rxBatch {
 		segs += seg.nsegs
 		bytes += int(seg.n)
 	}
 	c.stats.GROBatches++
-	c.stats.GROMerged += uint64(len(batch) - 1)
-	cost := c.stack.RxCosts.Batch(segs, bytes)
-	c.stack.SoftirqCPU.Exec(cost, func() {
-		for _, seg := range batch {
-			c.deliver(seg)
-		}
-	})
+	c.stats.GROMerged += uint64(len(c.rxBatch) - 1)
+	c.stack.SoftirqCPU.Exec(c.stack.RxCosts.Batch(segs, bytes), c, evGRODone, nil)
 }
 
 func (c *Conn) deliver(seg *segment) {
 	now := c.stack.Sim.Now()
 	if seg.hasState {
-		c.acceptPeerState(seg.state, seg.tails)
+		c.acceptPeerState(seg)
 	}
 	c.processAck(seg.ack, seg.wnd)
 
@@ -560,15 +649,19 @@ func (c *Conn) deliver(seg *segment) {
 			seg.n -= c.rcvNxt - seg.start
 			seg.start = c.rcvNxt
 			seg.nsegs = int((seg.n + int64(c.cfg.MSS) - 1) / int64(c.cfg.MSS))
-			popLE(&seg.bounds, c.rcvNxt)
+			for len(seg.bounds) > 0 && seg.bounds[0] <= c.rcvNxt {
+				seg.bounds = seg.bounds[1:]
+			}
 			c.stats.DupPayloads++
 		}
 	}
 	n := seg.n
 	c.rcvNxt += n
 
-	c.rcvSegEnds = appendSegEnds(c.rcvSegEnds, seg.start, seg.start+n, int64(c.cfg.MSS))
-	c.rcvMsgEnds = append(c.rcvMsgEnds, seg.bounds...)
+	pushSegEnds(&c.rcvSegEnds, seg.start, seg.start+n, int64(c.cfg.MSS))
+	for _, b := range seg.bounds {
+		c.rcvMsgEnds.Push(b)
+	}
 
 	c.instr.unread.track(now, n, int64(seg.nsegs), int64(len(seg.bounds)))
 	c.instr.ackdelay.track(now, n, int64(seg.nsegs), int64(len(seg.bounds)))
@@ -578,52 +671,55 @@ func (c *Conn) deliver(seg *segment) {
 	if int(c.ackPendingSegs) >= c.cfg.DelAckSegs {
 		c.scheduleAck()
 	} else {
-		c.armDelack()
+		c.arm(&c.delackEv, c.cfg.DelAckTimeout, evDelack)
 	}
 	c.notifyReadable()
 }
 
-// acceptPeerState routes an arriving metadata exchange through the fault
+// acceptPeerState routes the metadata exchange seg carries through the fault
 // hook (if any) before applying it. The tails ride the same frame as the
 // counters, so a dropped, delayed or duplicated exchange drops, delays or
 // duplicates both together.
-func (c *Conn) acceptPeerState(ws qstate.WireState, tails *qstate.WireTails) {
+func (c *Conn) acceptPeerState(seg *segment) {
 	if c.stateFault == nil {
-		c.applyPeerState(ws, tails)
+		c.applyPeerState(seg)
 		return
 	}
-	act := c.stateFault(ws)
+	act := c.stateFault(seg.state)
 	if act.Drop {
 		c.stats.StatesDropped++
 		return
 	}
+	var held *segment // a deferred exchange outlives its segment: it travels on in a copy
+	if act.Delay > 0 || act.Duplicate {
+		//lint:ignore e2elint/escapes fault injection only, never taken on a healthy link
+		held = &segment{hasState: true, hasTails: seg.hasTails, state: seg.state, tails: seg.tails}
+	}
+	now := c.stack.Sim.Now()
 	if act.Delay > 0 {
 		c.stats.StatesDelayed++
-		c.stack.Sim.After(act.Delay, func() { c.applyPeerState(ws, tails) })
+		c.stack.Sim.Post(now.Add(act.Delay), c, evPeerState, held)
 	} else {
-		c.applyPeerState(ws, tails)
+		c.applyPeerState(seg)
 	}
 	if act.Duplicate {
 		c.stats.StatesDuped++
-		c.stack.Sim.After(act.Delay+act.DupDelay, func() { c.applyPeerState(ws, tails) })
+		c.stack.Sim.Post(now.Add(act.Delay+act.DupDelay), c, evPeerState, held)
 	}
 }
 
-// applyPeerState records ws as the peer's latest exchange, stamped with the
-// application time (which, under a Delay fault, is later than the wire
-// arrival — exactly what a delayed packet looks like). A v1 exchange (nil
-// tails) leaves any previously received histograms in place: the estimator
-// then sees zero bucket deltas and abstains on its own.
-func (c *Conn) applyPeerState(ws qstate.WireState, tails *qstate.WireTails) {
-	c.peerState = ws
+// applyPeerState records the exchange seg carries as the peer's latest,
+// stamped with the application time (which, under a Delay fault, is later
+// than the wire arrival — exactly what a delayed packet looks like). A v1
+// exchange (no tails) leaves any previously received histograms in place: the
+// estimator then sees zero bucket deltas and abstains on its own.
+func (c *Conn) applyPeerState(seg *segment) {
+	c.peerState = seg.state
 	c.peerStateAt = c.stack.Sim.Now()
 	c.peerStateValid = true
-	if tails != nil {
-		c.peerTails = *tails
+	if seg.hasTails {
+		c.peerTails = seg.tails
 		c.peerTailsValid = true
-	}
-	if c.onPeerState != nil {
-		c.onPeerState(ws)
 	}
 }
 
@@ -644,40 +740,34 @@ func (c *Conn) processAck(ack, wnd int64) {
 	if limit := ack + wnd; limit > c.sndLimit {
 		c.sndLimit = limit
 	}
-	c.pump()
+	c.flush(false)
 }
 
 // ---- loss recovery (go-back-N) ----
 
-func (c *Conn) armRTO() {
-	if c.rtoEv != nil || c.cfg.RTO <= 0 {
-		return
-	}
-	c.rtoEv = c.stack.Sim.After(c.cfg.RTO<<uint(c.rtoBackoff), c.rtoFire)
-}
+func (c *Conn) armRTO() { c.arm(&c.rtoEv, c.cfg.RTO<<uint(c.rtoBackoff), evRTO) }
 
 // rtoFire retransmits everything unACKed in TSO-sized flushes. Counters are
 // not re-tracked: the bytes never left the unacked queue, so their measured
 // residency naturally includes the recovery delay.
 func (c *Conn) rtoFire() {
-	c.rtoEv = nil
+	c.rtoEv = sim.Timer{}
 	if c.InFlight() == 0 {
 		return
 	}
 	c.stats.Retransmits++
 	c.rtoBackoff = min(c.rtoBackoff+1, 6)
-	mss := int64(c.cfg.MSS)
 	for start, end := c.sndUna, int64(0); start < c.sndNxt; start = end {
 		n := min(c.sndNxt-start, int64(c.cfg.TSOMaxBytes))
 		end = start + n
-		nsegs := int((n + mss - 1) / mss)
-		var bounds []int64
-		for _, b := range c.msgEndsUnacked {
+		seg := c.newSegment(start, n)
+		for _, b := range c.msgEndsUnacked.Live() {
 			if b > start && b <= end {
-				bounds = append(bounds, b)
+				//lint:ignore e2elint/hotpath a recycled segment's bounds keep their capacity
+				seg.bounds = append(seg.bounds, b)
 			}
 		}
-		c.sendSegment(&segment{start: start, n: n, nsegs: nsegs, bounds: bounds})
+		c.sendSegment(seg)
 	}
 	c.armRTO()
 }
@@ -690,49 +780,40 @@ func (c *Conn) scheduleAck() {
 		return
 	}
 	c.ackScheduled = true
-	c.stack.SoftirqCPU.Exec(c.stack.AckTxCost, func() {
-		c.ackScheduled = false
-		needWnd := c.advertiseWnd()-c.lastAdvWnd >= c.cfg.RecvBuf/2
-		if c.rcvNxt == c.rcvWup && !needWnd && !c.exchangeForced && !c.needDupAck {
-			c.stats.AcksSuppressed++
-			return
-		}
-		c.needDupAck = false
-		seg := &segment{}
-		c.finishSegment(seg)
-		c.stats.PureAcks++
-		c.tx.Send(c.cfg.HeaderBytes, func() { c.peer.receive(seg) })
-	})
+	c.stack.SoftirqCPU.Exec(c.stack.AckTxCost, c, evAckTx, nil)
+}
+
+// sendAck puts the scheduled standalone ACK on the wire, unless a segment
+// sent in the meantime has made it redundant.
+func (c *Conn) sendAck() {
+	c.ackScheduled = false
+	needWnd := c.advertiseWnd()-c.lastAdvWnd >= c.cfg.RecvBuf/2
+	if c.rcvNxt == c.rcvWup && !needWnd && !c.exchangeForced && !c.needDupAck {
+		c.stats.AcksSuppressed++
+		return
+	}
+	c.needDupAck = false
+	seg := c.newSegment(0, 0)
+	c.finishSegment(seg)
+	c.stats.PureAcks++
+	c.tx.Send(c.cfg.HeaderBytes, c.peer, evArrive, seg)
 }
 
 // ---- timers ----
 
-func (c *Conn) armCork() {
-	if c.corkEv != nil || c.cfg.CorkTimeout <= 0 {
-		return
+// arm starts one of the endpoint's timers, d from now, unless it is already
+// running or d says the timer is not configured. The event that fires it
+// clears *ev again.
+func (c *Conn) arm(ev *sim.Timer, d time.Duration, kind int) {
+	if *ev == (sim.Timer{}) && d > 0 {
+		*ev = c.stack.Sim.Post(c.stack.Sim.Now().Add(d), c, kind, nil)
 	}
-	c.corkEv = c.stack.Sim.After(c.cfg.CorkTimeout, func() {
-		c.corkEv = nil
-		c.stats.CorkTimeouts++
-		c.flushHeld()
-	})
 }
 
 // cancel disarms one of the endpoint's timers, if armed.
-func (c *Conn) cancel(ev **sim.Event) {
+func (c *Conn) cancel(ev *sim.Timer) {
 	c.stack.Sim.Cancel(*ev)
-	*ev = nil
-}
-
-func (c *Conn) armDelack() {
-	if c.delackEv != nil || c.cfg.DelAckTimeout <= 0 {
-		return
-	}
-	c.delackEv = c.stack.Sim.After(c.cfg.DelAckTimeout, func() {
-		c.delackEv = nil
-		c.stats.DelAckTimeouts++
-		c.scheduleAck()
-	})
+	*ev = sim.Timer{}
 }
 
 func (c *Conn) notifyReadable() {
@@ -740,30 +821,5 @@ func (c *Conn) notifyReadable() {
 		return
 	}
 	c.readablePending = true
-	c.stack.Sim.After(0, func() {
-		c.readablePending = false
-		if c.onReadable != nil {
-			c.onReadable()
-		}
-	})
-}
-
-// appendSegEnds appends the end offsets of the MSS-sized wire segments that
-// carry the non-empty stream range [start, end).
-func appendSegEnds(dst []int64, start, end, mss int64) []int64 {
-	for e := start + mss; e < end; e += mss {
-		dst = append(dst, e)
-	}
-	return append(dst, end)
-}
-
-// popLE removes leading elements of *s that are <= limit and returns how
-// many were removed. The slice must be ascending.
-func popLE(s *[]int64, limit int64) int64 {
-	i := 0
-	for i < len(*s) && (*s)[i] <= limit {
-		i++
-	}
-	*s = (*s)[i:]
-	return int64(i)
+	c.stack.Sim.Post(c.stack.Sim.Now(), c, evReadable, nil)
 }

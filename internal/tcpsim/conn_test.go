@@ -7,7 +7,6 @@ import (
 
 	"e2ebatch/internal/cpumodel"
 	"e2ebatch/internal/netem"
-	"e2ebatch/internal/qstate"
 	"e2ebatch/internal/sim"
 )
 
@@ -352,12 +351,10 @@ func TestMetadataExchangeArrives(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Nagle = false
 	s, ca, cb := testNet(t, cfg)
-	exchanges := 0
-	cb.OnPeerState(func(ws qstate.WireState) { exchanges++ })
 	ca.Send(payload(1000))
 	s.RunUntil(sim.Time(100 * time.Microsecond))
-	if exchanges == 0 {
-		t.Fatal("no metadata exchange arrived with a data segment")
+	if ca.Stats().StatesExchanged == 0 {
+		t.Fatal("no metadata exchange left with a data segment")
 	}
 	if _, at, ok := cb.PeerWireState(); !ok || at < 0 {
 		t.Fatalf("PeerWireState = %v, %v", at, ok)
@@ -592,18 +589,18 @@ func TestBidirectionalTraffic(t *testing.T) {
 }
 
 func TestPopLE(t *testing.T) {
-	s := []int64{10, 20, 30, 40}
-	if n := popLE(&s, 25); n != 2 || len(s) != 2 || s[0] != 30 {
-		t.Fatalf("popLE: n=%d s=%v", n, s)
+	var q offsets
+	pushSegEnds(&q, 0, 40, 10) // 10, 20, 30, 40
+	if n := popLE(&q, 25); n != 2 || q.Len() != 2 || q.Live()[0] != 30 {
+		t.Fatalf("popLE: n=%d q=%v", n, q.Live())
 	}
-	if n := popLE(&s, 5); n != 0 {
+	if n := popLE(&q, 5); n != 0 {
 		t.Fatalf("popLE below min: n=%d", n)
 	}
-	if n := popLE(&s, 100); n != 2 || len(s) != 0 {
-		t.Fatalf("popLE all: n=%d s=%v", n, s)
+	if n := popLE(&q, 100); n != 2 || q.Len() != 0 {
+		t.Fatalf("popLE all: n=%d q=%v", n, q.Live())
 	}
-	empty := []int64{}
-	if n := popLE(&empty, 1); n != 0 {
+	if n := popLE(&q, 1); n != 0 {
 		t.Fatal("popLE on empty")
 	}
 }

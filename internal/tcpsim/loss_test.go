@@ -193,3 +193,83 @@ func TestLosslessWithoutRTOStillPanicsOnGap(t *testing.T) {
 	}
 	s.RunUntil(sim.Time(time.Second))
 }
+
+// TestSegmentPoolUnderLossAndRetransmission: go-back-N sends fresh segments
+// for ranges whose originals may still sit in a CPU, wire or GRO queue, and
+// the wire drops some of each. Through all of it a segment is on its sender's
+// free list at most once and never while an event or queue still holds it —
+// HandleEvent and recycle panic on either — and the stream arrives intact.
+func TestSegmentPoolUnderLossAndRetransmission(t *testing.T) {
+	for _, gro := range []bool{false, true} {
+		s, ca, cb := lossyNet(t, 11, 0.2)
+		ca.cfg.GRO, cb.cfg.GRO = gro, gro
+		ca.stack.RxCosts = cpumodel.Costs{PerBatch: 3 * time.Microsecond} // a backlog for GRO to merge
+		cb.stack.RxCosts = ca.stack.RxCosts
+		var sent, got bytes.Buffer
+		cb.OnReadable(func() {
+			got.Write(cb.Read(0))
+			cb.Send(payload(10)) // replies, so both directions pool data segments
+		})
+		ca.OnReadable(func() { ca.Read(0) })
+		pooledOnce := func() {
+			t.Helper()
+			seen := map[*segment]bool{}
+			for _, c := range []*Conn{ca, cb} {
+				for _, seg := range append(append([]*segment(nil), c.rxQueue...), c.rxBatch...) {
+					if seg.pooled {
+						t.Fatalf("GRO=%v: %s holds a recycled segment in its receive queue", gro, c.Name())
+					}
+				}
+				for _, seg := range c.segFree {
+					if seen[seg] || !seg.pooled {
+						t.Fatalf("GRO=%v: %s free list: segment listed twice (%v) or not marked pooled", gro, c.Name(), seen[seg])
+					}
+					seen[seg] = true
+				}
+			}
+		}
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 200; i++ {
+			chunk := payload(1 + rng.Intn(6000))
+			sent.Write(chunk)
+			ca.Send(chunk)
+			for until := s.Now().Add(time.Duration(rng.Intn(300)) * time.Microsecond); ; {
+				if at, ok := s.NextAt(); !ok || at > until {
+					break
+				}
+				s.Step()
+				pooledOnce()
+			}
+		}
+		s.RunUntil(s.Now().Add(30 * time.Second))
+		pooledOnce()
+		if !bytes.Equal(got.Bytes(), sent.Bytes()) {
+			t.Fatalf("GRO=%v: read %d bytes, sent %d: stream corrupted", gro, got.Len(), sent.Len())
+		}
+		if a, b := ca.Stats(), cb.Stats(); a.Retransmits == 0 || b.DupPayloads == 0 || gro && b.GROMerged == 0 {
+			t.Fatalf("GRO=%v: retransmits %d, duplicates %d, merged %d: recovery was not exercised", gro, a.Retransmits, b.DupPayloads, b.GROMerged)
+		}
+		if len(ca.segFree) == 0 || len(cb.segFree) == 0 {
+			t.Fatalf("GRO=%v: free lists hold %d and %d segments after the run", gro, len(ca.segFree), len(cb.segFree))
+		}
+	}
+}
+
+// TestSegmentPoolAssertsOwnership pins the two panics the test above relies
+// on: giving a segment back twice, and an event firing with one given back.
+func TestSegmentPoolAssertsOwnership(t *testing.T) {
+	_, ca, cb := testNet(t, fastCfg())
+	mustPanic := func(what string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		fn()
+	}
+	seg := ca.newSegment(0, 100)
+	ca.recycle(seg)
+	mustPanic("recycling a segment twice", func() { ca.recycle(seg) })
+	mustPanic("an event firing with a recycled segment", func() { cb.HandleEvent(evArrive, seg) })
+}

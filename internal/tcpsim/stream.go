@@ -1,6 +1,10 @@
 package tcpsim
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"e2ebatch/internal/sim"
+)
 
 // digest is a running 64-bit digest of a byte stream: FNV-1a's step taken a
 // word at a time, one (h ^ w) * prime per 8 little-endian bytes. Up to 7 bytes
@@ -59,37 +63,53 @@ func (d *digest) sum() uint64 {
 // the slices Send was given, held by reference, consumed from the front.
 // Segments carry only offsets into it, so take is a payload byte's one copy.
 type byteFIFO struct {
-	chunks [][]byte // chunks[head:] are live; chunks[head][off:] is the front
-	head   int
-	off    int
+	chunks sim.FIFO[[]byte]
+	off    int // consumed bytes of the front chunk
 }
 
 // push appends data to the stream without copying it.
-func (q *byteFIFO) push(data []byte) {
-	if q.head > 0 && len(q.chunks) == cap(q.chunks) {
-		// Slide the live chunks down instead of growing: the backing
-		// array stays as large as the deepest backlog seen.
-		n := copy(q.chunks, q.chunks[q.head:])
-		clear(q.chunks[n:])
-		q.chunks, q.head = q.chunks[:n], 0
-	}
-	q.chunks = append(q.chunks, data)
-}
+func (q *byteFIFO) push(data []byte) { q.chunks.Push(data) }
 
 // take removes the first n bytes of the stream and appends them to dst. The
 // caller guarantees the stream holds at least n bytes.
 func (q *byteFIFO) take(dst []byte, n int) []byte {
 	for n > 0 {
-		front := q.chunks[q.head][q.off:]
+		front := q.chunks.Live()[0][q.off:]
 		if len(front) > n {
 			q.off += n
 			return append(dst, front[:n]...)
 		}
 		dst = append(dst, front...)
 		n -= len(front)
-		q.chunks[q.head] = nil // release the sender's slice
-		q.head++
+		q.chunks.Drop(1) // releases the sender's slice
 		q.off = 0
 	}
 	return dst
+}
+
+// offsets is an ascending queue of stream offsets — message or wire-segment
+// ends — consumed from the front.
+type offsets = sim.FIFO[int64]
+
+// pushSegEnds pushes the end offsets of the MSS-sized wire segments that
+// carry the non-empty stream range [start, end).
+func pushSegEnds(q *offsets, start, end, mss int64) {
+	for e := start + mss; e < end; e += mss {
+		q.Push(e)
+	}
+	q.Push(end)
+}
+
+// popLE removes the leading offsets that are <= limit and returns how many
+// it removed.
+func popLE(q *offsets, limit int64) int64 {
+	n := 0
+	for _, x := range q.Live() {
+		if x > limit {
+			break
+		}
+		n++
+	}
+	q.Drop(n)
+	return int64(n)
 }

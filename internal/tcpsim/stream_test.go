@@ -37,31 +37,9 @@ func TestByteFIFOMatchesFlatModel(t *testing.T) {
 		if rest := q.take(nil, len(model)); !bytes.Equal(rest, model) {
 			t.Fatalf("trial %d: final drain differs from the model", trial)
 		}
-		for i, c := range q.chunks[:q.head] {
-			if c != nil {
-				t.Fatalf("trial %d: consumed chunk %d still referenced", trial, i)
-			}
+		if n := q.chunks.Len(); n != 0 {
+			t.Fatalf("trial %d: %d chunks left after draining", trial, n)
 		}
-		if q.head != len(q.chunks) {
-			t.Fatalf("trial %d: %d chunks left after draining", trial, len(q.chunks)-q.head)
-		}
-	}
-}
-
-// TestByteFIFOBacklogBoundsItsArray: with a standing backlog the chunk list
-// slides down in place; it does not grow with the number of pushes.
-func TestByteFIFOBacklogBoundsItsArray(t *testing.T) {
-	var q byteFIFO
-	chunk := payload(10)
-	for i := 0; i < 3; i++ {
-		q.push(chunk)
-	}
-	for i := 0; i < 10000; i++ {
-		q.push(chunk)
-		q.take(nil, len(chunk))
-	}
-	if cap(q.chunks) > 16 {
-		t.Fatalf("chunk list grew to cap %d under a 3-chunk backlog", cap(q.chunks))
 	}
 }
 
@@ -191,7 +169,7 @@ func TestSendKeepsDataByReference(t *testing.T) {
 	if ca.Stats().SentDigest != cb.Stats().ReadDigest {
 		t.Fatal("digests differ")
 	}
-	if n := len(ca.sndBuf.chunks) - ca.sndBuf.head; n != 0 {
+	if n := ca.sndBuf.chunks.Len(); n != 0 {
 		t.Fatalf("%d chunks still held after the peer read everything", n)
 	}
 }

@@ -128,3 +128,36 @@ func TestEnginePortComposesTailInSim(t *testing.T) {
 		t.Fatalf("tail composed against a v1 peer: %+v", r.Estimate.Tail)
 	}
 }
+
+// TestDelayedExchangeOutlivesItsSegment: a v2 exchange the fault hook defers
+// is applied long after the segment that carried it was recycled and reused
+// for later exchanges, so it must have travelled on in a copy: what lands is
+// the sender's histograms as of the deferred segment, not of whichever
+// exchange the pooled segment carried last.
+func TestDelayedExchangeOutlivesItsSegment(t *testing.T) {
+	cfg := fastCfg()
+	cfg.Nagle, cfg.ExchangeTails = false, true
+	s, ca, cb := testNet(t, cfg)
+	var sentTails []qstate.WireTails // ca's histograms at each exchange cb saw
+	cb.SetStateFault(func(qstate.WireState) StateFaultAction {
+		sentTails = append(sentTails, ca.LocalTails(UnitBytes))
+		if len(sentTails) == 20 {
+			return StateFaultAction{Delay: 5 * time.Millisecond}
+		}
+		return StateFaultAction{}
+	})
+	pingPong(s, ca, cb, 200, 512, 20*time.Microsecond) // runs 10 ms past the last send
+	if cb.Stats().StatesDelayed != 1 || len(sentTails) < 100 {
+		t.Fatalf("delayed %d of %d exchanges, want 1 of 100+", cb.Stats().StatesDelayed, len(sentTails))
+	}
+	got, ok := cb.PeerTails()
+	if !ok || got.Unacked.Count() == 0 {
+		t.Fatal("no peer tails after the run")
+	}
+	// The deferred exchange landed last (5 ms after the 20th, past the 4 ms
+	// of sending), carrying the 20th exchange's counters.
+	if want := sentTails[19]; got != want {
+		t.Fatalf("deferred exchange applied %d unacked departures, want the %d it was sent with (latest %d)",
+			got.Unacked.Count(), want.Unacked.Count(), sentTails[len(sentTails)-1].Unacked.Count())
+	}
+}

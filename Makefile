@@ -21,15 +21,16 @@ GOFMT ?= gofmt
 #          ├─ trace-smoke ─→ build (span plane against a real kvserver)
 #          ├─ scale-smoke ─→ build (2k-connection shard-engine fleet)
 #          ├─ bench-diff ─→ build
-#          └─ bench-check ─→ build (bench/ is its own module: vet, tests, lint)
-#   cover ──→ build           (slow; run on demand, not part of the gate)
+#          ├─ bench-check ─→ build (bench/ is its own module: vet, tests, lint)
+#          └─ cover ─→ build  (the suite again under -coverprofile, with the
+#                              per-package floors; about as long as test)
 #
 # race runs the short-mode suite only: full sweeps are skipped under -short
 # so the ~10x race overhead stays affordable; the determinism, invariant,
 # fuzz-seed and stress tests all still run. fidelity-smoke and bench-diff
 # are both short-run-safe: the smoke replays the zoo at a reduced duration,
 # and bench-diff degrades to a no-op note until two archives exist.
-tier1: vet lint escapes allocgate build test race fuzz-smoke obs-smoke trace-smoke scale-smoke fidelity-smoke tail-fidelity-smoke bench-diff bench-check
+tier1: vet lint escapes allocgate build test race fuzz-smoke obs-smoke trace-smoke scale-smoke fidelity-smoke tail-fidelity-smoke bench-diff bench-check cover
 
 vet:
 	$(GO) vet ./...
@@ -68,8 +69,8 @@ race: build
 
 # fuzz-smoke runs every fuzz target of the wire parser for a few seconds of
 # new inputs each (`go test -fuzz` takes one target per run): the parser
-# reads bytes straight off the network, and the equivalence of its two
-# decoders (Next and NextCommand) is a fuzz property. The seed corpora
+# reads bytes straight off the network, and the equivalence of its three
+# decoders (Next, NextCommand and Skip) is a fuzz property. The seed corpora
 # already run as plain tests; this is the part that generates.
 fuzz-smoke: build
 	@for f in $$($(GO) test -list '^Fuzz' ./internal/resp | grep '^Fuzz'); do \
@@ -113,12 +114,13 @@ scale-smoke: build
 # the model-fidelity corpus: the workload zoo (loadgen) and the closed-form
 # rival (analytic), the invariant analyzer suite itself (lint), the two
 # packages every request crosses, where bytes off the network are parsed
-# (resp) and executed (kv), and the event core every simulated number comes
-# out of (sim, floor 90). Floors sit a few points under measured coverage
-# at introduction (qstate 98.9%, core 92.9%, faults 95.5%, engine 96.1%,
+# (resp) and executed (kv), the event core every simulated number comes out
+# of (sim, floor 90) and the transport every simulated byte crosses (tcpsim,
+# floor 92). Floors sit a few points under measured coverage at
+# introduction (qstate 98.9%, core 92.9%, faults 95.5%, engine 96.1%,
 # obs 89.6%, obs/span 93.4%, benchfmt 92.6%, loadgen 96.1%, analytic 96.4%,
-# lint 90.0%, policy 98.7%, resp 97.1%, kv 97.4%; core re-floored at 90 with
-# the tail-composition coverage) so incidental drift passes but a feature
+# lint 90.0%, policy 98.7%, resp 97.1%, kv 97.4%, tcpsim 95.7%; core
+# re-floored at 90 with the tail-composition coverage) so incidental drift passes but a feature
 # landing untested does not.
 cover: build
 	@$(GO) test -coverprofile=cover.out ./... > cover.txt || { cat cover.txt; rm -f cover.txt cover.out; exit 1; }
@@ -137,7 +139,8 @@ cover: build
 		floor["e2ebatch/internal/analytic"]=92; \
 		floor["e2ebatch/internal/resp"]=93; \
 		floor["e2ebatch/internal/kv"]=93; \
-		floor["e2ebatch/internal/sim"]=90 } \
+		floor["e2ebatch/internal/sim"]=90; \
+		floor["e2ebatch/internal/tcpsim"]=92 } \
 		/^ok/ && /coverage:/ { \
 			v=""; for (i=1;i<=NF;i++) if ($$i=="coverage:") { v=$$(i+1); sub("%","",v) } \
 			if (($$2 in floor) && v+0 < floor[$$2]) { \

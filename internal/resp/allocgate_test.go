@@ -29,6 +29,25 @@ func TestAllocGateNextCommand(t *testing.T) {
 	}
 }
 
+func TestAllocGateSkip(t *testing.T) {
+	var wire []byte
+	for _, r := range []Value{OK(), Bulk(make([]byte, 16<<10)), NullBulk(), Int(7), Err("ERR no"),
+		{Type: Array, Array: []Value{Bulk([]byte("a")), Int(1)}}} {
+		wire = AppendValue(wire, r)
+	}
+	var p Parser
+	if n := testing.AllocsPerRun(200, func() {
+		p.Feed(wire)
+		for {
+			if _, ok, _ := p.Skip(); !ok {
+				break
+			}
+		}
+	}); n != 0 {
+		t.Errorf("Feed/Skip allocate %v per 6 replies, want 0 (//e2e:hotpath)", n)
+	}
+}
+
 func TestAllocGateAppendValue(t *testing.T) {
 	out := make([]byte, 0, 1024)
 	replies := []Value{OK(), Pong(), NullBulk(), Int(-42), Bulk(make([]byte, 64)),

@@ -26,6 +26,7 @@ func TestArrayHeaderReservesNoMoreThanBuffered(t *testing.T) {
 		for name, next := range map[string]func(*Parser) (bool, error){
 			"Next":        func(p *Parser) (bool, error) { _, ok, err := p.Next(); return ok, err },
 			"NextCommand": func(p *Parser) (bool, error) { _, ok, err := p.NextCommand(nil); return ok, err },
+			"Skip":        func(p *Parser) (bool, error) { _, ok, err := p.Skip(); return ok, err },
 		} {
 			var p Parser
 			p.Feed([]byte(wire))
@@ -38,6 +39,36 @@ func TestArrayHeaderReservesNoMoreThanBuffered(t *testing.T) {
 				t.Errorf("%s(%q) = ok %v, err %v; want need-more", name, wire, ok, err)
 			}
 		}
+	}
+}
+
+// TestSkipIsNextWithoutTheValue walks one stream of every reply shape a server
+// sends, and the inline and nested ones it does not, with both: Skip reports
+// the length of the top-level string Next builds and leaves the same bytes.
+func TestSkipIsNextWithoutTheValue(t *testing.T) {
+	wire := "+OK\r\n-ERR unknown command\r\n:42\r\n$5\r\nhello\r\n$0\r\n\r\n$-1\r\n" +
+		"*2\r\n$1\r\na\r\n*1\r\n+b\r\n*0\r\n*-1\r\nPING now\r\n*1\r\nPING\r\n$3\r\nfo"
+	want := []int{2, 19, 0, 5, 0, 0, 0, 0, 0, 0, 0}
+	var byValue, bySkip Parser
+	byValue.Feed([]byte(wire))
+	bySkip.Feed([]byte(wire))
+	for i, n := range want {
+		v, ok, err := byValue.Next()
+		got, sok, serr := bySkip.Skip()
+		if !ok || !sok || err != nil || serr != nil {
+			t.Fatalf("value %d: Next ok %v err %v, Skip ok %v err %v", i, ok, err, sok, serr)
+		}
+		if got != n || len(v.Str) != n || byValue.Buffered() != bySkip.Buffered() {
+			t.Fatalf("value %d (%v): Skip = %d, Next's string %d, want %d; %d and %d bytes left",
+				i, v, got, len(v.Str), n, bySkip.Buffered(), byValue.Buffered())
+		}
+	}
+	if _, ok, err := bySkip.Skip(); ok || err != nil || bySkip.Buffered() != len("$3\r\nfo") {
+		t.Fatalf("incomplete bulk: ok %v, err %v, %d bytes left; want need-more and nothing consumed", ok, err, bySkip.Buffered())
+	}
+	bySkip.Feed([]byte("oXY"))
+	if _, ok, err := bySkip.Skip(); ok || !errors.Is(err, ErrProtocol) {
+		t.Fatalf("bulk without CRLF: ok %v, err %v; want a protocol error", ok, err)
 	}
 }
 

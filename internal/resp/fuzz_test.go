@@ -104,6 +104,21 @@ var hostileSeeds = [][]byte{
 	[]byte(strings.Repeat("*1\r\n", maxDepth) + "PING\r\n"),
 }
 
+// chunked hands data to feed in pieces whose lengths come from cuts — 1 to 16
+// bytes each, then the rest — until it is used up or feed returns false.
+func chunked(data []byte, cuts uint64, feed func(chunk []byte) bool) {
+	for len(data) > 0 {
+		n := min(len(data), 1+int(cuts&15))
+		if cuts >>= 4; cuts == 0 {
+			n = len(data)
+		}
+		if !feed(data[:n]) {
+			return
+		}
+		data = data[n:]
+	}
+}
+
 // FuzzCommandAgreesWithNext: on any input, cut into any chunks, NextCommand
 // and Next accept, wait and reject at the same points, and NextCommand's
 // arguments are the bytes of Next's command (none when it is no command).
@@ -120,16 +135,9 @@ func FuzzCommandAgreesWithNext(f *testing.F) {
 		}
 		var byValue, byView Parser
 		var args [][]byte
-		for len(data) > 0 {
-			// Chunk lengths come from cuts: 1 to 16 bytes, then the rest.
-			n := min(len(data), 1+int(cuts&15))
-			if cuts >>= 4; cuts == 0 {
-				n = len(data)
-			}
-			byValue.Feed(data[:n])
-			copy(byView.Space(n), data[:n])
-			byView.Commit(n)
-			data = data[n:]
+		chunked(data, cuts, func(chunk []byte) bool {
+			byValue.Feed(chunk)
+			byView.Commit(copy(byView.Space(len(chunk)), chunk))
 			for {
 				v, ok, err := byValue.Next()
 				var vok bool
@@ -138,11 +146,8 @@ func FuzzCommandAgreesWithNext(f *testing.F) {
 				if ok != vok || (err == nil) != (verr == nil) {
 					t.Fatalf("Next: ok %v, err %v; NextCommand: ok %v, err %v", ok, err, vok, verr)
 				}
-				if err != nil {
-					return
-				}
-				if !ok {
-					break
+				if err != nil || !ok {
+					return err == nil
 				}
 				want := v.AppendArgs(nil)
 				if len(args) != len(want) {
@@ -157,7 +162,42 @@ func FuzzCommandAgreesWithNext(f *testing.F) {
 					t.Fatalf("consumed differently: %d and %d bytes left", byValue.Buffered(), byView.Buffered())
 				}
 			}
+		})
+	})
+}
+
+// FuzzSkipAgreesWithNext: on any input, cut into any chunks, Skip and Next
+// accept, wait and reject at the same points with the same error, consume the
+// same bytes, and Skip's length is that of the string Next built.
+func FuzzSkipAgreesWithNext(f *testing.F) {
+	f.Add([]byte("+OK\r\n$3\r\nfoo\r\n:12\r\n-ERR no\r\n$-1\r\n*2\r\n$1\r\na\r\n+b\r\n$0\r\n\r\n"), uint64(0x9e3779b97f4a7c15))
+	f.Add([]byte("*2\r\n*1\r\nPING x\r\n+a\r\nGET k\r\n*-1\r\n*0\r\n$3\r\nfooXY"), uint64(3))
+	f.Add(append(AppendValue(nil, Bulk(bytes.Repeat([]byte{'v'}, 300))), "$abc\r\n"...), uint64(1))
+	for i, hostile := range hostileSeeds {
+		f.Add(hostile, uint64(i))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, cuts uint64) {
+		if len(data) > 1<<16 {
+			return
 		}
+		var byValue, bySkip Parser
+		chunked(data, cuts, func(chunk []byte) bool {
+			byValue.Feed(chunk)
+			bySkip.Feed(chunk)
+			for {
+				v, ok, err := byValue.Next()
+				n, sok, serr := bySkip.Skip()
+				if ok != sok || err != serr || n != len(v.Str) {
+					t.Fatalf("Next: %d-byte string, ok %v, err %v; Skip: %d, ok %v, err %v", len(v.Str), ok, err, n, sok, serr)
+				}
+				if byValue.Buffered() != bySkip.Buffered() {
+					t.Fatalf("consumed differently: %d and %d bytes left", byValue.Buffered(), bySkip.Buffered())
+				}
+				if err != nil || !ok {
+					return err == nil
+				}
+			}
+		})
 	})
 }
 

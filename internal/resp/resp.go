@@ -234,6 +234,20 @@ func (p *Parser) NextCommand(args [][]byte) ([][]byte, bool, error) {
 	return args, n > 0, err
 }
 
+// Skip consumes the next complete value without building it, for a reader
+// that only counts replies. ok and err are Next's; strLen is len(v.Str) of
+// the value Next would have returned: the length of a top-level simple, error
+// or bulk string, 0 for anything else.
+func (p *Parser) Skip() (strLen int, ok bool, err error) {
+	strLen, n, err := skipValue(p.buf[p.off:], 0)
+	if n < 0 {
+		v, ok, err := p.Next()
+		return len(v.Str), ok, err
+	}
+	p.off += n
+	return strLen, n > 0, err
+}
+
 // AppendArgs appends the arguments of the command v holds — an array of
 // non-null bulk strings — to args, and nothing if v is anything else.
 func (v Value) AppendArgs(args [][]byte) [][]byte {
@@ -352,6 +366,49 @@ func parseValue(b []byte, depth int) (Value, int, error) {
 		return Value{}, 0, errInline
 	}
 	return Value{Type: Array, Array: arr}, n, nil
+}
+
+// skipValue is parseValue for a caller that needs only the span: the same
+// bytes consumed (0 when incomplete) and the same errors, nothing built. n is
+// -1 when the value is or holds an inline command, which no server sends and
+// parseValue is left to split.
+//
+//e2e:hotpath
+func skipValue(b []byte, depth int) (strLen, n int, err error) {
+	if len(b) == 0 {
+		return 0, 0, nil
+	}
+	switch Type(b[0]) {
+	case SimpleString, ErrorString:
+		line, n := takeLine(b[1:])
+		if n == 0 {
+			return 0, 0, nil
+		}
+		return len(line), 1 + n, nil
+	case Integer:
+		_, n, err := header(b)
+		return 0, n, err
+	case BulkString:
+		str, _, n, err := bulk(b)
+		return len(str), n, err
+	case Array:
+		count, off, err := header(b)
+		if err != nil || off == 0 || count < 0 {
+			return 0, off, err
+		}
+		if depth == maxDepth {
+			return 0, 0, errDepth
+		}
+		for ; count > 0; count-- {
+			_, n, err := skipValue(b[off:], depth+1)
+			if err != nil || n <= 0 {
+				return 0, n, err
+			}
+			off += n
+		}
+		return 0, off, nil
+	}
+	return 0, -1, nil
 }
 
 // header decodes the integer line after the type byte b[0], bounded for

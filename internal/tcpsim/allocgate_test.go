@@ -14,7 +14,7 @@ import (
 )
 
 func TestAllocGateDigestFold(t *testing.T) {
-	d := digest{h: digestBasis}
+	var d digest
 	data := payload(16411) // a 16 KiB SET: whole words plus a 3-byte carry
 	if n := testing.AllocsPerRun(200, func() {
 		d.fold(data)

@@ -78,12 +78,12 @@ type Stats struct {
 	StatesDuped     uint64 // inbound exchanges replayed by the fault hook
 
 	// SentDigest and ReadDigest are not counts but running digests (type
-	// digest: FNV-1a over 8-byte words, independent of how calls split the
-	// stream) of every byte the application has written to (Send) and read
-	// from (Read) this endpoint — the replay seam the model-fidelity
-	// harness uses: two runs of a deterministic workload produced
-	// byte-identical streams iff their digests match, with nothing
-	// retained. An untouched direction reads the FNV-1a offset basis.
+	// digest: four interleaved FNV-1a word lanes, independent of how calls
+	// split the stream) of every byte the application has written to (Send)
+	// and read from (Read) this endpoint — the replay seam the model-fidelity
+	// harness uses: byte-identical streams always have equal digests, and
+	// streams that differ share one only by a 64-bit hash collision, with
+	// nothing retained. An untouched direction reads the FNV-1a offset basis.
 	SentDigest uint64
 	ReadDigest uint64
 }
@@ -173,8 +173,7 @@ func Connect(a, b *Stack, link *netem.Link, cfg Config) (*Conn, *Conn) {
 	}
 	endpoint := func(st *Stack, tx *netem.Pipe) *Conn {
 		c := &Conn{stack: st, cfg: cfg, tx: tx, name: st.Name, nodelay: !cfg.Nagle,
-			corkBytes: cork, sndLimit: cfg.RecvBuf, lastAdvWnd: cfg.RecvBuf, lastExchange: now,
-			sent: digest{h: digestBasis}, read: digest{h: digestBasis}}
+			corkBytes: cork, sndLimit: cfg.RecvBuf, lastAdvWnd: cfg.RecvBuf, lastExchange: now}
 		c.instr.init(now)
 		return c
 	}

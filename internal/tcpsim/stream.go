@@ -6,57 +6,72 @@ import (
 	"e2ebatch/internal/sim"
 )
 
-// digest is a running 64-bit digest of a byte stream: FNV-1a's step taken a
-// word at a time, one (h ^ w) * prime per 8 little-endian bytes. Up to 7 bytes
-// that do not fill a word yet wait in carry, so the value depends on the
+// digest is a running 64-bit digest of a byte stream: four independent FNV-1a
+// word lanes, one (h ^ w) * prime per 8 little-endian bytes, word i of the
+// stream to lane i mod 4 — four multiply chains in flight instead of one. A
+// word's lane follows from its absolute stream offset and up to 31 bytes that
+// do not fill a 32-byte block yet wait in buf, so the value depends on the
 // bytes alone, never on how Send or Read calls cut the stream. Each step is a
 // bijection of the word it folds, so changing any one byte changes the digest.
+// The zero digest is the empty stream.
 type digest struct {
-	h     uint64
-	carry uint64 // pending bytes, first byte lowest
-	n     uint   // pending byte count, 0..7
+	lane [4]uint64
+	buf  [digestBlock]byte // the last size % digestBlock bytes of the stream
+	size uint64            // stream length in bytes
 }
 
 const (
 	digestBasis = 14695981039346656037 // FNV-1a 64-bit offset basis: the empty stream
 	digestPrime = 1099511628211        // FNV 64-bit prime
+	digestBlock = 32                   // one word per lane
 )
 
 // fold appends data to the digested stream.
 //
 //e2e:hotpath
 func (d *digest) fold(data []byte) {
-	if d.n > 0 {
-		for len(data) > 0 && d.n < 8 {
-			d.carry |= uint64(data[0]) << (8 * d.n)
-			d.n++
-			data = data[1:]
-		}
-		if d.n < 8 {
+	n := int(d.size % digestBlock)
+	d.size += uint64(len(data))
+	if n > 0 {
+		k := copy(d.buf[n:], data)
+		if n+k < digestBlock {
 			return
 		}
-		d.h = (d.h ^ d.carry) * digestPrime
-		d.carry, d.n = 0, 0
+		d.blocks(d.buf[:])
+		data = data[k:]
 	}
-	h := d.h
-	for len(data) >= 8 {
-		h = (h ^ binary.LittleEndian.Uint64(data)) * digestPrime
-		data = data[8:]
-	}
-	d.h = h
-	for i, b := range data {
-		d.carry |= uint64(b) << (8 * uint(i))
-	}
-	d.n = uint(len(data))
+	copy(d.buf[:], d.blocks(data))
 }
 
-// sum returns the digest of everything folded so far. A pending tail is
-// folded in with its length, so trailing zero bytes count.
-func (d *digest) sum() uint64 {
-	if d.n == 0 {
-		return d.h
+// blocks folds the whole blocks at the front of data into the lanes and
+// returns the rest.
+func (d *digest) blocks(data []byte) []byte {
+	h0, h1, h2, h3 := d.lane[0], d.lane[1], d.lane[2], d.lane[3]
+	for len(data) >= digestBlock {
+		h0 = (h0 ^ binary.LittleEndian.Uint64(data)) * digestPrime
+		h1 = (h1 ^ binary.LittleEndian.Uint64(data[8:])) * digestPrime
+		h2 = (h2 ^ binary.LittleEndian.Uint64(data[16:])) * digestPrime
+		h3 = (h3 ^ binary.LittleEndian.Uint64(data[24:])) * digestPrime
+		data = data[digestBlock:]
 	}
-	return ((d.h^d.carry)*digestPrime ^ uint64(d.n)) * digestPrime
+	d.lane = [4]uint64{h0, h1, h2, h3}
+	return data
+}
+
+// sum returns the digest of everything folded so far: one more FNV-1a chain
+// over each lane and the word of the zero-padded pending block that lane
+// would fold next, then the stream length — so lanes do not commute and
+// trailing zero bytes count. The chain starts at zero and the offset basis
+// goes in last, which makes the empty stream read digestBasis.
+func (d *digest) sum() uint64 {
+	var tail [digestBlock]byte
+	copy(tail[:], d.buf[:d.size%digestBlock])
+	var h uint64
+	for i, lane := range d.lane {
+		h = (h ^ lane) * digestPrime
+		h = (h ^ binary.LittleEndian.Uint64(tail[8*i:])) * digestPrime
+	}
+	return digestBasis ^ (h^d.size)*digestPrime
 }
 
 // byteFIFO is one direction's byte stream between Send and the peer's Read:

@@ -152,6 +152,9 @@ func TestReadResultValidUntilNextRead(t *testing.T) {
 // other side: Send takes no copy, so the same slice may be sent again and
 // again (as the workload makers and the benchmark replay do) at the cost of
 // one slice header, and the stream is what the slice held when it was read.
+// That is why both ends digest: Send's pass sees the bytes as written, Read's
+// the bytes as delivered, and a caller that breaks the contract — modifies
+// the slice after Send, before the peer's Read — is what sets them apart.
 func TestSendKeepsDataByReference(t *testing.T) {
 	cfg := fastCfg()
 	cfg.Nagle = false
@@ -167,9 +170,19 @@ func TestSendKeepsDataByReference(t *testing.T) {
 		t.Fatalf("resending one slice five times delivered %d bytes, want 5 copies of it", len(got))
 	}
 	if ca.Stats().SentDigest != cb.Stats().ReadDigest {
-		t.Fatal("digests differ")
+		t.Fatal("digests differ after re-sending an unmodified slice")
 	}
 	if n := ca.sndBuf.chunks.Len(); n != 0 {
 		t.Fatalf("%d chunks still held after the peer read everything", n)
+	}
+
+	ca.Send(wire)
+	wire[1234] ^= 1 // the contract broken: the peer has not read it yet
+	s.RunFor(50 * time.Microsecond)
+	if len(got) != 6*len(wire) || got[5*len(wire)+1234] != wire[1234] {
+		t.Fatalf("read %d bytes; the peer should have read the slice as modified", len(got))
+	}
+	if ca.Stats().SentDigest == cb.Stats().ReadDigest {
+		t.Fatal("a slice modified between Send and the peer's Read left SentDigest == peer ReadDigest")
 	}
 }

@@ -173,6 +173,8 @@ func main() {
 		fmt.Printf("toggler: %d decisions, %d switches, %d explorations, final %v\n",
 			rep.Toggler.Decisions, rep.Toggler.Switches, rep.Toggler.Explorations, rep.FinalMode)
 	}
+	fmt.Printf("pacer: %d writes (%.2f requests/write), hand-over lag mean=%v max=%v\n",
+		rep.Writes, float64(rep.Sent)/float64(rep.Writes), rep.LagMean.Round(time.Microsecond), rep.LagMax.Round(time.Microsecond))
 }
 
 type fleetFlags struct {

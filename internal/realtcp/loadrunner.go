@@ -59,6 +59,10 @@ type LoadReport struct {
 	// NoDelayErrors counts individual SetNoDelay failures — a failure is
 	// an outcome, not a silent no-op.
 	NoDelayErrors int
+	// Writes counts the socket writes that carried the Sent requests; the lag
+	// is a request's hand-over behind its schedule: how late the pacer ran.
+	Writes          uint64
+	LagMean, LagMax time.Duration
 }
 
 // RunLoad paces requests at the configured rate, driving the shared control
@@ -117,20 +121,38 @@ func RunLoad(c *Client, opts LoadOptions) (*LoadReport, error) {
 		rep.NoDelayErrors = st.ModeErrors
 	}
 
+	// Every request that is due is queued and the batch is written when the
+	// next one is not — before the sleep, before the drain: no added wait.
 	interval := time.Duration(float64(time.Second) / opts.Rate)
-	deadline := time.Now().Add(opts.Duration)
+	writes0 := c.writes.Load()
 	next := time.Now()
-	for time.Now().Before(deadline) {
-		if err := c.Send(opts.Request); err != nil {
-			finish()
-			return nil, err
+	deadline := next.Add(opts.Duration)
+	var lagSum time.Duration
+	var err error
+	for now := next; err == nil && now.Before(deadline); now = time.Now() {
+		lag := now.Sub(next)
+		if lag < 0 {
+			err = c.Flush()
+			time.Sleep(-lag)
+			continue
 		}
+		err = c.Queue(opts.Request)
 		rep.Sent++
 		next = next.Add(interval)
-		if d := time.Until(next); d > 0 {
-			time.Sleep(d)
+		lagSum += lag
+		if lag > rep.LagMax {
+			rep.LagMax = lag
 		}
 	}
+	if err == nil {
+		err = c.Flush()
+	}
+	if err != nil {
+		finish()
+		return nil, err
+	}
+	rep.Writes = c.writes.Load() - writes0
+	rep.LagMean = lagSum / time.Duration(rep.Sent)
 
 	drainDeadline := time.Now().Add(drainTO)
 	for c.Outstanding() > 0 && time.Now().Before(drainDeadline) {

@@ -13,6 +13,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"e2ebatch/internal/hints"
@@ -232,17 +233,19 @@ func (s *Server) handle(conn net.Conn, sid int) {
 // paper's userspace instrumentation: a hints.Tracker fed by create/complete
 // around every request, from which live Little's-law estimates are drawn.
 type Client struct {
-	conn        *net.TCPConn
-	tracker     *hints.Tracker
-	est         *hints.Estimator
-	start       time.Time
-	readTimeout time.Duration
-	readBuf     int
-	dropLats    bool
+	conn    net.Conn
+	opts    DialOptions // defaults filled in
+	tracker *hints.Tracker
+	est     *hints.Estimator
+	start   time.Time
 
-	mu      sync.Mutex
-	writeMu sync.Mutex
+	// sendMu is the send order: a request's stamp enters inflight and its
+	// bytes enter sendBuf under it, and Flush writes under it, so replies
+	// pair with stamps FIFO whoever sends. The read loop never takes it, so
+	// a sender may block on a full inflight while holding it.
+	sendMu  sync.Mutex
 	sendBuf []byte
+	writes  atomic.Uint64 // Writes issued
 
 	inflight chan time.Time
 	done     chan struct{}
@@ -252,8 +255,10 @@ type Client struct {
 	lats   []time.Duration
 	latFn  func(time.Duration)
 	compFn func(reqID uint64, sentNs, ackNs int64)
+	batch  []time.Duration // read loop only: one pass's latencies, MaxInflight long
+	acked  uint64          // read loop only: completions so far
 
-	nodelay bool
+	nodelay atomic.Bool
 }
 
 // DialOptions tune a client's failure behaviour. The zero value matches the
@@ -291,9 +296,6 @@ func Dial(addr string, maxInflight int) (*Client, error) {
 
 // DialWith is Dial with explicit failure-handling options.
 func DialWith(addr string, opts DialOptions) (*Client, error) {
-	if opts.MaxInflight <= 0 {
-		opts.MaxInflight = 1024
-	}
 	d := net.Dialer{Timeout: opts.DialTimeout}
 	if opts.LocalAddr != "" {
 		la, err := net.ResolveTCPAddr("tcp", opts.LocalAddr)
@@ -306,71 +308,108 @@ func DialWith(addr string, opts DialOptions) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	tc, ok := nc.(*net.TCPConn)
-	if !ok {
-		nc.Close()
-		return nil, errors.New("realtcp: not a TCP connection")
+	return NewClient(nc, opts), nil
+}
+
+// NewClient starts a client, response reader included, on a connection the
+// caller made and may have wrapped; DialTimeout and LocalAddr do not apply.
+func NewClient(nc net.Conn, opts DialOptions) *Client {
+	if opts.MaxInflight <= 0 {
+		opts.MaxInflight = 1024
+	}
+	if opts.ReadBufBytes <= 0 {
+		opts.ReadBufBytes = 64 << 10
 	}
 	c := &Client{
-		conn:        tc,
-		start:       time.Now(),
-		readTimeout: opts.ReadTimeout,
-		readBuf:     opts.ReadBufBytes,
-		dropLats:    opts.DiscardLatencyLog,
-		inflight:    make(chan time.Time, opts.MaxInflight),
-		done:        make(chan struct{}),
-		nodelay:     true, // Go's net package default
+		conn:     nc,
+		opts:     opts,
+		start:    time.Now(),
+		inflight: make(chan time.Time, opts.MaxInflight),
+		done:     make(chan struct{}),
+		batch:    make([]time.Duration, opts.MaxInflight),
 	}
+	c.nodelay.Store(true) // Go's net package default
 	c.tracker = hints.NewTracker(func() qstate.Time { return qstate.Time(time.Since(c.start)) })
 	c.est = hints.NewEstimator(c.tracker)
 	c.est.Sample() // prime
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // SetNoDelay toggles TCP_NODELAY — the dynamic batching knob.
 func (c *Client) SetNoDelay(v bool) error {
-	if err := c.conn.SetNoDelay(v); err != nil {
-		return err
+	if nd, ok := c.conn.(interface{ SetNoDelay(bool) error }); ok {
+		if err := nd.SetNoDelay(v); err != nil {
+			return err
+		}
 	}
-	c.mu.Lock()
-	c.nodelay = v
-	c.mu.Unlock()
+	c.nodelay.Store(v)
 	return nil
 }
 
 // NoDelay reports the last mode set.
-func (c *Client) NoDelay() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.nodelay
-}
-
-// Tracker exposes the userspace queue state (e.g. to print counters).
-func (c *Client) Tracker() *hints.Tracker { return c.tracker }
+func (c *Client) NoDelay() bool { return c.nodelay.Load() }
 
 // Estimate returns the Little's-law averages since the previous call — the
 // per-tick observation a toggling policy consumes.
 func (c *Client) Estimate() qstate.Avgs { return c.est.Sample() }
 
-// Send issues one request asynchronously; its completion is recorded when
-// the matching response arrives (FIFO order, as RESP guarantees).
-func (c *Client) Send(cmd []byte) error {
-	select {
-	case <-c.done:
-		return c.err()
-	case c.inflight <- time.Now():
+// Queue hands one request to the client without writing it: its latency
+// clock and its create hint start here, its bytes wait for the next Flush.
+// With MaxInflight requests unanswered Queue blocks until a reply arrives.
+//
+//e2e:hotpath
+func (c *Client) Queue(cmd []byte) error {
+	c.sendMu.Lock()
+	var err error
+	if len(c.inflight) == cap(c.inflight) {
+		// The replies about to be waited for may be to requests still queued.
+		err = c.flushLocked()
 	}
-	c.tracker.Create(1)
-	c.writeMu.Lock()
-	_, err := c.conn.Write(cmd)
-	c.writeMu.Unlock()
+	if err == nil {
+		select {
+		case <-c.done:
+			err = c.readErr
+		case c.inflight <- time.Now():
+			c.tracker.Create(1)
+			//lint:ignore e2elint/hotpath grows to the largest batch queued between flushes, then is reused
+			c.sendBuf = append(c.sendBuf, cmd...)
+		}
+	}
+	c.sendMu.Unlock()
 	return err
+}
+
+// Flush writes the queued requests in one Write, the only one the client
+// issues; with none queued it does nothing.
+func (c *Client) Flush() error {
+	c.sendMu.Lock()
+	defer c.sendMu.Unlock()
+	return c.flushLocked()
+}
+
+func (c *Client) flushLocked() error {
+	if len(c.sendBuf) == 0 {
+		return nil
+	}
+	_, err := c.conn.Write(c.sendBuf)
+	c.sendBuf = c.sendBuf[:0]
+	c.writes.Add(1)
+	return err
+}
+
+// Send issues one request, on the wire when it returns; its completion is
+// recorded when the matching response arrives (FIFO order, as RESP guarantees).
+func (c *Client) Send(cmd []byte) error {
+	if err := c.Queue(cmd); err != nil {
+		return err
+	}
+	return c.Flush()
 }
 
 // Do issues one request and waits until all currently outstanding responses
 // (including this one) have arrived. It is a convenience for
-// request-by-request usage; load generation uses Send. The wait is a
+// request-by-request usage; load generation uses Queue. The wait is a
 // yielding poll on the caller's goroutine — no timer state per call.
 func (c *Client) Do(cmd []byte) error {
 	if err := c.Send(cmd); err != nil {
@@ -379,7 +418,7 @@ func (c *Client) Do(cmd []byte) error {
 	for c.tracker.Outstanding() > 0 {
 		select {
 		case <-c.done:
-			return c.err()
+			return c.readErr
 		default:
 			time.Sleep(100 * time.Microsecond)
 		}
@@ -434,70 +473,44 @@ func (c *Client) Close() error {
 	return err
 }
 
-func (c *Client) err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.readErr != nil {
-		return c.readErr
+// readLoop publishes why read stopped: readErr is written before done
+// closes and read only after, so it needs no lock.
+func (c *Client) readLoop() {
+	if c.readErr = c.read(); c.readErr == nil {
+		c.readErr = io.ErrClosedPipe
 	}
-	return io.ErrClosedPipe
+	close(c.done)
 }
 
-func (c *Client) readLoop() {
-	defer close(c.done)
+// read has the server's shape: the socket is read straight into the parser's
+// buffer and replies are counted, not built. A closed connection ends it nil.
+func (c *Client) read() error {
 	var parser resp.Parser
-	bufBytes := c.readBuf
-	if bufBytes <= 0 {
-		bufBytes = 64 << 10
-	}
-	buf := make([]byte, bufBytes)
-	var completions uint64 // FIFO completion index, read-loop-local
+	parser.Space(c.opts.ReadBufBytes)
 	for {
-		if c.readTimeout > 0 {
-			if err := c.conn.SetReadDeadline(time.Now().Add(c.readTimeout)); err != nil {
-				c.fail(err)
-				return
+		if c.opts.ReadTimeout > 0 {
+			if err := c.conn.SetReadDeadline(time.Now().Add(c.opts.ReadTimeout)); err != nil {
+				return err
 			}
 		}
-		n, err := c.conn.Read(buf)
-		if n > 0 {
-			parser.Feed(buf[:n])
-			for {
-				_, ok, perr := parser.Next()
-				if perr != nil {
-					c.fail(fmt.Errorf("realtcp: corrupt response stream: %w", perr))
-					return
-				}
-				if !ok {
-					break
-				}
-				select {
-				case sentAt := <-c.inflight:
-					c.tracker.Complete(1)
-					lat := time.Since(sentAt)
-					c.latMu.Lock()
-					if !c.dropLats {
-						c.lats = append(c.lats, lat)
-					}
-					fn := c.latFn
-					cfn := c.compFn
-					c.latMu.Unlock()
-					if fn != nil {
-						fn(lat)
-					}
-					if cfn != nil {
-						// One clock read: ack = send + measured latency,
-						// so a span's duration is exactly the latency the
-						// histograms record.
-						sentNs := sentAt.Sub(c.start).Nanoseconds()
-						cfn(completions, sentNs, sentNs+lat.Nanoseconds())
-					}
-					completions++
-				default:
-					c.fail(errors.New("realtcp: response without pending request"))
-					return
-				}
+		// The buffer grows only for a reply over half its size.
+		n, err := c.conn.Read(parser.Space(c.opts.ReadBufBytes / 2))
+		parser.Commit(n)
+		k := 0
+		for n > 0 {
+			_, ok, perr := parser.Skip()
+			if perr != nil {
+				return fmt.Errorf("realtcp: corrupt response stream: %w", perr)
 			}
+			if !ok {
+				break
+			}
+			k++
+		}
+		if k > len(c.inflight) { // safe to ask: only this goroutine takes stamps out
+			return errors.New("realtcp: response without pending request")
+		} else if k > 0 {
+			c.complete(k)
 		}
 		if err != nil {
 			var ne net.Error
@@ -507,18 +520,41 @@ func (c *Client) readLoop() {
 				// the server stopped answering.
 				continue
 			}
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				c.fail(err)
+			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
+				return nil
 			}
-			return
+			return err
 		}
 	}
 }
 
-func (c *Client) fail(err error) {
-	c.mu.Lock()
-	if c.readErr == nil {
-		c.readErr = err
+// complete pairs the k replies one read held with the k oldest of at least
+// k stamps, on one clock reading, one Complete and one latMu acquisition.
+//
+//e2e:hotpath
+func (c *Client) complete(k int) {
+	now := time.Now()
+	c.tracker.Complete(k)
+	batch := c.batch[:k]
+	for i := range batch {
+		batch[i] = now.Sub(<-c.inflight)
 	}
-	c.mu.Unlock()
+	c.latMu.Lock()
+	if !c.opts.DiscardLatencyLog {
+		//lint:ignore e2elint/hotpath the latency log is the caller's choice; fleets discard it
+		c.lats = append(c.lats, batch...)
+	}
+	fn, cfn := c.latFn, c.compFn
+	c.latMu.Unlock()
+	// send = ack − latency: a span lasts exactly what the histograms record.
+	ackNs := now.Sub(c.start).Nanoseconds()
+	for _, lat := range batch {
+		if fn != nil {
+			fn(lat)
+		}
+		if cfn != nil {
+			cfn(c.acked, ackNs-lat.Nanoseconds(), ackNs)
+		}
+		c.acked++
+	}
 }

@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: tier1 vet lint escapes allocgate build test race fuzz-smoke obs-smoke trace-smoke scale-smoke cover bench bench-diff bench-check fidelity-smoke tail-fidelity-smoke clean
+.PHONY: tier1 vet lint escapes allocgate build test race fuzz-smoke obs-smoke trace-smoke scale-smoke cover bench-check fidelity-smoke tail-fidelity-smoke clean
 
 # tier1 is the CI gate. Target graph (each arrow is a declared prerequisite,
 # so the graph is fail-fast even under `make -j`: nothing downstream of a
@@ -20,22 +20,20 @@ GOFMT ?= gofmt
 #          ├─ tail-fidelity-smoke ─→ build
 #          ├─ trace-smoke ─→ build (span plane against a real kvserver)
 #          ├─ scale-smoke ─→ build (2k-connection shard-engine fleet)
-#          ├─ bench-diff ─→ build
 #          ├─ bench-check ─→ build (bench/ is its own module: vet, tests, lint)
 #          └─ cover ─→ build  (the suite again under -coverprofile, with the
 #                              per-package floors; about as long as test)
 #
 # race runs the short-mode suite only: full sweeps are skipped under -short
 # so the ~10x race overhead stays affordable; the determinism, invariant,
-# fuzz-seed and stress tests all still run. fidelity-smoke and bench-diff
-# are both short-run-safe: the smoke replays the zoo at a reduced duration,
-# and bench-diff degrades to a no-op note until two archives exist.
-tier1: vet lint escapes allocgate build test race fuzz-smoke obs-smoke trace-smoke scale-smoke fidelity-smoke tail-fidelity-smoke bench-diff bench-check cover
+# fuzz-seed and stress tests all still run. fidelity-smoke is short-run-safe:
+# it replays the zoo at a reduced duration.
+tier1: vet lint escapes allocgate build test race fuzz-smoke obs-smoke trace-smoke scale-smoke fidelity-smoke tail-fidelity-smoke bench-check cover
 
 vet:
 	$(GO) vet ./...
 
-# lint enforces gofmt plus the project's own invariants: the twelve e2elint
+# lint enforces gofmt plus the project's own invariants: the eleven e2elint
 # analyzers described in DESIGN.md §8 "Enforced invariants" (the escapes
 # analyzer runs under its own target below — it needs the compiler).
 # Suppressions require a justified `//lint:ignore e2elint/<name> reason`
@@ -110,15 +108,14 @@ scale-smoke: build
 # combination (core), the fault-injection subsystem (faults), and the shared
 # control loop (engine), plus the decision policies (policy, floored when
 # tail-SLO objectives landed), the PR-8 telemetry plane (obs) and its span
-# tracing/audit plane (obs/span), the benchmark artifact parser (benchfmt),
-# the model-fidelity corpus: the workload zoo (loadgen) and the closed-form
+# tracing/audit plane (obs/span), the model-fidelity corpus: the workload zoo (loadgen) and the closed-form
 # rival (analytic), the invariant analyzer suite itself (lint), the two
 # packages every request crosses, where bytes off the network are parsed
 # (resp) and executed (kv), the event core every simulated number comes out
 # of (sim, floor 90) and the transport every simulated byte crosses (tcpsim,
 # floor 92). Floors sit a few points under measured coverage at
 # introduction (qstate 98.9%, core 92.9%, faults 95.5%, engine 96.1%,
-# obs 89.6%, obs/span 93.4%, benchfmt 92.6%, loadgen 96.1%, analytic 96.4%,
+# obs 89.6%, obs/span 93.4%, loadgen 96.1%, analytic 96.4%,
 # lint 90.0%, policy 98.7%, resp 97.1%, kv 97.4%, tcpsim 95.7%; core
 # re-floored at 90 with the tail-composition coverage) so incidental drift passes but a feature
 # landing untested does not.
@@ -134,7 +131,6 @@ cover: build
 		floor["e2ebatch/internal/obs"]=84; \
 		floor["e2ebatch/internal/obs/span"]=88; \
 		floor["e2ebatch/internal/lint"]=85; \
-		floor["e2ebatch/internal/benchfmt"]=88; \
 		floor["e2ebatch/internal/loadgen"]=92; \
 		floor["e2ebatch/internal/analytic"]=92; \
 		floor["e2ebatch/internal/resp"]=93; \
@@ -148,38 +144,6 @@ cover: build
 			delete floor[$$2] } \
 		END { for (p in floor) { printf "coverage floor unchecked: %s missing from test output\n", p; bad=1 } \
 			exit bad }' cover.txt
-
-# bench regenerates every paper table via the root benchmark harness with
-# allocation accounting and archives the result lines as BENCH_<date>.json
-# (name, ns/op, B/op, allocs/op plus the custom figure metrics), so the
-# perf trajectory is tracked across PRs instead of living in scrollback.
-# The live transcript still streams to the terminal; if the test run dies
-# early, benchjson sees no result lines and fails the target. A second run
-# on the same day suffixes a letter (BENCH_<date>b.json, ...) instead of
-# overwriting the committed archive; the suffix sorts after the plain date,
-# so bench-diff's two-newest selection stays correct.
-bench: build
-	@out=BENCH_$$(date +%Y-%m-%d).json; \
-	if [ -e "$$out" ]; then \
-		for s in b c d e f g h i j k l m n o p q r s t u v w x y z; do \
-			cand=BENCH_$$(date +%Y-%m-%d)$$s.json; \
-			if [ ! -e "$$cand" ]; then out=$$cand; break; fi; \
-		done; \
-		if [ -e "$$out" ]; then echo "bench: all archive names for today taken"; exit 1; fi; \
-	fi; \
-	$(GO) test -run '^$$' -bench . -benchmem . | $(GO) run ./cmd/benchjson -out "$$out"
-
-# bench-diff gates ns/op regressions between the two newest BENCH_<date>.json
-# archives (>15% growth on any benchmark fails). With fewer than two archives
-# there is nothing to compare — the target notes that and passes, so tier1
-# stays green on a fresh checkout with only the committed baseline.
-bench-diff: build
-	@set -- $$(ls -1 BENCH_*.json 2>/dev/null | sort | tail -2); \
-	if [ $$# -lt 2 ]; then \
-		echo "bench-diff: $$# BENCH_*.json archive(s) present, need 2; nothing to compare"; \
-	else \
-		$(GO) run ./cmd/benchjson -compare "$$1" "$$2" -maxregress 15; \
-	fi
 
 # bench-check covers the repository benchmark (BENCHMARK.json, bench/): it is
 # a Go module of its own that compiles against internal/..., so no ./... above

@@ -250,24 +250,6 @@ func BenchmarkTrackerTrack(b *testing.B) {
 	}
 }
 
-// BenchmarkSharedEstimatorUpdate measures one concurrency-safe estimator
-// update — the per-connection per-tick cost of the spinlock-and-mirrors
-// SharedEstimator (//e2e:hotpath, 0 allocs).
-func BenchmarkSharedEstimatorUpdate(b *testing.B) {
-	var e core.SharedEstimator
-	var st qstate.State
-	st.Init(0)
-	now := qstate.Time(0)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		now += qstate.Time(time.Millisecond)
-		st.Track(now, 1)
-		now += qstate.Time(time.Millisecond)
-		st.Track(now, -1)
-		_ = e.Update(core.Sample{Local: core.Queues{Unacked: st.Snapshot(now)}, At: now})
-	}
-}
-
 // benchPort is a minimal engine.Port for the tick benchmark: live queue
 // counters, decision stored without logging.
 type benchPort struct {

@@ -10,8 +10,8 @@ import (
 )
 
 // TestCleanTree is the acceptance gate: the pure go/types analyzers over the
-// whole module exit 0. Satellite fixes (DecodeWireExact in the quickstart,
-// the seeded kvload RNG) keep it that way.
+// whole module exit 0. Satellite fixes (the seeded kvload RNG) keep it that
+// way.
 func TestCleanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-tree lint re-typechecks every package; skipped under -short (the race gate)")

@@ -59,17 +59,15 @@ type (
 // WireSize is the encoded size of a WireState: 36 bytes, as stated in §3.2.
 const WireSize = qstate.WireSize
 
-// EncodeWire serializes a WireState; DecodeWire parses one from a stream
-// prefix; DecodeWireExact parses a framed payload, rejecting trailing bytes
-// (prefer it whenever the payload length is known — e2elint/wiresize steers
-// callers here); WireAvgs computes wrap-aware averages between two
-// exchanges; ToWireQueue converts a full-precision snapshot to wire units.
+// EncodeWire serializes a WireState; DecodeWire parses exactly one 36-byte
+// encoding, rejecting any other length; WireAvgs computes wrap-aware averages
+// between two exchanges; ToWireQueue converts a full-precision snapshot to
+// wire units.
 var (
-	EncodeWire      = qstate.EncodeWire
-	DecodeWire      = qstate.DecodeWire
-	DecodeWireExact = qstate.DecodeWireExact
-	WireAvgs        = qstate.WireAvgs
-	ToWireQueue     = qstate.ToWire
+	EncodeWire  = qstate.EncodeWire
+	DecodeWire  = qstate.DecodeWire
+	WireAvgs    = qstate.WireAvgs
+	ToWireQueue = qstate.ToWire
 )
 
 // End-to-end estimation (§3.2).
@@ -95,15 +93,9 @@ var (
 	Aggregate     = core.Aggregate
 )
 
-// Application hints (§3.3).
-type (
-	// HintClock supplies timestamps to a HintTracker.
-	HintClock = hints.Clock
-	// HintTracker is the userspace queue state behind create/complete.
-	HintTracker = hints.Tracker
-	// HintEstimator derives app-perceived performance from a tracker.
-	HintEstimator = hints.Estimator
-)
+// HintTracker is the userspace queue state behind the §3.3 create/complete
+// application hints.
+type HintTracker = hints.Tracker
 
 // NewHintTracker and NewHintEstimator construct the §3.3 hint pipeline.
 var (

@@ -45,7 +45,7 @@ func main() {
 	if _, err := e2ebatch.EncodeWire(buf, ws); err != nil {
 		panic(err)
 	}
-	back, err := e2ebatch.DecodeWireExact(buf)
+	back, err := e2ebatch.DecodeWire(buf)
 	if err != nil {
 		panic(err)
 	}

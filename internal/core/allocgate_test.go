@@ -1,9 +1,9 @@
 //go:build !race
 
 // Allocation gate for this package's //e2e:hotpath functions (DESIGN.md
-// §13): SharedEstimator.Update must not feed the GC — it runs once per tick
-// on every connection. Excluded under -race because the race runtime's
-// shadow allocations would be charged to the tracked code.
+// §13): Estimator.Update must not feed the GC — it runs once per tick on
+// every connection. Excluded under -race because the race runtime's shadow
+// allocations would be charged to the tracked code.
 
 package core
 
@@ -13,25 +13,6 @@ import (
 
 	"e2ebatch/internal/qstate"
 )
-
-func TestAllocGateSharedEstimatorUpdate(t *testing.T) {
-	var e SharedEstimator
-	e.SetMaxRemoteAge(time.Second)
-	var st qstate.State
-	st.Init(0)
-	now := qstate.Time(0)
-	update := func() {
-		now += qstate.Time(time.Millisecond)
-		st.Track(now, 1)
-		now += qstate.Time(time.Millisecond)
-		st.Track(now, -1)
-		_ = e.Update(Sample{Local: Queues{Unacked: st.Snapshot(now)}, At: now})
-	}
-	update() // prime, so measured runs produce real interval estimates
-	if n := testing.AllocsPerRun(200, update); n != 0 {
-		t.Errorf("SharedEstimator.Update allocates %v per op, want 0 (//e2e:hotpath)", n)
-	}
-}
 
 // TestAllocGateTailComposition pins the tail hot path at zero allocations:
 // the full Estimator.Update with tail histograms on both sides (delta →

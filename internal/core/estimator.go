@@ -150,7 +150,7 @@ type Sample struct {
 	RemoteAt qstate.Time
 
 	// Tail histograms (tail.go): the local endpoint's cumulative per-queue
-	// delay histograms and the peer's, from its last v2 frame. The OK flags
+	// delay histograms and the peer's, from its last v2 exchange. The OK flags
 	// gate tail composition only — a v1 peer leaves RemoteTailsOK false and
 	// the mean estimate untouched.
 	LocalTails    qstate.WireTails

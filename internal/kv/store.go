@@ -363,12 +363,8 @@ func (s *Store) RPush(key string, values ...[]byte) int64 {
 	return int64(len(e.list))
 }
 
-// LPop removes and returns the head; RPop the tail. Emptied lists vanish.
-func (s *Store) LPop(key string) ([]byte, bool) { return s.pop(key, true) }
-
-// RPop removes and returns the tail element.
-func (s *Store) RPop(key string) ([]byte, bool) { return s.pop(key, false) }
-
+// pop removes and returns the head (or the tail when head is false) — LPOP
+// and RPOP. Emptied lists vanish.
 func (s *Store) pop(key string, head bool) ([]byte, bool) {
 	e := s.typed(key, KindList, false)
 	if e == nil || len(e.list) == 0 {

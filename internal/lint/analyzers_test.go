@@ -1,10 +1,6 @@
 package lint
 
-import (
-	"testing"
-
-	"e2ebatch/internal/qstate"
-)
+import "testing"
 
 func TestDetRandGolden(t *testing.T) {
 	runGolden(t, DetRand, "detrand")
@@ -18,19 +14,6 @@ func TestWallClockGoldenRestricted(t *testing.T) {
 func TestWallClockGoldenUnrestricted(t *testing.T) {
 	// The same reads under an unrestricted path produce nothing.
 	runGolden(t, WallClock, "wallclock_ok")
-}
-
-func TestWireSizeGolden(t *testing.T) {
-	runGolden(t, WireSize, "wiresize")
-}
-
-func TestWireSizeFrameConstMatchesCodec(t *testing.T) {
-	// The analyzer pins the v2 frame size as a local constant (it cannot
-	// import qstate into analyzed source); this guards it against codec
-	// drift.
-	if frameV2Size != qstate.FrameV2Size {
-		t.Fatalf("lint frameV2Size = %d, qstate.FrameV2Size = %d", frameV2Size, qstate.FrameV2Size)
-	}
 }
 
 func TestLockSafetyGolden(t *testing.T) {

@@ -11,7 +11,7 @@ import (
 // real-TCP path missed degraded-tick routing, multiconn missed the cork
 // restore), so the rule is mechanical now:
 //
-//   - core.Estimator.Update / core.SharedEstimator.Update,
+//   - core.Estimator.Update,
 //   - any Observe/ObserveDegraded method returning a policy.Mode (the
 //     ε-greedy and UCB togglers, and any controller interface wrapping
 //     them — wrapping the toggler in a local interface must not launder
@@ -55,7 +55,7 @@ func runEngineWiring(p *Pass) {
 			rt := p.TypesInfo.TypeOf(recv)
 			switch fn.Name() {
 			case "Update":
-				if typeIs(rt, corePath, "Estimator") || typeIs(rt, corePath, "SharedEstimator") {
+				if typeIs(rt, corePath, "Estimator") {
 					p.Reportf(call.Pos(),
 						"estimator update outside internal/engine: %s.Update must run inside the engine tick (engine.Endpoint)",
 						renderExpr(recv))

@@ -1,7 +1,7 @@
 // Package lint is e2ebatch's project-specific static analysis suite: a
 // small analyzer framework (deliberately shaped after
 // golang.org/x/tools/go/analysis, but built on the standard library alone so
-// the repo stays dependency-free) plus twelve analyzers that mechanically
+// the repo stays dependency-free) plus eleven analyzers that mechanically
 // enforce the concurrency, determinism, single-control-loop, shard-scheduling
 // and hot-path allocation invariants the estimator's correctness and overhead
 // budget depend on. The rules themselves live in one file per
@@ -108,7 +108,6 @@ func Analyzers() []*Analyzer {
 		DetRand,
 		WallClock,
 		SnapshotPair,
-		WireSize,
 		MutexHold,
 		EngineWiring,
 		ObsDeterminism,

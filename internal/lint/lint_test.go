@@ -7,8 +7,8 @@ import (
 
 func TestAnalyzerRegistry(t *testing.T) {
 	as := Analyzers()
-	if len(as) != 12 {
-		t.Fatalf("suite has %d analyzers, want 12 (locksafety, detrand, wallclock, snapshotpair, wiresize, mutexhold, enginewiring, obsdeterminism, hotpath, escapes, pertickerconn, spanfinish)", len(as))
+	if len(as) != 11 {
+		t.Fatalf("suite has %d analyzers, want 11 (locksafety, detrand, wallclock, snapshotpair, mutexhold, enginewiring, obsdeterminism, hotpath, escapes, pertickerconn, spanfinish)", len(as))
 	}
 	seen := map[string]bool{}
 	for _, a := range as {

@@ -5,11 +5,12 @@ import (
 	"go/types"
 )
 
-// LockSafety enforces the Tracker/SharedEstimator doc contract from PR 1:
-// the lock-free hot-path types — qstate.State, core.Estimator,
-// hints.Estimator — are single-goroutine values; any code that runs on (or
-// shares state with) a spawned goroutine must use their mutex-guarded
-// counterparts (qstate.Tracker, core.SharedEstimator, hints.Tracker).
+// LockSafety enforces the Tracker doc contract from PR 1: the lock-free
+// hot-path types — qstate.State, core.Estimator, hints.Estimator — are
+// single-goroutine values; any code that runs on (or shares state with) a
+// spawned goroutine must use a mutex-guarded counterpart (qstate.Tracker,
+// hints.Tracker) or keep one estimator per goroutine, as engine.Endpoint
+// does.
 //
 // Three concurrency contexts are checked, all resolved statically within
 // the package:
@@ -38,7 +39,7 @@ var lockFreeTypes = []struct {
 	pkg, name, safe string
 }{
 	{qstatePath, "State", "qstate.Tracker"},
-	{corePath, "Estimator", "core.SharedEstimator"},
+	{corePath, "Estimator", "one estimator per goroutine, owned by an engine.Endpoint"},
 	{hintsPath, "Estimator", "a per-goroutine hints.Estimator"},
 }
 

@@ -19,10 +19,9 @@ type controller interface {
 	Stats() policy.TogglerStats
 }
 
-func estimatorUpdates(est *core.Estimator, shared *core.SharedEstimator, s core.Sample) {
-	est.Update(s)    // want "estimator update outside internal/engine"
-	shared.Update(s) // want "estimator update outside internal/engine"
-	est.Reset()      // ok: resetting is not running the loop
+func estimatorUpdates(est *core.Estimator, s core.Sample) {
+	est.Update(s) // want "estimator update outside internal/engine"
+	est.Reset()   // ok: resetting is not running the loop
 	_ = est.Estimates()
 }
 

@@ -16,7 +16,7 @@ func insideGoroutine(st *qstate.State, est *core.Estimator) {
 	go func() {
 		defer wg.Done()
 		st.Track(0, 1)            // want "lock-free State.Track called from a spawned goroutine"
-		est.Update(core.Sample{}) // want "lock-free Estimator.Update called from a spawned goroutine"
+		est.Update(core.Sample{}) // want "lock-free Estimator.Update called from a spawned goroutine; use one estimator per goroutine, owned by an engine.Endpoint"
 		var local qstate.State    // ok below: goroutine-local value
 		local.Track(0, 1)
 	}()
@@ -57,10 +57,9 @@ func captured() {
 }
 
 // The mutex-guarded counterparts are always fine.
-func safeEverywhere(tr *qstate.Tracker, se *core.SharedEstimator, ht *hints.Tracker) {
+func safeEverywhere(tr *qstate.Tracker, ht *hints.Tracker) {
 	go func() {
 		tr.Track(0, 1)
-		se.Update(core.Sample{})
 		ht.Create(1)
 	}()
 	tr.Track(0, 1)

@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"math"
-	"time"
-)
+import "math"
 
 // EWMA is an exponentially weighted moving average with a fixed smoothing
 // factor alpha in (0, 1]. The paper (§5) proposes EWMAs to smooth noisy
@@ -53,29 +50,6 @@ func (e *EWMA) Reset() { e.value, e.set = 0, false }
 // Alpha returns the smoothing factor.
 func (e *EWMA) Alpha() float64 { return e.alpha }
 
-// DurationEWMA adapts EWMA to time.Duration observations.
-type DurationEWMA struct{ e EWMA }
-
-// NewDurationEWMA returns a duration-valued EWMA. Same alpha constraints as
-// NewEWMA.
-func NewDurationEWMA(alpha float64) *DurationEWMA {
-	return &DurationEWMA{e: *NewEWMA(alpha)}
-}
-
-// Update folds in an observation and returns the new average.
-func (d *DurationEWMA) Update(x time.Duration) time.Duration {
-	return time.Duration(d.e.Update(float64(x)))
-}
-
-// Value returns the current average.
-func (d *DurationEWMA) Value() time.Duration { return time.Duration(d.e.Value()) }
-
-// Initialized reports whether at least one observation has been folded in.
-func (d *DurationEWMA) Initialized() bool { return d.e.Initialized() }
-
-// Reset discards state.
-func (d *DurationEWMA) Reset() { d.e.Reset() }
-
 // Welford computes running mean and variance in one pass (Welford's online
 // algorithm, numerically stable). The zero value is ready to use.
 type Welford struct {
@@ -108,20 +82,3 @@ func (w *Welford) Variance() float64 {
 
 // Stddev returns the sample standard deviation.
 func (w *Welford) Stddev() float64 { return math.Sqrt(w.Variance()) }
-
-// Merge combines another Welford accumulator into w (Chan et al. parallel
-// variant).
-func (w *Welford) Merge(o Welford) {
-	if o.n == 0 {
-		return
-	}
-	if w.n == 0 {
-		*w = o
-		return
-	}
-	n := w.n + o.n
-	d := o.mean - w.mean
-	w.m2 += o.m2 + d*d*float64(w.n)*float64(o.n)/float64(n)
-	w.mean += d * float64(o.n) / float64(n)
-	w.n = n
-}

@@ -1,14 +1,13 @@
 // Package metrics provides the measurement primitives the experiments rely
 // on: a log-bucketed latency histogram (HDR-style, like the one inside the
 // Lancet load generator the paper uses), exponentially weighted moving
-// averages for the toggling policy (§5 "Toggling Granularity"), Welford
-// online mean/variance, and event-rate meters.
+// averages for the toggling policy (§5 "Toggling Granularity"), and Welford
+// online mean/variance.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 )
 
@@ -177,20 +176,4 @@ func (h *Histogram) Reset() { *h = Histogram{} }
 func (h *Histogram) String() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
 		h.count, h.Mean(), h.Quantile(0.50), h.Quantile(0.99), h.Max())
-}
-
-// Percentiles returns the given percentiles (0-100) in one pass-friendly
-// call, sorted by the order given.
-func (h *Histogram) Percentiles(ps ...float64) []time.Duration {
-	out := make([]time.Duration, len(ps))
-	for i, p := range ps {
-		out[i] = h.Quantile(p / 100)
-	}
-	return out
-}
-
-// sortDurations is a tiny helper used by tests and the exact-quantile
-// cross-check in the figures harness.
-func sortDurations(ds []time.Duration) {
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
 }

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -62,7 +63,7 @@ func TestHistogramQuantileAccuracy(t *testing.T) {
 		samples = append(samples, v)
 		h.Record(v)
 	}
-	sortDurations(samples)
+	slices.Sort(samples)
 	for _, q := range []float64{0.5, 0.9, 0.99, 0.999} {
 		exact := samples[int(q*float64(len(samples)))-1]
 		got := h.Quantile(q)
@@ -171,17 +172,6 @@ func TestBucketLowInvertsIndex(t *testing.T) {
 	}
 }
 
-func TestHistogramPercentilesHelper(t *testing.T) {
-	var h Histogram
-	for i := 1; i <= 1000; i++ {
-		h.Record(time.Duration(i) * time.Microsecond)
-	}
-	ps := h.Percentiles(50, 99)
-	if len(ps) != 2 || ps[0] > ps[1] {
-		t.Fatalf("Percentiles = %v", ps)
-	}
-}
-
 func TestEWMASeedsWithFirstValue(t *testing.T) {
 	e := NewEWMA(0.2)
 	if e.Initialized() {
@@ -251,22 +241,6 @@ func TestEWMAReset(t *testing.T) {
 	}
 }
 
-func TestDurationEWMA(t *testing.T) {
-	d := NewDurationEWMA(0.5)
-	d.Update(100 * time.Microsecond)
-	got := d.Update(200 * time.Microsecond)
-	if got != 150*time.Microsecond {
-		t.Fatalf("got %v, want 150µs", got)
-	}
-	if !d.Initialized() {
-		t.Fatal("not initialized")
-	}
-	d.Reset()
-	if d.Value() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
 func TestWelfordMeanVariance(t *testing.T) {
 	var w Welford
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
@@ -293,94 +267,6 @@ func TestWelfordFewSamples(t *testing.T) {
 	w.Add(3)
 	if w.Variance() != 0 || w.Stddev() != 0 {
 		t.Fatal("variance of single sample should be 0")
-	}
-}
-
-func TestWelfordMergeMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var all, a, b Welford
-	for i := 0; i < 10000; i++ {
-		x := rng.NormFloat64()*5 + 100
-		all.Add(x)
-		if i%3 == 0 {
-			a.Add(x)
-		} else {
-			b.Add(x)
-		}
-	}
-	a.Merge(b)
-	if a.Count() != all.Count() {
-		t.Fatal("merge count mismatch")
-	}
-	if math.Abs(a.Mean()-all.Mean()) > 1e-9 {
-		t.Fatalf("merge mean %v vs %v", a.Mean(), all.Mean())
-	}
-	if math.Abs(a.Variance()-all.Variance()) > 1e-6 {
-		t.Fatalf("merge variance %v vs %v", a.Variance(), all.Variance())
-	}
-}
-
-func TestWelfordMergeEmptyCases(t *testing.T) {
-	var a, b Welford
-	a.Merge(b) // both empty
-	if a.Count() != 0 {
-		t.Fatal("empty merge changed state")
-	}
-	b.Add(7)
-	a.Merge(b)
-	if a.Count() != 1 || a.Mean() != 7 {
-		t.Fatal("merge into empty failed")
-	}
-}
-
-func TestRateMeterFirstWindow(t *testing.T) {
-	var r RateMeter
-	r.Add(100)
-	got := r.Rate(time.Second)
-	if got != 100 {
-		t.Fatalf("rate = %v, want 100", got)
-	}
-}
-
-func TestRateMeterSubsequentWindows(t *testing.T) {
-	var r RateMeter
-	r.Add(100)
-	r.Rate(time.Second)
-	r.Add(50)
-	got := r.Rate(2 * time.Second) // 50 events in 1s
-	if got != 50 {
-		t.Fatalf("rate = %v, want 50", got)
-	}
-	if r.Total() != 150 {
-		t.Fatalf("total = %d", r.Total())
-	}
-}
-
-func TestRateMeterZeroInterval(t *testing.T) {
-	var r RateMeter
-	r.Add(10)
-	r.Rate(time.Second)
-	if got := r.Rate(time.Second); got != 0 {
-		t.Fatalf("zero-interval rate = %v, want 0", got)
-	}
-}
-
-func TestRateMeterReset(t *testing.T) {
-	var r RateMeter
-	r.Add(5)
-	r.Rate(time.Second)
-	r.Reset()
-	if r.Total() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
-func TestCounterInc(t *testing.T) {
-	c := Counter{Name: "x"}
-	c.Inc(3)
-	c.Inc(4)
-	if c.Value != 7 {
-		t.Fatalf("Value = %d", c.Value)
 	}
 }
 

@@ -16,6 +16,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -73,7 +74,7 @@ func TestHistogramQuantileBracketsExactProperty(t *testing.T) {
 		for _, d := range samples {
 			h.Record(d)
 		}
-		sortDurations(samples)
+		slices.Sort(samples)
 		for q := 0.005; q < 1; q += 0.005 {
 			rank := int(math.Ceil(q * float64(len(samples))))
 			if rank < 1 {

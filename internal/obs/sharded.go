@@ -8,8 +8,7 @@ import (
 
 // Sharded metrics: one cache-line-padded atomic cell per shard, written
 // contention-free by that shard's goroutine and rolled up lock-free at
-// scrape time — the padded-atomics idiom of core.SharedEstimator applied
-// to the telemetry plane. A shard's Inc touches only its own cache line,
+// scrape time. A shard's Inc touches only its own cache line,
 // so 50k connections ticking across N shards never serialize on a shared
 // counter word; the total is computed by summing the cells at read time,
 // which costs the scraper N loads instead of charging every increment a

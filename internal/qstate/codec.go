@@ -35,12 +35,12 @@ type WireState struct {
 // WireSize is the encoded size of a WireState in bytes.
 const WireSize = 36
 
-// ErrShortBuffer is returned by DecodeWire when fewer than WireSize bytes
-// are available.
+// ErrShortBuffer is returned by EncodeWire and DecodeWire when fewer than
+// WireSize bytes are available.
 var ErrShortBuffer = errors.New("qstate: buffer shorter than 36-byte wire state")
 
-// ErrSizeMismatch is returned by DecodeWireExact when the buffer is not
-// exactly WireSize bytes.
+// ErrSizeMismatch is returned by DecodeWire when the buffer is longer than
+// WireSize bytes.
 var ErrSizeMismatch = errors.New("qstate: wire state payload must be exactly 36 bytes")
 
 // ToWire converts a snapshot to wire units (ns → µs, wrapping to 32 bits).
@@ -68,17 +68,15 @@ func EncodeWire(buf []byte, w WireState) (int, error) {
 	return WireSize, nil
 }
 
-// AppendWire appends the encoded form of w to buf.
-func AppendWire(buf []byte, w WireState) []byte {
-	var tmp [WireSize]byte
-	_, _ = EncodeWire(tmp[:], w)
-	return append(buf, tmp[:]...)
-}
-
-// DecodeWire parses a WireState from buf.
+// DecodeWire parses a WireState from a buffer that must be exactly one
+// encoded state, rejecting both truncated and oversized payloads instead of
+// silently ignoring trailing bytes.
 func DecodeWire(buf []byte) (WireState, error) {
 	if len(buf) < WireSize {
 		return WireState{}, ErrShortBuffer
+	}
+	if len(buf) != WireSize {
+		return WireState{}, ErrSizeMismatch
 	}
 	var qs [3]WireQueue
 	off := 0
@@ -91,157 +89,6 @@ func DecodeWire(buf []byte) (WireState, error) {
 		off += 12
 	}
 	return WireState{Unacked: qs[0], Unread: qs[1], AckDelay: qs[2]}, nil
-}
-
-// DecodeWireExact parses a WireState from a buffer that must be exactly one
-// encoded state — the validation a framed transport (where the payload length
-// is known) should apply, rejecting both truncated and oversized payloads
-// instead of silently ignoring trailing bytes.
-func DecodeWireExact(buf []byte) (WireState, error) {
-	if len(buf) < WireSize {
-		return WireState{}, ErrShortBuffer
-	}
-	if len(buf) != WireSize {
-		return WireState{}, ErrSizeMismatch
-	}
-	return DecodeWire(buf)
-}
-
-// Versioned frame (tail-estimation extension). The original exchange is the
-// bare 36-byte WireState with no header; extending it without breaking old
-// peers therefore keys on *length*, not a magic byte (a v1 frame's first byte
-// is the high byte of TimeUS and can take any value):
-//
-//	v1: exactly WireSize (36) bytes — the bare WireState. No tails.
-//	v2: FrameV2Size bytes — [1-byte version = 2][36-byte WireState]
-//	    [3 × DelayBuckets × uint32 BE cumulative bucket counts, in the
-//	    order unacked, unread, ackdelay].
-//
-// A v2-capable receiver accepts both; a v1-only receiver given a v2 frame
-// fails its exact-length check rather than misparsing. Within the v2 length
-// the version byte is still validated so a future v3 of the same size cannot
-// be confused for v2.
-
-// FrameVersion2 is the version byte of the extended frame.
-const FrameVersion2 = 2
-
-// FrameV2Size is the encoded size of a v2 frame: version byte + WireState +
-// three bucket vectors.
-const FrameV2Size = 1 + WireSize + 3*DelayBuckets*4
-
-// ErrFrameVersion is returned when a buffer has a v2 frame's length but an
-// unknown version byte.
-var ErrFrameVersion = errors.New("qstate: unknown wire frame version")
-
-// ErrFrameSize is returned by DecodeFrameExact when the buffer length is
-// neither a v1 nor a v2 frame.
-var ErrFrameSize = errors.New("qstate: wire frame must be exactly 36 (v1) or versioned v2 size")
-
-// WireFrame is a decoded exchange frame: the mean-counters state every
-// version carries, plus the per-queue delay histograms when the peer spoke
-// v2. HasTails false means the peer is a v1 (36-byte) endpoint — tail
-// composition must abstain, mean estimation proceeds unchanged.
-type WireFrame struct {
-	State    WireState
-	Tails    WireTails
-	HasTails bool
-}
-
-// FrameSize returns the encoded size of f: WireSize without tails,
-// FrameV2Size with.
-func (f WireFrame) FrameSize() int {
-	if f.HasTails {
-		return FrameV2Size
-	}
-	return WireSize
-}
-
-// EncodeFrame serializes f into buf and returns the number of bytes written:
-// a bare v1 WireState when f.HasTails is false, a v2 frame otherwise.
-func EncodeFrame(buf []byte, f WireFrame) (int, error) {
-	if !f.HasTails {
-		return EncodeWire(buf, f.State)
-	}
-	if len(buf) < FrameV2Size {
-		return 0, ErrShortBuffer
-	}
-	buf[0] = FrameVersion2
-	if _, err := EncodeWire(buf[1:], f.State); err != nil {
-		return 0, err
-	}
-	off := 1 + WireSize
-	for _, h := range [3]*DelayHist{&f.Tails.Unacked, &f.Tails.Unread, &f.Tails.AckDelay} {
-		for _, c := range h.Counts {
-			binary.BigEndian.PutUint32(buf[off:], c)
-			off += 4
-		}
-	}
-	return FrameV2Size, nil
-}
-
-// AppendFrame appends the encoded form of f to buf.
-func AppendFrame(buf []byte, f WireFrame) []byte {
-	var tmp [FrameV2Size]byte
-	n, _ := EncodeFrame(tmp[:], f)
-	return append(buf, tmp[:n]...)
-}
-
-// DecodeFrame parses a frame from buf, accepting both versions: a buffer
-// holding at least a v2 frame with a valid version byte decodes as v2;
-// anything else with at least 36 bytes decodes its prefix as a bare v1
-// WireState (old peers keep working). Framed transports that know the exact
-// payload length must use DecodeFrameExact instead (enforced by the wiresize
-// analyzer).
-func DecodeFrame(buf []byte) (WireFrame, error) {
-	if len(buf) >= FrameV2Size && buf[0] == FrameVersion2 {
-		return decodeFrameV2(buf)
-	}
-	s, err := DecodeWire(buf)
-	if err != nil {
-		return WireFrame{}, err
-	}
-	return WireFrame{State: s}, nil
-}
-
-// DecodeFrameExact parses a frame from a buffer that must be exactly one
-// encoded frame: exactly 36 bytes decodes as v1, exactly FrameV2Size bytes
-// with the v2 version byte decodes as v2; any other length is ErrFrameSize
-// and a v2-length buffer with an unknown version byte is ErrFrameVersion.
-func DecodeFrameExact(buf []byte) (WireFrame, error) {
-	switch len(buf) {
-	case WireSize:
-		s, err := DecodeWireExact(buf)
-		if err != nil {
-			return WireFrame{}, err
-		}
-		return WireFrame{State: s}, nil
-	case FrameV2Size:
-		if buf[0] != FrameVersion2 {
-			return WireFrame{}, ErrFrameVersion
-		}
-		return decodeFrameV2(buf)
-	default:
-		return WireFrame{}, ErrFrameSize
-	}
-}
-
-func decodeFrameV2(buf []byte) (WireFrame, error) {
-	if buf[0] != FrameVersion2 {
-		return WireFrame{}, ErrFrameVersion
-	}
-	s, err := DecodeWire(buf[1:])
-	if err != nil {
-		return WireFrame{}, err
-	}
-	f := WireFrame{State: s, HasTails: true}
-	off := 1 + WireSize
-	for _, h := range [3]*DelayHist{&f.Tails.Unacked, &f.Tails.Unread, &f.Tails.AckDelay} {
-		for i := range h.Counts {
-			h.Counts[i] = binary.BigEndian.Uint32(buf[off:])
-			off += 4
-		}
-	}
-	return f, nil
 }
 
 // WireAvgs is GetAvgs over two successive wire-format snapshots of the same

@@ -35,8 +35,12 @@ func TestWireRoundTripProperty(t *testing.T) {
 			Unread:   WireQueue{d, e, f},
 			AckDelay: WireQueue{g, h, i},
 		}
-		buf := AppendWire(nil, w)
-		got, err := DecodeWire(buf)
+		var buf [WireSize]byte
+		n, err := EncodeWire(buf[:], w)
+		if err != nil || n != WireSize {
+			return false
+		}
+		got, err := DecodeWire(buf[:])
 		return err == nil && got == w
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 1000}); err != nil {
@@ -49,8 +53,8 @@ func TestWireSizeIs36(t *testing.T) {
 	if WireSize != 36 {
 		t.Fatalf("WireSize = %d, want 36", WireSize)
 	}
-	if got := len(AppendWire(nil, WireState{})); got != 36 {
-		t.Fatalf("encoded size = %d, want 36", got)
+	if n, err := EncodeWire(make([]byte, 64), WireState{}); err != nil || n != 36 {
+		t.Fatalf("encoded size = %d, %v; want 36", n, err)
 	}
 }
 
@@ -58,8 +62,25 @@ func TestEncodeDecodeShortBuffer(t *testing.T) {
 	if _, err := EncodeWire(make([]byte, 35), WireState{}); err != ErrShortBuffer {
 		t.Fatalf("EncodeWire short: %v", err)
 	}
-	if _, err := DecodeWire(make([]byte, 35)); err != ErrShortBuffer {
-		t.Fatalf("DecodeWire short: %v", err)
+	// DecodeWire accepts exactly one encoded state: truncated buffers and
+	// oversized ones — a stream with trailing bytes, two states, a
+	// histogram-sized payload — are all rejected.
+	for _, n := range []int{0, 1, 35, 37, 72, 829} {
+		want := ErrSizeMismatch
+		if n < WireSize {
+			want = ErrShortBuffer
+		}
+		if _, err := DecodeWire(make([]byte, n)); err != want {
+			t.Errorf("DecodeWire(%d bytes) = %v, want %v", n, err, want)
+		}
+	}
+	w := WireState{AckDelay: WireQueue{TimeUS: 1, Total: 2, IntegralUS: 3}}
+	var buf [WireSize]byte
+	if _, err := EncodeWire(buf[:], w); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := DecodeWire(buf[:]); err != nil || got != w {
+		t.Fatalf("DecodeWire(36 bytes) = %+v, %v; want %+v", got, err, w)
 	}
 }
 

@@ -45,6 +45,26 @@ func TestDelayBucketBounds(t *testing.T) {
 // TestDelayBucketRelativeError: for every delay in the covered range, the
 // bucket midpoint is within 12.5% of the true value — the quantization
 // guarantee the composition rule documents.
+// FuzzDelayBucket: bucket lookup must be total, in range, and monotone in d.
+func FuzzDelayBucket(f *testing.F) {
+	f.Add(int64(0))
+	f.Add(int64(999))
+	f.Add(int64(time.Millisecond))
+	f.Add(int64(time.Hour))
+	f.Add(int64(-1))
+	f.Fuzz(func(t *testing.T, d int64) {
+		b := DelayBucket(time.Duration(d))
+		if b < 0 || b >= DelayBuckets {
+			t.Fatalf("bucket %d out of range for %d", b, d)
+		}
+		if d >= 0 && d < int64(time.Hour) {
+			if b2 := DelayBucket(time.Duration(d) + time.Nanosecond); b2 < b {
+				t.Fatalf("bucket not monotone at %d: %d then %d", d, b, b2)
+			}
+		}
+	})
+}
+
 func TestDelayBucketRelativeError(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	lo, hi := int64(DelayBucketLow(1)), int64(DelayBucketLow(DelayBuckets-1))

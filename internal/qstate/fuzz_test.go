@@ -12,9 +12,9 @@ func FuzzWireRoundTrip(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < WireSize {
+		if len(data) != WireSize {
 			if _, err := DecodeWire(data); err == nil {
-				t.Fatal("short buffer accepted")
+				t.Fatalf("%d-byte buffer accepted", len(data))
 			}
 			return
 		}
@@ -22,7 +22,8 @@ func FuzzWireRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of full buffer failed: %v", err)
 		}
-		out := AppendWire(nil, ws)
+		var out [WireSize]byte
+		_, _ = EncodeWire(out[:], ws)
 		for i := 0; i < WireSize; i++ {
 			if out[i] != data[i] {
 				t.Fatalf("byte %d: %x != %x", i, out[i], data[i])

@@ -35,49 +35,36 @@ func FuzzWireStateRoundTrip(f *testing.F) {
 		if got != w {
 			t.Fatalf("round trip: got %+v, want %+v", got, w)
 		}
-		if app := AppendWire(nil, w); len(app) != WireSize || string(app) != string(buf[:]) {
-			t.Fatalf("AppendWire diverged from EncodeWire")
-		}
 	})
 }
 
-// FuzzWireBufferSizes: truncated buffers must be rejected by every decode
-// path, oversized buffers by the exact-length one, and a well-sized prefix
-// must always decode without panicking.
+// FuzzWireBufferSizes: DecodeWire accepts exactly WireSize bytes —
+// truncated buffers are ErrShortBuffer, oversized ones ErrSizeMismatch — and
+// an exact buffer always decodes without panicking.
 func FuzzWireBufferSizes(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, WireSize-1))
 	f.Add(make([]byte, WireSize))
 	f.Add(make([]byte, WireSize+7))
+	for _, n := range []int{1, WireSize + 1, 2 * WireSize, 829} {
+		f.Add(make([]byte, n))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		switch {
 		case len(data) < WireSize:
 			if _, err := DecodeWire(data); !errors.Is(err, ErrShortBuffer) {
 				t.Fatalf("DecodeWire accepted %d bytes: %v", len(data), err)
 			}
-			if _, err := DecodeWireExact(data); !errors.Is(err, ErrShortBuffer) {
-				t.Fatalf("DecodeWireExact accepted %d bytes: %v", len(data), err)
-			}
 			if n, err := EncodeWire(data, WireState{}); !errors.Is(err, ErrShortBuffer) || n != 0 {
 				t.Fatalf("EncodeWire wrote %d into %d bytes: %v", n, len(data), err)
 			}
 		case len(data) > WireSize:
-			if _, err := DecodeWireExact(data); !errors.Is(err, ErrSizeMismatch) {
-				t.Fatalf("DecodeWireExact accepted %d bytes: %v", len(data), err)
-			}
-			// The prefix decoder ignores the trailing bytes by contract.
-			ws, err := DecodeWire(data)
-			if err != nil {
-				t.Fatalf("DecodeWire of %d bytes: %v", len(data), err)
-			}
-			if out := AppendWire(nil, ws); string(out) != string(data[:WireSize]) {
-				t.Fatal("prefix decode lost information")
+			if _, err := DecodeWire(data); !errors.Is(err, ErrSizeMismatch) {
+				t.Fatalf("DecodeWire accepted %d bytes: %v", len(data), err)
 			}
 		default:
-			a, errA := DecodeWire(data)
-			b, errB := DecodeWireExact(data)
-			if errA != nil || errB != nil || a != b {
-				t.Fatalf("exact-size decode disagreement: %+v/%v vs %+v/%v", a, errA, b, errB)
+			if _, err := DecodeWire(data); err != nil {
+				t.Fatalf("DecodeWire of %d bytes: %v", len(data), err)
 			}
 		}
 	})

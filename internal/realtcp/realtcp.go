@@ -142,16 +142,6 @@ func (s *Server) shardOf(conn net.Conn) int {
 	return int(shard.HashString(conn.RemoteAddr().String()) % uint64(s.ShardCount))
 }
 
-// DropConnections abruptly closes every active connection while continuing
-// to accept new ones — the connection-reset fault for loopback tests.
-func (s *Server) DropConnections() {
-	s.connMu.Lock()
-	for c := range s.conns {
-		c.Close()
-	}
-	s.connMu.Unlock()
-}
-
 // Close stops accepting, closes active connections, and waits for their
 // handlers to finish. It is idempotent.
 func (s *Server) Close() {

@@ -142,7 +142,7 @@ func (g *Group) Stats() []Stats {
 
 // Stats is one shard's activity snapshot, readable lock-free at any time
 // (scrape-time rollup reads these mirrors; the shard goroutine is the only
-// writer, the padded-atomics idiom of core.SharedEstimator).
+// writer, the padded-atomics idiom of obs.ShardedCounter).
 type Stats struct {
 	// Services counts Service passes (driver ticks plus run-queue wakes);
 	// Fired counts timer callbacks dispatched; Armed is the number of

@@ -116,9 +116,9 @@ type Config struct {
 	// every outgoing segment ("on-demand" per §5 is the caller invoking
 	// RequestExchange).
 	ExchangeInterval time.Duration
-	// ExchangeTails upgrades the exchange to the v2 frame: the cumulative
-	// per-queue delay histograms (qstate.WireTails) ride along with the
-	// 36-byte counters, enabling end-to-end tail estimation. Off (the
+	// ExchangeTails upgrades the exchange to v2: the cumulative per-queue
+	// delay histograms (qstate.WireTails) ride in memory, charged no wire
+	// bytes, beside the 36-byte counters, enabling tail estimation. Off (the
 	// default — and in every pre-existing experiment) the endpoint behaves
 	// exactly like a v1 peer: the mean estimate is unaffected and the
 	// receiving estimator's tail abstains.

@@ -30,7 +30,7 @@ type segment struct {
 	ack int64
 	wnd int64
 
-	// The metadata exchange, when hasState; on a v2 frame
+	// The metadata exchange, when hasState; on a v2 exchange
 	// (Config.ExchangeTails) hasTails is set too and tails holds the sender's
 	// cumulative per-queue delay histograms.
 	hasState, hasTails bool

@@ -71,7 +71,7 @@ func (in *Instrumentation) WireState(now sim.Time, u Unit) qstate.WireState {
 }
 
 // WireTails bundles the three queues' cumulative delay histograms in the
-// given unit — the payload of a v2 metadata exchange (qstate.EncodeFrame).
+// given unit — what a tails-carrying exchange hands the peer, in memory.
 func (in *Instrumentation) WireTails(u Unit) qstate.WireTails {
 	return qstate.WireTails{
 		Unacked:  in.unacked.delays[u].Hist(),

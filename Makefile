@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: tier1 vet lint escapes allocgate build test race fuzz-smoke obs-smoke trace-smoke scale-smoke cover bench-check fidelity-smoke tail-fidelity-smoke clean
+.PHONY: tier1 vet lint escapes allocgate build test race fuzz-smoke obs-smoke trace-smoke scale-smoke cover bench-check fidelity-smoke clean
 
 # tier1 is the CI gate. Target graph (each arrow is a declared prerequisite,
 # so the graph is fail-fast even under `make -j`: nothing downstream of a
@@ -16,9 +16,9 @@ GOFMT ?= gofmt
 #          ├─ test ─→ build
 #          ├─ race ─→ build
 #          ├─ fuzz-smoke ─→ build (every resp fuzz target, 3 s each)
-#          ├─ fidelity-smoke ─→ build
-#          ├─ tail-fidelity-smoke ─→ build
+#          ├─ obs-smoke ─→ build (telemetry plane against a real kvserver)
 #          ├─ trace-smoke ─→ build (span plane against a real kvserver)
+#          ├─ fidelity-smoke ─→ build (one zoo replay, mean and tail reports)
 #          ├─ scale-smoke ─→ build (2k-connection shard-engine fleet)
 #          ├─ bench-check ─→ build (bench/ is its own module: vet, tests, lint)
 #          └─ cover ─→ build  (the suite again under -coverprofile, with the
@@ -28,7 +28,7 @@ GOFMT ?= gofmt
 # so the ~10x race overhead stays affordable; the determinism, invariant,
 # fuzz-seed and stress tests all still run. fidelity-smoke is short-run-safe:
 # it replays the zoo at a reduced duration.
-tier1: vet lint escapes allocgate build test race fuzz-smoke obs-smoke trace-smoke scale-smoke fidelity-smoke tail-fidelity-smoke bench-check cover
+tier1: vet lint escapes allocgate build test race fuzz-smoke obs-smoke trace-smoke scale-smoke fidelity-smoke bench-check cover
 
 vet:
 	$(GO) vet ./...
@@ -153,18 +153,14 @@ cover: build
 bench-check: build
 	cd bench && $(GO) vet . && $(GO) test -race . && $(GO) run e2ebatch/cmd/e2elint .
 
-# fidelity-smoke replays the whole workload zoo through the model-fidelity
-# harness at a reduced duration — a fast end-to-end check that cmd/fidelity
-# builds, runs, and scores every workload with all three predictors. The
-# full 150 ms report is pinned byte-for-byte by TestFidelityGolden.
+# fidelity-smoke replays the whole workload zoo once through the
+# model-fidelity harness at a reduced duration — a fast end-to-end check that
+# cmd/fidelity builds, runs, and scores every workload with all three
+# predictors, for the mean report and for the tail report (p50/p90/p99/p999
+# from the v2 histogram-carrying exchanges). The full 150 ms reports are
+# pinned byte-for-byte by TestFidelityGolden and TestTailFidelityGolden.
 fidelity-smoke: build
 	$(GO) run ./cmd/fidelity -dur 25ms -seed 2
-
-# tail-fidelity-smoke is the quantile analogue: the same zoo replay scored at
-# p50/p90/p99/p999 with v2 (histogram-carrying) metadata exchanges. The full
-# 150 ms report is pinned byte-for-byte by TestTailFidelityGolden.
-tail-fidelity-smoke: build
-	$(GO) run ./cmd/fidelity -tails -dur 25ms -seed 2
 
 clean:
 	$(GO) clean ./...

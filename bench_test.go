@@ -365,7 +365,7 @@ func BenchmarkRingPush(b *testing.B) {
 	rec := obs.DecisionRecord{Endpoint: "bench", Mode: "batch-on", Valid: true}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Push(&rec)
+		r.Push(0, &rec, &rec.Seq)
 	}
 }
 

@@ -1,22 +1,23 @@
 // Command fidelity runs the model-fidelity harness: it replays every
-// workload-zoo member through the simulator and scores the measured
+// workload-zoo member through the simulator once and prints two
+// deterministic FINDINGS-style reports with numbered-hypothesis verdicts,
+// both scored from those runs. The mean report scores the measured
 // estimator, the analytic tandem model, and a naive byte baseline against
-// sim ground truth, printing a deterministic FINDINGS-style report with
-// numbered-hypothesis verdicts.
+// sim ground truth (H1–H5); the tail report scores p50/p90/p99/p999 of the
+// composed histogram estimator, the closed-form Gamma tail, and the naive
+// byte-quantile baseline (H6–H8).
 //
 // Usage:
 //
-//	go run ./cmd/fidelity [-dur 150ms] [-seed 1] [-breakdown] [-tails]
+//	go run ./cmd/fidelity [-dur 150ms] [-seed 1] [-breakdown]
 //
-// With -tails the tail-fidelity harness runs instead: the same zoo replay
-// scored at p50/p90/p99/p999 against the composed histogram estimator, the
-// closed-form Gamma tail, and the naive byte-quantile baseline (hypotheses
-// H6–H8). The same seed and duration always produce byte-identical output;
-// the default configurations are pinned by golden tests.
+// The same seed and duration always produce byte-identical output; the
+// default configuration's reports are pinned by golden tests.
 package main
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"time"
 
@@ -27,16 +28,13 @@ func main() {
 	dur := flag.Duration("dur", 150*time.Millisecond, "virtual duration of each workload run")
 	seed := flag.Int64("seed", 1, "base seed (each workload derives its own)")
 	breakdown := flag.Bool("breakdown", false, "also print the analytic per-stage breakdown")
-	tails := flag.Bool("tails", false, "run the tail-fidelity harness (quantiles instead of means)")
 	flag.Parse()
 
-	if *tails {
-		figures.WriteTailFidelity(os.Stdout, figures.TailFidelity(figures.DefaultCalib(), *dur, *seed))
-		return
-	}
 	out := figures.Fidelity(figures.DefaultCalib(), *dur, *seed)
 	figures.WriteFidelity(os.Stdout, out)
 	if *breakdown {
 		figures.WriteFidelityBreakdown(os.Stdout, out)
 	}
+	fmt.Println()
+	figures.WriteTailFidelity(os.Stdout, out)
 }

@@ -15,8 +15,11 @@
 //   - Estimator / EstimateE2E — the three-queue end-to-end latency
 //     combination of §3.2 (Figure 3).
 //   - HintTracker / create-complete API — the §3.3 interface cooperative
-//     applications use to close the semantic gap.
-//   - Toggler / AIMD / objectives — the §5 dynamic batching policies.
+//     applications use to close the semantic gap; GetAvgs over two
+//     successive tracker Snapshots is the application-perceived estimate.
+//   - Toggler / AIMD / objectives — the §5 dynamic batching policies; one
+//     Toggler type runs the explore/exploit loop with an ε-greedy
+//     (NewToggler) or UCB1 (NewUCBToggler) choice rule.
 //
 // The substrates the evaluation runs on (deterministic TCP emulation,
 // mini-Redis, load generator, experiment harness) live in internal/ and are
@@ -97,11 +100,9 @@ var (
 // application hints.
 type HintTracker = hints.Tracker
 
-// NewHintTracker and NewHintEstimator construct the §3.3 hint pipeline.
-var (
-	NewHintTracker   = hints.NewTracker
-	NewHintEstimator = hints.NewEstimator
-)
+// NewHintTracker constructs the §3.3 hint tracker; GetAvgs over two of its
+// successive Snapshots is the application-perceived estimate.
+var NewHintTracker = hints.NewTracker
 
 // Batching policies (§5).
 type (
@@ -115,15 +116,13 @@ type (
 	ThroughputUnderSLO = policy.ThroughputUnderSLO
 	// Mode is a batching mode (BatchOn / BatchOff).
 	Mode = policy.Mode
-	// Toggler is the ε-greedy on/off controller.
+	// Toggler is the on/off controller (ε-greedy or UCB1 choice rule).
 	Toggler = policy.Toggler
 	// TogglerConfig parameterizes the toggler.
 	TogglerConfig = policy.TogglerConfig
 	// AIMD is the additive-increase/multiplicative-decrease batch-limit
 	// controller.
 	AIMD = policy.AIMD
-	// UCBToggler is the UCB1 bandit alternative to the ε-greedy Toggler.
-	UCBToggler = policy.UCBToggler
 )
 
 // Batching modes.
@@ -132,7 +131,8 @@ const (
 	BatchOn  = policy.BatchOn
 )
 
-// NewToggler, DefaultTogglerConfig and NewAIMD construct the policies.
+// NewToggler (ε-greedy), NewUCBToggler (UCB1), DefaultTogglerConfig and
+// NewAIMD construct the policies.
 var (
 	NewToggler           = policy.NewToggler
 	DefaultTogglerConfig = policy.DefaultTogglerConfig

@@ -54,8 +54,7 @@ func ExampleEstimateE2E() {
 func ExampleHintTracker() {
 	var now e2ebatch.Time
 	tr := e2ebatch.NewHintTracker(func() e2ebatch.Time { return now })
-	est := e2ebatch.NewHintEstimator(tr)
-	est.Sample() // prime
+	prev := tr.Snapshot()
 
 	for i := 0; i < 100; i++ {
 		tr.Create(1)
@@ -63,7 +62,7 @@ func ExampleHintTracker() {
 		tr.Complete(1)
 		now += e2ebatch.Time(750 * time.Microsecond) // think time
 	}
-	a := est.Sample()
+	a := e2ebatch.GetAvgs(prev, tr.Snapshot())
 	fmt.Printf("latency = %v, throughput = %.0f req/s\n", a.Latency, a.Throughput)
 	// Output:
 	// latency = 250µs, throughput = 1000 req/s

@@ -67,15 +67,14 @@ func main() {
 	// ---- Cooperative-application hints (§3.3) ----
 	clock := e2ebatch.Time(0)
 	tr := e2ebatch.NewHintTracker(func() e2ebatch.Time { return clock })
-	he := e2ebatch.NewHintEstimator(tr)
-	he.Sample() // prime
+	prev := tr.Snapshot()
 	for i := 0; i < 100; i++ {
 		tr.Create(1)
 		clock += e2ebatch.Time(300 * time.Microsecond) // response after 300µs
 		tr.Complete(1)
 		clock += e2ebatch.Time(700 * time.Microsecond)
 	}
-	ha := he.Sample()
+	ha := e2ebatch.GetAvgs(prev, tr.Snapshot())
 	fmt.Printf("hints:   app-perceived latency %v, throughput %.0f/s\n",
 		ha.Latency.Round(time.Microsecond), ha.Throughput)
 

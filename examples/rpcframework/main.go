@@ -95,11 +95,14 @@ func main() {
 	fmt.Println("RPC service with library-level hints; load ramps 20k -> 65k calls/s at t=150ms")
 	fmt.Printf("%8s %12s %12s %10s\n", "t", "est latency", "calls/s", "mode")
 	done := uint64(0)
+	prev := cli.Tracker().Snapshot()
 	sim.NewTicker(s, 50*time.Millisecond, func(now sim.Time) {
 		complete := cli.Completed()
 		rate := float64(complete-done) / 0.05
 		done = complete
-		a := cli.Estimate()
+		snap := cli.Tracker().Snapshot()
+		a := snap.Sub(prev)
+		prev = snap
 		fmt.Printf("%8v %12v %12.0f %10v\n",
 			now.Duration(), a.Latency.Round(time.Microsecond), rate, tog.Mode())
 	})

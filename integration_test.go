@@ -155,10 +155,9 @@ func TestHintsEqualMeasuredOnPublicAPI(t *testing.T) {
 	gen := loadgen.New(s, cc, lcfg, loadgen.SetWorkload(16, 2048))
 	tr := e2ebatch.NewHintTracker(func() e2ebatch.Time { return qstate.Time(s.Now()) })
 	gen.Hints = tr
-	est := e2ebatch.NewHintEstimator(tr)
-	est.Sample()
+	prev := tr.Snapshot()
 	res := gen.Run()
-	a := est.Sample()
+	a := e2ebatch.GetAvgs(prev, tr.Snapshot())
 	if !a.Valid {
 		t.Fatal("hint estimate invalid")
 	}

@@ -171,10 +171,8 @@ type Estimator struct {
 	// exchange transport cannot stall, e.g. offline trace replay.
 	MaxRemoteAge time.Duration
 
-	prev      Sample
-	primed    bool
-	estimates uint64
-	degraded  uint64
+	prev   Sample
+	primed bool
 }
 
 // Update folds in a new sample and returns the estimate for the interval
@@ -212,12 +210,6 @@ func (e *Estimator) Update(s Sample) Estimate {
 	est.Tail = tail
 	est.Degraded = !remoteOK
 	est.RemoteStale = stale
-	if est.Degraded {
-		e.degraded++
-	}
-	if est.Valid {
-		e.estimates++
-	}
 	return est
 }
 
@@ -225,16 +217,8 @@ func (e *Estimator) Update(s Sample) Estimate {
 // to make the previous sample stale, or after a connection reset invalidated
 // the peer's counters. Configuration (MaxRemoteAge) survives the reset.
 func (e *Estimator) Reset() {
-	maxAge := e.MaxRemoteAge
-	*e = Estimator{MaxRemoteAge: maxAge}
+	*e = Estimator{MaxRemoteAge: e.MaxRemoteAge}
 }
-
-// Estimates returns how many valid estimates have been produced.
-func (e *Estimator) Estimates() uint64 { return e.estimates }
-
-// DegradedCount returns how many post-priming updates ran without usable
-// peer metadata.
-func (e *Estimator) DegradedCount() uint64 { return e.degraded }
 
 // Aggregate combines per-connection estimates into one, weighting each
 // connection's latency by its throughput — the per-connection averaging the

@@ -154,9 +154,6 @@ func TestEstimatorEndToEnd(t *testing.T) {
 	if got.Throughput < 9000 || got.Throughput > 11000 {
 		t.Fatalf("throughput = %v, want ~10000", got.Throughput)
 	}
-	if e.Estimates() != 1 {
-		t.Fatalf("Estimates() = %d", e.Estimates())
-	}
 }
 
 func TestEstimatorWithoutRemote(t *testing.T) {
@@ -252,9 +249,6 @@ func TestEstimatorDegradedWithoutRemote(t *testing.T) {
 	if !got.Valid || got.Latency <= 0 {
 		t.Fatalf("degraded estimate lost the local fallback: %+v", got)
 	}
-	if e.DegradedCount() != 1 {
-		t.Fatalf("DegradedCount() = %d, want 1", e.DegradedCount())
-	}
 }
 
 // TestEstimatorStaleRemoteDegrades: with MaxRemoteAge set, an exchange older
@@ -286,9 +280,6 @@ func TestEstimatorStaleRemoteDegrades(t *testing.T) {
 	}
 	if !got.Valid || !near(got.LocalView, 50*time.Microsecond) {
 		t.Fatalf("stale exchange fallback wrong: %+v, want valid local-only ~50µs", got)
-	}
-	if stale.DegradedCount() != 1 {
-		t.Fatalf("DegradedCount() = %d, want 1", stale.DegradedCount())
 	}
 
 	// Zero MaxRemoteAge disables the check entirely.

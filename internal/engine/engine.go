@@ -62,8 +62,8 @@ type Port interface {
 	SelfContained() bool
 }
 
-// Controller is the mode-deciding policy surface the endpoint drives — the
-// ε-greedy policy.Toggler and the UCB1 policy.UCBToggler both satisfy it.
+// Controller is the mode-deciding policy surface the endpoint drives —
+// policy.Toggler satisfies it under either choice rule.
 type Controller interface {
 	Observe(latency time.Duration, throughput float64, valid bool) policy.Mode
 	ObserveDegraded() policy.Mode
@@ -153,12 +153,10 @@ type Config struct {
 	// degraded — routing the controller to ObserveDegraded and thus, per
 	// its config, into safe mode. Zero disables the check.
 	ModeErrorLimit int
-	// OnTick, when non-nil, observes every tick's result after the
-	// decision is applied (e.g. to accumulate an online-estimate series).
-	OnTick func(now qstate.Time, r TickResult)
-	// Observer, when non-nil, additionally receives every tick's result
-	// with the raw port samples attached (TickResult.Samples) — the
-	// telemetry hook. Unlike OnTick it is an interface so backends can
+	// Observer, when non-nil, receives every tick's result after the
+	// decision is applied, with the raw port samples attached
+	// (TickResult.Samples) — the one tick hook, for telemetry and for
+	// online-estimate series alike. It is an interface so backends can
 	// thread it through their option structs without importing the
 	// observability plane.
 	Observer Observer
@@ -205,10 +203,10 @@ type TickResult struct {
 }
 
 // PerPort and Samples are views into the endpoint's scratch buffers: they
-// are valid only until the next Tick on the same endpoint. OnTick and
-// Observer callbacks that retain tick data across ticks must copy the
-// slices' contents; the engine reuses the backing arrays so a steady-state
-// tick allocates nothing (//e2e:hotpath, DESIGN.md §13).
+// are valid only until the next Tick on the same endpoint. Observers that
+// retain tick data across ticks must copy the slices' contents; the engine
+// reuses the backing arrays so a steady-state tick allocates nothing
+// (//e2e:hotpath, DESIGN.md §13).
 
 // Stats counts an endpoint's activity.
 type Stats struct {
@@ -380,9 +378,6 @@ func (ep *Endpoint) Tick(now qstate.Time) TickResult {
 		}
 	}
 	ep.stats.TotalTicks++
-	if ep.cfg.OnTick != nil {
-		ep.cfg.OnTick(now, r)
-	}
 	if ep.cfg.Observer != nil {
 		ep.cfg.Observer.ObserveTick(now, r)
 	}

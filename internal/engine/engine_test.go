@@ -290,15 +290,14 @@ func TestSimClockDrivesTicks(t *testing.T) {
 	s := sim.New(1)
 	p := newFakePort()
 	p.self = true
-	var ticks int
-	ep := engine.New(engine.Config{
-		OnTick: func(now qstate.Time, r engine.TickResult) { ticks++ },
-	}, p)
+	ob := &recordingObserver{}
+	ep := engine.New(engine.Config{Observer: ob}, p)
 	ep.Start(engine.SimClock{Sim: s}, time.Millisecond)
 	s.RunUntil(sim.Time(5*time.Millisecond + time.Microsecond))
 	ep.Stop()
 	end := s.Now()
 	s.RunUntil(end + sim.Time(5*time.Millisecond))
+	ticks := len(ob.at)
 	if ticks != 5 {
 		t.Fatalf("ticker fired %d times in 5ms (plus none after Stop), want 5", ticks)
 	}

@@ -84,7 +84,8 @@ type Hypothesis struct {
 	ID, Claim, Verdict, Evidence string
 }
 
-// FidelityOut is the full harness result.
+// FidelityOut is the full harness result: the mean report, and in Tails the
+// tail report scored from the same runs.
 type FidelityOut struct {
 	Seed int64
 	Dur  time.Duration
@@ -96,11 +97,26 @@ type FidelityOut struct {
 	ScoredN [NumPredictors]int
 
 	Hypotheses []Hypothesis
+
+	Tails TailFidelityOut
 }
 
-// Fidelity replays the workload zoo and scores the predictors. Each
-// workload runs under its own derived seed; runs fan out across the sweep
-// worker pool like every other figure.
+// zooRun is one workload's replay plus what the a-priori predictors see of
+// it: the shape-adjusted rate, sampled request/response sizes, and the
+// tandem-queue parameters built from them.
+type zooRun struct {
+	w         loadgen.ZooWorkload
+	rateEff   float64
+	req, resp []float64
+	params    analytic.E2EParams
+	out       *RunOut
+}
+
+// Fidelity replays the workload zoo once and scores both reports from those
+// runs. Each workload runs under its own derived seed with tail capture on;
+// capture is passive (it reads the cumulative histograms at warmup and at
+// the end), so the traffic is what an uncaptured run sends. Runs fan out
+// across the sweep worker pool like every other figure.
 func Fidelity(cal Calib, dur time.Duration, seed int64) *FidelityOut {
 	zoo := loadgen.Zoo(cal.KeySize, cal.ValSize)
 	specs := make([]RunSpec, len(zoo))
@@ -117,14 +133,23 @@ func Fidelity(cal Calib, dur time.Duration, seed int64) *FidelityOut {
 			PreloadKeys:  w.PreloadKeys,
 			SyscallBatch: w.SyscallBatch,
 			WithHints:    w.WithHints,
+			TailCapture:  true,
 		}
 	}
 	outs := runAll(specs)
 
 	res := &FidelityOut{Seed: seed, Dur: dur}
 	for i, w := range zoo {
-		res.Points = append(res.Points, scorePoint(cal, w, dur, specs[i].Seed, outs[i]))
+		z := zooRun{w: w, rateEff: w.Rate * loadgen.MeanShape(w.RateShape, dur), out: outs[i]}
+		// The a-priori predictors see only the workload profile and
+		// calibration.
+		req, resp := w.Sizes(specs[i].Seed, min(max(int(z.rateEff*dur.Seconds()), 256), 8192))
+		z.req, z.resp = toFloat(req), toFloat(resp)
+		z.params = e2eParams(cal, w, z.rateEff, req, resp)
+		res.Points = append(res.Points, scorePoint(cal, &z))
+		res.Tails.Points = append(res.Tails.Points, scoreTailPoint(cal, &z))
 	}
+	scoreTails(&res.Tails)
 	for p := Predictor(0); p < NumPredictors; p++ {
 		var sum float64
 		for _, pt := range res.Points {
@@ -141,11 +166,12 @@ func Fidelity(cal Calib, dur time.Duration, seed int64) *FidelityOut {
 	return res
 }
 
-// scorePoint derives one workload's predictions and errors.
-func scorePoint(cal Calib, w loadgen.ZooWorkload, dur time.Duration, wseed int64, out *RunOut) FidelityPoint {
+// scorePoint derives one workload's mean predictions and errors.
+func scorePoint(cal Calib, z *zooRun) FidelityPoint {
+	out := z.out
 	pt := FidelityPoint{
-		Workload:  w,
-		RateEff:   w.Rate * loadgen.MeanShape(w.RateShape, dur),
+		Workload:  z.w,
+		RateEff:   z.rateEff,
 		Truth:     out.Res.Latency.Mean(),
 		TruthP99:  out.Res.Latency.Quantile(0.99),
 		Completed: out.Res.Latency.Count(),
@@ -159,23 +185,14 @@ func scorePoint(cal Calib, w loadgen.ZooWorkload, dur time.Duration, wseed int64
 		pt.Scored[PredEstimator] = true
 	}
 
-	// Predictors 2 and 3 see only the workload profile and calibration.
-	n := int(pt.RateEff * dur.Seconds())
-	if n < 256 {
-		n = 256
-	}
-	if n > 8192 {
-		n = 8192
-	}
-	req, resp := w.Sizes(wseed, n)
-	pt.An = analytic.E2EDelay(e2eParams(cal, w, pt.RateEff, req, resp))
+	pt.An = analytic.E2EDelay(z.params)
 	if pt.An.Stable {
 		pt.Pred[PredAnalytic] = pt.An.Latency
 		pt.Scored[PredAnalytic] = true
 	}
 
-	mReq, _ := analytic.Moments(toFloat(req))
-	mResp, _ := analytic.Moments(toFloat(resp))
+	mReq, _ := analytic.Moments(z.req)
+	mResp, _ := analytic.Moments(z.resp)
 	pt.Naive = analytic.NaiveByteDelay(mReq, mResp, float64(cal.Link.BitsPerSec), 2*cal.Link.Propagation)
 	pt.Pred[PredNaive] = pt.Naive
 	pt.Scored[PredNaive] = true
@@ -374,13 +391,6 @@ func fmtErrOrAbstain(pt *FidelityPoint, p Predictor) string {
 		return "abstained"
 	}
 	return fmt.Sprintf("%.1f%%", 100*pt.Err[p])
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // WriteFidelity renders the FINDINGS-style report. The output is fully

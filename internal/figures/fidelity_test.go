@@ -4,10 +4,18 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
 	"e2ebatch/internal/loadgen"
+)
+
+// goldenFidelity and shapeFidelity are the zoo replays both reports' golden
+// and shape tests score, run once per test binary.
+var (
+	goldenFidelity = sync.OnceValue(func() *FidelityOut { return Fidelity(DefaultCalib(), 150*time.Millisecond, 1) })
+	shapeFidelity  = sync.OnceValue(func() *FidelityOut { return Fidelity(DefaultCalib(), 40*time.Millisecond, 3) })
 )
 
 // TestFidelityGolden pins the full fidelity report byte-for-byte at the
@@ -21,7 +29,7 @@ func TestFidelityGolden(t *testing.T) {
 	path := filepath.Join("testdata", "fidelity_golden.txt")
 
 	var buf bytes.Buffer
-	WriteFidelity(&buf, Fidelity(DefaultCalib(), 150*time.Millisecond, 1))
+	WriteFidelity(&buf, goldenFidelity())
 
 	if os.Getenv("E2E_GOLDEN_PRINT") != "" {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -132,7 +140,7 @@ func TestZooReplayByteIdentical(t *testing.T) {
 // naive baseline, and every predictor producing a workload-level mean.
 func TestFidelityScoresAllPredictors(t *testing.T) {
 	skipIfShort(t)
-	out := Fidelity(DefaultCalib(), 40*time.Millisecond, 3)
+	out := shapeFidelity()
 	if len(out.Points) < 6 {
 		t.Fatalf("zoo too small: %d workloads", len(out.Points))
 	}

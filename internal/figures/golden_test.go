@@ -75,6 +75,13 @@ func TestGoldenParity(t *testing.T) {
 				WriteFaultSweep(w, FaultSweep(cal, 30000, []float64{0, 0.02}, "combo", dur, 7))
 			},
 		},
+		{
+			name: "bandits",
+			want: "b55130506b479600c1db21f14db3a0d4d31ba399f6eced427511608d24ab3b1e",
+			render: func(w *bytes.Buffer) {
+				WritePolicyCompare(w, PolicyCompare(cal, []float64{10000, 45000, 60000}, dur, 7))
+			},
+		},
 	}
 
 	for _, tc := range cases {

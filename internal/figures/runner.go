@@ -296,7 +296,7 @@ func Run(spec RunSpec) *RunOut {
 	// Estimate-driven dynamic toggling: one engine tick applies the chosen
 	// mode to both endpoints, exactly what a kernel running the paper's
 	// policy on each side would do.
-	var tog engine.Controller
+	var tog *policy.Toggler
 	var dynEp *engine.Endpoint
 	if spec.Dynamic != nil {
 		d := spec.Dynamic
@@ -320,16 +320,8 @@ func Run(spec RunSpec) *RunOut {
 
 	if spec.OnlineEstimateEvery > 0 {
 		// A passive endpoint: estimates accumulate, no policy drives.
-		var sum time.Duration
-		warm := spec.Duration / 5
 		onEp := engine.New(engine.Config{
-			OnTick: func(now qstate.Time, r engine.TickResult) {
-				if r.Estimate.Valid && time.Duration(now) >= warm {
-					sum += r.Estimate.Latency
-					out.OnlineCount++
-					out.OnlineAvg = sum / time.Duration(out.OnlineCount)
-				}
-			},
+			Observer: &onlineMean{out: out, warm: qstate.Time(spec.Duration / 5)},
 		}, tcpsim.NewEnginePort(cc, sc, tcpsim.UnitBytes))
 		onEp.Start(clock, spec.OnlineEstimateEvery)
 	}
@@ -418,6 +410,22 @@ func Run(spec RunSpec) *RunOut {
 		out.FinalCork = aimd.Limit()
 	}
 	return out
+}
+
+// onlineMean observes the passive OnlineEstimateEvery endpoint: the running
+// mean of the valid per-tick estimates from warmup on.
+type onlineMean struct {
+	out  *RunOut
+	warm qstate.Time
+	sum  time.Duration
+}
+
+func (o *onlineMean) ObserveTick(now qstate.Time, r engine.TickResult) {
+	if r.Estimate.Valid && now >= o.warm {
+		o.sum += r.Estimate.Latency
+		o.out.OnlineCount++
+		o.out.OnlineAvg = o.sum / time.Duration(o.out.OnlineCount)
+	}
 }
 
 // steadyEstimate analyzes the log from after warmup to the end as one

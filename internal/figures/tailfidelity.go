@@ -12,9 +12,10 @@ import (
 )
 
 // The tail-fidelity harness extends the model-fidelity discipline from means
-// to quantiles: replay the same workload zoo, take the exact post-warmup
-// per-request latency distribution as ground truth at the four canonical
-// quantiles (p50/p90/p99/p999), and score three rival tail predictors:
+// to quantiles: from the same zoo replay (Fidelity), take the exact
+// post-warmup per-request latency distribution as ground truth at the four
+// canonical quantiles (p50/p90/p99/p999), and score three rival tail
+// predictors:
 //
 //   - the composed estimator — per-queue delay histograms captured from the
 //     v2 exchange plane, convolved under the Kleinrock independence
@@ -53,11 +54,8 @@ type TailPoint struct {
 	Err    [NumPredictors][4]float64
 }
 
-// TailFidelityOut is the full tail-harness result.
+// TailFidelityOut is the tail report (FidelityOut.Tails).
 type TailFidelityOut struct {
-	Seed int64
-	Dur  time.Duration
-
 	Points []TailPoint
 	// MeanErrP99 is each predictor's mean p99 error over the workloads it
 	// scored (ScoredN of them); MeanErrAll averages over all four quantiles.
@@ -68,34 +66,8 @@ type TailFidelityOut struct {
 	Hypotheses []Hypothesis
 }
 
-// TailFidelity replays the workload zoo with tail capture enabled and scores
-// the tail predictors. Seeds derive exactly as in Fidelity, and tail capture
-// is passive, so each run's traffic is byte-identical to the mean harness's.
-func TailFidelity(cal Calib, dur time.Duration, seed int64) *TailFidelityOut {
-	zoo := loadgen.Zoo(cal.KeySize, cal.ValSize)
-	specs := make([]RunSpec, len(zoo))
-	for i, w := range zoo {
-		wseed := seed + int64(i)*101
-		specs[i] = RunSpec{
-			Calib:        cal,
-			Seed:         wseed,
-			Rate:         w.Rate,
-			RateFn:       w.RateShape,
-			Duration:     dur,
-			BatchOn:      w.BatchOn,
-			Workload:     w.NewMaker(wseed),
-			PreloadKeys:  w.PreloadKeys,
-			SyscallBatch: w.SyscallBatch,
-			WithHints:    w.WithHints,
-			TailCapture:  true,
-		}
-	}
-	outs := runAll(specs)
-
-	res := &TailFidelityOut{Seed: seed, Dur: dur}
-	for i, w := range zoo {
-		res.Points = append(res.Points, scoreTailPoint(cal, w, dur, specs[i].Seed, outs[i]))
-	}
+// scoreTails aggregates the scored points and judges H6–H8.
+func scoreTails(res *TailFidelityOut) {
 	for p := Predictor(0); p < NumPredictors; p++ {
 		var sum99, sumAll float64
 		for _, pt := range res.Points {
@@ -114,14 +86,14 @@ func TailFidelity(cal Calib, dur time.Duration, seed int64) *TailFidelityOut {
 		}
 	}
 	res.Hypotheses = judgeTails(res)
-	return res
 }
 
 // scoreTailPoint derives one workload's tail predictions and errors.
-func scoreTailPoint(cal Calib, w loadgen.ZooWorkload, dur time.Duration, wseed int64, out *RunOut) TailPoint {
+func scoreTailPoint(cal Calib, z *zooRun) TailPoint {
+	out := z.out
 	pt := TailPoint{
-		Workload:  w,
-		RateEff:   w.Rate * loadgen.MeanShape(w.RateShape, dur),
+		Workload:  z.w,
+		RateEff:   z.rateEff,
 		Completed: out.Res.Latency.Count(),
 	}
 	for qi, q := range core.TailQuantiles {
@@ -135,25 +107,14 @@ func scoreTailPoint(cal Calib, w loadgen.ZooWorkload, dur time.Duration, wseed i
 		pt.Scored[PredEstimator] = true
 	}
 
-	// Predictors 2 and 3 see only the workload profile and calibration,
-	// sampled exactly as the mean harness samples them.
-	n := int(pt.RateEff * dur.Seconds())
-	if n < 256 {
-		n = 256
-	}
-	if n > 8192 {
-		n = 8192
-	}
-	req, resp := w.Sizes(wseed, n)
-	pt.An = analytic.E2ETail(e2eParams(cal, w, pt.RateEff, req, resp))
+	pt.An = analytic.E2ETail(z.params)
 	if pt.An.Stable {
 		pt.Pred[PredAnalytic] = [4]time.Duration{pt.An.P50, pt.An.P90, pt.An.P99, pt.An.P999}
 		pt.Scored[PredAnalytic] = true
 	}
 
-	reqF, respF := toFloat(req), toFloat(resp)
 	for qi, q := range core.TailQuantiles {
-		pt.Naive[qi] = analytic.NaiveByteTail(reqF, respF, float64(cal.Link.BitsPerSec), 2*cal.Link.Propagation, q)
+		pt.Naive[qi] = analytic.NaiveByteTail(z.req, z.resp, float64(cal.Link.BitsPerSec), 2*cal.Link.Propagation, q)
 	}
 	pt.Pred[PredNaive] = pt.Naive
 	pt.Scored[PredNaive] = true
@@ -246,9 +207,10 @@ func judgeTails(res *TailFidelityOut) []Hypothesis {
 // WriteTailFidelity renders the tail report: one block of four rows per
 // workload (truth plus each predictor's quantiles and per-quantile errors).
 // Fully deterministic, golden-tested byte-for-byte.
-func WriteTailFidelity(w io.Writer, f *TailFidelityOut) {
+func WriteTailFidelity(w io.Writer, out *FidelityOut) {
+	f := &out.Tails
 	fmt.Fprintf(w, "TAIL FIDELITY — composed quantiles vs tcpsim ground truth (seed %d, %v runs, warmup %v)\n",
-		f.Seed, f.Dur, f.Dur/5)
+		out.Seed, out.Dur, out.Dur/5)
 	fmt.Fprintf(w, "%-16s %-10s %10s %10s %10s %10s | %6s %6s %6s %6s\n",
 		"workload", "predictor", tailQuantileNames[0], tailQuantileNames[1],
 		tailQuantileNames[2], tailQuantileNames[3], "e50", "e90", "e99", "e999")

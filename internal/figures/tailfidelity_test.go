@@ -12,7 +12,7 @@ import (
 )
 
 // TestTailFidelityGolden pins the full tail report byte-for-byte at the
-// cmd/fidelity -tails defaults (seed 1, 150 ms). Stored as readable text in
+// cmd/fidelity defaults (seed 1, 150 ms). Stored as readable text in
 // testdata like the mean report: a drift names the workload, the quantile
 // and the hypothesis that moved. Run with E2E_GOLDEN_PRINT=1 to rewrite.
 func TestTailFidelityGolden(t *testing.T) {
@@ -20,7 +20,7 @@ func TestTailFidelityGolden(t *testing.T) {
 	path := filepath.Join("testdata", "tailfidelity_golden.txt")
 
 	var buf bytes.Buffer
-	WriteTailFidelity(&buf, TailFidelity(DefaultCalib(), 150*time.Millisecond, 1))
+	WriteTailFidelity(&buf, goldenFidelity())
 
 	if os.Getenv("E2E_GOLDEN_PRINT") != "" {
 		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
@@ -44,12 +44,12 @@ func TestTailFidelityDeterministic(t *testing.T) {
 	skipIfShort(t)
 	render := func() []byte {
 		var buf bytes.Buffer
-		WriteTailFidelity(&buf, TailFidelity(DefaultCalib(), 40*time.Millisecond, 9))
+		WriteTailFidelity(&buf, Fidelity(DefaultCalib(), 40*time.Millisecond, 9))
 		return buf.Bytes()
 	}
 	a, b := render(), render()
 	if !bytes.Equal(a, b) {
-		t.Fatalf("two TailFidelity runs diverged:\n--- first ---\n%s\n--- second ---\n%s", a, b)
+		t.Fatalf("two tail reports diverged:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}
 }
 
@@ -62,7 +62,7 @@ func TestTailFidelityDeterministic(t *testing.T) {
 // even at this shorter duration, not just at the golden's.
 func TestTailFidelityShape(t *testing.T) {
 	skipIfShort(t)
-	out := TailFidelity(DefaultCalib(), 40*time.Millisecond, 3)
+	out := &shapeFidelity().Tails
 	if len(out.Points) < 6 {
 		t.Fatalf("zoo too small: %d workloads", len(out.Points))
 	}

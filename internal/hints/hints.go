@@ -73,38 +73,3 @@ func (t *Tracker) Snapshot() qstate.Snapshot {
 func (t *Tracker) Wire() qstate.WireQueue {
 	return qstate.ToWire(t.Snapshot())
 }
-
-// Estimator derives per-interval application-perceived performance from a
-// Tracker: latency is true request→response time, throughput is completed
-// requests per second. The zero value is unusable; construct with
-// NewEstimator.
-type Estimator struct {
-	t      *Tracker
-	prev   qstate.Snapshot
-	primed bool
-}
-
-// NewEstimator returns an estimator over tr.
-func NewEstimator(tr *Tracker) *Estimator {
-	if tr == nil {
-		panic("hints: nil tracker")
-	}
-	return &Estimator{t: tr}
-}
-
-// Sample snapshots the tracker and returns averages over the interval since
-// the previous Sample (invalid on the priming call and on idle intervals).
-func (e *Estimator) Sample() qstate.Avgs {
-	now := e.t.Snapshot()
-	if !e.primed {
-		e.prev = now
-		e.primed = true
-		return qstate.Avgs{}
-	}
-	a := qstate.GetAvgs(e.prev, now)
-	e.prev = now
-	return a
-}
-
-// Reset discards priming state.
-func (e *Estimator) Reset() { e.primed = false }

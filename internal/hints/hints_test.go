@@ -18,8 +18,7 @@ func (f *fakeClock) advance(d time.Duration) { f.now += qstate.Time(d) }
 func TestCreateCompleteLatency(t *testing.T) {
 	clk := &fakeClock{}
 	tr := NewTracker(clk.fn())
-	est := NewEstimator(tr)
-	est.Sample() // prime
+	prev := tr.Snapshot()
 
 	// Ten requests, each outstanding exactly 200µs, issued sequentially.
 	for i := 0; i < 10; i++ {
@@ -28,7 +27,7 @@ func TestCreateCompleteLatency(t *testing.T) {
 		tr.Complete(1)
 		clk.advance(800 * time.Microsecond)
 	}
-	a := est.Sample()
+	a := qstate.GetAvgs(prev, tr.Snapshot())
 	if !a.Valid {
 		t.Fatal("sample invalid")
 	}
@@ -44,13 +43,12 @@ func TestCreateCompleteLatency(t *testing.T) {
 func TestBatchedCreateComplete(t *testing.T) {
 	clk := &fakeClock{}
 	tr := NewTracker(clk.fn())
-	est := NewEstimator(tr)
-	est.Sample()
+	prev := tr.Snapshot()
 	tr.Create(5)
 	clk.advance(time.Millisecond)
 	tr.Complete(5)
 	clk.advance(time.Millisecond)
-	a := est.Sample()
+	a := qstate.GetAvgs(prev, tr.Snapshot())
 	if a.Latency != time.Millisecond {
 		t.Fatalf("latency = %v, want 1ms", a.Latency)
 	}
@@ -102,15 +100,6 @@ func TestNilClockPanics(t *testing.T) {
 	NewTracker(nil)
 }
 
-func TestNilTrackerPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("nil tracker did not panic")
-		}
-	}()
-	NewEstimator(nil)
-}
-
 func TestWireForm(t *testing.T) {
 	clk := &fakeClock{}
 	tr := NewTracker(clk.fn())
@@ -130,28 +119,15 @@ func TestWireForm(t *testing.T) {
 	}
 }
 
+// TestEstimatorIdleInterval: the estimate over an interval with no
+// completions is invalid — Little's law has no departures to divide by.
 func TestEstimatorIdleInterval(t *testing.T) {
 	clk := &fakeClock{}
 	tr := NewTracker(clk.fn())
-	est := NewEstimator(tr)
-	est.Sample()
+	prev := tr.Snapshot()
 	clk.advance(time.Second)
-	if a := est.Sample(); a.Valid {
+	if a := qstate.GetAvgs(prev, tr.Snapshot()); a.Valid {
 		t.Fatal("idle interval reported valid")
-	}
-}
-
-func TestEstimatorReset(t *testing.T) {
-	clk := &fakeClock{}
-	tr := NewTracker(clk.fn())
-	est := NewEstimator(tr)
-	est.Sample()
-	tr.Create(1)
-	clk.advance(time.Millisecond)
-	tr.Complete(1)
-	est.Reset()
-	if a := est.Sample(); a.Valid {
-		t.Fatal("first sample after reset should prime")
 	}
 }
 

@@ -171,7 +171,11 @@ func intraModuleCallees(fn hotFunc, index map[*types.Func]hotFunc) []hotFunc {
 			obj = calleeObj(info, call)
 		}
 		f, ok := obj.(*types.Func)
-		if !ok || seen[f] {
+		if !ok {
+			return true
+		}
+		f = f.Origin() // a generic callee is indexed by its declaration
+		if seen[f] {
 			return true
 		}
 		if callee, ok := index[f]; ok {

@@ -6,11 +6,10 @@ import (
 )
 
 // LockSafety enforces the Tracker doc contract from PR 1: the lock-free
-// hot-path types — qstate.State, core.Estimator, hints.Estimator — are
-// single-goroutine values; any code that runs on (or shares state with) a
-// spawned goroutine must use a mutex-guarded counterpart (qstate.Tracker,
-// hints.Tracker) or keep one estimator per goroutine, as engine.Endpoint
-// does.
+// hot-path types — qstate.State and core.Estimator — are single-goroutine
+// values; any code that runs on (or shares state with) a spawned goroutine
+// must use a mutex-guarded counterpart (qstate.Tracker, hints.Tracker) or
+// keep one estimator per goroutine, as engine.Endpoint does.
 //
 // Three concurrency contexts are checked, all resolved statically within
 // the package:
@@ -40,7 +39,6 @@ var lockFreeTypes = []struct {
 }{
 	{qstatePath, "State", "qstate.Tracker"},
 	{corePath, "Estimator", "one estimator per goroutine, owned by an engine.Endpoint"},
-	{hintsPath, "Estimator", "a per-goroutine hints.Estimator"},
 }
 
 func lockFreeType(t types.Type) (string, string, bool) {

@@ -22,10 +22,9 @@ type controller interface {
 func estimatorUpdates(est *core.Estimator, s core.Sample) {
 	est.Update(s) // want "estimator update outside internal/engine"
 	est.Reset()   // ok: resetting is not running the loop
-	_ = est.Estimates()
 }
 
-func togglerDecisions(tog *policy.Toggler, ucb *policy.UCBToggler, ctl controller) {
+func togglerDecisions(tog, ucb *policy.Toggler, ctl controller) {
 	tog.Observe(time.Millisecond, 1000, true) // want "batching decision outside internal/engine"
 	tog.ObserveDegraded()                     // want "batching decision outside internal/engine"
 	ucb.Observe(time.Millisecond, 1000, true) // want "batching decision outside internal/engine"

@@ -26,12 +26,10 @@ func insideGoroutine(st *qstate.State, est *core.Estimator) {
 // Case 2: a method that runs as a goroutine (`go w.run()` below).
 type worker struct {
 	est core.Estimator
-	he  *hints.Estimator
 }
 
 func (w *worker) run() {
 	w.est.Update(core.Sample{}) // want "lock-free Estimator.Update in run, which runs as a goroutine"
-	w.he.Sample()               // want "lock-free Estimator.Sample in run, which runs as a goroutine"
 }
 
 func (w *worker) runLocal() {

@@ -24,10 +24,11 @@ func registryTraffic() {
 // ringTraffic: pushing decision records from simulated code is just as
 // ordering-sensitive as metric writes.
 func ringTraffic() {
-	ring := obs.NewRing(8)         // want "use of e2ebatch/internal/obs.NewRing"
-	ring.Push(&obs.DecisionRecord{ // want "use of e2ebatch/internal/obs.Push" "use of e2ebatch/internal/obs.DecisionRecord"
+	ring := obs.NewRing(8)     // want "use of e2ebatch/internal/obs.NewRing"
+	rec := obs.DecisionRecord{ // want "use of e2ebatch/internal/obs.DecisionRecord"
 		Endpoint: "sim", // want "use of e2ebatch/internal/obs.Endpoint"
-	})
+	}
+	ring.Push(0, &rec, &rec.Seq) // want "use of e2ebatch/internal/obs/span.Push" "use of e2ebatch/internal/obs.Seq"
 }
 
 // typeReferences: even holding an obs type in a struct couples the golden

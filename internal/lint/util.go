@@ -11,7 +11,6 @@ import (
 const (
 	qstatePath = "e2ebatch/internal/qstate"
 	corePath   = "e2ebatch/internal/core"
-	hintsPath  = "e2ebatch/internal/hints"
 	policyPath = "e2ebatch/internal/policy"
 	enginePath = "e2ebatch/internal/engine"
 )
@@ -136,6 +135,8 @@ func renderExpr(e ast.Expr) string {
 		return renderExpr(x.X) + "." + x.Sel.Name
 	case *ast.StarExpr:
 		return "*" + renderExpr(x.X)
+	case *ast.IndexExpr:
+		return renderExpr(x.X) + "[" + renderExpr(x.Index) + "]"
 	case *ast.CallExpr:
 		return renderExpr(x.Fun) + "(...)"
 	case *ast.ParenExpr:

@@ -117,10 +117,9 @@ func TestHintsTrackerMatchesMeasuredLatency(t *testing.T) {
 	g := mkGen(cfg, SetWorkload(16, 1024))
 	tr := hints.NewTracker(func() qstate.Time { return qstate.Time(s.Now()) })
 	g.Hints = tr
-	est := hints.NewEstimator(tr)
-	est.Sample() // prime at t=0
+	prev := tr.Snapshot() // t=0
 	res := g.Run()
-	a := est.Sample()
+	a := qstate.GetAvgs(prev, tr.Snapshot())
 	if !a.Valid {
 		t.Fatal("hint estimate invalid")
 	}

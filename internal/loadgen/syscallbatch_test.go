@@ -79,10 +79,9 @@ func TestSyscallBatchHintsStillExact(t *testing.T) {
 	g := mkGen(cfg, PingWorkload())
 	tr := hints.NewTracker(func() qstate.Time { return qstate.Time(s.Now()) })
 	g.Hints = tr
-	est := hints.NewEstimator(tr)
-	est.Sample()
+	prev := tr.Snapshot()
 	res := g.Run()
-	a := est.Sample()
+	a := qstate.GetAvgs(prev, tr.Snapshot())
 	if !a.Valid || a.Departures != int64(res.Completed) {
 		t.Fatalf("hints: %+v vs completed %d", a, res.Completed)
 	}

@@ -18,11 +18,13 @@ import (
 	"e2ebatch/internal/qstate"
 )
 
+// TestAllocGateRingPush gates the decision-record instantiation of the
+// value-slot ring (the span instantiation is gated in package span).
 func TestAllocGateRingPush(t *testing.T) {
 	r := NewRing(64)
 	rec := DecisionRecord{Endpoint: "gate", Mode: "batch-on", Valid: true}
-	if n := testing.AllocsPerRun(200, func() { r.Push(&rec) }); n != 0 {
-		t.Errorf("Ring.Push allocates %v per op, want 0 (//e2e:hotpath)", n)
+	if n := testing.AllocsPerRun(200, func() { r.Push(0, &rec, &rec.Seq) }); n != 0 {
+		t.Errorf("Ring.Push of a DecisionRecord allocates %v per op, want 0 (//e2e:hotpath)", n)
 	}
 }
 

@@ -223,6 +223,6 @@ func (o *EngineObserver) ObserveTick(now qstate.Time, r engine.TickResult) {
 		o.rec.RemoteOK = r.Samples[0].RemoteOK
 		o.rec.RemoteAtNs = int64(r.Samples[0].RemoteAt)
 	}
-	o.ring.Push(&o.rec)
+	o.ring.Push(0, &o.rec, &o.rec.Seq)
 	m.Records.Inc()
 }

@@ -1,12 +1,8 @@
 package obs
 
 import (
-	"encoding/json"
-	"io"
-	"sync"
-	"sync/atomic"
-
 	"e2ebatch/internal/core"
+	"e2ebatch/internal/obs/span"
 	"e2ebatch/internal/qstate"
 )
 
@@ -97,96 +93,13 @@ type DecisionRecord struct {
 	ApplyErrors int    `json:"apply_errors"`
 }
 
-// ringSlot is one record slot. Records are stored by value under a per-slot
-// mutex: a writer copies the record in, a reader copies it out, and neither
-// ever holds more than one slot's lock at a time.
-type ringSlot struct {
-	mu  sync.Mutex
-	rec DecisionRecord
-	ok  bool // a record has been stored here
-}
-
-// Ring is a fixed-capacity ring buffer of decision records. Slots are
-// claimed with an atomic counter and records are stored by value into
-// per-slot mutexes, so publishing a record allocates nothing — the push
-// side sits on the engine tick (//e2e:hotpath) and must not feed the GC.
-// Readers lock one slot at a time for the copy-out, so a reader can stall a
-// writer only on that single slot, never the ring. Writes from multiple
-// endpoints are safe; per-endpoint record order is preserved because each
-// endpoint ticks on one goroutine.
-type Ring struct {
-	slots []ringSlot
-	next  atomic.Uint64 // sequence of the next record to be written
-}
+// Ring is the decision-record ring: the one value-slot ring of package span
+// with a single shard. Push stamps DecisionRecord.Seq and stores the record
+// by value, so the engine tick's push allocates nothing. Writes from
+// multiple endpoints are safe; per-endpoint record order is preserved
+// because each endpoint ticks on one goroutine.
+type Ring = span.Ring[DecisionRecord]
 
 // NewRing returns a ring holding the last n records (n <= 0 defaults to
 // 1024).
-func NewRing(n int) *Ring {
-	if n <= 0 {
-		n = 1024
-	}
-	return &Ring{slots: make([]ringSlot, n)}
-}
-
-// Cap returns the ring's capacity.
-func (r *Ring) Cap() int { return len(r.slots) }
-
-// Len returns how many records have ever been pushed.
-func (r *Ring) Len() uint64 { return r.next.Load() }
-
-// Push publishes a copy of *rec, stamping rec.Seq. The caller keeps
-// ownership of rec and may reuse it for the next record (the scratch-record
-// pattern EngineObserver uses).
-//
-//e2e:hotpath
-func (r *Ring) Push(rec *DecisionRecord) {
-	seq := r.next.Add(1) - 1
-	rec.Seq = seq
-	sl := &r.slots[seq%uint64(len(r.slots))]
-	sl.mu.Lock()
-	// A slower concurrent pusher may reach a slot after the writer that
-	// lapped it; never let a stale record overwrite a newer one.
-	if !sl.ok || sl.rec.Seq < seq {
-		sl.rec = *rec
-		sl.ok = true
-	}
-	sl.mu.Unlock()
-}
-
-// Last returns up to n of the most recent records, oldest first, copied out
-// by value. Records overwritten mid-read are simply skipped (their slot
-// then holds a newer record, which is filtered by sequence).
-func (r *Ring) Last(n int) []DecisionRecord {
-	head := r.next.Load()
-	if n <= 0 || head == 0 {
-		return nil
-	}
-	if uint64(n) > head {
-		n = int(head)
-	}
-	if n > len(r.slots) {
-		n = len(r.slots)
-	}
-	out := make([]DecisionRecord, 0, n)
-	for seq := head - uint64(n); seq < head; seq++ {
-		sl := &r.slots[seq%uint64(len(r.slots))]
-		sl.mu.Lock()
-		rec, ok := sl.rec, sl.ok
-		sl.mu.Unlock()
-		if ok && rec.Seq == seq {
-			out = append(out, rec)
-		}
-	}
-	return out
-}
-
-// WriteJSONL writes the last n records as JSON Lines, oldest first.
-func (r *Ring) WriteJSONL(w io.Writer, n int) error {
-	enc := json.NewEncoder(w)
-	for _, rec := range r.Last(n) {
-		if err := enc.Encode(&rec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+func NewRing(n int) *Ring { return span.NewRingOf[DecisionRecord](1, n) }

@@ -8,13 +8,16 @@ import (
 	"testing"
 )
 
+// push publishes a copy of rec, stamping its sequence.
+func push(r *Ring, rec DecisionRecord) { r.Push(0, &rec, &rec.Seq) }
+
 func TestRingLastSemantics(t *testing.T) {
 	r := NewRing(4)
 	if got := r.Last(10); got != nil {
 		t.Fatalf("empty ring Last = %v, want nil", got)
 	}
 	for i := 0; i < 6; i++ {
-		r.Push(&DecisionRecord{At: int64(i)})
+		push(r, DecisionRecord{At: int64(i)})
 	}
 	if r.Len() != 6 {
 		t.Fatalf("Len = %d, want 6", r.Len())
@@ -40,8 +43,8 @@ func TestRingLastSemantics(t *testing.T) {
 
 func TestRingJSONL(t *testing.T) {
 	r := NewRing(8)
-	r.Push(&DecisionRecord{At: 100, Mode: "batch-on", Valid: true})
-	r.Push(&DecisionRecord{At: 200, Mode: "batch-off", Degraded: true})
+	push(r, DecisionRecord{At: 100, Mode: "batch-on", Valid: true})
+	push(r, DecisionRecord{At: 200, Mode: "batch-off", Degraded: true})
 	var b strings.Builder
 	if err := r.WriteJSONL(&b, 10); err != nil {
 		t.Fatal(err)
@@ -55,14 +58,14 @@ func TestRingJSONL(t *testing.T) {
 		}
 		lines = append(lines, rec)
 	}
-	if len(lines) != 2 || lines[0].At != 100 || lines[1].At != 200 || !lines[1].Degraded {
+	if len(lines) != 2 || lines[0].At != 100 || lines[1].At != 200 || !lines[1].Degraded || lines[1].Seq != 1 {
 		t.Fatalf("JSONL round-trip = %+v", lines)
 	}
 }
 
-// TestRingConcurrentReaders exercises the lock-free-read contract: readers
-// racing writers must never see torn or out-of-order views, only whole
-// records with ascending sequences.
+// TestRingConcurrentReaders exercises the read contract: readers racing a
+// writer must never see torn or out-of-order views, only whole records with
+// ascending sequences.
 func TestRingConcurrentReaders(t *testing.T) {
 	r := NewRing(64)
 	const total = 20000
@@ -71,7 +74,7 @@ func TestRingConcurrentReaders(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < total; i++ {
-			r.Push(&DecisionRecord{At: int64(i)})
+			push(r, DecisionRecord{At: int64(i)})
 		}
 	}()
 	for w := 0; w < 4; w++ {

@@ -40,7 +40,7 @@ func queryN(w http.ResponseWriter, r *http.Request, def int) (int, bool) {
 type DebugServer struct {
 	reg   *Registry
 	ring  *Ring
-	spans *span.Ring
+	spans *span.Ring[span.Span]
 	srv   *http.Server
 	ln    net.Listener
 }
@@ -52,7 +52,7 @@ func NewDebugServer(reg *Registry, ring *Ring) *DebugServer {
 
 // SetSpans attaches the span ring the /debug/spans and /debug/trace
 // endpoints export. Call before Start.
-func (d *DebugServer) SetSpans(r *span.Ring) { d.spans = r }
+func (d *DebugServer) SetSpans(r *span.Ring[span.Span]) { d.spans = r }
 
 // Handler returns the debug mux (exported for in-process tests).
 func (d *DebugServer) Handler() http.Handler {
@@ -95,7 +95,7 @@ func (d *DebugServer) Handler() http.Handler {
 			w.Write([]byte(`{"traceEvents":[]}`))
 			return
 		}
-		d.spans.WriteChromeTrace(w, n)
+		span.WriteChromeTrace(w, d.spans, n)
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)

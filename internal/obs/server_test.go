@@ -22,9 +22,10 @@ func TestDebugEndpoints(t *testing.T) {
 	reg.Counter("e2e_engine_ticks_total", "Ticks.").Add(9)
 	reg.Latencies("e2e_request_latency_seconds", "Latency.").Record(time.Millisecond)
 	ring := NewRing(8)
-	ring.Push(&DecisionRecord{At: 1, Mode: "batch-on"})
-	ring.Push(&DecisionRecord{At: 2, Mode: "batch-off"})
-	ring.Push(&DecisionRecord{At: 3, Mode: "batch-off"})
+	for i, mode := range []string{"batch-on", "batch-off", "batch-off"} {
+		rec := DecisionRecord{At: int64(i + 1), Mode: mode}
+		ring.Push(0, &rec, &rec.Seq)
+	}
 	h := NewDebugServer(reg, ring).Handler()
 
 	code, body, hdr := debugGet(t, h, "/metrics")

@@ -83,12 +83,12 @@ func TestAllocGateAuditStats(t *testing.T) {
 }
 
 func TestAllocGateRingPushSpan(t *testing.T) {
-	r := NewRing(1, 64)
+	r := NewRing(2, 64)
 	var sp Span
 	var id uint64
 	if n := testing.AllocsPerRun(500, func() {
-		sp = Span{ReqID: id, EnqueueNs: int64(id), AckNs: int64(id) + 100}
-		r.Push(&sp)
+		sp = Span{ReqID: id, Shard: uint32(id), EnqueueNs: int64(id), AckNs: int64(id) + 100}
+		r.Push(int(sp.Shard), &sp, &sp.Seq)
 		id++
 	}); n != 0 {
 		t.Errorf("Ring.Push allocates %v per op, want 0 (//e2e:hotpath)", n)

@@ -5,18 +5,6 @@ import (
 	"io"
 )
 
-// WriteJSONL writes up to n spans per shard as JSON Lines, shard order,
-// oldest first within a shard — the /debug/spans format.
-func (r *Ring) WriteJSONL(w io.Writer, n int) error {
-	enc := json.NewEncoder(w)
-	for _, sp := range r.Last(n) {
-		if err := enc.Encode(&sp); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // traceEvent is one Chrome trace_event entry ("X" complete events;
 // timestamps and durations in microseconds, fractional for sub-µs spans).
 type traceEvent struct {
@@ -45,7 +33,7 @@ const usPerNs = 1e-3
 // span that observed its wire send splits into a "cork" slice (enqueue →
 // send: the batch/cork window) and a "wire" slice (send → ack); one that
 // only observed completion renders as a single "rtt" slice.
-func (r *Ring) WriteChromeTrace(w io.Writer, n int) error {
+func WriteChromeTrace(w io.Writer, r *Ring[Span], n int) error {
 	if _, err := io.WriteString(w, `{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
 		return err
 	}

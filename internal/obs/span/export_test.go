@@ -7,7 +7,7 @@ import (
 	"testing"
 )
 
-func exportRing() *Ring {
+func exportRing() *Ring[Span] {
 	r := NewRing(2, 8)
 	// Shard 0: a full lifecycle span with a wire-send mark and an estimate.
 	full := Span{
@@ -15,10 +15,10 @@ func exportRing() *Ring {
 		EnqueueNs: 1_000, SendNs: 1_500, AckNs: 4_000,
 		EstNs: 2_800, EstP99Ns: 9_000, EstValid: true, TailValid: true,
 	}
-	r.Push(&full)
+	push(r, &full)
 	// Shard 1: completion-only (no SendNs), aborted, no stamp.
 	rtt := Span{ReqID: 8, Shard: 1, EnqueueNs: 2_000, AckNs: 6_000, Aborted: true}
-	r.Push(&rtt)
+	push(r, &rtt)
 	return r
 }
 
@@ -57,7 +57,7 @@ func TestWriteJSONL(t *testing.T) {
 func TestWriteChromeTrace(t *testing.T) {
 	r := exportRing()
 	var buf bytes.Buffer
-	if err := r.WriteChromeTrace(&buf, 8); err != nil {
+	if err := WriteChromeTrace(&buf, r, 8); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

@@ -5,13 +5,16 @@ import (
 	"testing"
 )
 
+// push publishes a copy of sp into its shard, stamping its sequence.
+func push(r *Ring[Span], sp *Span) { r.Push(int(sp.Shard), sp, &sp.Seq) }
+
 // TestRingSequentialOrder: pushes land oldest-first in ShardLast, with
 // per-shard sequences stamped in order and wrapping overwriting the oldest.
 func TestRingSequentialOrder(t *testing.T) {
 	r := NewRing(1, 4)
 	for i := 0; i < 6; i++ {
 		sp := Span{ReqID: uint64(i)}
-		r.Push(&sp)
+		push(r, &sp)
 		if sp.Seq != uint64(i) {
 			t.Fatalf("push %d stamped seq %d", i, sp.Seq)
 		}
@@ -30,12 +33,13 @@ func TestRingSequentialOrder(t *testing.T) {
 	}
 }
 
-// TestRingShardRouting: Span.Shard selects the sub-ring, modulo the count.
+// TestRingShardRouting: the shard argument selects the sub-ring, modulo the
+// count.
 func TestRingShardRouting(t *testing.T) {
 	r := NewRing(4, 8)
 	for i := 0; i < 16; i++ {
 		sp := Span{ReqID: uint64(i), Shard: uint32(i)}
-		r.Push(&sp)
+		push(r, &sp)
 	}
 	for sh := 0; sh < 4; sh++ {
 		got := r.ShardLast(sh, 8)
@@ -53,10 +57,13 @@ func TestRingShardRouting(t *testing.T) {
 	}
 }
 
-// TestRingLaggardNeverOverwritesNewer: many writers hammer one small shard
-// so slow pushers routinely get lapped. The laggard guard must hold — every
-// exported span's Seq maps to its own slot, so a stale writer never clobbers
-// a newer record. Run under -race this also proves the locking discipline.
+// TestRingLaggardNeverOverwritesNewer is the ring's concurrency property:
+// many writers hammer one small shard so slow pushers routinely get lapped,
+// while a reader copies records out. The reader must only ever see whole
+// records (ReqID and Conn written together) in ascending sequence, and at
+// the end the laggard guard must hold — every exported record's Seq maps to
+// its own slot, so a stale writer never clobbered a newer one. Run under
+// -race this also proves the locking discipline.
 func TestRingLaggardNeverOverwritesNewer(t *testing.T) {
 	const (
 		writers = 8
@@ -71,11 +78,30 @@ func TestRingLaggardNeverOverwritesNewer(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				sp := Span{ReqID: uint64(w)<<32 | uint64(i), Conn: uint32(w)}
-				r.Push(&sp)
+				push(r, &sp)
 			}
 		}(w)
 	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for r.Len() < writers*each {
+			var prev uint64
+			for j, sp := range r.Last(slots) {
+				if uint32(sp.ReqID>>32) != sp.Conn {
+					t.Errorf("torn record: req %x from conn %d", sp.ReqID, sp.Conn)
+					return
+				}
+				if j > 0 && sp.Seq <= prev {
+					t.Errorf("out-of-order read: seq %d after %d", sp.Seq, prev)
+					return
+				}
+				prev = sp.Seq
+			}
+		}
+	}()
 	wg.Wait()
+	<-done
 	if r.Len() != writers*each {
 		t.Fatalf("Len=%d, want %d", r.Len(), writers*each)
 	}

@@ -24,19 +24,14 @@
 // 0 allocs/op.
 package span
 
-import (
-	"sync"
-	"sync/atomic"
-)
-
 // Span is one sampled request's lifecycle record. Timestamps are
 // nanoseconds on the emitting endpoint's clock: virtual time under the
 // simulator, Client.Elapsed-style monotonic offsets on real sockets — the
 // same timebase the endpoint's DecisionRecords use, so spans and decisions
 // line up.
 type Span struct {
-	// Seq is the span's position in its ring shard's stream (stamped by
-	// Ring.Push; 0-based, monotone per shard).
+	// Seq is the span's position in its ring shard's stream (stamped on
+	// Push; 0-based, monotone per shard).
 	Seq uint64 `json:"seq"`
 	// ReqID identifies the request within its connection: the completion
 	// index, which equals the issue index on the FIFO pipelines all
@@ -73,125 +68,3 @@ type Span struct {
 //
 //e2e:hotpath
 func (s *Span) MeasuredNs() int64 { return s.AckNs - s.EnqueueNs }
-
-// spanSlot is one value slot: a span stored by copy under a per-slot mutex,
-// the same discipline as obs.Ring — a writer copies in, a reader copies
-// out, nobody holds more than one slot's lock at a time.
-type spanSlot struct {
-	mu sync.Mutex
-	sp Span
-	ok bool
-}
-
-// ringShard is one shard's sub-ring: an atomic sequence claim (padded to a
-// cache line so concurrent shards never false-share) over a fixed slot
-// array.
-type ringShard struct {
-	next  atomic.Uint64
-	_     [56]byte
-	slots []spanSlot
-}
-
-// Ring is a sharded fixed-capacity ring of spans. Pushes claim a slot with
-// the owning shard's atomic counter and store by value, so publishing a
-// span allocates nothing and concurrent writers (fleet read loops on
-// different shards) contend only within a shard — the per-shard-cell layout
-// of obs.ShardedCounter applied to the value-slot ring of obs.Ring.
-// Multi-writer pushes within one shard are safe: a laggard that was lapped
-// can never overwrite a newer record.
-type Ring struct {
-	shards []ringShard
-}
-
-// NewRing returns a ring of `shards` sub-rings (<= 0: 1) holding the last
-// `perShard` spans each (<= 0: 1024).
-func NewRing(shards, perShard int) *Ring {
-	if shards <= 0 {
-		shards = 1
-	}
-	if perShard <= 0 {
-		perShard = 1024
-	}
-	r := &Ring{shards: make([]ringShard, shards)}
-	for i := range r.shards {
-		r.shards[i].slots = make([]spanSlot, perShard)
-	}
-	return r
-}
-
-// Shards returns the shard count.
-func (r *Ring) Shards() int { return len(r.shards) }
-
-// Cap returns the ring's total capacity.
-func (r *Ring) Cap() int { return len(r.shards) * len(r.shards[0].slots) }
-
-// Len returns how many spans have ever been pushed, across all shards.
-func (r *Ring) Len() uint64 {
-	var t uint64
-	for i := range r.shards {
-		t += r.shards[i].next.Load()
-	}
-	return t
-}
-
-// Push publishes a copy of *sp into the shard selected by sp.Shard,
-// stamping sp.Seq with the per-shard sequence. The caller keeps ownership
-// of sp and may reuse it immediately (the scratch-span pattern).
-//
-//e2e:hotpath
-func (r *Ring) Push(sp *Span) {
-	sh := &r.shards[int(sp.Shard)%len(r.shards)]
-	seq := sh.next.Add(1) - 1
-	sp.Seq = seq
-	sl := &sh.slots[seq%uint64(len(sh.slots))]
-	sl.mu.Lock()
-	// A slower concurrent pusher may reach a slot after the writer that
-	// lapped it; never let a stale span overwrite a newer one.
-	if !sl.ok || sl.sp.Seq < seq {
-		sl.sp = *sp
-		sl.ok = true
-	}
-	sl.mu.Unlock()
-}
-
-// ShardLast returns up to n of shard i's most recent spans, oldest first,
-// copied out by value. Spans overwritten mid-read are skipped (their slot
-// then holds a newer span, filtered by sequence).
-func (r *Ring) ShardLast(i, n int) []Span {
-	if i < 0 || i >= len(r.shards) {
-		return nil
-	}
-	sh := &r.shards[i]
-	head := sh.next.Load()
-	if n <= 0 || head == 0 {
-		return nil
-	}
-	if uint64(n) > head {
-		n = int(head)
-	}
-	if n > len(sh.slots) {
-		n = len(sh.slots)
-	}
-	out := make([]Span, 0, n)
-	for seq := head - uint64(n); seq < head; seq++ {
-		sl := &sh.slots[seq%uint64(len(sh.slots))]
-		sl.mu.Lock()
-		sp, ok := sl.sp, sl.ok
-		sl.mu.Unlock()
-		if ok && sp.Seq == seq {
-			out = append(out, sp)
-		}
-	}
-	return out
-}
-
-// Last returns up to n of the most recent spans per shard, concatenated in
-// shard order (oldest first within a shard) — the stable export order the
-// JSONL and Chrome-trace writers use.
-func (r *Ring) Last(n int) []Span {
-	var out []Span
-	for i := range r.shards {
-		out = append(out, r.ShardLast(i, n)...)
-	}
-	return out
-}

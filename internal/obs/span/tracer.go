@@ -14,7 +14,7 @@ type Config struct {
 	// order and thread interleaving. Values <= 1 sample everything.
 	SampleEvery uint64
 	// Ring receives finished spans (nil: spans are audited but not kept).
-	Ring *Ring
+	Ring *Ring[Span]
 	// Audit, when non-nil, scores every finished (non-aborted) span
 	// against the current estimate stamp.
 	Audit *Auditor
@@ -34,7 +34,7 @@ type Config struct {
 type Tracer struct {
 	seed  uint64
 	every uint64
-	ring  *Ring
+	ring  *Ring[Span]
 	audit *Auditor
 
 	estMean  atomic.Int64
@@ -52,7 +52,7 @@ func New(cfg Config) *Tracer {
 }
 
 // Ring returns the configured ring (nil when spans are not retained).
-func (t *Tracer) Ring() *Ring { return t.ring }
+func (t *Tracer) Ring() *Ring[Span] { return t.ring }
 
 // Auditor returns the configured auditor, or nil.
 func (t *Tracer) Auditor() *Auditor { return t.audit }
@@ -157,7 +157,7 @@ func (t *Tracer) Finish(sp *Span, ackNs int64) {
 		t.audit.Observe(sp)
 	}
 	if t.ring != nil {
-		t.ring.Push(sp)
+		t.ring.Push(int(sp.Shard), sp, &sp.Seq)
 	}
 }
 
@@ -171,6 +171,6 @@ func (t *Tracer) Abort(sp *Span, atNs int64) {
 	sp.Aborted = true
 	sp.AckNs = atNs
 	if t.ring != nil {
-		t.ring.Push(sp)
+		t.ring.Push(int(sp.Shard), sp, &sp.Seq)
 	}
 }

@@ -1,10 +1,11 @@
 // Package policy turns end-to-end performance estimates into batching
-// decisions — the "dynamic toggling" the paper sketches in §5: an ε-greedy
-// explore/exploit loop over the two batching modes, EWMA smoothing of noisy
-// per-tick estimates, pluggable objectives that trade off throughput and
-// latency (e.g. "maximize throughput as long as latency remains below a
-// specified threshold", §2), and an AIMD batch-limit controller for the
-// "better batching heuristics" direction.
+// decisions — the "dynamic toggling" the paper sketches in §5: one
+// explore/exploit loop over the two batching modes with an ε-greedy or a
+// UCB1 choice rule, EWMA smoothing of noisy per-tick estimates, pluggable
+// objectives that trade off throughput and latency (e.g. "maximize
+// throughput as long as latency remains below a specified threshold", §2),
+// and an AIMD batch-limit controller for the "better batching heuristics"
+// direction.
 package policy
 
 import (
@@ -128,7 +129,8 @@ func (m Mode) String() string {
 	return "batch-off"
 }
 
-// TogglerConfig parameterizes the ε-greedy toggler.
+// TogglerConfig parameterizes the toggler. Epsilon, EpsilonDecay, MinSamples
+// and Hysteresis shape the ε-greedy choice step; the UCB1 step ignores them.
 type TogglerConfig struct {
 	// Epsilon is the per-decision exploration probability.
 	Epsilon float64
@@ -176,8 +178,25 @@ func DefaultTogglerConfig() TogglerConfig {
 	}
 }
 
-// Toggler is the ε-greedy on/off batching controller. Feed it one estimate
-// per decision tick via Observe; it returns the mode to run next tick.
+// Toggler is the on/off batching controller: one explore/exploit loop over
+// the two modes (§5). Feed it one estimate per decision tick via Observe; it
+// returns the mode to run next tick. The loop — EWMA scores, per-mode sample
+// counts, the hold and skip windows after a switch, the degraded-input
+// retreat — is shared; the choice step is one of two rules, picked by the
+// constructor:
+//
+//   - ε-greedy (NewToggler): explore with probability ε, otherwise switch
+//     only when the other mode's score wins by the Hysteresis margin;
+//   - UCB1 (NewUCBToggler): the textbook bandit answer from the literature
+//     the paper cites (§5 [5, 28]); it never draws from an rng.
+//
+// UCB1 picks the mode maximizing
+//
+//	norm(score(mode)) + √2 · sqrt(ln(totalSamples) / samples(mode))
+//
+// where norm maps scores onto [0, 1] by the observed range (UCB1 assumes
+// bounded rewards), so the losing mode is re-probed at a logarithmically
+// decaying rate with no exploration probability to tune.
 //
 // All methods are safe for concurrent use — decisions serialize on an
 // internal mutex, so one controller can serve estimates arriving from many
@@ -189,11 +208,15 @@ type Toggler struct {
 	mu   sync.Mutex
 	cfg  TogglerConfig
 	obj  Objective
-	rng  *rand.Rand
+	rng  *rand.Rand // nil under the UCB1 rule
+	ucb  bool
 	mode Mode
 
 	score   [2]*metrics.EWMA
 	samples [2]int
+	// lo and hi are the range of valid scores observed so far, which the
+	// UCB1 rule normalizes by.
+	lo, hi float64
 
 	holdLeft    int
 	skipLeft    int
@@ -214,30 +237,41 @@ type TogglerStats struct {
 	SafeFallbacks uint64
 }
 
-// NewToggler returns a toggler starting in initial mode. rng must be
-// non-nil (pass the simulation's deterministic source).
+// NewToggler returns an ε-greedy toggler starting in initial mode. rng must
+// be non-nil (pass the simulation's deterministic source).
 func NewToggler(obj Objective, cfg TogglerConfig, initial Mode, rng *rand.Rand) *Toggler {
-	if obj == nil {
-		panic("policy: nil objective")
-	}
 	if rng == nil {
 		panic("policy: nil rng")
 	}
 	if cfg.Epsilon < 0 || cfg.Epsilon > 1 {
 		panic("policy: epsilon must be in [0,1]")
 	}
+	t := newToggler(obj, cfg, initial)
+	t.rng = rng
+	return t
+}
+
+// NewUCBToggler returns a UCB1 toggler starting in initial mode, with
+// DefaultTogglerConfig's smoothing, hold, skip and degraded-input settings
+// (its ε-greedy fields are unused).
+func NewUCBToggler(obj Objective, initial Mode) *Toggler {
+	t := newToggler(obj, DefaultTogglerConfig(), initial)
+	t.ucb = true
+	return t
+}
+
+func newToggler(obj Objective, cfg TogglerConfig, initial Mode) *Toggler {
+	if obj == nil {
+		panic("policy: nil objective")
+	}
 	if cfg.Alpha <= 0 || cfg.Alpha > 1 {
 		panic("policy: alpha must be in (0,1]")
 	}
 	return &Toggler{
-		cfg:  cfg,
-		obj:  obj,
-		rng:  rng,
-		mode: initial,
-		score: [2]*metrics.EWMA{
-			metrics.NewEWMA(cfg.Alpha),
-			metrics.NewEWMA(cfg.Alpha),
-		},
+		cfg:   cfg,
+		obj:   obj,
+		mode:  initial,
+		score: [2]*metrics.EWMA{metrics.NewEWMA(cfg.Alpha), metrics.NewEWMA(cfg.Alpha)},
 	}
 }
 
@@ -277,7 +311,15 @@ func (t *Toggler) Observe(latency time.Duration, throughput float64, valid bool)
 	case t.skipLeft > 0:
 		t.skipLeft--
 	case valid:
-		t.score[t.mode].Update(t.obj.Score(latency, throughput))
+		s := t.obj.Score(latency, throughput)
+		if t.samples[0]+t.samples[1] == 0 {
+			t.lo, t.hi = s, s
+		} else if s < t.lo {
+			t.lo = s
+		} else if s > t.hi {
+			t.hi = s
+		}
+		t.score[t.mode].Update(s)
 		t.samples[t.mode]++
 	default:
 		t.stats.Invalid++
@@ -287,29 +329,73 @@ func (t *Toggler) Observe(latency time.Duration, throughput float64, valid bool)
 		t.holdLeft--
 		return t.mode
 	}
+	var next Mode
+	if t.ucb {
+		next = t.ucb1()
+	} else {
+		next = t.epsGreedy()
+	}
+	if next != t.mode {
+		t.switchTo(next)
+	}
+	return t.mode
+}
 
+// epsGreedy is the ε-greedy choice step: explore with the (decaying)
+// probability ε, otherwise exploit once both modes have MinSamples, switching
+// only past the Hysteresis margin.
+func (t *Toggler) epsGreedy() Mode {
 	eps := t.cfg.Epsilon
 	if t.cfg.EpsilonDecay > 0 {
 		eps /= 1 + t.cfg.EpsilonDecay*float64(t.stats.Decisions)
 	}
-	next := t.mode
+	other := t.mode.Other()
 	switch {
 	case t.rng.Float64() < eps:
-		next = t.mode.Other()
 		t.stats.Explorations++
-	case t.samples[t.mode.Other()] >= t.cfg.MinSamples && t.samples[t.mode] >= t.cfg.MinSamples:
-		cur, other := t.score[t.mode].Value(), t.score[t.mode.Other()].Value()
-		if other > cur+t.cfg.Hysteresis*math.Abs(cur) {
-			next = t.mode.Other()
+		return other
+	case t.samples[other] >= t.cfg.MinSamples && t.samples[t.mode] >= t.cfg.MinSamples:
+		cur := t.score[t.mode].Value()
+		if t.score[other].Value() > cur+t.cfg.Hysteresis*math.Abs(cur) {
+			return other
 		}
 	}
-	if next != t.mode {
-		t.stats.Switches++
-		t.mode = next
-		t.holdLeft = t.cfg.HoldTicks
-		t.skipLeft = t.cfg.SkipAfterSwitch
+	return t.mode
+}
+
+// ucb1 is the UCB1 choice step. A mode never sampled has an infinite
+// confidence bonus, so it is tried as soon as the current mode has a sample.
+func (t *Toggler) ucb1() Mode {
+	other := t.mode.Other()
+	if t.samples[other] == 0 {
+		if t.samples[t.mode] > 0 {
+			t.stats.Explorations++
+			return other
+		}
+		return t.mode
+	}
+	total := float64(t.samples[0] + t.samples[1])
+	if t.ucbIndex(other, total) > t.ucbIndex(t.mode, total) {
+		return other
 	}
 	return t.mode
+}
+
+// ucbIndex is mode m's normalized UCB1 index.
+func (t *Toggler) ucbIndex(m Mode, total float64) float64 {
+	norm := 0.5
+	if t.hi > t.lo {
+		norm = (t.score[m].Value() - t.lo) / (t.hi - t.lo)
+	}
+	return norm + math.Sqrt2*math.Sqrt(math.Log(total)/float64(t.samples[m]))
+}
+
+// switchTo changes the mode and opens the post-switch hold and skip windows.
+func (t *Toggler) switchTo(m Mode) {
+	t.stats.Switches++
+	t.mode = m
+	t.holdLeft = t.cfg.HoldTicks
+	t.skipLeft = t.cfg.SkipAfterSwitch
 }
 
 // ObserveDegraded is the decision tick for intervals where the estimate was
@@ -328,10 +414,7 @@ func (t *Toggler) ObserveDegraded() Mode {
 	t.degradedRun++
 	if t.degradedRun > t.cfg.DegradedAfter && t.mode != t.cfg.SafeMode {
 		t.stats.SafeFallbacks++
-		t.stats.Switches++
-		t.mode = t.cfg.SafeMode
-		t.holdLeft = t.cfg.HoldTicks
-		t.skipLeft = t.cfg.SkipAfterSwitch
+		t.switchTo(t.cfg.SafeMode)
 	}
 	return t.mode
 }

@@ -7,18 +7,10 @@ import (
 	"time"
 )
 
-// toggleController is the Observe/Mode/Stats surface shared by the two
-// bandit controllers, mirroring the one the experiment runner uses.
-type toggleController interface {
-	Observe(latency time.Duration, throughput float64, valid bool) Mode
-	Mode() Mode
-	Stats() TogglerStats
-}
-
-// stressController hammers a controller from many goroutines — estimates
-// from "many connections" feeding one batching decision — and checks no
-// decision was lost. The mutex itself is proven by running under -race.
-func stressController(t *testing.T, tc toggleController) {
+// stressController hammers a toggler from many goroutines — estimates from
+// "many connections" feeding one batching decision — and checks no decision
+// was lost. The mutex itself is proven by running under -race.
+func stressController(t *testing.T, tg *Toggler) {
 	t.Helper()
 	const (
 		workers   = 8
@@ -32,18 +24,18 @@ func stressController(t *testing.T, tc toggleController) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < decisions; i++ {
 				lat := time.Duration(100+rng.Intn(900)) * time.Microsecond
-				m := tc.Observe(lat, float64(1000+rng.Intn(9000)), rng.Intn(10) != 0)
+				m := tg.Observe(lat, float64(1000+rng.Intn(9000)), rng.Intn(10) != 0)
 				if m != BatchOff && m != BatchOn {
 					panic("controller returned an invalid mode")
 				}
 				// Interleave the read-only surface with decisions.
-				_ = tc.Mode()
-				_ = tc.Stats()
+				_ = tg.Mode()
+				_ = tg.Stats()
 			}
 		}(w)
 	}
 	wg.Wait()
-	st := tc.Stats()
+	st := tg.Stats()
 	if want := uint64(workers * decisions); st.Decisions != want {
 		t.Fatalf("decisions = %d, want %d (lost updates)", st.Decisions, want)
 	}
@@ -52,7 +44,7 @@ func stressController(t *testing.T, tc toggleController) {
 	}
 }
 
-// TestTogglerConcurrentObserve: the ε-greedy controller under concurrent
+// TestTogglerConcurrentObserve: the ε-greedy rule under concurrent
 // Observe/Mode/Stats. The rng is owned by the toggler, per its contract.
 func TestTogglerConcurrentObserve(t *testing.T) {
 	tg := NewToggler(ThroughputUnderSLO{SLO: 500 * time.Microsecond},
@@ -60,9 +52,25 @@ func TestTogglerConcurrentObserve(t *testing.T) {
 	stressController(t, tg)
 }
 
-// TestUCBTogglerConcurrentObserve: same stress on the UCB1 controller.
+// countingSource counts draws from the rng it backs.
+type countingSource struct {
+	rand.Source
+	draws int
+}
+
+func (c *countingSource) Int63() int64 { c.draws++; return c.Source.Int63() }
+
+// TestUCBTogglerConcurrentObserve: same stress on the UCB1 rule, which must
+// consume no randomness — ε-greedy runs share the simulator's source, so a
+// draw here would shift every later random number in the run.
 func TestUCBTogglerConcurrentObserve(t *testing.T) {
-	stressController(t, NewUCBToggler(ThroughputUnderSLO{SLO: 500 * time.Microsecond}, BatchOff))
+	tg := NewUCBToggler(ThroughputUnderSLO{SLO: 500 * time.Microsecond}, BatchOff)
+	src := &countingSource{Source: rand.NewSource(7)}
+	tg.rng = rand.New(src)
+	stressController(t, tg)
+	if src.draws != 0 {
+		t.Fatalf("UCB1 decisions drew %d random numbers, want 0", src.draws)
+	}
 }
 
 // TestAIMDConcurrentObserve: concurrent grow/decay decisions must keep the

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-func feedUCB(u *UCBToggler, goodMode Mode, n int) int {
+func feedUCB(u *Toggler, goodMode Mode, n int) int {
 	res := 0
 	for i := 0; i < n; i++ {
 		if u.Mode() == goodMode {
@@ -34,11 +34,11 @@ func TestUCBProbesLosingModeLogarithmically(t *testing.T) {
 	feedUCB(u, BatchOn, 2000)
 	st := u.Stats()
 	// The losing mode gets revisited, but far less than half the time.
-	if u.plays[BatchOff] == 0 {
+	if u.samples[BatchOff] == 0 {
 		t.Fatal("losing mode never probed — UCB must keep exploring")
 	}
-	if u.plays[BatchOff] > u.plays[BatchOn]/4 {
-		t.Fatalf("losing mode played %v vs %v: not decaying", u.plays[BatchOff], u.plays[BatchOn])
+	if u.samples[BatchOff] > u.samples[BatchOn]/4 {
+		t.Fatalf("losing mode played %v vs %v: not decaying", u.samples[BatchOff], u.samples[BatchOn])
 	}
 	if st.Switches == 0 {
 		t.Fatal("no switches at all")
@@ -67,7 +67,7 @@ func TestUCBInvalidEstimatesDoNotPlay(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		u.Observe(0, 0, false)
 	}
-	if u.plays[BatchOff] != 0 || u.plays[BatchOn] != 0 {
+	if u.samples[BatchOff] != 0 || u.samples[BatchOn] != 0 {
 		t.Fatal("invalid estimates were scored")
 	}
 	if u.Stats().Invalid != 10 {
@@ -100,8 +100,8 @@ func TestUCBObserveDegraded(t *testing.T) {
 	if st.Degraded != 4 || st.SafeFallbacks != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if u.plays[BatchOn] != 0 || u.plays[BatchOff] != 0 {
-		t.Fatalf("degraded ticks consumed bandit plays: %v", u.plays)
+	if u.samples[BatchOn] != 0 || u.samples[BatchOff] != 0 {
+		t.Fatalf("degraded ticks consumed bandit plays: %v", u.samples)
 	}
 	// A healthy observation resets the run.
 	u2 := NewUCBToggler(PreferThroughput{}, BatchOn)

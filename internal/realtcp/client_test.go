@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"e2ebatch/internal/qstate"
 	"e2ebatch/internal/resp"
 )
 
@@ -90,7 +91,7 @@ func TestQueueFlushIsOneWrite(t *testing.T) {
 		t.Fatalf("Flush with nothing queued: err %v, %d writes", err, cc.writes.Load())
 	}
 	awaitDrain(t, c)
-	if a := c.Estimate(); a.Departures != k {
+	if a := qstate.GetAvgs(qstate.Snapshot{}, c.tracker.Snapshot()); a.Departures != k {
 		t.Fatalf("departures = %d, want %d", a.Departures, k)
 	}
 	if n := len(c.Latencies()); n != k {

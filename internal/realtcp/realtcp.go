@@ -226,7 +226,6 @@ type Client struct {
 	conn    net.Conn
 	opts    DialOptions // defaults filled in
 	tracker *hints.Tracker
-	est     *hints.Estimator
 	start   time.Time
 
 	// sendMu is the send order: a request's stamp enters inflight and its
@@ -320,8 +319,6 @@ func NewClient(nc net.Conn, opts DialOptions) *Client {
 	}
 	c.nodelay.Store(true) // Go's net package default
 	c.tracker = hints.NewTracker(func() qstate.Time { return qstate.Time(time.Since(c.start)) })
-	c.est = hints.NewEstimator(c.tracker)
-	c.est.Sample() // prime
 	go c.readLoop()
 	return c
 }
@@ -339,10 +336,6 @@ func (c *Client) SetNoDelay(v bool) error {
 
 // NoDelay reports the last mode set.
 func (c *Client) NoDelay() bool { return c.nodelay.Load() }
-
-// Estimate returns the Little's-law averages since the previous call — the
-// per-tick observation a toggling policy consumes.
-func (c *Client) Estimate() qstate.Avgs { return c.est.Sample() }
 
 // Queue hands one request to the client without writing it: its latency
 // clock and its create hint start here, its bytes wait for the next Flush.

@@ -8,6 +8,7 @@ import (
 
 	"e2ebatch/internal/kv"
 	"e2ebatch/internal/policy"
+	"e2ebatch/internal/qstate"
 	"e2ebatch/internal/resp"
 )
 
@@ -89,7 +90,7 @@ func TestPipelinedLoadAndHintEstimate(t *testing.T) {
 	if got := c.Outstanding(); got != 0 {
 		t.Fatalf("outstanding = %d after drain", got)
 	}
-	a := c.Estimate()
+	a := qstate.GetAvgs(qstate.Snapshot{}, c.tracker.Snapshot())
 	if !a.Valid {
 		t.Fatal("hint estimate invalid after load")
 	}

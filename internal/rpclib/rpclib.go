@@ -194,7 +194,6 @@ type Client struct {
 	dec  Decoder
 
 	tracker *hints.Tracker
-	est     *hints.Estimator
 
 	nextID  uint64
 	pending map[uint64]func(Frame)
@@ -214,8 +213,6 @@ func NewClient(s *sim.Sim, conn *tcpsim.Conn) *Client {
 		pending: make(map[uint64]func(Frame)),
 	}
 	c.tracker = hints.NewTracker(func() qstate.Time { return qstate.Time(s.Now()) })
-	c.est = hints.NewEstimator(c.tracker)
-	c.est.Sample() // prime
 	conn.OnReadable(c.onReadable)
 	return c
 }
@@ -223,9 +220,6 @@ func NewClient(s *sim.Sim, conn *tcpsim.Conn) *Client {
 // Tracker exposes the runtime-maintained queue state (what the kernel would
 // receive via ancillary data).
 func (c *Client) Tracker() *hints.Tracker { return c.tracker }
-
-// Estimate returns app-perceived averages since the previous call.
-func (c *Client) Estimate() qstate.Avgs { return c.est.Sample() }
 
 // Completed and Failed report call outcomes.
 func (c *Client) Completed() uint64 { return c.completed }

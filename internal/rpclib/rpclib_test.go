@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"e2ebatch/internal/netem"
+	"e2ebatch/internal/qstate"
 	"e2ebatch/internal/sim"
 	"e2ebatch/internal/tcpsim"
 )
@@ -205,7 +206,7 @@ func TestRuntimeHintsMeasureEndToEnd(t *testing.T) {
 	if cli.Completed() != n {
 		t.Fatalf("completed = %d", cli.Completed())
 	}
-	a := cli.Estimate()
+	a := qstate.GetAvgs(qstate.Snapshot{}, cli.Tracker().Snapshot())
 	if !a.Valid || a.Departures != n {
 		t.Fatalf("estimate: %+v", a)
 	}
@@ -226,7 +227,7 @@ func TestHintsSeeClientSideQueueing(t *testing.T) {
 		cli.Call([]byte("x"), nil)
 	}
 	s.RunUntil(sim.Time(100 * time.Millisecond))
-	a := cli.Estimate()
+	a := qstate.GetAvgs(qstate.Snapshot{}, cli.Tracker().Snapshot())
 	if !a.Valid {
 		t.Fatal("invalid estimate")
 	}

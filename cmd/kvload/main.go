@@ -92,13 +92,6 @@ func main() {
 		return
 	}
 
-	c, err := realtcp.Dial(*addr, 4096)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kvload:", err)
-		os.Exit(1)
-	}
-	defer c.Close()
-
 	opts := realtcp.LoadOptions{
 		Rate:     *rate,
 		Duration: *dur,
@@ -117,6 +110,10 @@ func main() {
 			rand.New(rand.NewSource(s)))
 	}
 
+	// Every completion lands in one latency summary: the report line's, and
+	// with -obs the exported e2e_request_latency_seconds.
+	lat := &obs.Latencies{}
+	var tr *span.Tracer
 	if *obsAddr != "" {
 		reg := obs.NewRegistry()
 		ring := obs.NewRing(1024)
@@ -126,15 +123,15 @@ func main() {
 			ob.Stats = opts.Toggler.Stats
 		}
 		opts.Observer = ob
-		c.ObserveLatencies(reg.Latencies("e2e_request_latency_seconds",
-			"Client-observed request latency (send to response).").Record)
+		lat = reg.Latencies("e2e_request_latency_seconds",
+			"Client-observed request latency (send to response).")
 		debug := obs.NewDebugServer(reg, ring)
 		if *spanN > 0 {
 			// Span tracing + online estimator audit: sampled completions
 			// become spans stamped with the estimate current at their tick
 			// (ob.Spans feeds the stamp), the auditor scores measured vs
 			// predicted, and the engine consumes the verdict via opts.Audit.
-			tr := span.New(span.Config{
+			tr = span.New(span.Config{
 				Seed:        uint64(*seed),
 				SampleEvery: *spanN,
 				Ring:        span.NewRing(1, 1024),
@@ -143,14 +140,6 @@ func main() {
 			ob.Spans = tr
 			opts.Audit = tr.Auditor()
 			debug.SetSpans(tr.Ring())
-			var sp span.Span // read loop is one goroutine; reused scratch
-			c.ObserveCompletions(func(reqID uint64, sentNs, ackNs int64) {
-				if !tr.Sampled(reqID) {
-					return
-				}
-				tr.Begin(&sp, 0, 0, reqID, sentNs)
-				tr.Finish(&sp, ackNs)
-			})
 		}
 		a, err := debug.Start(*obsAddr)
 		if err != nil {
@@ -161,14 +150,29 @@ func main() {
 		fmt.Printf("obs listening on %s\n", a)
 	}
 
+	var sp span.Span // the read loop is one goroutine; reused scratch
+	c, err := realtcp.DialWith(*addr, realtcp.DialOptions{MaxInflight: 4096,
+		OnComplete: func(reqID uint64, sentNs, ackNs int64) {
+			lat.Record(time.Duration(ackNs - sentNs))
+			if tr != nil && tr.Sampled(reqID) {
+				tr.Begin(&sp, 0, 0, reqID, sentNs)
+				tr.Finish(&sp, ackNs)
+			}
+		}})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "kvload:", err)
+		os.Exit(1)
+	}
 	rep, err := realtcp.RunLoad(c, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kvload:", err)
 		os.Exit(1)
 	}
+	c.Close() // waits out the read loop: every completion is in lat
+	h := lat.Snapshot()
 	fmt.Printf("sent %d requests; measured mean=%v p50=%v p99=%v max=%v (%d estimate ticks)\n",
-		rep.Sent, rep.Mean.Round(time.Microsecond), rep.P50.Round(time.Microsecond),
-		rep.P99.Round(time.Microsecond), rep.Max.Round(time.Microsecond), rep.Estimates)
+		rep.Sent, h.Mean().Round(time.Microsecond), h.Quantile(0.50).Round(time.Microsecond),
+		h.Quantile(0.99).Round(time.Microsecond), h.Max().Round(time.Microsecond), rep.Estimates)
 	if *toggle {
 		fmt.Printf("toggler: %d decisions, %d switches, %d explorations, final %v\n",
 			rep.Toggler.Decisions, rep.Toggler.Switches, rep.Toggler.Explorations, rep.FinalMode)

@@ -17,7 +17,6 @@ import (
 	"math/rand"
 	"net"
 	"os"
-	"sort"
 	"time"
 
 	"e2ebatch/internal/engine"
@@ -43,14 +42,6 @@ func main() {
 	defer srv.Close()
 	fmt.Println("mini-redis on", l.Addr())
 
-	// ---- client with userspace counters ----
-	c, err := realtcp.Dial(l.Addr().String(), 1024)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "dial:", err)
-		os.Exit(1)
-	}
-	defer c.Close()
-
 	// The shared control engine over the client's hint counters: each
 	// manual Tick runs the same estimate→decision→TCP_NODELAY loop the
 	// simulated experiments use, here paced by the batch cadence instead
@@ -58,6 +49,7 @@ func main() {
 	tog := policy.NewToggler(policy.ThroughputUnderSLO{SLO: 2 * time.Millisecond},
 		policy.DefaultTogglerConfig(), policy.BatchOff, rand.New(rand.NewSource(1)))
 	cfg := engine.Config{Controller: tog, Initial: tog.Mode()}
+	lat := &obs.Latencies{}
 	if *obsAddr != "" {
 		reg := obs.NewRegistry()
 		ring := obs.NewRing(1024)
@@ -65,8 +57,7 @@ func main() {
 		ob.Name = "example-realtcp"
 		ob.Stats = tog.Stats
 		cfg.Observer = ob
-		c.ObserveLatencies(reg.Latencies("e2e_request_latency_seconds",
-			"Client-observed request latency.").Record)
+		lat = reg.Latencies("e2e_request_latency_seconds", "Client-observed request latency.")
 		debug := obs.NewDebugServer(reg, ring)
 		a, err := debug.Start(*obsAddr)
 		if err != nil {
@@ -75,6 +66,14 @@ func main() {
 		}
 		defer debug.Close()
 		fmt.Println("obs on", a)
+	}
+
+	// ---- client with userspace counters ----
+	c, err := realtcp.DialWith(l.Addr().String(), realtcp.DialOptions{MaxInflight: 1024,
+		OnComplete: func(_ uint64, sentNs, ackNs int64) { lat.Record(time.Duration(ackNs - sentNs)) }})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "dial:", err)
+		os.Exit(1)
 	}
 	ep := engine.New(cfg, c.EnginePort())
 
@@ -108,16 +107,11 @@ func main() {
 		}
 	}
 
-	lats := c.Latencies()
-	sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-	var sum time.Duration
-	for _, v := range lats {
-		sum += v
-	}
+	c.Close() // waits out the read loop: every completion is in lat
+	h := lat.Snapshot()
 	st := tog.Stats()
 	fmt.Printf("\nmeasured: n=%d mean=%v p99=%v\n",
-		len(lats), (sum / time.Duration(len(lats))).Round(time.Microsecond),
-		lats[len(lats)*99/100].Round(time.Microsecond))
+		h.Count(), h.Mean().Round(time.Microsecond), h.Quantile(0.99).Round(time.Microsecond))
 	fmt.Printf("toggler:  %d decisions, %d switches, %d explorations, final %v\n",
 		st.Decisions, st.Switches, st.Explorations, tog.Mode())
 }

@@ -31,8 +31,8 @@ var perConnPackages = []string{
 //  2. the blocking waits — time.Sleep, time.After — are flagged only inside
 //     spawned-goroutine contexts (a `go func(){...}` body, or a function
 //     that is a go-statement target elsewhere in the package), the
-//     per-connection handler shape. Caller-side pacing loops (RunLoad's
-//     send loop, Fleet.Run's hold window) legitimately sleep.
+//     per-connection handler shape. A caller-side wait, such as Fleet.Run's
+//     hold window, legitimately sleeps.
 var PerTickerConn = &Analyzer{
 	Name: "pertickerconn",
 	Doc:  "forbid per-connection runtime timers in shard-scheduled packages",

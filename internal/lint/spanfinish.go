@@ -12,10 +12,10 @@ import (
 const spanPath = "e2ebatch/internal/obs/span"
 
 // SpanFinish enforces the span lifecycle contract stated on Tracer.Finish:
-// every Begin must reach exactly one Finish or Abort on every exit path, or
+// every Begin must reach exactly one Finish on every exit path, or
 // the ring silently loses the request and the auditor under-counts. The
 // open-span set is tracked lexically per block, mutexhold-style: Begin(&sp)
-// opens sp's slot, Finish(&sp)/Abort(&sp) closes it (deferred closes count
+// opens sp's slot, Finish(&sp) closes it (a deferred Finish counts
 // for the whole function), and a return or function end with a span still
 // open is reported. Passing the span variable to anything other than the
 // tracer closes the slot fail-open — ownership moved to code this lexical
@@ -23,7 +23,7 @@ const spanPath = "e2ebatch/internal/obs/span"
 // callback with its own entry and exit paths.
 var SpanFinish = &Analyzer{
 	Name: "spanfinish",
-	Doc:  "every span.Tracer Begin must reach a Finish or Abort on every exit path",
+	Doc:  "every span.Tracer Begin must reach a Finish on every exit path",
 	Run:  runSpanFinish,
 }
 
@@ -91,7 +91,7 @@ func checkSpanStmts(p *Pass, stmts []ast.Stmt, open map[string]openSpan) map[str
 			}
 		case *ast.DeferStmt:
 			if key, _, op, ok := spanOp(p.TypesInfo, s.Call); ok && op == spanOpClose {
-				// Deferred Finish/Abort closes the span on every exit path.
+				// A deferred Finish closes the span on every exit path.
 				delete(open, key)
 				continue
 			}
@@ -155,7 +155,7 @@ func reportOpenSpans(p *Pass, at token.Pos, open map[string]openSpan, exit strin
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].pos < spans[j].pos })
 	for _, o := range spans {
-		p.Reportf(at, "span %s begun at line %d is not finished on this %s path; every Begin must reach a Finish or Abort",
+		p.Reportf(at, "span %s begun at line %d is not finished on this %s path; every Begin must reach a Finish",
 			o.name, p.Fset.Position(o.pos).Line, exit)
 	}
 }
@@ -165,7 +165,6 @@ type spanOpKind int
 const (
 	spanOpBegin spanOpKind = iota
 	spanOpClose
-	spanOpNeutral // MarkSend and friends: touches the span, changes nothing
 )
 
 // spanOp recognizes span.Tracer lifecycle calls, returning a key for the
@@ -190,10 +189,8 @@ func spanOp(info *types.Info, e ast.Expr) (key, name string, op spanOpKind, ok b
 	switch fn.Name() {
 	case "Begin":
 		return k, renderExpr(arg), spanOpBegin, true
-	case "Finish", "Abort":
+	case "Finish":
 		return k, renderExpr(arg), spanOpClose, true
-	case "MarkSend":
-		return k, renderExpr(arg), spanOpNeutral, true
 	}
 	return "", "", 0, false
 }

@@ -42,8 +42,8 @@ func readLoop(c *conn) {
 	<-c.closed
 }
 
-// pace runs on the caller's goroutine: pacing sleeps are legitimate there
-// (RunLoad's send loop, Fleet.Run's hold window).
+// pace runs on the caller's goroutine: waits are legitimate there (Fleet.Run's
+// hold window).
 func pace() {
 	time.Sleep(time.Millisecond)
 	<-time.After(time.Millisecond)

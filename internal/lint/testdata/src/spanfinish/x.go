@@ -1,5 +1,5 @@
 // Package spanfinish is golden testdata for e2elint/spanfinish: every
-// span.Tracer Begin must reach a Finish or Abort on every exit path.
+// span.Tracer Begin must reach a Finish on every exit path.
 package spanfinish
 
 import (
@@ -11,7 +11,6 @@ import (
 func leakAtEnd(tr *span.Tracer) {
 	var sp span.Span
 	tr.Begin(&sp, 0, 0, 1, 100)
-	tr.MarkSend(&sp, 150)
 } // want "span sp begun at line 13 is not finished on this function end path"
 
 // leakOnEarlyReturn: the happy path finishes, the error path leaks.
@@ -19,18 +18,17 @@ func leakOnEarlyReturn(tr *span.Tracer, fail bool) {
 	var sp span.Span
 	tr.Begin(&sp, 0, 0, 2, 100)
 	if fail {
-		return // want "span sp begun at line 20 is not finished on this return path"
+		return // want "span sp begun at line 19 is not finished on this return path"
 	}
 	tr.Finish(&sp, 200)
 }
 
-// abortClosesErrorPath: Abort is as good as Finish — the span is published
-// marked rather than lost.
-func abortClosesErrorPath(tr *span.Tracer, fail bool) {
+// finishOnEveryPath: each exit path finishes the span itself.
+func finishOnEveryPath(tr *span.Tracer, fail bool) {
 	var sp span.Span
 	tr.Begin(&sp, 0, 0, 3, 100)
 	if fail {
-		tr.Abort(&sp, 150)
+		tr.Finish(&sp, 150)
 		return
 	}
 	tr.Finish(&sp, 200)
@@ -45,7 +43,6 @@ func deferredFinishCoversEveryExit(tr *span.Tracer, fail bool) {
 	if fail {
 		return
 	}
-	tr.MarkSend(&sp, 150)
 }
 
 // closureIsItsOwnScope: the completion callback pattern — the closure
@@ -71,8 +68,7 @@ func leakInsideClosure(tr *span.Tracer) func(uint64, int64, int64) {
 			return
 		}
 		tr.Begin(&sp, 0, 0, reqID, schedNs)
-		tr.MarkSend(&sp, doneNs)
-	} // want "span sp begun at line 73 is not finished on this function end path"
+	} // want "span sp begun at line 70 is not finished on this function end path"
 }
 
 // handoffClosesFailOpen: passing the span to a helper moves ownership
@@ -93,7 +89,7 @@ func branchLocalLifecycles(tr *span.Tracer, fast bool) {
 		tr.Finish(&sp, 150)
 	} else {
 		tr.Begin(&sp, 0, 0, 7, 100)
-		tr.Abort(&sp, 300)
+		tr.Finish(&sp, 300)
 	}
 }
 

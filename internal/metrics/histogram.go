@@ -8,6 +8,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -38,11 +39,9 @@ func bucketIndex(v int64) int {
 	if v < subBuckets {
 		return int(v)
 	}
-	// Largest exp such that v>>exp lands in [subBuckets, 2*subBuckets).
-	exp := 63 - subBucketBits
-	for exp > 0 && v>>(uint(exp)+subBucketBits) == 0 {
-		exp--
-	}
+	// The exp that shifts v into [subBuckets, 2*subBuckets): v's bit length
+	// less the sub-bucket bits and the leading one.
+	exp := bits.Len64(uint64(v)) - subBucketBits - 1
 	sub := int(v >> uint(exp)) // in [subBuckets, 2*subBuckets)
 	return subBuckets + exp*subBuckets + (sub - subBuckets)
 }

@@ -172,6 +172,44 @@ func TestBucketLowInvertsIndex(t *testing.T) {
 	}
 }
 
+// bucketIndexLoop is the exponent search bucketIndex replaced: count down
+// from the top until v>>exp lands in [subBuckets, 2*subBuckets).
+func bucketIndexLoop(v int64) int {
+	if v < 0 {
+		v = 0
+	}
+	if v < subBuckets {
+		return int(v)
+	}
+	exp := 63 - subBucketBits
+	for exp > 0 && v>>(uint(exp)+subBucketBits) == 0 {
+		exp--
+	}
+	sub := int(v >> uint(exp))
+	return subBuckets + exp*subBuckets + (sub - subBuckets)
+}
+
+func TestBucketIndexMatchesLoop(t *testing.T) {
+	check := func(v int64) {
+		if got, want := bucketIndex(v), bucketIndexLoop(v); got != want {
+			t.Fatalf("bucketIndex(%d) = %d, the loop says %d", v, got, want)
+		}
+	}
+	check(math.MinInt64)
+	check(math.MaxInt64)
+	for e := 0; e < 63; e++ {
+		p := int64(1) << e
+		check(p - 1)
+		check(p)
+		check(p + 1)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		// Uniform bit lengths, so every exponent is hit about equally.
+		check(rng.Int63() >> rng.Intn(63))
+	}
+}
+
 func TestEWMASeedsWithFirstValue(t *testing.T) {
 	e := NewEWMA(0.2)
 	if e.Initialized() {

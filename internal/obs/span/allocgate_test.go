@@ -37,24 +37,10 @@ func TestAllocGateSampledSpanLifecycle(t *testing.T) {
 	var id uint64
 	if n := testing.AllocsPerRun(500, func() {
 		tr.Begin(&sp, uint32(id&1), 0, id, int64(id)*1_000)
-		tr.MarkSend(&sp, int64(id)*1_000+200)
 		tr.Finish(&sp, int64(id)*1_000+900)
 		id++
 	}); n != 0 {
-		t.Errorf("Begin+MarkSend+Finish (ring+audit) allocates %v per op, want 0 (//e2e:hotpath)", n)
-	}
-}
-
-func TestAllocGateAbortPath(t *testing.T) {
-	tr := New(Config{Seed: 9, SampleEvery: 1, Ring: NewRing(1, 64)})
-	var sp Span
-	var id uint64
-	if n := testing.AllocsPerRun(500, func() {
-		tr.Begin(&sp, 0, 0, id, int64(id))
-		tr.Abort(&sp, int64(id)+500)
-		id++
-	}); n != 0 {
-		t.Errorf("Begin+Abort allocates %v per op, want 0 (//e2e:hotpath)", n)
+		t.Errorf("Begin+Finish (ring+audit) allocates %v per op, want 0 (//e2e:hotpath)", n)
 	}
 }
 

@@ -102,7 +102,7 @@ func NewAuditor(cfg AuditConfig) *Auditor {
 // Observe scores one finished span: the measured delay always lands in the
 // shard's histogram; spans with a valid mean stamp update the residual
 // EWMA, and those with a valid tail stamp score the p99 coverage.
-// Tracer.Finish calls this; aborted spans never reach it.
+// Tracer.Finish calls this.
 //
 // Coverage scores the measured delay against the residual-adjusted p99 —
 // EstP99Ns plus the EWMA as updated by this span's own residual. The

@@ -9,15 +9,15 @@ import (
 
 func exportRing() *Ring[Span] {
 	r := NewRing(2, 8)
-	// Shard 0: a full lifecycle span with a wire-send mark and an estimate.
+	// Shard 0: a span with an estimate stamp.
 	full := Span{
 		ReqID: 7, Shard: 0, Conn: 3,
-		EnqueueNs: 1_000, SendNs: 1_500, AckNs: 4_000,
+		EnqueueNs: 1_000, AckNs: 4_000,
 		EstNs: 2_800, EstP99Ns: 9_000, EstValid: true, TailValid: true,
 	}
 	push(r, &full)
-	// Shard 1: completion-only (no SendNs), aborted, no stamp.
-	rtt := Span{ReqID: 8, Shard: 1, EnqueueNs: 2_000, AckNs: 6_000, Aborted: true}
+	// Shard 1: no stamp.
+	rtt := Span{ReqID: 8, Shard: 1, EnqueueNs: 2_000, AckNs: 6_000}
 	push(r, &rtt)
 	return r
 }
@@ -42,18 +42,17 @@ func TestWriteJSONL(t *testing.T) {
 	if len(got) != 2 {
 		t.Fatalf("exported %d lines, want 2", len(got))
 	}
-	if got[0].ReqID != 7 || got[0].SendNs != 1500 || !got[0].TailValid || got[0].EstP99Ns != 9000 {
+	if got[0].ReqID != 7 || got[0].AckNs != 4000 || !got[0].TailValid || got[0].EstP99Ns != 9000 {
 		t.Errorf("full span mangled in export: %+v", got[0])
 	}
-	if got[1].ReqID != 8 || !got[1].Aborted || got[1].SendNs != 0 || got[1].EstValid {
+	if got[1].ReqID != 8 || got[1].EnqueueNs != 2000 || got[1].EstValid {
 		t.Errorf("rtt span mangled in export: %+v", got[1])
 	}
 }
 
-// TestWriteChromeTrace: the export is one valid JSON document; a span with a
-// send mark splits into adjacent cork+wire slices whose durations sum to the
-// measured interval, a completion-only span renders as a single rtt slice,
-// and shards map to thread IDs.
+// TestWriteChromeTrace: the export is one valid JSON document, every span
+// renders as one rtt slice over its measured interval, and shards map to
+// thread IDs.
 func TestWriteChromeTrace(t *testing.T) {
 	r := exportRing()
 	var buf bytes.Buffer
@@ -71,30 +70,23 @@ func TestWriteChromeTrace(t *testing.T) {
 			Args struct {
 				ReqID    uint64  `json:"req_id"`
 				EstP99Us float64 `json:"est_p99_us"`
-				Aborted  bool    `json:"aborted"`
 			} `json:"args"`
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v\n%s", err, buf.String())
 	}
-	if doc.DisplayTimeUnit != "ms" || len(doc.TraceEvents) != 3 {
-		t.Fatalf("unit=%q events=%d, want ms / 3 (cork+wire+rtt)", doc.DisplayTimeUnit, len(doc.TraceEvents))
+	if doc.DisplayTimeUnit != "ms" || len(doc.TraceEvents) != 2 {
+		t.Fatalf("unit=%q events=%d, want ms / 2", doc.DisplayTimeUnit, len(doc.TraceEvents))
 	}
-	cork, wire, rtt := doc.TraceEvents[0], doc.TraceEvents[1], doc.TraceEvents[2]
-	if cork.Name != "cork" || wire.Name != "wire" || rtt.Name != "rtt" {
-		t.Fatalf("event names %q %q %q", cork.Name, wire.Name, rtt.Name)
+	full, rtt := doc.TraceEvents[0], doc.TraceEvents[1]
+	if full.Name != "rtt" || full.Ts != 1.0 || full.Dur != 3.0 { // 1000ns → 1µs; 3000ns measured
+		t.Errorf("stamped slice %+v, want rtt at 1.0 µs lasting 3.0 µs", full)
 	}
-	if cork.Ts != 1.0 || cork.Dur != 0.5 { // 1000ns → 1µs; 500ns cork window
-		t.Errorf("cork slice ts=%v dur=%v, want 1.0/0.5 µs", cork.Ts, cork.Dur)
+	if full.Tid != 0 || full.Args.EstP99Us != 9.0 || full.Args.ReqID != 7 {
+		t.Errorf("stamped slice args %+v", full)
 	}
-	if wire.Ts != cork.Ts+cork.Dur || cork.Dur+wire.Dur != 3.0 {
-		t.Errorf("cork+wire not adjacent and summing to 3µs: %+v %+v", cork, wire)
-	}
-	if cork.Args.EstP99Us != 9.0 || cork.Args.ReqID != 7 {
-		t.Errorf("cork args %+v", cork.Args)
-	}
-	if rtt.Tid != 1 || !rtt.Args.Aborted || rtt.Dur != 4.0 {
+	if rtt.Name != "rtt" || rtt.Tid != 1 || rtt.Args.EstP99Us != 0 || rtt.Dur != 4.0 {
 		t.Errorf("rtt slice %+v", rtt)
 	}
 	for _, ev := range doc.TraceEvents {

@@ -1,6 +1,6 @@
 // Package span is the request-scoped tracing and online estimator-audit
 // plane: a deterministic, sampling-based record of individual request
-// lifecycles (enqueue → cork window → wire send → peer ack) plus the live
+// lifecycles (enqueue → response) plus the live
 // comparison of each sampled request's measured delay against the
 // end-to-end estimate that was current when its batching decision fired.
 //
@@ -42,12 +42,9 @@ type Span struct {
 	Shard uint32 `json:"shard"`
 	Conn  uint32 `json:"conn"`
 
-	// EnqueueNs is when the request entered the send path; SendNs, when
-	// nonzero, is when its bytes hit the wire (the cork/batch window is
-	// [EnqueueNs, SendNs)); AckNs is when the response completed. A span
-	// with SendNs == 0 observed only the end-to-end interval.
+	// EnqueueNs is when the request entered the send path; AckNs, when its
+	// response completed.
 	EnqueueNs int64 `json:"enqueue_ns"`
-	SendNs    int64 `json:"send_ns,omitempty"`
 	AckNs     int64 `json:"ack_ns"`
 
 	// The estimate that was current when the span finished: the mean
@@ -58,10 +55,6 @@ type Span struct {
 	EstP99Ns  int64 `json:"est_p99_ns,omitempty"`
 	EstValid  bool  `json:"est_valid"`
 	TailValid bool  `json:"tail_valid"`
-
-	// Aborted marks a span finished on an error path (connection failure,
-	// drain cutoff); aborted spans are recorded but never audited.
-	Aborted bool `json:"aborted,omitempty"`
 }
 
 // MeasuredNs returns the span's measured end-to-end delay.

@@ -136,19 +136,9 @@ func (t *Tracer) Begin(sp *Span, shard, conn uint32, reqID uint64, enqueueNs int
 	}
 }
 
-// MarkSend records when the span's bytes left the cork window for the wire.
-// Optional: transports that only observe completion leave SendNs zero and
-// the span covers the end-to-end interval undivided.
-//
-//e2e:hotpath
-func (t *Tracer) MarkSend(sp *Span, sendNs int64) {
-	sp.SendNs = sendNs
-}
-
 // Finish completes the span at ackNs, audits it against its estimate
 // stamp, and publishes it to the ring. Every Begin must reach exactly one
-// Finish or Abort (the spanfinish analyzer enforces the pairing on every
-// exit path).
+// Finish (the spanfinish analyzer enforces the pairing on every exit path).
 //
 //e2e:hotpath
 func (t *Tracer) Finish(sp *Span, ackNs int64) {
@@ -156,20 +146,6 @@ func (t *Tracer) Finish(sp *Span, ackNs int64) {
 	if t.audit != nil {
 		t.audit.Observe(sp)
 	}
-	if t.ring != nil {
-		t.ring.Push(int(sp.Shard), sp, &sp.Seq)
-	}
-}
-
-// Abort closes the span on an error path at atNs: the span is published
-// (marked Aborted) so traces show the failure, but never audited — a
-// request cut off by a connection failure says nothing about the
-// estimator.
-//
-//e2e:hotpath
-func (t *Tracer) Abort(sp *Span, atNs int64) {
-	sp.Aborted = true
-	sp.AckNs = atNs
 	if t.ring != nil {
 		t.ring.Push(int(sp.Shard), sp, &sp.Seq)
 	}

@@ -87,9 +87,8 @@ func TestEstimateStampAndSmoothing(t *testing.T) {
 	}
 }
 
-// TestFinishAndAbortRouting: Finish audits and publishes; Abort publishes
-// marked but never audits.
-func TestFinishAndAbortRouting(t *testing.T) {
+// TestFinishRouting: Finish audits the span and publishes it to the ring.
+func TestFinishRouting(t *testing.T) {
 	tr := New(Config{
 		Seed: 1, SampleEvery: 1,
 		Ring:  NewRing(1, 8),
@@ -99,27 +98,14 @@ func TestFinishAndAbortRouting(t *testing.T) {
 
 	var sp Span
 	tr.Begin(&sp, 0, 0, 0, 100)
-	tr.MarkSend(&sp, 150)
 	tr.Finish(&sp, 300)
-	if sp.SendNs != 150 || sp.AckNs != 300 {
+	if sp.EnqueueNs != 100 || sp.AckNs != 300 {
 		t.Fatalf("span timestamps %+v", sp)
 	}
-
-	tr.Begin(&sp, 0, 0, 1, 400)
-	tr.Abort(&sp, 450)
-	if !sp.Aborted {
-		t.Fatal("Abort did not mark the span")
+	if st := tr.Auditor().AuditStats(); st.Audited != 1 {
+		t.Errorf("audited %d spans, want 1", st.Audited)
 	}
-
-	st := tr.Auditor().AuditStats()
-	if st.Audited != 1 {
-		t.Errorf("audited %d spans, want 1 (aborted spans are never audited)", st.Audited)
-	}
-	got := tr.Ring().ShardLast(0, 8)
-	if len(got) != 2 {
-		t.Fatalf("ring holds %d spans, want 2", len(got))
-	}
-	if got[0].Aborted || !got[1].Aborted {
-		t.Errorf("ring order/abort marks wrong: %+v", got)
+	if got := tr.Ring().ShardLast(0, 8); len(got) != 1 || got[0] != sp {
+		t.Fatalf("ring holds %+v, want the one finished span %+v", got, sp)
 	}
 }

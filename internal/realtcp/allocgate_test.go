@@ -11,7 +11,6 @@ import (
 	"io"
 	"net"
 	"testing"
-	"time"
 
 	"e2ebatch/internal/resp"
 )
@@ -28,11 +27,10 @@ func (n nullConn) Write(p []byte) (int, error) { return len(p), nil }
 func (n nullConn) Close() error                { close(n.closed); return nil }
 
 func TestAllocGateQueueComplete(t *testing.T) {
-	c := NewClient(nullConn{closed: make(chan struct{})}, DialOptions{MaxInflight: 64, DiscardLatencyLog: true})
+	var n int
+	c := NewClient(nullConn{closed: make(chan struct{})}, DialOptions{MaxInflight: 64,
+		OnComplete: func(uint64, int64, int64) { n++ }})
 	defer c.Close()
-	var lats, spans int
-	c.ObserveLatencies(func(time.Duration) { lats++ })
-	c.ObserveCompletions(func(uint64, int64, int64) { spans++ })
 	const k = 16
 	wire := resp.Command("PING")
 	allocs := testing.AllocsPerRun(200, func() {
@@ -49,7 +47,7 @@ func TestAllocGateQueueComplete(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Queue ×%d + Flush + complete allocates %v per op, want 0 (//e2e:hotpath)", k, allocs)
 	}
-	if lats != spans || lats != 201*k || c.Outstanding() != 0 {
-		t.Errorf("%d latencies, %d spans, %d outstanding after %d requests", lats, spans, c.Outstanding(), 201*k)
+	if n != 201*k || c.Outstanding() != 0 {
+		t.Errorf("%d completions, %d outstanding after %d requests", n, c.Outstanding(), 201*k)
 	}
 }

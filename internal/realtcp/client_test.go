@@ -1,6 +1,7 @@
 package realtcp
 
 import (
+	"fmt"
 	"net"
 	"strings"
 	"sync"
@@ -38,36 +39,69 @@ func countedClient(t *testing.T, opts DialOptions) (*Client, *countConn) {
 	return c, cc
 }
 
-// completion is one call of an ObserveCompletions hook.
+// completion is one call of an OnComplete hook.
 type completion struct {
 	id        uint64
 	sent, ack int64
 }
 
-// awaitDrain waits until every request handed to c has been answered.
-func awaitDrain(t *testing.T, c *Client) {
-	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); c.Outstanding() > 0; time.Sleep(time.Millisecond) {
+// completionLog keeps every call of its hook, which a client runs on its
+// read loop.
+type completionLog struct {
+	mu   sync.Mutex
+	seen []completion
+}
+
+func (l *completionLog) hook(id uint64, sent, ack int64) {
+	l.mu.Lock()
+	l.seen = append(l.seen, completion{id, sent, ack})
+	l.mu.Unlock()
+}
+
+func (l *completionLog) get() []completion {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]completion(nil), l.seen...)
+}
+
+// drained waits until every request handed to c has been answered.
+func drained(c *Client) error {
+	for deadline := time.Now().Add(5 * time.Second); c.Outstanding() > 0; time.Sleep(100 * time.Microsecond) {
 		select {
 		case <-c.Done():
-			t.Fatalf("client died with %d outstanding: %v", c.Outstanding(), c.readErr)
+			return fmt.Errorf("client died with %d outstanding: %v", c.Outstanding(), c.readErr)
 		default:
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("%d requests never completed", c.Outstanding())
+			return fmt.Errorf("%d requests never completed", c.Outstanding())
 		}
 	}
+	return nil
+}
+
+// roundTrip sends cmd and waits until it and every request before it have
+// been answered.
+func roundTrip(c *Client, cmd []byte) error {
+	if err := c.Send(cmd); err != nil {
+		return err
+	}
+	return drained(c)
+}
+
+// awaitDrain waits until every request handed to c has been answered, then
+// closes c. Outstanding drops before the read loop calls the hook, and
+// Close waits the read loop out: every completion has reached the hook.
+func awaitDrain(t *testing.T, c *Client) {
+	t.Helper()
+	if err := drained(c); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
 }
 
 func TestQueueFlushIsOneWrite(t *testing.T) {
-	c, cc := countedClient(t, DialOptions{})
-	var mu sync.Mutex
-	var seen []completion
-	c.ObserveCompletions(func(id uint64, sent, ack int64) {
-		mu.Lock()
-		seen = append(seen, completion{id, sent, ack})
-		mu.Unlock()
-	})
+	var log completionLog
+	c, cc := countedClient(t, DialOptions{OnComplete: log.hook})
 	const k = 37
 	wire := resp.Command("PING")
 	for i := 0; i < k; i++ {
@@ -94,11 +128,7 @@ func TestQueueFlushIsOneWrite(t *testing.T) {
 	if a := qstate.GetAvgs(qstate.Snapshot{}, c.tracker.Snapshot()); a.Departures != k {
 		t.Fatalf("departures = %d, want %d", a.Departures, k)
 	}
-	if n := len(c.Latencies()); n != k {
-		t.Fatalf("latency log holds %d, want %d", n, k)
-	}
-	mu.Lock()
-	defer mu.Unlock()
+	seen := log.get()
 	if len(seen) != k {
 		t.Fatalf("%d completions observed, want %d", len(seen), k)
 	}
@@ -110,7 +140,8 @@ func TestQueueFlushIsOneWrite(t *testing.T) {
 }
 
 func TestQueueOnFullWindowFlushes(t *testing.T) {
-	c, cc := countedClient(t, DialOptions{MaxInflight: 4})
+	var log completionLog
+	c, cc := countedClient(t, DialOptions{MaxInflight: 4, OnComplete: log.hook})
 	wire := resp.Command("PING")
 	done := make(chan error, 1)
 	go func() {
@@ -131,7 +162,7 @@ func TestQueueOnFullWindowFlushes(t *testing.T) {
 		t.Fatalf("Queue deadlocked on a full window with %d outstanding after %d writes", c.Outstanding(), cc.writes.Load())
 	}
 	awaitDrain(t, c)
-	if n := len(c.Latencies()); n != 100 {
+	if n := len(log.get()); n != 100 {
 		t.Fatalf("%d completions, want 100", n)
 	}
 }
@@ -139,11 +170,11 @@ func TestQueueOnFullWindowFlushes(t *testing.T) {
 // scriptedClient is a client whose server is the test: what the test writes
 // on srv is the reply stream. Requests are read and dropped, since a pipe's
 // Write waits for its reader.
-func scriptedClient(t *testing.T) (c *Client, srv net.Conn) {
+func scriptedClient(t *testing.T, opts DialOptions) (c *Client, srv net.Conn) {
 	t.Helper()
 	cli, srv := net.Pipe()
 	srv.SetDeadline(time.Now().Add(5 * time.Second))
-	c = NewClient(cli, DialOptions{})
+	c = NewClient(cli, opts)
 	t.Cleanup(func() { c.Close(); srv.Close() })
 	go func() {
 		buf := make([]byte, 512)
@@ -160,7 +191,7 @@ func scriptedClient(t *testing.T) (c *Client, srv net.Conn) {
 // client to die of want.
 func failsWith(t *testing.T, n int, reply, want string) {
 	t.Helper()
-	c, srv := scriptedClient(t)
+	c, srv := scriptedClient(t, DialOptions{})
 	for i := 0; i < n; i++ {
 		if err := c.Send(resp.Command("PING")); err != nil {
 			t.Fatal(err)
@@ -191,9 +222,8 @@ func TestCorruptReplyFailsClient(t *testing.T) {
 }
 
 func TestSplitReplyCompletesOnce(t *testing.T) {
-	c, srv := scriptedClient(t)
 	var completions atomic.Int64
-	c.ObserveLatencies(func(time.Duration) { completions.Add(1) })
+	c, srv := scriptedClient(t, DialOptions{OnComplete: func(uint64, int64, int64) { completions.Add(1) }})
 	if err := c.Send(resp.Command("GET", "k")); err != nil {
 		t.Fatal(err)
 	}
@@ -218,16 +248,15 @@ func TestSplitReplyCompletesOnce(t *testing.T) {
 // another goroutine's stamp, so completions come in stamp order and no
 // latency is negative. Run under -race.
 func TestConcurrentSendPairsStamps(t *testing.T) {
-	c, _ := countedClient(t, DialOptions{MaxInflight: 64, DiscardLatencyLog: true})
 	var n, bad atomic.Int64
 	var last int64 // read loop only
-	c.ObserveCompletions(func(_ uint64, sent, ack int64) {
+	c, _ := countedClient(t, DialOptions{MaxInflight: 64, OnComplete: func(_ uint64, sent, ack int64) {
 		if sent < last || ack < sent {
 			bad.Add(1)
 		}
 		last = sent
 		n.Add(1)
-	})
+	}})
 	const senders, each = 8, 500
 	wire := resp.Command("PING")
 	var wg sync.WaitGroup
@@ -250,31 +279,41 @@ func TestConcurrentSendPairsStamps(t *testing.T) {
 	}
 }
 
+// TestRunLoadBatchesWrites: the pacer hands over every request of its
+// schedule, a wheel tick's worth to each write.
 func TestRunLoadBatchesWrites(t *testing.T) {
-	if testing.Short() {
-		t.Skip("holding a rate needs the CPU the race detector takes")
-	}
 	const rate, dur = 20000, 200 * time.Millisecond
-	want := rate * dur.Seconds()
-	// The pacer stops at the wall-clock deadline, so one late wake-up at the
-	// end costs a millisecond's requests; on a busy host, try again.
-	for attempt := 1; ; attempt++ {
-		c, cc := countedClient(t, DialOptions{MaxInflight: 4096})
-		rep, err := RunLoad(c, LoadOptions{Rate: rate, Duration: dur, Request: resp.Command("PING"), Tick: time.Millisecond})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Writes != uint64(cc.writes.Load()) || rep.Writes == 0 || rep.Writes >= uint64(rep.Sent)/2 {
-			t.Fatalf("report says %d writes for %d requests and the socket saw %d; want under half as many writes as requests",
-				rep.Writes, rep.Sent, cc.writes.Load())
-		}
-		if rep.LagMean < 0 || rep.LagMax < rep.LagMean || rep.LagMax > dur {
-			t.Fatalf("lag mean %v max %v", rep.LagMean, rep.LagMax)
-		}
-		if d := float64(rep.Sent) - want; d <= 0.01*want && d >= -0.01*want {
-			return
-		} else if attempt == 3 {
-			t.Fatalf("sent %d, not within 1%% of %.0f (lag mean %v max %v)", rep.Sent, want, rep.LagMean, rep.LagMax)
-		}
+	c, cc := countedClient(t, DialOptions{MaxInflight: 4096})
+	rep, err := RunLoad(c, LoadOptions{Rate: rate, Duration: dur, Request: resp.Command("PING"), Tick: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int(rate * dur.Seconds()); rep.Sent != want {
+		t.Fatalf("sent %d, want the %d the schedule holds (lag mean %v max %v)", rep.Sent, want, rep.LagMean, rep.LagMax)
+	}
+	if rep.Writes != uint64(cc.writes.Load()) || rep.Writes == 0 || rep.Writes >= uint64(rep.Sent)/2 {
+		t.Fatalf("report says %d writes for %d requests and the socket saw %d; want under half as many writes as requests",
+			rep.Writes, rep.Sent, cc.writes.Load())
+	}
+	if rep.LagMean < 0 || rep.LagMax < rep.LagMean || rep.LagMax > dur {
+		t.Fatalf("lag mean %v max %v", rep.LagMean, rep.LagMax)
+	}
+}
+
+// TestPacerSkipsOnFullWindow: a fire that finds more requests due than the
+// in-flight window holds hands over what fits, counts the rest as skipped
+// and moves the schedule past them all, without blocking on the window.
+func TestPacerSkipsOnFullWindow(t *testing.T) {
+	c, _ := scriptedClient(t, DialOptions{MaxInflight: 4}) // no reply ever comes
+	p := &pacer{c: c, req: resp.Command("PING"), interval: time.Millisecond,
+		sent: new(atomic.Uint64), skipped: new(atomic.Uint64)}
+	now := time.Duration(c.Elapsed())
+	p.next = now - 9*time.Millisecond - time.Millisecond/2 // ten requests due
+	p.end = now + time.Hour
+	if over, err := p.fire(); over || err != nil {
+		t.Fatalf("fire = over %v, err %v", over, err)
+	}
+	if s, k := p.sent.Load(), p.skipped.Load(); s != 4 || k != 6 || p.next <= now {
+		t.Fatalf("sent %d, skipped %d, next due %v after now %v; want 4, 6 and a schedule past now", s, k, p.next, now)
 	}
 }

@@ -67,8 +67,8 @@ type FleetOptions struct {
 	// a paced send finding the pipe full is skipped and counted, keeping
 	// the shard loop from ever blocking on a slow connection.
 	MaxInflight int
-	// DialTimeout (default 5s), DialWorkers (default 128) shape the ramp.
-	DialTimeout time.Duration
+	// DialWorkers is how many connections dial at once during the ramp
+	// (default 128).
 	DialWorkers int
 	// ReadBufBytes sizes each connection's read buffer (default 4 KiB —
 	// 64 KiB × 50k would be 3 GB of buffers).
@@ -78,18 +78,10 @@ type FleetOptions struct {
 	// 64 of them for loopback targets beyond 16k connections; negative
 	// disables.
 	SourceIPs int
-	// ReconnectMax bounds redial attempts per connection (default 4);
-	// backoff starts at ReconnectBase (default 100ms) and doubles on the
-	// connection's shard wheel.
-	ReconnectMax  int
-	ReconnectBase time.Duration
-	// DrainTimeout bounds the post-window wait for outstanding responses
-	// (default 5s).
-	DrainTimeout time.Duration
 	// OnSpan, when non-nil, receives every completion on every connection:
 	// the connection index, its shard, the per-incarnation FIFO request id,
 	// and the send/ack nanosecond stamps on that connection's monotonic
-	// timebase (see Client.ObserveCompletions). It runs on read-loop
+	// timebase (see DialOptions.OnComplete). It runs on read-loop
 	// goroutines — many concurrently — and must not block; kvload samples
 	// and fans these into the span ring. reqID restarts at 0 when a
 	// connection reconnects.
@@ -128,6 +120,15 @@ type FleetReport struct {
 	// was lost, which the scale smoke asserts never happens.
 	FinalRunQueue int
 }
+
+// A connection dials within dialTimeout; a failed one redials up to
+// reconnectMax times, backing off from reconnectBase and doubling on its
+// shard wheel.
+const (
+	dialTimeout   = 5 * time.Second
+	reconnectMax  = 4
+	reconnectBase = 100 * time.Millisecond
+)
 
 // paddedCell is a cache-line-padded counter cell (one per shard per
 // counter) — the same idiom as obs.ShardedCounter, local so the data path
@@ -187,16 +188,12 @@ type fleetConn struct {
 	idx        int
 	sh         *shard.Shard
 	controlled bool
-	active     bool
-	req        []byte
-	sendEvery  time.Duration
 
-	c   *Client
-	ep  *engine.Endpoint
-	tog *policy.Toggler
+	pacer // the client, its request and its send schedule
+	ep    *engine.Endpoint
+	tog   *policy.Toggler
 
 	tickT  shard.Timer
-	sendT  shard.Timer
 	reconT shard.Timer
 
 	dead     bool
@@ -251,9 +248,6 @@ func NewFleet(opts FleetOptions) (*Fleet, error) {
 	if opts.MaxInflight <= 0 {
 		opts.MaxInflight = 32
 	}
-	if opts.DialTimeout <= 0 {
-		opts.DialTimeout = 5 * time.Second
-	}
 	if opts.DialWorkers <= 0 {
 		opts.DialWorkers = 128
 	}
@@ -262,15 +256,6 @@ func NewFleet(opts FleetOptions) (*Fleet, error) {
 	}
 	if opts.SourceIPs == 0 && opts.Conns > 16000 && len(opts.Addr) >= 4 && opts.Addr[:4] == "127." {
 		opts.SourceIPs = 64
-	}
-	if opts.ReconnectMax <= 0 {
-		opts.ReconnectMax = 4
-	}
-	if opts.ReconnectBase <= 0 {
-		opts.ReconnectBase = 100 * time.Millisecond
-	}
-	if opts.DrainTimeout <= 0 {
-		opts.DrainTimeout = 5 * time.Second
 	}
 	g := shard.NewGroup(shard.Config{Shards: opts.Shards, Tick: opts.WheelTick})
 	return &Fleet{
@@ -325,43 +310,43 @@ func (f *Fleet) dial(idx int) *fleetConn {
 		idx:        idx,
 		sh:         f.g.Of(shard.HashUint64(uint64(idx))),
 		controlled: idx%2 == 0,
-		active:     idx < o.Active,
-		backoff:    o.ReconnectBase,
+		backoff:    reconnectBase,
 	}
-	if fc.active {
-		fc.req = o.Request
-		fc.sendEvery = time.Duration(float64(time.Second) / o.Rate)
-	} else {
-		fc.req = o.IdleRequest
-		fc.sendEvery = o.IdleEvery
+	id := fc.sh.ID()
+	fc.pacer = pacer{req: o.IdleRequest, interval: o.IdleEvery,
+		sent: &f.ctrs.sent[id].v, skipped: &f.ctrs.skipped[id].v}
+	if idx < o.Active {
+		fc.req, fc.interval = o.Request, rateInterval(o.Rate)
 	}
-	c, err := DialWith(o.Addr, DialOptions{
-		MaxInflight:       o.MaxInflight,
-		DialTimeout:       o.DialTimeout,
-		ReadBufBytes:      o.ReadBufBytes,
-		DiscardLatencyLog: true,
-		LocalAddr:         f.srcAddrFor(idx),
-	})
+	c, err := fc.dialClient()
 	if err != nil {
 		f.dialErrs.Add(1)
 		fc.dead = true
-		f.ctrs.dead[fc.sh.ID()].v.Add(1)
+		f.ctrs.dead[id].v.Add(1)
 		return fc
 	}
 	fc.adoptClient(c)
 	return fc
 }
 
-// adoptClient points the control block at a (re)dialed client: latency
-// observer, endpoint, initial mode. Called from a dial worker before the
-// shard setup, or on the shard goroutine at reconnect.
+// dialClient dials a new incarnation of the connection.
+func (fc *fleetConn) dialClient() (*Client, error) {
+	o := fc.f.opts
+	return DialWith(o.Addr, DialOptions{
+		MaxInflight:  o.MaxInflight,
+		DialTimeout:  dialTimeout,
+		ReadBufBytes: o.ReadBufBytes,
+		OnComplete:   fc.onComplete,
+		LocalAddr:    fc.f.srcAddrFor(fc.idx),
+	})
+}
+
+// adoptClient points the control block at a (re)dialed client: endpoint,
+// initial mode. Called from a dial worker before the shard setup, or on the
+// shard goroutine at reconnect.
 func (fc *fleetConn) adoptClient(c *Client) {
 	fc.c = c
-	c.ObserveLatencies(fc.onLatency)
-	if fc.f.opts.OnSpan != nil {
-		c.ObserveCompletions(fc.onCompletion)
-	}
-	cfg := engine.Config{ModeErrorLimit: 3}
+	cfg := engine.Config{ModeErrorLimit: modeErrorLimit}
 	if fc.controlled {
 		rng := rand.New(rand.NewSource(int64(splitmix64(uint64(fc.f.opts.Seed) + uint64(fc.idx)))))
 		fc.tog = policy.NewToggler(policy.ThroughputUnderSLO{SLO: fc.f.opts.SLO},
@@ -377,22 +362,20 @@ func (fc *fleetConn) adoptClient(c *Client) {
 	}
 }
 
-// onLatency runs on the connection's read-loop goroutine: one histogram
-// write (single writer per hist) and one atomic cell add.
-func (fc *fleetConn) onLatency(d time.Duration) {
-	fc.hist.Record(d)
+// onComplete runs on the connection's read loop: one histogram write
+// (single writer per hist), one atomic cell add, and the span hook.
+func (fc *fleetConn) onComplete(reqID uint64, sentNs, ackNs int64) {
+	fc.hist.Record(time.Duration(ackNs - sentNs))
 	fc.f.ctrs.completed[fc.sh.ID()].v.Add(1)
-}
-
-// onCompletion forwards one completion to the fleet's span hook; runs on
-// the connection's read-loop goroutine.
-func (fc *fleetConn) onCompletion(reqID uint64, sentNs, ackNs int64) {
-	fc.f.opts.OnSpan(fc.idx, fc.sh.ID(), reqID, sentNs, ackNs)
+	if fc.f.opts.OnSpan != nil {
+		fc.f.opts.OnSpan(fc.idx, fc.sh.ID(), reqID, sentNs, ackNs)
+	}
 }
 
 // setup arms the connection's wheel timers; runs on the shard goroutine.
 // Phases derive from the connection index so 50k schedules spread across
-// wheel slots instead of thundering on one boundary.
+// wheel slots instead of thundering on one boundary. The pacer fires once
+// per request interval, but no more often than the wheel ticks.
 func (fc *fleetConn) setup() {
 	if fc.dead {
 		return
@@ -401,8 +384,9 @@ func (fc *fleetConn) setup() {
 	phase := time.Duration(fc.idx) * 7 * o.WheelTick
 	fc.tickT.Fn = fc.onTick
 	fc.sh.Wheel().ArmPeriodic(&fc.tickT, o.Tick+phase%o.Tick, o.Tick)
-	fc.sendT.Fn = fc.onSend
-	fc.sh.Wheel().ArmPeriodic(&fc.sendT, fc.sendEvery+phase%fc.sendEvery, fc.sendEvery)
+	period := max(fc.interval, o.WheelTick)
+	fc.sendT.Fn = fc.onPace
+	fc.start(fc.sh.Wheel(), period+phase%period, period, 0)
 	fc.reconT.Fn = fc.onReconnectDue
 }
 
@@ -418,18 +402,12 @@ func (fc *fleetConn) onTick(now qstate.Time) {
 	fc.ep.Tick(fc.c.Elapsed())
 }
 
-// onSend paces one request. A full pipeline skips rather than blocks: the
-// shard loop must never wait on one connection's socket.
-func (fc *fleetConn) onSend(now qstate.Time) {
-	if int(fc.c.Outstanding()) >= fc.f.opts.MaxInflight-1 {
-		fc.f.ctrs.skipped[fc.sh.ID()].v.Add(1)
-		return
-	}
-	if err := fc.c.Send(fc.req); err != nil {
+// onPace hands over every request due; a failed send moves the connection
+// onto the reconnect path.
+func (fc *fleetConn) onPace(qstate.Time) {
+	if _, err := fc.fire(); err != nil {
 		fc.onDead()
-		return
 	}
-	fc.f.ctrs.sent[fc.sh.ID()].v.Add(1)
 }
 
 // onDead moves a failed connection onto the reconnect path: unschedule its
@@ -442,7 +420,7 @@ func (fc *fleetConn) onDead() {
 	fc.prior = addEngineStats(fc.prior, fc.ep.Stats())
 	f := fc.f
 	f.ctrs.dead[fc.sh.ID()].v.Add(1)
-	if fc.attempts >= f.opts.ReconnectMax {
+	if fc.attempts >= reconnectMax {
 		return
 	}
 	fc.attempts++
@@ -463,18 +441,11 @@ func (fc *fleetConn) onReconnectDue(now qstate.Time) {
 // scheduling it (the dead connection's client).
 func (fc *fleetConn) redial() {
 	fc.c.Close()
-	o := fc.f.opts
-	c, err := DialWith(o.Addr, DialOptions{
-		MaxInflight:       o.MaxInflight,
-		DialTimeout:       o.DialTimeout,
-		ReadBufBytes:      o.ReadBufBytes,
-		DiscardLatencyLog: true,
-		LocalAddr:         fc.f.srcAddrFor(fc.idx),
-	})
+	c, err := fc.dialClient()
 	ok := fc.sh.Submit(func() {
 		if err != nil {
-			// Re-arm the next backoff, or give up past ReconnectMax.
-			if fc.attempts < o.ReconnectMax {
+			// Re-arm the next backoff, or give up past reconnectMax.
+			if fc.attempts < reconnectMax {
 				fc.attempts++
 				fc.sh.Wheel().Arm(&fc.reconT, fc.backoff)
 				fc.backoff *= 2
@@ -545,19 +516,14 @@ func (f *Fleet) Run() (*FleetReport, error) {
 	// Quiesce: stop the shard loops (no further sends or ticks), then
 	// wait for in-flight responses to land on the read loops.
 	f.g.Stop()
-	drainDeadline := time.Now().Add(o.DrainTimeout)
-	for time.Now().Before(drainDeadline) {
-		pending := int64(0)
+	drain(func() (pending int64) {
 		for _, fc := range f.conns {
 			if fc != nil && fc.c != nil && !fc.dead {
 				pending += fc.c.Outstanding()
 			}
 		}
-		if pending == 0 {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+		return pending
+	})
 
 	// Teardown: close every client (waits out its read loop, so the
 	// histograms are safe to merge afterwards), in parallel.

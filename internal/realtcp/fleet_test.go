@@ -76,6 +76,27 @@ func TestFleetSmallRunBothGroups(t *testing.T) {
 	}
 }
 
+// TestFleetPacesAboveOneRequestPerTick: a connection asked for more
+// requests than its wheel has ticks gets every one, several to a fire, and
+// every one is answered.
+func TestFleetPacesAboveOneRequestPerTick(t *testing.T) {
+	addr, _ := startServer(t)
+	o := fleetTestOptions(addr, 1)
+	o.Active, o.Rate, o.Duration = 1, 5000, time.Second
+	f, err := NewFleet(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Sent < 4900 || rep.Completed != rep.Sent {
+		t.Fatalf("sent %d, want at least 4900 of 5000 req/s × 1 s; completed %d, skipped %d",
+			rep.Sent, rep.Completed, rep.Skipped)
+	}
+}
+
 func TestFleetLiveCountersDuringRun(t *testing.T) {
 	addr, _ := startServer(t)
 	f, err := NewFleet(fleetTestOptions(addr, 8))
@@ -126,8 +147,8 @@ func TestNoGoroutineLeakAcrossFleetAndLoad(t *testing.T) {
 
 	// Warm up: one throwaway client so lazily-started runtime helpers
 	// don't count against the baseline.
-	c := dialOrFail(t, addr)
-	if err := c.Do(resp.Command("PING")); err != nil {
+	c := dialOrFail(t, addr, DialOptions{})
+	if err := roundTrip(c, resp.Command("PING")); err != nil {
 		t.Fatal(err)
 	}
 	c.Close()

@@ -41,12 +41,6 @@ type Server struct {
 	// (false sets TCP_NODELAY, Redis's default behaviour).
 	Nagle bool
 
-	// OnRequest, when non-nil, receives every command's server-side
-	// execution latency (parse-to-reply, excluding socket I/O) — the
-	// telemetry histogram feed. Set before Serve; it is called from
-	// connection-handler goroutines and must be safe for concurrent use.
-	OnRequest func(time.Duration)
-
 	// ShardCount, when positive, assigns every accepted connection a shard
 	// id by FNV hash of its remote address (shard.HashString mod
 	// ShardCount) and feeds the sharded hooks below — the accept-path half
@@ -59,9 +53,10 @@ type Server struct {
 	// single-writer-per-cell rule does not apply here, but obs cells are
 	// atomic so concurrent mixed-shard calls are safe.
 	OnConnShard func(shard int, delta int)
-	// OnRequestShard, when non-nil, receives every command's execution
-	// latency attributed to the connection's shard. Independent of
-	// OnRequest; both fire when both are set.
+	// OnRequestShard, when non-nil, receives every command's server-side
+	// execution latency (parse-to-reply, excluding socket I/O) attributed
+	// to the connection's shard. Set before Serve; it is called from
+	// connection-handler goroutines and must be safe for concurrent use.
 	OnRequestShard func(shard int, d time.Duration)
 
 	// BufBytes sizes the per-connection read/write buffers (default
@@ -169,7 +164,7 @@ func (s *Server) handle(conn net.Conn, sid int) {
 	parser.Space(bufBytes)
 	out := make([]byte, 0, bufBytes)
 	var args [][]byte
-	timed := s.OnRequest != nil || s.OnRequestShard != nil
+	timed := s.OnRequestShard != nil
 	for {
 		var begin time.Time
 		if timed {
@@ -187,13 +182,7 @@ func (s *Server) handle(conn net.Conn, sid int) {
 			out = resp.AppendValue(out, s.engine.Exec(args))
 			s.mu.Unlock()
 			if timed {
-				d := time.Since(begin)
-				if s.OnRequest != nil {
-					s.OnRequest(d)
-				}
-				if s.OnRequestShard != nil {
-					s.OnRequestShard(sid, d)
-				}
+				s.OnRequestShard(sid, time.Since(begin))
 			}
 		}
 		// Replies go out when nothing more is decodable, so pipelined commands
@@ -239,38 +228,29 @@ type Client struct {
 	inflight chan time.Time
 	done     chan struct{}
 	readErr  error
-
-	latMu  sync.Mutex
-	lats   []time.Duration
-	latFn  func(time.Duration)
-	compFn func(reqID uint64, sentNs, ackNs int64)
-	batch  []time.Duration // read loop only: one pass's latencies, MaxInflight long
-	acked  uint64          // read loop only: completions so far
+	acked    uint64 // read loop only: completions so far
 
 	nodelay atomic.Bool
 }
 
-// DialOptions tune a client's failure behaviour. The zero value matches the
-// historical Dial: unbounded blocking on both connect and read.
+// DialOptions configure a client. The zero value blocks indefinitely on
+// connect and read and reports completions to nobody.
 type DialOptions struct {
 	// MaxInflight bounds pipelining depth (<= 0: 1024).
 	MaxInflight int
 	// DialTimeout bounds the connect; zero blocks indefinitely.
 	DialTimeout time.Duration
-	// ReadTimeout bounds each read in the response loop; a read that
-	// exceeds it fails the client (the reconnect layer then redials).
-	// Zero blocks indefinitely — correct only against a server that
-	// cannot hang.
-	ReadTimeout time.Duration
 	// ReadBufBytes sizes the read-loop buffer (default 64 KiB). Fleet
 	// clients size this down: per-connection buffers dominate memory at
 	// 50k connections.
 	ReadBufBytes int
-	// DiscardLatencyLog disables the per-request latency accumulation that
-	// Latencies() drains, leaving only the ObserveLatencies live feed —
-	// fleet connections record into fixed-size histograms instead of
-	// unbounded slices.
-	DiscardLatencyLog bool
+	// OnComplete, when non-nil, receives every completion: its FIFO index
+	// on this connection (from 0; RESP's ordering makes it the issue
+	// index) and its send and ack stamps in nanoseconds on the client's
+	// clock (Elapsed), so ackNs − sentNs is the request's latency. It runs
+	// on the read loop and must not block. The client keeps no latencies
+	// of its own.
+	OnComplete func(reqID uint64, sentNs, ackNs int64)
 	// LocalAddr, when non-empty, is the local address to dial from (e.g.
 	// "127.0.0.5:0"). High-fan-in loopback fleets rotate source IPs here
 	// to stretch past the ~28k ephemeral ports of a single 4-tuple prefix.
@@ -315,7 +295,6 @@ func NewClient(nc net.Conn, opts DialOptions) *Client {
 		start:    time.Now(),
 		inflight: make(chan time.Time, opts.MaxInflight),
 		done:     make(chan struct{}),
-		batch:    make([]time.Duration, opts.MaxInflight),
 	}
 	c.nodelay.Store(true) // Go's net package default
 	c.tracker = hints.NewTracker(func() qstate.Time { return qstate.Time(time.Since(c.start)) })
@@ -390,25 +369,6 @@ func (c *Client) Send(cmd []byte) error {
 	return c.Flush()
 }
 
-// Do issues one request and waits until all currently outstanding responses
-// (including this one) have arrived. It is a convenience for
-// request-by-request usage; load generation uses Queue. The wait is a
-// yielding poll on the caller's goroutine — no timer state per call.
-func (c *Client) Do(cmd []byte) error {
-	if err := c.Send(cmd); err != nil {
-		return err
-	}
-	for c.tracker.Outstanding() > 0 {
-		select {
-		case <-c.done:
-			return c.readErr
-		default:
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	return nil
-}
-
 // Outstanding returns requests awaiting responses.
 func (c *Client) Outstanding() int64 { return c.tracker.Outstanding() }
 
@@ -416,38 +376,6 @@ func (c *Client) Outstanding() int64 { return c.tracker.Outstanding() }
 // failure or Close. Fleet timers poll it non-blockingly to detect dead
 // connections without owning a goroutine per connection.
 func (c *Client) Done() <-chan struct{} { return c.done }
-
-// ObserveLatencies installs fn to receive every per-request latency as it
-// completes, alongside the drain-style Latencies accumulation — the live
-// feed a telemetry histogram wants. fn runs on the read-loop goroutine and
-// must not block; pass nil to detach.
-func (c *Client) ObserveLatencies(fn func(time.Duration)) {
-	c.latMu.Lock()
-	c.latFn = fn
-	c.latMu.Unlock()
-}
-
-// ObserveCompletions installs fn to receive each completion's FIFO index
-// and its send/ack timestamps, both in nanoseconds on the client's
-// monotonic timebase (elapsed since Dial) — the span-tracing feed. reqID
-// counts completions on this connection from 0; RESP's FIFO ordering makes
-// it equal the issue index. fn runs on the read-loop goroutine and must
-// not block; pass nil to detach. Reconnecting builds a new Client, so
-// reqID restarts at 0 per connection incarnation.
-func (c *Client) ObserveCompletions(fn func(reqID uint64, sentNs, ackNs int64)) {
-	c.latMu.Lock()
-	c.compFn = fn
-	c.latMu.Unlock()
-}
-
-// Latencies drains and returns the per-request latencies recorded so far.
-func (c *Client) Latencies() []time.Duration {
-	c.latMu.Lock()
-	defer c.latMu.Unlock()
-	out := c.lats
-	c.lats = nil
-	return out
-}
 
 // Close shuts the connection down and stops the reader.
 func (c *Client) Close() error {
@@ -471,11 +399,6 @@ func (c *Client) read() error {
 	var parser resp.Parser
 	parser.Space(c.opts.ReadBufBytes)
 	for {
-		if c.opts.ReadTimeout > 0 {
-			if err := c.conn.SetReadDeadline(time.Now().Add(c.opts.ReadTimeout)); err != nil {
-				return err
-			}
-		}
 		// The buffer grows only for a reply over half its size.
 		n, err := c.conn.Read(parser.Space(c.opts.ReadBufBytes / 2))
 		parser.Commit(n)
@@ -496,13 +419,6 @@ func (c *Client) read() error {
 			c.complete(k)
 		}
 		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() && c.tracker.Outstanding() == 0 {
-				// An idle deadline expiry is not a fault: no response is
-				// owed. Only a timeout with requests outstanding means
-				// the server stopped answering.
-				continue
-			}
 			if errors.Is(err, io.EOF) || errors.Is(err, net.ErrClosed) {
 				return nil
 			}
@@ -512,31 +428,18 @@ func (c *Client) read() error {
 }
 
 // complete pairs the k replies one read held with the k oldest of at least
-// k stamps, on one clock reading, one Complete and one latMu acquisition.
+// k stamps, on one clock reading and one Complete, and reports each to the
+// completion hook.
 //
 //e2e:hotpath
 func (c *Client) complete(k int) {
 	now := time.Now()
 	c.tracker.Complete(k)
-	batch := c.batch[:k]
-	for i := range batch {
-		batch[i] = now.Sub(<-c.inflight)
-	}
-	c.latMu.Lock()
-	if !c.opts.DiscardLatencyLog {
-		//lint:ignore e2elint/hotpath the latency log is the caller's choice; fleets discard it
-		c.lats = append(c.lats, batch...)
-	}
-	fn, cfn := c.latFn, c.compFn
-	c.latMu.Unlock()
-	// send = ack − latency: a span lasts exactly what the histograms record.
 	ackNs := now.Sub(c.start).Nanoseconds()
-	for _, lat := range batch {
-		if fn != nil {
-			fn(lat)
-		}
-		if cfn != nil {
-			cfn(c.acked, ackNs-lat.Nanoseconds(), ackNs)
+	for i := 0; i < k; i++ {
+		sentNs := (<-c.inflight).Sub(c.start).Nanoseconds()
+		if c.opts.OnComplete != nil {
+			c.opts.OnComplete(c.acked, sentNs, ackNs)
 		}
 		c.acked++
 	}

@@ -33,9 +33,9 @@ func startServer(t *testing.T) (string, *Server) {
 	return l.Addr().String(), srv
 }
 
-func dialOrFail(t *testing.T, addr string) *Client {
+func dialOrFail(t *testing.T, addr string, opts DialOptions) *Client {
 	t.Helper()
-	c, err := Dial(addr, 256)
+	c, err := DialWith(addr, opts)
 	if err != nil {
 		t.Fatalf("Dial: %v", err)
 	}
@@ -45,27 +45,30 @@ func dialOrFail(t *testing.T, addr string) *Client {
 
 func TestPingPong(t *testing.T) {
 	addr, _ := startServer(t)
-	c := dialOrFail(t, addr)
-	if err := c.Do(resp.Command("PING")); err != nil {
+	var log completionLog
+	c := dialOrFail(t, addr, DialOptions{OnComplete: log.hook})
+	if err := roundTrip(c, resp.Command("PING")); err != nil {
 		t.Fatal(err)
 	}
-	lats := c.Latencies()
-	if len(lats) != 1 {
-		t.Fatalf("latencies = %d, want 1", len(lats))
+	// Outstanding drops before the hook runs; Close waits the read loop out.
+	c.Close()
+	seen := log.get()
+	if len(seen) != 1 {
+		t.Fatalf("completions = %d, want 1", len(seen))
 	}
-	if lats[0] <= 0 || lats[0] > time.Second {
-		t.Fatalf("latency = %v, implausible", lats[0])
+	if lat := time.Duration(seen[0].ack - seen[0].sent); lat <= 0 || lat > time.Second {
+		t.Fatalf("latency = %v, implausible", lat)
 	}
 }
 
 func TestSetGetThroughRealSockets(t *testing.T) {
 	addr, _ := startServer(t)
-	c := dialOrFail(t, addr)
+	c := dialOrFail(t, addr, DialOptions{})
 	val := make([]byte, 16384)
-	if err := c.Do(resp.AppendCommand(nil, []byte("SET"), []byte("k"), val)); err != nil {
+	if err := roundTrip(c, resp.AppendCommand(nil, []byte("SET"), []byte("k"), val)); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Do(resp.Command("GET", "k")); err != nil {
+	if err := roundTrip(c, resp.Command("GET", "k")); err != nil {
 		t.Fatal(err)
 	}
 	if c.Outstanding() != 0 {
@@ -75,7 +78,8 @@ func TestSetGetThroughRealSockets(t *testing.T) {
 
 func TestPipelinedLoadAndHintEstimate(t *testing.T) {
 	addr, _ := startServer(t)
-	c := dialOrFail(t, addr)
+	var log completionLog
+	c := dialOrFail(t, addr, DialOptions{OnComplete: log.hook})
 	const n = 500
 	wire := resp.Command("PING")
 	for i := 0; i < n; i++ {
@@ -97,15 +101,16 @@ func TestPipelinedLoadAndHintEstimate(t *testing.T) {
 	if a.Departures != n {
 		t.Fatalf("departures = %d, want %d", a.Departures, n)
 	}
-	lats := c.Latencies()
-	if len(lats) != n {
-		t.Fatalf("latencies = %d, want %d", len(lats), n)
+	c.Close() // the read loop has run every hook
+	seen := log.get()
+	if len(seen) != n {
+		t.Fatalf("completions = %d, want %d", len(seen), n)
 	}
 	// The hint latency must be in the same ballpark as the directly
 	// measured mean (both are userspace request→response times).
 	var sum time.Duration
-	for _, l := range lats {
-		sum += l
+	for _, s := range seen {
+		sum += time.Duration(s.ack - s.sent)
 	}
 	mean := sum / time.Duration(n)
 	if a.Latency < mean/4 || a.Latency > mean*4 {
@@ -115,7 +120,7 @@ func TestPipelinedLoadAndHintEstimate(t *testing.T) {
 
 func TestNoDelayTogglingOnLiveConnection(t *testing.T) {
 	addr, _ := startServer(t)
-	c := dialOrFail(t, addr)
+	c := dialOrFail(t, addr, DialOptions{})
 	wire := resp.Command("PING")
 	for _, mode := range []bool{false, true, false, true} {
 		if err := c.SetNoDelay(mode); err != nil {
@@ -149,8 +154,8 @@ func TestServerNagleModeConfigurable(t *testing.T) {
 	srv.Nagle = true
 	go srv.Serve(l)
 	defer srv.Close()
-	c := dialOrFail(t, l.Addr().String())
-	if err := c.Do(resp.Command("PING")); err != nil {
+	c := dialOrFail(t, l.Addr().String(), DialOptions{})
+	if err := roundTrip(c, resp.Command("PING")); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -191,7 +196,7 @@ func TestConcurrentClients(t *testing.T) {
 			}
 			defer c.Close()
 			for j := 0; j < 50; j++ {
-				if err := c.Do(resp.Command("INCR", "ctr")); err != nil {
+				if err := roundTrip(c, resp.Command("INCR", "ctr")); err != nil {
 					errs <- err
 					return
 				}
@@ -205,8 +210,8 @@ func TestConcurrentClients(t *testing.T) {
 		}
 	}
 	// Verify the counter through a fresh client: 4×50 increments.
-	c := dialOrFail(t, addr)
-	if err := c.Do(resp.Command("INCR", "ctr")); err != nil {
+	c := dialOrFail(t, addr, DialOptions{})
+	if err := roundTrip(c, resp.Command("INCR", "ctr")); err != nil {
 		t.Fatal(err)
 	}
 	// The reply value isn't surfaced by Client; existence of 201st INCR
@@ -215,7 +220,8 @@ func TestConcurrentClients(t *testing.T) {
 
 func TestRunLoadBasic(t *testing.T) {
 	addr, _ := startServer(t)
-	c := dialOrFail(t, addr)
+	var log completionLog
+	c := dialOrFail(t, addr, DialOptions{OnComplete: log.hook})
 	rep, err := RunLoad(c, LoadOptions{
 		Rate:     2000,
 		Duration: 500 * time.Millisecond,
@@ -225,11 +231,12 @@ func TestRunLoadBasic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Sent < 500 {
-		t.Fatalf("sent = %d, want ~1000", rep.Sent)
+	if rep.Sent != 1000 {
+		t.Fatalf("sent = %d, want the 1000 the schedule holds", rep.Sent)
 	}
-	if rep.Mean <= 0 || rep.P99 < rep.P50 || rep.Max < rep.P99 {
-		t.Fatalf("latency summary inconsistent: %+v", rep)
+	c.Close() // the read loop has run every hook
+	if n := len(log.get()); n != rep.Sent || rep.Writes == 0 {
+		t.Fatalf("%d completions in %d writes for %d requests sent", n, rep.Writes, rep.Sent)
 	}
 	if rep.Estimates == 0 {
 		t.Fatal("no estimates observed")
@@ -238,7 +245,7 @@ func TestRunLoadBasic(t *testing.T) {
 
 func TestRunLoadWithToggler(t *testing.T) {
 	addr, _ := startServer(t)
-	c := dialOrFail(t, addr)
+	c := dialOrFail(t, addr, DialOptions{})
 	tog := policyTestToggler()
 	rep, err := RunLoad(c, LoadOptions{
 		Rate:     2000,
@@ -257,7 +264,7 @@ func TestRunLoadWithToggler(t *testing.T) {
 
 func TestRunLoadValidation(t *testing.T) {
 	addr, _ := startServer(t)
-	c := dialOrFail(t, addr)
+	c := dialOrFail(t, addr, DialOptions{})
 	for _, opts := range []LoadOptions{
 		{Rate: 0, Duration: time.Second, Request: []byte("x")},
 		{Rate: 100, Duration: 0, Request: []byte("x")},

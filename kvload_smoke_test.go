@@ -6,7 +6,8 @@ package e2ebatch_test
 // apply the benchmark's own gates — exit 0, the rate held to 1 %, the two
 // report lines bench/scrape.go parses, and the value kvload set readable
 // afterwards. It runs in tier-1 via `make test`, so a change that breaks the
-// workload fails here, not in a benchmark run.
+// workload fails here, not in a benchmark run. A second run drives the
+// fleet mode, which no benchmark workload runs, from its flags to its pacer.
 
 import (
 	"bufio"
@@ -31,6 +32,7 @@ var (
 	kvloadSentLine    = regexp.MustCompile(`^sent (\d+) requests; measured mean=(\S+) p50=(\S+) p99=(\S+) max=(\S+) \((\d+) estimate ticks\)$`)
 	kvloadTogglerLine = regexp.MustCompile(`^toggler: \d+ decisions, (\d+) switches, `)
 	kvloadPacerLine   = regexp.MustCompile(`^pacer: (\d+) writes \(\S+ requests/write\), hand-over lag mean=\S+ max=\S+$`)
+	kvloadFleetSent   = regexp.MustCompile(`(?m)^sent=(\d+) completed=`)
 )
 
 func TestKvloadSmoke(t *testing.T) {
@@ -70,40 +72,34 @@ func TestKvloadSmoke(t *testing.T) {
 
 	const rate, value, dur = 20000, 64, 300 * time.Millisecond
 	want := rate * dur.Seconds()
-	// kvload stops at its wall-clock deadline, so a late last wake-up on a
-	// busy host costs it requests; the rate gate gets three tries.
-	for attempt := 1; ; attempt++ {
-		out, err := exec.Command(filepath.Join(dir, "kvload"), "-addr", addr, "-rate", strconv.Itoa(rate),
-			"-value", strconv.Itoa(value), "-dur", dur.String(), "-toggle", "-tick", "1ms",
-			"-obs", "127.0.0.1:0", "-spansample", "64").Output()
-		if err != nil {
-			t.Fatalf("kvload: %v\n%s", err, out)
+	out, err := exec.Command(filepath.Join(dir, "kvload"), "-addr", addr, "-rate", strconv.Itoa(rate),
+		"-value", strconv.Itoa(value), "-dur", dur.String(), "-toggle", "-tick", "1ms",
+		"-obs", "127.0.0.1:0", "-spansample", "64").Output()
+	if err != nil {
+		t.Fatalf("kvload: %v\n%s", err, out)
+	}
+	// The two lines the benchmark parses, then the pacer's, in that order.
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(lines) < 3 {
+		t.Fatalf("kvload printed %q", out)
+	}
+	report := lines[len(lines)-3:]
+	sent := kvloadSentLine.FindStringSubmatch(report[0])
+	if sent == nil || !kvloadTogglerLine.MatchString(report[1]) || !kvloadPacerLine.MatchString(report[2]) {
+		t.Fatalf("kvload's report is not the sent, toggler and pacer lines:\n%s", strings.Join(report, "\n"))
+	}
+	for _, d := range sent[2:6] {
+		if _, err := time.ParseDuration(d); err != nil {
+			t.Fatalf("report line %q: %v", report[0], err)
 		}
-		// The two lines the benchmark parses, then the pacer's, in that order.
-		lines := strings.Split(strings.TrimSpace(string(out)), "\n")
-		if len(lines) < 3 {
-			t.Fatalf("kvload printed %q", out)
-		}
-		report := lines[len(lines)-3:]
-		sent := kvloadSentLine.FindStringSubmatch(report[0])
-		if sent == nil || !kvloadTogglerLine.MatchString(report[1]) || !kvloadPacerLine.MatchString(report[2]) {
-			t.Fatalf("kvload's report is not the sent, toggler and pacer lines:\n%s", strings.Join(report, "\n"))
-		}
-		for _, d := range sent[2:6] {
-			if _, err := time.ParseDuration(d); err != nil {
-				t.Fatalf("report line %q: %v", report[0], err)
-			}
-		}
-		n, _ := strconv.Atoi(sent[1])                                               // \d+ cannot fail to parse
-		writes, _ := strconv.Atoi(kvloadPacerLine.FindStringSubmatch(report[2])[1]) // likewise
-		if writes == 0 || writes >= n/2 {
-			t.Fatalf("%d writes for %d requests; the pacer's bursts should share writes\n%s", writes, n, report[2])
-		}
-		if math.Abs(float64(n)-want) <= 0.01*want {
-			break
-		} else if attempt == 3 {
-			t.Fatalf("kvload sent %d requests, not within 1%% of the %.0f its rate asks for\n%s", n, want, report[2])
-		}
+	}
+	n, _ := strconv.Atoi(sent[1])                                               // \d+ cannot fail to parse
+	writes, _ := strconv.Atoi(kvloadPacerLine.FindStringSubmatch(report[2])[1]) // likewise
+	if writes == 0 || writes >= n/2 {
+		t.Fatalf("%d writes for %d requests; the pacer's bursts should share writes\n%s", writes, n, report[2])
+	}
+	if math.Abs(float64(n)-want) > 0.01*want {
+		t.Fatalf("kvload sent %d requests, not within 1%% of the %.0f its rate asks for\n%s", n, want, report[2])
 	}
 
 	// The workload's output: the server holds the value kvload set.
@@ -121,5 +117,23 @@ func TestKvloadSmoke(t *testing.T) {
 	got := make([]byte, len(reply))
 	if _, err := io.ReadFull(nc, got); err != nil || string(got) != reply {
 		t.Fatalf("final GET returned %.40q (%v), want the %d-byte value kvload set", got, err, value)
+	}
+
+	// Fleet mode: two active connections, each asked for five requests per
+	// 1 ms wheel tick. Its ramp adds sends, so the rate gate is a floor.
+	const fleetConns, fleetRate = 2, 5000
+	out, err = exec.Command(filepath.Join(dir, "kvload"), "-addr", addr, "-conns", strconv.Itoa(fleetConns),
+		"-active", strconv.Itoa(fleetConns), "-rate", strconv.Itoa(fleetRate), "-value", strconv.Itoa(value),
+		"-dur", dur.String()).Output()
+	if err != nil {
+		t.Fatalf("kvload fleet: %v\n%s", err, out)
+	}
+	m := kvloadFleetSent.FindSubmatch(out)
+	if m == nil {
+		t.Fatalf("kvload fleet printed no sent= line:\n%s", out)
+	}
+	floor := 0.98 * fleetConns * fleetRate * dur.Seconds()
+	if n, _ := strconv.Atoi(string(m[1])); float64(n) < floor { // \d+ cannot fail to parse
+		t.Fatalf("kvload fleet sent %d requests, want at least %.0f\n%s", n, floor, out)
 	}
 }

@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: tier1 vet lint escapes allocgate build test race fuzz-smoke obs-smoke trace-smoke scale-smoke cover bench-check fidelity-smoke clean
+.PHONY: tier1 vet lint escapes allocgate build test race fuzz-smoke cover bench-check fidelity-smoke clean
 
 # tier1 is the CI gate. Target graph (each arrow is a declared prerequisite,
 # so the graph is fail-fast even under `make -j`: nothing downstream of a
@@ -13,13 +13,10 @@ GOFMT ?= gofmt
 #          ├─ escapes ─→ build (compiler escape analysis over hot paths)
 #          ├─ allocgate ─→ build (AllocsPerRun pins for //e2e:hotpath)
 #          ├─ build
-#          ├─ test ─→ build
+#          ├─ test ─→ build   (includes the obs, trace, kvload and scale smokes)
 #          ├─ race ─→ build
 #          ├─ fuzz-smoke ─→ build (every resp fuzz target, 3 s each)
-#          ├─ obs-smoke ─→ build (telemetry plane against a real kvserver)
-#          ├─ trace-smoke ─→ build (span plane against a real kvserver)
 #          ├─ fidelity-smoke ─→ build (one zoo replay, mean and tail reports)
-#          ├─ scale-smoke ─→ build (2k-connection shard-engine fleet)
 #          ├─ bench-check ─→ build (bench/ is its own module: vet, tests, lint)
 #          └─ cover ─→ build  (the suite again under -coverprofile, with the
 #                              per-package floors; about as long as test)
@@ -28,7 +25,7 @@ GOFMT ?= gofmt
 # so the ~10x race overhead stays affordable; the determinism, invariant,
 # fuzz-seed and stress tests all still run. fidelity-smoke is short-run-safe:
 # it replays the zoo at a reduced duration.
-tier1: vet lint escapes allocgate build test race fuzz-smoke obs-smoke trace-smoke scale-smoke fidelity-smoke bench-check cover
+tier1: vet lint escapes allocgate build test race fuzz-smoke fidelity-smoke bench-check cover
 
 vet:
 	$(GO) vet ./...
@@ -75,33 +72,6 @@ fuzz-smoke: build
 		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime=3s ./internal/resp || exit 1; \
 	done
 
-# obs-smoke exercises the telemetry plane end to end against the real
-# kvserver binary: spawn with -obs, drive a request over real TCP, scrape
-# /metrics and the /debug endpoints, then SIGINT and require exit 0. The
-# same test runs inside `make test`; this target reruns it verbosely and
-# uncached for a fast standalone check.
-obs-smoke: build
-	$(GO) test -count=1 -run TestObsSmokeKvserver -v .
-
-# trace-smoke exercises the span tracing plane end to end against the real
-# kvserver binary: spawn with -obs -spansample 1, drive requests over real
-# TCP, require /debug/spans to serve well-formed JSONL spans covering them
-# and /debug/trace a loadable Chrome trace_event document, then SIGINT and
-# require exit 0. The same test runs inside `make test`; this target reruns
-# it verbosely and uncached.
-trace-smoke: build
-	$(GO) test -count=1 -run TestTraceSmokeKvserver -v .
-
-# scale-smoke exercises the shared-nothing shard engine at fleet scale: a
-# 2000-connection kvload-shaped fleet against an in-process kvserver, every
-# connection's control tick and pacing on shard timer wheels, asserting a
-# clean run — zero dial errors, zero lost run-queue work, per-shard rollups
-# consistent with the report, and the goroutine count back at baseline
-# (the per-connection-goroutine regression guard). The same test runs
-# inside `make test`; this target reruns it verbosely and uncached.
-scale-smoke: build
-	$(GO) test -count=1 -run TestScaleSmoke -v .
-
 # cover runs the full suite with statement coverage, prints the per-package
 # summary, and enforces floors on the packages whose edge cases the paper's
 # correctness rests on: the wrap-aware counter math (qstate), the estimate
@@ -112,11 +82,13 @@ scale-smoke: build
 # rival (analytic), the invariant analyzer suite itself (lint), the two
 # packages every request crosses, where bytes off the network are parsed
 # (resp) and executed (kv), the event core every simulated number comes out
-# of (sim, floor 90) and the transport every simulated byte crosses (tcpsim,
-# floor 92). Floors sit a few points under measured coverage at
+# of (sim, floor 90), the transport every simulated byte crosses (tcpsim,
+# floor 92) and the real-socket client and fleet driver (realtcp, floor 78).
+# Floors sit a few points under measured coverage at
 # introduction (qstate 98.9%, core 92.9%, faults 95.5%, engine 96.1%,
 # obs 89.6%, obs/span 93.4%, loadgen 96.1%, analytic 96.4%,
-# lint 90.0%, policy 98.7%, resp 97.1%, kv 97.4%, tcpsim 95.7%; core
+# lint 90.0%, policy 98.7%, resp 97.1%, kv 97.4%, tcpsim 95.7%,
+# realtcp 82.3%; core
 # re-floored at 90 with the tail-composition coverage) so incidental drift passes but a feature
 # landing untested does not.
 cover: build
@@ -136,7 +108,8 @@ cover: build
 		floor["e2ebatch/internal/resp"]=93; \
 		floor["e2ebatch/internal/kv"]=93; \
 		floor["e2ebatch/internal/sim"]=90; \
-		floor["e2ebatch/internal/tcpsim"]=92 } \
+		floor["e2ebatch/internal/tcpsim"]=92; \
+		floor["e2ebatch/internal/realtcp"]=78 } \
 		/^ok/ && /coverage:/ { \
 			v=""; for (i=1;i<=NF;i++) if ($$i=="coverage:") { v=$$(i+1); sub("%","",v) } \
 			if (($$2 in floor) && v+0 < floor[$$2]) { \
@@ -157,7 +130,8 @@ bench-check: build
 # model-fidelity harness at a reduced duration — a fast end-to-end check that
 # cmd/fidelity builds, runs, and scores every workload with all three
 # predictors, for the mean report and for the tail report (p50/p90/p99/p999
-# from the v2 histogram-carrying exchanges). The full 150 ms reports are
+# of the composed histogram estimator, the Gamma tail and the byte
+# quantiles). The full 150 ms reports are
 # pinned byte-for-byte by TestFidelityGolden and TestTailFidelityGolden.
 fidelity-smoke: build
 	$(GO) run ./cmd/fidelity -dur 25ms -seed 2

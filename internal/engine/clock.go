@@ -23,15 +23,6 @@ type Clock interface {
 	Tick(period time.Duration, fn func(now qstate.Time)) Ticker
 }
 
-// TickerFunc adapts a cancel function to Ticker — the handle shape for
-// clocks whose schedules live on an external multiplexer (the shard timer
-// wheel), where stopping is an unschedule call rather than a goroutine
-// shutdown. The function must be idempotent.
-type TickerFunc func()
-
-// Stop cancels the schedule.
-func (f TickerFunc) Stop() { f() }
-
 // SimClock schedules ticks on the discrete-event simulator's virtual time.
 type SimClock struct {
 	Sim *sim.Sim

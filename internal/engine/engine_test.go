@@ -327,15 +327,6 @@ func TestSimClockTickerStopsFromItsOwnCallback(t *testing.T) {
 	tk.Stop() // idempotent
 }
 
-func TestTickerFuncStopCallsThrough(t *testing.T) {
-	calls := 0
-	var tk engine.Ticker = engine.TickerFunc(func() { calls++ })
-	tk.Stop()
-	if calls != 1 {
-		t.Fatalf("Stop ran the cancel function %d times, want 1", calls)
-	}
-}
-
 func TestControllerAccessor(t *testing.T) {
 	ctl := &fakeController{}
 	if got := engine.New(engine.Config{Controller: ctl}, newFakePort()).Controller(); got != ctl {

@@ -25,14 +25,14 @@ var perConnPackages = []string{
 //  1. the runtime timer constructors — time.NewTicker, time.NewTimer,
 //     time.Tick, time.AfterFunc — are flagged anywhere: per-connection or
 //     not, recurring schedules in these packages belong on shard.Wheel
-//     (engine ticks via shard.Clock). The single legitimate ticker — the
+//     (engine ticks as wheel Timers). The single legitimate ticker — the
 //     one driving each shard's loop — carries the //lint:ignore hatch with
 //     its justification;
 //  2. the blocking waits — time.Sleep, time.After — are flagged only inside
 //     spawned-goroutine contexts (a `go func(){...}` body, or a function
 //     that is a go-statement target elsewhere in the package), the
 //     per-connection handler shape. A caller-side wait, such as Fleet.Run's
-//     hold window, legitimately sleeps.
+//     drain, legitimately sleeps.
 var PerTickerConn = &Analyzer{
 	Name: "pertickerconn",
 	Doc:  "forbid per-connection runtime timers in shard-scheduled packages",
@@ -95,7 +95,7 @@ func checkPerTickerFunc(p *Pass, fd *ast.FuncDecl, isGoTarget bool) {
 		for _, name := range perConnTimerFns {
 			if objIs(obj, "time", name) {
 				p.Reportf(call.Pos(),
-					"time.%s in %s: per-connection timers belong on the shard wheel (shard.Wheel / shard.Clock), one runtime ticker per shard",
+					"time.%s in %s: per-connection timers belong on the shard wheel (shard.Wheel), one runtime ticker per shard",
 					name, fd.Name.Name)
 			}
 		}

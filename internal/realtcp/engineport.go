@@ -40,11 +40,7 @@ func (p enginePort) Apply(d engine.Decision) error {
 // round trip, so a sample needs no peer metadata to be trustworthy.
 func (p enginePort) SelfContained() bool { return true }
 
-// Engine ticks for real-TCP clients are scheduled on shard timer wheels
-// (shard.Clock), not per-connection ticker goroutines: the old WallClock
-// here spawned one goroutine plus one runtime timer per Endpoint.Start —
-// and leaked both until Stop — which topples long before the 50k-connection
-// target. RunLoad drives a single-shard group internally; the fleet runner
-// (fleet.go) hashes connections across a full group. The pertickerconn
-// analyzer (DESIGN.md §8) keeps per-connection timer state from creeping
-// back into this package.
+// Engine ticks for real-TCP clients are timers on the fleet's shard wheels
+// (fleet.go), not per-connection ticker goroutines, which topple long before
+// the 50k-connection target. The pertickerconn analyzer (DESIGN.md §8)
+// keeps per-connection timer state from creeping back into this package.

@@ -1,21 +1,23 @@
 package realtcp
 
-// The fleet runner: the 50k-connection proof for the shared-nothing shard
-// engine (ROADMAP item 1). One process holds Conns concurrent connections
-// to a kvserver, every one of them running the paper's control loop — and
-// not one of them owning a goroutine or a timer. Each connection hashes to
-// a shard; its estimate/decision tick, its send pacing, and its reconnect
-// backoff are all Timers on that shard's wheel, so the steady-state cost
-// per connection is a wheel slot plus the parked read-loop goroutine the
-// Go netpoller already multiplexes for free. Connections split into a
-// controlled half (ε-greedy NODELAY toggling driven by their own hint
-// estimates) and a Nagle baseline half, and per-request latencies record
-// into per-connection DelayHists that merge into the controlled-vs-Nagle
-// p50/p99/p999 comparison at report time.
+// The fleet runner: the one driver of the real-socket client, from kvload's
+// single connection (a fleet of one) to the 50k-connection proof for the
+// shared-nothing shard engine. One process holds Conns concurrent
+// connections to a kvserver, every one of them running the paper's control
+// loop — and not one of them owning a goroutine or a timer.
+// Each connection hashes to a shard; its estimate/decision tick, its send
+// pacing, and its reconnect backoff are all Timers on that shard's wheel, so
+// the steady-state cost per connection is a wheel slot plus the parked
+// read-loop goroutine the Go netpoller already multiplexes for free.
+// Connections split into a controlled half (ε-greedy NODELAY toggling driven
+// by their own hint estimates, with Toggle) and a Nagle baseline half, and
+// per-request latencies record into per-connection DelayHists that merge
+// into the controlled-vs-Nagle p50/p99/p999 comparison at report time.
 
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -32,9 +34,12 @@ import (
 type FleetOptions struct {
 	// Addr is the server address.
 	Addr string
-	// Conns is the fleet size. Even indices run the controlled policy,
-	// odd indices the Nagle baseline, so the two groups interleave across
-	// shards and dial order.
+	// Conns is the fleet size. Even indices are the controlled group, odd
+	// indices the Nagle baseline, so the two groups interleave across
+	// shards and dial order. Each connection's in-flight window is
+	// max(32, 4096/Conns) requests and its read buffer max(4 KiB,
+	// 64 KiB/Conns): one connection gets 4096 and 64 KiB, 128 and more get
+	// 32 and 4 KiB (64 KiB × 50k would be 3 GB of buffers).
 	Conns int
 	// Active is how many connections send at Rate (default Conns/10,
 	// minimum 1); the rest are idle-mostly, sending one heartbeat every
@@ -45,47 +50,48 @@ type FleetOptions struct {
 	Rate float64
 	// IdleEvery is the idle connections' heartbeat period (default 5s).
 	IdleEvery time.Duration
-	// Duration is the send window.
+	// Duration is each connection's send window, from its dial: an active
+	// connection's schedule holds Rate × Duration requests.
 	Duration time.Duration
 	// Request is the wire request active connections send; IdleRequest
 	// (default Request) is the heartbeat.
 	Request     []byte
 	IdleRequest []byte
-	// Shards is the shard count (default GOMAXPROCS); WheelTick the wheel
-	// granularity (default 1ms); Tick each connection's control tick
-	// (default 250ms — coarse, because the whole point is running the
-	// loop on 50k connections within a budgeted control-plane cost).
-	Shards    int
-	WheelTick time.Duration
-	Tick      time.Duration
+	// Shards is the shard count (default min(GOMAXPROCS, Conns)); Tick each
+	// connection's control tick (default 250ms — coarse, because the whole
+	// point is running the loop on 50k connections within a budgeted
+	// control-plane cost). The wheels tick every min(Tick, 1 ms).
+	Shards int
+	Tick   time.Duration
+	// Toggle runs ε-greedy NODELAY toggling on the controlled group, each
+	// connection on its own estimates; without it the group's endpoints
+	// are passive estimators on Go's NODELAY default.
+	Toggle bool
 	// SLO is the controlled group's toggling objective (default 500µs).
 	SLO time.Duration
 	// Seed derives every controlled connection's exploration RNG via
 	// splitmix64(Seed, index), so runs are reproducible (default 1).
 	Seed int64
-	// MaxInflight bounds each connection's pipeline depth (default 32);
-	// a paced send finding the pipe full is skipped and counted, keeping
-	// the shard loop from ever blocking on a slow connection.
-	MaxInflight int
 	// DialWorkers is how many connections dial at once during the ramp
-	// (default 128).
+	// (default 128, at most Conns).
 	DialWorkers int
-	// ReadBufBytes sizes each connection's read buffer (default 4 KiB —
-	// 64 KiB × 50k would be 3 GB of buffers).
-	ReadBufBytes int
 	// SourceIPs > 0 rotates dial source addresses 127.0.0.{2..2+n-1} to
 	// stretch past single-address ephemeral-port limits; 0 auto-enables
 	// 64 of them for loopback targets beyond 16k connections; negative
 	// disables.
 	SourceIPs int
-	// OnSpan, when non-nil, receives every completion on every connection:
-	// the connection index, its shard, the per-incarnation FIFO request id,
-	// and the send/ack nanosecond stamps on that connection's monotonic
-	// timebase (see DialOptions.OnComplete). It runs on read-loop
-	// goroutines — many concurrently — and must not block; kvload samples
-	// and fans these into the span ring. reqID restarts at 0 when a
-	// connection reconnects.
-	OnSpan func(conn, shard int, reqID uint64, sentNs, ackNs int64)
+	// Observer and Audit attach to connection 0's endpoint (see
+	// engine.Config): the observed connection. The observer runs on that
+	// connection's shard goroutine and must not block.
+	Observer engine.Observer
+	Audit    engine.AuditSource
+	// OnComplete, when non-nil, receives every completion on every
+	// connection: the connection index, its shard, the per-incarnation FIFO
+	// request id, and the send/ack nanosecond stamps on that connection's
+	// monotonic timebase (see DialOptions.OnComplete). It runs on read-loop
+	// goroutines — many concurrently — and must not block. reqID restarts
+	// at 0 when a connection reconnects.
+	OnComplete func(conn, shard int, reqID uint64, sentNs, ackNs int64)
 }
 
 // TailSummary is one group's merged latency distribution.
@@ -102,15 +108,23 @@ type TailSummary struct {
 
 // FleetReport is a completed run's accounting.
 type FleetReport struct {
-	Conns      int
-	DialErrors int
-	Elapsed    time.Duration
+	Conns, Active int
+	DialErrors    int
+	Elapsed       time.Duration
 
 	Controlled TailSummary
 	Nagle      TailSummary
+	// Toggler sums the controlled group's toggler stats (zero without
+	// Toggle).
+	Toggler policy.TogglerStats
 
 	Sent, Completed, Skipped uint64
 	Reconnects, DeadConns    uint64
+	// Writes counts the socket writes that carried the Sent requests; the
+	// lag is a request's hand-over behind its schedule: how late the
+	// pacers ran.
+	Writes          uint64
+	LagMean, LagMax time.Duration
 
 	// Shards snapshots each shard's wheel/loop counters at teardown;
 	// MaxBehindTicks is their worst tick backlog (0 = every shard kept up).
@@ -123,11 +137,15 @@ type FleetReport struct {
 
 // A connection dials within dialTimeout; a failed one redials up to
 // reconnectMax times, backing off from reconnectBase and doubling on its
-// shard wheel.
+// shard wheel. After the send windows, Run waits up to drainTimeout for
+// outstanding responses. After three consecutive ticks whose SetNoDelay
+// failed (modeErrorLimit), an endpoint's ticks route degraded.
 const (
-	dialTimeout   = 5 * time.Second
-	reconnectMax  = 4
-	reconnectBase = 100 * time.Millisecond
+	dialTimeout    = 5 * time.Second
+	reconnectMax   = 4
+	reconnectBase  = 100 * time.Millisecond
+	drainTimeout   = 5 * time.Second
+	modeErrorLimit = 3
 )
 
 // paddedCell is a cache-line-padded counter cell (one per shard per
@@ -177,6 +195,8 @@ type Fleet struct {
 	ctrs  fleetCounters
 
 	dialErrs atomic.Int64
+	// pending counts the live connections whose schedule has not ended.
+	pending sync.WaitGroup
 }
 
 // fleetConn is one connection's shard-owned control block. After setup,
@@ -191,12 +211,13 @@ type fleetConn struct {
 
 	pacer // the client, its request and its send schedule
 	ep    *engine.Endpoint
-	tog   *policy.Toggler
+	tog   *policy.Toggler // controlled with Toggle; kept across reconnects
 
 	tickT  shard.Timer
 	reconT shard.Timer
 
 	dead     bool
+	ended    bool // the schedule is over, or the connection given up
 	attempts int
 	backoff  time.Duration
 
@@ -213,14 +234,9 @@ func NewFleet(opts FleetOptions) (*Fleet, error) {
 		return nil, errors.New("realtcp: fleet needs an address, a connection count, a duration, and a request")
 	}
 	if opts.Active <= 0 {
-		opts.Active = opts.Conns / 10
-		if opts.Active < 1 {
-			opts.Active = 1
-		}
+		opts.Active = max(opts.Conns/10, 1)
 	}
-	if opts.Active > opts.Conns {
-		opts.Active = opts.Conns
-	}
+	opts.Active = min(opts.Active, opts.Conns)
 	if opts.Rate <= 0 {
 		opts.Rate = 50
 	}
@@ -230,14 +246,8 @@ func NewFleet(opts FleetOptions) (*Fleet, error) {
 	if len(opts.IdleRequest) == 0 {
 		opts.IdleRequest = opts.Request
 	}
-	if opts.WheelTick <= 0 {
-		opts.WheelTick = time.Millisecond
-	}
 	if opts.Tick <= 0 {
 		opts.Tick = 250 * time.Millisecond
-	}
-	if opts.Tick < opts.WheelTick {
-		opts.Tick = opts.WheelTick
 	}
 	if opts.SLO <= 0 {
 		opts.SLO = 500 * time.Microsecond
@@ -245,19 +255,17 @@ func NewFleet(opts FleetOptions) (*Fleet, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	if opts.MaxInflight <= 0 {
-		opts.MaxInflight = 32
+	if opts.Shards <= 0 {
+		opts.Shards = min(runtime.GOMAXPROCS(0), opts.Conns)
 	}
 	if opts.DialWorkers <= 0 {
 		opts.DialWorkers = 128
 	}
-	if opts.ReadBufBytes <= 0 {
-		opts.ReadBufBytes = 4 << 10
-	}
+	opts.DialWorkers = min(opts.DialWorkers, opts.Conns)
 	if opts.SourceIPs == 0 && opts.Conns > 16000 && len(opts.Addr) >= 4 && opts.Addr[:4] == "127." {
 		opts.SourceIPs = 64
 	}
-	g := shard.NewGroup(shard.Config{Shards: opts.Shards, Tick: opts.WheelTick})
+	g := shard.NewGroup(shard.Config{Shards: opts.Shards, Tick: min(opts.Tick, time.Millisecond)})
 	return &Fleet{
 		opts:  opts,
 		g:     g,
@@ -282,6 +290,16 @@ func (f *Fleet) ShardLive(i int) FleetShardLive {
 	}
 }
 
+// TogglerStats returns connection 0's toggler stats (zero without Toggle):
+// the observed connection's, for an observer that reports exploration. It
+// reads shard-owned state, so call it from the Observer or after Run.
+func (f *Fleet) TogglerStats() policy.TogglerStats {
+	if fc := f.conns[0]; fc != nil && fc.tog != nil {
+		return fc.tog.Stats()
+	}
+	return policy.TogglerStats{}
+}
+
 // splitmix64 derives per-connection seeds from the run seed — the same
 // per-index stream derivation the workload zoo uses, so connection k
 // explores identically run to run regardless of dial order.
@@ -301,8 +319,13 @@ func (f *Fleet) srcAddrFor(idx int) string {
 	return "127.0.0." + strconv.Itoa(2+idx%f.opts.SourceIPs) + ":0"
 }
 
-// dial connects fleetConn idx and builds its endpoint; runs on a dial
-// worker. The returned conn still needs its shard setup Submitted.
+// phase staggers connection idx's timers so 50k schedules spread across
+// wheel slots instead of thundering on one boundary.
+func phase(idx int) time.Duration { return time.Duration(idx) * 7 * time.Millisecond }
+
+// dial connects fleetConn idx, builds its endpoint and starts its schedule,
+// offset by its phase within one request interval; runs on a dial worker.
+// The returned conn still needs its shard setup Submitted.
 func (f *Fleet) dial(idx int) *fleetConn {
 	o := f.opts
 	fc := &fleetConn{
@@ -318,6 +341,11 @@ func (f *Fleet) dial(idx int) *fleetConn {
 	if idx < o.Active {
 		fc.req, fc.interval = o.Request, rateInterval(o.Rate)
 	}
+	if fc.controlled && o.Toggle {
+		rng := rand.New(rand.NewSource(int64(splitmix64(uint64(o.Seed) + uint64(idx)))))
+		fc.tog = policy.NewToggler(policy.ThroughputUnderSLO{SLO: o.SLO},
+			policy.DefaultTogglerConfig(), policy.BatchOff, rng)
+	}
 	c, err := fc.dialClient()
 	if err != nil {
 		f.dialErrs.Add(1)
@@ -326,6 +354,8 @@ func (f *Fleet) dial(idx int) *fleetConn {
 		return fc
 	}
 	fc.adoptClient(c)
+	now := time.Duration(fc.sh.Now())
+	fc.next, fc.end = now+phase(idx)%fc.interval, now+o.Duration
 	return fc
 }
 
@@ -333,9 +363,9 @@ func (f *Fleet) dial(idx int) *fleetConn {
 func (fc *fleetConn) dialClient() (*Client, error) {
 	o := fc.f.opts
 	return DialWith(o.Addr, DialOptions{
-		MaxInflight:  o.MaxInflight,
+		MaxInflight:  max(32, 4096/o.Conns),
 		DialTimeout:  dialTimeout,
-		ReadBufBytes: o.ReadBufBytes,
+		ReadBufBytes: max(4<<10, 64<<10/o.Conns),
 		OnComplete:   fc.onComplete,
 		LocalAddr:    fc.f.srcAddrFor(fc.idx),
 	})
@@ -347,12 +377,11 @@ func (fc *fleetConn) dialClient() (*Client, error) {
 func (fc *fleetConn) adoptClient(c *Client) {
 	fc.c = c
 	cfg := engine.Config{ModeErrorLimit: modeErrorLimit}
-	if fc.controlled {
-		rng := rand.New(rand.NewSource(int64(splitmix64(uint64(fc.f.opts.Seed) + uint64(fc.idx)))))
-		fc.tog = policy.NewToggler(policy.ThroughputUnderSLO{SLO: fc.f.opts.SLO},
-			policy.DefaultTogglerConfig(), policy.BatchOff, rng)
-		cfg.Controller = fc.tog
-		cfg.Initial = policy.BatchOff
+	if fc.idx == 0 {
+		cfg.Observer, cfg.Audit = fc.f.opts.Observer, fc.f.opts.Audit
+	}
+	if fc.tog != nil {
+		cfg.Controller, cfg.Initial = fc.tog, fc.tog.Mode()
 	}
 	fc.ep = engine.New(cfg, c.EnginePort())
 	if !fc.controlled {
@@ -363,30 +392,25 @@ func (fc *fleetConn) adoptClient(c *Client) {
 }
 
 // onComplete runs on the connection's read loop: one histogram write
-// (single writer per hist), one atomic cell add, and the span hook.
+// (single writer per hist), one atomic cell add, and the fleet's hook.
 func (fc *fleetConn) onComplete(reqID uint64, sentNs, ackNs int64) {
 	fc.hist.Record(time.Duration(ackNs - sentNs))
 	fc.f.ctrs.completed[fc.sh.ID()].v.Add(1)
-	if fc.f.opts.OnSpan != nil {
-		fc.f.opts.OnSpan(fc.idx, fc.sh.ID(), reqID, sentNs, ackNs)
+	if fc.f.opts.OnComplete != nil {
+		fc.f.opts.OnComplete(fc.idx, fc.sh.ID(), reqID, sentNs, ackNs)
 	}
 }
 
 // setup arms the connection's wheel timers; runs on the shard goroutine.
-// Phases derive from the connection index so 50k schedules spread across
-// wheel slots instead of thundering on one boundary. The pacer fires once
-// per request interval, but no more often than the wheel ticks.
+// The control tick's first fire is staggered by the connection's phase;
+// the pacer fires on the next wheel tick and hands over whatever its
+// schedule holds by then.
 func (fc *fleetConn) setup() {
-	if fc.dead {
-		return
-	}
-	o := fc.f.opts
-	phase := time.Duration(fc.idx) * 7 * o.WheelTick
+	tick := fc.f.opts.Tick
 	fc.tickT.Fn = fc.onTick
-	fc.sh.Wheel().ArmPeriodic(&fc.tickT, o.Tick+phase%o.Tick, o.Tick)
-	period := max(fc.interval, o.WheelTick)
+	fc.sh.Wheel().ArmPeriodic(&fc.tickT, tick+phase(fc.idx)%tick, tick)
 	fc.sendT.Fn = fc.onPace
-	fc.start(fc.sh.Wheel(), period+phase%period, period, 0)
+	fc.sh.Wheel().Arm(&fc.sendT, 0)
 	fc.reconT.Fn = fc.onReconnectDue
 }
 
@@ -402,11 +426,27 @@ func (fc *fleetConn) onTick(now qstate.Time) {
 	fc.ep.Tick(fc.c.Elapsed())
 }
 
-// onPace hands over every request due; a failed send moves the connection
-// onto the reconnect path.
+// onPace hands over every request due and re-arms for the next one or the
+// schedule's end, whichever comes first; a failed send moves the
+// connection onto the reconnect path.
 func (fc *fleetConn) onPace(qstate.Time) {
-	if _, err := fc.fire(); err != nil {
+	now := time.Duration(fc.sh.Now())
+	over, err := fc.fire(now)
+	switch {
+	case err != nil:
 		fc.onDead()
+	case over:
+		fc.endSchedule()
+	default:
+		fc.sh.Wheel().Arm(&fc.sendT, min(fc.next, fc.end)-now)
+	}
+}
+
+// endSchedule releases Run's wait on this connection, once.
+func (fc *fleetConn) endSchedule() {
+	if !fc.ended {
+		fc.ended = true
+		fc.f.pending.Done()
 	}
 }
 
@@ -418,9 +458,15 @@ func (fc *fleetConn) onDead() {
 	fc.sh.Wheel().Cancel(&fc.sendT)
 	fc.dead = true
 	fc.prior = addEngineStats(fc.prior, fc.ep.Stats())
-	f := fc.f
-	f.ctrs.dead[fc.sh.ID()].v.Add(1)
+	fc.f.ctrs.dead[fc.sh.ID()].v.Add(1)
+	fc.retry()
+}
+
+// retry arms the next redial after the backoff, doubling it; past
+// reconnectMax it gives the connection up, which ends its schedule.
+func (fc *fleetConn) retry() {
 	if fc.attempts >= reconnectMax {
+		fc.endSchedule()
 		return
 	}
 	fc.attempts++
@@ -436,20 +482,16 @@ func (fc *fleetConn) onReconnectDue(now qstate.Time) {
 }
 
 // redial closes the dead client (waiting out its read loop), dials anew,
-// and Submits adoption back onto the shard. Runs on its own goroutine; the
-// only fleetConn fields it touches are the ones the shard handed over by
-// scheduling it (the dead connection's client).
+// and Submits adoption back onto the shard, where the schedule resumes.
+// Runs on its own goroutine; the only fleetConn fields it touches are the
+// ones the shard handed over by scheduling it (the dead connection's
+// client).
 func (fc *fleetConn) redial() {
 	fc.c.Close()
 	c, err := fc.dialClient()
 	ok := fc.sh.Submit(func() {
 		if err != nil {
-			// Re-arm the next backoff, or give up past reconnectMax.
-			if fc.attempts < reconnectMax {
-				fc.attempts++
-				fc.sh.Wheel().Arm(&fc.reconT, fc.backoff)
-				fc.backoff *= 2
-			}
+			fc.retry()
 			return
 		}
 		fc.adoptClient(c)
@@ -474,8 +516,9 @@ func addEngineStats(a, b engine.Stats) engine.Stats {
 	return a
 }
 
-// Run executes the fleet: ramp, hold, drain, teardown, report. It blocks
-// for roughly Duration plus ramp and drain.
+// Run executes the fleet: ramp, hold until every live connection's
+// schedule has ended, drain, teardown, report. It blocks for roughly
+// Duration plus ramp and drain.
 func (f *Fleet) Run() (*FleetReport, error) {
 	o := f.opts
 	start := time.Now()
@@ -494,6 +537,7 @@ func (f *Fleet) Run() (*FleetReport, error) {
 				fc := f.dial(idx)
 				f.conns[idx] = fc
 				if !fc.dead {
+					f.pending.Add(1)
 					fc.sh.Submit(fc.setup)
 				}
 			}
@@ -510,20 +554,22 @@ func (f *Fleet) Run() (*FleetReport, error) {
 		return nil, errors.New("realtcp: fleet failed to establish any connection")
 	}
 
-	// Hold the send window.
-	time.Sleep(o.Duration)
-
-	// Quiesce: stop the shard loops (no further sends or ticks), then
-	// wait for in-flight responses to land on the read loops.
+	// Quiesce once the schedules are over: stop the shard loops (no further
+	// sends or ticks), then wait for in-flight responses to land on the
+	// read loops.
+	f.pending.Wait()
 	f.g.Stop()
-	drain(func() (pending int64) {
+	outstanding := func() (n int64) {
 		for _, fc := range f.conns {
-			if fc != nil && fc.c != nil && !fc.dead {
-				pending += fc.c.Outstanding()
+			if fc.c != nil && !fc.dead {
+				n += fc.c.Outstanding()
 			}
 		}
-		return pending
-	})
+		return n
+	}
+	for deadline := time.Now().Add(drainTimeout); outstanding() > 0 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 
 	// Teardown: close every client (waits out its read loop, so the
 	// histograms are safe to merge afterwards), in parallel.
@@ -539,7 +585,7 @@ func (f *Fleet) Run() (*FleetReport, error) {
 		}()
 	}
 	for _, fc := range f.conns {
-		if fc != nil && fc.c != nil {
+		if fc.c != nil {
 			closeq <- fc.c
 		}
 	}
@@ -554,6 +600,7 @@ func (f *Fleet) Run() (*FleetReport, error) {
 func (f *Fleet) report(elapsed time.Duration) *FleetReport {
 	rep := &FleetReport{
 		Conns:      f.opts.Conns,
+		Active:     f.opts.Active,
 		DialErrors: int(f.dialErrs.Load()),
 		Elapsed:    elapsed,
 		Sent:       sumCells(f.ctrs.sent),
@@ -564,20 +611,22 @@ func (f *Fleet) report(elapsed time.Duration) *FleetReport {
 		Shards:     f.g.Stats(),
 	}
 	for _, st := range rep.Shards {
-		if st.MaxBehind > rep.MaxBehindTicks {
-			rep.MaxBehindTicks = st.MaxBehind
-		}
+		rep.MaxBehindTicks = max(rep.MaxBehindTicks, st.MaxBehind)
 		rep.FinalRunQueue += st.RunQueue
 	}
 	var ctrlHist, nagleHist qstate.DelayHist
+	var lagSum time.Duration
 	batchOn := 0
 	for _, fc := range f.conns {
-		if fc == nil || fc.c == nil {
+		if fc.c == nil {
 			continue
 		}
-		sum := &rep.Nagle
+		rep.Writes += fc.writes
+		lagSum += fc.lagSum
+		rep.LagMax = max(rep.LagMax, fc.lagMax)
+		sum, hist := &rep.Nagle, &nagleHist
 		if fc.controlled {
-			sum = &rep.Controlled
+			sum, hist = &rep.Controlled, &ctrlHist
 		}
 		sum.Conns++
 		st := addEngineStats(fc.prior, fc.ep.Stats())
@@ -585,14 +634,23 @@ func (f *Fleet) report(elapsed time.Duration) *FleetReport {
 		sum.DegradedTicks += uint64(st.DegradedTicks)
 		sum.ValidEstimates += uint64(st.ValidEstimates)
 		sum.ModeErrors += uint64(st.ModeErrors)
-		if fc.controlled {
-			ctrlHist.Merge(&fc.hist)
-			if fc.tog.Mode() == policy.BatchOn {
-				batchOn++
-			}
-		} else {
-			nagleHist.Merge(&fc.hist)
+		hist.Merge(&fc.hist)
+		if fc.tog == nil {
+			continue
 		}
+		if fc.tog.Mode() == policy.BatchOn {
+			batchOn++
+		}
+		ts, t := fc.tog.Stats(), &rep.Toggler
+		t.Decisions += ts.Decisions
+		t.Switches += ts.Switches
+		t.Explorations += ts.Explorations
+		t.Invalid += ts.Invalid
+		t.Degraded += ts.Degraded
+		t.SafeFallbacks += ts.SafeFallbacks
+	}
+	if rep.Sent > 0 {
+		rep.LagMean = lagSum / time.Duration(rep.Sent)
 	}
 	fill := func(sum *TailSummary, h *qstate.DelayHist) {
 		sum.Count = h.Count()
@@ -606,4 +664,56 @@ func (f *Fleet) report(elapsed time.Duration) *FleetReport {
 		rep.Controlled.FinalBatchOnFrac = float64(batchOn) / float64(rep.Controlled.Conns)
 	}
 	return rep
+}
+
+// pacer is a connection's send rule: a wheel timer that, at every fire,
+// queues each request whose scheduled time has passed, advancing the
+// schedule by interval per request, and writes them with one Flush. A
+// request that would overfill the client's in-flight window is skipped and
+// counted, and the schedule moves on, so the pacer never blocks its shard
+// goroutine, the only goroutine that touches it.
+type pacer struct {
+	c        *Client
+	req      []byte
+	interval time.Duration
+	sendT    shard.Timer
+
+	next, end      time.Duration // on the shard clock; end is exclusive
+	sent, skipped  *atomic.Uint64
+	writes         uint64
+	lagSum, lagMax time.Duration
+}
+
+// rateInterval is the spacing of a schedule of rate requests per second.
+func rateInterval(rate float64) time.Duration {
+	return max(time.Duration(float64(time.Second)/rate), 1)
+}
+
+// fire hands over every request due by now and reports whether the schedule
+// is over: past its end, with every request scheduled before it handed over.
+func (p *pacer) fire(now time.Duration) (over bool, err error) {
+	due := now
+	if over = now >= p.end; over {
+		due = p.end - 1
+	}
+	queued := false
+	for ; p.next <= due; p.next += p.interval {
+		if len(p.c.inflight) == cap(p.c.inflight) { // only the read loop takes stamps out
+			p.skipped.Add(1)
+			continue
+		}
+		if err = p.c.Queue(p.req); err != nil {
+			return over, err
+		}
+		queued = true
+		p.sent.Add(1)
+		lag := now - p.next
+		p.lagSum += lag
+		p.lagMax = max(p.lagMax, lag)
+	}
+	if !queued {
+		return over, nil
+	}
+	p.writes++
+	return over, p.c.Flush()
 }

@@ -2,9 +2,13 @@ package realtcp
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"e2ebatch/internal/engine"
+	"e2ebatch/internal/obs/span"
+	"e2ebatch/internal/qstate"
 	"e2ebatch/internal/resp"
 )
 
@@ -22,8 +26,8 @@ func fleetTestOptions(addr string, conns int) FleetOptions {
 		Request:     resp.AppendCommand(nil, []byte("SET"), []byte("fleet"), []byte("v")),
 		IdleRequest: resp.Command("PING"),
 		Shards:      2,
-		WheelTick:   time.Millisecond,
 		Tick:        20 * time.Millisecond,
+		Toggle:      true,
 		SLO:         5 * time.Millisecond,
 		Seed:        7,
 		DialWorkers: 4,
@@ -77,8 +81,8 @@ func TestFleetSmallRunBothGroups(t *testing.T) {
 }
 
 // TestFleetPacesAboveOneRequestPerTick: a connection asked for more
-// requests than its wheel has ticks gets every one, several to a fire, and
-// every one is answered.
+// requests than its wheel has ticks gets exactly the ones its schedule
+// holds, several to a fire, and every one is answered.
 func TestFleetPacesAboveOneRequestPerTick(t *testing.T) {
 	addr, _ := startServer(t)
 	o := fleetTestOptions(addr, 1)
@@ -91,8 +95,8 @@ func TestFleetPacesAboveOneRequestPerTick(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Sent < 4900 || rep.Completed != rep.Sent {
-		t.Fatalf("sent %d, want at least 4900 of 5000 req/s × 1 s; completed %d, skipped %d",
+	if rep.Sent != 5000 || rep.Completed != rep.Sent {
+		t.Fatalf("sent %d, want the 5000 of 5000 req/s × 1 s; completed %d, skipped %d",
 			rep.Sent, rep.Completed, rep.Skipped)
 	}
 }
@@ -140,8 +144,8 @@ func TestFleetLiveCountersDuringRun(t *testing.T) {
 // TestNoGoroutineLeakAcrossFleetAndLoad is the regression test for the
 // engine-port ticker leak: the old realtcp WallClock spawned a goroutine
 // plus a runtime ticker per Endpoint.Start and leaked them until Stop.
-// Every tick now lives on shard wheels, so a full fleet run plus a RunLoad
-// must return the process to its baseline goroutine count.
+// Every tick now lives on shard wheels, so a full fleet run plus a toggling
+// fleet of one must return the process to its baseline goroutine count.
 func TestNoGoroutineLeakAcrossFleetAndLoad(t *testing.T) {
 	addr, _ := startServer(t)
 
@@ -155,28 +159,17 @@ func TestNoGoroutineLeakAcrossFleetAndLoad(t *testing.T) {
 	runtime.GC()
 	base := runtime.NumGoroutine()
 
-	f, err := NewFleet(fleetTestOptions(addr, 6))
-	if err != nil {
-		t.Fatal(err)
+	one := fleetOfOne(addr, 500, 150*time.Millisecond, 5*time.Millisecond)
+	one.Toggle = true
+	for _, o := range []FleetOptions{fleetTestOptions(addr, 6), one} {
+		f, err := NewFleet(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Run(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := f.Run(); err != nil {
-		t.Fatal(err)
-	}
-
-	cl, err := Dial(addr, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunLoad(cl, LoadOptions{
-		Rate:     500,
-		Duration: 150 * time.Millisecond,
-		Request:  resp.Command("PING"),
-		Toggler:  policyTestToggler(),
-		Tick:     5 * time.Millisecond,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	cl.Close()
 
 	// Server-side conn handlers unwind asynchronously after client close;
 	// give the count a bounded window to settle.
@@ -192,4 +185,170 @@ func TestNoGoroutineLeakAcrossFleetAndLoad(t *testing.T) {
 	n := runtime.Stack(buf, true)
 	t.Fatalf("goroutines: base %d, now %d; leaked stacks:\n%s",
 		base, runtime.NumGoroutine(), buf[:n])
+}
+
+// fleetOfOne is kvload's default shape: one active, controlled connection.
+func fleetOfOne(addr string, rate float64, dur, tick time.Duration) FleetOptions {
+	return FleetOptions{Addr: addr, Conns: 1, Rate: rate, Duration: dur, Request: resp.Command("PING"),
+		Tick: tick, SLO: 5 * time.Millisecond}
+}
+
+func TestFleetOfOneBasic(t *testing.T) {
+	addr, _ := startServer(t)
+	var completions atomic.Int64
+	o := fleetOfOne(addr, 2000, 500*time.Millisecond, 20*time.Millisecond)
+	o.OnComplete = func(conn, _ int, _ uint64, _, _ int64) {
+		if conn == 0 {
+			completions.Add(1)
+		}
+	}
+	f, err := NewFleet(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Sent != 1000 || rep.Skipped != 0 || rep.Controlled.Conns != 1 || rep.Nagle.Conns != 0 {
+		t.Fatalf("sent %d, skipped %d, groups %d/%d; want the 1000 the schedule holds on one controlled connection",
+			rep.Sent, rep.Skipped, rep.Controlled.Conns, rep.Nagle.Conns)
+	}
+	if n := completions.Load(); uint64(n) != rep.Sent || rep.Completed != rep.Sent || rep.Writes == 0 {
+		t.Fatalf("%d completions (%d counted) in %d writes for %d requests sent", n, rep.Completed, rep.Writes, rep.Sent)
+	}
+	if rep.Controlled.ValidEstimates == 0 || rep.Toggler.Decisions != 0 {
+		t.Fatalf("%d estimates, %d toggler decisions; want estimates from a passive endpoint",
+			rep.Controlled.ValidEstimates, rep.Toggler.Decisions)
+	}
+}
+
+func TestFleetOfOneWithToggler(t *testing.T) {
+	addr, _ := startServer(t)
+	o := fleetOfOne(addr, 2000, 400*time.Millisecond, 10*time.Millisecond)
+	o.Toggle = true
+	f, err := NewFleet(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Toggler.Decisions == 0 || f.TogglerStats() != rep.Toggler {
+		t.Fatalf("toggler stats %+v, connection 0's %+v; want the one toggler consulted", rep.Toggler, f.TogglerStats())
+	}
+}
+
+func TestFleetOfOneValidation(t *testing.T) {
+	addr, _ := startServer(t)
+	ok := fleetOfOne(addr, 100, time.Second, 0)
+	for _, edit := range []func(*FleetOptions){
+		func(o *FleetOptions) { o.Addr = "" },
+		func(o *FleetOptions) { o.Conns = 0 },
+		func(o *FleetOptions) { o.Duration = 0 },
+		func(o *FleetOptions) { o.Request = nil },
+	} {
+		o := ok
+		edit(&o)
+		if _, err := NewFleet(o); err == nil {
+			t.Errorf("opts %+v accepted", o)
+		}
+	}
+	if _, err := NewFleet(ok); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFleetOfOneBatchesWrites: the pacer hands over every request of its
+// schedule, a wheel tick's worth to each write.
+func TestFleetOfOneBatchesWrites(t *testing.T) {
+	const rate, dur = 20000, 200 * time.Millisecond
+	addr, _ := startServer(t)
+	f, err := NewFleet(fleetOfOne(addr, rate, dur, time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := uint64(rate * dur.Seconds()); rep.Sent != want {
+		t.Fatalf("sent %d, want the %d the schedule holds (lag mean %v max %v)", rep.Sent, want, rep.LagMean, rep.LagMax)
+	}
+	if rep.Writes == 0 || rep.Writes >= rep.Sent/2 {
+		t.Fatalf("%d writes for %d requests; want under half as many writes as requests", rep.Writes, rep.Sent)
+	}
+	if rep.LagMean < 0 || rep.LagMax < rep.LagMean || rep.LagMax > dur {
+		t.Fatalf("lag mean %v max %v", rep.LagMean, rep.LagMax)
+	}
+}
+
+// stampObserver stamps each tick's estimate into a tracer, as
+// obs.EngineObserver does for kvload, and counts the ticks it saw.
+type stampObserver struct {
+	tr    *span.Tracer
+	ticks int
+}
+
+func (o *stampObserver) ObserveTick(_ qstate.Time, r engine.TickResult) {
+	o.tr.NoteEstimate(int64(r.Estimate.Latency), int64(r.Estimate.Tail.P99), r.Estimate.Valid, r.Estimate.Tail.Valid)
+	o.ticks++
+}
+
+// TestFleetObservesConnectionZero: the observer and the audit attach to
+// connection 0 alone, so only its spans carry an estimate stamp and the
+// auditor scores only those; connection 1's spans stay lifecycle-only.
+func TestFleetObservesConnectionZero(t *testing.T) {
+	addr, _ := startServer(t)
+	ring := span.NewRing(1, 4096)
+	stamped := span.New(span.Config{SampleEvery: 1, Ring: ring, Audit: span.NewAuditor(span.AuditConfig{})})
+	lifecycle := span.New(span.Config{SampleEvery: 1, Ring: ring})
+	ob := &stampObserver{tr: stamped}
+	o := fleetTestOptions(addr, 2)
+	o.Active, o.Rate, o.Duration, o.Tick = 2, 1000, 400*time.Millisecond, 5*time.Millisecond
+	o.Observer, o.Audit = ob, stamped.Auditor()
+	o.OnComplete = func(conn, shard int, reqID uint64, sentNs, ackNs int64) {
+		tr := stamped
+		if conn > 0 {
+			tr = lifecycle
+		}
+		var sp span.Span
+		tr.Begin(&sp, uint32(shard), uint32(conn), reqID, sentNs)
+		tr.Finish(&sp, ackNs)
+	}
+	f, err := NewFleet(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := f.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ob.ticks == 0 || uint64(ob.ticks) != rep.Controlled.ControlTicks {
+		t.Fatalf("observer saw %d ticks, connection 0 ran %d (fleet %d)", ob.ticks,
+			rep.Controlled.ControlTicks, rep.Controlled.ControlTicks+rep.Nagle.ControlTicks)
+	}
+	var zero, stampedZero, one uint64
+	for _, sp := range ring.Last(ring.Cap()) {
+		switch {
+		case sp.Conn == 0:
+			zero++
+			if sp.EstValid {
+				stampedZero++
+			}
+		case sp.EstValid:
+			t.Fatalf("connection %d's span carries an estimate stamp: %+v", sp.Conn, sp)
+		default:
+			one++
+		}
+	}
+	if zero+one != rep.Completed || stampedZero == 0 || one == 0 {
+		t.Fatalf("spans: %d of connection 0 (%d stamped), %d of connection 1, %d completions", zero, stampedZero, one, rep.Completed)
+	}
+	measured := stamped.Auditor().MeasuredHist()
+	if st := stamped.Auditor().AuditStats(); st.Audited != stampedZero || measured.Count() != zero {
+		t.Fatalf("auditor scored %d and measured %d spans; want connection 0's %d stamped of %d",
+			st.Audited, measured.Count(), stampedZero, zero)
+	}
 }

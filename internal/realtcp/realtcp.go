@@ -223,7 +223,6 @@ type Client struct {
 	// a sender may block on a full inflight while holding it.
 	sendMu  sync.Mutex
 	sendBuf []byte
-	writes  atomic.Uint64 // Writes issued
 
 	inflight chan time.Time
 	done     chan struct{}
@@ -356,7 +355,6 @@ func (c *Client) flushLocked() error {
 	}
 	_, err := c.conn.Write(c.sendBuf)
 	c.sendBuf = c.sendBuf[:0]
-	c.writes.Add(1)
 	return err
 }
 

@@ -1,22 +1,14 @@
 package realtcp
 
 import (
-	"math/rand"
 	"net"
 	"testing"
 	"time"
 
 	"e2ebatch/internal/kv"
-	"e2ebatch/internal/policy"
 	"e2ebatch/internal/qstate"
 	"e2ebatch/internal/resp"
 )
-
-// policyTestToggler builds a toggler with a loopback-appropriate SLO.
-func policyTestToggler() *policy.Toggler {
-	return policy.NewToggler(policy.ThroughputUnderSLO{SLO: 5 * time.Millisecond},
-		policy.DefaultTogglerConfig(), policy.BatchOff, rand.New(rand.NewSource(1)))
-}
 
 // startServer launches a loopback server, returning its address and a
 // cleanup func. Tests skip when the sandbox forbids loopback listening.
@@ -216,62 +208,4 @@ func TestConcurrentClients(t *testing.T) {
 	}
 	// The reply value isn't surfaced by Client; existence of 201st INCR
 	// without protocol error is the assertion here.
-}
-
-func TestRunLoadBasic(t *testing.T) {
-	addr, _ := startServer(t)
-	var log completionLog
-	c := dialOrFail(t, addr, DialOptions{OnComplete: log.hook})
-	rep, err := RunLoad(c, LoadOptions{
-		Rate:     2000,
-		Duration: 500 * time.Millisecond,
-		Request:  resp.Command("PING"),
-		Tick:     20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Sent != 1000 {
-		t.Fatalf("sent = %d, want the 1000 the schedule holds", rep.Sent)
-	}
-	c.Close() // the read loop has run every hook
-	if n := len(log.get()); n != rep.Sent || rep.Writes == 0 {
-		t.Fatalf("%d completions in %d writes for %d requests sent", n, rep.Writes, rep.Sent)
-	}
-	if rep.Estimates == 0 {
-		t.Fatal("no estimates observed")
-	}
-}
-
-func TestRunLoadWithToggler(t *testing.T) {
-	addr, _ := startServer(t)
-	c := dialOrFail(t, addr, DialOptions{})
-	tog := policyTestToggler()
-	rep, err := RunLoad(c, LoadOptions{
-		Rate:     2000,
-		Duration: 400 * time.Millisecond,
-		Request:  resp.Command("PING"),
-		Toggler:  tog,
-		Tick:     10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Toggler.Decisions == 0 {
-		t.Fatal("toggler never consulted")
-	}
-}
-
-func TestRunLoadValidation(t *testing.T) {
-	addr, _ := startServer(t)
-	c := dialOrFail(t, addr, DialOptions{})
-	for _, opts := range []LoadOptions{
-		{Rate: 0, Duration: time.Second, Request: []byte("x")},
-		{Rate: 100, Duration: 0, Request: []byte("x")},
-		{Rate: 100, Duration: time.Second},
-	} {
-		if _, err := RunLoad(c, opts); err == nil {
-			t.Errorf("opts %+v accepted", opts)
-		}
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"time"
 
-	"e2ebatch/internal/engine"
 	"e2ebatch/internal/qstate"
 )
 
@@ -117,43 +116,4 @@ func TestGroupStopRunsQueuedWork(t *testing.T) {
 	default:
 		t.Fatal("work submitted before Stop never ran")
 	}
-}
-
-// The wheel-backed engine.Clock: Endpoint.Start arms a periodic wheel
-// timer; Stop cancels it; phases stagger first fires.
-func TestClockDrivesEndpointTicks(t *testing.T) {
-	var now qstate.Time
-	g := NewGroup(Config{Shards: 1, Tick: tick, Now: func() qstate.Time { return now }})
-	s := g.Shard(0)
-	var ticks []qstate.Time
-	tkr := Clock{S: s, Phase: 3 * tick}.Tick(5*tick, func(n qstate.Time) {
-		ticks = append(ticks, n)
-	})
-	for n := int64(1); n <= 20; n++ {
-		now = at(n)
-		s.Service(now)
-	}
-	// First fire at period + phase%period = 5+3 = 8, then every 5.
-	want := []qstate.Time{at(8), at(13), at(18)}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks = %v, want %v", ticks, want)
-	}
-	for i := range want {
-		if ticks[i] != want[i] {
-			t.Fatalf("ticks = %v, want %v", ticks, want)
-		}
-	}
-	tkr.Stop()
-	tkr.Stop() // idempotent
-	for n := int64(21); n <= 30; n++ {
-		now = at(n)
-		s.Service(now)
-	}
-	if len(ticks) != len(want) {
-		t.Fatalf("ticks after Stop = %v, want unchanged %v", ticks, want)
-	}
-	if s.Wheel().Armed() != 0 {
-		t.Fatalf("stopped clock left %d timers armed", s.Wheel().Armed())
-	}
-	_ = engine.Ticker(tkr) // the handle satisfies engine.Ticker
 }

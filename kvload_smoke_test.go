@@ -2,18 +2,18 @@ package e2ebatch_test
 
 // End-to-end smoke test for kvload as the repository benchmark runs it
 // (bench/kvloadwl.go, workload sock-kvload-ctl): build the real kvserver and
-// kvload binaries, run kvload's full configuration against the server, and
-// apply the benchmark's own gates — exit 0, the rate held to 1 %, the two
-// report lines bench/scrape.go parses, and the value kvload set readable
-// afterwards. It runs in tier-1 via `make test`, so a change that breaks the
-// workload fails here, not in a benchmark run. A second run drives the
-// fleet mode, which no benchmark workload runs, from its flags to its pacer.
+// kvload binaries, run kvload's plain and full configurations against the
+// server, and apply the benchmark's own gates — exit 0, the rate held (here
+// exactly: the schedule's every request), the report lines bench/scrape.go
+// parses, and the value kvload set readable afterwards. It runs in tier-1
+// via `make test`, so a change that breaks the workload fails here, not in a
+// benchmark run. A last run holds several connections, which no benchmark
+// workload does, from its flags to its pacers.
 
 import (
 	"bufio"
 	"bytes"
 	"io"
-	"math"
 	"net"
 	"os"
 	"os/exec"
@@ -71,35 +71,57 @@ func TestKvloadSmoke(t *testing.T) {
 	go io.Copy(io.Discard, stdout) // keep the pipe drained
 
 	const rate, value, dur = 20000, 64, 300 * time.Millisecond
-	want := rate * dur.Seconds()
-	out, err := exec.Command(filepath.Join(dir, "kvload"), "-addr", addr, "-rate", strconv.Itoa(rate),
-		"-value", strconv.Itoa(value), "-dur", dur.String(), "-toggle", "-tick", "1ms",
-		"-obs", "127.0.0.1:0", "-spansample", "64").Output()
-	if err != nil {
-		t.Fatalf("kvload: %v\n%s", err, out)
+	want := int(rate * dur.Seconds())
+	kvload := func(args ...string) []string {
+		t.Helper()
+		args = append([]string{"-addr", addr, "-rate", strconv.Itoa(rate), "-value", strconv.Itoa(value), "-dur", dur.String()}, args...)
+		out, err := exec.Command(filepath.Join(dir, "kvload"), args...).Output()
+		if err != nil {
+			t.Fatalf("kvload %v: %v\n%s", args, err, out)
+		}
+		return strings.Split(strings.TrimSpace(string(out)), "\n")
 	}
-	// The two lines the benchmark parses, then the pacer's, in that order.
-	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	// sentOf parses the sent line and requires exactly want requests.
+	sentOf := func(line string) int {
+		t.Helper()
+		sent := kvloadSentLine.FindStringSubmatch(line)
+		if sent == nil {
+			t.Fatalf("not kvload's sent line: %q", line)
+		}
+		for _, d := range sent[2:6] {
+			if _, err := time.ParseDuration(d); err != nil {
+				t.Fatalf("report line %q: %v", line, err)
+			}
+		}
+		n, _ := strconv.Atoi(sent[1]) // \d+ cannot fail to parse
+		if n != want {
+			t.Fatalf("kvload sent %d requests, not the %d its schedule holds\n%s", n, want, line)
+		}
+		return n
+	}
+
+	// The benchmark's plain run (its warm-up and tax row): the sent line,
+	// then the pacer's.
+	lines := kvload()
+	if len(lines) < 2 || !kvloadPacerLine.MatchString(lines[len(lines)-1]) {
+		t.Fatalf("plain kvload's report does not end in the sent and pacer lines:\n%s", strings.Join(lines, "\n"))
+	}
+	sentOf(lines[len(lines)-2])
+
+	// The benchmark's full run: the two lines it parses, then the pacer's,
+	// in that order.
+	lines = kvload("-toggle", "-tick", "1ms", "-obs", "127.0.0.1:0", "-spansample", "64")
 	if len(lines) < 3 {
-		t.Fatalf("kvload printed %q", out)
+		t.Fatalf("kvload printed %q", lines)
 	}
 	report := lines[len(lines)-3:]
-	sent := kvloadSentLine.FindStringSubmatch(report[0])
-	if sent == nil || !kvloadTogglerLine.MatchString(report[1]) || !kvloadPacerLine.MatchString(report[2]) {
+	if !kvloadTogglerLine.MatchString(report[1]) || !kvloadPacerLine.MatchString(report[2]) {
 		t.Fatalf("kvload's report is not the sent, toggler and pacer lines:\n%s", strings.Join(report, "\n"))
 	}
-	for _, d := range sent[2:6] {
-		if _, err := time.ParseDuration(d); err != nil {
-			t.Fatalf("report line %q: %v", report[0], err)
-		}
-	}
-	n, _ := strconv.Atoi(sent[1])                                               // \d+ cannot fail to parse
-	writes, _ := strconv.Atoi(kvloadPacerLine.FindStringSubmatch(report[2])[1]) // likewise
+	n := sentOf(report[0])
+	writes, _ := strconv.Atoi(kvloadPacerLine.FindStringSubmatch(report[2])[1]) // \d+ cannot fail to parse
 	if writes == 0 || writes >= n/2 {
 		t.Fatalf("%d writes for %d requests; the pacer's bursts should share writes\n%s", writes, n, report[2])
-	}
-	if math.Abs(float64(n)-want) > 0.01*want {
-		t.Fatalf("kvload sent %d requests, not within 1%% of the %.0f its rate asks for\n%s", n, want, report[2])
 	}
 
 	// The workload's output: the server holds the value kvload set.
@@ -119,21 +141,15 @@ func TestKvloadSmoke(t *testing.T) {
 		t.Fatalf("final GET returned %.40q (%v), want the %d-byte value kvload set", got, err, value)
 	}
 
-	// Fleet mode: two active connections, each asked for five requests per
-	// 1 ms wheel tick. Its ramp adds sends, so the rate gate is a floor.
-	const fleetConns, fleetRate = 2, 5000
-	out, err = exec.Command(filepath.Join(dir, "kvload"), "-addr", addr, "-conns", strconv.Itoa(fleetConns),
-		"-active", strconv.Itoa(fleetConns), "-rate", strconv.Itoa(fleetRate), "-value", strconv.Itoa(value),
-		"-dur", dur.String()).Output()
-	if err != nil {
-		t.Fatalf("kvload fleet: %v\n%s", err, out)
-	}
-	m := kvloadFleetSent.FindSubmatch(out)
+	// Several connections: two active ones, each asked for five requests
+	// per 1 ms wheel tick, each sending exactly what its schedule holds.
+	const conns, fleetRate = 2, 5000
+	lines = kvload("-conns", strconv.Itoa(conns), "-active", strconv.Itoa(conns), "-rate", strconv.Itoa(fleetRate))
+	m := kvloadFleetSent.FindStringSubmatch(strings.Join(lines, "\n"))
 	if m == nil {
-		t.Fatalf("kvload fleet printed no sent= line:\n%s", out)
+		t.Fatalf("kvload fleet printed no sent= line:\n%s", strings.Join(lines, "\n"))
 	}
-	floor := 0.98 * fleetConns * fleetRate * dur.Seconds()
-	if n, _ := strconv.Atoi(string(m[1])); float64(n) < floor { // \d+ cannot fail to parse
-		t.Fatalf("kvload fleet sent %d requests, want at least %.0f\n%s", n, floor, out)
+	if n, _ := strconv.Atoi(m[1]); n != conns*fleetRate*int(dur.Milliseconds())/1000 { // \d+ cannot fail to parse
+		t.Fatalf("kvload fleet sent %d requests, want %d × %d req/s × %v\n%s", n, conns, fleetRate, dur, strings.Join(lines, "\n"))
 	}
 }

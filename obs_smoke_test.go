@@ -3,8 +3,9 @@ package e2ebatch_test
 // End-to-end smoke test for the PR-8 telemetry plane: build the real
 // kvserver binary, run it with -obs on an ephemeral port, drive one
 // request through a real TCP client, scrape /metrics and /debug, then
-// SIGINT it and require a clean exit. This is what `make obs-smoke` (and
-// tier-1 via `make test`) runs; it needs no curl — the scrape is net/http.
+// SIGINT it and require a clean exit. It runs in tier-1 via `make test`
+// (alone: `go test -run TestObsSmokeKvserver .`); it needs no curl — the
+// scrape is net/http.
 
 import (
 	"bufio"

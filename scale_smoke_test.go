@@ -1,9 +1,10 @@
 package e2ebatch_test
 
-// Scale smoke for the shared-nothing shard engine (`make scale-smoke`,
-// tier-1 via `make test`): hold a 2000-connection fleet from this process
-// against an in-process kvserver, every connection's control tick, pacing
-// and reconnect scheduling multiplexed onto shard timer wheels, then
+// Scale smoke for the shared-nothing shard engine (tier-1 via `make test`;
+// alone: `go test -run TestScaleSmoke .`): hold a 2000-connection fleet
+// from this process against an in-process kvserver, every connection's
+// control tick, pacing and reconnect scheduling multiplexed onto shard
+// timer wheels, then
 // require the run to be *clean* — no dial failures, no lost run-queue
 // work, per-shard rollups consistent with the final report, both policy
 // groups measured, and the goroutine count back at baseline afterwards
@@ -47,8 +48,8 @@ func TestScaleSmoke(t *testing.T) {
 		IdleEvery: 500 * time.Millisecond,
 		Duration:  2 * time.Second,
 		Request:   resp.AppendCommand(nil, []byte("SET"), []byte("scale"), []byte("v")),
-		WheelTick: 5 * time.Millisecond,
 		Tick:      100 * time.Millisecond,
+		Toggle:    true,
 		Seed:      1,
 	})
 	if err != nil {

@@ -4,8 +4,8 @@ package e2ebatch_test
 // kvserver binary, run it with -obs and -spansample 1 (trace every
 // request), drive a few requests through a real TCP client, then require
 // /debug/spans to serve parseable JSONL spans covering them and
-// /debug/trace to serve a loadable Chrome trace_event document. This is
-// what `make trace-smoke` (and tier-1 via `make test`) runs.
+// /debug/trace to serve a loadable Chrome trace_event document. It runs in
+// tier-1 via `make test` (alone: `go test -run TestTraceSmokeKvserver .`).
 
 import (
 	"bufio"

@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: tier1 vet lint escapes allocgate build test race fuzz-smoke cover bench-check fidelity-smoke clean
+.PHONY: tier1 vet lint escapes build test race fuzz-smoke bench-check fidelity-smoke clean
 
 # tier1 is the CI gate. Target graph (each arrow is a declared prerequisite,
 # so the graph is fail-fast even under `make -j`: nothing downstream of a
@@ -11,26 +11,25 @@ GOFMT ?= gofmt
 #   tier1 ─┬─ vet
 #          ├─ lint ─→ build   (e2elint resolves imports via build artifacts)
 #          ├─ escapes ─→ build (compiler escape analysis over hot paths)
-#          ├─ allocgate ─→ build (AllocsPerRun pins for //e2e:hotpath)
 #          ├─ build
-#          ├─ test ─→ build   (includes the obs, trace, kvload and scale smokes)
+#          ├─ test ─→ build   (the suite once, under -coverprofile, with the
+#          │                   per-package floors; includes the alloc gates
+#          │                   and the obs, trace, kvload and scale smokes)
 #          ├─ race ─→ build
 #          ├─ fuzz-smoke ─→ build (every resp fuzz target, 3 s each)
 #          ├─ fidelity-smoke ─→ build (one zoo replay, mean and tail reports)
-#          ├─ bench-check ─→ build (bench/ is its own module: vet, tests, lint)
-#          └─ cover ─→ build  (the suite again under -coverprofile, with the
-#                              per-package floors; about as long as test)
+#          └─ bench-check ─→ build (bench/ is its own module: vet, tests, lint)
 #
 # race runs the short-mode suite only: full sweeps are skipped under -short
 # so the ~10x race overhead stays affordable; the determinism, invariant,
 # fuzz-seed and stress tests all still run. fidelity-smoke is short-run-safe:
 # it replays the zoo at a reduced duration.
-tier1: vet lint escapes allocgate build test race fuzz-smoke fidelity-smoke bench-check cover
+tier1: vet lint escapes build test race fuzz-smoke fidelity-smoke bench-check
 
 vet:
 	$(GO) vet ./...
 
-# lint enforces gofmt plus the project's own invariants: the eleven e2elint
+# lint enforces gofmt plus the project's own invariants: the eight e2elint
 # analyzers described in DESIGN.md §8 "Enforced invariants" (the escapes
 # analyzer runs under its own target below — it needs the compiler).
 # Suppressions require a justified `//lint:ignore e2elint/<name> reason`
@@ -46,52 +45,33 @@ lint: build
 escapes: build
 	$(GO) run ./cmd/e2elint -escapes ./...
 
-# allocgate is the runtime half: testing.AllocsPerRun pins every
-# //e2e:hotpath function at 0 allocs/op. The gates are build-tagged !race
-# (the race runtime allocates shadow state), so they run here and in plain
-# `make test`, not under race.
-allocgate: build
-	$(GO) test -run AllocGate -count=1 ./internal/...
-
 build:
 	$(GO) build ./...
 
+# test runs the full suite once, with statement coverage, prints the
+# per-package summary, and enforces floors on the packages whose edge cases
+# the paper's correctness rests on: the wrap-aware counter math (qstate), the
+# estimate combination (core), the fault-injection subsystem (faults), and
+# the shared control loop (engine), plus the decision policies (policy,
+# floored when tail-SLO objectives landed), the telemetry plane (obs) and its
+# span tracing/audit plane (obs/span), the model-fidelity corpus: the
+# workload zoo (loadgen) and the closed-form rival (analytic), the invariant
+# analyzer suite itself (lint), the two packages every request crosses,
+# where bytes off the network are parsed (resp) and executed (kv), the event
+# core every simulated number comes out of (sim, floor 90), the transport
+# every simulated byte crosses (tcpsim, floor 92) and the real-socket client
+# and fleet driver (realtcp, floor 78). Floors sit a few points under
+# measured coverage at introduction (qstate 98.9%, core 92.9%, faults 95.5%,
+# engine 96.1%, obs 89.6%, obs/span 93.4%, loadgen 96.1%, analytic 96.4%,
+# lint 90.0%, policy 98.7%, resp 97.1%, kv 97.4%, tcpsim 95.7%, realtcp
+# 82.3%; core re-floored at 90 with the tail-composition coverage) so
+# incidental drift passes but a feature landing untested does not.
+#
+# The suite includes the runtime half of the hot-path allocation discipline:
+# the AllocGate tests pin every //e2e:hotpath function at 0 allocs/op with
+# testing.AllocsPerRun. They are build-tagged !race (the race runtime
+# allocates shadow state), so they run here and not under race.
 test: build
-	$(GO) test ./...
-
-race: build
-	$(GO) test -short -race ./...
-
-# fuzz-smoke runs every fuzz target of the wire parser for a few seconds of
-# new inputs each (`go test -fuzz` takes one target per run): the parser
-# reads bytes straight off the network, and the equivalence of its three
-# decoders (Next, NextCommand and Skip) is a fuzz property. The seed corpora
-# already run as plain tests; this is the part that generates.
-fuzz-smoke: build
-	@for f in $$($(GO) test -list '^Fuzz' ./internal/resp | grep '^Fuzz'); do \
-		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime=3s ./internal/resp || exit 1; \
-	done
-
-# cover runs the full suite with statement coverage, prints the per-package
-# summary, and enforces floors on the packages whose edge cases the paper's
-# correctness rests on: the wrap-aware counter math (qstate), the estimate
-# combination (core), the fault-injection subsystem (faults), and the shared
-# control loop (engine), plus the decision policies (policy, floored when
-# tail-SLO objectives landed), the PR-8 telemetry plane (obs) and its span
-# tracing/audit plane (obs/span), the model-fidelity corpus: the workload zoo (loadgen) and the closed-form
-# rival (analytic), the invariant analyzer suite itself (lint), the two
-# packages every request crosses, where bytes off the network are parsed
-# (resp) and executed (kv), the event core every simulated number comes out
-# of (sim, floor 90), the transport every simulated byte crosses (tcpsim,
-# floor 92) and the real-socket client and fleet driver (realtcp, floor 78).
-# Floors sit a few points under measured coverage at
-# introduction (qstate 98.9%, core 92.9%, faults 95.5%, engine 96.1%,
-# obs 89.6%, obs/span 93.4%, loadgen 96.1%, analytic 96.4%,
-# lint 90.0%, policy 98.7%, resp 97.1%, kv 97.4%, tcpsim 95.7%,
-# realtcp 82.3%; core
-# re-floored at 90 with the tail-composition coverage) so incidental drift passes but a feature
-# landing untested does not.
-cover: build
 	@$(GO) test -coverprofile=cover.out ./... > cover.txt || { cat cover.txt; rm -f cover.txt cover.out; exit 1; }
 	@cat cover.txt
 	@$(GO) tool cover -func=cover.out | tail -1
@@ -117,6 +97,19 @@ cover: build
 			delete floor[$$2] } \
 		END { for (p in floor) { printf "coverage floor unchecked: %s missing from test output\n", p; bad=1 } \
 			exit bad }' cover.txt
+
+race: build
+	$(GO) test -short -race ./...
+
+# fuzz-smoke runs every fuzz target of the wire parser for a few seconds of
+# new inputs each (`go test -fuzz` takes one target per run): the parser
+# reads bytes straight off the network, and the equivalence of its three
+# decoders (Next, NextCommand and Skip) is a fuzz property. The seed corpora
+# already run as plain tests; this is the part that generates.
+fuzz-smoke: build
+	@for f in $$($(GO) test -list '^Fuzz' ./internal/resp | grep '^Fuzz'); do \
+		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime=3s ./internal/resp || exit 1; \
+	done
 
 # bench-check covers the repository benchmark (BENCHMARK.json, bench/): it is
 # a Go module of its own that compiles against internal/..., so no ./... above

@@ -70,9 +70,9 @@ func TestHotpathSeededViolation(t *testing.T) {
 }
 
 // TestSeededViolation proves the driver actually fails the build on a
-// violation: the detrand golden package is riddled with them.
+// violation: the determinism golden package is riddled with them.
 func TestSeededViolation(t *testing.T) {
-	dir := filepath.Join("..", "..", "internal", "lint", "testdata", "src", "detrand")
+	dir := filepath.Join("..", "..", "internal", "lint", "testdata", "src", "determinism")
 	if code := run([]string{dir}, devNull(t), devNull(t)); code != 1 {
 		t.Fatalf("e2elint %s exited %d, want 1", dir, code)
 	}

@@ -24,6 +24,7 @@ import (
 	"e2ebatch/internal/netem"
 	"e2ebatch/internal/obs"
 	"e2ebatch/internal/policy"
+	"e2ebatch/internal/qstate"
 	"e2ebatch/internal/rpclib"
 	"e2ebatch/internal/sim"
 	"e2ebatch/internal/tcpsim"
@@ -101,7 +102,7 @@ func main() {
 		rate := float64(complete-done) / 0.05
 		done = complete
 		snap := cli.Tracker().Snapshot()
-		a := snap.Sub(prev)
+		a := qstate.GetAvgs(prev, snap)
 		prev = snap
 		fmt.Printf("%8v %12v %12.0f %10v\n",
 			now.Duration(), a.Latency.Round(time.Microsecond), rate, tog.Mode())

@@ -2,18 +2,43 @@ package lint
 
 import "testing"
 
-func TestDetRandGolden(t *testing.T) {
-	runGolden(t, DetRand, "detrand")
+func TestDeterminismGolden(t *testing.T) {
+	runGolden(t, Determinism, "determinism")
+}
+
+// scopedPkgs are the simulated-time packages: one list scopes both the
+// clock and the telemetry ban, so obs traffic in analytic or faults is
+// flagged exactly like obs traffic in sim.
+var scopedPkgs = []string{"sim", "tcpsim", "figures", "analytic", "faults"}
+
+// runScoped loads dir as each simulated-time package in turn, expecting
+// every want line to match.
+func runScoped(t *testing.T, dir string) {
+	for _, pkg := range scopedPkgs {
+		t.Run(pkg, func(t *testing.T) {
+			runGoldenAs(t, Determinism, dir, "e2ebatch/internal/"+pkg)
+		})
+	}
 }
 
 func TestWallClockGoldenRestricted(t *testing.T) {
-	// The testdata stands in for a simulated-time package.
-	runGoldenAs(t, WallClock, "wallclock", "e2ebatch/internal/sim")
+	runScoped(t, "wallclock")
 }
 
 func TestWallClockGoldenUnrestricted(t *testing.T) {
 	// The same reads under an unrestricted path produce nothing.
-	runGolden(t, WallClock, "wallclock_ok")
+	runExpectNone(t, Determinism, "wallclock")
+}
+
+func TestObsDeterminismGoldenRestricted(t *testing.T) {
+	runScoped(t, "obsdeterminism")
+}
+
+func TestObsDeterminismGoldenUnrestricted(t *testing.T) {
+	// The same code outside the simulated-time packages (realtcp, cmd/,
+	// examples) is exactly where obs is supposed to be used, so every want
+	// comment must go unmatched.
+	runExpectNone(t, Determinism, "obsdeterminism")
 }
 
 func TestLockSafetyGolden(t *testing.T) {
@@ -42,18 +67,6 @@ func TestEngineWiringGoldenUnrestricted(t *testing.T) {
 	// Outside internal/ and cmd/ (examples, external code) the rule does
 	// not apply, so every want comment must go unmatched.
 	runExpectNone(t, EngineWiring, "enginewiring")
-}
-
-func TestObsDeterminismGoldenRestricted(t *testing.T) {
-	// The testdata stands in for a golden-determinism package.
-	runGoldenAs(t, ObsDeterminism, "obsdeterminism", "e2ebatch/internal/figures")
-}
-
-func TestObsDeterminismGoldenUnrestricted(t *testing.T) {
-	// The same code outside sim/tcpsim/figures (realtcp, cmd/, examples) is
-	// exactly where obs is supposed to be used, so every want comment must
-	// go unmatched.
-	runExpectNone(t, ObsDeterminism, "obsdeterminism")
 }
 
 func TestPerTickerConnGoldenRestricted(t *testing.T) {
@@ -87,8 +100,4 @@ func TestMutexHoldGoldenUnrestricted(t *testing.T) {
 	// business (realtcp's server does socket I/O under its own locks by
 	// design), so the want comments in the testdata must all go unmatched.
 	runExpectNone(t, MutexHold, "mutexhold")
-}
-
-func TestSpanFinishGolden(t *testing.T) {
-	runGolden(t, SpanFinish, "spanfinish")
 }

@@ -1,7 +1,7 @@
 // Package lint is e2ebatch's project-specific static analysis suite: a
 // small analyzer framework (deliberately shaped after
 // golang.org/x/tools/go/analysis, but built on the standard library alone so
-// the repo stays dependency-free) plus eleven analyzers that mechanically
+// the repo stays dependency-free) plus eight analyzers that mechanically
 // enforce the concurrency, determinism, single-control-loop, shard-scheduling
 // and hot-path allocation invariants the estimator's correctness and overhead
 // budget depend on. The rules themselves live in one file per
@@ -105,16 +105,13 @@ func (p *ModulePass) ReportAt(pos token.Position, format string, args ...any) {
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		LockSafety,
-		DetRand,
-		WallClock,
+		Determinism,
 		SnapshotPair,
 		MutexHold,
 		EngineWiring,
-		ObsDeterminism,
 		HotPath,
 		Escapes,
 		PerTickerConn,
-		SpanFinish,
 	}
 }
 

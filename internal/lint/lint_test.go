@@ -7,8 +7,8 @@ import (
 
 func TestAnalyzerRegistry(t *testing.T) {
 	as := Analyzers()
-	if len(as) != 11 {
-		t.Fatalf("suite has %d analyzers, want 11 (locksafety, detrand, wallclock, snapshotpair, mutexhold, enginewiring, obsdeterminism, hotpath, escapes, pertickerconn, spanfinish)", len(as))
+	if len(as) != 8 {
+		t.Fatalf("suite has %d analyzers, want 8 (locksafety, determinism, snapshotpair, mutexhold, enginewiring, hotpath, escapes, pertickerconn)", len(as))
 	}
 	seen := map[string]bool{}
 	for _, a := range as {
@@ -64,15 +64,15 @@ func TestBadIgnoreDirectives(t *testing.T) {
 		t.Fatal(err)
 	}
 	diags := Check(pkg, Analyzers())
-	var missingReason, unknownName, detrandFindings int
+	var missingReason, unknownName, randFindings int
 	for _, d := range diags {
 		switch {
 		case d.Analyzer == "directive" && strings.Contains(d.Message, "missing its reason"):
 			missingReason++
 		case d.Analyzer == "directive" && strings.Contains(d.Message, "unknown analyzer"):
 			unknownName++
-		case d.Analyzer == "detrand":
-			detrandFindings++
+		case d.Analyzer == "determinism":
+			randFindings++
 		default:
 			t.Errorf("unexpected diagnostic: %s", d)
 		}
@@ -81,8 +81,8 @@ func TestBadIgnoreDirectives(t *testing.T) {
 		t.Errorf("directive findings: missing-reason=%d unknown-name=%d, want 1 and 1 (all: %v)",
 			missingReason, unknownName, diags)
 	}
-	if detrandFindings != 2 {
-		t.Errorf("broken directives must not suppress: got %d detrand findings, want 2 (all: %v)",
-			detrandFindings, diags)
+	if randFindings != 2 {
+		t.Errorf("broken directives must not suppress: got %d determinism findings, want 2 (all: %v)",
+			randFindings, diags)
 	}
 }

@@ -119,7 +119,7 @@ func (l *Loader) LoadDir(dir string) (*Package, error) {
 }
 
 // LoadDirAs is LoadDir with an assumed import path, letting golden tests
-// exercise package-scoped rules (e.g. wallclock's restricted-package list)
+// exercise package-scoped rules (e.g. determinism's restricted-package list)
 // from a testdata directory standing in for the real package.
 func (l *Loader) LoadDirAs(dir, asPath string) (*Package, error) {
 	if l.exports == nil {

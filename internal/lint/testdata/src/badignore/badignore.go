@@ -6,7 +6,7 @@ package badignore
 import "math/rand"
 
 func missingReason() int {
-	//lint:ignore e2elint/detrand
+	//lint:ignore e2elint/determinism
 	return rand.Intn(10)
 }
 

@@ -1,5 +1,7 @@
-// Package detrand is golden testdata for e2elint/detrand.
-package detrand
+// Package determinism is golden testdata for e2elint/determinism's
+// module-wide half: the three math/rand shapes, flagged under any import
+// path.
+package determinism
 
 import (
 	"math/rand"

@@ -6,10 +6,10 @@ package ignore
 import "math/rand"
 
 func ownLine() int {
-	//lint:ignore e2elint/detrand golden test: directive on its own line suppresses the next line
+	//lint:ignore e2elint/determinism golden test: directive on its own line suppresses the next line
 	return rand.Intn(10)
 }
 
 func trailing() int {
-	return rand.Intn(10) //lint:ignore e2elint/detrand golden test: trailing directive suppresses its own line
+	return rand.Intn(10) //lint:ignore e2elint/determinism golden test: trailing directive suppresses its own line
 }

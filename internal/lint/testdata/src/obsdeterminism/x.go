@@ -1,7 +1,5 @@
-// Package obsdeterminism is golden testdata for e2elint/obsdeterminism;
-// the test loads it under the import path of a golden-determinism package
-// (internal/figures) and again under an unrestricted path, expecting
-// silence there.
+// Package obsdeterminism is golden testdata for e2elint/determinism's
+// telemetry ban, loaded the same way as the wallclock testdata.
 package obsdeterminism
 
 import (

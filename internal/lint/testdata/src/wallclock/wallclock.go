@@ -1,5 +1,7 @@
-// Package wallclock is golden testdata for e2elint/wallclock; the test
-// loads it under the import path of a simulated-time package.
+// Package wallclock is golden testdata for e2elint/determinism's host-clock
+// ban: the test loads it under the import path of each simulated-time
+// package, expecting every finding, and under an unrestricted path,
+// expecting silence.
 package wallclock
 
 import "time"

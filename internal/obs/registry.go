@@ -13,9 +13,9 @@
 //
 // Determinism contract: nothing in the simulation's golden paths may touch
 // this package. The engine exports telemetry through the engine.Observer
-// seam only, a nil observer costs nothing, and the obsdeterminism analyzer
-// (DESIGN.md §8) mechanically forbids internal/sim, internal/tcpsim and
-// internal/figures from reaching in.
+// seam only, a nil observer costs nothing, and the determinism analyzer
+// (DESIGN.md §8) mechanically forbids internal/sim, internal/tcpsim,
+// internal/figures, internal/analytic and internal/faults from reaching in.
 package obs
 
 import (

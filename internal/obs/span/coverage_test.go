@@ -3,7 +3,7 @@ package span_test
 // End-to-end audit-plane tests on the simulated testbed: the span tracer
 // and auditor attached to real figure runs, scoring the live composed-tail
 // estimate against per-request ground truth. These live in span_test (not
-// figures) because figures is an obsdeterminism golden package: it may not
+// figures) because figures is a determinism-scoped package: it may not
 // import the observability plane, but the plane's tests may drive it.
 
 import (

@@ -13,11 +13,11 @@
 // Latency Estimation" argues tail estimates are only trustworthy under
 // continuous validation).
 //
-// Determinism: the golden-pinned packages (sim, tcpsim, figures) never
-// import this package — the obsdeterminism analyzer enforces it. Spans
-// reach simulated runs only through the plain-function seams those packages
-// already expose (loadgen.Config.OnComplete, engine.Observer), so a traced
-// run and an untraced run execute byte-identical event sequences.
+// Determinism: the golden-pinned packages (sim, tcpsim, figures, analytic,
+// faults) never import this package — the determinism analyzer enforces
+// it. Spans reach simulated runs only through the plain-function seams those
+// packages already expose (loadgen.Config.OnComplete, engine.Observer), so a
+// traced run and an untraced run execute byte-identical event sequences.
 //
 // Both the unsampled path (one splitmix64 and a compare) and the sampled
 // path (ring push + audit) are //e2e:hotpath and allocgate-pinned at

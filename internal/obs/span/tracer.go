@@ -88,7 +88,7 @@ func (t *Tracer) Sampled(id uint64) bool {
 // residual separately.
 const tailEWMAShift = 3
 
-// NoteEstimate updates the estimate stamp subsequent Begins copy: the mean
+// NoteEstimate updates the estimate stamp subsequent Finishes copy: the mean
 // end-to-end latency and the composed tail's p99, in nanoseconds, with
 // their validity bits. Call it once per engine tick (obs.EngineObserver
 // does, from its ObserveTick); it is single-writer from that goroutine.
@@ -118,13 +118,22 @@ func (t *Tracer) NoteEstimate(meanNs, p99Ns int64, meanValid, tailValid bool) {
 	t.estFlags.Store(flags)
 }
 
-// Begin initializes *sp for a sampled request and stamps the current
-// estimate onto it. sp is caller-owned scratch (a stack variable in the
-// completion callback); Begin never retains it.
+// Begin initializes *sp for a sampled request. sp is caller-owned scratch
+// (a stack variable in the completion callback); Begin never retains it and
+// touches no tracer state, so a span that never reaches Finish is just an
+// unused value.
 //
 //e2e:hotpath
 func (t *Tracer) Begin(sp *Span, shard, conn uint32, reqID uint64, enqueueNs int64) {
 	*sp = Span{ReqID: reqID, Shard: shard, Conn: conn, EnqueueNs: enqueueNs}
+}
+
+// Finish completes the span at ackNs, stamps the estimate current now onto
+// it, audits it against that stamp, and publishes it to the ring.
+//
+//e2e:hotpath
+func (t *Tracer) Finish(sp *Span, ackNs int64) {
+	sp.AckNs = ackNs
 	flags := t.estFlags.Load()
 	if flags&1 != 0 {
 		sp.EstNs = t.estMean.Load()
@@ -134,15 +143,6 @@ func (t *Tracer) Begin(sp *Span, shard, conn uint32, reqID uint64, enqueueNs int
 		sp.EstP99Ns = t.estP99.Load()
 		sp.TailValid = true
 	}
-}
-
-// Finish completes the span at ackNs, audits it against its estimate
-// stamp, and publishes it to the ring. Every Begin must reach exactly one
-// Finish (the spanfinish analyzer enforces the pairing on every exit path).
-//
-//e2e:hotpath
-func (t *Tracer) Finish(sp *Span, ackNs int64) {
-	sp.AckNs = ackNs
 	if t.audit != nil {
 		t.audit.Observe(sp)
 	}

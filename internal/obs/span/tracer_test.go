@@ -49,20 +49,25 @@ func TestSampledSeedIndependence(t *testing.T) {
 	}
 }
 
-// TestEstimateStampAndSmoothing: Begin copies the stamp NoteEstimate wrote;
-// the p99 stamp seeds on the first valid tail and then follows the integer
-// EWMA exactly, surviving abstaining ticks in between.
+// TestEstimateStampAndSmoothing: Finish copies the stamp NoteEstimate wrote
+// last, even one written after Begin; the p99 stamp seeds on the first valid
+// tail and then follows the integer EWMA exactly, surviving abstaining ticks
+// in between.
 func TestEstimateStampAndSmoothing(t *testing.T) {
 	tr := New(Config{Seed: 1, SampleEvery: 1})
+	finish := func(id uint64) Span {
+		var sp Span
+		tr.Begin(&sp, 0, 0, id, 100)
+		tr.Finish(&sp, 200)
+		return sp
+	}
 
-	var sp Span
-	tr.Begin(&sp, 0, 0, 0, 100)
-	if sp.EstValid || sp.TailValid {
+	if sp := finish(0); sp.EstValid || sp.TailValid {
 		t.Fatal("stamp valid before any NoteEstimate")
 	}
 
 	tr.NoteEstimate(1000, 5000, true, true) // seeds p99
-	tr.Begin(&sp, 0, 0, 1, 100)
+	sp := finish(1)
 	if !sp.EstValid || sp.EstNs != 1000 {
 		t.Fatalf("mean stamp = (%v, %d), want (true, 1000)", sp.EstValid, sp.EstNs)
 	}
@@ -71,7 +76,7 @@ func TestEstimateStampAndSmoothing(t *testing.T) {
 	}
 
 	tr.NoteEstimate(1200, 0, true, false) // abstain: p99 EWMA holds
-	tr.Begin(&sp, 0, 0, 2, 100)
+	sp = finish(2)
 	if sp.TailValid {
 		t.Fatal("tail stamp valid on an abstained tick")
 	}
@@ -81,9 +86,18 @@ func TestEstimateStampAndSmoothing(t *testing.T) {
 
 	tr.NoteEstimate(1100, 9000, true, true)
 	want := int64(5000) + (9000-5000)>>tailEWMAShift // not re-seeded
-	tr.Begin(&sp, 0, 0, 3, 100)
-	if sp.EstP99Ns != want {
+	if sp = finish(3); sp.EstP99Ns != want {
 		t.Fatalf("p99 stamp %d after abstain gap, want EWMA %d", sp.EstP99Ns, want)
+	}
+
+	// A tick landing between Begin and Finish is the estimate current when
+	// the span finished, so the span carries it.
+	tr.Begin(&sp, 0, 0, 4, 100)
+	tr.NoteEstimate(2000, 0, true, false)
+	tr.Finish(&sp, 300)
+	if !sp.EstValid || sp.EstNs != 2000 || sp.TailValid {
+		t.Fatalf("stamp = (%v, %d, tail %v), want the newer (true, 2000, tail false)",
+			sp.EstValid, sp.EstNs, sp.TailValid)
 	}
 }
 

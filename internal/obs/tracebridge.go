@@ -8,7 +8,7 @@ import (
 // activations above all — into reg as e2e_fault_activations_total{kind},
 // plus the log's sample count. The bridge is strictly post-hoc: the
 // simulation writes its log with no knowledge of the registry (the
-// obsdeterminism analyzer enforces that), and this function folds the
+// determinism analyzer enforces that), and this function folds the
 // finished log in afterwards, so golden-pinned figure output cannot be
 // perturbed by telemetry. cmd/e2efig -metricsout is the caller.
 func CountTraceEvents(reg *Registry, log *trace.Log) {

@@ -132,10 +132,6 @@ func GetAvgs(prev, now Snapshot) Avgs {
 	return a
 }
 
-// Sub returns GetAvgs(prev, s) — a convenience mirroring the paper's
-// "subtracting successive state instances".
-func (now Snapshot) Sub(prev Snapshot) Avgs { return GetAvgs(prev, now) }
-
 // String renders the state for counter dumps.
 func (s *State) String() string {
 	return fmt.Sprintf("t=%d size=%d total=%d integral=%d", s.Time, s.Size, s.Total, s.Integral)

@@ -157,15 +157,17 @@ func TestGetAvgsIdleInterval(t *testing.T) {
 	}
 }
 
-func TestSnapshotSub(t *testing.T) {
+// TestGetAvgsSingleItem: one item resident for 10 ns is a 10 ns mean
+// latency, whatever the interval's length.
+func TestGetAvgsSingleItem(t *testing.T) {
 	var s State
 	s.Init(0)
 	a := s.Snapshot(0)
 	s.Track(10, 1)
 	s.Track(20, -1)
 	b := s.Snapshot(100)
-	if got, want := b.Sub(a).Latency, 10*time.Nanosecond; got != want {
-		t.Fatalf("Sub latency = %v, want %v", got, want)
+	if got, want := GetAvgs(a, b).Latency, 10*time.Nanosecond; got != want {
+		t.Fatalf("GetAvgs latency = %v, want %v", got, want)
 	}
 }
 

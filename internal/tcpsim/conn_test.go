@@ -7,6 +7,7 @@ import (
 
 	"e2ebatch/internal/cpumodel"
 	"e2ebatch/internal/netem"
+	"e2ebatch/internal/qstate"
 	"e2ebatch/internal/sim"
 )
 
@@ -289,7 +290,7 @@ func TestUnackedQueueTracking(t *testing.T) {
 		t.Fatalf("unacked packets = %d after ack, want 0", unP)
 	}
 	ua1, _, _ := ca.Snapshots(UnitBytes)
-	avgs := ua1.Sub(ua0)
+	avgs := qstate.GetAvgs(ua0, ua1)
 	if !avgs.Valid || avgs.Departures != 2000 {
 		t.Fatalf("unacked avgs = %+v, want 2000 departures", avgs)
 	}

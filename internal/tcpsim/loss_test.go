@@ -9,6 +9,7 @@ import (
 
 	"e2ebatch/internal/cpumodel"
 	"e2ebatch/internal/netem"
+	"e2ebatch/internal/qstate"
 	"e2ebatch/internal/sim"
 )
 
@@ -123,7 +124,7 @@ func TestLossInflatesMeasuredResidency(t *testing.T) {
 		}
 		s.RunUntil(s.Now().Add(10 * time.Second))
 		end, _, _ := ca.Snapshots(UnitBytes)
-		a := end.Sub(start)
+		a := qstate.GetAvgs(start, end)
 		if !a.Valid {
 			t.Fatal("invalid interval")
 		}

@@ -12,8 +12,13 @@
 package e2ebatch_test
 
 import (
+	"bytes"
 	"fmt"
+	"io"
+	"net"
 	"os"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -27,6 +32,7 @@ import (
 	"e2ebatch/internal/obs"
 	"e2ebatch/internal/policy"
 	"e2ebatch/internal/qstate"
+	"e2ebatch/internal/realtcp"
 	"e2ebatch/internal/resp"
 	"e2ebatch/internal/sim"
 	"e2ebatch/internal/tcpsim"
@@ -356,6 +362,66 @@ func BenchmarkKVRequestPath(b *testing.B) {
 			}
 		})
 	}
+}
+
+// fireConn is the network for BenchmarkClientFire: every Write of whole
+// requests is answered with as many replies on the next Read. Read spins
+// instead of parking, so handing a batch to the read loop costs a yield,
+// not a scheduler wake-up.
+type fireConn struct {
+	net.Conn
+	reqLen  int
+	pending atomic.Int64
+	closed  atomic.Bool
+}
+
+func (f *fireConn) Write(p []byte) (int, error) {
+	f.pending.Add(int64(len(p) / f.reqLen))
+	return len(p), nil
+}
+
+func (f *fireConn) Read(p []byte) (int, error) {
+	for !f.closed.Load() {
+		if k := f.pending.Swap(0); k > 0 {
+			n := 0
+			for ; k > 0; k-- {
+				n += copy(p[n:], "+OK\r\n")
+			}
+			return n, nil
+		}
+		runtime.Gosched()
+	}
+	return 0, io.EOF
+}
+
+func (f *fireConn) Close() error { f.closed.Store(true); return nil }
+
+// BenchmarkClientFire measures the real-socket client's layer as kvload's
+// pacer drives it: one fire of 21 requests (a 1 ms wheel tick at 20 k
+// req/s) handed over with Queue, written with one Flush, and completed by
+// the read loop into a fleet connection's histogram. ns/req is per request.
+func BenchmarkClientFire(b *testing.B) {
+	const k = 21
+	req := resp.AppendCommand(nil, []byte("SET"), bytes.Repeat([]byte{'k'}, 16), bytes.Repeat([]byte{'v'}, 64))
+	conn := &fireConn{reqLen: len(req)}
+	var hist qstate.DelayHist // the read loop's alone
+	c := realtcp.NewClient(conn, realtcp.DialOptions{MaxInflight: 4096,
+		OnComplete: func(_ uint64, n int, sentNs, ackNs int64) { hist.RecordN(time.Duration(ackNs-sentNs), uint32(n)) }})
+	defer c.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Queue(req, k); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		for c.Outstanding() > 0 {
+			runtime.Gosched()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*k), "ns/req")
 }
 
 // BenchmarkRingPush measures publishing one decision record into the

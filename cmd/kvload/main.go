@@ -116,20 +116,25 @@ func main() {
 			debug.SetSpans(spans)
 		}
 	}
-	opts.OnComplete = func(conn, shard int, reqID uint64, sentNs, ackNs int64) {
-		lat.Record(time.Duration(ackNs - sentNs))
+	opts.OnComplete = func(conn, shard int, firstID uint64, n int, sentNs, ackNs int64) {
+		lat.RecordN(time.Duration(ackNs-sentNs), uint64(n))
 		tr := audited
 		if conn > 0 {
 			tr = lifecycle
 		}
+		if tr == nil {
+			return
+		}
 		// The sampling key folds the connection index into the
-		// per-connection FIFO reqID, so 1-in-N holds fleet-wide. Many read
-		// loops run this at once, so each call has its own stack-scratch
-		// span (the tracer never retains the pointer).
-		if tr != nil && tr.Sampled(uint64(conn)<<32^reqID) {
-			var sp span.Span
-			tr.Begin(&sp, uint32(shard), uint32(conn), reqID, sentNs)
-			tr.Finish(&sp, ackNs)
+		// per-connection FIFO request id, so 1-in-N holds fleet-wide. Many
+		// read loops run this at once, so each call has its own
+		// stack-scratch span (the tracer never retains the pointer).
+		for reqID := firstID; reqID < firstID+uint64(n); reqID++ {
+			if tr.Sampled(uint64(conn)<<32 ^ reqID) {
+				var sp span.Span
+				tr.Begin(&sp, uint32(shard), uint32(conn), reqID, sentNs)
+				tr.Finish(&sp, ackNs)
+			}
 		}
 	}
 	f, err := realtcp.NewFleet(opts)
@@ -190,6 +195,10 @@ func main() {
 	}
 	fmt.Printf("pacer: %d writes (%.2f requests/write), hand-over lag mean=%v max=%v\n",
 		rep.Writes, float64(rep.Sent)/float64(rep.Writes), us(rep.LagMean), us(rep.LagMax))
+	// A request's schedule-to-reply time is its hand-over lag plus its
+	// hand-over-to-reply latency, so the means add exactly.
+	fmt.Printf("response: mean=%v (hand-over lag %v + service %v)\n",
+		us(rep.LagMean+h.Mean()), us(rep.LagMean), us(h.Mean()))
 }
 
 // fleetGauges exports the fleet's live per-shard counters and wheel health,

@@ -39,23 +39,28 @@ func NewTracker(clock Clock) *Tracker {
 	return &Tracker{clock: clock, st: qstate.NewTracker(clock())}
 }
 
-// Create records that n requests were just issued.
-func (t *Tracker) Create(n int) {
-	if n <= 0 {
-		return
+// Create records that n requests were just issued and returns the clock
+// reading it recorded them at, so a caller that stamps the requests itself
+// needs no second reading.
+func (t *Tracker) Create(n int) qstate.Time {
+	now := t.clock()
+	if n > 0 {
+		t.st.Track(now, int64(n))
 	}
-	t.st.Track(t.clock(), int64(n))
+	return now
 }
 
 // Complete records that n requests just completed (their responses were
-// received and consumed). Completing more requests than are outstanding
-// panics — it means the application's bookkeeping is broken and every
-// estimate derived from this tracker would be garbage.
-func (t *Tracker) Complete(n int) {
-	if n <= 0 {
-		return
+// received and consumed) and returns the clock reading it recorded them at.
+// Completing more requests than are outstanding panics — it means the
+// application's bookkeeping is broken and every estimate derived from this
+// tracker would be garbage.
+func (t *Tracker) Complete(n int) qstate.Time {
+	now := t.clock()
+	if n > 0 {
+		t.st.Track(now, -int64(n))
 	}
-	t.st.Track(t.clock(), -int64(n))
+	return now
 }
 
 // Outstanding returns the number of requests issued but not completed.

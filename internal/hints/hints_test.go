@@ -44,9 +44,13 @@ func TestBatchedCreateComplete(t *testing.T) {
 	clk := &fakeClock{}
 	tr := NewTracker(clk.fn())
 	prev := tr.Snapshot()
-	tr.Create(5)
+	if at := tr.Create(5); at != clk.now {
+		t.Fatalf("Create returned %v, want its clock reading %v", at, clk.now)
+	}
 	clk.advance(time.Millisecond)
-	tr.Complete(5)
+	if at := tr.Complete(5); at != clk.now {
+		t.Fatalf("Complete returned %v, want its clock reading %v", at, clk.now)
+	}
 	clk.advance(time.Millisecond)
 	a := qstate.GetAvgs(prev, tr.Snapshot())
 	if a.Latency != time.Millisecond {

@@ -58,7 +58,15 @@ func bucketLow(i int) int64 {
 }
 
 // Record adds one sample. Negative durations count as zero.
-func (h *Histogram) Record(d time.Duration) {
+func (h *Histogram) Record(d time.Duration) { h.RecordN(d, 1) }
+
+// RecordN adds n samples of d at the cost of one: the batch form for items
+// that share a latency. Negative durations count as zero; n of zero adds
+// nothing.
+func (h *Histogram) RecordN(d time.Duration, n uint64) {
+	if n == 0 {
+		return
+	}
 	v := int64(d)
 	if v < 0 {
 		v = 0
@@ -69,9 +77,9 @@ func (h *Histogram) Record(d time.Duration) {
 	if v > h.max {
 		h.max = v
 	}
-	h.counts[bucketIndex(v)]++
-	h.count++
-	h.sum += v
+	h.counts[bucketIndex(v)] += n
+	h.count += n
+	h.sum += v * int64(n)
 }
 
 // Count returns the number of recorded samples.

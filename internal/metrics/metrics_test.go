@@ -30,6 +30,23 @@ func TestHistogramSingleSample(t *testing.T) {
 	}
 }
 
+// RecordN is n Records at the cost of one: the same histogram, bucket for
+// bucket, and n of zero records nothing.
+func TestHistogramRecordN(t *testing.T) {
+	var one, batch Histogram
+	for _, d := range []time.Duration{5 * time.Microsecond, -time.Microsecond, 3 * time.Millisecond} {
+		for i := 0; i < 7; i++ {
+			one.Record(d)
+		}
+		batch.RecordN(d, 7)
+		batch.RecordN(time.Hour, 0)
+	}
+	if one != batch {
+		t.Fatalf("RecordN(d, 7) differs from 7 × Record(d): count %d vs %d, sum %v vs %v, min %v vs %v, max %v vs %v",
+			batch.Count(), one.Count(), batch.Sum(), one.Sum(), batch.Min(), one.Min(), batch.Max(), one.Max())
+	}
+}
+
 func TestHistogramExactMeanSum(t *testing.T) {
 	var h Histogram
 	var want int64

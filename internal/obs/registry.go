@@ -73,9 +73,12 @@ type Latencies struct {
 }
 
 // Record adds one sample.
-func (l *Latencies) Record(d time.Duration) {
+func (l *Latencies) Record(d time.Duration) { l.RecordN(d, 1) }
+
+// RecordN adds n samples of d under one lock.
+func (l *Latencies) RecordN(d time.Duration, n uint64) {
 	l.mu.Lock()
-	l.h.Record(d)
+	l.h.RecordN(d, n)
 	l.mu.Unlock()
 }
 

@@ -2,16 +2,32 @@ package realtcp
 
 import (
 	"fmt"
+	"io"
+	"math/rand"
 	"net"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"e2ebatch/internal/engine"
+	"e2ebatch/internal/policy"
 	"e2ebatch/internal/qstate"
 	"e2ebatch/internal/resp"
 )
+
+// nullConn takes every Write and never has anything to read, so the read
+// loop stays parked and the test is the only goroutine completing requests.
+type nullConn struct {
+	net.Conn
+	closed chan struct{}
+}
+
+func (n nullConn) Read([]byte) (int, error)    { <-n.closed; return 0, io.EOF }
+func (n nullConn) Write(p []byte) (int, error) { return len(p), nil }
+func (n nullConn) Close() error                { close(n.closed); return nil }
 
 // countConn counts the Writes that reach the socket and their bytes.
 type countConn struct {
@@ -39,22 +55,24 @@ func countedClient(t *testing.T, opts DialOptions) (*Client, *countConn) {
 	return c, cc
 }
 
-// completion is one call of an OnComplete hook.
+// completion is one request of a run an OnComplete hook received.
 type completion struct {
 	id        uint64
 	sent, ack int64
 }
 
-// completionLog keeps every call of its hook, which a client runs on its
-// read loop.
+// completionLog keeps every request of every call of its hook, which a
+// client runs on its read loop.
 type completionLog struct {
 	mu   sync.Mutex
 	seen []completion
 }
 
-func (l *completionLog) hook(id uint64, sent, ack int64) {
+func (l *completionLog) hook(first uint64, n int, sent, ack int64) {
 	l.mu.Lock()
-	l.seen = append(l.seen, completion{id, sent, ack})
+	for id := first; id < first+uint64(n); id++ {
+		l.seen = append(l.seen, completion{id, sent, ack})
+	}
 	l.mu.Unlock()
 }
 
@@ -105,7 +123,7 @@ func TestQueueFlushIsOneWrite(t *testing.T) {
 	const k = 37
 	wire := resp.Command("PING")
 	for i := 0; i < k; i++ {
-		if err := c.Queue(wire); err != nil {
+		if err := c.Queue(wire, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -146,7 +164,7 @@ func TestQueueOnFullWindowFlushes(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		for i := 0; i < 100; i++ {
-			if err := c.Queue(wire); err != nil {
+			if err := c.Queue(wire, 1); err != nil {
 				done <- err
 				return
 			}
@@ -223,7 +241,7 @@ func TestCorruptReplyFailsClient(t *testing.T) {
 
 func TestSplitReplyCompletesOnce(t *testing.T) {
 	var completions atomic.Int64
-	c, srv := scriptedClient(t, DialOptions{OnComplete: func(uint64, int64, int64) { completions.Add(1) }})
+	c, srv := scriptedClient(t, DialOptions{OnComplete: func(_ uint64, n int, _, _ int64) { completions.Add(int64(n)) }})
 	if err := c.Send(resp.Command("GET", "k")); err != nil {
 		t.Fatal(err)
 	}
@@ -250,12 +268,12 @@ func TestSplitReplyCompletesOnce(t *testing.T) {
 func TestConcurrentSendPairsStamps(t *testing.T) {
 	var n, bad atomic.Int64
 	var last int64 // read loop only
-	c, _ := countedClient(t, DialOptions{MaxInflight: 64, OnComplete: func(_ uint64, sent, ack int64) {
+	c, _ := countedClient(t, DialOptions{MaxInflight: 64, OnComplete: func(_ uint64, k int, sent, ack int64) {
 		if sent < last || ack < sent {
 			bad.Add(1)
 		}
 		last = sent
-		n.Add(1)
+		n.Add(int64(k))
 	}})
 	const senders, each = 8, 500
 	wire := resp.Command("PING")
@@ -295,5 +313,226 @@ func TestPacerSkipsOnFullWindow(t *testing.T) {
 	if s, k := p.sent.Load(), p.skipped.Load(); s != 4 || k != 6 || p.writes != 1 || p.next <= now {
 		t.Fatalf("sent %d, skipped %d in %d writes, next due %v after now %v; want 4, 6, one write and a schedule past now",
 			s, k, p.writes, p.next, now)
+	}
+}
+
+// TestRunsPairWithTheirStamps is the run-pairing property: runs of random
+// size from one goroutine and single Sends from two others, answered in
+// chunks cut at random byte offsets (so reads end inside replies and inside
+// runs), complete every request exactly once, in id order from 0, each
+// with the stamp of the Queue call that handed it over.
+func TestRunsPairWithTheirStamps(t *testing.T) {
+	const window = 16
+	cli, srv := net.Pipe()
+	srv.SetDeadline(time.Now().Add(10 * time.Second))
+	var mu sync.Mutex
+	type runStamp struct {
+		n             int
+		before, after int64
+		sent          int64 // the stamp its completions reported; -1 until one has
+	}
+	runs := map[int]*runStamp{}
+	var byID []int // the run of each request id, in the order the server read them
+	var got []completion
+	c := NewClient(cli, DialOptions{MaxInflight: window, OnComplete: func(first uint64, n int, sent, ack int64) {
+		mu.Lock()
+		for id := first; id < first+uint64(n); id++ {
+			got = append(got, completion{id, sent, ack})
+		}
+		mu.Unlock()
+	}})
+	t.Cleanup(func() { c.Close(); srv.Close() })
+
+	// The server: each request names its run; replies go back in chunks of
+	// random length, so the client's reads end at random offsets.
+	go func() {
+		rng := rand.New(rand.NewSource(7))
+		var p resp.Parser
+		var args [][]byte
+		var out []byte
+		for {
+			n, err := srv.Read(p.Space(4096))
+			p.Commit(n)
+			if err != nil {
+				return
+			}
+			for {
+				var ok bool
+				if args, ok, err = p.NextCommand(args[:0]); err != nil || !ok {
+					break
+				}
+				r, _ := strconv.Atoi(string(args[1]))
+				mu.Lock()
+				byID = append(byID, r)
+				mu.Unlock()
+				out = append(out, "+OK\r\n"...)
+			}
+			for len(out) > 0 {
+				k := 1 + rng.Intn(len(out))
+				if _, err := srv.Write(out[:k]); err != nil {
+					return
+				}
+				out = out[k:]
+			}
+			out = out[:0]
+		}
+	}()
+
+	var next atomic.Int64 // run names
+	queue := func(n int, send bool) error {
+		r := int(next.Add(1))
+		cmd := resp.Command("PING", strconv.Itoa(r))
+		rs := &runStamp{n: n, sent: -1, before: int64(c.Elapsed())}
+		var err error
+		if send {
+			err = c.Send(cmd)
+		} else {
+			err = c.Queue(cmd, n)
+		}
+		rs.after = int64(c.Elapsed())
+		mu.Lock()
+		runs[r] = rs
+		mu.Unlock()
+		return err
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 3)
+	wg.Add(3)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(1))
+		for i := 0; i < 300; i++ {
+			if err := queue(1+rng.Intn(window), false); err != nil {
+				errs <- err
+				return
+			}
+			if rng.Intn(3) == 0 { // sometimes several runs share a write
+				continue
+			}
+			if err := c.Flush(); err != nil {
+				errs <- err
+				return
+			}
+		}
+		errs <- c.Flush()
+	}()
+	for g := 0; g < 2; g++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				if err := queue(1, true); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	awaitDrain(t, c)
+
+	mu.Lock()
+	defer mu.Unlock()
+	total := 0
+	for _, rs := range runs {
+		total += rs.n
+	}
+	if len(got) != total || len(byID) != total {
+		t.Fatalf("%d completions and %d requests served, want %d", len(got), len(byID), total)
+	}
+	counted := map[int]int{}
+	for i, g := range got {
+		if g.id != uint64(i) {
+			t.Fatalf("completion %d has id %d: ids not contiguous from 0", i, g.id)
+		}
+		r := byID[i]
+		rs := runs[r]
+		counted[r]++
+		if rs.sent == -1 {
+			rs.sent = g.sent
+		}
+		if g.sent != rs.sent || g.sent < rs.before || g.sent > rs.after || g.ack < g.sent {
+			t.Fatalf("request %d of run %d stamped %d, acked %d; its run was handed over in [%d, %d] and stamped %d",
+				g.id, r, g.sent, g.ack, rs.before, rs.after, rs.sent)
+		}
+	}
+	for r, rs := range runs {
+		if counted[r] != rs.n {
+			t.Fatalf("run %d of %d requests completed %d times", r, rs.n, counted[r])
+		}
+	}
+	if o := c.Outstanding(); o != 0 {
+		t.Fatalf("%d outstanding after the drain", o)
+	}
+}
+
+// A run the window can never hold fails at once instead of waiting forever.
+func TestQueueRejectsRunOverWindow(t *testing.T) {
+	c, _ := scriptedClient(t, DialOptions{MaxInflight: 4}) // no reply ever comes
+	done := make(chan error, 1)
+	go func() { done <- c.Queue(resp.Command("PING"), 5) }()
+	select {
+	case err := <-done:
+		if err == nil || c.Outstanding() != 0 {
+			t.Fatalf("Queue of 5 on a window of 4: err %v, %d outstanding", err, c.Outstanding())
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Queue of a run over MaxInflight blocked")
+	}
+	if err := c.Queue(resp.Command("PING"), 4); err != nil || c.Outstanding() != 4 {
+		t.Fatalf("Queue of a full window: err %v, %d outstanding", err, c.Outstanding())
+	}
+}
+
+// noDelayConn counts SetNoDelay calls and fails them with err.
+type noDelayConn struct {
+	nullConn
+	calls int
+	err   error
+}
+
+func (n *noDelayConn) SetNoDelay(bool) error { n.calls++; return n.err }
+
+// fixedMode is a controller that always decides the same mode.
+type fixedMode policy.Mode
+
+func (m fixedMode) Observe(time.Duration, float64, bool) policy.Mode { return policy.Mode(m) }
+func (m fixedMode) ObserveDegraded() policy.Mode                     { return policy.Mode(m) }
+func (m fixedMode) Mode() policy.Mode                                { return policy.Mode(m) }
+func (fixedMode) Stats() policy.TogglerStats                         { return policy.TogglerStats{} }
+
+// An engine applies its mode every tick; the socket hears about it only
+// when the mode changes, and a failing set is retried, and counted, every
+// tick.
+func TestTicksSetNoDelayOnChangeOnly(t *testing.T) {
+	for _, m := range []policy.Mode{policy.BatchOff, policy.BatchOn} {
+		nc := &noDelayConn{nullConn: nullConn{closed: make(chan struct{})}}
+		c := NewClient(nc, DialOptions{})
+		ep := engine.New(engine.Config{Controller: fixedMode(m), Initial: m}, c.EnginePort())
+		for i := 0; i < 1000; i++ {
+			ep.Tick(c.Elapsed())
+		}
+		c.Close()
+		if nc.calls > 1 || ep.Stats().ModeErrors != 0 {
+			t.Fatalf("%v for 1000 ticks: %d SetNoDelay calls, %d mode errors; want at most one call",
+				m, nc.calls, ep.Stats().ModeErrors)
+		}
+	}
+	nc := &noDelayConn{nullConn: nullConn{closed: make(chan struct{})}, err: io.ErrClosedPipe}
+	c := NewClient(nc, DialOptions{})
+	defer c.Close()
+	ep := engine.New(engine.Config{Controller: fixedMode(policy.BatchOn), Initial: policy.BatchOn,
+		ModeErrorLimit: 3}, c.EnginePort())
+	for i := 0; i < 10; i++ {
+		ep.Tick(c.Elapsed())
+	}
+	if st := ep.Stats(); nc.calls != 11 || st.ModeErrors != 11 || st.DegradedTicks == 0 || !c.NoDelay() {
+		t.Fatalf("failing set over 10 ticks: %d calls, %d mode errors, %d degraded ticks, NoDelay %v; want 11, 11, some, true",
+			nc.calls, st.ModeErrors, st.DegradedTicks, c.NoDelay())
 	}
 }

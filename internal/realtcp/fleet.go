@@ -86,12 +86,13 @@ type FleetOptions struct {
 	Observer engine.Observer
 	Audit    engine.AuditSource
 	// OnComplete, when non-nil, receives every completion on every
-	// connection: the connection index, its shard, the per-incarnation FIFO
-	// request id, and the send/ack nanosecond stamps on that connection's
-	// monotonic timebase (see DialOptions.OnComplete). It runs on read-loop
-	// goroutines — many concurrently — and must not block. reqID restarts
-	// at 0 when a connection reconnects.
-	OnComplete func(conn, shard int, reqID uint64, sentNs, ackNs int64)
+	// connection as runs: the connection index, its shard, the
+	// per-incarnation FIFO id of the run's first request, the run's length,
+	// and the send/ack nanosecond stamps on that connection's monotonic
+	// timebase (see DialOptions.OnComplete). It runs on read-loop
+	// goroutines — many concurrently — and must not block. Request ids
+	// restart at 0 when a connection reconnects.
+	OnComplete func(conn, shard int, firstID uint64, n int, sentNs, ackNs int64)
 }
 
 // TailSummary is one group's merged latency distribution.
@@ -391,13 +392,14 @@ func (fc *fleetConn) adoptClient(c *Client) {
 	}
 }
 
-// onComplete runs on the connection's read loop: one histogram write
-// (single writer per hist), one atomic cell add, and the fleet's hook.
-func (fc *fleetConn) onComplete(reqID uint64, sentNs, ackNs int64) {
-	fc.hist.Record(time.Duration(ackNs - sentNs))
-	fc.f.ctrs.completed[fc.sh.ID()].v.Add(1)
+// onComplete runs on the connection's read loop, once per run: one
+// histogram write (single writer per hist), one atomic cell add, and the
+// fleet's hook.
+func (fc *fleetConn) onComplete(firstID uint64, n int, sentNs, ackNs int64) {
+	fc.hist.RecordN(time.Duration(ackNs-sentNs), uint32(n))
+	fc.f.ctrs.completed[fc.sh.ID()].v.Add(uint64(n))
 	if fc.f.opts.OnComplete != nil {
-		fc.f.opts.OnComplete(fc.idx, fc.sh.ID(), reqID, sentNs, ackNs)
+		fc.f.opts.OnComplete(fc.idx, fc.sh.ID(), firstID, n, sentNs, ackNs)
 	}
 }
 
@@ -667,11 +669,11 @@ func (f *Fleet) report(elapsed time.Duration) *FleetReport {
 }
 
 // pacer is a connection's send rule: a wheel timer that, at every fire,
-// queues each request whose scheduled time has passed, advancing the
-// schedule by interval per request, and writes them with one Flush. A
-// request that would overfill the client's in-flight window is skipped and
-// counted, and the schedule moves on, so the pacer never blocks its shard
-// goroutine, the only goroutine that touches it.
+// hands over each request whose scheduled time has passed as one run,
+// advancing the schedule by interval per request, and writes them with one
+// Flush. A request that would overfill the client's in-flight window is
+// skipped and counted, and the schedule moves on, so the pacer never blocks
+// its shard goroutine, the only goroutine that touches it.
 type pacer struct {
 	c        *Client
 	req      []byte
@@ -689,31 +691,39 @@ func rateInterval(rate float64) time.Duration {
 	return max(time.Duration(float64(time.Second)/rate), 1)
 }
 
-// fire hands over every request due by now and reports whether the schedule
-// is over: past its end, with every request scheduled before it handed over.
+// fire hands over every request due by now that fits the window, in one
+// Queue and one Flush, and reports whether the schedule is over: past its
+// end, with every request scheduled before it handed over.
 func (p *pacer) fire(now time.Duration) (over bool, err error) {
 	due := now
 	if over = now >= p.end; over {
 		due = p.end - 1
 	}
-	queued := false
+	// The pacer is the client's only sender, so the room it sees only grows
+	// until its own Queue.
+	room := p.c.room()
+	k, skipped := 0, uint64(0)
+	lagSum, lagMax := time.Duration(0), p.lagMax
 	for ; p.next <= due; p.next += p.interval {
-		if len(p.c.inflight) == cap(p.c.inflight) { // only the read loop takes stamps out
-			p.skipped.Add(1)
+		if k == room {
+			skipped++
 			continue
 		}
-		if err = p.c.Queue(p.req); err != nil {
-			return over, err
-		}
-		queued = true
-		p.sent.Add(1)
+		k++
 		lag := now - p.next
-		p.lagSum += lag
-		p.lagMax = max(p.lagMax, lag)
+		lagSum += lag
+		lagMax = max(lagMax, lag)
 	}
-	if !queued {
+	p.skipped.Add(skipped)
+	if k == 0 {
 		return over, nil
 	}
+	if err = p.c.Queue(p.req, k); err != nil {
+		return over, err
+	}
+	p.sent.Add(uint64(k))
+	p.lagSum += lagSum
+	p.lagMax = lagMax
 	p.writes++
 	return over, p.c.Flush()
 }

@@ -197,9 +197,9 @@ func TestFleetOfOneBasic(t *testing.T) {
 	addr, _ := startServer(t)
 	var completions atomic.Int64
 	o := fleetOfOne(addr, 2000, 500*time.Millisecond, 20*time.Millisecond)
-	o.OnComplete = func(conn, _ int, _ uint64, _, _ int64) {
+	o.OnComplete = func(conn, _ int, _ uint64, n int, _, _ int64) {
 		if conn == 0 {
-			completions.Add(1)
+			completions.Add(int64(n))
 		}
 	}
 	f, err := NewFleet(o)
@@ -308,14 +308,16 @@ func TestFleetObservesConnectionZero(t *testing.T) {
 	o := fleetTestOptions(addr, 2)
 	o.Active, o.Rate, o.Duration, o.Tick = 2, 1000, 400*time.Millisecond, 5*time.Millisecond
 	o.Observer, o.Audit = ob, stamped.Auditor()
-	o.OnComplete = func(conn, shard int, reqID uint64, sentNs, ackNs int64) {
+	o.OnComplete = func(conn, shard int, firstID uint64, n int, sentNs, ackNs int64) {
 		tr := stamped
 		if conn > 0 {
 			tr = lifecycle
 		}
-		var sp span.Span
-		tr.Begin(&sp, uint32(shard), uint32(conn), reqID, sentNs)
-		tr.Finish(&sp, ackNs)
+		for reqID := firstID; reqID < firstID+uint64(n); reqID++ {
+			var sp span.Span
+			tr.Begin(&sp, uint32(shard), uint32(conn), reqID, sentNs)
+			tr.Finish(&sp, ackNs)
+		}
 	}
 	f, err := NewFleet(o)
 	if err != nil {

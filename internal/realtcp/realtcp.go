@@ -210,26 +210,46 @@ func (s *Server) handle(conn net.Conn, sid int) {
 
 // Client is a pipelined RESP client over a real TCP connection with the
 // paper's userspace instrumentation: a hints.Tracker fed by create/complete
-// around every request, from which live Little's-law estimates are drawn.
+// around every run of requests, from which live Little's-law estimates are
+// drawn.
 type Client struct {
 	conn    net.Conn
 	opts    DialOptions // defaults filled in
 	tracker *hints.Tracker
 	start   time.Time
 
-	// sendMu is the send order: a request's stamp enters inflight and its
-	// bytes enter sendBuf under it, and Flush writes under it, so replies
-	// pair with stamps FIFO whoever sends. The read loop never takes it, so
-	// a sender may block on a full inflight while holding it.
+	// sendMu is the send order: a run's stamp enters runs and its bytes
+	// enter sendBuf under it, and Flush writes under it, so replies pair
+	// with stamps FIFO whoever sends. The read loop never takes it, so a
+	// sender may wait for window room while holding it.
 	sendMu  sync.Mutex
 	sendBuf []byte
 
-	inflight chan time.Time
-	done     chan struct{}
-	readErr  error
-	acked    uint64 // read loop only: completions so far
+	// runs is the ring of stamped runs awaiting replies, one entry per
+	// Queue call: single producer (whoever holds sendMu) at head, single
+	// consumer (the read loop) at tail. Every run holds at least one
+	// request and at most MaxInflight are unanswered, so MaxInflight slots
+	// never overflow. issued and acked count requests; issued is published
+	// after its run's slot is written and acked after its runs' slots are
+	// read, so each side sees the other's slots complete.
+	runs   []run
+	head   int // sendMu
+	tail   int // read loop only
+	into   int // read loop only: requests of runs[tail] already completed
+	issued atomic.Uint64
+	acked  atomic.Uint64
+	freed  chan struct{} // the read loop's wake-up for a sender waiting on room
+
+	done    chan struct{}
+	readErr error
 
 	nodelay atomic.Bool
+}
+
+// run is requests handed over together: n of them, stamped sentNs.
+type run struct {
+	sentNs int64
+	n      int
 }
 
 // DialOptions configure a client. The zero value blocks indefinitely on
@@ -243,13 +263,15 @@ type DialOptions struct {
 	// clients size this down: per-connection buffers dominate memory at
 	// 50k connections.
 	ReadBufBytes int
-	// OnComplete, when non-nil, receives every completion: its FIFO index
-	// on this connection (from 0; RESP's ordering makes it the issue
-	// index) and its send and ack stamps in nanoseconds on the client's
-	// clock (Elapsed), so ackNs − sentNs is the request's latency. It runs
-	// on the read loop and must not block. The client keeps no latencies
-	// of its own.
-	OnComplete func(reqID uint64, sentNs, ackNs int64)
+	// OnComplete, when non-nil, receives every completion as runs: n
+	// consecutive requests from firstID (their FIFO indices on this
+	// connection, from 0; RESP's ordering makes them the issue indices),
+	// handed over together at sentNs and answered by one read at ackNs,
+	// both in nanoseconds on the client's clock (Elapsed), so ackNs −
+	// sentNs is each one's latency. A run a read cut in two arrives as two
+	// calls. It runs on the read loop and must not block. The client keeps
+	// no latencies of its own.
+	OnComplete func(firstID uint64, n int, sentNs, ackNs int64)
 	// LocalAddr, when non-empty, is the local address to dial from (e.g.
 	// "127.0.0.5:0"). High-fan-in loopback fleets rotate source IPs here
 	// to stretch past the ~28k ephemeral ports of a single 4-tuple prefix.
@@ -289,11 +311,12 @@ func NewClient(nc net.Conn, opts DialOptions) *Client {
 		opts.ReadBufBytes = 64 << 10
 	}
 	c := &Client{
-		conn:     nc,
-		opts:     opts,
-		start:    time.Now(),
-		inflight: make(chan time.Time, opts.MaxInflight),
-		done:     make(chan struct{}),
+		conn:  nc,
+		opts:  opts,
+		start: time.Now(),
+		runs:  make([]run, opts.MaxInflight),
+		freed: make(chan struct{}, 1),
+		done:  make(chan struct{}),
 	}
 	c.nodelay.Store(true) // Go's net package default
 	c.tracker = hints.NewTracker(func() qstate.Time { return qstate.Time(time.Since(c.start)) })
@@ -301,8 +324,13 @@ func NewClient(nc net.Conn, opts DialOptions) *Client {
 	return c
 }
 
-// SetNoDelay toggles TCP_NODELAY — the dynamic batching knob.
+// SetNoDelay toggles TCP_NODELAY — the dynamic batching knob. Setting the
+// mode already set makes no system call; a failed set leaves the mode as it
+// was, so the next call tries again.
 func (c *Client) SetNoDelay(v bool) error {
+	if c.nodelay.Load() == v {
+		return nil
+	}
 	if nd, ok := c.conn.(interface{ SetNoDelay(bool) error }); ok {
 		if err := nd.SetNoDelay(v); err != nil {
 			return err
@@ -315,30 +343,58 @@ func (c *Client) SetNoDelay(v bool) error {
 // NoDelay reports the last mode set.
 func (c *Client) NoDelay() bool { return c.nodelay.Load() }
 
-// Queue hands one request to the client without writing it: its latency
-// clock and its create hint start here, its bytes wait for the next Flush.
-// With MaxInflight requests unanswered Queue blocks until a reply arrives.
+// errRunTooLarge is Queue's answer to a run the window can never hold.
+var errRunTooLarge = errors.New("realtcp: run larger than MaxInflight")
+
+// Queue hands n copies of one request to the client at one instant without
+// writing them: one clock reading stamps the run's latency clock and its
+// create hint, and the bytes wait for the next Flush. Without room for n
+// more unanswered requests Queue flushes and waits for replies; a run over
+// MaxInflight fails at once.
 //
 //e2e:hotpath
-func (c *Client) Queue(cmd []byte) error {
-	c.sendMu.Lock()
-	var err error
-	if len(c.inflight) == cap(c.inflight) {
-		// The replies about to be waited for may be to requests still queued.
-		err = c.flushLocked()
+func (c *Client) Queue(cmd []byte, n int) error {
+	if n <= 0 {
+		return nil
 	}
+	if n > len(c.runs) {
+		return errRunTooLarge
+	}
+	c.sendMu.Lock()
+	err := c.awaitRoom(n)
 	if err == nil {
-		select {
-		case <-c.done:
-			err = c.readErr
-		case c.inflight <- time.Now():
-			c.tracker.Create(1)
+		c.runs[c.head] = run{sentNs: int64(c.tracker.Create(n)), n: n}
+		c.head = (c.head + 1) % len(c.runs)
+		c.issued.Add(uint64(n))
+		for i := 0; i < n; i++ {
 			//lint:ignore e2elint/hotpath grows to the largest batch queued between flushes, then is reused
 			c.sendBuf = append(c.sendBuf, cmd...)
 		}
 	}
 	c.sendMu.Unlock()
 	return err
+}
+
+// room returns how many more requests the window holds now. Only the read
+// loop frees room, so a caller that is the only sender may count on it.
+func (c *Client) room() int {
+	return len(c.runs) - int(c.issued.Load()-c.acked.Load())
+}
+
+// awaitRoom waits, under sendMu, until the window holds n more requests.
+func (c *Client) awaitRoom(n int) error {
+	for c.room() < n {
+		// The replies about to be waited for may be to requests still queued.
+		if err := c.flushLocked(); err != nil {
+			return err
+		}
+		select {
+		case <-c.done:
+			return c.readErr
+		case <-c.freed:
+		}
+	}
+	return nil
 }
 
 // Flush writes the queued requests in one Write, the only one the client
@@ -361,7 +417,7 @@ func (c *Client) flushLocked() error {
 // Send issues one request, on the wire when it returns; its completion is
 // recorded when the matching response arrives (FIFO order, as RESP guarantees).
 func (c *Client) Send(cmd []byte) error {
-	if err := c.Queue(cmd); err != nil {
+	if err := c.Queue(cmd, 1); err != nil {
 		return err
 	}
 	return c.Flush()
@@ -411,7 +467,7 @@ func (c *Client) read() error {
 			}
 			k++
 		}
-		if k > len(c.inflight) { // safe to ask: only this goroutine takes stamps out
+		if uint64(k) > c.issued.Load()-c.acked.Load() { // acked moves only here
 			return errors.New("realtcp: response without pending request")
 		} else if k > 0 {
 			c.complete(k)
@@ -425,20 +481,29 @@ func (c *Client) read() error {
 	}
 }
 
-// complete pairs the k replies one read held with the k oldest of at least
-// k stamps, on one clock reading and one Complete, and reports each to the
-// completion hook.
+// complete pairs the k replies one read held with the oldest k requests, on
+// one clock reading and one Complete, and reports them to the completion
+// hook run by run, splitting the run the read ended inside.
 //
 //e2e:hotpath
 func (c *Client) complete(k int) {
-	now := time.Now()
-	c.tracker.Complete(k)
-	ackNs := now.Sub(c.start).Nanoseconds()
-	for i := 0; i < k; i++ {
-		sentNs := (<-c.inflight).Sub(c.start).Nanoseconds()
-		if c.opts.OnComplete != nil {
-			c.opts.OnComplete(c.acked, sentNs, ackNs)
+	ackNs := int64(c.tracker.Complete(k))
+	id := c.acked.Load()
+	for k > 0 {
+		r := c.runs[c.tail]
+		m := min(k, r.n-c.into)
+		if c.into += m; c.into == r.n {
+			c.tail, c.into = (c.tail+1)%len(c.runs), 0
 		}
-		c.acked++
+		if c.opts.OnComplete != nil {
+			c.opts.OnComplete(id, m, r.sentNs, ackNs)
+		}
+		id += uint64(m)
+		k -= m
+	}
+	c.acked.Store(id)
+	select {
+	case c.freed <- struct{}{}:
+	default:
 	}
 }

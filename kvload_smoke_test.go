@@ -33,6 +33,8 @@ var (
 	kvloadTogglerLine = regexp.MustCompile(`^toggler: \d+ decisions, (\d+) switches, `)
 	kvloadPacerLine   = regexp.MustCompile(`^pacer: (\d+) writes \(\S+ requests/write\), hand-over lag mean=\S+ max=\S+$`)
 	kvloadFleetSent   = regexp.MustCompile(`(?m)^sent=(\d+) completed=`)
+	// The schedule-origin mean, which no benchmark parses yet.
+	kvloadResponseLine = regexp.MustCompile(`^response: mean=(\S+) \(hand-over lag (\S+) \+ service (\S+)\)$`)
 )
 
 func TestKvloadSmoke(t *testing.T) {
@@ -100,29 +102,51 @@ func TestKvloadSmoke(t *testing.T) {
 		return n
 	}
 
-	// The benchmark's plain run (its warm-up and tax row): the sent line,
-	// then the pacer's.
-	lines := kvload()
-	if len(lines) < 2 || !kvloadPacerLine.MatchString(lines[len(lines)-1]) {
-		t.Fatalf("plain kvload's report does not end in the sent and pacer lines:\n%s", strings.Join(lines, "\n"))
+	// responseOf parses the response line: its mean is the other two
+	// added, up to their rounding to the microsecond.
+	responseOf := func(line string) {
+		t.Helper()
+		m := kvloadResponseLine.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("not kvload's response line: %q", line)
+		}
+		var d [3]time.Duration
+		for i := range d {
+			var err error
+			if d[i], err = time.ParseDuration(m[1+i]); err != nil {
+				t.Fatalf("response line %q: %v", line, err)
+			}
+		}
+		if off := d[0] - d[1] - d[2]; d[2] <= 0 || off < -time.Microsecond || off > time.Microsecond {
+			t.Fatalf("response mean %v is not hand-over lag %v + service %v", d[0], d[1], d[2])
+		}
 	}
-	sentOf(lines[len(lines)-2])
 
-	// The benchmark's full run: the two lines it parses, then the pacer's,
-	// in that order.
+	// The benchmark's plain run (its warm-up and tax row): the sent line,
+	// then the pacer's and the response line.
+	lines := kvload()
+	if len(lines) < 3 || !kvloadPacerLine.MatchString(lines[len(lines)-2]) {
+		t.Fatalf("plain kvload's report does not end in the sent, pacer and response lines:\n%s", strings.Join(lines, "\n"))
+	}
+	sentOf(lines[len(lines)-3])
+	responseOf(lines[len(lines)-1])
+
+	// The benchmark's full run: the two lines it parses, then the pacer's
+	// and the response line, in that order.
 	lines = kvload("-toggle", "-tick", "1ms", "-obs", "127.0.0.1:0", "-spansample", "64")
-	if len(lines) < 3 {
+	if len(lines) < 4 {
 		t.Fatalf("kvload printed %q", lines)
 	}
-	report := lines[len(lines)-3:]
+	report := lines[len(lines)-4:]
 	if !kvloadTogglerLine.MatchString(report[1]) || !kvloadPacerLine.MatchString(report[2]) {
-		t.Fatalf("kvload's report is not the sent, toggler and pacer lines:\n%s", strings.Join(report, "\n"))
+		t.Fatalf("kvload's report is not the sent, toggler, pacer and response lines:\n%s", strings.Join(report, "\n"))
 	}
 	n := sentOf(report[0])
 	writes, _ := strconv.Atoi(kvloadPacerLine.FindStringSubmatch(report[2])[1]) // \d+ cannot fail to parse
 	if writes == 0 || writes >= n/2 {
 		t.Fatalf("%d writes for %d requests; the pacer's bursts should share writes\n%s", writes, n, report[2])
 	}
+	responseOf(report[3])
 
 	// The workload's output: the server holds the value kvload set.
 	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)

@@ -174,8 +174,6 @@ func dumpSpans(cal figures.Calib, path string, dur time.Duration, seed int64, ev
 		Ring:        span.NewRing(1, 4096),
 		Audit:       span.NewAuditor(span.AuditConfig{ExpectTail: true}),
 	})
-	ob := obs.NewEngineObserver(obs.NewEngineMetrics(obs.NewRegistry()), nil)
-	ob.Spans = tr
 	dyn := figures.DefaultDynamicSpec(500 * time.Microsecond)
 	dyn.TailQuantile = 0.99
 	dyn.Audit = tr.Auditor()
@@ -186,7 +184,7 @@ func dumpSpans(cal figures.Calib, path string, dur time.Duration, seed int64, ev
 		Rate:     35000,
 		Duration: dur,
 		Dynamic:  dyn,
-		Observer: ob,
+		Observer: tr,
 		OnComplete: func(reqID uint64, scheduledNs, completedNs int64) {
 			if !tr.Sampled(reqID) {
 				return

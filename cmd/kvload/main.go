@@ -26,7 +26,11 @@
 // degraded and mode-flip counters, exploration and safe-mode accounting,
 // estimate and request latency summaries) beside per-shard fleet counters
 // and wheel health, and its last 1024 decision records are queryable as
-// JSONL at /debug/decisions?n=K while the run is in flight.
+// JSONL at /debug/decisions?n=K while the run is in flight. With
+// -spansample, every connection's sampled requests become spans stamped
+// with that connection's live estimate, all scored by one auditor whose
+// verdict every connection's engine consumes; the report then adds an
+// audit: line (spans scored, tail-scored, p99 coverage, residual EWMA).
 package main
 
 import (
@@ -55,7 +59,7 @@ func main() {
 		slo     = flag.Duration("slo", 500*time.Microsecond, "latency SLO for the toggling objective")
 		seed    = flag.Int64("seed", 1, "toggler exploration RNG seed; 0 draws one from the wall clock")
 		obsAddr = flag.String("obs", "", "serve /metrics, /debug/decisions, /debug/vars and /debug/pprof on this address for the run (empty: disabled)")
-		spanN   = flag.Uint64("spansample", 64, "with -obs, trace 1-in-N requests as spans at /debug/spans and /debug/trace, connection 0's audited against its live estimate (0: disabled; 1: every request)")
+		spanN   = flag.Uint64("spansample", 64, "with -obs, trace 1-in-N requests as spans at /debug/spans and /debug/trace, each audited against its connection's live estimate (0: disabled; 1: every request)")
 
 		conns     = flag.Int("conns", 1, "hold this many concurrent connections")
 		active    = flag.Int("active", 0, "connections sending at -rate (0: conns/10, at least 1); the rest heartbeat every -idle-every")
@@ -90,7 +94,6 @@ func main() {
 	var reg *obs.Registry
 	var debug *obs.DebugServer
 	var ob *obs.EngineObserver
-	var audited, lifecycle *span.Tracer
 	if *obsAddr != "" {
 		reg = obs.NewRegistry()
 		ring := obs.NewRing(1024)
@@ -101,41 +104,16 @@ func main() {
 			"Client-observed request latency (send to response).")
 		debug = obs.NewDebugServer(reg, ring)
 		if *spanN > 0 {
-			// Span tracing + online estimator audit: connection 0's sampled
-			// completions become spans stamped with the estimate current at
-			// its tick (ob.Spans feeds the stamp), the auditor scores
-			// measured vs predicted, and the engine consumes the verdict via
-			// opts.Audit. Every other connection's spans are lifecycle-only:
-			// an unstamped, unaudited tracer writing to the same ring.
-			spans := span.NewRing(min(*conns, 8), 1024)
-			audited = span.New(span.Config{Seed: uint64(s), SampleEvery: *spanN, Ring: spans,
-				Audit: span.NewAuditor(span.AuditConfig{ExpectTail: false})})
-			lifecycle = span.New(span.Config{Seed: uint64(s), SampleEvery: *spanN, Ring: spans})
-			ob.Spans = audited
-			opts.Audit = audited.Auditor()
-			debug.SetSpans(spans)
+			// Span tracing + online estimator audit on every connection:
+			// the fleet stamps each connection's spans with its own
+			// estimate, and the auditor's verdict feeds every engine.
+			opts.Spans = &span.Config{Seed: uint64(s), SampleEvery: *spanN,
+				Ring: span.NewRing(min(*conns, 8), 1024), Audit: span.NewAuditor(span.AuditConfig{})}
+			debug.SetSpans(opts.Spans.Ring)
 		}
 	}
-	opts.OnComplete = func(conn, shard int, firstID uint64, n int, sentNs, ackNs int64) {
+	opts.OnComplete = func(_, _ int, _ uint64, n int, sentNs, ackNs int64) {
 		lat.RecordN(time.Duration(ackNs-sentNs), uint64(n))
-		tr := audited
-		if conn > 0 {
-			tr = lifecycle
-		}
-		if tr == nil {
-			return
-		}
-		// The sampling key folds the connection index into the
-		// per-connection FIFO request id, so 1-in-N holds fleet-wide. Many
-		// read loops run this at once, so each call has its own
-		// stack-scratch span (the tracer never retains the pointer).
-		for reqID := firstID; reqID < firstID+uint64(n); reqID++ {
-			if tr.Sampled(uint64(conn)<<32 ^ reqID) {
-				var sp span.Span
-				tr.Begin(&sp, uint32(shard), uint32(conn), reqID, sentNs)
-				tr.Finish(&sp, ackNs)
-			}
-		}
 	}
 	f, err := realtcp.NewFleet(opts)
 	if err != nil {
@@ -183,6 +161,11 @@ func main() {
 	}
 	fmt.Printf("shards: %d, wheelFired=%d services=%d maxBehindTicks=%d finalRunQueue=%d\n",
 		len(rep.Shards), fired, services, rep.MaxBehindTicks, rep.FinalRunQueue)
+	if opts.Spans != nil {
+		a := rep.Audit
+		fmt.Printf("audit: spans=%d tail=%d coverage=%.3f residual=%v\n",
+			a.Audited, a.TailAudited, a.Coverage, us(a.ResidualEWMA))
+	}
 
 	// The closing report, in the formats the repository benchmark parses.
 	h := lat.Snapshot() // Run closed every client: each completion is in lat

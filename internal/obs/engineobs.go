@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"e2ebatch/internal/engine"
-	"e2ebatch/internal/obs/span"
 	"e2ebatch/internal/policy"
 	"e2ebatch/internal/qstate"
 )
@@ -84,12 +83,6 @@ type EngineObserver struct {
 	// method). Without it those three counters stay flat and records
 	// cannot distinguish explore from exploit.
 	Stats func() policy.TogglerStats
-	// Spans, when non-nil, receives each tick's estimate as the span
-	// tracer's stamp (span.Tracer.NoteEstimate): spans finished between
-	// this tick and the next audit against these values. This is how the
-	// audit plane learns what the estimator currently believes without the
-	// engine importing obs.
-	Spans *span.Tracer
 
 	m    *EngineMetrics
 	ring *Ring
@@ -134,10 +127,6 @@ func (o *EngineObserver) ObserveTick(now qstate.Time, r engine.TickResult) {
 	}
 	if r.TailAbstained {
 		m.TailAbstains.Inc()
-	}
-	if o.Spans != nil {
-		o.Spans.NoteEstimate(int64(r.Estimate.Latency), int64(r.Estimate.Tail.P99),
-			r.Estimate.Valid, r.Estimate.Tail.Valid)
 	}
 	if r.AuditChecked {
 		m.AuditSpans.Set(float64(r.Audit.Audited))

@@ -32,7 +32,7 @@ func TestAllocGateSampledSpanLifecycle(t *testing.T) {
 		Ring:  NewRing(2, 64),
 		Audit: NewAuditor(AuditConfig{ExpectTail: true}),
 	})
-	tr.NoteEstimate(100_000, 400_000, true, true)
+	tr.ObserveTick(0, tick(100_000, 400_000, true, true))
 	var sp Span
 	var id uint64
 	if n := testing.AllocsPerRun(500, func() {
@@ -44,14 +44,14 @@ func TestAllocGateSampledSpanLifecycle(t *testing.T) {
 	}
 }
 
-func TestAllocGateNoteEstimate(t *testing.T) {
+func TestAllocGateObserveTick(t *testing.T) {
 	tr := New(Config{Seed: 9, SampleEvery: 1})
-	var tick int64
+	var i int64
 	if n := testing.AllocsPerRun(500, func() {
-		tr.NoteEstimate(100_000+tick, 400_000+tick, true, tick%4 != 0)
-		tick++
+		tr.ObserveTick(0, tick(100_000+i, 400_000+i, true, i%4 != 0))
+		i++
 	}); n != 0 {
-		t.Errorf("NoteEstimate allocates %v per op, want 0 (//e2e:hotpath)", n)
+		t.Errorf("ObserveTick allocates %v per op, want 0 (//e2e:hotpath)", n)
 	}
 }
 

@@ -1,12 +1,10 @@
 package span
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"e2ebatch/internal/engine"
-	"e2ebatch/internal/qstate"
 )
 
 // AuditConfig parameterizes an Auditor.
@@ -50,20 +48,13 @@ type auditCell struct {
 	_           [32]byte
 }
 
-// auditHist is one shard's measured-delay histogram under its own mutex
-// (DelayHist is not atomic; the lock is per-shard so fleet read loops on
-// different shards never contend).
-type auditHist struct {
-	mu sync.Mutex
-	h  qstate.DelayHist
-}
-
 // Auditor scores finished spans against their estimate stamps and
-// summarizes the comparison as engine.AuditStats: per-endpoint residual
-// EWMA, p99 coverage, and the drift verdict the engine's degraded-path
-// routing consumes. Observe and AuditStats are both //e2e:hotpath — one
-// runs on completion paths, the other inside engine.Tick — and neither
-// allocates.
+// summarizes the comparison as engine.AuditStats: the residual EWMA, p99
+// coverage, and the drift verdict the engine's degraded-path routing
+// consumes. Several tracers may share one auditor (a fleet's connections):
+// the verdict is then theirs together, with counters in per-shard cells.
+// Observe and AuditStats are both //e2e:hotpath — one runs on completion
+// paths, the other inside engine.Tick — and neither allocates.
 type Auditor struct {
 	floor      float64
 	minSamples uint64
@@ -71,7 +62,6 @@ type Auditor struct {
 	shift      uint
 
 	cells []auditCell
-	hists []auditHist
 	ewma  atomic.Int64
 }
 
@@ -95,14 +85,12 @@ func NewAuditor(cfg AuditConfig) *Auditor {
 		expectTail: cfg.ExpectTail,
 		shift:      cfg.EWMAShift,
 		cells:      make([]auditCell, cfg.Shards),
-		hists:      make([]auditHist, cfg.Shards),
 	}
 }
 
-// Observe scores one finished span: the measured delay always lands in the
-// shard's histogram; spans with a valid mean stamp update the residual
-// EWMA, and those with a valid tail stamp score the p99 coverage.
-// Tracer.Finish calls this.
+// Observe scores one finished span: a span with a valid mean stamp updates
+// the residual EWMA, one with a valid tail stamp also scores the p99
+// coverage, and a stamp-less span is not audited. Tracer.Finish calls this.
 //
 // Coverage scores the measured delay against the residual-adjusted p99 —
 // EstP99Ns plus the EWMA as updated by this span's own residual. The
@@ -115,16 +103,11 @@ func NewAuditor(cfg AuditConfig) *Auditor {
 //
 //e2e:hotpath
 func (a *Auditor) Observe(sp *Span) {
-	i := int(sp.Shard) % len(a.cells)
-	m := sp.MeasuredNs()
-	hs := &a.hists[i]
-	hs.mu.Lock()
-	hs.h.Record(time.Duration(m))
-	hs.mu.Unlock()
 	if !sp.EstValid {
 		return
 	}
-	c := &a.cells[i]
+	m := sp.MeasuredNs()
+	c := &a.cells[int(sp.Shard)%len(a.cells)]
 	c.audited.Add(1)
 	resid := m - sp.EstNs
 	var ew int64
@@ -168,18 +151,4 @@ func (a *Auditor) AuditStats() engine.AuditStats {
 	s.Drifting = (s.TailAudited >= a.minSamples && s.Coverage < a.floor) ||
 		(a.expectTail && s.TailAudited == 0 && s.BlindTail >= a.minSamples)
 	return s
-}
-
-// MeasuredHist merges the per-shard measured-delay histograms into one
-// distribution — the denominator for FractionBelow-style coverage reads
-// and the property tests' oracle.
-func (a *Auditor) MeasuredHist() qstate.DelayHist {
-	var out qstate.DelayHist
-	for i := range a.hists {
-		a.hists[i].mu.Lock()
-		h := a.hists[i].h
-		a.hists[i].mu.Unlock()
-		out.Merge(&h)
-	}
-	return out
 }

@@ -17,18 +17,7 @@ import (
 	"e2ebatch/internal/figures"
 	"e2ebatch/internal/loadgen"
 	"e2ebatch/internal/obs/span"
-	"e2ebatch/internal/qstate"
 )
-
-// stampObserver is the minimal engine.Observer that feeds the tracer's
-// estimate stamp — what obs.EngineObserver does in production, restated
-// here so this test does not need the obs package.
-type stampObserver struct{ tr *span.Tracer }
-
-func (o stampObserver) ObserveTick(now qstate.Time, r engine.TickResult) {
-	o.tr.NoteEstimate(int64(r.Estimate.Latency), int64(r.Estimate.Tail.P99),
-		r.Estimate.Valid, r.Estimate.Tail.Valid)
-}
 
 // auditRun executes one dynamic tail-targeting run of the named zoo
 // workload with the full audit plane attached and returns the tracer and
@@ -57,7 +46,7 @@ func auditRun(t *testing.T, workload string, dur time.Duration, seed int64, v1Pe
 		Duration: dur,
 		Dynamic:  dyn,
 		Workload: w.NewMaker(seed),
-		Observer: stampObserver{tr},
+		Observer: tr,
 		OnComplete: func(reqID uint64, scheduledNs, completedNs int64) {
 			if !tr.Sampled(reqID) {
 				return

@@ -49,7 +49,7 @@ type Span struct {
 
 	// The estimate that was current when the span finished: the mean
 	// end-to-end latency and the composed tail's p99, stamped from the
-	// Tracer's NoteEstimate mirror. EstValid/TailValid gate them exactly
+	// tick the Tracer last observed. EstValid/TailValid gate them exactly
 	// like core.Estimate.Valid/Tail.Valid gate the originals.
 	EstNs     int64 `json:"est_ns,omitempty"`
 	EstP99Ns  int64 `json:"est_p99_ns,omitempty"`

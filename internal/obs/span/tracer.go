@@ -1,6 +1,11 @@
 package span
 
-import "sync/atomic"
+import (
+	"sync/atomic"
+
+	"e2ebatch/internal/engine"
+	"e2ebatch/internal/qstate"
+)
 
 // Config parameterizes a Tracer.
 type Config struct {
@@ -26,7 +31,8 @@ type Config struct {
 // scratch (typically a stack variable), so tracing a request costs a hash
 // on the unsampled path and two ring/audit writes on the sampled one.
 //
-// The estimate stamp (NoteEstimate) is written from the endpoint's tick
+// A Tracer is the engine.Observer of the endpoint whose requests it traces:
+// the estimate stamp (ObserveTick) is written from that endpoint's tick
 // goroutine and read from whatever goroutine finishes spans; the fields are
 // individually atomic, so a finish racing a tick may combine two adjacent
 // ticks' mean and tail — both are "current" to within one tick, which is
@@ -41,7 +47,7 @@ type Tracer struct {
 	estP99   atomic.Int64
 	estFlags atomic.Uint32 // bit 0: mean valid, bit 1: tail valid
 
-	// p99Seeded tracks whether estP99 holds a value yet; only NoteEstimate
+	// p99Seeded tracks whether estP99 holds a value yet; only ObserveTick
 	// (single-writer, tick goroutine) touches it, so it needs no atomicity.
 	p99Seeded bool
 }
@@ -88,31 +94,34 @@ func (t *Tracer) Sampled(id uint64) bool {
 // residual separately.
 const tailEWMAShift = 3
 
-// NoteEstimate updates the estimate stamp subsequent Finishes copy: the mean
-// end-to-end latency and the composed tail's p99, in nanoseconds, with
-// their validity bits. Call it once per engine tick (obs.EngineObserver
-// does, from its ObserveTick); it is single-writer from that goroutine.
+// ObserveTick implements engine.Observer: the tick's estimate becomes the
+// stamp subsequent Finishes copy — the mean end-to-end latency and the
+// composed tail's p99, with their validity bits. Attach the tracer as its
+// endpoint's observer (or call this after each Tick); it is single-writer
+// from the tick goroutine.
 //
 //e2e:hotpath
-func (t *Tracer) NoteEstimate(meanNs, p99Ns int64, meanValid, tailValid bool) {
-	t.estMean.Store(meanNs)
-	if tailValid {
+func (t *Tracer) ObserveTick(_ qstate.Time, r engine.TickResult) {
+	e := &r.Estimate
+	t.estMean.Store(int64(e.Latency))
+	if e.Tail.Valid {
+		p99 := int64(e.Tail.P99)
 		if !t.p99Seeded {
 			// First valid tail seeds the EWMA rather than averaging
 			// against a meaningless zero; abstaining ticks in between
 			// leave the smoothed value in place.
-			t.estP99.Store(p99Ns)
+			t.estP99.Store(p99)
 			t.p99Seeded = true
 		} else {
 			old := t.estP99.Load()
-			t.estP99.Store(old + (p99Ns-old)>>tailEWMAShift)
+			t.estP99.Store(old + (p99-old)>>tailEWMAShift)
 		}
 	}
 	var flags uint32
-	if meanValid {
+	if e.Valid {
 		flags |= 1
 	}
-	if tailValid {
+	if e.Tail.Valid {
 		flags |= 2
 	}
 	t.estFlags.Store(flags)

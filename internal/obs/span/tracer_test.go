@@ -2,7 +2,20 @@ package span
 
 import (
 	"testing"
+	"time"
+
+	"e2ebatch/internal/core"
+	"e2ebatch/internal/engine"
 )
+
+// tick is a TickResult carrying only the estimate fields the tracer stamps:
+// the mean and the composed p99, in nanoseconds, with their validity bits.
+func tick(meanNs, p99Ns int64, meanValid, tailValid bool) engine.TickResult {
+	return engine.TickResult{Estimate: core.Estimate{
+		Latency: time.Duration(meanNs), Valid: meanValid,
+		Tail: core.TailEstimate{P99: time.Duration(p99Ns), Valid: tailValid},
+	}}
+}
 
 // TestSampledDeterministicRate: the sample is a pure function of
 // (seed, id) — stable across calls — and lands near 1-in-N.
@@ -49,10 +62,10 @@ func TestSampledSeedIndependence(t *testing.T) {
 	}
 }
 
-// TestEstimateStampAndSmoothing: Finish copies the stamp NoteEstimate wrote
-// last, even one written after Begin; the p99 stamp seeds on the first valid
-// tail and then follows the integer EWMA exactly, surviving abstaining ticks
-// in between.
+// TestEstimateStampAndSmoothing: Finish copies the stamp of the tick
+// ObserveTick saw last, even one observed after Begin; the p99 stamp seeds
+// on the first valid tail and then follows the integer EWMA exactly,
+// surviving abstaining ticks in between.
 func TestEstimateStampAndSmoothing(t *testing.T) {
 	tr := New(Config{Seed: 1, SampleEvery: 1})
 	finish := func(id uint64) Span {
@@ -63,10 +76,10 @@ func TestEstimateStampAndSmoothing(t *testing.T) {
 	}
 
 	if sp := finish(0); sp.EstValid || sp.TailValid {
-		t.Fatal("stamp valid before any NoteEstimate")
+		t.Fatal("stamp valid before any ObserveTick")
 	}
 
-	tr.NoteEstimate(1000, 5000, true, true) // seeds p99
+	tr.ObserveTick(0, tick(1000, 5000, true, true)) // seeds p99
 	sp := finish(1)
 	if !sp.EstValid || sp.EstNs != 1000 {
 		t.Fatalf("mean stamp = (%v, %d), want (true, 1000)", sp.EstValid, sp.EstNs)
@@ -75,7 +88,7 @@ func TestEstimateStampAndSmoothing(t *testing.T) {
 		t.Fatalf("p99 stamp = (%v, %d), want seeded (true, 5000)", sp.TailValid, sp.EstP99Ns)
 	}
 
-	tr.NoteEstimate(1200, 0, true, false) // abstain: p99 EWMA holds
+	tr.ObserveTick(0, tick(1200, 0, true, false)) // abstain: p99 EWMA holds
 	sp = finish(2)
 	if sp.TailValid {
 		t.Fatal("tail stamp valid on an abstained tick")
@@ -84,7 +97,7 @@ func TestEstimateStampAndSmoothing(t *testing.T) {
 		t.Fatalf("mean stamp %d, want raw 1200", sp.EstNs)
 	}
 
-	tr.NoteEstimate(1100, 9000, true, true)
+	tr.ObserveTick(0, tick(1100, 9000, true, true))
 	want := int64(5000) + (9000-5000)>>tailEWMAShift // not re-seeded
 	if sp = finish(3); sp.EstP99Ns != want {
 		t.Fatalf("p99 stamp %d after abstain gap, want EWMA %d", sp.EstP99Ns, want)
@@ -93,7 +106,7 @@ func TestEstimateStampAndSmoothing(t *testing.T) {
 	// A tick landing between Begin and Finish is the estimate current when
 	// the span finished, so the span carries it.
 	tr.Begin(&sp, 0, 0, 4, 100)
-	tr.NoteEstimate(2000, 0, true, false)
+	tr.ObserveTick(0, tick(2000, 0, true, false))
 	tr.Finish(&sp, 300)
 	if !sp.EstValid || sp.EstNs != 2000 || sp.TailValid {
 		t.Fatalf("stamp = (%v, %d, tail %v), want the newer (true, 2000, tail false)",
@@ -108,7 +121,7 @@ func TestFinishRouting(t *testing.T) {
 		Ring:  NewRing(1, 8),
 		Audit: NewAuditor(AuditConfig{}),
 	})
-	tr.NoteEstimate(1000, 5000, true, true)
+	tr.ObserveTick(0, tick(1000, 5000, true, true))
 
 	var sp Span
 	tr.Begin(&sp, 0, 0, 0, 100)

@@ -158,33 +158,6 @@ func (h *DelayHist) Quantile(q float64) time.Duration {
 	return DelayBucketMid(last)
 }
 
-// FractionBelow returns the fraction of recorded observations whose bucket
-// lies entirely at or under d — i.e. the mass in buckets whose exclusive
-// upper bound is ≤ d, a conservative CDF read at the histogram's 12.5%
-// resolution. An empty histogram reports 1 (nothing recorded exceeds any
-// bound), matching the audit plane's convention that coverage starts
-// perfect and degrades as evidence arrives. Because the numerator is a
-// prefix sum over fixed bucket boundaries, the value is monotone
-// non-decreasing in d and, for a fixed d, merging two histograms yields a
-// fraction between the two inputs' fractions — the properties the
-// p99-coverage gauge's tests pin.
-func (h *DelayHist) FractionBelow(d time.Duration) float64 {
-	total := h.Count()
-	if total == 0 {
-		return 1
-	}
-	var below uint64
-	for i, c := range h.Counts {
-		// The overflow bucket is unbounded above: its mass never counts as
-		// below any threshold, keeping the read conservative.
-		if i == DelayBuckets-1 || DelayBucketHigh(i) > d {
-			break
-		}
-		below += uint64(c)
-	}
-	return float64(below) / float64(total)
-}
-
 // Count returns the (wrapped) total number of recorded observations.
 func (h *DelayHist) Count() uint64 {
 	var t uint64

@@ -12,7 +12,9 @@ package realtcp
 // Connections split into a controlled half (ε-greedy NODELAY toggling driven
 // by their own hint estimates, with Toggle) and a Nagle baseline half, and
 // per-request latencies record into per-connection DelayHists that merge
-// into the controlled-vs-Nagle p50/p99/p999 comparison at report time.
+// into the controlled-vs-Nagle p50/p99/p999 comparison at report time. With
+// Spans, every connection traces its sampled requests stamped with its own
+// estimate, into one ring and one auditor.
 
 import (
 	"errors"
@@ -24,6 +26,7 @@ import (
 	"time"
 
 	"e2ebatch/internal/engine"
+	"e2ebatch/internal/obs/span"
 	"e2ebatch/internal/policy"
 	"e2ebatch/internal/qstate"
 	"e2ebatch/internal/shard"
@@ -80,11 +83,17 @@ type FleetOptions struct {
 	// 64 of them for loopback targets beyond 16k connections; negative
 	// disables.
 	SourceIPs int
-	// Observer and Audit attach to connection 0's endpoint (see
-	// engine.Config): the observed connection. The observer runs on that
-	// connection's shard goroutine and must not block.
+	// Observer attaches to connection 0's endpoint (see engine.Config):
+	// one decision stream for the decision ring and the metrics. It runs
+	// on that connection's shard goroutine and must not block.
 	Observer engine.Observer
-	Audit    engine.AuditSource
+	// Spans, when non-nil, traces every connection: each builds its own
+	// span.New(*Spans), stamped with its own endpoint's estimate at every
+	// tick, and samples request id (conn<<32 ^ id) of each completed run.
+	// All of them share Spans.Ring and Spans.Audit; a non-nil Audit is
+	// every connection's engine.Config.Audit, so the drift verdict is
+	// fleet-wide.
+	Spans *span.Config
 	// OnComplete, when non-nil, receives every completion on every
 	// connection as runs: the connection index, its shard, the
 	// per-incarnation FIFO id of the run's first request, the run's length,
@@ -131,6 +140,9 @@ type FleetReport struct {
 	// MaxBehindTicks is their worst tick backlog (0 = every shard kept up).
 	Shards         []shard.Stats
 	MaxBehindTicks int64
+	// Audit is the spans' auditor's summary at teardown (zero without
+	// Spans.Audit).
+	Audit engine.AuditStats
 	// FinalRunQueue sums run-queue depth after stop — nonzero means work
 	// was lost, which the scale smoke asserts never happens.
 	FinalRunQueue int
@@ -213,6 +225,7 @@ type fleetConn struct {
 	pacer // the client, its request and its send schedule
 	ep    *engine.Endpoint
 	tog   *policy.Toggler // controlled with Toggle; kept across reconnects
+	tr    *span.Tracer    // with Spans; kept across reconnects
 
 	tickT  shard.Timer
 	reconT shard.Timer
@@ -347,6 +360,9 @@ func (f *Fleet) dial(idx int) *fleetConn {
 		fc.tog = policy.NewToggler(policy.ThroughputUnderSLO{SLO: o.SLO},
 			policy.DefaultTogglerConfig(), policy.BatchOff, rng)
 	}
+	if o.Spans != nil {
+		fc.tr = span.New(*o.Spans)
+	}
 	c, err := fc.dialClient()
 	if err != nil {
 		f.dialErrs.Add(1)
@@ -377,9 +393,15 @@ func (fc *fleetConn) dialClient() (*Client, error) {
 // shard goroutine at reconnect.
 func (fc *fleetConn) adoptClient(c *Client) {
 	fc.c = c
+	o := fc.f.opts
 	cfg := engine.Config{ModeErrorLimit: modeErrorLimit}
 	if fc.idx == 0 {
-		cfg.Observer, cfg.Audit = fc.f.opts.Observer, fc.f.opts.Audit
+		cfg.Observer = o.Observer
+	}
+	if o.Spans != nil && o.Spans.Audit != nil {
+		// Only a non-nil auditor: a nil *span.Auditor in the interface
+		// would be polled, and panic, every tick.
+		cfg.Audit = o.Spans.Audit
 	}
 	if fc.tog != nil {
 		cfg.Controller, cfg.Initial = fc.tog, fc.tog.Mode()
@@ -393,11 +415,22 @@ func (fc *fleetConn) adoptClient(c *Client) {
 }
 
 // onComplete runs on the connection's read loop, once per run: one
-// histogram write (single writer per hist), one atomic cell add, and the
-// fleet's hook.
+// histogram write (single writer per hist), one atomic cell add, a span for
+// each sampled request, and the fleet's hook.
 func (fc *fleetConn) onComplete(firstID uint64, n int, sentNs, ackNs int64) {
 	fc.hist.RecordN(time.Duration(ackNs-sentNs), uint32(n))
 	fc.f.ctrs.completed[fc.sh.ID()].v.Add(uint64(n))
+	if fc.tr != nil {
+		// The sampling key folds the connection index into the
+		// per-incarnation FIFO id, so 1-in-N holds fleet-wide.
+		for id := firstID; id < firstID+uint64(n); id++ {
+			if fc.tr.Sampled(uint64(fc.idx)<<32 ^ id) {
+				var sp span.Span // the tracer never retains it
+				fc.tr.Begin(&sp, uint32(fc.sh.ID()), uint32(fc.idx), id, sentNs)
+				fc.tr.Finish(&sp, ackNs)
+			}
+		}
+	}
 	if fc.f.opts.OnComplete != nil {
 		fc.f.opts.OnComplete(fc.idx, fc.sh.ID(), firstID, n, sentNs, ackNs)
 	}
@@ -417,15 +450,20 @@ func (fc *fleetConn) setup() {
 }
 
 // onTick is the shard-callable engine tick: liveness probe, then the
-// estimate→policy loop, straight on the shard goroutine.
-func (fc *fleetConn) onTick(now qstate.Time) {
+// estimate→policy loop, straight on the shard goroutine, whose estimate
+// stamps the connection's tracer.
+func (fc *fleetConn) onTick(qstate.Time) {
 	select {
 	case <-fc.c.Done():
 		fc.onDead()
 		return
 	default:
 	}
-	fc.ep.Tick(fc.c.Elapsed())
+	now := fc.c.Elapsed()
+	r := fc.ep.Tick(now)
+	if fc.tr != nil {
+		fc.tr.ObserveTick(now, r)
+	}
 }
 
 // onPace hands over every request due and re-arms for the next one or the
@@ -615,6 +653,9 @@ func (f *Fleet) report(elapsed time.Duration) *FleetReport {
 	for _, st := range rep.Shards {
 		rep.MaxBehindTicks = max(rep.MaxBehindTicks, st.MaxBehind)
 		rep.FinalRunQueue += st.RunQueue
+	}
+	if o := f.opts.Spans; o != nil && o.Audit != nil {
+		rep.Audit = o.Audit.AuditStats()
 	}
 	var ctrlHist, nagleHist qstate.DelayHist
 	var lagSum time.Duration

@@ -284,73 +284,78 @@ func TestFleetOfOneBatchesWrites(t *testing.T) {
 	}
 }
 
-// stampObserver stamps each tick's estimate into a tracer, as
-// obs.EngineObserver does for kvload, and counts the ticks it saw.
-type stampObserver struct {
-	tr    *span.Tracer
-	ticks int
-}
+// tickCounter is an engine.Observer that counts the ticks it sees.
+type tickCounter struct{ ticks int }
 
-func (o *stampObserver) ObserveTick(_ qstate.Time, r engine.TickResult) {
-	o.tr.NoteEstimate(int64(r.Estimate.Latency), int64(r.Estimate.Tail.P99), r.Estimate.Valid, r.Estimate.Tail.Valid)
-	o.ticks++
-}
+func (o *tickCounter) ObserveTick(qstate.Time, engine.TickResult) { o.ticks++ }
 
-// TestFleetObservesConnectionZero: the observer and the audit attach to
-// connection 0 alone, so only its spans carry an estimate stamp and the
-// auditor scores only those; connection 1's spans stay lifecycle-only.
-func TestFleetObservesConnectionZero(t *testing.T) {
+// runTracedFleet runs conns active connections at 1 000 req/s for 400 ms
+// with Spans set to cfg (every request sampled, a ring large enough to keep
+// them all). It requires the ring to hold one span per completion and
+// every connection to have stamped spans, and returns the fleet, its
+// report and each connection's stamped-span count.
+func runTracedFleet(t *testing.T, conns int, cfg *span.Config, ob engine.Observer) (f *Fleet, rep *FleetReport, stamped []uint64) {
+	t.Helper()
 	addr, _ := startServer(t)
-	ring := span.NewRing(1, 4096)
-	stamped := span.New(span.Config{SampleEvery: 1, Ring: ring, Audit: span.NewAuditor(span.AuditConfig{})})
-	lifecycle := span.New(span.Config{SampleEvery: 1, Ring: ring})
-	ob := &stampObserver{tr: stamped}
-	o := fleetTestOptions(addr, 2)
-	o.Active, o.Rate, o.Duration, o.Tick = 2, 1000, 400*time.Millisecond, 5*time.Millisecond
-	o.Observer, o.Audit = ob, stamped.Auditor()
-	o.OnComplete = func(conn, shard int, firstID uint64, n int, sentNs, ackNs int64) {
-		tr := stamped
-		if conn > 0 {
-			tr = lifecycle
-		}
-		for reqID := firstID; reqID < firstID+uint64(n); reqID++ {
-			var sp span.Span
-			tr.Begin(&sp, uint32(shard), uint32(conn), reqID, sentNs)
-			tr.Finish(&sp, ackNs)
-		}
-	}
+	o := fleetTestOptions(addr, conns)
+	o.Active, o.Rate, o.Duration, o.Tick = conns, 1000, 400*time.Millisecond, 5*time.Millisecond
+	o.Observer, o.Spans = ob, cfg
 	f, err := NewFleet(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := f.Run()
-	if err != nil {
+	if rep, err = f.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if ob.ticks == 0 || uint64(ob.ticks) != rep.Controlled.ControlTicks {
-		t.Fatalf("observer saw %d ticks, connection 0 ran %d (fleet %d)", ob.ticks,
-			rep.Controlled.ControlTicks, rep.Controlled.ControlTicks+rep.Nagle.ControlTicks)
-	}
-	var zero, stampedZero, one uint64
-	for _, sp := range ring.Last(ring.Cap()) {
-		switch {
-		case sp.Conn == 0:
-			zero++
-			if sp.EstValid {
-				stampedZero++
-			}
-		case sp.EstValid:
-			t.Fatalf("connection %d's span carries an estimate stamp: %+v", sp.Conn, sp)
-		default:
-			one++
+	spans := make([]uint64, conns)
+	stamped = make([]uint64, conns)
+	for _, sp := range cfg.Ring.Last(cfg.Ring.Cap()) {
+		spans[sp.Conn]++
+		if sp.EstValid {
+			stamped[sp.Conn]++
 		}
 	}
-	if zero+one != rep.Completed || stampedZero == 0 || one == 0 {
-		t.Fatalf("spans: %d of connection 0 (%d stamped), %d of connection 1, %d completions", zero, stampedZero, one, rep.Completed)
+	var total uint64
+	for c := range spans {
+		total += spans[c]
+		if stamped[c] == 0 {
+			t.Fatalf("connection %d: none of its %d spans carries an estimate stamp", c, spans[c])
+		}
 	}
-	measured := stamped.Auditor().MeasuredHist()
-	if st := stamped.Auditor().AuditStats(); st.Audited != stampedZero || measured.Count() != zero {
-		t.Fatalf("auditor scored %d and measured %d spans; want connection 0's %d stamped of %d",
-			st.Audited, measured.Count(), stampedZero, zero)
+	if total != rep.Completed {
+		t.Fatalf("ring holds %d spans, the fleet completed %d requests", total, rep.Completed)
+	}
+	return f, rep, stamped
+}
+
+// TestFleetAuditsEveryConnection: every connection stamps its spans with
+// its own estimate and the one auditor scores them all, while the
+// Observer still sees connection 0's ticks alone.
+func TestFleetAuditsEveryConnection(t *testing.T) {
+	ob := &tickCounter{}
+	cfg := &span.Config{SampleEvery: 1, Ring: span.NewRing(2, 4096), Audit: span.NewAuditor(span.AuditConfig{})}
+	f, rep, stamped := runTracedFleet(t, 3, cfg, ob)
+	var sum uint64
+	for _, n := range stamped {
+		sum += n
+	}
+	if st := cfg.Audit.AuditStats(); st.Audited != sum || rep.Audit != st {
+		t.Fatalf("auditor scored %d spans (report %+v); the connections stamped %d", st.Audited, rep.Audit, sum)
+	}
+	zero := addEngineStats(f.conns[0].prior, f.conns[0].ep.Stats()).TotalTicks
+	fleet := rep.Controlled.ControlTicks + rep.Nagle.ControlTicks
+	if ob.ticks == 0 || ob.ticks != zero || uint64(zero) >= fleet {
+		t.Fatalf("observer saw %d ticks, connection 0 ran %d, the fleet %d", ob.ticks, zero, fleet)
+	}
+}
+
+// TestFleetSpansWithoutAuditor: Spans with a ring and no auditor leaves the
+// engines without an audit source (a nil *span.Auditor in the interface
+// would panic at the first tick) and still stamps every connection's spans.
+func TestFleetSpansWithoutAuditor(t *testing.T) {
+	cfg := &span.Config{SampleEvery: 1, Ring: span.NewRing(2, 4096)}
+	_, rep, _ := runTracedFleet(t, 2, cfg, nil)
+	if rep.Audit != (engine.AuditStats{}) {
+		t.Fatalf("report carries an audit without an auditor: %+v", rep.Audit)
 	}
 }

@@ -33,8 +33,10 @@ var (
 	kvloadTogglerLine = regexp.MustCompile(`^toggler: \d+ decisions, (\d+) switches, `)
 	kvloadPacerLine   = regexp.MustCompile(`^pacer: (\d+) writes \(\S+ requests/write\), hand-over lag mean=\S+ max=\S+$`)
 	kvloadFleetSent   = regexp.MustCompile(`(?m)^sent=(\d+) completed=`)
-	// The schedule-origin mean, which no benchmark parses yet.
+	// The schedule-origin mean and the span audit, which no benchmark
+	// parses yet.
 	kvloadResponseLine = regexp.MustCompile(`^response: mean=(\S+) \(hand-over lag (\S+) \+ service (\S+)\)$`)
+	kvloadAuditLine    = regexp.MustCompile(`(?m)^audit: spans=(\d+) tail=\d+ coverage=[\d.]+ residual=\S+$`)
 )
 
 func TestKvloadSmoke(t *testing.T) {
@@ -147,6 +149,11 @@ func TestKvloadSmoke(t *testing.T) {
 		t.Fatalf("%d writes for %d requests; the pacer's bursts should share writes\n%s", writes, n, report[2])
 	}
 	responseOf(report[3])
+	// Spans are on, so the audit line sits above the report and has
+	// scored spans.
+	if m := kvloadAuditLine.FindStringSubmatch(strings.Join(lines[:len(lines)-4], "\n")); m == nil || m[1] == "0" {
+		t.Fatalf("kvload's full run printed no audit line with scored spans:\n%s", strings.Join(lines, "\n"))
+	}
 
 	// The workload's output: the server holds the value kvload set.
 	nc, err := net.DialTimeout("tcp", addr, 5*time.Second)

@@ -26,7 +26,6 @@ import (
 
 	"e2ebatch/internal/faults"
 	"e2ebatch/internal/figures"
-	"e2ebatch/internal/obs"
 	"e2ebatch/internal/obs/span"
 	"e2ebatch/internal/tcpsim"
 	"e2ebatch/internal/trace"
@@ -34,18 +33,17 @@ import (
 
 func main() {
 	var (
-		fig        = flag.String("fig", "all", "which figure to regenerate: 1, 2, 4a, 4b, toggle, hints, aimd, tick, exchange, multiconn, timeline, tail, gro, cscan, bandits, loss, faults, rep, all")
-		faultPlan  = flag.String("faults", "metadrop", "fault plan for -fig faults: "+strings.Join(faults.Names(), ", "))
-		dur        = flag.Duration("dur", 300*time.Millisecond, "virtual duration of each run")
-		seed       = flag.Int64("seed", 7, "simulation seed")
-		rateList   = flag.String("rates", "", "comma-separated offered loads in RPS (default: figure-specific grid)")
-		traceOut   = flag.String("trace", "", "dump a raw counter log for one 35 kRPS batching-off run to this file")
-		spansOut   = flag.String("spans", "", "dump sampled request spans (JSONL) for one 35 kRPS tail-targeting dynamic run to this file, with the online estimator audit attached, and exit")
-		spanEvery  = flag.Uint64("spansample", 8, "with -spans: trace 1-in-N completed requests (1: every request)")
-		analyze    = flag.String("analyze", "", "offline-analyze a counter log dumped with -trace and exit")
-		metricsOut = flag.String("metricsout", "", "with -analyze: also write a Prometheus text snapshot (fault activations, sample counts) to this file")
-		batch      = flag.Int("syscall-batch", 4, "requests per send(2) in the hints experiment")
-		par        = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for sweep runs (results are identical for any value)")
+		fig       = flag.String("fig", "all", "which figure to regenerate: 1, 2, 4a, 4b, toggle, hints, aimd, tick, exchange, multiconn, timeline, tail, gro, cscan, bandits, loss, faults, rep, all")
+		faultPlan = flag.String("faults", "metadrop", "fault plan for -fig faults: "+strings.Join(faults.Names(), ", "))
+		dur       = flag.Duration("dur", 300*time.Millisecond, "virtual duration of each run")
+		seed      = flag.Int64("seed", 7, "simulation seed")
+		rateList  = flag.String("rates", "", "comma-separated offered loads in RPS (default: figure-specific grid)")
+		traceOut  = flag.String("trace", "", "dump a raw counter log for one 35 kRPS batching-off run to this file")
+		spansOut  = flag.String("spans", "", "dump sampled request spans (JSONL) for one 35 kRPS tail-targeting dynamic run to this file, with the online estimator audit attached, and exit")
+		spanEvery = flag.Uint64("spansample", 8, "with -spans: trace 1-in-N completed requests (1: every request)")
+		analyze   = flag.String("analyze", "", "offline-analyze a counter log dumped with -trace and exit")
+		batch     = flag.Int("syscall-batch", 4, "requests per send(2) in the hints experiment")
+		par       = flag.Int("parallel", runtime.GOMAXPROCS(0), "worker goroutines for sweep runs (results are identical for any value)")
 	)
 	flag.Parse()
 
@@ -56,7 +54,7 @@ func main() {
 	figures.SetParallelism(*par)
 
 	if *analyze != "" {
-		if err := analyzeLog(*analyze, *metricsOut); err != nil {
+		if err := analyzeLog(*analyze); err != nil {
 			fmt.Fprintln(os.Stderr, "e2efig:", err)
 			os.Exit(1)
 		}
@@ -226,7 +224,7 @@ func dumpTrace(cal figures.Calib, path string, dur time.Duration, seed int64) er
 	return err
 }
 
-func analyzeLog(path, metricsOut string) error {
+func analyzeLog(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -245,22 +243,6 @@ func analyzeLog(path, metricsOut string) error {
 		}
 		fmt.Printf("%-8s: latency %v  throughput %.0f/s\n",
 			tcpsim.Unit(u), est.Latency.Round(time.Microsecond), est.Throughput)
-	}
-	if metricsOut != "" {
-		// Bridge the log's out-of-band events (fault activations above
-		// all) into a metric snapshot — post-hoc, so the golden-pinned
-		// simulation output cannot have been perturbed by telemetry.
-		reg := obs.NewRegistry()
-		obs.CountTraceEvents(reg, log)
-		out, err := os.Create(metricsOut)
-		if err != nil {
-			return err
-		}
-		defer out.Close()
-		if err := reg.WritePrometheus(out); err != nil {
-			return err
-		}
-		fmt.Printf("metric snapshot written to %s\n", metricsOut)
 	}
 	return nil
 }

@@ -6,13 +6,11 @@
 //	kvserver -addr :6380            # TCP_NODELAY like real Redis
 //	kvserver -addr :6380 -nagle     # leave Nagle batching enabled
 //	kvserver -addr :6380 -obs :9090 # expose /metrics, /debug/* on :9090
-//	kvserver -addr :6380 -shards 8  # per-shard conn/request accounting
 //
-// With -obs, `curl :9090/metrics` serves the full engine metric schema in
-// Prometheus text format plus the server-side request latency summary and
-// the per-shard connection and request families (connections hash to
-// shards by peer address; the *_sum rollups aggregate the padded atomic
-// cells lock-free at scrape time), and /debug/pprof is live.
+// With -obs, `curl :9090/metrics` serves three families in Prometheus text
+// format: the server-side request latency summary, the count of requests
+// served and the count of open connections; sampled requests show as spans
+// at /debug/spans and /debug/trace, and /debug/pprof is live.
 package main
 
 import (
@@ -21,7 +19,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -36,75 +33,60 @@ func main() {
 		addr    = flag.String("addr", "127.0.0.1:6380", "listen address")
 		nagle   = flag.Bool("nagle", false, "keep Nagle's algorithm enabled on accepted connections")
 		obsAddr = flag.String("obs", "", "serve /metrics, /debug/decisions, /debug/vars and /debug/pprof on this address (empty: disabled)")
-		shards  = flag.Int("shards", runtime.GOMAXPROCS(0), "shard count for per-shard connection/request accounting")
 		connbuf = flag.Int("connbuf", 64<<10, "per-connection buffer size in bytes (high fan-in wants this small)")
 		nofile  = flag.Uint64("nofile", 1<<20, "raise the open-file soft limit toward this before serving")
 		spanN   = flag.Uint64("spansample", 64, "with -obs, trace 1-in-N served requests as spans at /debug/spans and /debug/trace (0: disabled; 1: every request)")
 	)
 	flag.Parse()
 
-	if *shards < 1 {
-		*shards = 1
-	}
 	fds, _ := realtcp.RaiseNOFILE(*nofile)
 
 	store := kv.NewStore(func() time.Duration { return time.Duration(time.Now().UnixNano()) })
 	srv := realtcp.NewServer(kv.NewEngine(store))
 	srv.Nagle = *nagle
-	srv.ShardCount = *shards
 	srv.BufBytes = *connbuf
 
 	var debug *obs.DebugServer
 	if *obsAddr != "" {
 		reg := obs.NewRegistry()
-		// Register the full engine schema up front so scrapes always
-		// show every family — flat until a control loop drives them
-		// (the engine runs client-side; a pure server exports zeros).
-		obs.NewEngineMetrics(reg)
 		lat := reg.Latencies("e2e_request_latency_seconds",
 			"Server-side command execution latency.")
-		conns := reg.ShardedGauge("e2e_server_conns",
-			"Open connections per accept shard.", *shards)
-		reqs := reg.ShardedCounter("e2e_server_requests_total",
-			"Requests served per accept shard.", *shards)
+		// served numbers the requests: request id is its count before the
+		// request, so the requests-served series and the span ids agree by
+		// construction.
+		var served atomic.Uint64
 		reg.GaugeFunc("e2e_server_conns_sum",
-			"Open connections, all shards.", func() float64 {
-				return float64(conns.Value())
+			"Open connections.", func() float64 {
+				return float64(srv.Conns())
 			})
 		reg.GaugeFunc("e2e_server_requests_sum",
-			"Requests served, all shards.", func() float64 {
-				return float64(reqs.Value())
+			"Requests served.", func() float64 {
+				return float64(served.Load())
 			})
-		srv.OnConnShard = func(shard, delta int) { conns.Add(shard, int64(delta)) }
 		// Server-side spans: each sampled request's execution window on the
 		// process timebase (parse-to-reply, like the latency summary). The
-		// request id is a process-wide atomic counter; the hook runs on many
-		// handler goroutines, so each call uses its own stack-scratch span.
+		// hook runs on many handler goroutines, so each call uses its own
+		// stack-scratch span.
 		var tr *span.Tracer
-		var reqSeq atomic.Uint64
 		start := time.Now()
 		if *spanN > 0 {
 			tr = span.New(span.Config{
 				SampleEvery: *spanN,
-				Ring:        span.NewRing(*shards, 512),
+				Ring:        span.NewRing(1, 1024),
 			})
 		}
-		srv.OnRequestShard = func(shard int, d time.Duration) {
-			reqs.Inc(shard)
+		srv.OnRequest = func(d time.Duration) {
+			id := served.Add(1) - 1
 			lat.Record(d)
-			if tr == nil {
-				return
-			}
-			id := reqSeq.Add(1) - 1
-			if !tr.Sampled(id) {
+			if tr == nil || !tr.Sampled(id) {
 				return
 			}
 			end := time.Since(start).Nanoseconds()
 			var sp span.Span
-			tr.Begin(&sp, uint32(shard), 0, id, end-d.Nanoseconds())
+			tr.Begin(&sp, 0, 0, id, end-d.Nanoseconds())
 			tr.Finish(&sp, end)
 		}
-		debug = obs.NewDebugServer(reg, obs.NewRing(1024))
+		debug = obs.NewDebugServer(reg, nil)
 		if tr != nil {
 			debug.SetSpans(tr.Ring())
 		}
@@ -121,8 +103,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "kvserver:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("kvserver listening on %s (nagle=%v, shards=%d, connbuf=%d, nofile=%d)\n",
-		l.Addr(), *nagle, *shards, *connbuf, fds)
+	fmt.Printf("kvserver listening on %s (nagle=%v, connbuf=%d, nofile=%d)\n",
+		l.Addr(), *nagle, *connbuf, fds)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)

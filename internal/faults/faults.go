@@ -192,7 +192,7 @@ type Targets struct {
 	OnReset func()
 	// OnFault, if set, observes every fault transition: kind is the
 	// Kind's String (or "skipped"), detail a human-readable parameter
-	// summary. Runs feed this into the trace log for offline correlation.
+	// summary. Tests observe the transitions through it.
 	OnFault func(kind, detail string)
 }
 

@@ -135,12 +135,6 @@ func TestDegradedFallbackUnderLossAndMetaDrop(t *testing.T) {
 	if a.FinalMode != policy.BatchOff {
 		t.Fatalf("final mode = %v, want the safe default BatchOff held", a.FinalMode)
 	}
-	// The fault windows must be on the record for offline correlation —
-	// one activation per window (neither closes within the run).
-	if len(a.Log.Events) != 2 {
-		t.Fatalf("trace recorded %d fault events, want activations for both windows: %+v",
-			len(a.Log.Events), a.Log.Events)
-	}
 	b := Run(spec)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("acceptance run is not deterministic across reruns")

@@ -23,7 +23,6 @@ type FaultRow struct {
 	SafeFallbacks uint64
 	Retransmits   uint64
 	FinalMode     policy.Mode
-	FaultEvents   int
 }
 
 // FaultSweepOut is the fault-injection robustness sweep: the same dynamic
@@ -65,7 +64,6 @@ func FaultSweep(cal Calib, rate float64, losses []float64, plan string, dur time
 			SafeFallbacks: r.TogglerStats.SafeFallbacks,
 			Retransmits:   r.ClientConn.Retransmits + r.ServerConn.Retransmits,
 			FinalMode:     r.FinalMode,
-			FaultEvents:   len(r.Log.Events),
 		}
 		if r.Est[0].Valid {
 			row.EstBytes = r.Est[0].Latency

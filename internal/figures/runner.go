@@ -365,7 +365,6 @@ func Run(spec RunSpec) *RunOut {
 					ep.Reset()
 				}
 			},
-			OnFault: func(kind, detail string) { col.Log().AddEvent(s.Now(), kind, detail) },
 		})
 	}
 

@@ -7,9 +7,9 @@ func TestDeterminismGolden(t *testing.T) {
 }
 
 // scopedPkgs are the simulated-time packages: one list scopes both the
-// clock and the telemetry ban, so obs traffic in analytic or faults is
-// flagged exactly like obs traffic in sim.
-var scopedPkgs = []string{"sim", "tcpsim", "figures", "analytic", "faults"}
+// clock and the telemetry ban, so obs traffic in analytic, faults or trace
+// is flagged exactly like obs traffic in sim.
+var scopedPkgs = []string{"sim", "tcpsim", "figures", "analytic", "faults", "trace"}
 
 // runScoped loads dir as each simulated-time package in turn, expecting
 // every want line to match.

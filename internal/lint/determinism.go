@@ -8,8 +8,9 @@ import (
 
 // deterministicPackages are the packages whose output must replay byte for
 // byte from a seed: the discrete-event simulator, the simulated TCP stack,
-// the figure runners, the closed-form rival and the fault plans. Only the
-// simulated clock is legal there — a wall-clock read silently decouples the
+// the figure runners, the closed-form rival, the fault plans and the
+// counter log every figure run fills (trace). Only the simulated clock is
+// legal there — a wall-clock read silently decouples the
 // estimator's integrals from virtual time, so the sweep would still run but
 // its figures would depend on host load. The telemetry plane stays out too:
 // a registry increment, ring push or span Begin/Finish on a simulated hot
@@ -24,6 +25,7 @@ var deterministicPackages = []string{
 	"e2ebatch/internal/figures",
 	"e2ebatch/internal/analytic",
 	"e2ebatch/internal/faults",
+	"e2ebatch/internal/trace",
 }
 
 const obsPath = "e2ebatch/internal/obs"

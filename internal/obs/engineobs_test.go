@@ -2,7 +2,6 @@ package obs_test
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -11,7 +10,6 @@ import (
 	"e2ebatch/internal/obs"
 	"e2ebatch/internal/policy"
 	"e2ebatch/internal/qstate"
-	"e2ebatch/internal/trace"
 )
 
 // obsPort scripts a single-queue connection with optional peer metadata —
@@ -350,25 +348,3 @@ func (c constController) Observe(time.Duration, float64, bool) policy.Mode { ret
 func (c constController) ObserveDegraded() policy.Mode                     { return policy.Mode(c) }
 func (c constController) Mode() policy.Mode                                { return policy.Mode(c) }
 func (c constController) Stats() policy.TogglerStats                       { return policy.TogglerStats{} }
-
-func TestCountTraceEvents(t *testing.T) {
-	reg := obs.NewRegistry()
-	var log trace.Log
-	log.AddEvent(0, "loss-burst", "p=0.5")
-	log.AddEvent(1, "loss-burst", "end")
-	log.AddEvent(2, "reset", "")
-	obs.CountTraceEvents(reg, &log)
-	var b strings.Builder
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, want := range []string{
-		`e2e_fault_activations_total{kind="loss-burst"} 2`,
-		`e2e_fault_activations_total{kind="reset"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in:\n%s", want, out)
-		}
-	}
-}

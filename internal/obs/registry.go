@@ -15,7 +15,8 @@
 // this package. The engine exports telemetry through the engine.Observer
 // seam only, a nil observer costs nothing, and the determinism analyzer
 // (DESIGN.md §8) mechanically forbids internal/sim, internal/tcpsim,
-// internal/figures, internal/analytic and internal/faults from reaching in.
+// internal/figures, internal/analytic, internal/faults and internal/trace
+// from reaching in.
 package obs
 
 import (
@@ -221,12 +222,6 @@ func writeChild(w io.Writer, f *family, c *child) error {
 	case gaugeFunc:
 		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, c.labels, formatFloat(m.fn()))
 		return err
-	case shardedCounterChild:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, c.labels, m.c.ShardValue(m.shard))
-		return err
-	case shardedGaugeChild:
-		_, err := fmt.Fprintf(w, "%s%s %d\n", f.name, c.labels, m.g.ShardValue(m.shard))
-		return err
 	case *Latencies:
 		h := m.Snapshot()
 		for _, q := range summaryQuantiles {
@@ -264,10 +259,6 @@ func (r *Registry) WriteVars(w io.Writer) error {
 				pairs = append(pairs, kv{f.name + c.labels, jsonFloat(m.Value())})
 			case gaugeFunc:
 				pairs = append(pairs, kv{f.name + c.labels, jsonFloat(m.fn())})
-			case shardedCounterChild:
-				pairs = append(pairs, kv{f.name + c.labels, strconv.FormatUint(m.c.ShardValue(m.shard), 10)})
-			case shardedGaugeChild:
-				pairs = append(pairs, kv{f.name + c.labels, strconv.FormatInt(m.g.ShardValue(m.shard), 10)})
 			case *Latencies:
 				h := m.Snapshot()
 				for _, q := range summaryQuantiles {

@@ -76,6 +76,40 @@ func TestRegistryReuseAndTypeClash(t *testing.T) {
 	reg.Gauge("x_total", "X.")
 }
 
+// Labels render sorted by key, whatever order the caller passes them in,
+// in both the Prometheus text and the vars JSON.
+func TestRegistryTwoLabelRendering(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("e2e_test_conns_total", "Conns.", Label{"shard", "0"}, Label{"role", "fleet"}).Add(9)
+	r.Counter("e2e_test_conns_total", "Conns.", Label{"role", "fleet"}, Label{"shard", "1"}).Add(2)
+
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`e2e_test_conns_total{role="fleet",shard="0"} 9`,
+		`e2e_test_conns_total{role="fleet",shard="1"} 2`,
+	} {
+		if !strings.Contains(b.String(), want+"\n") {
+			t.Errorf("rendering missing %q in:\n%s", want, b.String())
+		}
+	}
+
+	b.Reset()
+	if err := r.WriteVars(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`"e2e_test_conns_total{role=\"fleet\",shard=\"0\"}": 9`,
+		`"e2e_test_conns_total{role=\"fleet\",shard=\"1\"}": 2`,
+	} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("vars missing %q in:\n%s", want, b.String())
+		}
+	}
+}
+
 func TestVarsIsValidJSON(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("a_total", "A.").Add(5)

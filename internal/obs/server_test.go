@@ -1,12 +1,15 @@
 package obs
 
 import (
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"e2ebatch/internal/obs/span"
 )
 
 func debugGet(t *testing.T, h http.Handler, path string) (int, string, http.Header) {
@@ -56,6 +59,41 @@ func TestDebugEndpoints(t *testing.T) {
 	code, body, _ = debugGet(t, h, "/debug/pprof/cmdline")
 	if code != 200 || body == "" {
 		t.Fatalf("/debug/pprof/cmdline = %d %q", code, body)
+	}
+}
+
+func TestDebugSpanEndpoints(t *testing.T) {
+	d := NewDebugServer(NewRegistry(), nil)
+	h := d.Handler()
+	if code, body, _ := debugGet(t, h, "/debug/spans"); code != 200 || body != "" {
+		t.Fatalf("/debug/spans without a ring = %d %q, want 200 and an empty body", code, body)
+	}
+	if code, body, _ := debugGet(t, h, "/debug/trace"); code != 200 || body != `{"traceEvents":[]}` {
+		t.Fatalf("/debug/trace without a ring = %d %q", code, body)
+	}
+
+	ring := span.NewRing(1, 8)
+	tr := span.New(span.Config{SampleEvery: 1, Ring: ring})
+	for id := uint64(0); id < 3; id++ {
+		var sp span.Span
+		tr.Begin(&sp, 0, 0, id, int64(id)*1000)
+		tr.Finish(&sp, int64(id)*1000+500)
+	}
+	d.SetSpans(ring)
+	h = d.Handler()
+	code, body, _ := debugGet(t, h, "/debug/spans?n=2")
+	if lines := strings.Split(strings.TrimSpace(body), "\n"); code != 200 || len(lines) != 2 {
+		t.Fatalf("/debug/spans?n=2 = %d %q, want 2 JSONL lines", code, body)
+	}
+	code, body, _ = debugGet(t, h, "/debug/trace")
+	var doc struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal([]byte(body), &doc); code != 200 || err != nil || len(doc.TraceEvents) != 3 {
+		t.Fatalf("/debug/trace = %d %q (%v), want a trace document of 3 spans", code, body, err)
+	}
+	if code, _, _ = debugGet(t, h, "/debug/spans?n=-1"); code != 400 {
+		t.Errorf("/debug/spans?n=-1 = %d, want 400", code)
 	}
 }
 

@@ -38,8 +38,7 @@ type AuditConfig struct {
 }
 
 // auditCell is one shard's audit counters, padded to a cache line so
-// concurrent shards' updates never false-share (the obs.ShardedCounter
-// cell layout).
+// concurrent shards' updates never false-share.
 type auditCell struct {
 	audited     atomic.Uint64
 	tailAudited atomic.Uint64

@@ -31,7 +31,7 @@ type ringShard[T any] struct {
 // atomic counter and store by value, so publishing a record allocates
 // nothing (the push side sits on the engine tick and on completion paths,
 // //e2e:hotpath) and concurrent writers on different shards contend only
-// within a shard — the per-shard-cell layout of obs.ShardedCounter.
+// within a shard.
 // Multi-writer pushes within one shard are safe: a laggard that was lapped
 // can never overwrite a newer record. Readers lock one slot at a time for
 // the copy-out, so a reader can stall a writer only on that single slot.

@@ -162,8 +162,7 @@ const (
 )
 
 // paddedCell is a cache-line-padded counter cell (one per shard per
-// counter) — the same idiom as obs.ShardedCounter, local so the data path
-// does not couple to the telemetry plane.
+// counter), so the shards' read loops never false-share.
 type paddedCell struct {
 	v atomic.Uint64
 	_ [56]byte

@@ -20,7 +20,6 @@ import (
 	"e2ebatch/internal/kv"
 	"e2ebatch/internal/qstate"
 	"e2ebatch/internal/resp"
-	"e2ebatch/internal/shard"
 )
 
 // Server serves the mini-Redis engine over real TCP connections. Command
@@ -41,23 +40,11 @@ type Server struct {
 	// (false sets TCP_NODELAY, Redis's default behaviour).
 	Nagle bool
 
-	// ShardCount, when positive, assigns every accepted connection a shard
-	// id by FNV hash of its remote address (shard.HashString mod
-	// ShardCount) and feeds the sharded hooks below — the accept-path half
-	// of the shared-nothing obs rollup. Zero disables sharded accounting
-	// (every hook sees shard 0 if set anyway).
-	ShardCount int
-	// OnConnShard, when non-nil, is called with (+1) when a connection is
-	// accepted and (-1) when its handler exits — per-shard live-connection
-	// gauges. Called from accept/handler goroutines; the obs.ShardedGauge
-	// single-writer-per-cell rule does not apply here, but obs cells are
-	// atomic so concurrent mixed-shard calls are safe.
-	OnConnShard func(shard int, delta int)
-	// OnRequestShard, when non-nil, receives every command's server-side
-	// execution latency (parse-to-reply, excluding socket I/O) attributed
-	// to the connection's shard. Set before Serve; it is called from
-	// connection-handler goroutines and must be safe for concurrent use.
-	OnRequestShard func(shard int, d time.Duration)
+	// OnRequest, when non-nil, receives every command's server-side
+	// execution latency (parse-to-reply, excluding socket I/O). Set before
+	// Serve; it is called from connection-handler goroutines and must be
+	// safe for concurrent use.
+	OnRequest func(d time.Duration)
 
 	// BufBytes sizes the per-connection read/write buffers (default
 	// 64 KiB). High-fan-in servers size this down: 50k connections at the
@@ -110,31 +97,23 @@ func (s *Server) Serve(l net.Listener) error {
 		s.conns[conn] = struct{}{}
 		s.wg.Add(1)
 		s.connMu.Unlock()
-		sid := s.shardOf(conn)
-		if s.OnConnShard != nil {
-			s.OnConnShard(sid, +1)
-		}
 		go func() {
 			defer s.wg.Done()
 			defer func() {
 				s.connMu.Lock()
 				delete(s.conns, conn)
 				s.connMu.Unlock()
-				if s.OnConnShard != nil {
-					s.OnConnShard(sid, -1)
-				}
 			}()
-			s.handle(conn, sid)
+			s.handle(conn)
 		}()
 	}
 }
 
-// shardOf maps a connection to its shard id by remote-address hash.
-func (s *Server) shardOf(conn net.Conn) int {
-	if s.ShardCount <= 0 {
-		return 0
-	}
-	return int(shard.HashString(conn.RemoteAddr().String()) % uint64(s.ShardCount))
+// Conns returns the number of open connections.
+func (s *Server) Conns() int {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	return len(s.conns)
 }
 
 // Close stops accepting, closes active connections, and waits for their
@@ -152,7 +131,7 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
-func (s *Server) handle(conn net.Conn, sid int) {
+func (s *Server) handle(conn net.Conn) {
 	defer conn.Close()
 	bufBytes := s.BufBytes
 	if bufBytes <= 0 {
@@ -164,7 +143,7 @@ func (s *Server) handle(conn net.Conn, sid int) {
 	parser.Space(bufBytes)
 	out := make([]byte, 0, bufBytes)
 	var args [][]byte
-	timed := s.OnRequestShard != nil
+	timed := s.OnRequest != nil
 	for {
 		var begin time.Time
 		if timed {
@@ -182,7 +161,7 @@ func (s *Server) handle(conn net.Conn, sid int) {
 			out = resp.AppendValue(out, s.engine.Exec(args))
 			s.mu.Unlock()
 			if timed {
-				s.OnRequestShard(sid, time.Since(begin))
+				s.OnRequest(time.Since(begin))
 			}
 		}
 		// Replies go out when nothing more is decodable, so pipelined commands

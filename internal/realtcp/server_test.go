@@ -8,6 +8,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -230,5 +231,55 @@ func TestProtocolErrorsCloseTheConnection(t *testing.T) {
 		if !strings.HasPrefix(string(got), "+PONG\r\n-ERR protocol error") || !strings.HasSuffix(string(got), "\r\n") {
 			t.Fatalf("%s: server sent %q", name, got)
 		}
+	}
+}
+
+// OnRequest fires once per executed command, pipelined or not, and never for
+// a protocol error; Conns counts the open connections.
+func TestServerOnRequestAndConns(t *testing.T) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Skipf("loopback listen unavailable: %v", err)
+	}
+	store := kv.NewStore(func() time.Duration { return time.Duration(time.Now().UnixNano()) })
+	srv := NewServer(kv.NewEngine(store))
+	var calls atomic.Int64
+	srv.OnRequest = func(time.Duration) { calls.Add(1) }
+	go srv.Serve(l)
+	t.Cleanup(srv.Close)
+	waitConns := func(want int) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); srv.Conns() != want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("Conns() = %d, want %d", srv.Conns(), want)
+			}
+		}
+	}
+
+	conn := dialRaw(t, l.Addr().String())
+	waitConns(1)
+	var p resp.Parser
+	var batch []byte
+	for i := 0; i < 16; i++ {
+		batch = append(batch, resp.Command("SET", fmt.Sprintf("k%d", i), "v")...)
+	}
+	do(t, conn, &p, batch, 16)
+	do(t, conn, &p, resp.Command("SET", "k", "v"), 1)
+	if got := calls.Load(); got != 17 {
+		t.Fatalf("OnRequest fired %d times, want 17", got)
+	}
+	conn.Close()
+	waitConns(0)
+
+	bad := dialRaw(t, l.Addr().String())
+	if _, err := bad.Write([]byte("*2\r\n$3\r\nGET\r\n$abc\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := io.ReadAll(bad); err != nil || !strings.HasPrefix(string(got), "-ERR protocol error") {
+		t.Fatalf("protocol error reply = %q, %v", got, err)
+	}
+	waitConns(0)
+	if got := calls.Load(); got != 17 {
+		t.Fatalf("OnRequest fired %d times after a protocol error, want 17", got)
 	}
 }

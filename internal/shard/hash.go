@@ -1,26 +1,13 @@
 package shard
 
-// Shard assignment hashes: inline FNV-1a over the connection key (remote
-// address on the server, connection index in the fleet). hash/fnv would
-// allocate a hash.Hash64 per call; the accept path runs this per
-// connection, so the loop is written out.
+// Shard assignment hash: inline FNV-1a over the fleet's connection index.
+// hash/fnv would allocate a hash.Hash64 per call, so the loop is written
+// out.
 
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
 )
-
-// HashString returns the 64-bit FNV-1a hash of s.
-//
-//e2e:hotpath
-func HashString(s string) uint64 {
-	h := uint64(fnvOffset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= fnvPrime64
-	}
-	return h
-}
 
 // HashUint64 returns the 64-bit FNV-1a hash of x's little-endian bytes —
 // the index-keyed form the fleet uses so connection→shard assignment is

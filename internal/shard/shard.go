@@ -80,7 +80,7 @@ func (g *Group) Len() int { return len(g.shards) }
 // Shard returns shard i.
 func (g *Group) Shard(i int) *Shard { return g.shards[i] }
 
-// Of maps a hash to its owning shard (see HashString / HashUint64).
+// Of maps a hash to its owning shard (see HashUint64).
 func (g *Group) Of(hash uint64) *Shard {
 	return g.shards[hash%uint64(len(g.shards))]
 }
@@ -142,7 +142,7 @@ func (g *Group) Stats() []Stats {
 
 // Stats is one shard's activity snapshot, readable lock-free at any time
 // (scrape-time rollup reads these mirrors; the shard goroutine is the only
-// writer, the padded-atomics idiom of obs.ShardedCounter).
+// writer).
 type Stats struct {
 	// Services counts Service passes (driver ticks plus run-queue wakes);
 	// Fired counts timer callbacks dispatched; Armed is the number of

@@ -71,9 +71,6 @@ func TestGroupOfHashesStably(t *testing.T) {
 	if len(seen) != 4 {
 		t.Fatalf("256 keys landed on %d of 4 shards — hash is degenerate", len(seen))
 	}
-	if HashString("127.0.0.1:6380") == HashString("127.0.0.1:6381") {
-		t.Fatal("distinct addresses hash equal")
-	}
 }
 
 // Started mode: the shard loop's driver ticker fires wheel timers with

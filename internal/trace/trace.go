@@ -14,7 +14,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"e2ebatch/internal/core"
@@ -30,37 +29,9 @@ type Record struct {
 	Server [tcpsim.NumUnits]core.Queues
 }
 
-// Event is an out-of-band annotation in the log — fault injections,
-// mode switches, anything the offline analysis wants to correlate with the
-// sampled counters. Kind is a short token (no spaces); Detail is free text
-// and may be empty.
-type Event struct {
-	At     sim.Time
-	Kind   string
-	Detail string
-}
-
-// Log is an in-order series of records, plus any annotation events.
+// Log is an in-order series of records.
 type Log struct {
 	Records []Record
-	Events  []Event
-}
-
-// AddEvent appends an annotation. Events must be added in time order (they
-// are, when fed from a simulation's event loop).
-func (l *Log) AddEvent(at sim.Time, kind, detail string) {
-	l.Events = append(l.Events, Event{At: at, Kind: kind, Detail: detail})
-}
-
-// EventsBetween returns the events with From <= At < To.
-func (l *Log) EventsBetween(from, to sim.Time) []Event {
-	var out []Event
-	for _, e := range l.Events {
-		if e.At >= from && e.At < to {
-			out = append(out, e)
-		}
-	}
-	return out
 }
 
 // Collector samples two connection endpoints on a ticker — the ethtool
@@ -137,10 +108,6 @@ func (l *Log) Overall(unit tcpsim.Unit) core.Estimate {
 //	rec <at>
 //	<side> <unit> <queue> <time> <total> <integral>
 //	...
-//	fault <at> <kind> <detail...>
-//
-// Annotation events follow the records; their detail runs to end of line
-// and may be empty.
 func (l *Log) WriteTo(w io.Writer) (int64, error) {
 	bw := bufio.NewWriter(w)
 	var n int64
@@ -175,15 +142,6 @@ func (l *Log) WriteTo(w io.Writer) (int64, error) {
 			}
 		}
 	}
-	for _, e := range l.Events {
-		if strings.ContainsAny(e.Kind, " \n") || strings.Contains(e.Detail, "\n") {
-			return n, fmt.Errorf("trace: event %q at %d not serializable", e.Kind, int64(e.At))
-		}
-		line := fmt.Sprintf("fault %d %s %s", int64(e.At), e.Kind, e.Detail)
-		if err := count(fmt.Fprintf(bw, "%s\n", strings.TrimRight(line, " "))); err != nil {
-			return n, err
-		}
-	}
 	return n, bw.Flush()
 }
 
@@ -204,21 +162,6 @@ func ReadLog(r io.Reader) (*Log, error) {
 		if n, _ := fmt.Sscanf(text, "rec %d", &at); n == 1 {
 			log.Records = append(log.Records, Record{At: sim.Time(at)})
 			cur = &log.Records[len(log.Records)-1]
-			continue
-		}
-		if strings.HasPrefix(text, "fault ") {
-			parts := strings.SplitN(text, " ", 4)
-			if len(parts) < 3 {
-				return nil, fmt.Errorf("trace: line %d: malformed fault %q", line, text)
-			}
-			if _, err := fmt.Sscanf(parts[1], "%d", &at); err != nil {
-				return nil, fmt.Errorf("trace: line %d: bad fault time %q", line, parts[1])
-			}
-			detail := ""
-			if len(parts) == 4 {
-				detail = parts[3]
-			}
-			log.AddEvent(sim.Time(at), parts[2], detail)
 			continue
 		}
 		var side, name string

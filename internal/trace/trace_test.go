@@ -133,62 +133,20 @@ func TestReadLogRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestReadLogRejectsMalformedFault: the log holds samples only, so a fault
+// line is rejected whether or not it is well formed.
+func TestReadLogRejectsMalformedFault(t *testing.T) {
+	for _, in := range []string{"fault ", "fault x kind", "fault 5", "fault 5 reset", "rec 5\nfault 5 reset"} {
+		if _, err := ReadLog(strings.NewReader(in + "\n")); err == nil {
+			t.Errorf("fault line %q accepted", in)
+		}
+	}
+}
+
 func TestReadLogEmptyAndBlankLines(t *testing.T) {
 	got, err := ReadLog(strings.NewReader("\n\n"))
 	if err != nil || len(got.Records) != 0 {
 		t.Fatalf("blank log: %v, %d records", err, len(got.Records))
-	}
-}
-
-// TestEventRoundTrip: fault annotations survive serialization — including
-// details with spaces and an empty detail — and EventsBetween windows them.
-func TestEventRoundTrip(t *testing.T) {
-	log, _ := runTraced(t, 10000)
-	log.AddEvent(sim.Time(5*time.Millisecond), "loss-burst", "on prob=0.05 dur=40ms")
-	log.AddEvent(sim.Time(45*time.Millisecond), "loss-burst", "off")
-	log.AddEvent(sim.Time(60*time.Millisecond), "reset", "")
-
-	var buf bytes.Buffer
-	if _, err := log.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadLog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Records) != len(log.Records) {
-		t.Fatalf("records = %d, want %d", len(got.Records), len(log.Records))
-	}
-	if len(got.Events) != 3 {
-		t.Fatalf("events = %+v, want 3", got.Events)
-	}
-	for i, e := range got.Events {
-		if e != log.Events[i] {
-			t.Fatalf("event %d = %+v, want %+v", i, e, log.Events[i])
-		}
-	}
-	mid := got.EventsBetween(sim.Time(40*time.Millisecond), sim.Time(61*time.Millisecond))
-	if len(mid) != 2 || mid[0].Detail != "off" || mid[1].Kind != "reset" {
-		t.Fatalf("EventsBetween = %+v", mid)
-	}
-	if n := len(got.EventsBetween(sim.Time(time.Second), sim.Time(2*time.Second))); n != 0 {
-		t.Fatalf("empty window returned %d events", n)
-	}
-}
-
-func TestReadLogRejectsMalformedFault(t *testing.T) {
-	for _, in := range []string{"fault ", "fault x kind", "fault 5"} {
-		if _, err := ReadLog(strings.NewReader(in + "\n")); err == nil {
-			t.Fatalf("malformed %q accepted", in)
-		}
-	}
-	// Minimal valid fault line without records.
-	log, err := ReadLog(strings.NewReader("fault 5 reset\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(log.Events) != 1 || log.Events[0].Kind != "reset" || log.Events[0].Detail != "" {
-		t.Fatalf("events = %+v", log.Events)
 	}
 }
 

@@ -93,24 +93,26 @@ func TestObsSmokeKvserver(t *testing.T) {
 		return string(body)
 	}
 
+	// A server exports three families: the latency summary, the requests
+	// served and the open connections. It runs no control loop, so no
+	// engine series.
 	metrics := get("/metrics")
-	for _, family := range []string{
-		"# TYPE e2e_engine_ticks_total counter",
-		"# TYPE e2e_engine_degraded_ticks_total counter",
-		"# TYPE e2e_engine_mode_flips_total counter",
-		"# TYPE e2e_estimator_staleness_seconds gauge",
+	for _, want := range []string{
 		"# TYPE e2e_request_latency_seconds summary",
 		`e2e_request_latency_seconds{quantile="0.99"}`,
+		"e2e_request_latency_seconds_count 1\n",
+		"e2e_server_requests_sum 1\n",
+		"# TYPE e2e_server_conns_sum gauge",
 	} {
-		if !strings.Contains(metrics, family) {
-			t.Errorf("/metrics is missing %q;\n%s", family, metrics)
+		if !strings.Contains(metrics, want) {
+			t.Errorf("/metrics is missing %q;\n%s", want, metrics)
 		}
 	}
-	if !strings.Contains(metrics, "e2e_request_latency_seconds_count 1") {
-		t.Errorf("latency summary should have counted the SET:\n%s", metrics)
+	if strings.Contains(metrics, "e2e_engine_") {
+		t.Errorf("/metrics exports engine series from a server:\n%s", metrics)
 	}
-	if vars := get("/debug/vars"); !strings.Contains(vars, `"e2e_engine_ticks_total"`) {
-		t.Errorf("/debug/vars missing engine counters: %s", vars)
+	if vars := get("/debug/vars"); !strings.Contains(vars, `"e2e_server_requests_sum": 1`) {
+		t.Errorf("/debug/vars should count the SET: %s", vars)
 	}
 	// A pure server runs no control loop, so the decision ring is empty —
 	// but the endpoint must answer.

@@ -115,8 +115,19 @@ func TestTraceSmokeKvserver(t *testing.T) {
 		}
 		spans = append(spans, sp)
 	}
-	if len(spans) < reqs {
-		t.Fatalf("/debug/spans returned %d spans, want at least the %d requests served", len(spans), reqs)
+	// The span ids and the requests-served series are one counter: the
+	// requests served so far are exactly ids 0..reqs-1, which is how a
+	// client pairs its requests with the server's spans.
+	if len(spans) != reqs {
+		t.Fatalf("/debug/spans returned %d spans, want the %d requests served", len(spans), reqs)
+	}
+	for i, sp := range spans {
+		if sp.ReqID != uint64(i) {
+			t.Fatalf("span %d has id %d, want ids 0..%d in order: %+v", i, sp.ReqID, reqs-1, spans)
+		}
+	}
+	if metrics := string(get("/metrics")); !strings.Contains(metrics, fmt.Sprintf("e2e_server_requests_sum %d\n", reqs)) {
+		t.Fatalf("/metrics should count the %d SETs:\n%s", reqs, metrics)
 	}
 
 	// /debug/trace: one valid Chrome trace_event document over the same

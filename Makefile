@@ -16,7 +16,7 @@ GOFMT ?= gofmt
 #          │                   per-package floors; includes the alloc gates
 #          │                   and the obs, trace, kvload and scale smokes)
 #          ├─ race ─→ build
-#          ├─ fuzz-smoke ─→ build (every resp fuzz target, 3 s each)
+#          ├─ fuzz-smoke ─→ build (every resp and kv fuzz target, 3 s each)
 #          ├─ fidelity-smoke ─→ build (one zoo replay, mean and tail reports)
 #          └─ bench-check ─→ build (bench/ is its own module: vet, tests, lint)
 #
@@ -101,14 +101,17 @@ test: build
 race: build
 	$(GO) test -short -race ./...
 
-# fuzz-smoke runs every fuzz target of the wire parser for a few seconds of
-# new inputs each (`go test -fuzz` takes one target per run): the parser
-# reads bytes straight off the network, and the equivalence of its three
-# decoders (Next, NextCommand and Skip) is a fuzz property. The seed corpora
-# already run as plain tests; this is the part that generates.
+# fuzz-smoke runs every fuzz target of the wire parser and the command
+# engine for a few seconds of new inputs each (`go test -fuzz` takes one
+# target per run): both read bytes straight off the network, and the
+# equivalence of the parser's three decoders (Next, NextCommand and Skip) and
+# of the engine's two entry points (Exec, Execute) are fuzz properties. The
+# seed corpora already run as plain tests; this is the part that generates.
 fuzz-smoke: build
-	@for f in $$($(GO) test -list '^Fuzz' ./internal/resp | grep '^Fuzz'); do \
-		$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime=3s ./internal/resp || exit 1; \
+	@for pkg in ./internal/resp ./internal/kv; do \
+		for f in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			$(GO) test -run '^$$' -fuzz "^$$f\$$" -fuzztime=3s $$pkg || exit 1; \
+		done; \
 	done
 
 # bench-check covers the repository benchmark (BENCHMARK.json, bench/): it is

@@ -1,5 +1,6 @@
 // Command kvserver runs the mini-Redis substrate over real TCP sockets.
-// It speaks enough RESP2 for standard Redis clients (SET/GET/DEL/INCR/...).
+// It speaks RESP2 and serves SET (with EX/PX), GET, MGET and PING over one
+// string keyspace, plus the no-op handshake standard Redis clients send.
 //
 // Usage:
 //
@@ -41,7 +42,11 @@ func main() {
 
 	fds, _ := realtcp.RaiseNOFILE(*nofile)
 
-	store := kv.NewStore(func() time.Duration { return time.Duration(time.Now().UnixNano()) })
+	// TTLs run on the monotonic clock, so a step of the wall clock (NTP,
+	// suspend/resume) neither expires nor extends every key at once. Spans
+	// share the timebase.
+	start := time.Now()
+	store := kv.NewStore(func() time.Duration { return time.Since(start) })
 	srv := realtcp.NewServer(kv.NewEngine(store))
 	srv.Nagle = *nagle
 	srv.BufBytes = *connbuf
@@ -68,7 +73,6 @@ func main() {
 		// hook runs on many handler goroutines, so each call uses its own
 		// stack-scratch span.
 		var tr *span.Tracer
-		start := time.Now()
 		if *spanN > 0 {
 			tr = span.New(span.Config{
 				SampleEvery: *spanN,

@@ -36,7 +36,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "listen:", err)
 		os.Exit(1)
 	}
-	store := kv.NewStore(func() time.Duration { return time.Duration(time.Now().UnixNano()) })
+	start := time.Now()
+	store := kv.NewStore(func() time.Duration { return time.Since(start) })
 	srv := realtcp.NewServer(kv.NewEngine(store))
 	go srv.Serve(l)
 	defer srv.Close()

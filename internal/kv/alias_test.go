@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strconv"
 	"testing"
+	"time"
 
 	"e2ebatch/internal/resp"
 )
@@ -45,8 +46,8 @@ func TestSetOverwritesInPlace(t *testing.T) {
 	if string(third) != long || string(second) != "bbbb" {
 		t.Fatalf("after SET of a longer value: %d bytes, old view %q", len(third), second)
 	}
-	if got := run(e, "STRLEN", "k"); got != ":"+strconv.Itoa(len(long))+"\r\n" {
-		t.Fatalf("STRLEN = %q", got)
+	if got := run(e, "GET", "k"); got != "$"+strconv.Itoa(len(long))+"\r\n"+long+"\r\n" {
+		t.Fatalf("GET after a longer SET = %d bytes", len(got))
 	}
 }
 
@@ -65,85 +66,60 @@ func TestSetCopiesItsArgument(t *testing.T) {
 	}
 }
 
-// Replies that carry the old value must survive the write the same command
-// makes.
-func TestRepliesSurviveTheirOwnWrite(t *testing.T) {
-	e, _ := newTestEngine()
-	run(e, "SET", "k", "old-value")
-	reply := e.Exec(argv("GETSET", "k", "new-value")) // same length: would fit in place
-	if got := run(e, "GET", "k"); got != "$9\r\nnew-value\r\n" {
-		t.Fatalf("GET after GETSET = %q", got)
-	}
-	if string(reply.Str) != "old-value" {
-		t.Fatalf("GETSET reply read after the write = %q", reply.Str)
-	}
-	reply = e.Exec(argv("GETDEL", "k"))
-	run(e, "SET", "k", "another-1")
-	if string(reply.Str) != "new-value" {
-		t.Fatalf("GETDEL reply read after the key was set again = %q", reply.Str)
-	}
-	if got := run(e, "GETSET", "k", "x"); got != "$9\r\nanother-1\r\n" {
-		t.Fatalf("GETSET = %q", got)
-	}
-	if got := run(e, "GETSET", "fresh", "x"); got != "$-1\r\n" {
-		t.Fatalf("GETSET of a missing key = %q", got)
-	}
-}
-
-// APPEND grows into whatever capacity an in-place SET left behind; the bytes
-// of the longer value that used to be there must not come back.
+// SET grows into whatever capacity an earlier in-place SET left behind; the
+// bytes of the longer value that used to be there must not come back.
 func TestAppendAfterInPlaceSet(t *testing.T) {
 	e, _ := newTestEngine()
 	run(e, "SET", "k", "abcdefgh")
 	run(e, "SET", "k", "xy")
-	if got := run(e, "APPEND", "k", "z"); got != ":3\r\n" {
-		t.Fatalf("APPEND = %q", got)
+	first, _ := e.Store().Get("k")
+	if got := run(e, "SET", "k", "xyz"); got != "+OK\r\n" {
+		t.Fatalf("SET = %q", got)
 	}
 	if got := run(e, "GET", "k"); got != "$3\r\nxyz\r\n" {
-		t.Fatalf("GET after APPEND = %q", got)
+		t.Fatalf("GET after a longer in-place SET = %q", got)
 	}
-	run(e, "SET", "k", "0123456789abcdef0123456789abcdef") // longer again
-	if got := run(e, "APPEND", "k", "!"); got != ":33\r\n" {
-		t.Fatalf("APPEND = %q", got)
+	if second, _ := e.Store().Get("k"); &first[0] != &second[0] {
+		t.Fatal("a value that fits the buffer did not reuse it")
 	}
-	if got := run(e, "GET", "k"); got != "$33\r\n0123456789abcdef0123456789abcdef!\r\n" {
+	run(e, "SET", "k", "0123456789abcdef0123456789abcdef") // longer than the buffer
+	run(e, "SET", "k", "!")
+	run(e, "SET", "k", "!!")
+	if got := run(e, "GET", "k"); got != "$2\r\n!!\r\n" {
 		t.Fatalf("GET = %q", got)
 	}
 }
 
 func TestMGetAfterSet(t *testing.T) {
 	e, _ := newTestEngine()
-	run(e, "MSET", "a", "1111", "b", "2222")
+	run(e, "SET", "a", "1111")
+	run(e, "SET", "b", "2222")
 	run(e, "SET", "a", "33") // in place
-	run(e, "HSET", "h", "f", "v")
-	if got := run(e, "MGET", "a", "b", "h", "missing", "a"); got != "*5\r\n$2\r\n33\r\n$4\r\n2222\r\n$-1\r\n$-1\r\n$2\r\n33\r\n" {
+	if got := run(e, "MGET", "a", "b", "missing", "a"); got != "*4\r\n$2\r\n33\r\n$4\r\n2222\r\n$-1\r\n$2\r\n33\r\n" {
 		t.Fatalf("MGET = %q", got)
 	}
 }
 
-// SET replaces a value of any kind and clears the TTL of the key it
-// overwrites in place, like a SET that builds a new entry.
+// SET clears the TTL of the key it overwrites in place, like a SET that
+// builds a new entry, and gives it the new one.
 func TestInPlaceSetClearsTTLAndKind(t *testing.T) {
 	e, c := newTestEngine()
 	run(e, "SET", "k", "v1", "EX", "10")
 	run(e, "SET", "k", "v2")
-	if got := run(e, "TTL", "k"); got != ":-1\r\n" {
-		t.Fatalf("TTL after plain SET over a key with one = %q", got)
+	c.now += time.Hour
+	if got := run(e, "GET", "k"); got != "$2\r\nv2\r\n" {
+		t.Fatalf("GET after plain SET over a key with a TTL = %q", got)
 	}
 	run(e, "SET", "k", "v3", "PX", "1500")
-	if got := run(e, "PTTL", "k"); got != ":1500\r\n" {
-		t.Fatalf("PTTL = %q", got)
+	c.now += 1500*time.Millisecond - 1
+	if got := run(e, "GET", "k"); got != "$2\r\nv3\r\n" {
+		t.Fatalf("GET before PX ran out = %q", got)
 	}
-	c.now += 2e9
+	c.now++
 	if got := run(e, "GET", "k"); got != "$-1\r\n" {
 		t.Fatalf("GET of an expired key = %q", got)
 	}
-	if e.Store().Expired() != 1 {
-		t.Fatalf("expired = %d", e.Store().Expired())
-	}
-	run(e, "LPUSH", "l", "x")
-	run(e, "SET", "l", "now a string")
-	if got := run(e, "TYPE", "l"); got != "+string\r\n" {
-		t.Fatalf("TYPE after SET over a list = %q", got)
+	if len(e.Store().m) != 0 {
+		t.Fatalf("the expired key was not reaped: %d entries", len(e.Store().m))
 	}
 }

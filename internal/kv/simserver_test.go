@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -101,7 +102,7 @@ func TestSimServerPipelinedBatch(t *testing.T) {
 	var wire []byte
 	const n = 20
 	for i := 0; i < n; i++ {
-		wire = resp.AppendCommand(wire, []byte("INCR"), []byte("ctr"))
+		wire = resp.AppendCommand(wire, []byte("PING"), strconv.AppendInt(nil, int64(i), 10))
 	}
 	r.client.Send(wire)
 	r.s.RunUntil(sim.Time(10 * time.Millisecond))
@@ -110,8 +111,8 @@ func TestSimServerPipelinedBatch(t *testing.T) {
 		t.Fatalf("replies = %d, want %d", len(got), n)
 	}
 	for i, v := range got {
-		if v.Int != int64(i+1) {
-			t.Fatalf("reply %d = %v, want %d (ordering broken)", i, v, i+1)
+		if string(v.Str) != strconv.Itoa(i) {
+			t.Fatalf("reply %d = %v, want %d (ordering broken)", i, v, i)
 		}
 	}
 	st := r.server.Stats()
@@ -171,5 +172,50 @@ func TestSimServerChargesAppCPU(t *testing.T) {
 	min := 10 * (scfg.ReadCosts.PerBatch + scfg.ReadCosts.PerItem)
 	if busy < min {
 		t.Fatalf("app CPU busy = %v, want >= %v", busy, min)
+	}
+}
+
+// The server half of the reader-stall fault: a stalled server reads nothing,
+// so requests pile up unread at its socket and get no replies; resuming
+// serves every one of them, in order.
+func TestSimServerStallAndResume(t *testing.T) {
+	cfg := tcpsim.DefaultConfig()
+	cfg.Nagle = false
+	r := newSimRig(t, cfg, DefaultSimServerConfig())
+	r.server.Stall(true)
+	const n = 16
+	var wire []byte
+	for i := 0; i < n; i++ {
+		wire = resp.AppendCommand(wire, []byte("PING"), strconv.AppendInt(nil, int64(i), 10))
+	}
+	unread := 0
+	for _, half := range [][]byte{wire[:len(wire)/2], wire[len(wire)/2:]} {
+		r.client.Send(half)
+		r.s.RunFor(time.Millisecond)
+		if got := r.replies(t); len(got) != 0 {
+			t.Fatalf("a stalled server replied: %v", got)
+		}
+		if now := r.server.conn.Readable(); now <= unread {
+			t.Fatalf("unread bytes at the stalled server went from %d to %d", unread, now)
+		} else {
+			unread = now
+		}
+	}
+	if unread != len(wire) || r.server.Stats().Requests != 0 {
+		t.Fatalf("stalled: %d of %d bytes unread, %d requests served", unread, len(wire), r.server.Stats().Requests)
+	}
+	r.server.Stall(false)
+	r.s.RunFor(10 * time.Millisecond)
+	got := r.replies(t)
+	if len(got) != n {
+		t.Fatalf("after resuming: %d replies, want %d", len(got), n)
+	}
+	for i, v := range got {
+		if string(v.Str) != strconv.Itoa(i) {
+			t.Fatalf("reply %d = %v, want %d (ordering broken)", i, v, i)
+		}
+	}
+	if left := r.server.conn.Readable(); left != 0 {
+		t.Fatalf("%d bytes left unread after resuming", left)
 	}
 }

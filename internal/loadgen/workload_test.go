@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"testing"
 	"time"
+
+	"e2ebatch/internal/kv"
+	"e2ebatch/internal/resp"
 )
 
 // TestMixedWorkloadPermilleBoundaries pins the degenerate mixes: 1000‰ is
@@ -116,5 +119,55 @@ func TestRateFnModulatesArrivals(t *testing.T) {
 	frozen := run(func(time.Duration) float64 { return 0 })
 	if frozen.Issued > 25 {
 		t.Fatalf("zero-rate shape still issued %d", frozen.Issued)
+	}
+}
+
+// TestServerServesEveryWorkload pins the traffic the server assumes: every
+// request any workload sends is a command the kv engine serves. The requests
+// go through the servers' own path (NextCommand, then Exec) against a store
+// preloaded the way figures.Run does, and no reply may be an error, so a
+// workload that starts sending a command the server does not serve fails
+// here rather than in a benchmark run.
+func TestServerServesEveryWorkload(t *testing.T) {
+	const keySize, valSize, n = 16, 16 << 10, 2000
+	makers := map[string]RequestMaker{
+		"set":   SetWorkload(keySize, valSize),
+		"mixed": MixedWorkload(keySize, valSize, 500),
+		"ping":  PingWorkload(),
+	}
+	preload := map[string]bool{"mixed": true}
+	for _, w := range Zoo(keySize, valSize) {
+		makers["zoo/"+w.Name], preload["zoo/"+w.Name] = w.NewMaker(1), w.PreloadKeys
+	}
+	for name, mk := range makers {
+		eng := kv.NewEngine(kv.NewStore(func() time.Duration { return 0 }))
+		if preload[name] {
+			for _, k := range Keys(keySize, 16) {
+				eng.Store().Set(string(k), make([]byte, valSize), 0)
+			}
+		}
+		var p resp.Parser
+		var args [][]byte
+		commands := 0
+		for i := uint64(0); i < n; i++ {
+			wire, _ := mk(i)
+			p.Feed(wire)
+			for {
+				var ok bool
+				var err error
+				if args, ok, err = p.NextCommand(args[:0]); err != nil {
+					t.Fatalf("%s: request %d: %v", name, i, err)
+				} else if !ok {
+					break
+				}
+				commands++
+				if reply := eng.Exec(args); reply.IsError() {
+					t.Fatalf("%s: request %d (%.40q) = %v", name, i, args, reply)
+				}
+			}
+		}
+		if commands < n || p.Buffered() != 0 {
+			t.Fatalf("%s: %d commands from %d requests, %d bytes left over", name, commands, n, p.Buffered())
+		}
 	}
 }

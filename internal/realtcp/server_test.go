@@ -149,15 +149,12 @@ func TestNonReadingClientCannotGrowServer(t *testing.T) {
 	srv := NewServer(kv.NewEngine(kv.NewStore(func() time.Duration { return 0 })))
 	srv.BufBytes = 32 << 10
 	srv.engine.Store().Set("big", make([]byte, 16<<10), 0)
+	var executed atomic.Uint64
+	srv.OnRequest = func(time.Duration) { executed.Add(1) }
 	go srv.Serve(l)
 	t.Cleanup(srv.Close)
 	addr := l.Addr().String()
-	commands := func() uint64 {
-		srv.mu.Lock()
-		defer srv.mu.Unlock()
-		n, _ := srv.engine.Commands()
-		return n
-	}
+	commands := executed.Load
 	runtime.GC()
 	base := runtime.NumGoroutine()
 	var before runtime.MemStats

@@ -4,7 +4,8 @@ package e2ebatch_test
 // kvserver binary, run it with -obs and -spansample 1 (trace every
 // request), drive a few requests through a real TCP client, then require
 // /debug/spans to serve parseable JSONL spans covering them and
-// /debug/trace to serve a loadable Chrome trace_event document. It runs in
+// /debug/trace to serve a loadable Chrome trace_event document; then check
+// TTL expiry on the same binary. It runs in
 // tier-1 via `make test` (alone: `go test -run TestTraceSmokeKvserver .`).
 
 import (
@@ -13,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -149,6 +151,34 @@ func TestTraceSmokeKvserver(t *testing.T) {
 		if ev.Ph != "X" || ev.Dur < 0 {
 			t.Errorf("trace event %+v: want complete (X) events with non-negative durations", ev)
 		}
+	}
+
+	// TTL expiry on the real binary: a key SET with PX 50 is gone 100 ms
+	// later.
+	conn, err := net.Dial("tcp", srvAddr)
+	if err != nil {
+		t.Fatalf("dialing kvserver: %v", err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	replies := bufio.NewReader(conn)
+	roundTrip := func(args ...string) string {
+		t.Helper()
+		if _, err := conn.Write(resp.Command(args...)); err != nil {
+			t.Fatalf("sending %q: %v", args, err)
+		}
+		line, err := replies.ReadString('\n')
+		if err != nil {
+			t.Fatalf("reply to %q: %v", args, err)
+		}
+		return line
+	}
+	if got := roundTrip("SET", "t", "v", "PX", "50"); got != "+OK\r\n" {
+		t.Fatalf("SET t v PX 50 = %q", got)
+	}
+	time.Sleep(100 * time.Millisecond)
+	if got := roundTrip("GET", "t"); got != "$-1\r\n" {
+		t.Fatalf("GET t 100 ms after SET t v PX 50 = %q, want $-1", got)
 	}
 
 	if err := cmd.Process.Signal(os.Interrupt); err != nil {

@@ -22,11 +22,11 @@ import (
 	"testing"
 	"time"
 
-	"e2ebatch"
 	"e2ebatch/internal/core"
 	"e2ebatch/internal/cpumodel"
 	"e2ebatch/internal/engine"
 	"e2ebatch/internal/figures"
+	"e2ebatch/internal/hints"
 	"e2ebatch/internal/kv"
 	"e2ebatch/internal/netem"
 	"e2ebatch/internal/obs"
@@ -179,40 +179,40 @@ func errOf(est, meas time.Duration) float64 {
 // BenchmarkCounterTrack measures one TRACK call — the cost added to every
 // queue transition in the stack.
 func BenchmarkCounterTrack(b *testing.B) {
-	var q e2ebatch.QueueState
+	var q qstate.State
 	q.Init(0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q.Track(e2ebatch.Time(2*i), 1)
-		q.Track(e2ebatch.Time(2*i+1), -1)
+		q.Track(qstate.Time(2*i), 1)
+		q.Track(qstate.Time(2*i+1), -1)
 	}
 }
 
 // BenchmarkGetAvgs measures one GETAVGS evaluation.
 func BenchmarkGetAvgs(b *testing.B) {
-	prev := e2ebatch.Snapshot{}
-	now := e2ebatch.Snapshot{Time: 1 << 30, Total: 1 << 20, Integral: 1 << 40}
+	prev := qstate.Snapshot{}
+	now := qstate.Snapshot{Time: 1 << 30, Total: 1 << 20, Integral: 1 << 40}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = e2ebatch.GetAvgs(prev, now)
+		_ = qstate.GetAvgs(prev, now)
 	}
 }
 
 // BenchmarkWireExchange measures encoding + decoding one 36-byte metadata
 // exchange — the per-segment overhead of §3.2.
 func BenchmarkWireExchange(b *testing.B) {
-	ws := e2ebatch.WireState{
+	ws := qstate.WireState{
 		Unacked:  qstate.WireQueue{TimeUS: 1, Total: 2, IntegralUS: 3},
 		Unread:   qstate.WireQueue{TimeUS: 4, Total: 5, IntegralUS: 6},
 		AckDelay: qstate.WireQueue{TimeUS: 7, Total: 8, IntegralUS: 9},
 	}
-	buf := make([]byte, e2ebatch.WireSize)
+	buf := make([]byte, qstate.WireSize)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := e2ebatch.EncodeWire(buf, ws); err != nil {
+		if _, err := qstate.EncodeWire(buf, ws); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e2ebatch.DecodeWire(buf); err != nil {
+		if _, err := qstate.DecodeWire(buf); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -220,22 +220,22 @@ func BenchmarkWireExchange(b *testing.B) {
 
 // BenchmarkEndToEndEstimate measures one full two-sided estimate update.
 func BenchmarkEndToEndEstimate(b *testing.B) {
-	mk := func(lat time.Duration) e2ebatch.Avgs {
-		return e2ebatch.Avgs{Latency: lat, Throughput: 1e4, Valid: true, Departures: 10}
+	mk := func(lat time.Duration) qstate.Avgs {
+		return qstate.Avgs{Latency: lat, Throughput: 1e4, Valid: true, Departures: 10}
 	}
-	local := e2ebatch.Delays{Unacked: mk(50 * time.Microsecond), Unread: mk(10 * time.Microsecond)}
-	remote := e2ebatch.Delays{Unread: mk(20 * time.Microsecond), AckDelay: mk(5 * time.Microsecond)}
+	local := core.Delays{Unacked: mk(50 * time.Microsecond), Unread: mk(10 * time.Microsecond)}
+	remote := core.Delays{Unread: mk(20 * time.Microsecond), AckDelay: mk(5 * time.Microsecond)}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = e2ebatch.EstimateE2E(local, remote)
+		_ = core.EstimateE2E(local, remote)
 	}
 }
 
 // BenchmarkHintAPI measures one create/complete round — the per-request
 // cost a cooperative application pays (§3.3).
 func BenchmarkHintAPI(b *testing.B) {
-	var now e2ebatch.Time
-	tr := e2ebatch.NewHintTracker(func() e2ebatch.Time { return now })
+	var now qstate.Time
+	tr := hints.NewTracker(func() qstate.Time { return now })
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		now++

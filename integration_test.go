@@ -6,8 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"e2ebatch"
+	"e2ebatch/internal/core"
 	"e2ebatch/internal/figures"
+	"e2ebatch/internal/hints"
 	"e2ebatch/internal/kv"
 	"e2ebatch/internal/loadgen"
 	"e2ebatch/internal/netem"
@@ -30,30 +31,30 @@ func TestOnlineEstimateMatchesOfflineAnalysis(t *testing.T) {
 	cfg.Nagle = false
 	cc, sc := tcpsim.Connect(cs, ss, link, cfg)
 	store := kv.NewStore(func() time.Duration { return s.Now().Duration() })
-	kv.NewSimServer(kv.NewEngine(store), sc, kv.DefaultSimServerConfig())
+	tcpsim.NewSimServer(kv.NewEngine(store), sc, tcpsim.DefaultSimServerConfig())
 
 	// Online estimator: local exact snapshots + the peer's wire states.
-	var online e2ebatch.Estimator
-	prime := func() e2ebatch.Sample {
+	var online core.Estimator
+	prime := func() core.Sample {
 		ua, ur, ad := cc.Snapshots(tcpsim.UnitBytes)
-		smp := e2ebatch.Sample{Local: e2ebatch.Queues{Unacked: ua, Unread: ur, AckDelay: ad}}
+		smp := core.Sample{Local: core.Queues{Unacked: ua, Unread: ur, AckDelay: ad}}
 		if ws, _, ok := cc.PeerWireState(); ok {
 			smp.Remote, smp.RemoteOK = ws, true
 		}
 		return smp
 	}
 	// Offline: exact snapshots from both sides.
-	offline := func() (e2ebatch.Queues, e2ebatch.Queues) {
+	offline := func() (core.Queues, core.Queues) {
 		ua, ur, ad := cc.Snapshots(tcpsim.UnitBytes)
 		sua, sur, sad := sc.Snapshots(tcpsim.UnitBytes)
-		return e2ebatch.Queues{Unacked: ua, Unread: ur, AckDelay: ad},
-			e2ebatch.Queues{Unacked: sua, Unread: sur, AckDelay: sad}
+		return core.Queues{Unacked: ua, Unread: ur, AckDelay: ad},
+			core.Queues{Unacked: sua, Unread: sur, AckDelay: sad}
 	}
 
 	gen := loadgen.New(s, cc, loadgen.DefaultConfig(25000, 50*time.Millisecond), loadgen.SetWorkload(16, 4096))
 	end := gen.Start()
 	warm := sim.Time(10 * time.Millisecond)
-	var l0, r0 e2ebatch.Queues
+	var l0, r0 core.Queues
 	s.At(warm, func() {
 		online.Update(prime())
 		l0, r0 = offline()
@@ -62,7 +63,7 @@ func TestOnlineEstimateMatchesOfflineAnalysis(t *testing.T) {
 	gen.FlushSends()
 	onlineEst := online.Update(prime())
 	l1, r1 := offline()
-	offlineEst := e2ebatch.EstimateE2E(e2ebatch.DelaysBetween(l0, l1), e2ebatch.DelaysBetween(r0, r1))
+	offlineEst := core.EstimateE2E(core.DelaysBetween(l0, l1), core.DelaysBetween(r0, r1))
 	gen.Finalize()
 
 	if !onlineEst.Valid || !offlineEst.Valid {
@@ -105,16 +106,16 @@ func TestEstimateOrderingPredictsBatchingWinner(t *testing.T) {
 // snapshots round-trips through the public codec and yields the same
 // averages as the full-precision path (to wire-format resolution).
 func TestPublicAPIWireInterop(t *testing.T) {
-	var q e2ebatch.QueueState
+	var q qstate.State
 	q.Init(0)
 	q.Track(0, 5)
-	q.Track(e2ebatch.Time(3*time.Millisecond), -5)
-	snap0 := e2ebatch.Snapshot{}
-	snap1 := q.Snapshot(e2ebatch.Time(10 * time.Millisecond))
+	q.Track(qstate.Time(3*time.Millisecond), -5)
+	snap0 := qstate.Snapshot{}
+	snap1 := q.Snapshot(qstate.Time(10 * time.Millisecond))
 
-	exact := e2ebatch.GetAvgs(snap0, snap1)
-	w0, w1 := e2ebatch.ToWireQueue(snap0), e2ebatch.ToWireQueue(snap1)
-	wire := e2ebatch.WireAvgs(w0, w1)
+	exact := qstate.GetAvgs(snap0, snap1)
+	w0, w1 := qstate.ToWire(snap0), qstate.ToWire(snap1)
+	wire := qstate.WireAvgs(w0, w1)
 	if !exact.Valid || !wire.Valid {
 		t.Fatal("validity")
 	}
@@ -126,12 +127,12 @@ func TestPublicAPIWireInterop(t *testing.T) {
 		t.Fatalf("wire %v vs exact %v", wire.Latency, exact.Latency)
 	}
 
-	ws := e2ebatch.WireState{Unacked: w1}
-	buf := make([]byte, e2ebatch.WireSize)
-	if _, err := e2ebatch.EncodeWire(buf, ws); err != nil {
+	ws := qstate.WireState{Unacked: w1}
+	buf := make([]byte, qstate.WireSize)
+	if _, err := qstate.EncodeWire(buf, ws); err != nil {
 		t.Fatal(err)
 	}
-	got, err := e2ebatch.DecodeWire(buf)
+	got, err := qstate.DecodeWire(buf)
 	if err != nil || got != ws {
 		t.Fatalf("round trip: %+v, %v", got, err)
 	}
@@ -148,16 +149,16 @@ func TestHintsEqualMeasuredOnPublicAPI(t *testing.T) {
 	cfg := tcpsim.DefaultConfig()
 	cc, sc := tcpsim.Connect(cs, ss, link, cfg)
 	store := kv.NewStore(func() time.Duration { return s.Now().Duration() })
-	kv.NewSimServer(kv.NewEngine(store), sc, kv.DefaultSimServerConfig())
+	tcpsim.NewSimServer(kv.NewEngine(store), sc, tcpsim.DefaultSimServerConfig())
 
 	lcfg := loadgen.DefaultConfig(15000, 100*time.Millisecond)
 	lcfg.Warmup = 0
 	gen := loadgen.New(s, cc, lcfg, loadgen.SetWorkload(16, 2048))
-	tr := e2ebatch.NewHintTracker(func() e2ebatch.Time { return qstate.Time(s.Now()) })
+	tr := hints.NewTracker(func() qstate.Time { return qstate.Time(s.Now()) })
 	gen.Hints = tr
 	prev := tr.Snapshot()
 	res := gen.Run()
-	a := e2ebatch.GetAvgs(prev, tr.Snapshot())
+	a := qstate.GetAvgs(prev, tr.Snapshot())
 	if !a.Valid {
 		t.Fatal("hint estimate invalid")
 	}

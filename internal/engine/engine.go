@@ -4,26 +4,25 @@
 // tick accounting (§3.2 estimation, §5 toggling, PR-3 graceful
 // degradation).
 //
-// Every backend — the simulated stack (tcpsim), the multi-connection
-// aggregation runs, real kernel TCP (realtcp) and the RPC runtime (rpclib)
-// — drives the same Endpoint; they differ only in the two small interfaces
-// they plug in:
+// Every substrate — the simulated stack (tcpsim), the multi-connection
+// aggregation runs and real kernel TCP (realtcp) — drives the same
+// Endpoint; they differ only in the Port they plug in (where samples come
+// from and decisions go, implemented by each substrate's connection type)
+// and in who calls Tick: a sim.Ticker on virtual time, or the shard wheel
+// on wall time. The engine never reads a clock and imports no substrate —
+// time only enters through the `now` passed to each tick, which keeps the
+// loop byte-for-byte deterministic under the simulator and lets the
+// real-socket harness supply its own epoch.
 //
-//	Port   where samples come from and decisions go (snapshot source +
-//	       mode sink), implemented by each backend's connection type;
-//	Clock  who schedules the decision tick (the virtual sim clock or a
-//	       wall-clock ticker goroutine).
-//
-// Closed-loop estimators are only comparable across backends when the
+// Closed-loop estimators are only comparable across substrates when the
 // measurement/control loop is held fixed (PAPERS.md: Hill on Little's law,
 // Lübben & Fidler's closed-loop TCP benchmarks); concentrating the loop
 // here is what makes the sim-vs-real comparisons legitimate, and means a
-// policy change lands on all backends at once. The enginewiring analyzer
+// policy change lands on all substrates at once. The enginewiring analyzer
 // (DESIGN.md §8) keeps the loop from being re-inlined elsewhere.
 //
 // The Endpoint itself is single-goroutine: all Ticks must come from one
-// goroutine (the sim event loop, or one ticker goroutine whose Stop
-// establishes a happens-before with readers of Stats).
+// goroutine (the sim event loop, or the shard that owns the connection).
 package engine
 
 import (
@@ -45,8 +44,7 @@ type Decision struct {
 
 // Port adapts one backend connection to the engine: it produces the per-tick
 // sample and absorbs the per-tick decision. Implementations live with the
-// backends (tcpsim.EnginePort, realtcp.Client.EnginePort, rpclib
-// Client.Port).
+// substrates (tcpsim.EnginePort, realtcp.Client.EnginePort).
 type Port interface {
 	// Snapshot captures the connection's queue state as a core.Sample at
 	// time now (At and, when peer metadata exists, Remote/RemoteAt set).
@@ -243,7 +241,6 @@ type Endpoint struct {
 
 	modeErrRun int
 	stats      Stats
-	tickers    []Ticker
 }
 
 // New builds an endpoint over ports. When a Controller is configured, the
@@ -421,25 +418,6 @@ func allDegraded(es []core.Estimate) bool {
 		}
 	}
 	return len(es) > 0
-}
-
-// Start schedules Tick every period on clock. It may be called several
-// times (e.g. distinct sample and decision cadences share accounting only
-// if that is what the caller wants — the experiments use one).
-func (ep *Endpoint) Start(clock Clock, period time.Duration) {
-	ep.tickers = append(ep.tickers, clock.Tick(period, func(now qstate.Time) {
-		ep.Tick(now)
-	}))
-}
-
-// Stop halts every ticker started via Start. For wall-clock tickers, Stop
-// returns only after the tick goroutine exits, so a subsequent Stats read
-// is race-free.
-func (ep *Endpoint) Stop() {
-	for _, t := range ep.tickers {
-		t.Stop()
-	}
-	ep.tickers = nil
 }
 
 // Reset discards the estimators' priming state — the counter history is

@@ -10,7 +10,6 @@ import (
 	"e2ebatch/internal/engine"
 	"e2ebatch/internal/policy"
 	"e2ebatch/internal/qstate"
-	"e2ebatch/internal/sim"
 )
 
 // fakePort scripts the engine's inputs and records its outputs: Snapshot
@@ -284,47 +283,6 @@ func TestResetReprimes(t *testing.T) {
 	if r := ep.Tick(7 * ms); r.Applied {
 		t.Fatalf("passive endpoint applied a decision: %+v", r)
 	}
-}
-
-func TestSimClockDrivesTicks(t *testing.T) {
-	s := sim.New(1)
-	p := newFakePort()
-	p.self = true
-	ob := &recordingObserver{}
-	ep := engine.New(engine.Config{Observer: ob}, p)
-	ep.Start(engine.SimClock{Sim: s}, time.Millisecond)
-	s.RunUntil(sim.Time(5*time.Millisecond + time.Microsecond))
-	ep.Stop()
-	end := s.Now()
-	s.RunUntil(end + sim.Time(5*time.Millisecond))
-	ticks := len(ob.at)
-	if ticks != 5 {
-		t.Fatalf("ticker fired %d times in 5ms (plus none after Stop), want 5", ticks)
-	}
-	if st := ep.Stats(); st.TotalTicks != ticks {
-		t.Fatalf("TotalTicks = %d, want %d", st.TotalTicks, ticks)
-	}
-}
-
-// TestSimClockTickerStopsFromItsOwnCallback: the tick that calls Stop is the
-// last one, and nothing stays scheduled behind it.
-func TestSimClockTickerStopsFromItsOwnCallback(t *testing.T) {
-	s := sim.New(1)
-	var tk engine.Ticker
-	var at []qstate.Time
-	tk = engine.SimClock{Sim: s}.Tick(time.Millisecond, func(now qstate.Time) {
-		if at = append(at, now); len(at) == 3 {
-			tk.Stop()
-		}
-	})
-	s.RunUntil(sim.Time(10 * time.Millisecond))
-	if len(at) != 3 || at[2] != qstate.Time(3*time.Millisecond) {
-		t.Fatalf("ticks at %v, want 1ms, 2ms, 3ms and none after Stop", at)
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("%d events still scheduled after Stop", s.Pending())
-	}
-	tk.Stop() // idempotent
 }
 
 func TestControllerAccessor(t *testing.T) {

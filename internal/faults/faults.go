@@ -171,8 +171,8 @@ func (p *Plan) NeedsRTO() bool {
 }
 
 // Staller is the peer application whose socket draining PeerStall freezes.
-// kv.SimServer implements it; the indirection keeps this package free of an
-// application-layer dependency.
+// tcpsim.SimServer implements it; the indirection keeps this package free of
+// an application-layer dependency.
 type Staller interface {
 	Stall(bool)
 }

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"e2ebatch/internal/cpumodel"
-	"e2ebatch/internal/kv"
 	"e2ebatch/internal/loadgen"
 	"e2ebatch/internal/netem"
 	"e2ebatch/internal/tcpsim"
@@ -41,7 +40,7 @@ type Calib struct {
 	ClientTx, ClientRx cpumodel.Costs
 
 	// Server is the mini-Redis application cost profile.
-	Server kv.SimServerConfig
+	Server tcpsim.SimServerConfig
 	// Load is the client cost profile (rate and duration set per run).
 	Load loadgen.Config
 
@@ -82,7 +81,7 @@ func DefaultCalib() Calib {
 		ClientTx: cpumodel.Costs{PerBatch: 2 * time.Microsecond, PerItem: 300 * time.Nanosecond, PerByteNS: 0.2},
 		ClientRx: cpumodel.Costs{PerBatch: 2 * time.Microsecond, PerItem: 200 * time.Nanosecond, PerByteNS: 0.1},
 
-		Server: kv.SimServerConfig{
+		Server: tcpsim.SimServerConfig{
 			ReadCosts:  cpumodel.Costs{PerBatch: 4 * time.Microsecond, PerItem: 2 * time.Microsecond, PerByteNS: 0.3},
 			WriteCosts: cpumodel.Costs{PerItem: 1 * time.Microsecond, PerByteNS: 0.1},
 		},

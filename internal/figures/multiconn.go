@@ -91,7 +91,7 @@ func runMulti(cal Calib, n int, rate float64, dur time.Duration, seed int64, dyn
 	lcfg.Warmup = dur / 5
 	for i := range conns {
 		cc, sc := tcpsim.Connect(cs, ss, link, tcpCfg)
-		kv.NewSimServer(engine, sc, cal.Server)
+		tcpsim.NewSimServer(engine, sc, cal.Server)
 		gen := loadgen.New(s, cc, lcfg, loadgen.SetWorkload(cal.KeySize, cal.ValSize))
 		conns[i] = &connSet{cc: cc, sc: sc, gen: gen}
 		ports[i] = tcpsim.NewEnginePort(cc, sc, tcpsim.UnitBytes)
@@ -126,7 +126,7 @@ func runMulti(cal Calib, n int, rate float64, dur time.Duration, seed int64, dyn
 			CorkOnBytes:  cal.CorkOnBytes,
 			MaxRemoteAge: dyn.MaxRemoteAge,
 		}, ports...)
-		dynEp.Start(eng.SimClock{Sim: s}, dyn.Interval)
+		sim.NewTicker(s, dyn.Interval, func(now sim.Time) { dynEp.Tick(qstate.Time(now)) })
 	}
 
 	var end sim.Time

@@ -169,7 +169,7 @@ type RunOut struct {
 	ClientAppUtil, ClientSoftUtil float64
 	ServerAppUtil, ServerSoftUtil float64
 
-	ServerStats            kv.SimServerStats
+	ServerStats            tcpsim.SimServerStats
 	ClientConn, ServerConn tcpsim.Stats
 	TogglerStats           policy.TogglerStats
 	FinalMode              policy.Mode
@@ -252,7 +252,7 @@ func Run(spec RunSpec) *RunOut {
 			store.Set(string(k), make([]byte, cal.ValSize), 0)
 		}
 	}
-	srv := kv.NewSimServer(kv.NewEngine(store), sc, cal.Server)
+	srv := tcpsim.NewSimServer(kv.NewEngine(store), sc, cal.Server)
 
 	lcfg := cal.Load
 	lcfg.Rate = spec.Rate
@@ -290,7 +290,6 @@ func Run(spec RunSpec) *RunOut {
 	// All three control variants below are the shared engine loop over the
 	// same connection pair; this function only translates the spec into an
 	// engine.Config and maps the accounting back out.
-	clock := engine.SimClock{Sim: s}
 	var endpoints []*engine.Endpoint
 
 	// Estimate-driven dynamic toggling: one engine tick applies the chosen
@@ -314,7 +313,7 @@ func Run(spec RunSpec) *RunOut {
 			Observer:     spec.Observer,
 			Audit:        d.Audit,
 		}, tcpsim.NewEnginePort(cc, sc, d.Unit))
-		dynEp.Start(clock, d.Interval)
+		sim.NewTicker(s, d.Interval, func(now sim.Time) { dynEp.Tick(qstate.Time(now)) })
 		endpoints = append(endpoints, dynEp)
 	}
 
@@ -323,7 +322,7 @@ func Run(spec RunSpec) *RunOut {
 		onEp := engine.New(engine.Config{
 			Observer: &onlineMean{out: out, warm: qstate.Time(spec.Duration / 5)},
 		}, tcpsim.NewEnginePort(cc, sc, tcpsim.UnitBytes))
-		onEp.Start(clock, spec.OnlineEstimateEvery)
+		sim.NewTicker(s, spec.OnlineEstimateEvery, func(now sim.Time) { onEp.Tick(qstate.Time(now)) })
 	}
 
 	var aimd *policy.AIMD
@@ -333,7 +332,7 @@ func Run(spec RunSpec) *RunOut {
 		aimdEp := engine.New(engine.Config{
 			AIMD: &engine.AIMDPolicy{Ctl: aimd, SLO: a.SLO},
 		}, tcpsim.NewEnginePort(cc, sc, tcpsim.UnitBytes))
-		aimdEp.Start(clock, a.Interval)
+		sim.NewTicker(s, a.Interval, func(now sim.Time) { aimdEp.Tick(qstate.Time(now)) })
 		endpoints = append(endpoints, aimdEp)
 	}
 

@@ -197,7 +197,7 @@ func TestViewPathMatchesAdapter(t *testing.T) {
 			cfg.Nagle = seed%2 == 0
 			cc, sc := tcpsim.Connect(tcpsim.NewStack(s, "client"), tcpsim.NewStack(s, "server"), link, cfg)
 			eng := newEngine()
-			srv := kv.NewSimServer(eng, sc, kv.DefaultSimServerConfig())
+			srv := tcpsim.NewSimServer(eng, sc, tcpsim.DefaultSimServerConfig())
 			var got []byte
 			cc.OnReadable(func() { got = append(got, cc.Read(0)...) })
 			for rest := wire; len(rest) > 0; {

@@ -1,9 +1,9 @@
 // Package kv is the mini-Redis substrate: an in-memory string keyspace
 // speaking RESP2 that serves the traffic the paper's evaluation workloads
 // send (SET/GET with 16 B keys and 16 KiB values, §4), plus MGET, PING and
-// the handshake no-ops standard clients send on connect. It runs both inside
-// the simulator (event-driven, SimServer) and over real sockets
-// (cmd/kvserver).
+// the handshake no-ops standard clients send on connect. It imports no
+// transport: tcpsim.SimServer serves it inside the simulator and
+// realtcp.Server over real sockets (cmd/kvserver).
 package kv
 
 import "time"

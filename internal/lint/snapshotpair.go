@@ -34,11 +34,9 @@ func runSnapshotPair(p *Pass) {
 			obj := calleeObj(p.TypesInfo, call)
 			var name string
 			switch {
-			case objIs(obj, qstatePath, "GetAvgs") ||
-				(obj != nil && obj.Name() == "GetAvgs" && objIs(obj, "e2ebatch", "GetAvgs")):
+			case objIs(obj, qstatePath, "GetAvgs"):
 				name = "GetAvgs"
-			case objIs(obj, qstatePath, "WireAvgs") ||
-				(obj != nil && obj.Name() == "WireAvgs" && objIs(obj, "e2ebatch", "WireAvgs")):
+			case objIs(obj, qstatePath, "WireAvgs"):
 				name = "WireAvgs"
 			default:
 				return true

@@ -17,8 +17,7 @@ const (
 
 // calleeObj resolves the object a call expression invokes: the *types.Func
 // for direct calls and method calls, or the *types.Var for calls through a
-// function-typed variable (the e2ebatch facade re-exports qstate functions
-// as package-level vars).
+// function-typed variable.
 func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:

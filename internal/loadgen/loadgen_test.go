@@ -13,7 +13,7 @@ import (
 )
 
 // rig builds client+server stacks with a kv server attached.
-func rig(t testing.TB, nagle bool) (*sim.Sim, *Generator, func(cfg Config, mk RequestMaker) *Generator, *kv.SimServer) {
+func rig(t testing.TB, nagle bool) (*sim.Sim, *Generator, func(cfg Config, mk RequestMaker) *Generator, *tcpsim.SimServer) {
 	t.Helper()
 	s := sim.New(42)
 	cs := tcpsim.NewStack(s, "client")
@@ -23,7 +23,7 @@ func rig(t testing.TB, nagle bool) (*sim.Sim, *Generator, func(cfg Config, mk Re
 	ccfg.Nagle = nagle
 	cc, sc := tcpsim.Connect(cs, ss, link, ccfg)
 	store := kv.NewStore(func() time.Duration { return s.Now().Duration() })
-	srv := kv.NewSimServer(kv.NewEngine(store), sc, kv.DefaultSimServerConfig())
+	srv := tcpsim.NewSimServer(kv.NewEngine(store), sc, tcpsim.DefaultSimServerConfig())
 	mkGen := func(cfg Config, mk RequestMaker) *Generator {
 		return New(s, cc, cfg, mk)
 	}

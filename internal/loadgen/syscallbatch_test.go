@@ -102,7 +102,7 @@ func rigOn(t testing.TB, s *sim.Sim) (*sim.Sim, *Generator, func(cfg Config, mk 
 	ccfg.Nagle = false
 	cc, sc := tcpsim.Connect(cs, ss, link, ccfg)
 	store := kv.NewStore(func() time.Duration { return s.Now().Duration() })
-	kv.NewSimServer(kv.NewEngine(store), sc, kv.DefaultSimServerConfig())
+	tcpsim.NewSimServer(kv.NewEngine(store), sc, tcpsim.DefaultSimServerConfig())
 	mkGen := func(cfg Config, mk RequestMaker) *Generator {
 		return New(s, cc, cfg, mk)
 	}
@@ -111,7 +111,7 @@ func rigOn(t testing.TB, s *sim.Sim) (*sim.Sim, *Generator, func(cfg Config, mk 
 
 // TestSendAliasingContract: tcpsim.Conn.Send keeps its argument by reference
 // until the peer reads it, so neither the generator (the makers' shared wire
-// forms, the syscall-batch buffer) nor kv.SimServer (its replies) may touch a
+// forms, the syscall-batch buffer) nor tcpsim.SimServer (its replies) may touch a
 // slice after sending it. A violation would change bytes between the
 // sender's digest, taken at Send, and the receiver's, taken at Read.
 func TestSendAliasingContract(t *testing.T) {

@@ -326,19 +326,27 @@ func TestTickerFiresPeriodically(t *testing.T) {
 	}
 }
 
+// TestTickerStopFromCallback: the tick that calls Stop is the last one,
+// nothing stays scheduled behind it, and a second Stop is harmless.
 func TestTickerStopFromCallback(t *testing.T) {
 	s := New(1)
-	count := 0
+	var at []Time
 	var tk *Ticker
-	tk = NewTicker(s, 5*time.Nanosecond, func(Time) {
-		count++
-		if count == 2 {
+	tk = NewTicker(s, 5*time.Nanosecond, func(now Time) {
+		if at = append(at, now); len(at) == 2 {
 			tk.Stop()
 		}
 	})
 	s.RunUntil(1000)
-	if count != 2 {
-		t.Fatalf("count = %d, want 2", count)
+	if len(at) != 2 || at[1] != 10 {
+		t.Fatalf("ticks at %v, want 5ns, 10ns and none after Stop", at)
+	}
+	if s.Pending() != 0 {
+		t.Fatalf("%d events still scheduled after Stop", s.Pending())
+	}
+	tk.Stop() // idempotent
+	if s.Pending() != 0 {
+		t.Fatalf("%d events scheduled after a second Stop", s.Pending())
 	}
 }
 

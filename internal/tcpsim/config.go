@@ -19,6 +19,9 @@
 //
 // Links are in-order and, like the paper's back-to-back testbed, lossless by
 // default; on a lossy one Config.RTO turns on go-back-N retransmission.
+//
+// SimServer is the mini-Redis application on a simulated connection's server
+// end: it runs kv.Engine and charges the paper's α/β costs to the app CPU.
 package tcpsim
 
 import (

@@ -1,11 +1,11 @@
-package kv
+package tcpsim
 
 import (
 	"time"
 
 	"e2ebatch/internal/cpumodel"
+	"e2ebatch/internal/kv"
 	"e2ebatch/internal/resp"
-	"e2ebatch/internal/tcpsim"
 )
 
 // SimServerConfig prices the server application's work in the paper's α/β
@@ -41,8 +41,8 @@ type SimServerStats struct {
 // SimServer is the event-driven mini-Redis serving one simulated
 // connection: the application-thread half of the paper's server machine.
 type SimServer struct {
-	engine *Engine
-	conn   *tcpsim.Conn
+	engine *kv.Engine
+	conn   *Conn
 	cfg    SimServerConfig
 
 	parser resp.Parser
@@ -61,8 +61,8 @@ type SimServer struct {
 }
 
 // NewSimServer attaches a server to conn, executing against engine.
-func NewSimServer(engine *Engine, conn *tcpsim.Conn, cfg SimServerConfig) *SimServer {
-	s := &SimServer{engine: engine, conn: conn, cfg: cfg}
+func NewSimServer(e *kv.Engine, conn *Conn, cfg SimServerConfig) *SimServer {
+	s := &SimServer{engine: e, conn: conn, cfg: cfg}
 	conn.OnReadable(s.wake)
 	return s
 }
@@ -71,7 +71,7 @@ func NewSimServer(engine *Engine, conn *tcpsim.Conn, cfg SimServerConfig) *SimSe
 func (s *SimServer) Stats() SimServerStats { return s.stats }
 
 // Engine returns the command engine.
-func (s *SimServer) Engine() *Engine { return s.engine }
+func (s *SimServer) Engine() *kv.Engine { return s.engine }
 
 // Stall freezes (true) or resumes (false) the server application's socket
 // draining — the reader-stall fault: a stalled peer lets *unread* pile up

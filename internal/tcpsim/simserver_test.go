@@ -1,33 +1,33 @@
-package kv
+package tcpsim
 
 import (
 	"strconv"
 	"testing"
 	"time"
 
+	"e2ebatch/internal/kv"
 	"e2ebatch/internal/netem"
 	"e2ebatch/internal/resp"
 	"e2ebatch/internal/sim"
-	"e2ebatch/internal/tcpsim"
 )
 
 // simRig wires a client conn to a SimServer over a fast link.
 type simRig struct {
 	s      *sim.Sim
-	client *tcpsim.Conn
+	client *Conn
 	server *SimServer
 	parser resp.Parser
 }
 
-func newSimRig(t *testing.T, cfg tcpsim.Config, scfg SimServerConfig) *simRig {
+func newSimRig(t *testing.T, cfg Config, scfg SimServerConfig) *simRig {
 	t.Helper()
 	s := sim.New(1)
-	cs := tcpsim.NewStack(s, "client")
-	ss := tcpsim.NewStack(s, "server")
+	cs := NewStack(s, "client")
+	ss := NewStack(s, "server")
 	link := netem.NewLink(s, "lnk", netem.Config{BitsPerSec: 100_000_000_000, Propagation: 2 * time.Microsecond})
-	cc, sc := tcpsim.Connect(cs, ss, link, cfg)
-	store := NewStore(func() time.Duration { return s.Now().Duration() })
-	srv := NewSimServer(NewEngine(store), sc, scfg)
+	cc, sc := Connect(cs, ss, link, cfg)
+	store := kv.NewStore(func() time.Duration { return s.Now().Duration() })
+	srv := NewSimServer(kv.NewEngine(store), sc, scfg)
 	return &simRig{s: s, client: cc, server: srv}
 }
 
@@ -51,7 +51,7 @@ func (r *simRig) replies(t *testing.T) []resp.Value {
 }
 
 func TestSimServerPing(t *testing.T) {
-	cfg := tcpsim.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Nagle = false
 	r := newSimRig(t, cfg, DefaultSimServerConfig())
 	r.client.Send(resp.Command("PING"))
@@ -63,7 +63,7 @@ func TestSimServerPing(t *testing.T) {
 }
 
 func TestSimServerSetGetRoundTrip(t *testing.T) {
-	cfg := tcpsim.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Nagle = false
 	r := newSimRig(t, cfg, DefaultSimServerConfig())
 	val := make([]byte, 16384)
@@ -96,7 +96,7 @@ func TestSimServerPipelinedBatch(t *testing.T) {
 	// Many pipelined commands sent at once must be served in order and
 	// show up as a batched read on the server (the adaptive-batching
 	// behaviour of the paper's Figure 1 "top").
-	cfg := tcpsim.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Nagle = false
 	r := newSimRig(t, cfg, DefaultSimServerConfig())
 	var wire []byte
@@ -127,7 +127,7 @@ func TestSimServerPipelinedBatch(t *testing.T) {
 func TestSimServerSplitCommandAcrossSegments(t *testing.T) {
 	// A command larger than one TSO flush arrives in pieces; the server
 	// must buffer the partial parse and answer exactly once.
-	cfg := tcpsim.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Nagle = false
 	cfg.TSOMaxBytes = 2 * cfg.MSS
 	r := newSimRig(t, cfg, DefaultSimServerConfig())
@@ -141,7 +141,7 @@ func TestSimServerSplitCommandAcrossSegments(t *testing.T) {
 }
 
 func TestSimServerProtocolErrorStopsServing(t *testing.T) {
-	cfg := tcpsim.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Nagle = false
 	r := newSimRig(t, cfg, DefaultSimServerConfig())
 	r.client.Send([]byte("$garbage\r\n"))
@@ -159,7 +159,7 @@ func TestSimServerProtocolErrorStopsServing(t *testing.T) {
 }
 
 func TestSimServerChargesAppCPU(t *testing.T) {
-	cfg := tcpsim.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Nagle = false
 	scfg := DefaultSimServerConfig()
 	r := newSimRig(t, cfg, scfg)
@@ -179,7 +179,7 @@ func TestSimServerChargesAppCPU(t *testing.T) {
 // so requests pile up unread at its socket and get no replies; resuming
 // serves every one of them, in order.
 func TestSimServerStallAndResume(t *testing.T) {
-	cfg := tcpsim.DefaultConfig()
+	cfg := DefaultConfig()
 	cfg.Nagle = false
 	r := newSimRig(t, cfg, DefaultSimServerConfig())
 	r.server.Stall(true)

@@ -24,7 +24,7 @@ func runTraced(t testing.TB, rate float64) (*Log, *loadgen.Result) {
 	cfg.Nagle = false
 	cc, sc := tcpsim.Connect(cs, ss, link, cfg)
 	store := kv.NewStore(func() time.Duration { return s.Now().Duration() })
-	kv.NewSimServer(kv.NewEngine(store), sc, kv.DefaultSimServerConfig())
+	tcpsim.NewSimServer(kv.NewEngine(store), sc, tcpsim.DefaultSimServerConfig())
 
 	col := NewCollector(s, cc, sc, time.Millisecond)
 	g := loadgen.New(s, cc, loadgen.DefaultConfig(rate, 100*time.Millisecond), loadgen.SetWorkload(16, 4096))

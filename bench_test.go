@@ -406,7 +406,7 @@ func BenchmarkClientFire(b *testing.B) {
 	conn := &fireConn{reqLen: len(req)}
 	var hist qstate.DelayHist // the read loop's alone
 	c := realtcp.NewClient(conn, realtcp.DialOptions{MaxInflight: 4096,
-		OnComplete: func(_ uint64, n int, sentNs, ackNs int64) { hist.RecordN(time.Duration(ackNs-sentNs), uint32(n)) }})
+		OnComplete: func(_ uint64, n int, sentNs, ackNs, _, _ int64) { hist.RecordN(time.Duration(ackNs-sentNs), uint32(n)) }})
 	defer c.Close()
 	b.ReportAllocs()
 	b.ResetTimer()

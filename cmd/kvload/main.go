@@ -119,8 +119,15 @@ func main() {
 			debug.SetSpans(opts.Spans.Ring)
 		}
 	}
-	opts.OnComplete = func(_, _ int, _ uint64, n int, sentNs, ackNs int64) {
+	// Each request's response time runs from its schedule, not its
+	// hand-over: one sample per request, since a run's requests were due
+	// gapNs apart.
+	var response obs.Latencies
+	opts.OnComplete = func(_, _ int, _ uint64, n int, sentNs, ackNs, dueNs, gapNs int64) {
 		lat.RecordN(time.Duration(ackNs-sentNs), uint64(n))
+		for i := int64(0); i < int64(n); i++ {
+			response.Record(time.Duration(ackNs - dueNs - i*gapNs))
+		}
 	}
 	f, err := realtcp.NewFleet(opts)
 	if err != nil {
@@ -187,8 +194,9 @@ func main() {
 		rep.Writes, float64(rep.Sent)/float64(rep.Writes), us(rep.LagMean), us(rep.LagMax))
 	// A request's schedule-to-reply time is its hand-over lag plus its
 	// hand-over-to-reply latency, so the means add exactly.
-	fmt.Printf("response: mean=%v (hand-over lag %v + service %v)\n",
-		us(rep.LagMean+h.Mean()), us(rep.LagMean), us(h.Mean()))
+	r := response.Snapshot()
+	fmt.Printf("response: mean=%v p99=%v (hand-over lag %v + service %v)\n",
+		us(rep.LagMean+h.Mean()), us(r.Quantile(0.99)), us(rep.LagMean), us(h.Mean()))
 }
 
 // fleetGauges exports the fleet's live per-shard counters and wheel health,

@@ -71,7 +71,7 @@ func main() {
 
 	// ---- client with userspace counters ----
 	c, err := realtcp.DialWith(l.Addr().String(), realtcp.DialOptions{MaxInflight: 1024,
-		OnComplete: func(_ uint64, n int, sentNs, ackNs int64) { lat.RecordN(time.Duration(ackNs-sentNs), uint64(n)) }})
+		OnComplete: func(_ uint64, n int, sentNs, ackNs, _, _ int64) { lat.RecordN(time.Duration(ackNs-sentNs), uint64(n)) }})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "dial:", err)
 		os.Exit(1)

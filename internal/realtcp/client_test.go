@@ -55,10 +55,11 @@ func countedClient(t *testing.T, opts DialOptions) (*Client, *countConn) {
 	return c, cc
 }
 
-// completion is one request of a run an OnComplete hook received.
+// completion is one request of a run an OnComplete hook received, with
+// the time it was due.
 type completion struct {
-	id        uint64
-	sent, ack int64
+	id             uint64
+	sent, ack, due int64
 }
 
 // completionLog keeps every request of every call of its hook, which a
@@ -68,10 +69,10 @@ type completionLog struct {
 	seen []completion
 }
 
-func (l *completionLog) hook(first uint64, n int, sent, ack int64) {
+func (l *completionLog) hook(first uint64, n int, sent, ack, due, gap int64) {
 	l.mu.Lock()
-	for id := first; id < first+uint64(n); id++ {
-		l.seen = append(l.seen, completion{id, sent, ack})
+	for i := int64(0); i < int64(n); i++ {
+		l.seen = append(l.seen, completion{first + uint64(i), sent, ack, due + i*gap})
 	}
 	l.mu.Unlock()
 }
@@ -241,7 +242,7 @@ func TestCorruptReplyFailsClient(t *testing.T) {
 
 func TestSplitReplyCompletesOnce(t *testing.T) {
 	var completions atomic.Int64
-	c, srv := scriptedClient(t, DialOptions{OnComplete: func(_ uint64, n int, _, _ int64) { completions.Add(int64(n)) }})
+	c, srv := scriptedClient(t, DialOptions{OnComplete: func(_ uint64, n int, _, _, _, _ int64) { completions.Add(int64(n)) }})
 	if err := c.Send(resp.Command("GET", "k")); err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +269,7 @@ func TestSplitReplyCompletesOnce(t *testing.T) {
 func TestConcurrentSendPairsStamps(t *testing.T) {
 	var n, bad atomic.Int64
 	var last int64 // read loop only
-	c, _ := countedClient(t, DialOptions{MaxInflight: 64, OnComplete: func(_ uint64, k int, sent, ack int64) {
+	c, _ := countedClient(t, DialOptions{MaxInflight: 64, OnComplete: func(_ uint64, k int, sent, ack, _, _ int64) {
 		if sent < last || ack < sent {
 			bad.Add(1)
 		}
@@ -298,8 +299,9 @@ func TestConcurrentSendPairsStamps(t *testing.T) {
 }
 
 // TestPacerSkipsOnFullWindow: a fire that finds more requests due than the
-// in-flight window holds hands over what fits, counts the rest as skipped
-// and moves the schedule past them all, without blocking on the window.
+// in-flight window holds hands over what fits, with their schedule, counts
+// the rest as skipped and moves the schedule past them all, without
+// blocking on the window.
 func TestPacerSkipsOnFullWindow(t *testing.T) {
 	c, _ := scriptedClient(t, DialOptions{MaxInflight: 4}) // no reply ever comes
 	p := &pacer{c: c, req: resp.Command("PING"), interval: time.Millisecond,
@@ -314,13 +316,19 @@ func TestPacerSkipsOnFullWindow(t *testing.T) {
 		t.Fatalf("sent %d, skipped %d in %d writes, next due %v after now %v; want 4, 6, one write and a schedule past now",
 			s, k, p.writes, p.next, now)
 	}
+	// The run keeps the schedule of the four handed over: the first was due
+	// 9.5 ms before the fire, the rest a millisecond apart.
+	if r := c.runs[0]; r.sentNs-r.dueNs != int64(9*time.Millisecond+time.Millisecond/2) || r.gapNs != int64(time.Millisecond) {
+		t.Fatalf("run stamped %d, first due %d, gap %d; want due 9.5ms before the stamp, 1ms apart", r.sentNs, r.dueNs, r.gapNs)
+	}
 }
 
 // TestRunsPairWithTheirStamps is the run-pairing property: runs of random
 // size from one goroutine and single Sends from two others, answered in
 // chunks cut at random byte offsets (so reads end inside replies and inside
 // runs), complete every request exactly once, in id order from 0, each
-// with the stamp of the Queue call that handed it over.
+// with the stamp of the Queue call that handed it over and its own place in
+// that run's schedule.
 func TestRunsPairWithTheirStamps(t *testing.T) {
 	const window = 16
 	cli, srv := net.Pipe()
@@ -330,14 +338,15 @@ func TestRunsPairWithTheirStamps(t *testing.T) {
 		n             int
 		before, after int64
 		sent          int64 // the stamp its completions reported; -1 until one has
+		lag, gap      int64 // its schedule: the first due lag before the stamp
 	}
 	runs := map[int]*runStamp{}
 	var byID []int // the run of each request id, in the order the server read them
 	var got []completion
-	c := NewClient(cli, DialOptions{MaxInflight: window, OnComplete: func(first uint64, n int, sent, ack int64) {
+	c := NewClient(cli, DialOptions{MaxInflight: window, OnComplete: func(first uint64, n int, sent, ack, due, gap int64) {
 		mu.Lock()
-		for id := first; id < first+uint64(n); id++ {
-			got = append(got, completion{id, sent, ack})
+		for i := int64(0); i < int64(n); i++ {
+			got = append(got, completion{first + uint64(i), sent, ack, due + i*gap})
 		}
 		mu.Unlock()
 	}})
@@ -387,7 +396,8 @@ func TestRunsPairWithTheirStamps(t *testing.T) {
 		if send {
 			err = c.Send(cmd)
 		} else {
-			err = c.Queue(cmd, n)
+			rs.lag, rs.gap = int64(r)*1000, int64(r%7)*100
+			err = c.queueLate(cmd, n, time.Duration(rs.lag), time.Duration(rs.gap))
 		}
 		rs.after = int64(c.Elapsed())
 		mu.Lock()
@@ -452,7 +462,6 @@ func TestRunsPairWithTheirStamps(t *testing.T) {
 		}
 		r := byID[i]
 		rs := runs[r]
-		counted[r]++
 		if rs.sent == -1 {
 			rs.sent = g.sent
 		}
@@ -460,6 +469,10 @@ func TestRunsPairWithTheirStamps(t *testing.T) {
 			t.Fatalf("request %d of run %d stamped %d, acked %d; its run was handed over in [%d, %d] and stamped %d",
 				g.id, r, g.sent, g.ack, rs.before, rs.after, rs.sent)
 		}
+		if want := rs.sent - rs.lag + int64(counted[r])*rs.gap; g.due != want {
+			t.Fatalf("request %d (#%d of run %d) was due at %d, want %d", g.id, counted[r], r, g.due, want)
+		}
+		counted[r]++
 	}
 	for r, rs := range runs {
 		if counted[r] != rs.n {

@@ -97,11 +97,13 @@ type FleetOptions struct {
 	// OnComplete, when non-nil, receives every completion on every
 	// connection as runs: the connection index, its shard, the
 	// per-incarnation FIFO id of the run's first request, the run's length,
-	// and the send/ack nanosecond stamps on that connection's monotonic
-	// timebase (see DialOptions.OnComplete). It runs on read-loop
+	// the send/ack nanosecond stamps on that connection's monotonic
+	// timebase, and the schedule of the run's requests: the first due at
+	// dueNs, on the same timebase, and the rest gapNs apart (see
+	// DialOptions.OnComplete). It runs on read-loop
 	// goroutines — many concurrently — and must not block. Request ids
 	// restart at 0 when a connection reconnects.
-	OnComplete func(conn, shard int, firstID uint64, n int, sentNs, ackNs int64)
+	OnComplete func(conn, shard int, firstID uint64, n int, sentNs, ackNs, dueNs, gapNs int64)
 }
 
 // TailSummary is one group's merged latency distribution.
@@ -416,7 +418,7 @@ func (fc *fleetConn) adoptClient(c *Client) {
 // onComplete runs on the connection's read loop, once per run: one
 // histogram write (single writer per hist), one atomic cell add, a span for
 // each sampled request, and the fleet's hook.
-func (fc *fleetConn) onComplete(firstID uint64, n int, sentNs, ackNs int64) {
+func (fc *fleetConn) onComplete(firstID uint64, n int, sentNs, ackNs, dueNs, gapNs int64) {
 	fc.hist.RecordN(time.Duration(ackNs-sentNs), uint32(n))
 	fc.f.ctrs.completed[fc.sh.ID()].v.Add(uint64(n))
 	if fc.tr != nil {
@@ -431,7 +433,7 @@ func (fc *fleetConn) onComplete(firstID uint64, n int, sentNs, ackNs int64) {
 		}
 	}
 	if fc.f.opts.OnComplete != nil {
-		fc.f.opts.OnComplete(fc.idx, fc.sh.ID(), firstID, n, sentNs, ackNs)
+		fc.f.opts.OnComplete(fc.idx, fc.sh.ID(), firstID, n, sentNs, ackNs, dueNs, gapNs)
 	}
 }
 
@@ -742,6 +744,7 @@ func (p *pacer) fire(now time.Duration) (over bool, err error) {
 	// The pacer is the client's only sender, so the room it sees only grows
 	// until its own Queue.
 	room := p.c.room()
+	first := p.next // the first handed over: the rest follow interval apart
 	k, skipped := 0, uint64(0)
 	lagSum, lagMax := time.Duration(0), p.lagMax
 	for ; p.next <= due; p.next += p.interval {
@@ -758,7 +761,7 @@ func (p *pacer) fire(now time.Duration) (over bool, err error) {
 	if k == 0 {
 		return over, nil
 	}
-	if err = p.c.Queue(p.req, k); err != nil {
+	if err = p.c.queueLate(p.req, k, now-first, p.interval); err != nil {
 		return over, err
 	}
 	p.sent.Add(uint64(k))

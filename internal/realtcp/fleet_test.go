@@ -197,7 +197,7 @@ func TestFleetOfOneBasic(t *testing.T) {
 	addr, _ := startServer(t)
 	var completions atomic.Int64
 	o := fleetOfOne(addr, 2000, 500*time.Millisecond, 20*time.Millisecond)
-	o.OnComplete = func(conn, _ int, _ uint64, n int, _, _ int64) {
+	o.OnComplete = func(conn, _ int, _ uint64, n int, _, _, _, _ int64) {
 		if conn == 0 {
 			completions.Add(int64(n))
 		}

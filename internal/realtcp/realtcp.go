@@ -5,6 +5,12 @@
 // the ε-greedy policy — the portion of the paper's proposal that can run on
 // stock kernels with no patches ("userspace emulation with counters and
 // NODELAY toggling only").
+//
+// Both ends read and write a TCP socket with raw read(2) and write(2) calls
+// through the netpoller (rawio.go): the userspace deployment's cost is a
+// wake-up per batch, and Go's ordinary system-call entry adds a wake-up of
+// the runtime's monitor thread to each. Any other net.Conn is read and
+// written through its own methods. The package is Unix-only.
 package realtcp
 
 import (
@@ -139,6 +145,7 @@ func (s *Server) handle(conn net.Conn) {
 	}
 	// Two buffers per connection: the parser's, which the socket is read
 	// into directly, and out, which collects the replies of one batch.
+	rw := newRawIO(conn)
 	var parser resp.Parser
 	parser.Space(bufBytes)
 	out := make([]byte, 0, bufBytes)
@@ -168,7 +175,7 @@ func (s *Server) handle(conn net.Conn) {
 		// share one write — and early once out holds BufBytes, so a client that
 		// pipelines reads of large values and never reads cannot grow it.
 		if len(out) > 0 && (!ok || len(out) >= bufBytes) {
-			if _, err := conn.Write(out); err != nil {
+			if _, err := rw.Write(out); err != nil {
 				return
 			}
 			out = out[:0]
@@ -178,7 +185,7 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		if !ok {
 			// The buffer grows only for a request over half its size.
-			n, err := conn.Read(parser.Space(bufBytes / 2))
+			n, err := rw.Read(parser.Space(bufBytes / 2))
 			parser.Commit(n)
 			if err != nil {
 				return
@@ -203,6 +210,7 @@ type Client struct {
 	// sender may wait for window room while holding it.
 	sendMu  sync.Mutex
 	sendBuf []byte
+	wr      *rawIO // the senders' own: the read loop has another
 
 	// runs is the ring of stamped runs awaiting replies, one entry per
 	// Queue call: single producer (whoever holds sendMu) at head, single
@@ -225,10 +233,11 @@ type Client struct {
 	nodelay atomic.Bool
 }
 
-// run is requests handed over together: n of them, stamped sentNs.
+// run is requests handed over together: n of them, stamped sentNs, the
+// first due at dueNs and the rest gapNs apart.
 type run struct {
-	sentNs int64
-	n      int
+	sentNs, dueNs, gapNs int64
+	n                    int
 }
 
 // DialOptions configure a client. The zero value blocks indefinitely on
@@ -247,10 +256,13 @@ type DialOptions struct {
 	// connection, from 0; RESP's ordering makes them the issue indices),
 	// handed over together at sentNs and answered by one read at ackNs,
 	// both in nanoseconds on the client's clock (Elapsed), so ackNs −
-	// sentNs is each one's latency. A run a read cut in two arrives as two
+	// sentNs is each one's latency. The first of the n was due at dueNs on
+	// the same clock and the i-th gapNs·i later, so ackNs − dueNs − i·gapNs
+	// is its response time from its schedule; a request handed over as it
+	// was due has dueNs = sentNs. A run a read cut in two arrives as two
 	// calls. It runs on the read loop and must not block. The client keeps
 	// no latencies of its own.
-	OnComplete func(firstID uint64, n int, sentNs, ackNs int64)
+	OnComplete func(firstID uint64, n int, sentNs, ackNs, dueNs, gapNs int64)
 	// LocalAddr, when non-empty, is the local address to dial from (e.g.
 	// "127.0.0.5:0"). High-fan-in loopback fleets rotate source IPs here
 	// to stretch past the ~28k ephemeral ports of a single 4-tuple prefix.
@@ -291,6 +303,7 @@ func NewClient(nc net.Conn, opts DialOptions) *Client {
 	}
 	c := &Client{
 		conn:  nc,
+		wr:    newRawIO(nc),
 		opts:  opts,
 		start: time.Now(),
 		runs:  make([]run, opts.MaxInflight),
@@ -332,7 +345,14 @@ var errRunTooLarge = errors.New("realtcp: run larger than MaxInflight")
 // MaxInflight fails at once.
 //
 //e2e:hotpath
-func (c *Client) Queue(cmd []byte, n int) error {
+func (c *Client) Queue(cmd []byte, n int) error { return c.queueLate(cmd, n, 0, 0) }
+
+// queueLate is Queue for n requests scheduled gap apart, the first of them
+// due lag before the hand-over: the run keeps their schedule for the
+// completion hook, and the stamp and the create hint stay the hand-over's.
+//
+//e2e:hotpath
+func (c *Client) queueLate(cmd []byte, n int, lag, gap time.Duration) error {
 	if n <= 0 {
 		return nil
 	}
@@ -342,7 +362,8 @@ func (c *Client) Queue(cmd []byte, n int) error {
 	c.sendMu.Lock()
 	err := c.awaitRoom(n)
 	if err == nil {
-		c.runs[c.head] = run{sentNs: int64(c.tracker.Create(n)), n: n}
+		sentNs := int64(c.tracker.Create(n))
+		c.runs[c.head] = run{sentNs: sentNs, dueNs: sentNs - int64(lag), gapNs: int64(gap), n: n}
 		c.head = (c.head + 1) % len(c.runs)
 		c.issued.Add(uint64(n))
 		for i := 0; i < n; i++ {
@@ -388,7 +409,7 @@ func (c *Client) flushLocked() error {
 	if len(c.sendBuf) == 0 {
 		return nil
 	}
-	_, err := c.conn.Write(c.sendBuf)
+	_, err := c.wr.Write(c.sendBuf)
 	c.sendBuf = c.sendBuf[:0]
 	return err
 }
@@ -429,11 +450,12 @@ func (c *Client) readLoop() {
 // read has the server's shape: the socket is read straight into the parser's
 // buffer and replies are counted, not built. A closed connection ends it nil.
 func (c *Client) read() error {
+	rd := newRawIO(c.conn)
 	var parser resp.Parser
 	parser.Space(c.opts.ReadBufBytes)
 	for {
 		// The buffer grows only for a reply over half its size.
-		n, err := c.conn.Read(parser.Space(c.opts.ReadBufBytes / 2))
+		n, err := rd.Read(parser.Space(c.opts.ReadBufBytes / 2))
 		parser.Commit(n)
 		k := 0
 		for n > 0 {
@@ -471,11 +493,12 @@ func (c *Client) complete(k int) {
 	for k > 0 {
 		r := c.runs[c.tail]
 		m := min(k, r.n-c.into)
+		dueNs := r.dueNs + int64(c.into)*r.gapNs
 		if c.into += m; c.into == r.n {
 			c.tail, c.into = (c.tail+1)%len(c.runs), 0
 		}
 		if c.opts.OnComplete != nil {
-			c.opts.OnComplete(id, m, r.sentNs, ackNs)
+			c.opts.OnComplete(id, m, r.sentNs, ackNs, dueNs, r.gapNs)
 		}
 		id += uint64(m)
 		k -= m

@@ -33,9 +33,9 @@ var (
 	kvloadTogglerLine = regexp.MustCompile(`^toggler: \d+ decisions, (\d+) switches, `)
 	kvloadPacerLine   = regexp.MustCompile(`^pacer: (\d+) writes \(\S+ requests/write\), hand-over lag mean=\S+ max=\S+$`)
 	kvloadFleetSent   = regexp.MustCompile(`(?m)^sent=(\d+) completed=`)
-	// The schedule-origin mean and the span audit, which no benchmark
-	// parses yet.
-	kvloadResponseLine = regexp.MustCompile(`^response: mean=(\S+) \(hand-over lag (\S+) \+ service (\S+)\)$`)
+	// The schedule-origin mean and p99 and the span audit, which no
+	// benchmark parses yet.
+	kvloadResponseLine = regexp.MustCompile(`^response: mean=(\S+) p99=(\S+) \(hand-over lag (\S+) \+ service (\S+)\)$`)
 	kvloadAuditLine    = regexp.MustCompile(`(?m)^audit: spans=(\d+) tail=\d+ coverage=[\d.]+ residual=\S+$`)
 )
 
@@ -104,23 +104,29 @@ func TestKvloadSmoke(t *testing.T) {
 		return n
 	}
 
-	// responseOf parses the response line: its mean is the other two
-	// added, up to their rounding to the microsecond.
+	// responseOf parses the response line: its mean is the lag and the
+	// service added, up to their rounding to the microsecond, and its p99,
+	// read from each request's own schedule, is no less than the mean
+	// service.
 	responseOf := func(line string) {
 		t.Helper()
 		m := kvloadResponseLine.FindStringSubmatch(line)
 		if m == nil {
 			t.Fatalf("not kvload's response line: %q", line)
 		}
-		var d [3]time.Duration
+		var d [4]time.Duration
 		for i := range d {
 			var err error
 			if d[i], err = time.ParseDuration(m[1+i]); err != nil {
 				t.Fatalf("response line %q: %v", line, err)
 			}
 		}
-		if off := d[0] - d[1] - d[2]; d[2] <= 0 || off < -time.Microsecond || off > time.Microsecond {
-			t.Fatalf("response mean %v is not hand-over lag %v + service %v", d[0], d[1], d[2])
+		mean, p99, lag, service := d[0], d[1], d[2], d[3]
+		if off := mean - lag - service; service <= 0 || off < -time.Microsecond || off > time.Microsecond {
+			t.Fatalf("response mean %v is not hand-over lag %v + service %v", mean, lag, service)
+		}
+		if p99 < mean-lag {
+			t.Fatalf("response p99 %v is under the mean response less the lag, %v", p99, mean-lag)
 		}
 	}
 

@@ -20,9 +20,11 @@ GOFMT ?= gofmt
 #          ├─ fidelity-smoke ─→ build (one zoo replay, mean and tail reports)
 #          └─ bench-check ─→ build (bench/ is its own module: vet, tests, lint)
 #
-# race runs the short-mode suite only: full sweeps are skipped under -short
-# so the ~10x race overhead stays affordable; the determinism, invariant,
-# fuzz-seed and stress tests all still run. fidelity-smoke is short-run-safe:
+# race runs the short-mode suite only: full sweeps are skipped under -short,
+# where the race detector slows simulated runs about 7x (the stream digest's
+# word loop is uninstrumented and reports each folded range in one call,
+# DESIGN.md §6); the determinism, invariant, fuzz-seed and stress tests all
+# still run. fidelity-smoke is short-run-safe:
 # it replays the zoo at a reduced duration.
 tier1: vet lint escapes build test race fuzz-smoke fidelity-smoke bench-check
 

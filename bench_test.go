@@ -503,32 +503,6 @@ func BenchmarkMultiConn(b *testing.B) {
 	b.ReportMetric(float64(out.Measured)/float64(out.DynamicMeasured), "dyn-rescue-x")
 }
 
-// BenchmarkTimeline regenerates the convergence trace: a dynamic run
-// started in the collapsing mode digging itself out via the estimates.
-func BenchmarkTimeline(b *testing.B) {
-	cal := figures.DefaultCalib()
-	var out *figures.TimelineOut
-	for i := 0; i < b.N; i++ {
-		out = figures.Timeline(cal, 50000, benchDur, 7)
-	}
-	printOnce(b, "timeline", func() { figures.WriteTimeline(os.Stdout, out) })
-	last := out.Dynamic[len(out.Dynamic)-1]
-	b.ReportMetric(float64(last.Mean())/float64(out.StaticOn), "final-window-vs-on-x")
-}
-
-// BenchmarkGROAblation regenerates the receive-side vs sender-side batching
-// comparison.
-func BenchmarkGROAblation(b *testing.B) {
-	cal := figures.DefaultCalib()
-	var out *figures.GROAblationOut
-	for i := 0; i < b.N; i++ {
-		out = figures.GROAblation(cal, []float64{25000, 40000, 55000, 70000}, benchDur, 7)
-	}
-	printOnce(b, "gro", func() { figures.WriteGROAblation(os.Stdout, out) })
-	r := out.Rows[1]
-	b.ReportMetric(float64(r.OffNoGRO)/float64(r.OffGRO), "gro-rescue-x")
-}
-
 // BenchmarkCScan regenerates the client-cost sweep: Figure 1's c-axis in
 // the full system.
 func BenchmarkCScan(b *testing.B) {

@@ -33,7 +33,7 @@ import (
 
 func main() {
 	var (
-		fig       = flag.String("fig", "all", "which figure to regenerate: 1, 2, 4a, 4b, toggle, hints, aimd, tick, exchange, multiconn, timeline, tail, gro, cscan, bandits, loss, faults, rep, all")
+		fig       = flag.String("fig", "all", "which figure to regenerate: "+strings.Join(figureNames(), ", ")+", all")
 		faultPlan = flag.String("faults", "metadrop", "fault plan for -fig faults: "+strings.Join(faults.Names(), ", "))
 		dur       = flag.Duration("dur", 300*time.Millisecond, "virtual duration of each run")
 		seed      = flag.Int64("seed", 7, "simulation seed")
@@ -62,9 +62,8 @@ func main() {
 	}
 
 	cal := figures.DefaultCalib()
-	rates := figures.DefaultFig4Rates()
+	var rates []float64 // nil: each figure's own grid
 	if *rateList != "" {
-		rates = nil
 		for _, f := range strings.Split(*rateList, ",") {
 			v, err := strconv.ParseFloat(strings.TrimSpace(f), 64)
 			if err != nil || v <= 0 {
@@ -91,72 +90,20 @@ func main() {
 		fmt.Printf("raw counter log written to %s\n", *traceOut)
 	}
 
-	run := func(name string) {
-		switch name {
-		case "1":
-			figures.WriteFig1(os.Stdout, figures.Fig1())
-		case "2":
-			figures.WriteFig2(os.Stdout, figures.Fig2(cal, *dur, *seed))
-		case "4a":
-			figures.WriteFig4(os.Stdout, figures.Fig4a(cal, rates, *dur, *seed))
-		case "tail":
-			figures.WriteTail(os.Stdout, figures.Fig4a(cal, rates, *dur, *seed))
-		case "4b":
-			figures.WriteFig4(os.Stdout, figures.Fig4b(cal, rates, *dur, *seed))
-		case "toggle":
-			tr := rates
-			if *rateList == "" {
-				tr = []float64{10000, 30000, 45000, 60000}
-			}
-			figures.WriteToggle(os.Stdout, figures.Toggle(cal, tr, *dur, *seed))
-		case "hints":
-			hr := rates
-			if *rateList == "" {
-				hr = []float64{10000, 30000}
-			}
-			figures.WriteHints(os.Stdout, figures.Hints(cal, hr, *dur, *seed, *batch))
-		case "aimd":
-			ar := rates
-			if *rateList == "" {
-				ar = []float64{10000, 60000}
-			}
-			figures.WriteAIMD(os.Stdout, figures.AIMD(cal, ar, *dur, *seed))
-		case "tick":
-			ivs := []time.Duration{200 * time.Microsecond, time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond}
-			figures.WriteTickAblation(os.Stdout, figures.TickAblation(cal, 50000, ivs, *dur, *seed))
-		case "timeline":
-			figures.WriteTimeline(os.Stdout, figures.Timeline(cal, 50000, *dur, *seed))
-		case "rep":
-			figures.WriteReplicated(os.Stdout, figures.ReplicatedFig4a(cal, rates, *dur, []int64{*seed, *seed + 12, *seed + 94}))
-		case "loss":
-			figures.WriteLoss(os.Stdout, figures.LossRobustness(cal, 20000, []float64{0, 0.001, 0.01, 0.05}, *dur, *seed))
-		case "faults":
-			figures.WriteFaultSweep(os.Stdout, figures.FaultSweep(cal, 20000, []float64{0, 0.01, 0.05}, *faultPlan, *dur, *seed))
-		case "bandits":
-			figures.WritePolicyCompare(os.Stdout, figures.PolicyCompare(cal, []float64{10000, 45000, 60000}, *dur, *seed))
-		case "cscan":
-			figures.WriteCScan(os.Stdout, figures.CScan(cal, []float64{1, 1.25, 1.5, 1.75, 2, 2.5}, *dur, *seed))
-		case "gro":
-			figures.WriteGROAblation(os.Stdout, figures.GROAblation(cal, []float64{25000, 40000, 55000, 70000}, *dur, *seed))
-		case "multiconn":
-			figures.WriteMultiConn(os.Stdout, figures.MultiConn(cal, 4, 50000, *dur, *seed))
-		case "exchange":
-			ivs := []time.Duration{0, time.Millisecond, 10 * time.Millisecond, 50 * time.Millisecond}
-			figures.WriteExchangeAblation(os.Stdout, figures.ExchangeAblation(cal, 35000, ivs, *dur, *seed))
-		default:
-			fmt.Fprintf(os.Stderr, "e2efig: unknown figure %q\n", name)
-			os.Exit(2)
+	p := figures.Params{Calib: cal, Dur: *dur, Seed: *seed, Rates: rates, SyscallBatch: *batch, FaultPlan: *faultPlan}
+	found := false
+	for _, f := range figures.Figures() {
+		if *fig != "all" && *fig != f.Name {
+			continue
 		}
+		f.Render(os.Stdout, p)
 		fmt.Println()
+		found = true
 	}
-
-	if *fig == "all" {
-		for _, name := range []string{"1", "2", "4a", "4b", "toggle", "hints", "aimd", "tick", "exchange", "multiconn", "timeline", "tail", "gro", "cscan", "bandits", "loss", "faults", "rep"} {
-			run(name)
-		}
-		return
+	if !found {
+		fmt.Fprintf(os.Stderr, "e2efig: unknown figure %q\n", *fig)
+		os.Exit(2)
 	}
-	run(*fig)
 }
 
 // dumpSpans runs one tail-targeting dynamic run with the span tracer and
@@ -252,4 +199,13 @@ func spanOf(l *trace.Log) time.Duration {
 		return 0
 	}
 	return l.Records[len(l.Records)-1].At.Sub(l.Records[0].At)
+}
+
+// figureNames lists the -fig values, in `-fig all` order.
+func figureNames() []string {
+	var names []string
+	for _, f := range figures.Figures() {
+		names = append(names, f.Name)
+	}
+	return names
 }

@@ -117,57 +117,6 @@ func WriteExchangeAblation(w io.Writer, e *ExchangeAblationOut) {
 	}
 }
 
-// GRORow is one offered load of the receive-side-batching ablation.
-type GRORow struct {
-	Rate float64
-	// Measured latency in the four cells: sender batching {off,on} ×
-	// GRO {off,on}.
-	OffNoGRO, OffGRO, OnNoGRO, OnGRO time.Duration
-}
-
-// GROAblationOut contrasts receiver-side batching (GRO/NAPI, needs no
-// sender cooperation) with sender-side corking — two points in the paper's
-// design space of "batching in multiple layers of the stack" (§1).
-type GROAblationOut struct {
-	Rows []GRORow
-}
-
-// GROAblation runs the four-cell comparison at each rate.
-func GROAblation(cal Calib, rates []float64, dur time.Duration, seed int64) *GROAblationOut {
-	out := &GROAblationOut{}
-	var specs []RunSpec
-	for _, rate := range rates {
-		for _, on := range []bool{false, true} {
-			for _, gro := range []bool{false, true} {
-				specs = append(specs, RunSpec{Calib: cal, Seed: seed, Rate: rate, Duration: dur, BatchOn: on, GRO: gro})
-			}
-		}
-	}
-	outs := runAll(specs)
-	for ri, rate := range rates {
-		cells := outs[4*ri : 4*ri+4]
-		out.Rows = append(out.Rows, GRORow{
-			Rate:     rate,
-			OffNoGRO: cells[0].Res.Latency.Mean(),
-			OffGRO:   cells[1].Res.Latency.Mean(),
-			OnNoGRO:  cells[2].Res.Latency.Mean(),
-			OnGRO:    cells[3].Res.Latency.Mean(),
-		})
-	}
-	return out
-}
-
-// WriteGROAblation renders the four-cell table.
-func WriteGROAblation(w io.Writer, g *GROAblationOut) {
-	fmt.Fprintln(w, "Receive-side (GRO) vs sender-side batching — mean latency")
-	fmt.Fprintf(w, "%8s | %12s %12s | %12s %12s\n", "kRPS", "off", "off+GRO", "on", "on+GRO")
-	for _, r := range g.Rows {
-		fmt.Fprintf(w, "%8.1f | %12v %12v | %12v %12v\n",
-			r.Rate/1000, r.OffNoGRO.Round(time.Microsecond), r.OffGRO.Round(time.Microsecond),
-			r.OnNoGRO.Round(time.Microsecond), r.OnGRO.Round(time.Microsecond))
-	}
-}
-
 // LossRow is one loss-probability setting of the robustness sweep.
 type LossRow struct {
 	Loss        float64

@@ -64,63 +64,6 @@ func TestTickGranularityTradeoff(t *testing.T) {
 	}
 }
 
-// TestTimelineConvergence asserts the convergence dynamics: the dynamic run
-// starts in the collapsing mode, and by the final quarter of the run its
-// windows sit within 2x of static batch-on.
-func TestTimelineConvergence(t *testing.T) {
-	skipIfShort(t)
-	cal := DefaultCalib()
-	out := Timeline(cal, 50000, 400*time.Millisecond, 7)
-	if len(out.Dynamic) < 10 {
-		t.Fatalf("windows = %d", len(out.Dynamic))
-	}
-	// Early: the dynamic trace must show the collapse (it started off).
-	early := out.Dynamic[1].Mean()
-	if early < 4*out.StaticOn {
-		t.Fatalf("early window %v does not show the initial collapse (static-on %v)", early, out.StaticOn)
-	}
-	// Late: converged. Take the median of the last quarter to tolerate
-	// exploration bumps.
-	tail := out.Dynamic[3*len(out.Dynamic)/4:]
-	within := 0
-	for _, w := range tail {
-		if w.Count > 0 && w.Mean() <= 2*out.StaticOn {
-			within++
-		}
-	}
-	if within*3 < len(tail)*2 {
-		t.Fatalf("only %d/%d tail windows within 2x of static-on", within, len(tail))
-	}
-}
-
-// TestGROAblation asserts the receive-side-batching finding: in our
-// calibration (per-delivery cost dominating the server softirq), adaptive
-// GRO alone rescues the no-sender-batching mode from its collapse, without
-// Nagle's low-load hold penalty. See EXPERIMENTS.md for the calibration
-// caveat this implies.
-func TestGROAblation(t *testing.T) {
-	skipIfShort(t)
-	cal := DefaultCalib()
-	out := GROAblation(cal, []float64{40000, 55000}, 300*time.Millisecond, 7)
-	for _, r := range out.Rows {
-		if r.OffGRO*5 > r.OffNoGRO {
-			t.Errorf("rate %v: GRO should rescue batching-off (%v vs %v)", r.Rate, r.OffGRO, r.OffNoGRO)
-		}
-		if r.OffGRO > cal.SLO {
-			t.Errorf("rate %v: off+GRO %v violates SLO", r.Rate, r.OffGRO)
-		}
-		// GRO composes harmlessly with sender batching.
-		if r.OnGRO > r.OnNoGRO*3/2 {
-			t.Errorf("rate %v: GRO hurt the batch-on mode (%v vs %v)", r.Rate, r.OnGRO, r.OnNoGRO)
-		}
-	}
-	var buf bytes.Buffer
-	WriteGROAblation(&buf, out)
-	if buf.Len() == 0 {
-		t.Fatal("empty table")
-	}
-}
-
 // TestCScanFlip asserts the c-axis behaviour in the full system: batching
 // helps the fast client, hurts once the client is slow enough, and the
 // flip is monotone-ish along the sweep.
@@ -197,32 +140,6 @@ func TestLossRobustness(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	WriteLoss(&buf, out)
-	if buf.Len() == 0 {
-		t.Fatal("empty table")
-	}
-}
-
-// TestReplicatedFig4a: across independent seeds, the low-load and high-load
-// outcomes must be statistically separable in the expected directions.
-func TestReplicatedFig4a(t *testing.T) {
-	skipIfShort(t)
-	cal := DefaultCalib()
-	out := ReplicatedFig4a(cal, []float64{5000, 60000}, 200*time.Millisecond, []int64{3, 19, 101})
-	low, high := out.Points[0], out.Points[1]
-	if low.On.Mean <= low.Off.Mean {
-		t.Errorf("5k: batching should hurt on average (off=%v on=%v)", low.Off.Mean, low.On.Mean)
-	}
-	if !out.Separable(0) {
-		t.Errorf("5k: modes not separable (off %v±%v on %v±%v)", low.Off.Mean, low.Off.Stderr, low.On.Mean, low.On.Stderr)
-	}
-	if high.On.Mean*3 >= high.Off.Mean {
-		t.Errorf("60k: batching should win >3x on average")
-	}
-	if !out.Separable(1) {
-		t.Errorf("60k: modes not separable")
-	}
-	var buf bytes.Buffer
-	WriteReplicated(&buf, out)
 	if buf.Len() == 0 {
 		t.Fatal("empty table")
 	}

@@ -21,10 +21,6 @@ type Fig4Point struct {
 // Fig4Cell is one (rate, mode) measurement.
 type Fig4Cell struct {
 	Measured time.Duration
-	// P99 is the measured 99th-percentile latency — the tail metric the
-	// paper defers to future studies (§2), reported here as an
-	// extension.
-	P99      time.Duration
 	Achieved float64
 	// SetMeasured and GetMeasured split latency by request kind: on the
 	// Figure 4b mix, GETs' 16 KiB responses fill segments immediately and
@@ -105,7 +101,6 @@ func fig4(cal Calib, rates []float64, dur time.Duration, seed int64, name string
 			r := outs[2*ri+mi]
 			cell := Fig4Cell{
 				Measured: r.Res.Latency.Mean(),
-				P99:      r.Res.Latency.Quantile(0.99),
 				Achieved: r.Res.AchievedRate,
 				Est:      r.Est,
 			}
@@ -205,42 +200,4 @@ func fmtEst(e core.Estimate) string {
 		return "-"
 	}
 	return e.Latency.Round(time.Microsecond).String()
-}
-
-// WriteTail renders the tail-latency view of a sweep — the extension the
-// paper defers ("we focus on average performance in this work and defer
-// metrics like tail latency to future studies", §2). The qualitative
-// question: does the batching crossover move when judged by p99 instead of
-// the mean?
-func WriteTail(w io.Writer, f *Fig4Out) {
-	fmt.Fprintf(w, "%s — p99 latency vs offered load (tail-latency extension)\n", f.Name)
-	fmt.Fprintf(w, "%8s | %12s %12s | %12s %12s | p99 winner\n",
-		"kRPS", "mean off", "p99 off", "mean on", "p99 on")
-	var p99Cutoff float64
-	for _, p := range f.Points {
-		winner := "off"
-		if p.On.P99 < p.Off.P99 {
-			winner = "on"
-			if p99Cutoff == 0 {
-				p99Cutoff = p.Rate
-			}
-		}
-		fmt.Fprintf(w, "%8.1f | %12v %12v | %12v %12v | %s\n",
-			p.Rate/1000,
-			p.Off.Measured.Round(time.Microsecond), p.Off.P99.Round(time.Microsecond),
-			p.On.Measured.Round(time.Microsecond), p.On.P99.Round(time.Microsecond),
-			winner)
-	}
-	fmt.Fprintf(w, "p99 cutoff: %.1f kRPS (mean cutoff: %.1f kRPS)\n",
-		p99Cutoff/1000, f.MeasuredCutoff/1000)
-}
-
-// P99Cutoff returns the lowest swept rate where batching wins on p99.
-func (f *Fig4Out) P99Cutoff() float64 {
-	for _, p := range f.Points {
-		if p.On.P99 < p.Off.P99 {
-			return p.Rate
-		}
-	}
-	return 0
 }

@@ -34,77 +34,16 @@ func TestCalibrationProbe(t *testing.T) {
 	}
 }
 
-// TestExtensionsProbe prints toggle/AIMD/4b-kind diagnostics; enable with
-// E2E_PROBE=1.
+// TestExtensionsProbe prints Figure 4b's latency per request kind, which
+// the rendered table does not show; enable with E2E_PROBE=1.
 func TestExtensionsProbe(t *testing.T) {
 	if os.Getenv("E2E_PROBE") == "" {
 		t.Skip("set E2E_PROBE=1 to run")
 	}
-	cal := DefaultCalib()
-	tg := Toggle(cal, []float64{10000, 45000, 60000}, 600*time.Millisecond, 7)
-	WriteToggle(os.Stdout, tg)
-	am := AIMD(cal, []float64{10000, 60000}, 600*time.Millisecond, 7)
-	WriteAIMD(os.Stdout, am)
-	fb := Fig4b(cal, []float64{5000, 15000}, 400*time.Millisecond, 7)
+	fb := Fig4b(DefaultCalib(), []float64{5000, 15000}, 400*time.Millisecond, 7)
 	for _, p := range fb.Points {
 		fmt.Printf("4b rate=%v off(set=%v get=%v) on(set=%v get=%v)\n", p.Rate,
 			p.Off.SetMeasured.Round(time.Microsecond), p.Off.GetMeasured.Round(time.Microsecond),
 			p.On.SetMeasured.Round(time.Microsecond), p.On.GetMeasured.Round(time.Microsecond))
 	}
-}
-
-// TestAblationsProbe prints the §5 ablation tables; enable with E2E_PROBE=1.
-func TestAblationsProbe(t *testing.T) {
-	if os.Getenv("E2E_PROBE") == "" {
-		t.Skip("set E2E_PROBE=1 to run")
-	}
-	cal := DefaultCalib()
-	ivs := []time.Duration{200 * time.Microsecond, time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond}
-	WriteTickAblation(os.Stdout, TickAblation(cal, 50000, ivs, 500*time.Millisecond, 7))
-	exch := []time.Duration{0, time.Millisecond, 10 * time.Millisecond, 50 * time.Millisecond}
-	WriteExchangeAblation(os.Stdout, ExchangeAblation(cal, 35000, exch, 500*time.Millisecond, 7))
-}
-
-// TestMultiConnProbe prints the multi-connection table; enable with
-// E2E_PROBE=1.
-func TestMultiConnProbe(t *testing.T) {
-	if os.Getenv("E2E_PROBE") == "" {
-		t.Skip("set E2E_PROBE=1")
-	}
-	cal := DefaultCalib()
-	WriteMultiConn(os.Stdout, MultiConn(cal, 4, 20000, 300*time.Millisecond, 7))
-	WriteMultiConn(os.Stdout, MultiConn(cal, 4, 50000, 300*time.Millisecond, 7))
-}
-
-// TestTimelineProbe prints the convergence trace; enable with E2E_PROBE=1.
-func TestTimelineProbe(t *testing.T) {
-	if os.Getenv("E2E_PROBE") == "" {
-		t.Skip("set E2E_PROBE=1")
-	}
-	WriteTimeline(os.Stdout, Timeline(DefaultCalib(), 50000, 400*time.Millisecond, 7))
-}
-
-// TestGROProbe prints the GRO ablation; enable with E2E_PROBE=1.
-func TestGROProbe(t *testing.T) {
-	if os.Getenv("E2E_PROBE") == "" {
-		t.Skip("set E2E_PROBE=1")
-	}
-	WriteGROAblation(os.Stdout, GROAblation(DefaultCalib(), []float64{25000, 40000, 55000, 70000}, 300*time.Millisecond, 7))
-}
-
-// TestPolicyCompareProbe prints the bandit comparison; enable with
-// E2E_PROBE=1.
-func TestPolicyCompareProbe(t *testing.T) {
-	if os.Getenv("E2E_PROBE") == "" {
-		t.Skip("set E2E_PROBE=1")
-	}
-	WritePolicyCompare(os.Stdout, PolicyCompare(DefaultCalib(), []float64{10000, 45000, 60000}, 500*time.Millisecond, 7))
-}
-
-// TestLossProbe prints the loss-robustness table; enable with E2E_PROBE=1.
-func TestLossProbe(t *testing.T) {
-	if os.Getenv("E2E_PROBE") == "" {
-		t.Skip("set E2E_PROBE=1")
-	}
-	WriteLoss(os.Stdout, LossRobustness(DefaultCalib(), 20000, []float64{0, 0.001, 0.01, 0.05}, 400*time.Millisecond, 7))
 }

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -42,6 +43,23 @@ func TestSuiteCleanOnTree(t *testing.T) {
 	// callee edges resolve.
 	for _, d := range CheckPackages(pkgs, Analyzers()) {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestLoadDirHonoursBuildConstraints: a directory holding a race/!race pair
+// (and a file for another GOOS) loads as the one package the go tool would
+// build, not as every .go file with the pair's function declared twice.
+func TestLoadDirHonoursBuildConstraints(t *testing.T) {
+	pkg, err := sharedLoader(t).LoadDir("testdata/src/buildtags")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, f := range pkg.Files {
+		names = append(names, filepath.Base(pkg.Fset.Position(f.Pos()).Filename))
+	}
+	if len(names) != 1 || names[0] != "norace.go" {
+		t.Fatalf("loaded %v, want [norace.go]", names)
 	}
 }
 

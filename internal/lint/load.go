@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -109,11 +110,12 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadDir parses and type-checks every non-test .go file in dir as one loose
-// package — the entry point for analyzer testdata, which lives in
-// `testdata/` directories the go tool refuses to enumerate. Imports resolve
-// against the module's dependency closure, so testdata may import any
-// package the module itself (transitively) uses.
+// LoadDir parses and type-checks the non-test .go files in dir that the
+// default build context selects (their `//go:build` lines and GOOS/GOARCH
+// name suffixes hold) as one loose package — the entry point for analyzer
+// testdata, which lives in `testdata/` directories the go tool refuses to
+// enumerate. Imports resolve against the module's dependency closure, so
+// testdata may import any package the module itself (transitively) uses.
 func (l *Loader) LoadDir(dir string) (*Package, error) {
 	return l.LoadDirAs(dir, "")
 }
@@ -135,6 +137,11 @@ func (l *Loader) LoadDirAs(dir, asPath string) (*Package, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		} else if !ok {
 			continue
 		}
 		files = append(files, filepath.Join(dir, name))

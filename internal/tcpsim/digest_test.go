@@ -245,7 +245,7 @@ func TestStreamDigestsTrackBytes(t *testing.T) {
 }
 
 // BenchmarkDigestFold times the kernel at the fold sizes the simulator sees:
-// a reply, a 64 B SET, one MSS and a 16 KiB SET (EXPERIMENTS.md has the table).
+// a reply, a 64 B SET, one MSS and a 16 KiB SET.
 func BenchmarkDigestFold(b *testing.B) {
 	for _, n := range []int{5, 90, 1448, 16411} {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {

@@ -31,7 +31,7 @@ tier1: vet lint escapes build test race fuzz-smoke fidelity-smoke bench-check
 vet:
 	$(GO) vet ./...
 
-# lint enforces gofmt plus the project's own invariants: the eight e2elint
+# lint enforces gofmt plus the project's own invariants: the seven e2elint
 # analyzers described in DESIGN.md §8 "Enforced invariants" (the escapes
 # analyzer runs under its own target below — it needs the compiler).
 # Suppressions require a justified `//lint:ignore e2elint/<name> reason`

@@ -275,8 +275,6 @@ type benchToggler struct{}
 
 func (benchToggler) Observe(time.Duration, float64, bool) policy.Mode { return policy.BatchOn }
 func (benchToggler) ObserveDegraded() policy.Mode                     { return policy.BatchOn }
-func (benchToggler) Mode() policy.Mode                                { return policy.BatchOn }
-func (benchToggler) Stats() policy.TogglerStats                       { return policy.TogglerStats{} }
 
 // BenchmarkEngineTick measures one full controller-driven decision tick —
 // snapshot, estimate, decide, apply (//e2e:hotpath, 0 allocs steady-state).

@@ -1,5 +1,5 @@
 // Command e2elint runs e2ebatch's project-specific static analysis suite —
-// the eight analyzers in internal/lint that enforce the concurrency,
+// the seven analyzers in internal/lint that enforce the concurrency,
 // determinism, shard-scheduling and hot-path allocation invariants the
 // estimator's correctness and overhead budget depend on (see DESIGN.md
 // "Enforced invariants" and "Hot-path allocation discipline").

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"e2ebatch/internal/core"
+	"e2ebatch/internal/engine"
 	"e2ebatch/internal/figures"
 	"e2ebatch/internal/hints"
 	"e2ebatch/internal/kv"
@@ -33,16 +34,9 @@ func TestOnlineEstimateMatchesOfflineAnalysis(t *testing.T) {
 	store := kv.NewStore(func() time.Duration { return s.Now().Duration() })
 	tcpsim.NewSimServer(kv.NewEngine(store), sc, tcpsim.DefaultSimServerConfig())
 
-	// Online estimator: local exact snapshots + the peer's wire states.
-	var online core.Estimator
-	prime := func() core.Sample {
-		ua, ur, ad := cc.Snapshots(tcpsim.UnitBytes)
-		smp := core.Sample{Local: core.Queues{Unacked: ua, Unread: ur, AckDelay: ad}}
-		if ws, _, ok := cc.PeerWireState(); ok {
-			smp.Remote, smp.RemoteOK = ws, true
-		}
-		return smp
-	}
+	// Online: a passive engine endpoint estimating from the client's exact
+	// snapshots plus the peer's wire states.
+	online := engine.New(engine.Config{}, tcpsim.NewEnginePort(cc, sc, tcpsim.UnitBytes))
 	// Offline: exact snapshots from both sides.
 	offline := func() (core.Queues, core.Queues) {
 		ua, ur, ad := cc.Snapshots(tcpsim.UnitBytes)
@@ -56,12 +50,12 @@ func TestOnlineEstimateMatchesOfflineAnalysis(t *testing.T) {
 	warm := sim.Time(10 * time.Millisecond)
 	var l0, r0 core.Queues
 	s.At(warm, func() {
-		online.Update(prime())
+		online.Tick(qstate.Time(warm))
 		l0, r0 = offline()
 	})
 	s.RunUntil(end)
 	gen.FlushSends()
-	onlineEst := online.Update(prime())
+	onlineEst := online.Tick(qstate.Time(s.Now())).Estimate
 	l1, r1 := offline()
 	offlineEst := core.EstimateE2E(core.DelaysBetween(l0, l1), core.DelaysBetween(r0, r1))
 	gen.Finalize()

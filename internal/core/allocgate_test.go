@@ -1,8 +1,8 @@
 //go:build !race
 
 // Allocation gate for this package's //e2e:hotpath functions (DESIGN.md
-// §13): Estimator.Update must not feed the GC — it runs once per tick on
-// every connection. Excluded under -race because the race runtime's shadow
+// §13): the tail composition must not feed the GC — the engine's estimator
+// runs it once per tick on every connection. Excluded under -race because the race runtime's shadow
 // allocations would be charged to the tracked code.
 
 package core
@@ -15,23 +15,9 @@ import (
 )
 
 // TestAllocGateTailComposition pins the tail hot path at zero allocations:
-// the full Estimator.Update with tail histograms on both sides (delta →
-// normalize → 3-way convolution → quantiles, twice for the two views), plus
-// the composition pieces in isolation.
+// the composition (delta → normalize → 3-way convolution → quantiles, twice
+// for the two views) and the histogram differencing it starts from.
 func TestAllocGateTailComposition(t *testing.T) {
-	var e Estimator
-	now := qstate.Time(0)
-	n := uint32(0)
-	update := func() {
-		now += qstate.Time(100 * time.Millisecond)
-		n += 25
-		_ = e.Update(tailSample(now, 400*time.Microsecond, 900*time.Microsecond, n))
-	}
-	update() // prime
-	if a := testing.AllocsPerRun(200, update); a != 0 {
-		t.Errorf("Estimator.Update with tails allocates %v per op, want 0 (//e2e:hotpath)", a)
-	}
-
 	local := TailDists{
 		Unacked: randDist(1, 6),
 		Unread:  randDist(2, 4),

@@ -11,6 +11,11 @@
 // because each shares its three queue states with the other. The estimator
 // computes both views and uses the maximum "to account for possible
 // underestimations" (§3.2).
+//
+// Everything here is stateless: the formula, its tail composition
+// (tail.go) and the multi-connection aggregate. The per-connection
+// "previous and current" samples the estimate is differenced from are
+// kept by the engine's estimator, inside the control loop that owns them.
 package core
 
 import (
@@ -43,16 +48,6 @@ func DelaysBetween(prev, now Queues) Delays {
 	}
 }
 
-// WireDelays computes per-queue averages between two successive metadata
-// exchanges received from the peer, using wrap-aware 32-bit deltas.
-func WireDelays(prev, now qstate.WireState) Delays {
-	return Delays{
-		Unacked:  qstate.WireAvgs(prev.Unacked, now.Unacked),
-		Unread:   qstate.WireAvgs(prev.Unread, now.Unread),
-		AckDelay: qstate.WireAvgs(prev.AckDelay, now.AckDelay),
-	}
-}
-
 // Estimate is an end-to-end performance estimate over one interval.
 type Estimate struct {
 	// Latency is max(LocalView, RemoteView) over the valid views.
@@ -77,8 +72,8 @@ type Estimate struct {
 	// degraded estimate as untrusted input rather than ground truth.
 	Degraded bool
 	// RemoteStale distinguishes why a degraded estimate lacks peer data:
-	// true means an exchange exists but aged past MaxRemoteAge, false
-	// means none has arrived over the interval at all.
+	// true means an exchange exists but aged past the engine's
+	// MaxRemoteAge, false means none has arrived over the interval at all.
 	RemoteStale bool
 	// Tail is the composed end-to-end quantile estimate (tail.go). It
 	// abstains (Valid=false) independently of the mean: a v1 peer without
@@ -137,11 +132,12 @@ func EstimateE2E(local, remote Delays) Estimate {
 	return e
 }
 
-// Sample is one observation an Estimator consumes: the local queues' exact
-// snapshots plus the peer's most recent wire-format exchange (ok reports
-// whether any exchange has arrived yet). At and RemoteAt carry the sample
-// time and the exchange's arrival time on the same clock; they matter only
-// when the estimator enforces MaxRemoteAge and may otherwise stay zero.
+// Sample is one observation of a connection, the input of the engine's
+// per-port estimator: the local queues' exact snapshots plus the peer's most
+// recent wire-format exchange (RemoteOK reports whether any exchange has
+// arrived yet). At and RemoteAt carry the sample time and the exchange's
+// arrival time on the same clock; they matter only when the engine enforces
+// MaxRemoteAge and may otherwise stay zero.
 type Sample struct {
 	Local    Queues
 	Remote   qstate.WireState
@@ -157,67 +153,6 @@ type Sample struct {
 	LocalTailsOK  bool
 	RemoteTails   qstate.WireTails
 	RemoteTailsOK bool
-}
-
-// Estimator turns a stream of samples into per-interval end-to-end
-// estimates for one connection. It keeps the "previous and current" states
-// the paper describes (§5 Metadata Exchange). The zero value is ready to
-// use; the first Update only primes it.
-type Estimator struct {
-	// MaxRemoteAge bounds how old the peer's last exchange may be, on the
-	// Sample.At clock, before the estimator stops trusting it and falls
-	// back to the local-only view with Estimate.Degraded set. Zero (the
-	// default) disables the staleness check — appropriate only when the
-	// exchange transport cannot stall, e.g. offline trace replay.
-	MaxRemoteAge time.Duration
-
-	prev   Sample
-	primed bool
-}
-
-// Update folds in a new sample and returns the estimate for the interval
-// since the previous one. The returned estimate is invalid while priming or
-// when the interval carried no departures, and flagged Degraded when the
-// peer's metadata was missing or older than MaxRemoteAge — real networks
-// delay and drop the exchange packets, and a stale tuple silently skews the
-// remote terms, so it is excluded rather than consumed.
-func (e *Estimator) Update(s Sample) Estimate {
-	if !e.primed {
-		e.prev = s
-		e.primed = true
-		return Estimate{}
-	}
-	local := DelaysBetween(e.prev.Local, s.Local)
-	remoteOK := e.prev.RemoteOK && s.RemoteOK
-	stale := false
-	if remoteOK && e.MaxRemoteAge > 0 && time.Duration(s.At-s.RemoteAt) > e.MaxRemoteAge {
-		remoteOK, stale = false, true
-	}
-	var remote Delays
-	if remoteOK {
-		remote = WireDelays(e.prev.Remote, s.Remote)
-	}
-	var tail TailEstimate
-	if remoteOK && e.prev.LocalTailsOK && s.LocalTailsOK && e.prev.RemoteTailsOK && s.RemoteTailsOK {
-		lt, lok := TailDistsBetween(&e.prev.LocalTails, &s.LocalTails)
-		rt, rok := TailDistsBetween(&e.prev.RemoteTails, &s.RemoteTails)
-		if lok && rok {
-			tail = ComposeTail(&lt, &rt, local, remote)
-		}
-	}
-	e.prev = s
-	est := EstimateE2E(local, remote)
-	est.Tail = tail
-	est.Degraded = !remoteOK
-	est.RemoteStale = stale
-	return est
-}
-
-// Reset discards the priming state, e.g. after an idle period long enough
-// to make the previous sample stale, or after a connection reset invalidated
-// the peer's counters. Configuration (MaxRemoteAge) survives the reset.
-func (e *Estimator) Reset() {
-	*e = Estimator{MaxRemoteAge: e.MaxRemoteAge}
 }
 
 // Aggregate combines per-connection estimates into one, weighting each

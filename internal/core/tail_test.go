@@ -176,66 +176,3 @@ func TestComposeTailAbstention(t *testing.T) {
 		t.Fatal("TailDistsBetween rejected a forward pair")
 	}
 }
-
-// tailSample builds an estimator sample at time now whose local and remote
-// cumulative tails have recorded n departures of the given delays.
-func tailSample(now qstate.Time, lua, rua time.Duration, n uint32) Sample {
-	s := Sample{At: now, RemoteOK: true, LocalTailsOK: true, RemoteTailsOK: true}
-	s.Local.Unacked = qstate.Snapshot{Time: now, Total: int64(n), Integral: int64(n) * int64(lua)}
-	s.Local.Unread = qstate.Snapshot{Time: now}
-	s.Local.AckDelay = qstate.Snapshot{Time: now}
-	s.Remote.Unacked = qstate.WireQueue{TimeUS: uint32(uint64(now) / 1000), Total: n, IntegralUS: uint32(uint64(n) * uint64(rua) / 1000)}
-	s.Remote.Unread = qstate.WireQueue{TimeUS: uint32(uint64(now) / 1000)}
-	s.Remote.AckDelay = qstate.WireQueue{TimeUS: uint32(uint64(now) / 1000)}
-	if n > 0 {
-		s.LocalTails.Unacked.RecordN(lua, n)
-		s.RemoteTails.Unacked.RecordN(rua, n)
-	}
-	return s
-}
-
-// TestEstimatorUpdateComputesTail: a primed estimator fed samples carrying
-// tail histograms produces a valid Tail whose p99 reflects the slower side
-// (per-quantile max of views), and abstains when either side lacks tails.
-func TestEstimatorUpdateComputesTail(t *testing.T) {
-	var e Estimator
-	e.Update(tailSample(0, 0, 0, 0))
-	est := e.Update(tailSample(qstate.Time(100*time.Millisecond), 400*time.Microsecond, 900*time.Microsecond, 50))
-	if !est.Valid || !est.Tail.Valid {
-		t.Fatalf("estimate %+v: tail abstained with tails on both sides", est)
-	}
-	// The remote view (900µs unacked) dominates; allow bucket quantization.
-	if est.Tail.P99 < 700*time.Microsecond || est.Tail.P99 > 1200*time.Microsecond {
-		t.Fatalf("tail p99 = %v, want ≈900µs", est.Tail.P99)
-	}
-	if est.Tail.P50 > est.Tail.P999 {
-		t.Fatalf("tail quantiles inverted: %+v", est.Tail)
-	}
-
-	// A v1 peer: same stream without remote tails → mean valid, tail abstains.
-	var e2 Estimator
-	s0 := tailSample(0, 0, 0, 0)
-	s0.RemoteTailsOK = false
-	e2.Update(s0)
-	s1 := tailSample(qstate.Time(100*time.Millisecond), 400*time.Microsecond, 900*time.Microsecond, 50)
-	s1.RemoteTailsOK = false
-	est2 := e2.Update(s1)
-	if !est2.Valid {
-		t.Fatalf("mean estimate must survive a v1 peer: %+v", est2)
-	}
-	if est2.Tail.Valid {
-		t.Fatal("tail did not abstain for a v1 peer")
-	}
-
-	// Degraded interval (no remote exchange at all) → tail abstains too.
-	var e3 Estimator
-	s0 = tailSample(0, 0, 0, 0)
-	s0.RemoteOK = false
-	e3.Update(s0)
-	s1 = tailSample(qstate.Time(100*time.Millisecond), 400*time.Microsecond, 900*time.Microsecond, 50)
-	s1.RemoteOK = false
-	est3 := e3.Update(s1)
-	if !est3.Degraded || est3.Tail.Valid {
-		t.Fatalf("degraded estimate %+v must not carry a tail", est3)
-	}
-}

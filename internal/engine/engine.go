@@ -18,14 +18,17 @@
 // measurement/control loop is held fixed (PAPERS.md: Hill on Little's law,
 // Lübben & Fidler's closed-loop TCP benchmarks); concentrating the loop
 // here is what makes the sim-vs-real comparisons legitimate, and means a
-// policy change lands on all substrates at once. The enginewiring analyzer
-// (DESIGN.md §8) keeps the loop from being re-inlined elsewhere.
+// policy change lands on all substrates at once. The per-port estimator and
+// the AIMD step are unexported, so no other package can re-inline the loop.
 //
 // The Endpoint itself is single-goroutine: all Ticks must come from one
 // goroutine (the sim event loop, or the shard that owns the connection).
+// The estimators and the AIMD limit it owns are updated only there, so
+// they carry no locks.
 package engine
 
 import (
+	"fmt"
 	"time"
 
 	"e2ebatch/internal/core"
@@ -65,15 +68,38 @@ type Port interface {
 type Controller interface {
 	Observe(latency time.Duration, throughput float64, valid bool) policy.Mode
 	ObserveDegraded() policy.Mode
-	Mode() policy.Mode
-	Stats() policy.TogglerStats
 }
 
-// AIMDPolicy is the alternative decision policy: AIMD control of the cork
-// threshold against an SLO (§5 "Better Batching Heuristics").
+// AIMDPolicy is the alternative decision policy: additive-increase/
+// multiplicative-decrease control of the cork threshold against an SLO, the
+// more principled replacement for on/off toggling the paper proposes (§5
+// "Better Batching Heuristics"). Each tick with a usable estimate grows the
+// limit by Step while the SLO is violated (more batching recovers capacity)
+// and decays it by Backoff while healthy (less batching trims hold delays);
+// at Min batching is off. New starts the limit at Min; the parameters must
+// not change after that.
 type AIMDPolicy struct {
-	Ctl *policy.AIMD
-	SLO time.Duration
+	// Min and Max bound the limit; Step is the additive increase;
+	// Backoff in (0,1) is the multiplicative decrease factor.
+	Min, Max, Step int
+	Backoff        float64
+	SLO            time.Duration
+
+	limit int
+}
+
+// Limit returns the current cork limit in bytes.
+func (a *AIMDPolicy) Limit() int { return a.limit }
+
+// step adapts the limit — additively up when grow, multiplicatively down
+// otherwise, clamped to [Min, Max] — and returns it.
+func (a *AIMDPolicy) step(grow bool) int {
+	if grow {
+		a.limit = min(a.limit+a.Step, a.Max)
+	} else {
+		a.limit = max(int(float64(a.limit)*a.Backoff), a.Min)
+	}
+	return a.limit
 }
 
 // Observer receives every tick's full result for telemetry. It is the
@@ -134,7 +160,10 @@ type Config struct {
 	// CorkOnBytes is the cork threshold installed whenever the controller
 	// selects batch-on.
 	CorkOnBytes int
-	// MaxRemoteAge bounds peer-metadata staleness (core.Estimator).
+	// MaxRemoteAge bounds how old the peer's last exchange may be, on the
+	// Sample.At clock, before a port's estimate stops trusting it and falls
+	// back to the local-only view with Estimate.Degraded set. Zero disables
+	// the check — appropriate only when the exchange cannot stall.
 	MaxRemoteAge time.Duration
 	// TailQuantile, when nonzero, drives the policy with the composed tail
 	// estimate's quantile (e.g. 0.99 for "p99 ≤ D_max" with a
@@ -231,7 +260,7 @@ type Stats struct {
 type Endpoint struct {
 	cfg   Config
 	ports []Port
-	ests  []core.Estimator
+	ests  []estimator
 
 	// perPort and samples are the tick's scratch buffers, allocated once at
 	// construction and re-filled every tick (TickResult hands out views).
@@ -245,7 +274,8 @@ type Endpoint struct {
 
 // New builds an endpoint over ports. When a Controller is configured, the
 // initial mode is applied immediately (the tick loop then re-applies each
-// decision). It panics on zero ports or on both policies at once.
+// decision); an AIMD policy's limit starts at its Min. It panics on zero
+// ports, on both policies at once and on nonsensical AIMD parameters.
 func New(cfg Config, ports ...Port) *Endpoint {
 	if len(ports) == 0 {
 		panic("engine: endpoint needs at least one port")
@@ -253,20 +283,23 @@ func New(cfg Config, ports ...Port) *Endpoint {
 	if cfg.Controller != nil && cfg.AIMD != nil {
 		panic("engine: Controller and AIMD are mutually exclusive")
 	}
+	if a := cfg.AIMD; a != nil {
+		if a.Min <= 0 || a.Max < a.Min || a.Step <= 0 || a.Backoff <= 0 || a.Backoff >= 1 {
+			panic(fmt.Sprintf("engine: invalid AIMD params min=%d max=%d step=%d backoff=%v", a.Min, a.Max, a.Step, a.Backoff))
+		}
+		a.limit = a.Min
+	}
 	if cfg.TailQuantile != 0 && (cfg.TailQuantile <= 0 || cfg.TailQuantile >= 1) {
 		panic("engine: TailQuantile must lie in (0, 1)")
 	}
 	ep := &Endpoint{
 		cfg:     cfg,
 		ports:   ports,
-		ests:    make([]core.Estimator, len(ports)),
+		ests:    make([]estimator, len(ports)),
 		perPort: make([]core.Estimate, len(ports)),
 	}
 	if cfg.Observer != nil {
 		ep.samples = make([]core.Sample, len(ports))
-	}
-	for i := range ep.ests {
-		ep.ests[i].MaxRemoteAge = cfg.MaxRemoteAge
 	}
 	if cfg.Controller != nil {
 		ep.apply(ep.decisionFor(cfg.Initial))
@@ -290,7 +323,7 @@ func (ep *Endpoint) Tick(now qstate.Time) TickResult {
 		if r.Samples != nil {
 			r.Samples[i] = s
 		}
-		e := ep.ests[i].Update(s)
+		e := ep.ests[i].update(s, ep.cfg.MaxRemoteAge)
 		if p.SelfContained() {
 			// A hints sample spans the full round trip by itself;
 			// absent peer metadata is not a degradation there.
@@ -358,8 +391,8 @@ func (ep *Endpoint) Tick(now qstate.Time) TickResult {
 		}
 		if ok {
 			a := ep.cfg.AIMD
-			limit := a.Ctl.Observe(lat > a.SLO)
-			batch := !a.Ctl.AtFloor()
+			limit := a.step(lat > a.SLO)
+			batch := limit > a.Min
 			r.ApplyErrors = ep.apply(Decision{Batch: batch, CorkBytes: limit})
 			r.Applied = true
 			if batch {
@@ -423,15 +456,7 @@ func allDegraded(es []core.Estimate) bool {
 // Reset discards the estimators' priming state — the counter history is
 // invalid after a connection reset, so the next sample re-primes rather
 // than differencing across the discontinuity (configuration survives).
-func (ep *Endpoint) Reset() {
-	for i := range ep.ests {
-		ep.ests[i].Reset()
-	}
-}
+func (ep *Endpoint) Reset() { clear(ep.ests) }
 
 // Stats returns a copy of the endpoint's counters.
 func (ep *Endpoint) Stats() Stats { return ep.stats }
-
-// Controller returns the configured controller (nil for passive or AIMD
-// endpoints).
-func (ep *Endpoint) Controller() Controller { return ep.cfg.Controller }

@@ -78,9 +78,6 @@ func (c *fakeController) ObserveDegraded() policy.Mode {
 	return c.mode
 }
 
-func (c *fakeController) Mode() policy.Mode          { return c.mode }
-func (c *fakeController) Stats() policy.TogglerStats { return policy.TogglerStats{} }
-
 const ms = qstate.Time(time.Millisecond)
 
 func TestTickAccountingAndModeApplication(t *testing.T) {
@@ -204,8 +201,8 @@ func TestModeErrorsDegradeAfterLimit(t *testing.T) {
 func TestAIMDTicks(t *testing.T) {
 	p := newFakePort()
 	p.self = true
-	aimd := policy.NewAIMD(1000, 8000, 1000, 0.5)
-	ep := engine.New(engine.Config{AIMD: &engine.AIMDPolicy{Ctl: aimd, SLO: time.Microsecond}}, p)
+	aimd := &engine.AIMDPolicy{Min: 1000, Max: 8000, Step: 1000, Backoff: 0.5, SLO: time.Microsecond}
+	ep := engine.New(engine.Config{AIMD: aimd}, p)
 
 	// Invalid (priming) tick: nothing applied — the old hand-wired loop
 	// skipped entirely on invalid estimates.
@@ -285,16 +282,6 @@ func TestResetReprimes(t *testing.T) {
 	}
 }
 
-func TestControllerAccessor(t *testing.T) {
-	ctl := &fakeController{}
-	if got := engine.New(engine.Config{Controller: ctl}, newFakePort()).Controller(); got != ctl {
-		t.Fatalf("Controller() = %v, want the configured one", got)
-	}
-	if got := engine.New(engine.Config{}, newFakePort()).Controller(); got != nil {
-		t.Fatalf("passive endpoint reports controller %v", got)
-	}
-}
-
 func TestNewValidation(t *testing.T) {
 	mustPanic := func(name string, fn func()) {
 		defer func() {
@@ -308,7 +295,7 @@ func TestNewValidation(t *testing.T) {
 	mustPanic("both policies", func() {
 		engine.New(engine.Config{
 			Controller: &fakeController{},
-			AIMD:       &engine.AIMDPolicy{Ctl: policy.NewAIMD(1, 2, 1, 0.5), SLO: time.Second},
+			AIMD:       &engine.AIMDPolicy{Min: 1, Max: 2, Step: 1, Backoff: 0.5, SLO: time.Second},
 		}, newFakePort())
 	})
 }

@@ -1,0 +1,32 @@
+//go:build !race
+
+// Allocation gate for the estimator the engine tick runs on every port
+// (DESIGN.md §13). Excluded under -race because the race runtime's shadow
+// allocations would be charged to the tracked code.
+
+package engine
+
+import (
+	"testing"
+	"time"
+
+	"e2ebatch/internal/qstate"
+)
+
+// TestAllocGateEstimatorUpdate pins the full estimator update with tail
+// histograms on both sides (delta → normalize → 3-way convolution →
+// quantiles, twice for the two views) at zero allocations.
+func TestAllocGateEstimatorUpdate(t *testing.T) {
+	var e estimator
+	now := qstate.Time(0)
+	n := uint32(0)
+	update := func() {
+		now += qstate.Time(100 * time.Millisecond)
+		n += 25
+		_ = e.update(tailSample(now, 400*time.Microsecond, 900*time.Microsecond, n), 0)
+	}
+	update() // prime
+	if a := testing.AllocsPerRun(200, update); a != 0 {
+		t.Errorf("estimator update with tails allocates %v per op, want 0 (//e2e:hotpath)", a)
+	}
+}

@@ -69,8 +69,6 @@ func (c *recController) Observe(l time.Duration, _ float64, valid bool) policy.M
 	return c.mode
 }
 func (c *recController) ObserveDegraded() policy.Mode { c.degraded++; return c.mode }
-func (c *recController) Mode() policy.Mode            { return c.mode }
-func (c *recController) Stats() policy.TogglerStats   { return policy.TogglerStats{} }
 
 // TestTailQuantileDrivesController: with TailQuantile set the controller
 // observes the composed tail quantile; without it, the mean — on the very
@@ -152,26 +150,26 @@ func TestAIMDTailTargeting(t *testing.T) {
 	// Tail 2ms violates the 1ms SLO even though the mean 200µs meets it:
 	// only a tail-driven AIMD grows.
 	p := &tailPort{meanLat: 200 * time.Microsecond, tailLat: 2 * time.Millisecond, tails: true}
-	aimd := engine.AIMDPolicy{Ctl: policy.NewAIMD(512, 65536, 1024, 0.5), SLO: time.Millisecond}
+	aimd := engine.AIMDPolicy{Min: 512, Max: 65536, Step: 1024, Backoff: 0.5, SLO: time.Millisecond}
 	ep := engine.New(engine.Config{AIMD: &aimd, TailQuantile: 0.99}, p)
 	ep.Tick(0)
 	for i := 1; i <= 3; i++ {
 		ep.Tick(qstate.Time(i) * qstate.Time(100*time.Millisecond))
 	}
-	if got := aimd.Ctl.Limit(); got != 512+3*1024 {
+	if got := aimd.Limit(); got != 512+3*1024 {
 		t.Fatalf("limit = %d, want 3 grows from 512", got)
 	}
 
 	// Same but the peer stops sending tails: AIMD must freeze, not decay.
 	p2 := &tailPort{meanLat: 200 * time.Microsecond, tails: false}
-	aimd2 := engine.AIMDPolicy{Ctl: policy.NewAIMD(512, 65536, 1024, 0.5), SLO: time.Millisecond}
+	aimd2 := engine.AIMDPolicy{Min: 512, Max: 65536, Step: 1024, Backoff: 0.5, SLO: time.Millisecond}
 	ep2 := engine.New(engine.Config{AIMD: &aimd2, TailQuantile: 0.99}, p2)
 	ep2.Tick(0)
 	var r engine.TickResult
 	for i := 1; i <= 3; i++ {
 		r = ep2.Tick(qstate.Time(i) * qstate.Time(100*time.Millisecond))
 	}
-	if got := aimd2.Ctl.Limit(); got != 512 {
+	if got := aimd2.Limit(); got != 512 {
 		t.Fatalf("abstaining tail moved the limit to %d", got)
 	}
 	if r.Applied || !r.TailAbstained {

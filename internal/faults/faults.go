@@ -21,7 +21,7 @@
 //   - PeerStall freezes the server application's socket draining, growing
 //     the unread queue the §3.2 formula's remote terms measure.
 //   - Reset models a connection teardown/re-establishment: counters
-//     restart, so the estimator must be re-primed (Estimator.Reset).
+//     restart, so the estimators must be re-primed (engine.Endpoint.Reset).
 package faults
 
 import (

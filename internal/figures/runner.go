@@ -28,7 +28,7 @@ type DynamicSpec struct {
 	// UseUCB selects the UCB1 bandit controller instead of ε-greedy.
 	UseUCB bool
 	// MaxRemoteAge bounds the age of the peer's metadata before the
-	// estimator degrades to the local-only view (core.Estimator). Zero
+	// estimator degrades to the local-only view (engine.Config). Zero
 	// disables the staleness check.
 	MaxRemoteAge time.Duration
 	// TailQuantile, when nonzero, drives the controller with the composed
@@ -325,13 +325,11 @@ func Run(spec RunSpec) *RunOut {
 		sim.NewTicker(s, spec.OnlineEstimateEvery, func(now sim.Time) { onEp.Tick(qstate.Time(now)) })
 	}
 
-	var aimd *policy.AIMD
+	var aimd *engine.AIMDPolicy
 	if spec.AIMD != nil {
 		a := spec.AIMD
-		aimd = policy.NewAIMD(a.Min, a.Max, a.Step, a.Backoff)
-		aimdEp := engine.New(engine.Config{
-			AIMD: &engine.AIMDPolicy{Ctl: aimd, SLO: a.SLO},
-		}, tcpsim.NewEnginePort(cc, sc, tcpsim.UnitBytes))
+		aimd = &engine.AIMDPolicy{Min: a.Min, Max: a.Max, Step: a.Step, Backoff: a.Backoff, SLO: a.SLO}
+		aimdEp := engine.New(engine.Config{AIMD: aimd}, tcpsim.NewEnginePort(cc, sc, tcpsim.UnitBytes))
 		sim.NewTicker(s, a.Interval, func(now sim.Time) { aimdEp.Tick(qstate.Time(now)) })
 		endpoints = append(endpoints, aimdEp)
 	}
@@ -429,18 +427,10 @@ func (o *onlineMean) ObserveTick(now qstate.Time, r engine.TickResult) {
 // steadyEstimate analyzes the log from after warmup to the end as one
 // interval, mirroring the paper's offline steady-state analysis.
 func steadyEstimate(l *trace.Log, unit tcpsim.Unit, warmup time.Duration) core.Estimate {
-	recs := l.Records
-	if len(recs) < 2 {
+	local, remote, ok := l.Delays(warmup, unit)
+	if !ok {
 		return core.Estimate{}
 	}
-	i := 0
-	for i < len(recs)-1 && recs[i].At.Duration() < warmup {
-		i++
-	}
-	first, last := recs[i], recs[len(recs)-1]
-	var local, remote core.Delays
-	local = core.DelaysBetween(first.Client[unit], last.Client[unit])
-	remote = core.DelaysBetween(first.Server[unit], last.Server[unit])
 	return core.EstimateE2E(local, remote)
 }
 
@@ -451,20 +441,10 @@ func steadyEstimate(l *trace.Log, unit tcpsim.Unit, warmup time.Duration) core.E
 func steadyTail(l *trace.Log, warmup time.Duration, firstC, lastC, firstS, lastS *qstate.WireTails) core.TailEstimate {
 	lt, lok := core.TailDistsBetween(firstC, lastC)
 	rt, rok := core.TailDistsBetween(firstS, lastS)
-	if !lok || !rok {
+	local, remote, ok := l.Delays(warmup, tcpsim.UnitBytes)
+	if !lok || !rok || !ok {
 		return core.TailEstimate{}
 	}
-	recs := l.Records
-	if len(recs) < 2 {
-		return core.TailEstimate{}
-	}
-	i := 0
-	for i < len(recs)-1 && recs[i].At.Duration() < warmup {
-		i++
-	}
-	first, last := recs[i], recs[len(recs)-1]
-	local := core.DelaysBetween(first.Client[tcpsim.UnitBytes], last.Client[tcpsim.UnitBytes])
-	remote := core.DelaysBetween(first.Server[tcpsim.UnitBytes], last.Server[tcpsim.UnitBytes])
 	return core.ComposeTail(&lt, &rt, local, remote)
 }
 

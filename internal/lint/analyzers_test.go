@@ -45,10 +45,6 @@ func TestLockSafetyGolden(t *testing.T) {
 	runGolden(t, LockSafety, "locksafety")
 }
 
-func TestSnapshotPairGolden(t *testing.T) {
-	runGolden(t, SnapshotPair, "snapshotpair")
-}
-
 func TestMutexHoldGoldenRestricted(t *testing.T) {
 	runGoldenAs(t, MutexHold, "mutexhold", "e2ebatch/internal/policy")
 }
@@ -96,7 +92,7 @@ func TestEscapesGolden(t *testing.T) {
 }
 
 func TestMutexHoldGoldenUnrestricted(t *testing.T) {
-	// Outside qstate/core/policy the same code is not this analyzer's
+	// Outside qstate/policy the same code is not this analyzer's
 	// business (realtcp's server does socket I/O under its own locks by
 	// design), so the want comments in the testdata must all go unmatched.
 	runExpectNone(t, MutexHold, "mutexhold")

@@ -5,36 +5,33 @@ import (
 	"go/types"
 )
 
-// EngineWiring enforces the PR-4 single-loop contract: the estimate→policy
+// EngineWiring enforces the single-loop contract: the estimate→policy
 // control tick lives in internal/engine and nowhere else. Before the engine
 // existed, four hand-wired copies of the loop had already diverged (the
 // real-TCP path missed degraded-tick routing, multiconn missed the cork
-// restore), so the rule is mechanical now:
-//
-//   - core.Estimator.Update,
-//   - any Observe/ObserveDegraded method returning a policy.Mode (the
-//     ε-greedy and UCB togglers, and any controller interface wrapping
-//     them — wrapping the toggler in a local interface must not launder
-//     the call), and
-//   - policy.AIMD.Observe
-//
-// may be called only from internal/engine (and from core/policy
-// themselves). Everything else under internal/ and cmd/ must construct an
+// restore). The estimator and the AIMD step are unexported engine
+// internals, so the compiler keeps them there; what is left is the toggler:
+// any Observe/ObserveDegraded method returning a policy.Mode (the ε-greedy
+// and UCB togglers, and any controller interface wrapping them — wrapping
+// the toggler in a local interface must not launder the call) may be
+// called only from internal/engine and internal/policy. Toggler.Observe
+// cannot be unexported like the other two: callers outside the engine
+// build a toggler and pass it as engine.Config.Controller, so its methods
+// must satisfy an interface declared in another package. Everything else under internal/ and cmd/ must construct an
 // engine.Endpoint and let it run the tick. Examples stay out of scope —
 // pedagogical code may show the raw pieces — and //lint:ignore
 // e2elint/enginewiring remains the justified escape hatch.
 var EngineWiring = &Analyzer{
 	Name: "enginewiring",
-	Doc:  "forbid estimator updates and toggler decisions outside internal/engine",
+	Doc:  "forbid toggler decisions outside internal/engine",
 	Run:  runEngineWiring,
 }
 
 // engineWiringScope is where the rule applies; engineWiringAllowed carves
-// out the loop's own home plus the packages defining the restricted
-// methods.
+// out the loop's own home plus the package defining the togglers.
 var (
 	engineWiringScope   = []string{"e2ebatch/internal", "e2ebatch/cmd"}
-	engineWiringAllowed = []string{enginePath, corePath, policyPath}
+	engineWiringAllowed = []string{enginePath, policyPath}
 )
 
 func runEngineWiring(p *Pass) {
@@ -49,28 +46,12 @@ func runEngineWiring(p *Pass) {
 				return true
 			}
 			recv, fn := methodRecv(p.TypesInfo, call)
-			if fn == nil {
+			if fn == nil || (fn.Name() != "Observe" && fn.Name() != "ObserveDegraded") || !returnsPolicyMode(fn) {
 				return true
 			}
-			rt := p.TypesInfo.TypeOf(recv)
-			switch fn.Name() {
-			case "Update":
-				if typeIs(rt, corePath, "Estimator") {
-					p.Reportf(call.Pos(),
-						"estimator update outside internal/engine: %s.Update must run inside the engine tick (engine.Endpoint)",
-						renderExpr(recv))
-				}
-			case "Observe", "ObserveDegraded":
-				if returnsPolicyMode(fn) {
-					p.Reportf(call.Pos(),
-						"batching decision outside internal/engine: %s.%s must be driven by the engine tick (engine.Endpoint)",
-						renderExpr(recv), fn.Name())
-				} else if fn.Name() == "Observe" && typeIs(rt, policyPath, "AIMD") {
-					p.Reportf(call.Pos(),
-						"batching decision outside internal/engine: %s.Observe (AIMD) must be driven by the engine tick (engine.AIMDPolicy)",
-						renderExpr(recv))
-				}
-			}
+			p.Reportf(call.Pos(),
+				"batching decision outside internal/engine: %s.%s must be driven by the engine tick (engine.Endpoint)",
+				renderExpr(recv), fn.Name())
 			return true
 		})
 	}

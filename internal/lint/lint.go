@@ -1,7 +1,7 @@
 // Package lint is e2ebatch's project-specific static analysis suite: a
 // small analyzer framework (deliberately shaped after
 // golang.org/x/tools/go/analysis, but built on the standard library alone so
-// the repo stays dependency-free) plus eight analyzers that mechanically
+// the repo stays dependency-free) plus seven analyzers that mechanically
 // enforce the concurrency, determinism, single-control-loop, shard-scheduling
 // and hot-path allocation invariants the estimator's correctness and overhead
 // budget depend on. The rules themselves live in one file per
@@ -106,7 +106,6 @@ func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		LockSafety,
 		Determinism,
-		SnapshotPair,
 		MutexHold,
 		EngineWiring,
 		HotPath,

@@ -8,8 +8,8 @@ import (
 
 func TestAnalyzerRegistry(t *testing.T) {
 	as := Analyzers()
-	if len(as) != 8 {
-		t.Fatalf("suite has %d analyzers, want 8 (locksafety, determinism, snapshotpair, mutexhold, enginewiring, hotpath, escapes, pertickerconn)", len(as))
+	if len(as) != 7 {
+		t.Fatalf("suite has %d analyzers, want 7 (locksafety, determinism, mutexhold, enginewiring, hotpath, escapes, pertickerconn)", len(as))
 	}
 	seen := map[string]bool{}
 	for _, a := range as {

@@ -5,11 +5,12 @@ import (
 	"go/types"
 )
 
-// LockSafety enforces the Tracker doc contract from PR 1: the lock-free
-// hot-path types — qstate.State and core.Estimator — are single-goroutine
-// values; any code that runs on (or shares state with) a spawned goroutine
-// must use a mutex-guarded counterpart (qstate.Tracker, hints.Tracker) or
-// keep one estimator per goroutine, as engine.Endpoint does.
+// LockSafety enforces the Tracker doc contract: the lock-free hot-path
+// queue state, qstate.State, is a single-goroutine value; any code that
+// runs on (or shares state with) a spawned goroutine must use a
+// mutex-guarded counterpart (qstate.Tracker, hints.Tracker). The engine's
+// estimators need no check: they are unexported, owned by one
+// engine.Endpoint and updated only by its Tick.
 //
 // Three concurrency contexts are checked, all resolved statically within
 // the package:
@@ -29,25 +30,8 @@ import (
 // interleave.
 var LockSafety = &Analyzer{
 	Name: "locksafety",
-	Doc:  "forbid lock-free estimator state in goroutine-spawning contexts",
+	Doc:  "forbid lock-free queue state (qstate.State) in goroutine-spawning contexts",
 	Run:  runLockSafety,
-}
-
-// lockFreeTypes maps each single-goroutine type to its safe replacement.
-var lockFreeTypes = []struct {
-	pkg, name, safe string
-}{
-	{qstatePath, "State", "qstate.Tracker"},
-	{corePath, "Estimator", "one estimator per goroutine, owned by an engine.Endpoint"},
-}
-
-func lockFreeType(t types.Type) (string, string, bool) {
-	for _, lf := range lockFreeTypes {
-		if typeIs(t, lf.pkg, lf.name) {
-			return lf.name, lf.safe, true
-		}
-	}
-	return "", "", false
 }
 
 func runLockSafety(p *Pass) {
@@ -120,8 +104,7 @@ func checkLockSafetyFunc(p *Pass, fd *ast.FuncDecl, isGoTarget bool) {
 		if fn == nil {
 			return true
 		}
-		name, safe, ok := lockFreeType(p.TypesInfo.TypeOf(recv))
-		if !ok {
+		if !typeIs(p.TypesInfo.TypeOf(recv), qstatePath, "State") {
 			return true
 		}
 		root := rootObj(p.TypesInfo, recv)
@@ -131,19 +114,19 @@ func checkLockSafetyFunc(p *Pass, fd *ast.FuncDecl, isGoTarget bool) {
 				return true // goroutine-local value
 			}
 			p.Reportf(call.Pos(),
-				"lock-free %s.%s called from a spawned goroutine; use %s",
-				name, fn.Name(), safe)
+				"lock-free State.%s called from a spawned goroutine; use qstate.Tracker",
+				fn.Name())
 		case isGoTarget:
 			if root != nil && declaredWithin(root, body) {
 				return true
 			}
 			p.Reportf(call.Pos(),
-				"lock-free %s.%s in %s, which runs as a goroutine (`go %s(...)` elsewhere in this package); use %s",
-				name, fn.Name(), fd.Name.Name, fd.Name.Name, safe)
+				"lock-free State.%s in %s, which runs as a goroutine (`go %s(...)` elsewhere in this package); use qstate.Tracker",
+				fn.Name(), fd.Name.Name, fd.Name.Name)
 		case root != nil && captured[root]:
 			p.Reportf(call.Pos(),
-				"lock-free %s.%s on %s, which a goroutine spawned in %s also captures; use %s",
-				name, fn.Name(), renderExpr(recv), fd.Name.Name, safe)
+				"lock-free State.%s on %s, which a goroutine spawned in %s also captures; use qstate.Tracker",
+				fn.Name(), renderExpr(recv), fd.Name.Name)
 		}
 		return true
 	})

@@ -11,18 +11,18 @@ import (
 // blocking call made while one is held stalls every connection's
 // instrumentation at once — precisely the estimator-perturbs-the-system
 // effect the paper's methodology is built to avoid.
-var mutexPackages = []string{qstatePath, corePath, policyPath}
+var mutexPackages = []string{qstatePath, policyPath}
 
 // MutexHold flags blocking operations — socket/file I/O, time.Sleep,
 // fmt/log printing, channel sends and receives — executed while a
-// sync.Mutex in qstate, core or policy is held. The held region is tracked
+// sync.Mutex in qstate or policy is held. The held region is tracked
 // lexically per block: from x.mu.Lock() to the matching x.mu.Unlock(), or to
 // the end of the function when the unlock is deferred. Function literals are
 // not entered (a closure built under the lock runs later, off the critical
 // section) except when invoked immediately.
 var MutexHold = &Analyzer{
 	Name: "mutexhold",
-	Doc:  "forbid blocking calls while a qstate/core/policy mutex is held",
+	Doc:  "forbid blocking calls while a qstate/policy mutex is held",
 	Run:  runMutexHold,
 }
 

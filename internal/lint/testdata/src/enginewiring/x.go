@@ -6,22 +6,14 @@ package enginewiring
 import (
 	"time"
 
-	"e2ebatch/internal/core"
 	"e2ebatch/internal/policy"
 )
 
-// controller mirrors the local-interface wrapping of the toggler the old
-// figures runner used; routing the call through it must not launder it.
+// controller mirrors engine.Controller, a local interface wrapping the
+// toggler; routing the call through it must not launder it.
 type controller interface {
 	Observe(latency time.Duration, throughput float64, valid bool) policy.Mode
 	ObserveDegraded() policy.Mode
-	Mode() policy.Mode
-	Stats() policy.TogglerStats
-}
-
-func estimatorUpdates(est *core.Estimator, s core.Sample) {
-	est.Update(s) // want "estimator update outside internal/engine"
-	est.Reset()   // ok: resetting is not running the loop
 }
 
 func togglerDecisions(tog, ucb *policy.Toggler, ctl controller) {
@@ -34,12 +26,6 @@ func togglerDecisions(tog, ucb *policy.Toggler, ctl controller) {
 	_ = tog.Stats()
 }
 
-func aimdDecisions(a *policy.AIMD) {
-	a.Observe(true) // want "batching decision outside internal/engine"
-	_ = a.Limit()   // ok: reads
-	_ = a.AtFloor()
-}
-
 // observer has an Observe that returns no policy.Mode — not a batching
 // decision, so not this analyzer's business.
 type observer struct{}
@@ -48,9 +34,4 @@ func (observer) Observe(v float64) float64 { return v }
 
 func unrelatedObserve(o observer) {
 	_ = o.Observe(1) // ok: does not return a policy.Mode
-}
-
-func justified(tog *policy.Toggler) {
-	//lint:ignore e2elint/enginewiring exercising the policy surface directly in a calibration probe
-	tog.Observe(time.Millisecond, 1000, true)
 }

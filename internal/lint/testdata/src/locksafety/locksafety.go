@@ -4,20 +4,18 @@ package locksafety
 import (
 	"sync"
 
-	"e2ebatch/internal/core"
 	"e2ebatch/internal/hints"
 	"e2ebatch/internal/qstate"
 )
 
 // Case 1: lock-free state touched inside a spawned goroutine.
-func insideGoroutine(st *qstate.State, est *core.Estimator) {
+func insideGoroutine(st *qstate.State) {
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		st.Track(0, 1)            // want "lock-free State.Track called from a spawned goroutine"
-		est.Update(core.Sample{}) // want "lock-free Estimator.Update called from a spawned goroutine; use one estimator per goroutine, owned by an engine.Endpoint"
-		var local qstate.State    // ok below: goroutine-local value
+		st.Track(0, 1)         // want "lock-free State.Track called from a spawned goroutine; use qstate.Tracker"
+		var local qstate.State // ok below: goroutine-local value
 		local.Track(0, 1)
 	}()
 	wg.Wait()
@@ -25,11 +23,11 @@ func insideGoroutine(st *qstate.State, est *core.Estimator) {
 
 // Case 2: a method that runs as a goroutine (`go w.run()` below).
 type worker struct {
-	est core.Estimator
+	st qstate.State
 }
 
 func (w *worker) run() {
-	w.est.Update(core.Sample{}) // want "lock-free Estimator.Update in run, which runs as a goroutine"
+	w.st.Track(0, 1) // want "lock-free State.Track in run, which runs as a goroutine"
 }
 
 func (w *worker) runLocal() {
@@ -67,7 +65,5 @@ func safeEverywhere(tr *qstate.Tracker, ht *hints.Tracker) {
 // should use.
 func singleGoroutine() {
 	var st qstate.State
-	var est core.Estimator
 	st.Track(0, 1)
-	est.Update(core.Sample{})
 }

@@ -10,7 +10,6 @@ import (
 // Import paths of the packages whose contracts the analyzers enforce.
 const (
 	qstatePath = "e2ebatch/internal/qstate"
-	corePath   = "e2ebatch/internal/core"
 	policyPath = "e2ebatch/internal/policy"
 	enginePath = "e2ebatch/internal/engine"
 )

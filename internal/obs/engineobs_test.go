@@ -346,5 +346,3 @@ type constController policy.Mode
 
 func (c constController) Observe(time.Duration, float64, bool) policy.Mode { return policy.Mode(c) }
 func (c constController) ObserveDegraded() policy.Mode                     { return policy.Mode(c) }
-func (c constController) Mode() policy.Mode                                { return policy.Mode(c) }
-func (c constController) Stats() policy.TogglerStats                       { return policy.TogglerStats{} }

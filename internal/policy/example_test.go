@@ -28,18 +28,3 @@ func ExampleToggler() {
 	// Output:
 	// batch-on
 }
-
-// ExampleAIMD shows the §5 batch-limit controller: additive growth while
-// the signal says "grow", multiplicative decay otherwise.
-func ExampleAIMD() {
-	a := policy.NewAIMD(1448, 65536, 8192, 0.5)
-	for i := 0; i < 4; i++ {
-		a.Observe(true) // SLO violated: batch more
-	}
-	fmt.Println("after growth:", a.Limit())
-	a.Observe(false) // healthy: back off
-	fmt.Println("after decay:", a.Limit())
-	// Output:
-	// after growth: 34216
-	// after decay: 17108
-}

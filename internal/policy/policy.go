@@ -3,9 +3,9 @@
 // explore/exploit loop over the two batching modes with an ε-greedy or a
 // UCB1 choice rule, EWMA smoothing of noisy per-tick estimates, pluggable
 // objectives that trade off throughput and latency (e.g. "maximize
-// throughput as long as latency remains below a specified threshold", §2),
-// and an AIMD batch-limit controller for the "better batching heuristics"
-// direction.
+// throughput as long as latency remains below a specified threshold", §2).
+// The batch-limit controller of the "better batching heuristics" direction
+// lives in the engine, which alone steps it.
 package policy
 
 import (
@@ -289,14 +289,6 @@ func (t *Toggler) Stats() TogglerStats {
 	return t.stats
 }
 
-// Score returns the smoothed score for mode m and whether it has enough
-// samples to be trusted.
-func (t *Toggler) Score(m Mode) (float64, bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.score[m].Value(), t.samples[m] >= t.cfg.MinSamples
-}
-
 // Observe feeds the estimate measured while running the current mode and
 // decides the mode for the next interval. Invalid estimates (idle interval)
 // leave the scores untouched but still allow exploration. Observations in
@@ -417,67 +409,4 @@ func (t *Toggler) ObserveDegraded() Mode {
 		t.switchTo(t.cfg.SafeMode)
 	}
 	return t.mode
-}
-
-// AIMD is the additive-increase/multiplicative-decrease batch-limit
-// controller the paper proposes as a more principled replacement for on/off
-// toggling (§5 "Better Batching Heuristics"). The controlled value is an
-// abstract batch limit (e.g. a cork-size limit in bytes).
-//
-// Observe, Limit and AtFloor are safe for concurrent use; the exported
-// parameter fields must not be mutated after NewAIMD.
-type AIMD struct {
-	// Min and Max bound the limit; Step is the additive increase;
-	// Backoff in (0,1) is the multiplicative decrease factor.
-	Min, Max, Step int
-	Backoff        float64
-
-	mu    sync.Mutex
-	limit int
-}
-
-// NewAIMD returns a controller starting at min. It panics on nonsensical
-// parameters.
-func NewAIMD(min, max, step int, backoff float64) *AIMD {
-	if min <= 0 || max < min || step <= 0 || backoff <= 0 || backoff >= 1 {
-		panic(fmt.Sprintf("policy: invalid AIMD params min=%d max=%d step=%d backoff=%v", min, max, step, backoff))
-	}
-	return &AIMD{Min: min, Max: max, Step: step, Backoff: backoff, limit: min}
-}
-
-// Limit returns the current batch limit.
-func (a *AIMD) Limit() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.limit
-}
-
-// AtFloor reports whether the limit sits at Min — callers typically disable
-// batching entirely there.
-func (a *AIMD) AtFloor() bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.limit <= a.Min
-}
-
-// Observe adapts the limit: grow increases it additively, otherwise it
-// decays multiplicatively. Which condition maps to "grow" is the caller's
-// policy — the experiments grow the batch limit while the latency SLO is
-// violated (more batching recovers capacity) and decay it while healthy
-// (less batching trims hold delays). It returns the new limit.
-func (a *AIMD) Observe(grow bool) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if grow {
-		a.limit += a.Step
-		if a.limit > a.Max {
-			a.limit = a.Max
-		}
-	} else {
-		a.limit = int(float64(a.limit) * a.Backoff)
-		if a.limit < a.Min {
-			a.limit = a.Min
-		}
-	}
-	return a.limit
 }

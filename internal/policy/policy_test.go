@@ -194,7 +194,7 @@ func TestTogglerInvalidEstimatesDoNotScore(t *testing.T) {
 	if st.Invalid != 10 {
 		t.Fatalf("invalid = %d", st.Invalid)
 	}
-	if _, trusted := tg.Score(BatchOff); trusted {
+	if tg.samples[BatchOff] != 0 {
 		t.Fatal("mode trusted with zero valid samples")
 	}
 }
@@ -251,66 +251,6 @@ func TestTogglerPanicsOnBadParams(t *testing.T) {
 	}
 }
 
-func TestAIMDIncreasesAdditively(t *testing.T) {
-	a := NewAIMD(1000, 64000, 1000, 0.5)
-	if a.Limit() != 1000 {
-		t.Fatalf("initial = %d", a.Limit())
-	}
-	a.Observe(true)
-	a.Observe(true)
-	if a.Limit() != 3000 {
-		t.Fatalf("limit = %d, want 3000", a.Limit())
-	}
-}
-
-func TestAIMDBacksOffMultiplicatively(t *testing.T) {
-	a := NewAIMD(1000, 64000, 1000, 0.5)
-	for i := 0; i < 15; i++ {
-		a.Observe(true)
-	}
-	if a.Limit() != 16000 {
-		t.Fatalf("limit = %d, want 16000", a.Limit())
-	}
-	a.Observe(false)
-	if a.Limit() != 8000 {
-		t.Fatalf("limit = %d after backoff, want 8000", a.Limit())
-	}
-}
-
-func TestAIMDRespectsBounds(t *testing.T) {
-	a := NewAIMD(1000, 4000, 1000, 0.5)
-	for i := 0; i < 10; i++ {
-		a.Observe(true)
-	}
-	if a.Limit() != 4000 {
-		t.Fatalf("limit = %d, want capped 4000", a.Limit())
-	}
-	for i := 0; i < 10; i++ {
-		a.Observe(false)
-	}
-	if a.Limit() != 1000 {
-		t.Fatalf("limit = %d, want floored 1000", a.Limit())
-	}
-}
-
-func TestAIMDPanicsOnBadParams(t *testing.T) {
-	for i, f := range []func(){
-		func() { NewAIMD(0, 10, 1, 0.5) },
-		func() { NewAIMD(10, 5, 1, 0.5) },
-		func() { NewAIMD(1, 10, 0, 0.5) },
-		func() { NewAIMD(1, 10, 1, 1.0) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d did not panic", i)
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 // TestTogglerDegradedFallback: degraded ticks freeze learning, and after
 // more than DegradedAfter consecutive ones the toggler retreats to SafeMode
 // and stays there until trustworthy estimates resume.
@@ -320,7 +260,7 @@ func TestTogglerDegradedFallback(t *testing.T) {
 		SafeMode: BatchOff, DegradedAfter: 3,
 	}
 	tog := NewToggler(PreferThroughput{}, cfg, BatchOn, rand.New(rand.NewSource(3)))
-	_, trustedBefore := tog.Score(BatchOn)
+	scoreBefore, samplesBefore := tog.score[BatchOn].Value(), tog.samples[BatchOn]
 	for i := 0; i < 3; i++ {
 		if m := tog.ObserveDegraded(); m != BatchOn {
 			t.Fatalf("degraded tick %d switched early to %v", i, m)
@@ -333,7 +273,7 @@ func TestTogglerDegradedFallback(t *testing.T) {
 	if st.Degraded != 4 || st.SafeFallbacks != 1 {
 		t.Fatalf("stats = %+v, want Degraded 4, SafeFallbacks 1", st)
 	}
-	if _, trusted := tog.Score(BatchOn); trusted != trustedBefore {
+	if tog.score[BatchOn].Value() != scoreBefore || tog.samples[BatchOn] != samplesBefore {
 		t.Fatal("degraded ticks trained the mode scores")
 	}
 	// Further degraded ticks hold the safe mode without new fallbacks.

@@ -72,31 +72,3 @@ func TestUCBTogglerConcurrentObserve(t *testing.T) {
 		t.Fatalf("UCB1 decisions drew %d random numbers, want 0", src.draws)
 	}
 }
-
-// TestAIMDConcurrentObserve: concurrent grow/decay decisions must keep the
-// limit inside [Min, Max] at every observable instant.
-func TestAIMDConcurrentObserve(t *testing.T) {
-	a := NewAIMD(1448, 64<<10, 8<<10, 0.9)
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < 5000; i++ {
-				l := a.Observe(rng.Intn(2) == 0)
-				if l < a.Min || l > a.Max {
-					panic("limit escaped its bounds")
-				}
-				if got := a.Limit(); got < a.Min || got > a.Max {
-					panic("Limit() escaped its bounds")
-				}
-				_ = a.AtFloor()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if got := a.Limit(); got < a.Min || got > a.Max {
-		t.Fatalf("final limit %d outside [%d, %d]", got, a.Min, a.Max)
-	}
-}

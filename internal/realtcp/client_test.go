@@ -516,8 +516,6 @@ type fixedMode policy.Mode
 
 func (m fixedMode) Observe(time.Duration, float64, bool) policy.Mode { return policy.Mode(m) }
 func (m fixedMode) ObserveDegraded() policy.Mode                     { return policy.Mode(m) }
-func (m fixedMode) Mode() policy.Mode                                { return policy.Mode(m) }
-func (fixedMode) Stats() policy.TogglerStats                         { return policy.TogglerStats{} }
 
 // An engine applies its mode every tick; the socket hears about it only
 // when the mode changes, and a failing set is retried, and counted, every

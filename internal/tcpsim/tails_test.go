@@ -81,7 +81,7 @@ func TestExchangeTailsOffStaysV1(t *testing.T) {
 }
 
 // TestEnginePortComposesTailInSim: the full loop — simulated traffic, v2
-// exchanges, EnginePort samples, core.Estimator — yields a valid composed
+// exchanges, EnginePort samples, the engine estimator — yields a valid composed
 // tail with ordered quantiles; flipping only ExchangeTails off makes the
 // tail abstain on the same workload while the mean estimate survives.
 func TestEnginePortComposesTailInSim(t *testing.T) {

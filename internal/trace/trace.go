@@ -5,9 +5,10 @@
 // online peer exchange required.
 //
 // A Collector samples both endpoints of a simulated connection in every
-// unit mode; Analyze replays a log into per-interval core estimates. Logs
-// serialize to a plain text format so the offline analysis can genuinely be
-// run out of process (see cmd/e2efig -trace).
+// unit mode; Delays pairs two records of a log into the per-queue averages
+// the core estimate is computed from. Logs serialize to a plain text format
+// so the offline analysis can genuinely be run out of process (see
+// cmd/e2efig -trace).
 package trace
 
 import (
@@ -64,42 +65,32 @@ func (c *Collector) Stop() { c.ticker.Stop() }
 // Log returns the collected log.
 func (c *Collector) Log() *Log { return &c.log }
 
-// Point is one analyzed interval.
-type Point struct {
-	From, To sim.Time
-	Estimate core.Estimate
-}
-
-// Analyze derives per-interval end-to-end estimates for the given unit,
-// treating the client as "local" (its unacked queue carries the requests).
-func (l *Log) Analyze(unit tcpsim.Unit) []Point {
-	if len(l.Records) < 2 {
-		return nil
+// Delays analyzes one interval of the log in the given unit: from the first
+// record sampled at or after from (at latest the second-to-last) to the last
+// record. It returns both sides' per-queue averages over it, the client as
+// "local" (its unacked queue carries the requests); ok is false when the log
+// holds fewer than two records.
+func (l *Log) Delays(from time.Duration, unit tcpsim.Unit) (local, remote core.Delays, ok bool) {
+	recs := l.Records
+	if len(recs) < 2 {
+		return core.Delays{}, core.Delays{}, false
 	}
-	pts := make([]Point, 0, len(l.Records)-1)
-	for i := 1; i < len(l.Records); i++ {
-		prev, now := l.Records[i-1], l.Records[i]
-		local := core.DelaysBetween(prev.Client[unit], now.Client[unit])
-		remote := core.DelaysBetween(prev.Server[unit], now.Server[unit])
-		pts = append(pts, Point{
-			From:     prev.At,
-			To:       now.At,
-			Estimate: core.EstimateE2E(local, remote),
-		})
+	i := 0
+	for i < len(recs)-1 && recs[i].At.Duration() < from {
+		i++
 	}
-	return pts
+	first, last := recs[i], recs[len(recs)-1]
+	return core.DelaysBetween(first.Client[unit], last.Client[unit]),
+		core.DelaysBetween(first.Server[unit], last.Server[unit]), true
 }
 
 // Overall analyzes the whole log as a single interval (first record to
 // last) — the steady-state estimate used for the Figure 4 curves.
 func (l *Log) Overall(unit tcpsim.Unit) core.Estimate {
-	n := len(l.Records)
-	if n < 2 {
+	local, remote, ok := l.Delays(0, unit)
+	if !ok {
 		return core.Estimate{}
 	}
-	first, last := l.Records[0], l.Records[n-1]
-	local := core.DelaysBetween(first.Client[unit], last.Client[unit])
-	remote := core.DelaysBetween(first.Server[unit], last.Server[unit])
 	return core.EstimateE2E(local, remote)
 }
 

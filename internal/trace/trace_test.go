@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"e2ebatch/internal/core"
 	"e2ebatch/internal/kv"
 	"e2ebatch/internal/loadgen"
 	"e2ebatch/internal/netem"
@@ -63,33 +64,56 @@ func TestOverallEstimateTracksMeasured(t *testing.T) {
 	}
 }
 
+// intervals estimates every adjacent pair of records of log through
+// Log.Delays on the two-record log the pair forms.
+func intervals(log *Log) []core.Estimate {
+	var out []core.Estimate
+	for i := 1; i < len(log.Records); i++ {
+		pair := Log{Records: log.Records[i-1 : i+1]}
+		local, remote, _ := pair.Delays(0, tcpsim.UnitBytes)
+		out = append(out, core.EstimateE2E(local, remote))
+	}
+	return out
+}
+
 func TestAnalyzeProducesIntervals(t *testing.T) {
 	log, _ := runTraced(t, 10000)
-	pts := log.Analyze(tcpsim.UnitBytes)
-	if len(pts) != len(log.Records)-1 {
-		t.Fatalf("points = %d, want %d", len(pts), len(log.Records)-1)
-	}
 	valid := 0
-	for _, p := range pts {
-		if p.To <= p.From {
-			t.Fatal("interval not ordered")
-		}
-		if p.Estimate.Valid {
+	for _, e := range intervals(log) {
+		if e.Valid {
 			valid++
 		}
 	}
-	if valid < len(pts)/2 {
-		t.Fatalf("only %d/%d intervals valid", valid, len(pts))
+	if n := len(log.Records) - 1; valid < n/2 {
+		t.Fatalf("only %d/%d intervals valid", valid, n)
+	}
+	// The window starts at the first record sampled at or after from, and
+	// never later than the second-to-last record.
+	at := log.Records[10].At
+	want := core.EstimateE2E(
+		core.DelaysBetween(log.Records[10].Client[tcpsim.UnitBytes], log.Records[len(log.Records)-1].Client[tcpsim.UnitBytes]),
+		core.DelaysBetween(log.Records[10].Server[tcpsim.UnitBytes], log.Records[len(log.Records)-1].Server[tcpsim.UnitBytes]))
+	for _, from := range []time.Duration{at.Duration() - 1, at.Duration()} {
+		if local, remote, ok := log.Delays(from, tcpsim.UnitBytes); !ok || core.EstimateE2E(local, remote) != want {
+			t.Fatalf("Delays(%v) does not start at record 10", from)
+		}
+	}
+	if _, _, ok := log.Delays(time.Hour, tcpsim.UnitBytes); !ok {
+		t.Fatal("a window starting after the log must still pair its last two records")
 	}
 }
 
 func TestAnalyzeEmptyLogs(t *testing.T) {
 	var l Log
-	if pts := l.Analyze(tcpsim.UnitBytes); pts != nil {
-		t.Fatal("empty log produced points")
+	if _, _, ok := l.Delays(0, tcpsim.UnitBytes); ok {
+		t.Fatal("empty log produced an interval")
+	}
+	l.Records = make([]Record, 1)
+	if _, _, ok := l.Delays(0, tcpsim.UnitBytes); ok {
+		t.Fatal("one-record log produced an interval")
 	}
 	if est := l.Overall(tcpsim.UnitBytes); est.Valid {
-		t.Fatal("empty log produced estimate")
+		t.Fatal("one-record log produced estimate")
 	}
 }
 
@@ -156,8 +180,7 @@ func TestReadLogEmptyAndBlankLines(t *testing.T) {
 func damageCheck(t *testing.T, name string, log *Log) int {
 	t.Helper()
 	valid := 0
-	for _, p := range log.Analyze(tcpsim.UnitBytes) {
-		e := p.Estimate
+	for _, e := range intervals(log) {
 		if e.Latency < 0 || e.Throughput < 0 || e.Throughput != e.Throughput {
 			t.Fatalf("%s: garbage interval %+v", name, e)
 		}

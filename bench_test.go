@@ -69,15 +69,11 @@ func BenchmarkFigure1(b *testing.B) {
 // BenchmarkFigure2 regenerates Figure 2: the fixed-load bare-metal vs VM
 // client comparison whose outcome flips with client-side cost.
 func BenchmarkFigure2(b *testing.B) {
-	cal := figures.DefaultCalib()
-	var out *figures.Fig2Out
-	for i := 0; i < b.N; i++ {
-		out = figures.Fig2(cal, benchDur, 11)
-	}
-	printOnce(b, "fig2", func() { figures.WriteFig2(os.Stdout, out) })
-	b.ReportMetric(out.VM.ClientCPU/out.Bare.ClientCPU, "vm-client-cpu-x")
-	b.ReportMetric(boolMetric(out.Bare.NagleHelps), "bare-nagle-helps")
-	b.ReportMetric(boolMetric(out.VM.NagleHelps), "vm-nagle-helps")
+	s := benchSweep(b, "2", 11)
+	cpu, nagle := col[float64](b, s, "cliCPU"), col[string](b, s, "nagle")
+	b.ReportMetric(cpu[1]/cpu[0], "vm-client-cpu-x")
+	b.ReportMetric(boolMetric(nagle[0] == "helps"), "bare-nagle-helps")
+	b.ReportMetric(boolMetric(nagle[1] == "helps"), "vm-nagle-helps")
 }
 
 // BenchmarkFigure4a regenerates the Figure 4a sweep: measured and estimated
@@ -85,75 +81,97 @@ func BenchmarkFigure2(b *testing.B) {
 // SLO-range extension (paper: 1.93×) and the latency gain at the boundary
 // (paper: 2.80×).
 func BenchmarkFigure4a(b *testing.B) {
-	cal := figures.DefaultCalib()
-	var out *figures.Fig4Out
-	for i := 0; i < b.N; i++ {
-		out = figures.Fig4a(cal, figures.DefaultFig4Rates(), benchDur, 7)
-	}
-	printOnce(b, "fig4a", func() { figures.WriteFig4(os.Stdout, out) })
-	b.ReportMetric(out.Extension, "slo-extension-x")
-	b.ReportMetric(out.LatencyGain, "latency-gain-x")
-	b.ReportMetric(out.MeasuredCutoff/1000, "cutoff-meas-kRPS")
-	b.ReportMetric(out.EstimatedCutoff/1000, "cutoff-est-kRPS")
+	s := benchSweep(b, "4a", 7)
+	b.ReportMetric(stat[float64](b, s, "extension"), "slo-extension-x")
+	b.ReportMetric(stat[float64](b, s, "latency gain"), "latency-gain-x")
+	b.ReportMetric(stat[float64](b, s, "measured cutoff"), "cutoff-meas-kRPS")
+	b.ReportMetric(stat[float64](b, s, "estimated cutoff"), "cutoff-est-kRPS")
 }
 
 // BenchmarkFigure4b regenerates the Figure 4b sweep (95:5 SET:GET mix with
 // 16 KiB GET responses) — the heterogeneous workload on which byte-based
 // estimation degrades.
 func BenchmarkFigure4b(b *testing.B) {
-	cal := figures.DefaultCalib()
-	var out *figures.Fig4Out
-	for i := 0; i < b.N; i++ {
-		out = figures.Fig4b(cal, figures.DefaultFig4Rates(), benchDur, 7)
-	}
-	printOnce(b, "fig4b", func() { figures.WriteFig4(os.Stdout, out) })
-	b.ReportMetric(out.Extension, "slo-extension-x")
-	b.ReportMetric(out.MeasuredCutoff/1000, "cutoff-meas-kRPS")
-	b.ReportMetric(out.EstimatedCutoff/1000, "cutoff-est-kRPS")
+	s := benchSweep(b, "4b", 7)
+	b.ReportMetric(stat[float64](b, s, "extension"), "slo-extension-x")
+	b.ReportMetric(stat[float64](b, s, "measured cutoff"), "cutoff-meas-kRPS")
+	b.ReportMetric(stat[float64](b, s, "estimated cutoff"), "cutoff-est-kRPS")
 }
 
 // BenchmarkDynamicToggle regenerates the dynamic-toggling experiment: the
 // paper's "had they been used to dynamically toggle Nagle batching" (§4)
 // run as a closed ε-greedy loop against both static baselines.
 func BenchmarkDynamicToggle(b *testing.B) {
-	cal := figures.DefaultCalib()
-	rates := []float64{10000, 30000, 45000, 60000}
-	var out *figures.ToggleOut
-	for i := 0; i < b.N; i++ {
-		out = figures.Toggle(cal, rates, benchDur, 7)
-	}
-	printOnce(b, "toggle", func() { figures.WriteToggle(os.Stdout, out) })
-	last := out.Points[len(out.Points)-1]
-	b.ReportMetric(float64(last.Off)/float64(last.Dynamic), "dyn-vs-off-x")
-	b.ReportMetric(100*last.OnShare, "on-share-%")
+	s := benchSweep(b, "toggle", 7)
+	off, dyn, share := col[time.Duration](b, s, "off"), col[time.Duration](b, s, "dynamic"), col[float64](b, s, "on-share")
+	last := len(s.Rows) - 1
+	b.ReportMetric(float64(off[last])/float64(dyn[last]), "dyn-vs-off-x")
+	b.ReportMetric(share[last], "on-share-%")
 }
 
 // BenchmarkHints regenerates the semantic-gap table (§3.3): per-unit
 // estimation error vs the create/complete hints on the heterogeneous
 // workload with a syscall-batching client.
 func BenchmarkHints(b *testing.B) {
-	cal := figures.DefaultCalib()
-	var out *figures.HintsOut
-	for i := 0; i < b.N; i++ {
-		out = figures.Hints(cal, []float64{10000, 30000}, benchDur, 7, 4)
-	}
-	printOnce(b, "hints", func() { figures.WriteHints(os.Stdout, out) })
-	r := out.Rows[0]
-	b.ReportMetric(100*errOf(r.Hints, r.Measured), "hint-err-%")
-	b.ReportMetric(100*errOf(r.ByUnit[tcpsim.UnitBytes], r.Measured), "bytes-err-%")
+	s := benchSweep(b, "hints", 7)
+	meas := col[time.Duration](b, s, "measured")[0]
+	b.ReportMetric(100*errOf(col[core.Estimate](b, s, "hints")[0].Latency, meas), "hint-err-%")
+	b.ReportMetric(100*errOf(col[core.Estimate](b, s, "bytes")[0].Latency, meas), "bytes-err-%")
 }
 
 // BenchmarkAIMD regenerates the §5 AIMD batch-limit experiment: gradual
 // cork adaptation instead of on/off toggling.
 func BenchmarkAIMD(b *testing.B) {
-	cal := figures.DefaultCalib()
-	var out *figures.AIMDOut
-	for i := 0; i < b.N; i++ {
-		out = figures.AIMD(cal, []float64{10000, 60000}, benchDur, 7)
+	s := benchSweep(b, "aimd", 7)
+	cork := col[int](b, s, "final cork")
+	b.ReportMetric(float64(cork[0]), "low-load-cork-B")
+	b.ReportMetric(float64(cork[1]), "high-load-cork-B")
+}
+
+// figure returns the e2efig figure called name.
+func figure(tb testing.TB, name string) figures.Figure {
+	tb.Helper()
+	f, ok := figures.Lookup(name)
+	if !ok {
+		tb.Fatalf("no figure %q", name)
 	}
-	printOnce(b, "aimd", func() { figures.WriteAIMD(os.Stdout, out) })
-	b.ReportMetric(float64(out.Rows[0].FinalCork), "low-load-cork-B")
-	b.ReportMetric(float64(out.Rows[1].FinalCork), "high-load-cork-B")
+	return f
+}
+
+// benchSweep runs the e2efig figure called name b.N times at benchDur and
+// the given seed, prints its table once and returns the last run.
+func benchSweep(b *testing.B, name string, seed int64) *figures.Sweep {
+	b.Helper()
+	f := figure(b, name)
+	p := figures.Params{Calib: figures.DefaultCalib(), Dur: benchDur, Seed: seed, SyscallBatch: 4}
+	var s *figures.Sweep
+	for i := 0; i < b.N; i++ {
+		s = f.Sweep(p)
+	}
+	printOnce(b, name, func() { s.Write(os.Stdout) })
+	return s
+}
+
+// col reads the cells of the column headed name, failing on a name the
+// sweep lacks.
+func col[T any](tb testing.TB, s *figures.Sweep, name string) []T {
+	tb.Helper()
+	v, err := figures.Col[T](s, name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return v
+}
+
+// stat reads the value printed under the table as name, failing on a name
+// the sweep does not print.
+func stat[T any](tb testing.TB, s *figures.Sweep, name string) T {
+	tb.Helper()
+	v, err := figures.Stat[T](s, name)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return v
 }
 
 func boolMetric(v bool) float64 {
@@ -460,81 +478,51 @@ func BenchmarkObserveTick(b *testing.B) {
 // BenchmarkTickAblation regenerates the §5 toggling-granularity ablation:
 // decision-tick period vs dynamic-policy quality at a high load.
 func BenchmarkTickAblation(b *testing.B) {
-	cal := figures.DefaultCalib()
-	ivs := []time.Duration{200 * time.Microsecond, time.Millisecond, 5 * time.Millisecond, 20 * time.Millisecond}
-	var out *figures.TickAblationOut
-	for i := 0; i < b.N; i++ {
-		out = figures.TickAblation(cal, 50000, ivs, benchDur, 7)
-	}
-	printOnce(b, "tick", func() { figures.WriteTickAblation(os.Stdout, out) })
-	b.ReportMetric(100*out.Rows[0].OnShare, "finest-on-share-%")
-	b.ReportMetric(100*out.Rows[len(out.Rows)-1].OnShare, "coarsest-on-share-%")
+	s := benchSweep(b, "tick", 7)
+	share := col[float64](b, s, "on-share")
+	b.ReportMetric(share[0], "finest-on-share-%")
+	b.ReportMetric(share[len(share)-1], "coarsest-on-share-%")
 }
 
 // BenchmarkExchangeAblation regenerates the §5 metadata-exchange-frequency
 // ablation: estimates must stay accurate as exchanges become rare.
 func BenchmarkExchangeAblation(b *testing.B) {
-	cal := figures.DefaultCalib()
-	ivs := []time.Duration{0, time.Millisecond, 10 * time.Millisecond, 50 * time.Millisecond}
-	var out *figures.ExchangeAblationOut
-	for i := 0; i < b.N; i++ {
-		out = figures.ExchangeAblation(cal, 35000, ivs, benchDur, 7)
-	}
-	printOnce(b, "exchange", func() { figures.WriteExchangeAblation(os.Stdout, out) })
-	first, last := out.Rows[0], out.Rows[len(out.Rows)-1]
-	b.ReportMetric(float64(first.Exchanges), "exchanges-everyseg")
-	b.ReportMetric(float64(last.Exchanges), "exchanges-50ms")
-	b.ReportMetric(100*errOf(last.OnlineAvg, first.OnlineAvg), "estimate-drift-%")
+	s := benchSweep(b, "exchange", 7)
+	ex, online := col[uint64](b, s, "exchanges"), col[time.Duration](b, s, "online est")
+	last := len(s.Rows) - 1
+	b.ReportMetric(float64(ex[0]), "exchanges-everyseg")
+	b.ReportMetric(float64(ex[last]), "exchanges-50ms")
+	b.ReportMetric(100*errOf(online[last], online[0]), "estimate-drift-%")
 }
 
 // BenchmarkMultiConn regenerates the multi-connection aggregation
 // experiment (§3.2): per-connection estimates combined into one policy
 // decision covering all connections.
 func BenchmarkMultiConn(b *testing.B) {
-	cal := figures.DefaultCalib()
-	var out *figures.MultiConnOut
-	for i := 0; i < b.N; i++ {
-		out = figures.MultiConn(cal, 4, 50000, benchDur, 7)
-	}
-	printOnce(b, "multiconn", func() { figures.WriteMultiConn(os.Stdout, out) })
-	b.ReportMetric(100*errOf(out.Aggregate.Latency, out.Measured), "agg-err-%")
-	b.ReportMetric(float64(out.Measured)/float64(out.DynamicMeasured), "dyn-rescue-x")
+	s := benchSweep(b, "multiconn", 7)
+	measured := stat[time.Duration](b, s, "measured")
+	b.ReportMetric(100*errOf(stat[core.Estimate](b, s, "aggregate").Latency, measured), "agg-err-%")
+	b.ReportMetric(float64(measured)/float64(stat[time.Duration](b, s, "dynamic")), "dyn-rescue-x")
 }
 
 // BenchmarkCScan regenerates the client-cost sweep: Figure 1's c-axis in
 // the full system.
 func BenchmarkCScan(b *testing.B) {
-	cal := figures.DefaultCalib()
-	var out *figures.CScanOut
-	for i := 0; i < b.N; i++ {
-		out = figures.CScan(cal, []float64{1, 1.25, 1.5, 1.75, 2, 2.5}, benchDur, 11)
-	}
-	printOnce(b, "cscan", func() { figures.WriteCScan(os.Stdout, out) })
-	b.ReportMetric(out.FlipScale, "flip-scale")
+	s := benchSweep(b, "cscan", 11)
+	b.ReportMetric(stat[float64](b, s, "flip scale"), "flip-scale")
 }
 
 // BenchmarkBanditCompare regenerates the ε-greedy vs UCB1 controller
 // comparison.
 func BenchmarkBanditCompare(b *testing.B) {
-	cal := figures.DefaultCalib()
-	var out *figures.PolicyCompareOut
-	for i := 0; i < b.N; i++ {
-		out = figures.PolicyCompare(cal, []float64{10000, 45000, 60000}, benchDur, 7)
-	}
-	printOnce(b, "bandits", func() { figures.WritePolicyCompare(os.Stdout, out) })
-	r := out.Rows[1]
-	b.ReportMetric(float64(r.EpsGreedy)/float64(time.Microsecond), "eps-45k-us")
-	b.ReportMetric(float64(r.UCB)/float64(time.Microsecond), "ucb-45k-us")
+	s := benchSweep(b, "bandits", 7)
+	b.ReportMetric(float64(col[time.Duration](b, s, "ε-greedy")[1])/float64(time.Microsecond), "eps-45k-us")
+	b.ReportMetric(float64(col[time.Duration](b, s, "ucb1")[1])/float64(time.Microsecond), "ucb-45k-us")
 }
 
 // BenchmarkLossRobustness regenerates the estimator-under-loss sweep.
 func BenchmarkLossRobustness(b *testing.B) {
-	cal := figures.DefaultCalib()
-	var out *figures.LossOut
-	for i := 0; i < b.N; i++ {
-		out = figures.LossRobustness(cal, 20000, []float64{0, 0.001, 0.01}, benchDur, 7)
-	}
-	printOnce(b, "loss", func() { figures.WriteLoss(os.Stdout, out) })
-	lossy := out.Rows[len(out.Rows)-1]
-	b.ReportMetric(100*errOf(lossy.EstBytes, lossy.Measured), "lossy-est-err-%")
+	s := benchSweep(b, "loss", 7)
+	// The 1 % row of the figure's 0 / 0.1 / 1 / 5 % grid.
+	b.ReportMetric(100*errOf(col[core.Estimate](b, s, "est (bytes)")[2].Latency, col[time.Duration](b, s, "measured")[2]), "lossy-est-err-%")
 }

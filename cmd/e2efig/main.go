@@ -74,6 +74,13 @@ func main() {
 		}
 	}
 
+	// The fault plan is checked before any figure renders, as -rates is:
+	// `-fig all` would otherwise print thirteen tables before failing.
+	if _, err := faults.Standard(*faultPlan, *dur); err != nil {
+		fmt.Fprintf(os.Stderr, "e2efig: unknown -faults plan %q (known: %s)\n", *faultPlan, strings.Join(faults.Names(), ", "))
+		os.Exit(2)
+	}
+
 	if *spansOut != "" {
 		if err := dumpSpans(cal, *spansOut, *dur, *seed, *spanEvery); err != nil {
 			fmt.Fprintln(os.Stderr, "e2efig:", err)

@@ -16,14 +16,13 @@ import (
 
 func main() {
 	cal := figures.DefaultCalib()
-	rates := []float64{10000, 25000, 40000, 55000, 70000}
-	dur := 400 * time.Millisecond
+	toggle, _ := figures.Lookup("toggle")
 
 	fmt.Println("Simulated Redis, 16 KiB SET workload; SLO", cal.SLO)
 	fmt.Println("Dynamic = ε-greedy toggling driven by live Little's-law estimates")
 	fmt.Println()
-	out := figures.Toggle(cal, rates, dur, 7)
-	figures.WriteToggle(os.Stdout, out)
+	toggle.Render(os.Stdout, figures.Params{Calib: cal, Dur: 400 * time.Millisecond, Seed: 7,
+		Rates: []float64{10000, 25000, 40000, 55000, 70000}})
 
 	fmt.Println()
 	fmt.Println("Reading the table: at low load both modes meet the SLO, so the")

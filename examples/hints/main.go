@@ -16,19 +16,20 @@ import (
 )
 
 func main() {
-	cal := figures.DefaultCalib()
-	rates := []float64{10000, 30000}
-	dur := 300 * time.Millisecond
+	hints, _ := figures.Lookup("hints")
+	p := figures.Params{Calib: figures.DefaultCalib(), Dur: 300 * time.Millisecond, Seed: 7, Rates: []float64{10000, 30000}}
 
 	fmt.Println("Workload: 95% SET (16 KiB values) / 5% GET (16 KiB responses)")
 	fmt.Println()
 
 	fmt.Println("-- cooperative syscalls: one request per send(2) --")
-	figures.WriteHints(os.Stdout, figures.Hints(cal, rates, dur, 7, 1))
+	p.SyscallBatch = 1
+	hints.Render(os.Stdout, p)
 	fmt.Println()
 
 	fmt.Println("-- syscall batching: four requests per send(2) --")
-	figures.WriteHints(os.Stdout, figures.Hints(cal, rates, dur, 7, 4))
+	p.SyscallBatch = 4
+	hints.Render(os.Stdout, p)
 	fmt.Println()
 
 	fmt.Println("Bytes/packets track stack residency only (and weight large GET")

@@ -80,18 +80,18 @@ func TestOnlineEstimateMatchesOfflineAnalysis(t *testing.T) {
 // estimates usable for toggling decisions even where their absolute values
 // drift.
 func TestEstimateOrderingPredictsBatchingWinner(t *testing.T) {
-	cal := figures.DefaultCalib()
-	f := figures.Fig4a(cal, []float64{5000, 15000, 45000, 60000}, 200*time.Millisecond, 3)
-	for _, p := range f.Points {
-		mOff, mOn := p.Off.Measured, p.On.Measured
-		eOff, eOn := p.Off.Est[tcpsim.UnitBytes].Latency, p.On.Est[tcpsim.UnitBytes].Latency
+	s := figure(t, "4a").Sweep(figures.Params{Calib: figures.DefaultCalib(), Dur: 200 * time.Millisecond, Seed: 3,
+		Rates: []float64{5000, 15000, 45000, 60000}})
+	for _, r := range s.Rows {
+		mOff, mOn := r.Runs[0].Res.Latency.Mean(), r.Runs[1].Res.Latency.Mean()
+		eOff, eOn := r.Runs[0].Est[tcpsim.UnitBytes].Latency, r.Runs[1].Est[tcpsim.UnitBytes].Latency
 		margin := float64(mOff)/float64(mOn) > 1.3 || float64(mOn)/float64(mOff) > 1.3
 		if !margin {
 			continue
 		}
 		if (mOff < mOn) != (eOff < eOn) {
 			t.Errorf("rate %v: measured ranks (%v vs %v) but estimates rank (%v vs %v)",
-				p.Rate, mOff, mOn, eOff, eOn)
+				r.Specs[0].Rate, mOff, mOn, eOff, eOn)
 		}
 	}
 }

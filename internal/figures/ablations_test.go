@@ -1,9 +1,10 @@
 package figures
 
 import (
-	"bytes"
 	"testing"
 	"time"
+
+	"e2ebatch/internal/core"
 )
 
 // TestExchangeFrequencyInvariance asserts §5's claim that reducing the
@@ -11,29 +12,24 @@ import (
 // estimate stays put while the exchange count drops by orders of magnitude.
 func TestExchangeFrequencyInvariance(t *testing.T) {
 	skipIfShort(t)
-	cal := DefaultCalib()
 	ivs := []time.Duration{0, time.Millisecond, 50 * time.Millisecond}
-	out := ExchangeAblation(cal, 35000, ivs, 300*time.Millisecond, 7)
-	if len(out.Rows) != 3 {
-		t.Fatalf("rows = %d", len(out.Rows))
+	s := exchange(Params{Calib: DefaultCalib(), Dur: 300 * time.Millisecond, Seed: 7}, 35000, ivs).run()
+	if len(s.Rows) != 3 {
+		t.Fatalf("rows = %d", len(s.Rows))
 	}
-	base := out.Rows[0]
-	if base.Count == 0 || base.OnlineAvg == 0 {
-		t.Fatalf("baseline produced no online estimates: %+v", base)
+	ex, online, ticks := col[uint64](t, s, "exchanges"), col[time.Duration](t, s, "online est"), col[int](t, s, "ticks")
+	if ticks[0] == 0 || online[0] == 0 {
+		t.Fatalf("baseline produced no online estimates: %d ticks, %v", ticks[0], online[0])
 	}
-	for _, r := range out.Rows[1:] {
-		if r.Exchanges >= base.Exchanges/10 {
-			t.Errorf("interval %v: %d exchanges vs baseline %d — rate limit ineffective", r.Interval, r.Exchanges, base.Exchanges)
+	for i := 1; i < len(ivs); i++ {
+		if ex[i] >= ex[0]/10 {
+			t.Errorf("interval %v: %d exchanges vs baseline %d — rate limit ineffective", ivs[i], ex[i], ex[0])
 		}
-		if e := relErr(r.OnlineAvg, base.OnlineAvg); e > 0.10 {
-			t.Errorf("interval %v: online estimate %v vs baseline %v (%.0f%% drift)", r.Interval, r.OnlineAvg, base.OnlineAvg, 100*e)
+		if e := relErr(online[i], online[0]); e > 0.10 {
+			t.Errorf("interval %v: online estimate %v vs baseline %v (%.0f%% drift)", ivs[i], online[i], online[0], 100*e)
 		}
 	}
-	var buf bytes.Buffer
-	WriteExchangeAblation(&buf, out)
-	if buf.Len() == 0 {
-		t.Fatal("empty table")
-	}
+	checkRenders(t, s)
 }
 
 // TestTickGranularityTradeoff asserts §5's reaction-speed observation:
@@ -41,27 +37,23 @@ func TestExchangeFrequencyInvariance(t *testing.T) {
 // mode collapses, while very coarse ticks react too slowly within the run.
 func TestTickGranularityTradeoff(t *testing.T) {
 	skipIfShort(t)
-	cal := DefaultCalib()
 	ivs := []time.Duration{200 * time.Microsecond, 20 * time.Millisecond}
-	out := TickAblation(cal, 50000, ivs, 500*time.Millisecond, 7)
-	fine, coarse := out.Rows[0], out.Rows[1]
-	if fine.Dynamic > 2*out.StaticOn {
-		t.Errorf("fine tick: dynamic %v vs static-on %v", fine.Dynamic, out.StaticOn)
+	s := tick(Params{Calib: DefaultCalib(), Dur: 500 * time.Millisecond, Seed: 7}, 50000, ivs).run()
+	staticOn := s.Base.Runs[0].Res.Latency.Mean()
+	dyn, share := col[time.Duration](t, s, "dynamic"), col[float64](t, s, "on-share") // percent
+	if dyn[0] > 2*staticOn {
+		t.Errorf("fine tick: dynamic %v vs static-on %v", dyn[0], staticOn)
 	}
-	if fine.OnShare < 0.6 {
-		t.Errorf("fine tick: on-share %.0f%%, want majority", 100*fine.OnShare)
+	if share[0] < 60 {
+		t.Errorf("fine tick: on-share %.0f%%, want majority", share[0])
 	}
-	if coarse.OnShare >= fine.OnShare {
-		t.Errorf("coarse tick reacted as fast as fine: %.0f%% vs %.0f%%", 100*coarse.OnShare, 100*fine.OnShare)
+	if share[1] >= share[0] {
+		t.Errorf("coarse tick reacted as fast as fine: %.0f%% vs %.0f%%", share[1], share[0])
 	}
-	if coarse.Dynamic <= fine.Dynamic {
-		t.Errorf("coarse tick latency %v should exceed fine %v at this load", coarse.Dynamic, fine.Dynamic)
+	if dyn[1] <= dyn[0] {
+		t.Errorf("coarse tick latency %v should exceed fine %v at this load", dyn[1], dyn[0])
 	}
-	var buf bytes.Buffer
-	WriteTickAblation(&buf, out)
-	if buf.Len() == 0 {
-		t.Fatal("empty table")
-	}
+	checkRenders(t, s)
 }
 
 // TestCScanFlip asserts the c-axis behaviour in the full system: batching
@@ -69,27 +61,23 @@ func TestTickGranularityTradeoff(t *testing.T) {
 // flip is monotone-ish along the sweep.
 func TestCScanFlip(t *testing.T) {
 	skipIfShort(t)
-	cal := DefaultCalib()
 	// Sweep only up to 2x: beyond that the slow client itself saturates
 	// under batching-off and batching flips back to helpful (it cuts the
 	// client's per-wakeup work) — richer than Figure 1, verified by the
 	// CLI's wider sweep.
-	out := CScan(cal, []float64{1, 1.5, 2}, 300*time.Millisecond, 11)
-	if !out.Rows[0].NagleHelps {
-		t.Errorf("scale 1: batching should help (off=%v on=%v)", out.Rows[0].LatOff, out.Rows[0].LatOn)
+	s := cscan(Params{Calib: DefaultCalib(), Dur: 300 * time.Millisecond, Seed: 11}, []float64{1, 1.5, 2}).run()
+	verdict := col[string](t, s, "batching")
+	off, on := col[time.Duration](t, s, "lat (off)"), col[time.Duration](t, s, "lat (on)")
+	if verdict[0] != "helps" {
+		t.Errorf("scale 1: batching should help (off=%v on=%v)", off[0], on[0])
 	}
-	last := out.Rows[len(out.Rows)-1]
-	if last.NagleHelps {
-		t.Errorf("scale %.1f: batching should hurt (off=%v on=%v)", last.Scale, last.LatOff, last.LatOn)
+	if last := len(s.Rows) - 1; verdict[last] == "helps" {
+		t.Errorf("scale %.1f: batching should hurt (off=%v on=%v)", s.Rows[last].Specs[0].ClientScale, off[last], on[last])
 	}
-	if out.FlipScale <= 1 || out.FlipScale > 2 {
-		t.Errorf("flip scale = %v, want within (1, 2]", out.FlipScale)
+	if flip := statOf[float64](t, s, "flip scale"); flip <= 1 || flip > 2 {
+		t.Errorf("flip scale = %v, want within (1, 2]", flip)
 	}
-	var buf bytes.Buffer
-	WriteCScan(&buf, out)
-	if buf.Len() == 0 {
-		t.Fatal("empty table")
-	}
+	checkRenders(t, s)
 }
 
 // TestPolicyComparison: both bandit controllers must handle the mid-load
@@ -100,47 +88,40 @@ func TestCScanFlip(t *testing.T) {
 func TestPolicyComparison(t *testing.T) {
 	skipIfShort(t)
 	cal := DefaultCalib()
-	out := PolicyCompare(cal, []float64{45000}, 500*time.Millisecond, 7)
-	r := out.Rows[0]
-	if r.EpsGreedy > cal.SLO {
-		t.Errorf("ε-greedy %v violates SLO at 45k", r.EpsGreedy)
+	s := bandits(Params{Calib: cal, Dur: 500 * time.Millisecond, Seed: 7}, []float64{45000}).run()
+	if eps := col[time.Duration](t, s, "ε-greedy")[0]; eps > cal.SLO {
+		t.Errorf("ε-greedy %v violates SLO at 45k", eps)
 	}
-	if r.UCB > cal.SLO {
-		t.Errorf("UCB1 %v violates SLO at 45k", r.UCB)
+	if ucb := col[time.Duration](t, s, "ucb1")[0]; ucb > cal.SLO {
+		t.Errorf("UCB1 %v violates SLO at 45k", ucb)
 	}
-	if r.EpsOnShare < 0.6 || r.UCBOnShare < 0.6 {
-		t.Errorf("residency: eps %.0f%% ucb %.0f%%", 100*r.EpsOnShare, 100*r.UCBOnShare)
+	// Both arms head an "on-share" column, so the residency is read from
+	// the runs.
+	if eps, ucb := s.Rows[0].Runs[0].OnShare, s.Rows[0].Runs[1].OnShare; eps < 0.6 || ucb < 0.6 {
+		t.Errorf("residency: eps %.0f%% ucb %.0f%%", 100*eps, 100*ucb)
 	}
-	var buf bytes.Buffer
-	WritePolicyCompare(&buf, out)
-	if buf.Len() == 0 {
-		t.Fatal("empty table")
-	}
+	checkRenders(t, s)
 }
 
 // TestLossRobustness: under packet loss with recovery, measured and
 // estimated latency inflate together — the estimator degrades gracefully
 // rather than diverging.
 func TestLossRobustness(t *testing.T) {
-	cal := DefaultCalib()
-	out := LossRobustness(cal, 20000, []float64{0, 0.01}, 300*time.Millisecond, 7)
-	clean, lossy := out.Rows[0], out.Rows[1]
-	if lossy.Retransmits == 0 {
+	s := loss(Params{Calib: DefaultCalib(), Dur: 300 * time.Millisecond, Seed: 7}, 20000, []float64{0, 0.01}).run()
+	meas, est := col[time.Duration](t, s, "measured"), col[core.Estimate](t, s, "est (bytes)")
+	if col[uint64](t, s, "retransmits")[1] == 0 {
 		t.Fatal("no retransmissions at 1% loss")
 	}
-	if lossy.Measured < 5*clean.Measured {
-		t.Fatalf("1%% loss measured %v vs clean %v: recovery delay missing", lossy.Measured, clean.Measured)
+	if meas[1] < 5*meas[0] {
+		t.Fatalf("1%% loss measured %v vs clean %v: recovery delay missing", meas[1], meas[0])
 	}
-	if lossy.EstBytes < 5*clean.EstBytes {
-		t.Fatalf("1%% loss estimate %v vs clean %v: estimator blind to recovery", lossy.EstBytes, clean.EstBytes)
+	clean, lossy := estLat(est[0]), estLat(est[1])
+	if lossy < 5*clean {
+		t.Fatalf("1%% loss estimate %v vs clean %v: estimator blind to recovery", lossy, clean)
 	}
 	// Same order of magnitude: the estimate must track the blowup.
-	if e := relErr(lossy.EstBytes, lossy.Measured); e > 0.6 {
-		t.Fatalf("lossy estimate %v vs measured %v (%.0f%%)", lossy.EstBytes, lossy.Measured, 100*e)
+	if e := relErr(lossy, meas[1]); e > 0.6 {
+		t.Fatalf("lossy estimate %v vs measured %v (%.0f%%)", lossy, meas[1], 100*e)
 	}
-	var buf bytes.Buffer
-	WriteLoss(&buf, out)
-	if buf.Len() == 0 {
-		t.Fatal("empty table")
-	}
+	checkRenders(t, s)
 }

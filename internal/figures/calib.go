@@ -1,9 +1,13 @@
 // Package figures regenerates every table and figure of the paper's
-// evaluation on the simulated testbed: the Figure 1 outcome matrix, the
-// Figure 2 bare-metal/VM flip, the Figure 4a/4b load sweeps with measured
-// vs estimated latency and cutoff detection, plus the §5 extensions
-// (estimate-driven dynamic toggling, hint-based estimation, AIMD batch
-// limits).
+// evaluation on the simulated testbed. Run executes one experiment from a
+// RunSpec; Figures lists the tables e2efig renders. Figure 1 is the closed
+// form (Fig1). The thirteen simulated figures are each one Sweep: the runs of
+// one varied variable (offered load, client cost, tick, exchange interval,
+// loss), each row holding the arms compared at that value, with columns
+// read from the runs and lines derived across them. One writer renders every
+// sweep, and tests read its cells back by column name (Col, Stat). Fidelity
+// scores the workload zoo against the estimator and its rivals for the two
+// cmd/fidelity reports.
 //
 // Absolute values are calibrated, not measured — the constants below stand
 // in for two Xeon servers with 100 Gbps NICs (see DESIGN.md §2). The shape

@@ -3,11 +3,9 @@ package figures
 import (
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"e2ebatch/internal/analytic"
-	"e2ebatch/internal/core"
 	"e2ebatch/internal/loadgen"
 	"e2ebatch/internal/tcpsim"
 )
@@ -40,36 +38,23 @@ const (
 	NumPredictors
 )
 
+var predictorNames = [NumPredictors]string{"estimator", "analytic", "naive"}
+
 // String names the predictor.
-func (p Predictor) String() string {
-	switch p {
-	case PredEstimator:
-		return "estimator"
-	case PredAnalytic:
-		return "analytic"
-	case PredNaive:
-		return "naive"
-	}
-	return "unknown"
-}
+func (p Predictor) String() string { return predictorNames[p] }
 
 // FidelityPoint is one workload's ground truth and predictions.
 type FidelityPoint struct {
 	Workload loadgen.ZooWorkload
 	// RateEff is the shape-adjusted mean offered rate.
 	RateEff float64
-	// Truth is the sim ground truth: post-warmup mean latency; TruthP99
-	// the matching tail. Completed counts post-warmup samples.
+	// Truth is the sim ground truth: post-warmup mean latency. Completed
+	// counts post-warmup samples.
 	Truth     time.Duration
-	TruthP99  time.Duration
 	Completed uint64
 
-	// Est is the measured estimator's steady-state byte-unit estimate.
-	Est core.Estimate
-	// An is the analytic tandem prediction (with breakdown); Naive the
-	// byte-count strawman.
-	An    analytic.E2EOut
-	Naive time.Duration
+	// An is the analytic tandem prediction, with its per-stage breakdown.
+	An analytic.E2EOut
 
 	// Pred and Scored hold each predictor's latency and whether it
 	// produced one (an invalid estimate or unstable closed form abstains).
@@ -136,7 +121,7 @@ func Fidelity(cal Calib, dur time.Duration, seed int64) *FidelityOut {
 			TailCapture:  true,
 		}
 	}
-	outs := runAll(specs)
+	outs := RunMany(specs, Parallelism())
 
 	res := &FidelityOut{Seed: seed, Dur: dur}
 	for i, w := range zoo {
@@ -173,15 +158,13 @@ func scorePoint(cal Calib, z *zooRun) FidelityPoint {
 		Workload:  z.w,
 		RateEff:   z.rateEff,
 		Truth:     out.Res.Latency.Mean(),
-		TruthP99:  out.Res.Latency.Quantile(0.99),
 		Completed: out.Res.Latency.Count(),
 	}
 
 	// Predictor 1: the measured estimator (offline steady-state, byte
 	// units — the paper's prototype methodology).
-	pt.Est = out.Est[tcpsim.UnitBytes]
-	if pt.Est.Valid {
-		pt.Pred[PredEstimator] = pt.Est.Latency
+	if est := out.Est[tcpsim.UnitBytes]; est.Valid {
+		pt.Pred[PredEstimator] = est.Latency
 		pt.Scored[PredEstimator] = true
 	}
 
@@ -193,13 +176,12 @@ func scorePoint(cal Calib, z *zooRun) FidelityPoint {
 
 	mReq, _ := analytic.Moments(z.req)
 	mResp, _ := analytic.Moments(z.resp)
-	pt.Naive = analytic.NaiveByteDelay(mReq, mResp, float64(cal.Link.BitsPerSec), 2*cal.Link.Propagation)
-	pt.Pred[PredNaive] = pt.Naive
+	pt.Pred[PredNaive] = analytic.NaiveByteDelay(mReq, mResp, float64(cal.Link.BitsPerSec), 2*cal.Link.Propagation)
 	pt.Scored[PredNaive] = true
 
 	for p := Predictor(0); p < NumPredictors; p++ {
-		if pt.Scored[p] && pt.Truth > 0 {
-			pt.Err[p] = math.Abs(float64(pt.Pred[p])-float64(pt.Truth)) / float64(pt.Truth)
+		if pt.Scored[p] {
+			pt.Err[p] = relErr(pt.Pred[p], pt.Truth)
 		}
 	}
 	return pt
@@ -283,12 +265,6 @@ func judge(res *FidelityOut) []Hypothesis {
 			}
 		}
 		return nil
-	}
-	verdict := func(ok bool) string {
-		if ok {
-			return "CONFIRMED"
-		}
-		return "REFUTED"
 	}
 	var hs []Hypothesis
 
@@ -408,18 +384,14 @@ func WriteFidelity(w io.Writer, f *FidelityOut) {
 			pt.Workload.Name, pt.RateEff/1000, pt.Truth.Round(time.Microsecond),
 			fmtPred(pt, PredEstimator), fmtErrCol(pt, PredEstimator),
 			fmtPred(pt, PredAnalytic), fmtErrCol(pt, PredAnalytic), pt.An.MaxRho,
-			pt.Naive.Round(time.Microsecond), fmtErrCol(pt, PredNaive))
+			pt.Pred[PredNaive].Round(time.Microsecond), fmtErrCol(pt, PredNaive))
 	}
 	fmt.Fprintf(w, "workload-level E2E mean error:")
 	for p := Predictor(0); p < NumPredictors; p++ {
 		fmt.Fprintf(w, "  %s %.1f%% (%d/%d)", p, 100*f.MeanErr[p], f.ScoredN[p], len(f.Points))
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "hypotheses:")
-	for _, h := range f.Hypotheses {
-		fmt.Fprintf(w, "  %s %s: %s\n     claim: %s\n     evidence: %s\n",
-			h.ID, verdictMark(h.Verdict), h.Verdict, h.Claim, h.Evidence)
-	}
+	writeHypotheses(w, f.Hypotheses)
 }
 
 func fmtPred(pt *FidelityPoint, p Predictor) string {
@@ -436,11 +408,24 @@ func fmtErrCol(pt *FidelityPoint, p Predictor) string {
 	return fmt.Sprintf("%.1f%%", 100*pt.Err[p])
 }
 
-func verdictMark(v string) string {
-	if v == "CONFIRMED" {
-		return "[+]"
+// verdict names a hypothesis check's outcome.
+func verdict(ok bool) string {
+	if ok {
+		return "CONFIRMED"
 	}
-	return "[-]"
+	return "REFUTED"
+}
+
+// writeHypotheses renders the numbered claims closing both reports.
+func writeHypotheses(w io.Writer, hs []Hypothesis) {
+	fmt.Fprintln(w, "hypotheses:")
+	for _, h := range hs {
+		mark := "[-]"
+		if h.Verdict == "CONFIRMED" {
+			mark = "[+]"
+		}
+		fmt.Fprintf(w, "  %s %s: %s\n     claim: %s\n     evidence: %s\n", h.ID, mark, h.Verdict, h.Claim, h.Evidence)
+	}
 }
 
 // WriteFidelityBreakdown renders the analytic model's per-stage view for

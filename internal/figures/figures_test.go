@@ -2,9 +2,12 @@ package figures
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 
+	"e2ebatch/internal/core"
+	"e2ebatch/internal/loadgen"
 	"e2ebatch/internal/tcpsim"
 )
 
@@ -40,32 +43,69 @@ func TestFig1Matrix(t *testing.T) {
 	}
 }
 
+// col reads the cells of the column headed name, failing the test when the
+// sweep has no such column (or two) or its cells are not T.
+func col[T any](t testing.TB, s *Sweep, name string) []T {
+	t.Helper()
+	v, err := Col[T](s, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// statOf reads the value printed under the table as name, failing the test
+// when the sweep prints no such value.
+func statOf[T any](t testing.TB, s *Sweep, name string) T {
+	t.Helper()
+	v, err := Stat[T](s, name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// estLat is an estimate's latency, 0 when it abstained.
+func estLat(e core.Estimate) time.Duration {
+	if !e.Valid {
+		return 0
+	}
+	return e.Latency
+}
+
+// checkRenders fails when the sweep renders nothing.
+func checkRenders(t *testing.T, s *Sweep) {
+	t.Helper()
+	var buf bytes.Buffer
+	s.Write(&buf)
+	if buf.Len() == 0 {
+		t.Fatal("empty table")
+	}
+}
+
 // TestFig2Flip asserts the bare-metal/VM outcome flip at the fixed load:
 // same server-side behaviour, opposite best batching mode.
 func TestFig2Flip(t *testing.T) {
 	skipIfShort(t)
-	cal := DefaultCalib()
-	f := Fig2(cal, testDur, 11)
-	if !f.Bare.NagleHelps {
-		t.Errorf("bare metal: Nagle should help (off=%v on=%v)", f.Bare.LatOff, f.Bare.LatOn)
+	s := fig2(Params{Calib: DefaultCalib(), Dur: testDur, Seed: 11}).run()
+	nagle, cli, srv := col[string](t, s, "nagle"), col[float64](t, s, "cliCPU"), col[float64](t, s, "srvCPU")
+	off, on := col[time.Duration](t, s, "lat (off)"), col[time.Duration](t, s, "lat (on)")
+	if nagle[0] != "helps" {
+		t.Errorf("bare metal: Nagle should help (off=%v on=%v)", off[0], on[0])
 	}
-	if f.VM.NagleHelps {
-		t.Errorf("VM client: Nagle should hurt (off=%v on=%v)", f.VM.LatOff, f.VM.LatOn)
+	if nagle[1] == "helps" {
+		t.Errorf("VM client: Nagle should hurt (off=%v on=%v)", off[1], on[1])
 	}
 	// Figure 2a: the VM client burns noticeably more CPU.
-	if f.VM.ClientCPU < 1.3*f.Bare.ClientCPU {
-		t.Errorf("VM client CPU %.2f vs bare %.2f: expected a clear increase", f.VM.ClientCPU, f.Bare.ClientCPU)
+	if cli[1] < 1.3*cli[0] {
+		t.Errorf("VM client CPU %.2f vs bare %.2f: expected a clear increase", cli[1], cli[0])
 	}
 	// Figure 2b: the server sees the same workload either way.
-	ratio := f.VM.ServerCPU / f.Bare.ServerCPU
+	ratio := srv[1] / srv[0]
 	if ratio < 0.9 || ratio > 1.1 {
-		t.Errorf("server CPU changed with client config: %.2f vs %.2f", f.VM.ServerCPU, f.Bare.ServerCPU)
+		t.Errorf("server CPU changed with client config: %.2f vs %.2f", srv[1], srv[0])
 	}
-	var buf bytes.Buffer
-	WriteFig2(&buf, f)
-	if buf.Len() == 0 {
-		t.Fatal("empty table")
-	}
+	checkRenders(t, s)
 }
 
 // TestFig4aShape asserts the headline claims of Figure 4a on a coarse grid:
@@ -73,79 +113,81 @@ func TestFig2Flip(t *testing.T) {
 // and the estimates locate the same cutoff.
 func TestFig4aShape(t *testing.T) {
 	skipIfShort(t)
-	f := Fig4a(DefaultCalib(), []float64{5000, 20000, 35000, 50000, 70000, 85000}, testDur, 7)
+	s := fig4a(Params{Calib: DefaultCalib(), Dur: testDur, Seed: 7,
+		Rates: []float64{5000, 20000, 35000, 50000, 70000, 85000}}).run()
+	off, on := col[time.Duration](t, s, "meas off"), col[time.Duration](t, s, "meas on")
 
-	low := f.Points[0] // 5 kRPS
-	if low.On.Measured <= low.Off.Measured {
-		t.Errorf("at 5k: batching should hurt (off=%v on=%v)", low.Off.Measured, low.On.Measured)
+	if on[0] <= off[0] { // 5 kRPS
+		t.Errorf("at 5k: batching should hurt (off=%v on=%v)", off[0], on[0])
 	}
-	high := f.Points[4] // 70 kRPS
-	if high.On.Measured*3 >= high.Off.Measured {
-		t.Errorf("at 70k: batching should win by >3x (off=%v on=%v)", high.Off.Measured, high.On.Measured)
-	}
-
-	if f.MeasuredCutoff == 0 || f.EstimatedCutoff == 0 {
-		t.Fatalf("cutoffs missing: measured=%v estimated=%v", f.MeasuredCutoff, f.EstimatedCutoff)
-	}
-	if !f.CutoffsCoincide(15000) {
-		t.Errorf("cutoffs diverge: measured=%v estimated=%v", f.MeasuredCutoff, f.EstimatedCutoff)
+	if on[4]*3 >= off[4] { // 70 kRPS
+		t.Errorf("at 70k: batching should win by >3x (off=%v on=%v)", off[4], on[4])
 	}
 
-	if f.OffSLOMax > 40000 {
-		t.Errorf("off-mode SLO range extends to %v, want <= 40k", f.OffSLOMax)
+	// The stats under the table read in kRPS.
+	measCut, estCut := statOf[float64](t, s, "measured cutoff"), statOf[float64](t, s, "estimated cutoff")
+	if measCut == 0 || estCut == 0 {
+		t.Fatalf("cutoffs missing: measured=%v estimated=%v", measCut, estCut)
 	}
-	if f.OnSLOMax < 70000 {
-		t.Errorf("on-mode SLO range only %v, want >= 70k", f.OnSLOMax)
+	if math.Abs(measCut-estCut) > 15 {
+		t.Errorf("cutoffs diverge: measured=%v estimated=%v", measCut, estCut)
 	}
-	if f.Extension < 1.5 {
-		t.Errorf("SLO extension %.2fx, want >= 1.5x (paper: 1.93x)", f.Extension)
+
+	if m := statOf[float64](t, s, "off SLO max"); m > 40 {
+		t.Errorf("off-mode SLO range extends to %vk, want <= 40k", m)
 	}
-	if f.LatencyGain < 1.2 {
-		t.Errorf("latency gain at boundary %.2fx, want >= 1.2x (paper: 2.80x)", f.LatencyGain)
+	if m := statOf[float64](t, s, "on SLO max"); m < 70 {
+		t.Errorf("on-mode SLO range only %vk, want >= 70k", m)
+	}
+	if x := statOf[float64](t, s, "extension"); x < 1.5 {
+		t.Errorf("SLO extension %.2fx, want >= 1.5x (paper: 1.93x)", x)
+	}
+	if g := statOf[float64](t, s, "latency gain"); g < 1.2 {
+		t.Errorf("latency gain at boundary %.2fx, want >= 1.2x (paper: 2.80x)", g)
 	}
 
 	// Estimates must be valid at every swept point and track the
 	// measured value tightly once queueing dominates.
-	for _, p := range f.Points {
-		for _, c := range []Fig4Cell{p.Off, p.On} {
-			if !c.Est[tcpsim.UnitBytes].Valid {
-				t.Fatalf("invalid byte estimate at %v", p.Rate)
-			}
+	estOff, estOn := col[core.Estimate](t, s, "est(B) off"), col[core.Estimate](t, s, "est(B) on")
+	for i, r := range s.Rows {
+		if !estOff[i].Valid || !estOn[i].Valid {
+			t.Fatalf("invalid byte estimate at %v", r.Specs[0].Rate)
 		}
 	}
-	sat := f.Points[5].Off // 85 kRPS, deep saturation
-	if e := relErr(sat.Est[tcpsim.UnitBytes].Latency, sat.Measured); e > 0.30 {
+	// 85 kRPS, deep saturation.
+	if e := relErr(estOff[5].Latency, off[5]); e > 0.30 {
 		t.Errorf("saturated estimate error %.0f%%, want <= 30%%", 100*e)
 	}
-
-	var buf bytes.Buffer
-	WriteFig4(&buf, f)
-	if buf.Len() == 0 {
-		t.Fatal("empty table")
-	}
+	checkRenders(t, s)
 }
 
 // TestFig4bRuns asserts the 95:5 mix sweep produces valid estimates, a
 // cutoff, and per-kind splits.
 func TestFig4bRuns(t *testing.T) {
 	skipIfShort(t)
-	cal := DefaultCalib()
-	f := Fig4b(cal, []float64{5000, 35000, 50000}, testDur, 7)
-	if f.MeasuredCutoff == 0 {
+	s := fig4b(Params{Calib: DefaultCalib(), Dur: testDur, Seed: 7, Rates: []float64{5000, 35000, 50000}}).run()
+	if statOf[float64](t, s, "measured cutoff") == 0 {
 		t.Fatal("no measured cutoff on the mixed sweep")
 	}
-	for _, p := range f.Points {
-		if p.Off.SetMeasured == 0 || p.Off.GetMeasured == 0 {
-			t.Fatalf("per-kind latencies missing at %v", p.Rate)
+	// The per-kind split is no column: it is read from the runs.
+	kind := func(r Row, arm, k int) time.Duration {
+		if h := r.Runs[arm].Res.ByKind[k]; h != nil {
+			return h.Mean()
 		}
-		if !p.Off.Est[tcpsim.UnitBytes].Valid || !p.On.Est[tcpsim.UnitBytes].Valid {
-			t.Fatalf("invalid estimate at %v", p.Rate)
+		return 0
+	}
+	for _, r := range s.Rows {
+		if kind(r, 0, loadgen.KindSet) == 0 || kind(r, 0, loadgen.KindGet) == 0 {
+			t.Fatalf("per-kind latencies missing at %v", r.Specs[0].Rate)
+		}
+		if !r.Runs[0].Est[tcpsim.UnitBytes].Valid || !r.Runs[1].Est[tcpsim.UnitBytes].Valid {
+			t.Fatalf("invalid estimate at %v", r.Specs[0].Rate)
 		}
 	}
 	// GETs (tiny requests, 16 KiB responses) must be cheaper than SETs
 	// without batching at low load.
-	if low := f.Points[0]; low.Off.GetMeasured >= low.Off.SetMeasured {
-		t.Errorf("at 5k off: GET %v should beat SET %v", low.Off.GetMeasured, low.Off.SetMeasured)
+	if low := s.Rows[0]; kind(low, 0, loadgen.KindGet) >= kind(low, 0, loadgen.KindSet) {
+		t.Errorf("at 5k off: GET %v should beat SET %v", kind(low, 0, loadgen.KindGet), kind(low, 0, loadgen.KindSet))
 	}
 }
 
@@ -155,8 +197,10 @@ func TestFig4bRuns(t *testing.T) {
 func TestToggleConvergesToBestStatic(t *testing.T) {
 	skipIfShort(t)
 	cal := DefaultCalib()
-	out := Toggle(cal, []float64{10000, 50000}, 500*time.Millisecond, 7)
-	lowP, highP := out.Points[0], out.Points[1]
+	s := toggle(Params{Calib: cal, Dur: 500 * time.Millisecond, Seed: 7, Rates: []float64{10000, 50000}}).run()
+	off, on, dyn := col[time.Duration](t, s, "off"), col[time.Duration](t, s, "on"), col[time.Duration](t, s, "dynamic")
+	share := col[float64](t, s, "on-share") // percent
+	slo := cal.SLO
 
 	// The paper's success criterion is its own policy statement:
 	// "maximize throughput as long as latency remains below a specified
@@ -164,33 +208,25 @@ func TestToggleConvergesToBestStatic(t *testing.T) {
 	// toggler may sit anywhere; at 50k only batch-on does, so the
 	// toggler must live there and keep the run under the SLO despite
 	// exploration excursions through the unstable mode.
-	if lowP.Dynamic > out.SLO {
-		t.Errorf("at 10k dynamic %v violates the %v SLO", lowP.Dynamic, out.SLO)
+	if dyn[0] > slo {
+		t.Errorf("at 10k dynamic %v violates the %v SLO", dyn[0], slo)
 	}
-	best := lowP.Off
-	if lowP.On < best {
-		best = lowP.On
+	if best := min(off[0], on[0]); dyn[0] > 5*best/2 {
+		t.Errorf("at 10k dynamic %v vs best static %v", dyn[0], best)
 	}
-	if lowP.Dynamic > 5*best/2 {
-		t.Errorf("at 10k dynamic %v vs best static %v", lowP.Dynamic, best)
+	if off[1] <= slo {
+		t.Errorf("at 50k static-off %v unexpectedly meets the SLO", off[1])
 	}
-	if highP.Off <= out.SLO {
-		t.Errorf("at 50k static-off %v unexpectedly meets the SLO", highP.Off)
+	if dyn[1] > slo {
+		t.Errorf("at 50k dynamic %v violates the %v SLO (static-on achieves %v)", dyn[1], slo, on[1])
 	}
-	if highP.Dynamic > out.SLO {
-		t.Errorf("at 50k dynamic %v violates the %v SLO (static-on achieves %v)", highP.Dynamic, out.SLO, highP.On)
+	if share[1] < 60 {
+		t.Errorf("at 50k batch-on residency = %.0f%%, want > 60%%", share[1])
 	}
-	if highP.OnShare < 0.6 {
-		t.Errorf("at 50k batch-on residency = %.0f%%, want > 60%%", 100*highP.OnShare)
+	if dyn[1]*5 > off[1] {
+		t.Errorf("at 50k dynamic %v should be >=5x below static-off %v", dyn[1], off[1])
 	}
-	if highP.Dynamic*5 > highP.Off {
-		t.Errorf("at 50k dynamic %v should be >=5x below static-off %v", highP.Dynamic, highP.Off)
-	}
-	var buf bytes.Buffer
-	WriteToggle(&buf, out)
-	if buf.Len() == 0 {
-		t.Fatal("empty table")
-	}
+	checkRenders(t, s)
 }
 
 // TestHintsBeatKernelUnits asserts §3.3's point: with a syscall-batching
@@ -198,26 +234,23 @@ func TestToggleConvergesToBestStatic(t *testing.T) {
 // the create/complete hints stay within a few percent of measured.
 func TestHintsBeatKernelUnits(t *testing.T) {
 	skipIfShort(t)
-	cal := DefaultCalib()
-	out := Hints(cal, []float64{10000, 30000}, testDur, 7, 4)
-	if len(out.Rows) != 4 {
-		t.Fatalf("rows = %d", len(out.Rows))
+	s := hintsSweep(Params{Calib: DefaultCalib(), Dur: testDur, Seed: 7, Rates: []float64{10000, 30000}, SyscallBatch: 4}).run()
+	if len(s.Rows) != 4 {
+		t.Fatalf("rows = %d", len(s.Rows))
 	}
-	for _, r := range out.Rows {
-		if hintErr := relErr(r.Hints, r.Measured); hintErr > 0.05 {
-			t.Errorf("rate %v on=%v: hint error %.0f%%, want <= 5%%", r.Rate, r.BatchOn, 100*hintErr)
+	meas, hints := col[time.Duration](t, s, "measured"), col[core.Estimate](t, s, "hints")
+	for i, r := range s.Rows {
+		rate, on := r.Specs[0].Rate, r.Specs[0].BatchOn
+		if hintErr := relErr(estLat(hints[i]), meas[i]); hintErr > 0.05 {
+			t.Errorf("rate %v on=%v: hint error %.0f%%, want <= 5%%", rate, on, 100*hintErr)
 		}
-		for u := 0; u < tcpsim.NumUnits; u++ {
-			if kernErr := relErr(r.ByUnit[u], r.Measured); kernErr < 0.15 {
-				t.Errorf("rate %v on=%v unit %v: kernel-unit error %.0f%% unexpectedly low — semantic gap should show", r.Rate, r.BatchOn, tcpsim.Unit(u), 100*kernErr)
+		for u := tcpsim.Unit(0); u < tcpsim.NumUnits; u++ {
+			if kernErr := relErr(estLat(col[core.Estimate](t, s, u.String())[i]), meas[i]); kernErr < 0.15 {
+				t.Errorf("rate %v on=%v unit %v: kernel-unit error %.0f%% unexpectedly low — semantic gap should show", rate, on, u, 100*kernErr)
 			}
 		}
 	}
-	var buf bytes.Buffer
-	WriteHints(&buf, out)
-	if buf.Len() == 0 {
-		t.Fatal("empty table")
-	}
+	checkRenders(t, s)
 }
 
 // TestAIMDAdaptsCork asserts the §5 AIMD controller decays to NODELAY at
@@ -225,30 +258,26 @@ func TestHintsBeatKernelUnits(t *testing.T) {
 // high load.
 func TestAIMDAdaptsCork(t *testing.T) {
 	skipIfShort(t)
-	cal := DefaultCalib()
-	out := AIMD(cal, []float64{10000, 60000}, 500*time.Millisecond, 7)
-	low, high := out.Rows[0], out.Rows[1]
+	s := aimdSweep(Params{Calib: DefaultCalib(), Dur: 500 * time.Millisecond, Seed: 7, Rates: []float64{10000, 60000}}).run()
+	off, on, aimd := col[time.Duration](t, s, "off"), col[time.Duration](t, s, "on"), col[time.Duration](t, s, "aimd")
+	cork := col[int](t, s, "final cork")
 
-	if low.FinalCork > 1448 {
-		t.Errorf("at 10k final cork = %d, want floor (1448)", low.FinalCork)
+	if cork[0] > 1448 {
+		t.Errorf("at 10k final cork = %d, want floor (1448)", cork[0])
 	}
-	if low.AIMDMean > low.Off+low.Off/4 {
-		t.Errorf("at 10k AIMD %v should track static-off %v", low.AIMDMean, low.Off)
+	if aimd[0] > off[0]+off[0]/4 {
+		t.Errorf("at 10k AIMD %v should track static-off %v", aimd[0], off[0])
 	}
-	if high.FinalCork <= 1448 {
-		t.Errorf("at 60k final cork = %d, want grown above the floor", high.FinalCork)
+	if cork[1] <= 1448 {
+		t.Errorf("at 60k final cork = %d, want grown above the floor", cork[1])
 	}
-	if high.AIMDMean*5 > high.Off {
-		t.Errorf("at 60k AIMD %v should be >=5x below static-off %v", high.AIMDMean, high.Off)
+	if aimd[1]*5 > off[1] {
+		t.Errorf("at 60k AIMD %v should be >=5x below static-off %v", aimd[1], off[1])
 	}
-	if high.AIMDMean > 3*high.On {
-		t.Errorf("at 60k AIMD %v vs static-on %v", high.AIMDMean, high.On)
+	if aimd[1] > 3*on[1] {
+		t.Errorf("at 60k AIMD %v vs static-on %v", aimd[1], on[1])
 	}
-	var buf bytes.Buffer
-	WriteAIMD(&buf, out)
-	if buf.Len() == 0 {
-		t.Fatal("empty table")
-	}
+	checkRenders(t, s)
 }
 
 // TestRunDeterminism: identical specs produce identical results.

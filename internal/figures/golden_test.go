@@ -19,6 +19,8 @@ func TestGoldenParity(t *testing.T) {
 	skipIfShort(t)
 	cal := DefaultCalib()
 	const dur = 150 * time.Millisecond
+	p := Params{Calib: cal, Dur: dur, Seed: 7}
+	rates := func(r ...float64) Params { q := p; q.Rates = r; return q }
 
 	cases := []struct {
 		name   string
@@ -36,91 +38,91 @@ func TestGoldenParity(t *testing.T) {
 			name: "fig2",
 			want: "d1b16d877c7732a4560c3c18befe2cb002835684384fdbe1083180b263da8f83",
 			render: func(w *bytes.Buffer) {
-				WriteFig2(w, Fig2(cal, dur, 11))
+				fig2(Params{Calib: cal, Dur: dur, Seed: 11}).run().Write(w)
 			},
 		},
 		{
 			name: "fig4a",
 			want: "a0126b6ede64a04172a97c7e5b64163112bd4dd445e61479ed97a57b9d3fb683",
 			render: func(w *bytes.Buffer) {
-				WriteFig4(w, Fig4a(cal, []float64{5000, 50000, 85000}, dur, 7))
+				fig4a(rates(5000, 50000, 85000)).run().Write(w)
 			},
 		},
 		{
 			name: "fig4b",
 			want: "02fb2fbc54af4d5fe910f03ab5c4550b428b19fd47821398c44a5160e8e7d4b4",
 			render: func(w *bytes.Buffer) {
-				WriteFig4(w, Fig4b(cal, []float64{5000, 50000}, dur, 7))
+				fig4b(rates(5000, 50000)).run().Write(w)
 			},
 		},
 		{
 			name: "toggle",
 			want: "5e6fb1b731a97e03ab19a5194f50550e76e52f71e95204389e6182bd51c89392",
 			render: func(w *bytes.Buffer) {
-				WriteToggle(w, Toggle(cal, []float64{50000}, 200*time.Millisecond, 7))
+				toggle(Params{Calib: cal, Dur: 200 * time.Millisecond, Seed: 7, Rates: []float64{50000}}).run().Write(w)
 			},
 		},
 		{
 			name: "hints",
 			want: "7eb25d4bc72e7ff9f0162858c73591deefb0cd853f9a89972354cd19ee568548",
 			render: func(w *bytes.Buffer) {
-				WriteHints(w, Hints(cal, []float64{10000}, dur, 7, 4))
+				hintsSweep(Params{Calib: cal, Dur: dur, Seed: 7, Rates: []float64{10000}, SyscallBatch: 4}).run().Write(w)
 			},
 		},
 		{
 			name: "aimd",
 			want: "eb2c2e994bb45024896202b0c30f40a0bfa972cb4b2c5845100208ed893ca0c0",
 			render: func(w *bytes.Buffer) {
-				WriteAIMD(w, AIMD(cal, []float64{60000}, 200*time.Millisecond, 7))
+				aimdSweep(Params{Calib: cal, Dur: 200 * time.Millisecond, Seed: 7, Rates: []float64{60000}}).run().Write(w)
 			},
 		},
 		{
 			name: "tick",
 			want: "631b26a61b1a1cec15f0b69c95f67e630fe98784092483510c0799dde29826be",
 			render: func(w *bytes.Buffer) {
-				WriteTickAblation(w, TickAblation(cal, 50000, []time.Duration{time.Millisecond, 20 * time.Millisecond}, dur, 7))
+				tick(p, 50000, []time.Duration{time.Millisecond, 20 * time.Millisecond}).run().Write(w)
 			},
 		},
 		{
 			name: "exchange",
 			want: "4f85d80e2615026bfdf3ecbe3fdb9a2f24d3f0fab25e1a0ea3e7fc24d225caca",
 			render: func(w *bytes.Buffer) {
-				WriteExchangeAblation(w, ExchangeAblation(cal, 30000, []time.Duration{0, 5 * time.Millisecond}, dur, 7))
+				exchange(p, 30000, []time.Duration{0, 5 * time.Millisecond}).run().Write(w)
 			},
 		},
 		{
 			name: "multiconn",
 			want: "b0ef5b24ce917093ce59fdb7045d61130318baddb38eeabe67a7d28abebc1d64",
 			render: func(w *bytes.Buffer) {
-				WriteMultiConn(w, MultiConn(cal, 4, 50000, dur, 7))
+				multiConn(p, 4, 50000).run().Write(w)
 			},
 		},
 		{
 			name: "cscan",
 			want: "0f2d371cf153dc065f5dc168fb2a6a3feb42ea63d840491987d4237ec784a6fc",
 			render: func(w *bytes.Buffer) {
-				WriteCScan(w, CScan(cal, []float64{1, 1.5}, dur, 7))
+				cscan(p, []float64{1, 1.5}).run().Write(w)
 			},
 		},
 		{
 			name: "loss",
 			want: "851f0de123621f65c1f95d829bfc702513903931a0a4a41e277c74f8c4a5fccc",
 			render: func(w *bytes.Buffer) {
-				WriteLoss(w, LossRobustness(cal, 20000, []float64{0, 0.01}, dur, 7))
+				loss(p, 20000, []float64{0, 0.01}).run().Write(w)
 			},
 		},
 		{
 			name: "faults",
 			want: "6910b15879572825730c66210653385ca0f7000782b8af5e73a6f22929f71052",
 			render: func(w *bytes.Buffer) {
-				WriteFaultSweep(w, FaultSweep(cal, 30000, []float64{0, 0.02}, "combo", dur, 7))
+				faultSweep(Params{Calib: cal, Dur: dur, Seed: 7, FaultPlan: "combo"}, 30000, []float64{0, 0.02}).run().Write(w)
 			},
 		},
 		{
 			name: "bandits",
 			want: "b55130506b479600c1db21f14db3a0d4d31ba399f6eced427511608d24ab3b1e",
 			render: func(w *bytes.Buffer) {
-				WritePolicyCompare(w, PolicyCompare(cal, []float64{10000, 45000, 60000}, dur, 7))
+				bandits(p, []float64{10000, 45000, 60000}).run().Write(w)
 			},
 		},
 	}

@@ -1,7 +1,6 @@
 package figures
 
 import (
-	"bytes"
 	"testing"
 	"time"
 
@@ -15,39 +14,42 @@ import (
 func TestMultiConnAggregation(t *testing.T) {
 	skipIfShort(t)
 	cal := DefaultCalib()
-	out := MultiConn(cal, 4, 50000, 300*time.Millisecond, 7)
-	if len(out.PerConn) != 4 {
-		t.Fatalf("per-conn estimates = %d", len(out.PerConn))
+	s := multiConn(Params{Calib: cal, Dur: 300 * time.Millisecond, Seed: 7}, 4, 50000).run()
+	perConn := s.Base.Runs[0].conns
+	if len(perConn) != 4 {
+		t.Fatalf("per-conn estimates = %d", len(perConn))
 	}
-	for i, e := range out.PerConn {
+	for i, e := range perConn {
 		if !e.Valid {
 			t.Fatalf("conn %d estimate invalid", i)
 		}
 	}
-	if !out.Aggregate.Valid {
+	agg := statOf[core.Estimate](t, s, "aggregate")
+	if !agg.Valid {
 		t.Fatal("aggregate invalid")
 	}
+	measured, dynamic := statOf[time.Duration](t, s, "measured"), statOf[time.Duration](t, s, "dynamic")
 	// Deep in overload, queueing dominates and the aggregate must track
 	// the measured mean closely.
-	if e := relErr(out.Aggregate.Latency, out.Measured); e > 0.25 {
-		t.Errorf("aggregate %v vs measured %v (%.0f%% error)", out.Aggregate.Latency, out.Measured, 100*e)
+	if e := relErr(agg.Latency, measured); e > 0.25 {
+		t.Errorf("aggregate %v vs measured %v (%.0f%% error)", agg.Latency, measured, 100*e)
 	}
 	// Aggregate-driven toggling across all four connections must rescue
 	// the workload from the multi-ms collapse.
-	if out.DynamicMeasured > cal.SLO {
-		t.Errorf("dynamic mean %v violates SLO %v", out.DynamicMeasured, cal.SLO)
+	if dynamic > cal.SLO {
+		t.Errorf("dynamic mean %v violates SLO %v", dynamic, cal.SLO)
 	}
-	if out.OnShare < 0.6 {
-		t.Errorf("batch-on residency %.0f%%, want majority", 100*out.OnShare)
+	if share := statOf[float64](t, s, "on-share"); share < 60 {
+		t.Errorf("batch-on residency %.0f%%, want majority", share)
 	}
-	if out.DynamicMeasured*10 > out.Measured {
-		t.Errorf("dynamic %v should be >=10x below static-off %v", out.DynamicMeasured, out.Measured)
+	if dynamic*10 > measured {
+		t.Errorf("dynamic %v should be >=10x below static-off %v", dynamic, measured)
 	}
 
 	// The per-connection estimates should be mutually consistent (same
 	// workload share): max/min within 2x.
-	min, max := out.PerConn[0].Latency, out.PerConn[0].Latency
-	for _, e := range out.PerConn[1:] {
+	min, max := perConn[0].Latency, perConn[0].Latency
+	for _, e := range perConn[1:] {
 		if e.Latency < min {
 			min = e.Latency
 		}
@@ -59,23 +61,18 @@ func TestMultiConnAggregation(t *testing.T) {
 		t.Errorf("per-conn estimates diverge: min %v max %v", min, max)
 	}
 
-	var buf bytes.Buffer
-	WriteMultiConn(&buf, out)
-	if buf.Len() == 0 {
-		t.Fatal("empty table")
-	}
+	checkRenders(t, s)
 }
 
 // TestAggregateThroughputSumsConnections checks the aggregate's throughput
 // is the sum of per-connection throughputs.
 func TestAggregateThroughputSumsConnections(t *testing.T) {
-	cal := DefaultCalib()
-	out := MultiConn(cal, 2, 20000, 200*time.Millisecond, 3)
+	s := multiConn(Params{Calib: DefaultCalib(), Dur: 200 * time.Millisecond, Seed: 3}, 2, 20000).run()
 	var sum float64
-	for _, e := range out.PerConn {
+	for _, e := range s.Base.Runs[0].conns {
 		sum += e.Throughput
 	}
-	agg := core.Aggregate(out.PerConn)
+	agg := statOf[core.Estimate](t, s, "aggregate")
 	if agg.Throughput != sum {
 		t.Fatalf("aggregate throughput %v != sum %v", agg.Throughput, sum)
 	}

@@ -41,44 +41,35 @@ func Parallelism() int {
 // GOMAXPROCS). The results are identical to calling Run serially: runs
 // share no mutable state, so only the wall-clock time depends on workers.
 func RunMany(specs []RunSpec, workers int) []*RunOut {
-	out := make([]*RunOut, len(specs))
+	return fanOut(specs, workers, Run)
+}
+
+// fanOut is RunMany with the run function as a parameter: the
+// multi-connection figure runs its specs through its own wiring. Each spec
+// runs on its own goroutine, at most workers at a time. A panicking run (a
+// simulator invariant violation) must not crash the process from a bare
+// goroutine: the first one is re-raised on the caller's goroutine, where
+// tests and main can handle it.
+func fanOut(specs []RunSpec, workers int, run func(RunSpec) *RunOut) []*RunOut {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(specs) {
-		workers = len(specs)
-	}
-	if workers <= 1 {
-		for i := range specs {
-			out[i] = Run(specs[i])
-		}
-		return out
-	}
-
-	var next atomic.Int64
+	out := make([]*RunOut, len(specs))
+	slots := make(chan struct{}, workers)
 	var wg sync.WaitGroup
-	// A panicking run (a simulator invariant violation) must not crash the
-	// process from a bare goroutine: capture the first one and re-raise it
-	// on the caller's goroutine, where tests and main can handle it.
 	var panicked atomic.Value
-	for w := 0; w < workers; w++ {
+	for i := range specs {
+		slots <- struct{}{}
 		wg.Add(1)
 		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(specs) || panicked.Load() != nil {
-					return
+			defer func() {
+				if r := recover(); r != nil {
+					panicked.CompareAndSwap(nil, fmt.Sprintf("figures: run %d panicked: %v", i, r))
 				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panicked.CompareAndSwap(nil, fmt.Sprintf("figures: run %d panicked: %v", i, r))
-						}
-					}()
-					out[i] = Run(specs[i])
-				}()
-			}
+				<-slots
+				wg.Done()
+			}()
+			out[i] = run(specs[i])
 		}()
 	}
 	wg.Wait()
@@ -86,10 +77,4 @@ func RunMany(specs []RunSpec, workers int) []*RunOut {
 		panic(p)
 	}
 	return out
-}
-
-// runAll is the sweep-internal shorthand: RunMany at the configured
-// parallelism.
-func runAll(specs []RunSpec) []*RunOut {
-	return RunMany(specs, Parallelism())
 }

@@ -75,7 +75,7 @@ func TestFig4aParallelBytesIdentical(t *testing.T) {
 		prev := SetParallelism(workers)
 		defer SetParallelism(prev)
 		var buf bytes.Buffer
-		WriteFig4(&buf, Fig4a(cal, rates, goldenDur(), 7))
+		fig4a(Params{Calib: cal, Dur: goldenDur(), Seed: 7, Rates: rates}).run().Write(&buf)
 		return buf.Bytes()
 	}
 	serial := render(1)

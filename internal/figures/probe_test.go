@@ -5,6 +5,8 @@ import (
 	"os"
 	"testing"
 	"time"
+
+	"e2ebatch/internal/loadgen"
 )
 
 // TestCalibrationProbe prints the raw sweep so the calibration constants
@@ -40,10 +42,10 @@ func TestExtensionsProbe(t *testing.T) {
 	if os.Getenv("E2E_PROBE") == "" {
 		t.Skip("set E2E_PROBE=1 to run")
 	}
-	fb := Fig4b(DefaultCalib(), []float64{5000, 15000}, 400*time.Millisecond, 7)
-	for _, p := range fb.Points {
-		fmt.Printf("4b rate=%v off(set=%v get=%v) on(set=%v get=%v)\n", p.Rate,
-			p.Off.SetMeasured.Round(time.Microsecond), p.Off.GetMeasured.Round(time.Microsecond),
-			p.On.SetMeasured.Round(time.Microsecond), p.On.GetMeasured.Round(time.Microsecond))
+	s := fig4b(Params{Calib: DefaultCalib(), Dur: 400 * time.Millisecond, Seed: 7, Rates: []float64{5000, 15000}}).run()
+	for _, r := range s.Rows {
+		fmt.Printf("4b rate=%v off(set=%v get=%v) on(set=%v get=%v)\n", r.Specs[0].Rate,
+			r.Runs[0].Res.ByKind[loadgen.KindSet], r.Runs[0].Res.ByKind[loadgen.KindGet],
+			r.Runs[1].Res.ByKind[loadgen.KindSet], r.Runs[1].Res.ByKind[loadgen.KindGet])
 	}
 }

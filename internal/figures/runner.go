@@ -23,7 +23,6 @@ type DynamicSpec struct {
 	Interval  time.Duration // decision tick (≈ a kernel tick, §5)
 	Objective policy.Objective
 	Toggler   policy.TogglerConfig
-	Unit      tcpsim.Unit
 	Initial   policy.Mode
 	// UseUCB selects the UCB1 bandit controller instead of ε-greedy.
 	UseUCB bool
@@ -58,7 +57,6 @@ func DefaultDynamicSpec(slo time.Duration) *DynamicSpec {
 		Interval:     time.Millisecond,
 		Objective:    policy.ThroughputUnderSLO{SLO: slo},
 		Toggler:      policy.DefaultTogglerConfig(),
-		Unit:         tcpsim.UnitBytes,
 		Initial:      policy.BatchOff,
 		MaxRemoteAge: 5 * time.Millisecond,
 	}
@@ -110,19 +108,13 @@ type RunSpec struct {
 	// ClientScale multiplies client-side costs (Figure 2's VM client).
 	ClientScale float64
 
-	// TraceInterval is the ethtool-style sampling period (default 1 ms).
-	TraceInterval time.Duration
 	// WithHints attaches a create/complete tracker (§3.3).
 	WithHints bool
 	// SyscallBatch > 1 makes the client batch requests per send(2).
 	SyscallBatch int
 
-	// GRO enables receive-side coalescing on both hosts.
-	GRO bool
 	// LossProb injects packet loss on the link (with RTO recovery).
 	LossProb float64
-	// WindowEvery enables the latency-over-time series in the result.
-	WindowEvery time.Duration
 	// ExchangeInterval overrides the metadata-exchange rate limit
 	// (zero keeps the calibration default: state on every segment).
 	ExchangeInterval time.Duration
@@ -194,81 +186,95 @@ type RunOut struct {
 	// AuditDriftTicks counts the DegradedTicks subset caused by a drifting
 	// estimator audit (DynamicSpec.Audit).
 	AuditDriftTicks int
+
+	// conns holds each connection's steady byte-unit estimate on the
+	// multi-connection figure's runs.
+	conns []core.Estimate
 }
 
-// Run executes one experiment run and returns its outputs.
-func Run(spec RunSpec) *RunOut {
+// testbed is what a simulated run stands on: the simulator, both hosts at
+// spec's client scale, the link at spec's loss, the TCP config of spec's
+// batching mode, the server's store and the load generator's config at
+// spec's offered load.
+type testbed struct {
+	s      *sim.Sim
+	cs, ss *tcpsim.Stack
+	link   *netem.Link
+	tcp    tcpsim.Config
+	store  *kv.Store
+	load   loadgen.Config
+}
+
+func newTestbed(spec RunSpec) *testbed {
 	cal := spec.Calib
 	s := sim.New(spec.Seed + 1)
+	tb := &testbed{s: s, tcp: cal.TCP, load: cal.Load}
 
-	cs := tcpsim.NewStack(s, "client")
-	cs.TxCosts, cs.RxCosts = cal.ClientTx, cal.ClientRx
-	ss := tcpsim.NewStack(s, "server")
-	ss.TxCosts, ss.RxCosts = cal.ServerTx, cal.ServerRx
+	tb.cs = tcpsim.NewStack(s, "client")
+	tb.cs.TxCosts, tb.cs.RxCosts = cal.ClientTx, cal.ClientRx
+	tb.ss = tcpsim.NewStack(s, "server")
+	tb.ss.TxCosts, tb.ss.RxCosts = cal.ServerTx, cal.ServerRx
 
-	scale := spec.ClientScale
-	if scale <= 0 {
-		scale = 1
-	}
-	if scale != 1 {
-		cs.TxCosts = cs.TxCosts.Scale(scale)
-		cs.RxCosts = cs.RxCosts.Scale(scale)
+	if scale := spec.ClientScale; scale > 0 && scale != 1 {
+		tb.cs.TxCosts = tb.cs.TxCosts.Scale(scale)
+		tb.cs.RxCosts = tb.cs.RxCosts.Scale(scale)
+		tb.load.SendCosts = tb.load.SendCosts.Scale(scale)
+		tb.load.ReadCosts = tb.load.ReadCosts.Scale(scale)
+		tb.load.PerResponse = time.Duration(float64(tb.load.PerResponse) * scale)
+		tb.load.PerRespByteNS *= scale
 	}
 
 	linkCfg := cal.Link
 	if spec.LossProb > 0 {
 		linkCfg.LossProb = spec.LossProb
 	}
-	link := netem.NewLink(s, "wire", linkCfg)
-	tcpCfg := cal.TCP
-	if (spec.LossProb > 0 || spec.Faults.NeedsRTO()) && tcpCfg.RTO == 0 {
-		tcpCfg.RTO = 5 * time.Millisecond
+	tb.link = netem.NewLink(s, "wire", linkCfg)
+	if (spec.LossProb > 0 || spec.Faults.NeedsRTO()) && tb.tcp.RTO == 0 {
+		tb.tcp.RTO = 5 * time.Millisecond
 	}
-	tcpCfg.Nagle = spec.BatchOn && spec.Dynamic == nil && spec.AIMD == nil
-	if tcpCfg.Nagle {
-		tcpCfg.CorkBytes = cal.CorkOnBytes
+	tb.tcp.Nagle = spec.BatchOn && spec.Dynamic == nil && spec.AIMD == nil
+	if tb.tcp.Nagle {
+		tb.tcp.CorkBytes = cal.CorkOnBytes
 	}
 	if spec.AIMD != nil {
-		tcpCfg.Nagle = true
-		tcpCfg.CorkBytes = spec.AIMD.Min
+		tb.tcp.Nagle = true
+		tb.tcp.CorkBytes = spec.AIMD.Min
 	}
 	if spec.Dynamic != nil {
-		tcpCfg.Nagle = spec.Dynamic.Initial == policy.BatchOn
-		tcpCfg.CorkBytes = cal.CorkOnBytes
+		tb.tcp.Nagle = spec.Dynamic.Initial == policy.BatchOn
+		tb.tcp.CorkBytes = cal.CorkOnBytes
 	}
 	if spec.ExchangeInterval > 0 {
-		tcpCfg.ExchangeInterval = spec.ExchangeInterval
+		tb.tcp.ExchangeInterval = spec.ExchangeInterval
 	}
 	if spec.TailCapture || (spec.Dynamic != nil && spec.Dynamic.TailQuantile > 0 && !spec.Dynamic.TailsV1Peer) {
-		tcpCfg.ExchangeTails = true
+		tb.tcp.ExchangeTails = true
 	}
-	tcpCfg.GRO = spec.GRO
-	cc, sc := tcpsim.Connect(cs, ss, link, tcpCfg)
 
-	store := kv.NewStore(func() time.Duration { return s.Now().Duration() })
+	tb.store = kv.NewStore(func() time.Duration { return s.Now().Duration() })
+	tb.load.Rate = spec.Rate
+	tb.load.RateFn = spec.RateFn
+	tb.load.Duration = spec.Duration
+	tb.load.Warmup = spec.Duration / 5
+	tb.load.Drain = 50 * time.Millisecond
+	tb.load.SyscallBatch = spec.SyscallBatch
+	tb.load.OnComplete = spec.OnComplete
+	return tb
+}
+
+// Run executes one experiment run and returns its outputs.
+func Run(spec RunSpec) *RunOut {
+	cal := spec.Calib
+	tb := newTestbed(spec)
+	s, cs, ss, lcfg := tb.s, tb.cs, tb.ss, tb.load
+	cc, sc := tcpsim.Connect(cs, ss, tb.link, tb.tcp)
 	if spec.PreloadKeys {
 		for _, k := range loadgen.Keys(cal.KeySize, 16) {
 			// One buffer per key: the store owns and overwrites them.
-			store.Set(string(k), make([]byte, cal.ValSize), 0)
+			tb.store.Set(string(k), make([]byte, cal.ValSize), 0)
 		}
 	}
-	srv := tcpsim.NewSimServer(kv.NewEngine(store), sc, cal.Server)
-
-	lcfg := cal.Load
-	lcfg.Rate = spec.Rate
-	lcfg.RateFn = spec.RateFn
-	lcfg.Duration = spec.Duration
-	lcfg.Warmup = spec.Duration / 5
-	lcfg.Drain = 50 * time.Millisecond
-	lcfg.SyscallBatch = spec.SyscallBatch
-	lcfg.WindowEvery = spec.WindowEvery
-	lcfg.OnComplete = spec.OnComplete
-	if scale != 1 {
-		lcfg.SendCosts = lcfg.SendCosts.Scale(scale)
-		lcfg.ReadCosts = lcfg.ReadCosts.Scale(scale)
-		lcfg.PerResponse = time.Duration(float64(lcfg.PerResponse) * scale)
-		lcfg.PerRespByteNS *= scale
-	}
+	srv := tcpsim.NewSimServer(kv.NewEngine(tb.store), sc, cal.Server)
 	wl := spec.Workload
 	if wl == nil {
 		wl = loadgen.SetWorkload(cal.KeySize, cal.ValSize)
@@ -281,11 +287,7 @@ func Run(spec RunSpec) *RunOut {
 		gen.Hints = hints.NewTracker(func() qstate.Time { return qstate.Time(s.Now()) })
 	}
 
-	ti := spec.TraceInterval
-	if ti <= 0 {
-		ti = time.Millisecond
-	}
-	col := trace.NewCollector(s, cc, sc, ti)
+	col := trace.NewCollector(s, cc, sc, time.Millisecond)
 
 	// All three control variants below are the shared engine loop over the
 	// same connection pair; this function only translates the spec into an
@@ -312,7 +314,7 @@ func Run(spec RunSpec) *RunOut {
 			TailQuantile: d.TailQuantile,
 			Observer:     spec.Observer,
 			Audit:        d.Audit,
-		}, tcpsim.NewEnginePort(cc, sc, d.Unit))
+		}, tcpsim.NewEnginePort(cc, sc, tcpsim.UnitBytes))
 		sim.NewTicker(s, d.Interval, func(now sim.Time) { dynEp.Tick(qstate.Time(now)) })
 		endpoints = append(endpoints, dynEp)
 	}
@@ -351,7 +353,7 @@ func Run(spec RunSpec) *RunOut {
 		// Plans are validated up front; a bad plan is a spec bug, like an
 		// out-of-range netem config.
 		faults.MustApply(s, spec.Faults, faults.Targets{
-			Link:    link,
+			Link:    tb.link,
 			Client:  cc,
 			Staller: srv,
 			// A reset invalidates the counter history on both sides of

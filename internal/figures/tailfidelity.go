@@ -3,7 +3,6 @@ package figures
 import (
 	"fmt"
 	"io"
-	"math"
 	"time"
 
 	"e2ebatch/internal/analytic"
@@ -41,14 +40,10 @@ type TailPoint struct {
 	Truth     [4]time.Duration
 	Completed uint64
 
-	// Est is the composed tail estimate (RunOut.TailEst); An the analytic
-	// closed form; Naive the byte strawman per quantile.
-	Est   core.TailEstimate
-	An    analytic.TailOut
-	Naive [4]time.Duration
-
 	// Pred, Scored and Err mirror FidelityPoint, with a per-quantile error
-	// vector instead of a scalar.
+	// vector instead of a scalar. The estimator is the composed tail
+	// estimate (RunOut.TailEst), the analytic rival the Gamma closed form,
+	// and the naive baseline the byte quantiles.
 	Pred   [NumPredictors][4]time.Duration
 	Scored [NumPredictors]bool
 	Err    [NumPredictors][4]float64
@@ -101,32 +96,24 @@ func scoreTailPoint(cal Calib, z *zooRun) TailPoint {
 	}
 
 	// Predictor 1: the composed estimator from the captured histograms.
-	pt.Est = out.TailEst
-	if pt.Est.Valid {
-		pt.Pred[PredEstimator] = [4]time.Duration{pt.Est.P50, pt.Est.P90, pt.Est.P99, pt.Est.P999}
+	if est := out.TailEst; est.Valid {
+		pt.Pred[PredEstimator] = [4]time.Duration{est.P50, est.P90, est.P99, est.P999}
 		pt.Scored[PredEstimator] = true
 	}
 
-	pt.An = analytic.E2ETail(z.params)
-	if pt.An.Stable {
-		pt.Pred[PredAnalytic] = [4]time.Duration{pt.An.P50, pt.An.P90, pt.An.P99, pt.An.P999}
+	if an := analytic.E2ETail(z.params); an.Stable {
+		pt.Pred[PredAnalytic] = [4]time.Duration{an.P50, an.P90, an.P99, an.P999}
 		pt.Scored[PredAnalytic] = true
 	}
 
 	for qi, q := range core.TailQuantiles {
-		pt.Naive[qi] = analytic.NaiveByteTail(z.req, z.resp, float64(cal.Link.BitsPerSec), 2*cal.Link.Propagation, q)
+		pt.Pred[PredNaive][qi] = analytic.NaiveByteTail(z.req, z.resp, float64(cal.Link.BitsPerSec), 2*cal.Link.Propagation, q)
 	}
-	pt.Pred[PredNaive] = pt.Naive
 	pt.Scored[PredNaive] = true
 
 	for p := Predictor(0); p < NumPredictors; p++ {
-		if !pt.Scored[p] {
-			continue
-		}
-		for qi := 0; qi < 4; qi++ {
-			if pt.Truth[qi] > 0 {
-				pt.Err[p][qi] = math.Abs(float64(pt.Pred[p][qi])-float64(pt.Truth[qi])) / float64(pt.Truth[qi])
-			}
+		for qi := 0; qi < 4 && pt.Scored[p]; qi++ {
+			pt.Err[p][qi] = relErr(pt.Pred[p][qi], pt.Truth[qi])
 		}
 	}
 	return pt
@@ -138,12 +125,6 @@ func scoreTailPoint(cal Calib, z *zooRun) TailPoint {
 // bytes.
 func judgeTails(res *TailFidelityOut) []Hypothesis {
 	pts := res.Points
-	verdict := func(ok bool) string {
-		if ok {
-			return "CONFIRMED"
-		}
-		return "REFUTED"
-	}
 	var hs []Hypothesis
 
 	// H6 — per-workload p99 dominance over the strawman.
@@ -242,9 +223,5 @@ func WriteTailFidelity(w io.Writer, out *FidelityOut) {
 		fmt.Fprintf(w, "  %s %.1f%%", p, 100*f.MeanErrAll[p])
 	}
 	fmt.Fprintln(w)
-	fmt.Fprintln(w, "hypotheses:")
-	for _, h := range f.Hypotheses {
-		fmt.Fprintf(w, "  %s %s: %s\n     claim: %s\n     evidence: %s\n",
-			h.ID, verdictMark(h.Verdict), h.Verdict, h.Claim, h.Evidence)
-	}
+	writeHypotheses(w, f.Hypotheses)
 }

@@ -154,6 +154,9 @@ func TestFidelityScoresAllPredictors(t *testing.T) {
 		if !pt.Scored[PredNaive] {
 			t.Errorf("%s: naive baseline abstained", pt.Workload.Name)
 		}
+		if !pt.Hints.Valid {
+			t.Errorf("%s: hint tracker abstained", pt.Workload.Name)
+		}
 	}
 	for p := Predictor(0); p < NumPredictors; p++ {
 		if out.ScoredN[p] == 0 {

@@ -64,7 +64,7 @@ func TestGoldenParity(t *testing.T) {
 		},
 		{
 			name: "hints",
-			want: "7eb25d4bc72e7ff9f0162858c73591deefb0cd853f9a89972354cd19ee568548",
+			want: "0b2b4cd6fab4fd0878c2d31b9d3ce6d4ed6627064e9bd4b4b3e470b34e4b99c8",
 			render: func(w *bytes.Buffer) {
 				hintsSweep(Params{Calib: cal, Dur: dur, Seed: 7, Rates: []float64{10000}, SyscallBatch: 4}).run().Write(w)
 			},

@@ -155,7 +155,8 @@ type RunOut struct {
 	// TailEst is the composed end-to-end tail estimate over the same
 	// steady-state window, byte units (valid only for TailCapture runs).
 	TailEst core.TailEstimate
-	// HintAvgs is the hint-tracker estimate (valid when WithHints).
+	// HintAvgs is the hint-tracker estimate over the same post-warmup
+	// window (valid when WithHints).
 	HintAvgs qstate.Avgs
 
 	ClientAppUtil, ClientSoftUtil float64
@@ -339,13 +340,20 @@ func Run(spec RunSpec) *RunOut {
 	// Tail capture: snapshot both endpoints' cumulative delay histograms at
 	// warmup; the end-of-run pair is read after the generator returns. The
 	// composition happens offline (steadyTail), mirroring steadyEstimate.
+	// The hint tracker's warmup snapshot rides the same read-only event.
 	var tailFirst [2]qstate.WireTails
 	var tailCaptured bool
-	if spec.TailCapture {
+	var hintFirst qstate.Snapshot
+	if spec.TailCapture || gen.Hints != nil {
 		s.At(sim.Time(lcfg.Warmup), func() {
-			tailFirst[0] = cc.LocalTails(tcpsim.UnitBytes)
-			tailFirst[1] = sc.LocalTails(tcpsim.UnitBytes)
-			tailCaptured = true
+			if spec.TailCapture {
+				tailFirst[0] = cc.LocalTails(tcpsim.UnitBytes)
+				tailFirst[1] = sc.LocalTails(tcpsim.UnitBytes)
+				tailCaptured = true
+			}
+			if gen.Hints != nil {
+				hintFirst = gen.Hints.Snapshot()
+			}
 		})
 	}
 
@@ -379,7 +387,7 @@ func Run(spec RunSpec) *RunOut {
 		out.TailEst = steadyTail(out.Log, spec.Duration/5, &tailFirst[0], &lastC, &tailFirst[1], &lastS)
 	}
 	if gen.Hints != nil {
-		out.HintAvgs = hintOverall(gen.Hints)
+		out.HintAvgs = qstate.GetAvgs(hintFirst, gen.Hints.Snapshot())
 	}
 
 	elapsed := s.Now().Duration()
@@ -448,10 +456,4 @@ func steadyTail(l *trace.Log, warmup time.Duration, firstC, lastC, firstS, lastS
 		return core.TailEstimate{}
 	}
 	return core.ComposeTail(&lt, &rt, local, remote)
-}
-
-// hintOverall reads the tracker's full-run averages.
-func hintOverall(tr *hints.Tracker) qstate.Avgs {
-	snap := tr.Snapshot()
-	return qstate.GetAvgs(qstate.Snapshot{}, snap)
 }

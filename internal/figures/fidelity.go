@@ -39,10 +39,18 @@ const (
 	NumPredictors
 )
 
-var predictorNames = [NumPredictors]string{"estimator", "analytic", "naive"}
-
 // String names the predictor.
-func (p Predictor) String() string { return predictorNames[p] }
+func (p Predictor) String() string {
+	switch p {
+	case PredEstimator:
+		return "estimator"
+	case PredAnalytic:
+		return "analytic"
+	case PredNaive:
+		return "naive"
+	}
+	return "unknown"
+}
 
 // FidelityPoint is one workload's ground truth and predictions.
 type FidelityPoint struct {

@@ -48,8 +48,8 @@ func RunMany(specs []RunSpec, workers int) []*RunOut {
 // multi-connection figure runs its specs through its own wiring. Each spec
 // runs on its own goroutine, at most workers at a time. A panicking run (a
 // simulator invariant violation) must not crash the process from a bare
-// goroutine: the first one is re-raised on the caller's goroutine, where
-// tests and main can handle it.
+// goroutine: the first one stops the sweep and is re-raised on the caller's
+// goroutine, where tests and main can handle it.
 func fanOut(specs []RunSpec, workers int, run func(RunSpec) *RunOut) []*RunOut {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -60,6 +60,9 @@ func fanOut(specs []RunSpec, workers int, run func(RunSpec) *RunOut) []*RunOut {
 	var panicked atomic.Value
 	for i := range specs {
 		slots <- struct{}{}
+		if panicked.Load() != nil {
+			break
+		}
 		wg.Add(1)
 		go func() {
 			defer func() {

@@ -70,9 +70,12 @@ build:
 # incidental drift passes but a feature landing untested does not.
 #
 # The suite includes the runtime half of the hot-path allocation discipline:
-# the AllocGate tests pin every //e2e:hotpath function at 0 allocs/op with
-# testing.AllocsPerRun. They are build-tagged !race (the race runtime
-# allocates shadow state), so they run here and not under race.
+# the AllocGate tests pin every //e2e:hotpath function, and loadgen's batch
+# cycle, at 0 allocations in total over N warmed runs with allocgate.Zero
+# (internal/allocgate: the whole Mallocs delta, not AllocsPerRun's integer
+# mean, which reads 0 for anything allocating less than once per run). They
+# are build-tagged !race (the race runtime allocates shadow state), so they
+# run here and not under race.
 test: build
 	@$(GO) test -coverprofile=cover.out ./... > cover.txt || { cat cover.txt; rm -f cover.txt cover.out; exit 1; }
 	@cat cover.txt

@@ -36,7 +36,7 @@ func TestOnlineEstimateMatchesOfflineAnalysis(t *testing.T) {
 
 	// Online: a passive engine endpoint estimating from the client's exact
 	// snapshots plus the peer's wire states.
-	online := engine.New(engine.Config{}, tcpsim.NewEnginePort(cc, sc, tcpsim.UnitBytes))
+	online := engine.New(engine.Config{}, tcpsim.NewEnginePort(cc, sc))
 	// Offline: exact snapshots from both sides.
 	offline := func() (core.Queues, core.Queues) {
 		ua, ur, ad := cc.Snapshots(tcpsim.UnitBytes)

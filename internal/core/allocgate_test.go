@@ -2,8 +2,8 @@
 
 // Allocation gate for this package's //e2e:hotpath functions (DESIGN.md
 // §13): the tail composition must not feed the GC — the engine's estimator
-// runs it once per tick on every connection. Excluded under -race because the race runtime's shadow
-// allocations would be charged to the tracked code.
+// runs it once per tick on every connection. Excluded under -race because
+// the race runtime's shadow allocations would be charged to the tracked code.
 
 package core
 
@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"e2ebatch/internal/allocgate"
 	"e2ebatch/internal/qstate"
 )
 
@@ -26,17 +27,13 @@ func TestAllocGateTailComposition(t *testing.T) {
 		Unacked: randDist(3, 5),
 		Unread:  randDist(4, 3),
 	}
-	if a := testing.AllocsPerRun(200, func() {
+	allocgate.Zero(t, 200, "ComposeTail", func() {
 		_ = ComposeTail(&local, &remote, Delays{}, Delays{})
-	}); a != 0 {
-		t.Errorf("ComposeTail allocates %v per op, want 0 (//e2e:hotpath)", a)
-	}
+	})
 	var prev, cur qstate.WireTails
 	cur.Unacked.RecordN(time.Millisecond, 40)
 	cur.Unread.RecordN(100*time.Microsecond, 40)
-	if a := testing.AllocsPerRun(200, func() {
+	allocgate.Zero(t, 200, "TailDistsBetween", func() {
 		_, _ = TailDistsBetween(&prev, &cur)
-	}); a != 0 {
-		t.Errorf("TailDistsBetween allocates %v per op, want 0 (//e2e:hotpath)", a)
-	}
+	})
 }

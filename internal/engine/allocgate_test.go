@@ -12,6 +12,7 @@ package engine_test
 import (
 	"testing"
 
+	"e2ebatch/internal/allocgate"
 	"e2ebatch/internal/core"
 	"e2ebatch/internal/engine"
 	"e2ebatch/internal/policy"
@@ -55,9 +56,7 @@ func TestAllocGateEndpointTick(t *testing.T) {
 			ep.Tick(now)
 		}
 		tick() // prime the estimator outside the measured runs
-		if n := testing.AllocsPerRun(200, tick); n != 0 {
-			t.Errorf("Endpoint.Tick allocates %v per op, want 0 (//e2e:hotpath)", n)
-		}
+		allocgate.Zero(t, 200, "Endpoint.Tick", tick)
 	}
 	t.Run("passive", func(t *testing.T) {
 		run(t, engine.Config{})

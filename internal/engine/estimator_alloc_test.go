@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"e2ebatch/internal/allocgate"
 	"e2ebatch/internal/qstate"
 )
 
@@ -26,7 +27,5 @@ func TestAllocGateEstimatorUpdate(t *testing.T) {
 		_ = e.update(tailSample(now, 400*time.Microsecond, 900*time.Microsecond, n), 0)
 	}
 	update() // prime
-	if a := testing.AllocsPerRun(200, update); a != 0 {
-		t.Errorf("estimator update with tails allocates %v per op, want 0 (//e2e:hotpath)", a)
-	}
+	allocgate.Zero(t, 200, "estimator update with tails", update)
 }

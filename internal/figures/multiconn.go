@@ -64,7 +64,7 @@ func runMulti(spec RunSpec, n int) *RunOut {
 		cc, sc := tcpsim.Connect(tb.cs, tb.ss, tb.link, tb.tcp)
 		tcpsim.NewSimServer(engine, sc, cal.Server)
 		gens[i] = loadgen.New(s, cc, lcfg, loadgen.SetWorkload(cal.KeySize, cal.ValSize))
-		ports[i] = tcpsim.NewEnginePort(cc, sc, tcpsim.UnitBytes)
+		ports[i] = tcpsim.NewEnginePort(cc, sc)
 	}
 
 	// Steady-state per-connection estimation: a passive engine endpoint

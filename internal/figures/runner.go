@@ -315,7 +315,7 @@ func Run(spec RunSpec) *RunOut {
 			TailQuantile: d.TailQuantile,
 			Observer:     spec.Observer,
 			Audit:        d.Audit,
-		}, tcpsim.NewEnginePort(cc, sc, tcpsim.UnitBytes))
+		}, tcpsim.NewEnginePort(cc, sc))
 		sim.NewTicker(s, d.Interval, func(now sim.Time) { dynEp.Tick(qstate.Time(now)) })
 		endpoints = append(endpoints, dynEp)
 	}
@@ -324,7 +324,7 @@ func Run(spec RunSpec) *RunOut {
 		// A passive endpoint: estimates accumulate, no policy drives.
 		onEp := engine.New(engine.Config{
 			Observer: &onlineMean{out: out, warm: qstate.Time(spec.Duration / 5)},
-		}, tcpsim.NewEnginePort(cc, sc, tcpsim.UnitBytes))
+		}, tcpsim.NewEnginePort(cc, sc))
 		sim.NewTicker(s, spec.OnlineEstimateEvery, func(now sim.Time) { onEp.Tick(qstate.Time(now)) })
 	}
 
@@ -332,7 +332,7 @@ func Run(spec RunSpec) *RunOut {
 	if spec.AIMD != nil {
 		a := spec.AIMD
 		aimd = &engine.AIMDPolicy{Min: a.Min, Max: a.Max, Step: a.Step, Backoff: a.Backoff, SLO: a.SLO}
-		aimdEp := engine.New(engine.Config{AIMD: aimd}, tcpsim.NewEnginePort(cc, sc, tcpsim.UnitBytes))
+		aimdEp := engine.New(engine.Config{AIMD: aimd}, tcpsim.NewEnginePort(cc, sc))
 		sim.NewTicker(s, a.Interval, func(now sim.Time) { aimdEp.Tick(qstate.Time(now)) })
 		endpoints = append(endpoints, aimdEp)
 	}
@@ -347,8 +347,8 @@ func Run(spec RunSpec) *RunOut {
 	if spec.TailCapture || gen.Hints != nil {
 		s.At(sim.Time(lcfg.Warmup), func() {
 			if spec.TailCapture {
-				tailFirst[0] = cc.LocalTails(tcpsim.UnitBytes)
-				tailFirst[1] = sc.LocalTails(tcpsim.UnitBytes)
+				tailFirst[0] = cc.LocalTails()
+				tailFirst[1] = sc.LocalTails()
 				tailCaptured = true
 			}
 			if gen.Hints != nil {
@@ -382,8 +382,8 @@ func Run(spec RunSpec) *RunOut {
 		out.Est[u] = steadyEstimate(out.Log, tcpsim.Unit(u), spec.Duration/5)
 	}
 	if tailCaptured {
-		lastC := cc.LocalTails(tcpsim.UnitBytes)
-		lastS := sc.LocalTails(tcpsim.UnitBytes)
+		lastC := cc.LocalTails()
+		lastS := sc.LocalTails()
 		out.TailEst = steadyTail(out.Log, spec.Duration/5, &tailFirst[0], &lastC, &tailFirst[1], &lastS)
 	}
 	if gen.Hints != nil {

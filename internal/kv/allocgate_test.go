@@ -1,7 +1,7 @@
 //go:build !race
 
 // Allocation gates (DESIGN.md §13) for the request path. Excluded under -race
-// because the race runtime allocates shadow state that AllocsPerRun would
+// because the race runtime allocates shadow state that allocgate.Zero would
 // charge to the tracked code.
 
 package kv
@@ -9,6 +9,7 @@ package kv
 import (
 	"testing"
 
+	"e2ebatch/internal/allocgate"
 	"e2ebatch/internal/resp"
 )
 
@@ -16,26 +17,22 @@ func TestAllocGateGet(t *testing.T) {
 	e, _ := newTestEngine()
 	e.Exec(argv("SET", "key0000000000000", "value"))
 	get, miss := argv("get", "key0000000000000"), argv("GET", "no-such-key")
-	if n := testing.AllocsPerRun(200, func() {
+	allocgate.Zero(t, 200, "GET", func() {
 		if e.Exec(get).Null || !e.Exec(miss).Null {
 			t.Fatal("wrong reply")
 		}
-	}); n != 0 {
-		t.Errorf("GET allocates %v per op, want 0 (//e2e:hotpath)", n)
-	}
+	})
 }
 
 func TestAllocGateSetExistingKey(t *testing.T) {
 	e, _ := newTestEngine()
 	long, short := argv("SET", "key0000000000000", string(make([]byte, 16384))), argv("Set", "key0000000000000", "short", "PX", "5000")
 	e.Exec(long)
-	if n := testing.AllocsPerRun(200, func() {
+	allocgate.Zero(t, 200, "SET of an existing key", func() {
 		if e.Exec(short).IsError() || e.Exec(long).IsError() {
 			t.Fatal("SET failed")
 		}
-	}); n != 0 {
-		t.Errorf("SET of an existing key allocates %v per op, want 0 (//e2e:hotpath)", n)
-	}
+	})
 }
 
 // The whole server-side path of a pipelined batch: bytes in the parser's
@@ -63,9 +60,7 @@ func TestAllocGatePipelinedBatch(t *testing.T) {
 		}
 	}
 	batch() // the first SET builds the key
-	if n := testing.AllocsPerRun(100, batch); n != 0 {
-		t.Errorf("a 16-deep pipelined batch allocates %v, want 0", n)
-	}
+	allocgate.Zero(t, 100, "a 16-deep pipelined batch", batch)
 	if want := 8*len("+OK\r\n$64\r\n\r\n") + 8*64; len(out) != want {
 		t.Errorf("batch produced %d reply bytes, want %d", len(out), want)
 	}

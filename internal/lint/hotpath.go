@@ -13,7 +13,7 @@ import (
 // into GC pressure that perturbs the very latencies being measured. The
 // contract an annotated function signs is enforced by three layers
 // (DESIGN.md §13): this AST pass, the compiler-backed escapes analyzer, and
-// the testing.AllocsPerRun allocgate tests.
+// the allocgate tests (allocgate.Zero over N warmed runs).
 //
 // HotPath walks every annotated function and its statically-resolvable
 // intra-module callees (the transitive closure over the loaded packages) and

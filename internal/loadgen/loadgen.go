@@ -158,6 +158,12 @@ func (r *Result) String() string {
 type pending struct {
 	scheduledAt sim.Time
 	kind        int
+	// batch is the syscall-batch buffer (SyscallBatch > 1) whose send(2)
+	// carried this request, on the batch's last request only. Its reply
+	// means the server has read every byte of the batch, and tcpsim keeps no
+	// reference to a Send's bytes once they are read, so the buffer is free
+	// again then.
+	batch []byte
 }
 
 // Generator drives one connection. Construct with New, then Run.
@@ -184,6 +190,7 @@ type Generator struct {
 
 	sendBuf      []byte // userspace aggregation buffer (SyscallBatch > 1)
 	sendBuffered int
+	batchFree    [][]byte // batch buffers whose last request is answered
 
 	res Result
 }
@@ -328,6 +335,13 @@ func (g *Generator) issueOne(scheduled sim.Time) {
 		g.Hints.Create(1)
 	}
 	if g.cfg.SyscallBatch > 1 {
+		if g.sendBuf == nil { // a recycled buffer, or one sized for a full batch
+			if k := len(g.batchFree) - 1; k >= 0 {
+				g.sendBuf, g.batchFree = g.batchFree[k], g.batchFree[:k]
+			} else {
+				g.sendBuf = make([]byte, 0, g.cfg.SyscallBatch*len(wire))
+			}
+		}
 		g.sendBuf = append(g.sendBuf, wire...)
 		g.sendBuffered++
 		if g.sendBuffered >= g.cfg.SyscallBatch {
@@ -344,7 +358,8 @@ func (g *Generator) send(cost time.Duration, wire []byte) {
 	g.conn.Stack().AppCPU.Exec(cost, g, evSend, nil)
 }
 
-// flushSends issues the buffered requests as one send(2).
+// flushSends issues the buffered requests as one send(2). The buffer rides
+// on the batch's last pending request until its reply is parsed.
 func (g *Generator) flushSends() {
 	if g.sendBuffered == 0 {
 		return
@@ -353,6 +368,8 @@ func (g *Generator) flushSends() {
 	n := g.sendBuffered
 	g.sendBuf = nil
 	g.sendBuffered = 0
+	live := g.inflight.Live()
+	live[len(live)-1].batch = wire
 	g.send(g.cfg.SendCosts.Batch(n, len(wire)), wire)
 }
 
@@ -366,11 +383,13 @@ func (g *Generator) wake() {
 	g.conn.Stack().AppCPU.Exec(g.cfg.ReadCosts.PerBatch, g, evRead, nil)
 }
 
-// readResponses is the body of a wakeup; evProcDone ends it.
+// readResponses is the body of a wakeup; evProcDone ends it. The socket
+// drains straight into the parser's buffer.
 func (g *Generator) readResponses() {
-	data := g.conn.Read(0)
+	if n := g.conn.Readable(); n > 0 {
+		g.parser.Commit(g.conn.ReadInto(g.parser.Space(n)))
+	}
 	now := g.sim.Now()
-	g.parser.Feed(data)
 	var procCost time.Duration
 	for {
 		respBytes, ok, err := g.parser.Skip()
@@ -384,6 +403,9 @@ func (g *Generator) readResponses() {
 			panic("loadgen: response without a pending request")
 		}
 		p := g.inflight.Pop()
+		if p.batch != nil {
+			g.batchFree = append(g.batchFree, p.batch[:0])
+		}
 		g.res.Completed++
 		if g.Hints != nil {
 			g.Hints.Complete(1)

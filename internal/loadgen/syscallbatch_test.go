@@ -5,10 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"e2ebatch/internal/faults"
 	"e2ebatch/internal/hints"
 	"e2ebatch/internal/kv"
 	"e2ebatch/internal/netem"
 	"e2ebatch/internal/qstate"
+	"e2ebatch/internal/resp"
 	"e2ebatch/internal/sim"
 	"e2ebatch/internal/tcpsim"
 )
@@ -139,5 +141,50 @@ func TestSendAliasingContract(t *testing.T) {
 				t.Fatalf("batch %d: the maker's wire form for request %d was modified by the run", batch, i)
 			}
 		}
+	}
+}
+
+// TestBatchRecyclingSurvivesLoss: a syscall-batch buffer goes back on the
+// free list with its batch's last reply, and the next batch refills it. Under
+// a loss plan go-back-N resends from the sender's byte stream, and a batch
+// split over two flushes reaches the server in pieces. So a buffer freed
+// before the server had read all of it would carry the next batch's bytes
+// into this one's: the server's ReadDigest would differ from the client's
+// SentDigest, or the stream would stop parsing and leave requests unanswered.
+func TestBatchRecyclingSurvivesLoss(t *testing.T) {
+	const dur = 100 * time.Millisecond
+	s := sim.New(3)
+	link := netem.NewLink(s, "lnk", netem.Config{BitsPerSec: 10_000_000_000, Propagation: 5 * time.Microsecond})
+	tcfg := tcpsim.DefaultConfig()
+	tcfg.Nagle, tcfg.RTO = false, 2*time.Millisecond
+	cc, sc := tcpsim.Connect(tcpsim.NewStack(s, "client"), tcpsim.NewStack(s, "server"), link, tcfg)
+	store := kv.NewStore(func() time.Duration { return s.Now().Duration() })
+	tcpsim.NewSimServer(kv.NewEngine(store), sc, tcpsim.DefaultSimServerConfig())
+	plan, err := faults.Standard("loss", dur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.MustApply(s, plan, faults.Targets{Link: link})
+
+	cfg := DefaultConfig(20000, dur)
+	cfg.SyscallBatch = 4
+	cfg.Drain = time.Second
+	// Each request's value is a different letter, so a batch written over
+	// another changes bytes at every offset.
+	sets := make([][]byte, 26)
+	for k := range sets {
+		sets[k] = resp.AppendCommand(nil, []byte("SET"), []byte("key"), bytes.Repeat([]byte{byte('a' + k)}, 2048))
+	}
+	res := New(s, cc, cfg, func(i uint64) ([]byte, int) { return sets[i%26], KindSet }).Run()
+	c, srv := cc.Stats(), sc.Stats()
+	if c.Retransmits == 0 {
+		t.Fatal("no retransmission: the loss plan never hit the client's flushes")
+	}
+	if res.Issued == 0 || res.Completed != res.Issued || res.Dropped != 0 {
+		t.Fatalf("issued %d, completed %d, dropped %d: every request must be answered", res.Issued, res.Completed, res.Dropped)
+	}
+	if c.SentDigest != srv.ReadDigest || srv.SentDigest != c.ReadDigest {
+		t.Fatalf("a recycled batch buffer changed bytes the server had not read yet: client %x/%x server %x/%x",
+			c.SentDigest, c.ReadDigest, srv.SentDigest, srv.ReadDigest)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"e2ebatch/internal/allocgate"
 	"e2ebatch/internal/core"
 	"e2ebatch/internal/engine"
 	"e2ebatch/internal/policy"
@@ -23,9 +24,7 @@ import (
 func TestAllocGateRingPush(t *testing.T) {
 	r := NewRing(64)
 	rec := DecisionRecord{Endpoint: "gate", Mode: "batch-on", Valid: true}
-	if n := testing.AllocsPerRun(200, func() { r.Push(0, &rec, &rec.Seq) }); n != 0 {
-		t.Errorf("Ring.Push of a DecisionRecord allocates %v per op, want 0 (//e2e:hotpath)", n)
-	}
+	allocgate.Zero(t, 200, "Ring.Push of a DecisionRecord", func() { r.Push(0, &rec, &rec.Seq) })
 }
 
 func TestAllocGateObserveTick(t *testing.T) {
@@ -64,7 +63,5 @@ func TestAllocGateObserveTick(t *testing.T) {
 		})
 	}
 	observe() // warm the mode-flip tracking before measuring
-	if n := testing.AllocsPerRun(200, observe); n != 0 {
-		t.Errorf("EngineObserver.ObserveTick allocates %v per op, want 0 (//e2e:hotpath)", n)
-	}
+	allocgate.Zero(t, 200, "EngineObserver.ObserveTick", observe)
 }

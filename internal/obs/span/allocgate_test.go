@@ -12,18 +12,17 @@ package span
 import (
 	"testing"
 
+	"e2ebatch/internal/allocgate"
 	"e2ebatch/internal/engine"
 )
 
 func TestAllocGateSampledUnsampledPath(t *testing.T) {
 	tr := New(Config{Seed: 9, SampleEvery: 64})
 	var id uint64
-	if n := testing.AllocsPerRun(500, func() {
+	allocgate.Zero(t, 500, "Sampled", func() {
 		_ = tr.Sampled(id)
 		id++
-	}); n != 0 {
-		t.Errorf("Sampled allocates %v per op, want 0 (//e2e:hotpath)", n)
-	}
+	})
 }
 
 func TestAllocGateSampledSpanLifecycle(t *testing.T) {
@@ -35,24 +34,20 @@ func TestAllocGateSampledSpanLifecycle(t *testing.T) {
 	tr.ObserveTick(0, tick(100_000, 400_000, true, true))
 	var sp Span
 	var id uint64
-	if n := testing.AllocsPerRun(500, func() {
+	allocgate.Zero(t, 500, "Begin+Finish (ring+audit)", func() {
 		tr.Begin(&sp, uint32(id&1), 0, id, int64(id)*1_000)
 		tr.Finish(&sp, int64(id)*1_000+900)
 		id++
-	}); n != 0 {
-		t.Errorf("Begin+Finish (ring+audit) allocates %v per op, want 0 (//e2e:hotpath)", n)
-	}
+	})
 }
 
 func TestAllocGateObserveTick(t *testing.T) {
 	tr := New(Config{Seed: 9, SampleEvery: 1})
 	var i int64
-	if n := testing.AllocsPerRun(500, func() {
+	allocgate.Zero(t, 500, "ObserveTick", func() {
 		tr.ObserveTick(0, tick(100_000+i, 400_000+i, true, i%4 != 0))
 		i++
-	}); n != 0 {
-		t.Errorf("ObserveTick allocates %v per op, want 0 (//e2e:hotpath)", n)
-	}
+	})
 }
 
 func TestAllocGateAuditStats(t *testing.T) {
@@ -60,11 +55,9 @@ func TestAllocGateAuditStats(t *testing.T) {
 	sp := Span{AckNs: 200_000, EstNs: 150_000, EstP99Ns: 600_000, EstValid: true, TailValid: true}
 	a.Observe(&sp)
 	var st engine.AuditStats
-	if n := testing.AllocsPerRun(500, func() {
+	allocgate.Zero(t, 500, "AuditStats (runs inside engine.Tick)", func() {
 		st = a.AuditStats()
-	}); n != 0 {
-		t.Errorf("AuditStats allocates %v per op, want 0 (runs inside engine.Tick)", n)
-	}
+	})
 	_ = st
 }
 
@@ -72,11 +65,9 @@ func TestAllocGateRingPushSpan(t *testing.T) {
 	r := NewRing(2, 64)
 	var sp Span
 	var id uint64
-	if n := testing.AllocsPerRun(500, func() {
+	allocgate.Zero(t, 500, "Ring.Push", func() {
 		sp = Span{ReqID: id, Shard: uint32(id), EnqueueNs: int64(id), AckNs: int64(id) + 100}
 		r.Push(int(sp.Shard), &sp, &sp.Seq)
 		id++
-	}); n != 0 {
-		t.Errorf("Ring.Push allocates %v per op, want 0 (//e2e:hotpath)", n)
-	}
+	})
 }

@@ -5,20 +5,20 @@
 // syntax, `e2elint -escapes` asks the compiler's escape analysis, and these
 // tests pin the *observed* allocation count of every //e2e:hotpath function
 // in this package at zero. Excluded under -race because the race runtime
-// allocates shadow state that AllocsPerRun would charge to the tracked code.
+// allocates shadow state that allocgate.Zero would charge to the tracked code.
 
 package qstate
 
 import (
 	"testing"
 	"time"
+
+	"e2ebatch/internal/allocgate"
 )
 
 func allocGate(t *testing.T, name string, f func()) {
 	t.Helper()
-	if n := testing.AllocsPerRun(200, f); n != 0 {
-		t.Errorf("%s allocates %v per op, want 0 (//e2e:hotpath)", name, n)
-	}
+	allocgate.Zero(t, 200, name, f)
 }
 
 func TestAllocGateTracker(t *testing.T) {

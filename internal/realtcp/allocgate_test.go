@@ -11,6 +11,7 @@ package realtcp
 import (
 	"testing"
 
+	"e2ebatch/internal/allocgate"
 	"e2ebatch/internal/resp"
 )
 
@@ -21,7 +22,7 @@ func TestAllocGateQueueComplete(t *testing.T) {
 	defer c.Close()
 	const k = 16
 	wire := resp.Command("PING")
-	allocs := testing.AllocsPerRun(200, func() {
+	allocgate.Zero(t, 200, "Queue of 16 + Flush + complete over three reads", func() {
 		if err := c.Queue(wire, k); err != nil {
 			t.Fatal(err)
 		}
@@ -33,9 +34,6 @@ func TestAllocGateQueueComplete(t *testing.T) {
 		c.complete(5)
 		c.complete(k - 10)
 	})
-	if allocs != 0 {
-		t.Errorf("Queue of %d + Flush + complete over three reads allocates %v per op, want 0 (//e2e:hotpath)", k, allocs)
-	}
 	if n != 201*k || c.Outstanding() != 0 {
 		t.Errorf("%d completions, %d outstanding after %d requests", n, c.Outstanding(), 201*k)
 	}
@@ -51,7 +49,7 @@ func TestAllocGateRawRoundTrip(t *testing.T) {
 	}
 	msg := resp.Command("SET", "key", "value")
 	buf := make([]byte, 4096)
-	allocs := testing.AllocsPerRun(200, func() {
+	allocgate.Zero(t, 200, "a raw write + read round", func() {
 		if _, err := w.Write(msg); err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +61,4 @@ func TestAllocGateRawRoundTrip(t *testing.T) {
 			got += n
 		}
 	})
-	if allocs != 0 {
-		t.Errorf("a raw write + read round allocates %v per op, want 0 (//e2e:hotpath)", allocs)
-	}
 }

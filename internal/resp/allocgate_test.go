@@ -2,11 +2,15 @@
 
 // Allocation gates (DESIGN.md §13) for this package's //e2e:hotpath
 // functions. Excluded under -race because the race runtime allocates shadow
-// state that AllocsPerRun would charge to the tracked code.
+// state that allocgate.Zero would charge to the tracked code.
 
 package resp
 
-import "testing"
+import (
+	"testing"
+
+	"e2ebatch/internal/allocgate"
+)
 
 func TestAllocGateNextCommand(t *testing.T) {
 	var wire []byte
@@ -15,7 +19,7 @@ func TestAllocGateNextCommand(t *testing.T) {
 	}
 	var p Parser
 	args := make([][]byte, 0, 8)
-	if n := testing.AllocsPerRun(200, func() {
+	allocgate.Zero(t, 200, "Space/Commit/NextCommand of 16 requests", func() {
 		copy(p.Space(len(wire)), wire)
 		p.Commit(len(wire))
 		for {
@@ -24,9 +28,7 @@ func TestAllocGateNextCommand(t *testing.T) {
 				break
 			}
 		}
-	}); n != 0 {
-		t.Errorf("Space/Commit/NextCommand allocate %v per 16 requests, want 0 (//e2e:hotpath)", n)
-	}
+	})
 }
 
 func TestAllocGateSkip(t *testing.T) {
@@ -36,28 +38,24 @@ func TestAllocGateSkip(t *testing.T) {
 		wire = AppendValue(wire, r)
 	}
 	var p Parser
-	if n := testing.AllocsPerRun(200, func() {
+	allocgate.Zero(t, 200, "Feed/Skip of 6 replies", func() {
 		p.Feed(wire)
 		for {
 			if _, ok, _ := p.Skip(); !ok {
 				break
 			}
 		}
-	}); n != 0 {
-		t.Errorf("Feed/Skip allocate %v per 6 replies, want 0 (//e2e:hotpath)", n)
-	}
+	})
 }
 
 func TestAllocGateAppendValue(t *testing.T) {
 	out := make([]byte, 0, 1024)
 	replies := []Value{OK(), Pong(), NullBulk(), Int(-42), Bulk(make([]byte, 64)),
 		{Type: Array, Array: []Value{Bulk([]byte("a")), NullBulk()}}}
-	if n := testing.AllocsPerRun(200, func() {
+	allocgate.Zero(t, 200, "AppendValue into a buffer with room", func() {
 		out = out[:0]
 		for _, r := range replies {
 			out = AppendValue(out, r)
 		}
-	}); n != 0 {
-		t.Errorf("AppendValue allocates %v per op into a buffer with room, want 0 (//e2e:hotpath)", n)
-	}
+	})
 }

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"e2ebatch/internal/allocgate"
 	"e2ebatch/internal/qstate"
 )
 
@@ -26,12 +27,10 @@ func gateFire(qstate.Time) { gateFires++ }
 func TestAllocGateWheelArmCancel(t *testing.T) {
 	w := NewWheel(0, time.Millisecond)
 	tm := &Timer{Fn: gateFire}
-	if n := testing.AllocsPerRun(200, func() {
+	allocgate.Zero(t, 200, "Wheel.Arm/Cancel", func() {
 		w.Arm(tm, 5*time.Millisecond)
 		w.Cancel(tm)
-	}); n != 0 {
-		t.Errorf("Wheel.Arm/Cancel allocates %v per op, want 0 (//e2e:hotpath)", n)
-	}
+	})
 }
 
 func TestAllocGateWheelAdvance(t *testing.T) {
@@ -45,12 +44,10 @@ func TestAllocGateWheelAdvance(t *testing.T) {
 			time.Duration(1+i%70)*time.Millisecond)
 	}
 	now := qstate.Time(0)
-	if n := testing.AllocsPerRun(200, func() {
+	allocgate.Zero(t, 200, "Wheel.Advance", func() {
 		now += qstate.Time(17 * time.Millisecond)
 		w.Advance(now)
-	}); n != 0 {
-		t.Errorf("Wheel.Advance allocates %v per op, want 0 (//e2e:hotpath)", n)
-	}
+	})
 	if w.Fired() == 0 {
 		t.Fatal("gate measured an idle wheel")
 	}
@@ -65,12 +62,10 @@ func TestAllocGateShardService(t *testing.T) {
 		timers[i].Fn = gateFire
 		s.Wheel().ArmPeriodic(&timers[i], time.Millisecond, time.Duration(1+i%8)*time.Millisecond)
 	}
-	if n := testing.AllocsPerRun(200, func() {
+	allocgate.Zero(t, 200, "Shard.Service", func() {
 		now += qstate.Time(3 * time.Millisecond)
 		s.Service(now)
-	}); n != 0 {
-		t.Errorf("Shard.Service allocates %v per op, want 0 (//e2e:hotpath)", n)
-	}
+	})
 	if s.Stats().Fired == 0 {
 		t.Fatal("gate measured an idle shard")
 	}

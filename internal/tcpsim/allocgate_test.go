@@ -2,32 +2,33 @@
 
 // Allocation gates (DESIGN.md §13) for this package's //e2e:hotpath functions.
 // Excluded under -race because the race runtime allocates shadow state that
-// AllocsPerRun would charge to the tracked code.
+// allocgate.Zero would charge to the tracked code.
 
 package tcpsim
 
 import (
+	"fmt"
 	"testing"
 
+	"e2ebatch/internal/allocgate"
 	"e2ebatch/internal/netem"
+	"e2ebatch/internal/resp"
 	"e2ebatch/internal/sim"
 )
 
 func TestAllocGateDigestFold(t *testing.T) {
 	var d digest
 	data := payload(16411) // a 16 KiB SET: whole words plus a 3-byte carry
-	if n := testing.AllocsPerRun(200, func() {
+	allocgate.Zero(t, 200, "digest.fold", func() {
 		d.fold(data)
 		d.fold(data[:5])
 		_ = d.sum()
-	}); n != 0 {
-		t.Errorf("digest.fold allocates %v per op, want 0 (//e2e:hotpath)", n)
-	}
+	})
 }
 
 // TestAllocGateSegmentPath pins the whole segment path — Send, transmit,
 // wire, receive, GRO, deliver, Read, delayed and standalone ACKs, v2 metadata
-// exchange — at 0 allocs/op once warmed: segments come off the free list,
+// exchange — at 0 allocations once warmed: segments come off the free list,
 // events are heap values, offset queues reuse their arrays.
 func TestAllocGateSegmentPath(t *testing.T) {
 	for _, gro := range []bool{false, true} {
@@ -51,11 +52,42 @@ func TestAllocGateSegmentPath(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			exchange() // warm: free list, event heap, offset queues, read buffers
 		}
-		if n := testing.AllocsPerRun(200, exchange); n != 0 {
-			t.Errorf("GRO=%v: a request/reply exchange allocates %v per op, want 0 (//e2e:hotpath)", gro, n)
-		}
+		allocgate.Zero(t, 200, fmt.Sprintf("a request/reply exchange (GRO=%v)", gro), exchange)
 		if ca.Stats().PureAcks == 0 || cb.Stats().StatesExchanged == 0 {
 			t.Fatalf("GRO=%v: the exchange did not cover ACKs and metadata: %+v", gro, ca.Stats())
 		}
+	}
+}
+
+// TestAllocGateReadInto pins a simulated request's receive side at 0
+// allocations over 200 warmed requests: the server's ReadInto straight into
+// its parser's free tail, parse, execute and reply, and the client's ReadInto
+// into a parser of its own.
+func TestAllocGateReadInto(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nagle, cfg.ExchangeTails = false, true
+	r := newSimRig(t, cfg, DefaultSimServerConfig())
+	replies := 0
+	r.client.OnReadable(func() {
+		r.parser.Commit(r.client.ReadInto(r.parser.Space(r.client.Readable())))
+		for {
+			if _, ok, _ := r.parser.Skip(); !ok {
+				break
+			}
+			replies++
+		}
+	})
+	req := resp.AppendCommand(nil, []byte("SET"), []byte("key0000000000000"), payload(64))
+	request := func() {
+		r.client.Send(req)
+		for r.s.Step() {
+		}
+	}
+	for i := 0; i < 100; i++ {
+		request() // warm: the key, both parsers' buffers, the server's argv
+	}
+	allocgate.Zero(t, 200, "a SET read with ReadInto at both ends", request)
+	if want := 100 + 1 + 200; replies != want || r.server.Stats().Requests != uint64(want) {
+		t.Fatalf("%d replies, %d served, want %d", replies, r.server.Stats().Requests, want)
 	}
 }

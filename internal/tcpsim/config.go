@@ -12,10 +12,11 @@
 //   - ackdelay: data received but not yet acknowledged to the peer
 //     (the rcv_nxt − rcv_wup analogue).
 //
-// Each queue is tracked simultaneously in the three "message unit" modes the
-// paper discusses (§3.3): bytes, packets and send-calls. Queue-state
-// metadata (36-byte wire form, §3.2) can be piggybacked on outgoing
-// segments, emulating the TCP-option exchange of §5.
+// Each queue's counters are tracked simultaneously in the three "message
+// unit" modes the paper discusses (§3.3): bytes, packets and send-calls; its
+// delay histogram is tracked in bytes. Queue-state metadata (the byte
+// counters' 36-byte wire form, §3.2) can be piggybacked on outgoing segments,
+// emulating the TCP-option exchange of §5.
 //
 // Links are in-order and, like the paper's back-to-back testbed, lossless by
 // default; on a lossy one Config.RTO turns on go-back-N retransmission.
@@ -113,8 +114,6 @@ type Config struct {
 	// Exchange enables piggybacking local queue-state metadata on
 	// outgoing segments.
 	Exchange bool
-	// ExchangeUnit selects which unit's counters are exchanged.
-	ExchangeUnit Unit
 	// ExchangeInterval rate-limits the exchange; zero attaches state to
 	// every outgoing segment ("on-demand" per §5 is the caller invoking
 	// RequestExchange).
@@ -141,7 +140,6 @@ func DefaultConfig() Config {
 		CorkTimeout:   200 * time.Millisecond,
 		HeaderBytes:   66,
 		Exchange:      true,
-		ExchangeUnit:  UnitBytes,
 	}
 }
 

@@ -80,10 +80,10 @@ type Stats struct {
 	// SentDigest and ReadDigest are not counts but running digests (type
 	// digest: four interleaved FNV-1a word lanes, independent of how calls
 	// split the stream) of every byte the application has written to (Send)
-	// and read from (Read) this endpoint — the replay seam the model-fidelity
-	// harness uses: byte-identical streams always have equal digests, and
-	// streams that differ share one only by a 64-bit hash collision, with
-	// nothing retained. An untouched direction reads the FNV-1a offset basis.
+	// and read from (Read, ReadInto) this endpoint — the replay seam the
+	// model-fidelity harness uses: byte-identical streams always have equal
+	// digests, and streams that differ share one only by a 64-bit hash
+	// collision, with nothing retained. An untouched direction reads the FNV-1a offset basis.
 	SentDigest uint64
 	ReadDigest uint64
 }
@@ -297,10 +297,9 @@ func (c *Conn) Readable() int { return int(c.rcvNxt - c.rqStart) }
 
 // Read consumes up to max bytes from the receive buffer (all of it if max
 // <= 0), returning nil when nothing is readable. The result is the
-// connection's own buffer, valid until the next Read. As with Send, the
-// caller charges its own app CPU cost.
-//
-//e2e:hotpath
+// connection's own buffer, valid until the next Read. It is ReadInto with a
+// buffer the connection keeps; a reader with a buffer of its own (a parser's
+// free tail) calls ReadInto and saves the copy out of this one.
 func (c *Conn) Read(max int) []byte {
 	n := c.Readable()
 	if n == 0 {
@@ -309,9 +308,29 @@ func (c *Conn) Read(max int) []byte {
 	if max > 0 && max < n {
 		n = max
 	}
-	c.rbuf = c.peer.sndBuf.take(c.rbuf[:0], n)
+	if cap(c.rbuf) < n {
+		c.rbuf = make([]byte, n)
+	}
+	c.rbuf = c.rbuf[:n]
+	c.ReadInto(c.rbuf)
+	return c.rbuf
+}
+
+// ReadInto consumes up to len(p) bytes from the receive buffer into p and
+// returns how many it copied (0 when nothing is readable). The bytes go
+// straight from the sender's slice into p: a payload byte's one copy between
+// Send and the reader. As with Send, the caller charges its own app CPU cost.
+//
+//e2e:hotpath
+func (c *Conn) ReadInto(p []byte) int {
+	n := min(len(p), c.Readable())
+	if n == 0 {
+		return 0
+	}
+	p = p[:n]
+	c.peer.sndBuf.take(p)
 	c.rqStart += int64(n)
-	c.read.fold(c.rbuf)
+	c.read.fold(p)
 
 	segs := popLE(&c.rcvSegEnds, c.rqStart)
 	msgs := popLE(&c.rcvMsgEnds, c.rqStart)
@@ -322,7 +341,7 @@ func (c *Conn) Read(max int) []byte {
 	if c.advertiseWnd()-c.lastAdvWnd >= c.cfg.RecvBuf/2 {
 		c.scheduleAck()
 	}
-	return c.rbuf
+	return n
 }
 
 // InFlight returns transmitted-but-unACKed bytes.
@@ -342,11 +361,13 @@ func (c *Conn) PeerWireState() (qstate.WireState, sim.Time, bool) {
 	return c.peerState, c.peerStateAt, c.peerStateValid
 }
 
-// LocalTails returns the local queues' cumulative delay histograms in unit
-// u. Tracking is always on (it is passive); whether the histograms also ride
-// the exchange is Config.ExchangeTails.
-func (c *Conn) LocalTails(u Unit) qstate.WireTails {
-	return c.instr.WireTails(u)
+// LocalTails returns the local queues' cumulative byte-delay histograms.
+// Tracking is always on (it is passive); whether the histograms also ride the
+// exchange is Config.ExchangeTails.
+func (c *Conn) LocalTails() qstate.WireTails {
+	var t qstate.WireTails
+	c.instr.WireTails(&t)
+	return t
 }
 
 // PeerTails returns the peer's delay histograms from its most recent
@@ -531,9 +552,10 @@ func (c *Conn) finishSegment(seg *segment) {
 	c.noteAckSent()
 	if c.exchangeDue() {
 		seg.hasState = true
-		seg.state = c.instr.WireState(c.stack.Sim.Now(), c.cfg.ExchangeUnit)
+		seg.state = c.instr.WireState(c.stack.Sim.Now())
 		if c.cfg.ExchangeTails {
-			seg.tails, seg.hasTails = c.instr.WireTails(c.cfg.ExchangeUnit), true
+			c.instr.WireTails(&seg.tails)
+			seg.hasTails = true
 		}
 		c.lastExchange = c.stack.Sim.Now()
 		c.exchangedOnce = true

@@ -13,18 +13,17 @@ import (
 type EnginePort struct {
 	local *Conn
 	peer  *Conn
-	unit  Unit
 }
 
-// NewEnginePort returns a port sampling local in unit and applying
-// decisions to both local and peer.
-func NewEnginePort(local, peer *Conn, unit Unit) *EnginePort {
-	return &EnginePort{local: local, peer: peer, unit: unit}
+// NewEnginePort returns a port sampling local's queues in bytes — the unit
+// the exchange carries — and applying decisions to both local and peer.
+func NewEnginePort(local, peer *Conn) *EnginePort {
+	return &EnginePort{local: local, peer: peer}
 }
 
 // Snapshot captures the local queue state and the freshest peer exchange.
 func (p *EnginePort) Snapshot(now qstate.Time) core.Sample {
-	ua, ur, ad := p.local.Snapshots(p.unit)
+	ua, ur, ad := p.local.Snapshots(UnitBytes)
 	s := core.Sample{
 		Local: core.Queues{Unacked: ua, Unread: ur, AckDelay: ad},
 		At:    now,
@@ -37,7 +36,7 @@ func (p *EnginePort) Snapshot(now qstate.Time) core.Sample {
 	// once the peer has sent a v2 (tails-carrying) exchange. Against a v1
 	// peer RemoteTailsOK stays false and the estimator's tail abstains while
 	// the mean proceeds.
-	s.LocalTails = p.local.LocalTails(p.unit)
+	s.LocalTails = p.local.LocalTails()
 	s.LocalTailsOK = true
 	if ts, ok := p.local.PeerTails(); ok {
 		s.RemoteTails, s.RemoteTailsOK = ts, true

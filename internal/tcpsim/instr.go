@@ -5,15 +5,17 @@ import (
 	"e2ebatch/internal/sim"
 )
 
-// queueInstr tracks one logical queue simultaneously in every unit mode.
-// Alongside the paper's four counters it runs a DelayTracker per unit,
-// fed from the very same track() calls: the FIFO cohort attribution turns
-// the arrival/departure stream into the cumulative per-queue delay
-// histograms the tail-estimation plane exchanges. Recording is passive —
-// it never alters protocol behaviour or the mean-path counters.
+// queueInstr tracks one logical queue. The paper's four counters run in
+// every unit mode, for the trace log's per-unit columns; beside them one
+// DelayTracker, fed the byte delta of the very same track() calls, turns
+// the arrival/departure stream into the cumulative delay histogram the
+// tail-estimation plane exchanges. Tails are recorded in bytes only: that is
+// the unit every reader (EnginePort, the runner's tail capture, the v2
+// exchange) asks for. Recording is passive — it never alters protocol
+// behaviour or the mean-path counters.
 type queueInstr struct {
 	states [NumUnits]qstate.State
-	delays [NumUnits]qstate.DelayTracker
+	delay  qstate.DelayTracker
 }
 
 func (q *queueInstr) init(now sim.Time) {
@@ -28,9 +30,7 @@ func (q *queueInstr) track(now sim.Time, bytes, packets, sends int64) {
 	q.states[UnitBytes].Track(t, bytes)
 	q.states[UnitPackets].Track(t, packets)
 	q.states[UnitSends].Track(t, sends)
-	q.delays[UnitBytes].Track(t, bytes)
-	q.delays[UnitPackets].Track(t, packets)
-	q.delays[UnitSends].Track(t, sends)
+	q.delay.Track(t, bytes)
 }
 
 func (q *queueInstr) snapshot(now sim.Time, u Unit) qstate.Snapshot {
@@ -59,10 +59,9 @@ func (in *Instrumentation) Snapshots(now sim.Time, u Unit) (unacked, unread, ack
 	return in.unacked.snapshot(now, u), in.unread.snapshot(now, u), in.ackdelay.snapshot(now, u)
 }
 
-// WireState encodes the three queues' states in the given unit for a
-// metadata exchange.
-func (in *Instrumentation) WireState(now sim.Time, u Unit) qstate.WireState {
-	ua, ur, ad := in.Snapshots(now, u)
+// WireState encodes the three queues' byte states for a metadata exchange.
+func (in *Instrumentation) WireState(now sim.Time) qstate.WireState {
+	ua, ur, ad := in.Snapshots(now, UnitBytes)
 	return qstate.WireState{
 		Unacked:  qstate.ToWire(ua),
 		Unread:   qstate.ToWire(ur),
@@ -70,14 +69,13 @@ func (in *Instrumentation) WireState(now sim.Time, u Unit) qstate.WireState {
 	}
 }
 
-// WireTails bundles the three queues' cumulative delay histograms in the
-// given unit — what a tails-carrying exchange hands the peer, in memory.
-func (in *Instrumentation) WireTails(u Unit) qstate.WireTails {
-	return qstate.WireTails{
-		Unacked:  in.unacked.delays[u].Hist(),
-		Unread:   in.unread.delays[u].Hist(),
-		AckDelay: in.ackdelay.delays[u].Hist(),
-	}
+// WireTails writes the three queues' cumulative byte-delay histograms —
+// what a tails-carrying exchange hands the peer, in memory — into t: a
+// segment's tails field is filled where it is.
+func (in *Instrumentation) WireTails(t *qstate.WireTails) {
+	t.Unacked = in.unacked.delay.Hist()
+	t.Unread = in.unread.delay.Hist()
+	t.AckDelay = in.ackdelay.delay.Hist()
 }
 
 // Sizes returns the instantaneous sizes of the three queues in the given

@@ -134,3 +134,62 @@ func TestPropertyUnackedLatencyNonNegative(t *testing.T) {
 		}
 	}
 }
+
+// TestPropertyReadIntoPieces sends one random stream over two connections.
+// One reader takes it through ReadInto in random-sized pieces, into buffers
+// shorter and longer than what is readable, so pieces end inside Send chunks
+// and span several; the other takes it with one Read(0) at the end. Both must
+// see the same bytes and end with the same ReadDigest.
+func TestPropertyReadIntoPieces(t *testing.T) {
+	for trial := int64(0); trial < 30; trial++ {
+		rng := rand.New(rand.NewSource(trial))
+		s := sim.New(trial)
+		pair := func(name string) (*Conn, *Conn) {
+			link := netem.NewLink(s, name, netem.Config{BitsPerSec: 10_000_000_000, Propagation: time.Microsecond})
+			cfg := DefaultConfig()
+			cfg.Nagle = rng.Intn(2) == 0
+			return Connect(NewStack(s, name+"/a"), NewStack(s, name+"/b"), link, cfg)
+		}
+		pa, pb := pair("pieces")
+		wa, wb := pair("whole")
+
+		var pieces []byte
+		buf := make([]byte, 8192)
+		readPieces := func() {
+			for pb.Readable() > 0 {
+				p := buf[:rng.Intn(len(buf))]
+				n := pb.ReadInto(p)
+				if n != min(len(p), n+pb.Readable()) {
+					t.Fatalf("trial %d: ReadInto into %d bytes returned %d with %d left readable", trial, len(p), n, pb.Readable())
+				}
+				pieces = append(pieces, p[:n]...)
+			}
+		}
+		pb.OnReadable(readPieces)
+
+		var sent []byte
+		for op := 0; op < 100; op++ {
+			chunk := make([]byte, 1+rng.Intn(5000))
+			rng.Read(chunk)
+			sent = append(sent, chunk...)
+			pa.Send(chunk)
+			wa.Send(chunk)
+			s.RunFor(time.Duration(rng.Intn(50)) * time.Microsecond)
+		}
+		pa.SetNoDelay(true)
+		wa.SetNoDelay(true)
+		s.RunFor(100 * time.Millisecond)
+		readPieces()
+		whole := wb.Read(0)
+
+		if !bytes.Equal(pieces, sent) || !bytes.Equal(whole, sent) {
+			t.Fatalf("trial %d: sent %d bytes; ReadInto pieces read %d, Read(0) %d, not all equal", trial, len(sent), len(pieces), len(whole))
+		}
+		if got, want := pb.Stats().ReadDigest, wb.Stats().ReadDigest; got != want || want != pa.Stats().SentDigest {
+			t.Fatalf("trial %d: ReadDigest %x through pieces, %x through Read(0), sender %x", trial, got, want, pa.Stats().SentDigest)
+		}
+		if pb.ReadInto(buf) != 0 || pb.ReadInto(nil) != 0 {
+			t.Fatalf("trial %d: ReadInto of a drained connection returned bytes", trial)
+		}
+	}
+}

@@ -128,15 +128,16 @@ func (s *SimServer) HandleEvent(kind int, _ any) {
 	}
 }
 
-// readBatch drains the socket and parses the newly arrived commands.
+// readBatch drains the socket straight into the parser's buffer and parses
+// the newly arrived commands.
 func (s *SimServer) readBatch() {
-	data := s.conn.Read(0)
-	if len(data) == 0 {
+	n := s.conn.Readable()
+	if n == 0 {
 		s.finishCycle()
 		return
 	}
-	s.stats.BytesIn += uint64(len(data))
-	s.parser.Feed(data)
+	s.stats.BytesIn += uint64(n)
+	s.parser.Commit(s.conn.ReadInto(s.parser.Space(n)))
 	s.argv, s.pending, s.head = s.argv[:0], s.pending[:0], 0
 	for {
 		args, ok, err := s.parser.NextCommand(s.argv)

@@ -91,21 +91,21 @@ type byteFIFO struct {
 // push appends data to the stream without copying it.
 func (q *byteFIFO) push(data []byte) { q.chunks.Push(data) }
 
-// take removes the first n bytes of the stream and appends them to dst. The
-// caller guarantees the stream holds at least n bytes.
-func (q *byteFIFO) take(dst []byte, n int) []byte {
-	for n > 0 {
+// take removes the first len(dst) bytes of the stream and copies them into
+// dst. The caller guarantees the stream holds that many. A sender's slice is
+// released as soon as its last byte is taken, so once the peer application
+// has read a Send's bytes the stream holds no reference to them.
+func (q *byteFIFO) take(dst []byte) {
+	for len(dst) > 0 {
 		front := q.chunks.Live()[0][q.off:]
-		if len(front) > n {
-			q.off += n
-			return append(dst, front[:n]...)
+		if len(front) > len(dst) {
+			q.off += copy(dst, front)
+			return
 		}
-		dst = append(dst, front...)
-		n -= len(front)
+		dst = dst[copy(dst, front):]
 		q.chunks.Drop(1) // releases the sender's slice
 		q.off = 0
 	}
-	return dst
 }
 
 // offsets is an ascending queue of stream offsets — message or wire-segment

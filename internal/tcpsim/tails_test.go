@@ -36,7 +36,7 @@ func TestExchangeTailsDeliversPeerHistograms(t *testing.T) {
 	pingPong(s, ca, cb, 200, 512, 20*time.Microsecond)
 
 	for _, c := range []*Conn{ca, cb} {
-		lt := c.LocalTails(UnitBytes)
+		lt := c.LocalTails()
 		sent := int64(c.Stats().BytesSent)
 		acked := sent - c.InFlight()
 		if got := int64(lt.Unacked.Count()); got != acked {
@@ -74,7 +74,7 @@ func TestExchangeTailsOffStaysV1(t *testing.T) {
 	if _, ok := cb.PeerTails(); ok {
 		t.Fatal("v1 peer delivered tails")
 	}
-	lt := ca.LocalTails(UnitBytes)
+	lt := ca.LocalTails()
 	if lt.Unacked.Count() == 0 {
 		t.Fatal("local delay tracking must stay on even without the exchange")
 	}
@@ -90,7 +90,7 @@ func TestEnginePortComposesTailInSim(t *testing.T) {
 		cfg.Nagle = false
 		cfg.ExchangeTails = tails
 		s, ca, cb := testNet(t, cfg)
-		ep := engine.New(engine.Config{}, NewEnginePort(ca, cb, UnitBytes))
+		ep := engine.New(engine.Config{}, NewEnginePort(ca, cb))
 		var last engine.TickResult
 		tick := sim.Time(500 * time.Microsecond)
 		for i := 1; i <= 20; i++ {
@@ -140,7 +140,7 @@ func TestDelayedExchangeOutlivesItsSegment(t *testing.T) {
 	s, ca, cb := testNet(t, cfg)
 	var sentTails []qstate.WireTails // ca's histograms at each exchange cb saw
 	cb.SetStateFault(func(qstate.WireState) StateFaultAction {
-		sentTails = append(sentTails, ca.LocalTails(UnitBytes))
+		sentTails = append(sentTails, ca.LocalTails())
 		if len(sentTails) == 20 {
 			return StateFaultAction{Delay: 5 * time.Millisecond}
 		}

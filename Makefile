@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: tier1 vet lint escapes build test race fuzz-smoke bench-check fidelity-smoke clean
+.PHONY: tier1 vet lint escapes build test race fuzz-smoke bench-check fidelity-smoke claims clean
 
 # tier1 is the CI gate. Target graph (each arrow is a declared prerequisite,
 # so the graph is fail-fast even under `make -j`: nothing downstream of a
@@ -19,6 +19,8 @@ GOFMT ?= gofmt
 #          ├─ fuzz-smoke ─→ build (every resp and kv fuzz target, 3 s each)
 #          ├─ fidelity-smoke ─→ build (one zoo replay, mean and tail reports)
 #          └─ bench-check ─→ build (bench/ is its own module: vet, tests, lint)
+#
+#   claims                    (not in tier1: every claim over 11 seeds, ~41 s)
 #
 # race runs the short-mode suite only: full sweeps are skipped under -short,
 # where the race detector slows simulated runs about 7x (the stream digest's
@@ -136,6 +138,15 @@ bench-check: build
 # pinned byte-for-byte by TestFidelityGolden and TestTailFidelityGolden.
 fidelity-smoke: build
 	$(GO) run ./cmd/fidelity -dur 25ms -seed 2
+
+# claims runs the claim table of internal/figures (TestClaims) at 11 seeds
+# each, s0 + 100k for k = 0…10, and rewrites
+# internal/figures/testdata/claims_seeds.txt: per claim its k/N, a pass mark
+# per seed and the first failing assertion. EXPERIMENTS.md's Seeds column
+# quotes the k/N and TestClaimsLedger checks it. About 41 s on 2 CPUs, so it
+# stays out of tier1; the same N gives the same file at any parallelism.
+claims:
+	E2E_CLAIM_SEEDS=11 $(GO) test -count=1 -run '^TestClaims$$' ./internal/figures
 
 clean:
 	$(GO) clean ./...

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"e2ebatch/internal/faults"
-	"e2ebatch/internal/policy"
 	"e2ebatch/internal/tcpsim"
 )
 
@@ -16,7 +15,7 @@ import (
 // into a run's outputs: NaN/Inf or negative estimates, negative measured
 // latencies, and tick counters that disagree with each other. It does not
 // demand accuracy — degraded runs are allowed to be wrong, just not toxic.
-func checkChaosSane(t *testing.T, name string, out *RunOut) {
+func checkChaosSane(t checker, name string, out *RunOut) {
 	t.Helper()
 	if out.Res.Latency.Mean() < 0 {
 		t.Fatalf("%s: negative measured latency %v", name, out.Res.Latency.Mean())
@@ -98,45 +97,18 @@ func TestChaosSoakMatrix(t *testing.T) {
 	}
 }
 
-// TestDegradedFallbackUnderLossAndMetaDrop pins the issue's acceptance
-// behaviour: under a 5% loss burst combined with a heavy metadata-drop
-// window, the estimator reports degraded mode (instead of NaN or garbage),
-// the policy retreats to and holds its safe default, and the whole run is
-// deterministic — the same seed reproduces it byte for byte, -race clean.
+// TestDegradedFallbackUnderLossAndMetaDrop reruns the faults claim's run
+// (TestClaims/faults checks its retreat): the same seed reproduces it byte
+// for byte, -race clean.
 func TestDegradedFallbackUnderLossAndMetaDrop(t *testing.T) {
 	dur := 200 * time.Millisecond
 	if testing.Short() {
 		dur = 120 * time.Millisecond
 	}
-	// Both windows run past the end of the run (including its drain tail):
-	// the pin is what the policy does while degradation persists, not how
-	// it recovers after.
-	plan := &faults.Plan{Name: "loss+metadrop", Events: []faults.Event{
-		{Kind: faults.LossBurst, Start: dur / 5, Dur: 2 * dur, Prob: 0.05},
-		{Kind: faults.MetaDrop, Start: dur / 5, Dur: 2 * dur, Prob: 1},
-	}}
-	cal := DefaultCalib()
-	spec := RunSpec{
-		Calib:    cal,
-		Seed:     7,
-		Rate:     30000,
-		Duration: dur,
-		Dynamic:  DefaultDynamicSpec(cal.SLO),
-		Faults:   plan,
-	}
+	spec := degradedSpec(7, dur)
 	a := Run(spec)
 	checkChaosSane(t, "loss+metadrop", a)
-	if a.DegradedTicks == 0 {
-		t.Fatal("estimator never reported degraded mode under metadata drops")
-	}
-	if a.TogglerStats.SafeFallbacks == 0 {
-		t.Fatalf("policy never fell back to its safe default (stats %+v)", a.TogglerStats)
-	}
-	if a.FinalMode != policy.BatchOff {
-		t.Fatalf("final mode = %v, want the safe default BatchOff held", a.FinalMode)
-	}
-	b := Run(spec)
-	if !reflect.DeepEqual(a, b) {
+	if b := Run(spec); !reflect.DeepEqual(a, b) {
 		t.Fatal("acceptance run is not deterministic across reruns")
 	}
 }

@@ -140,13 +140,13 @@ fidelity-smoke: build
 	$(GO) run ./cmd/fidelity -dur 25ms -seed 2
 
 # claims runs the claim table of internal/figures (TestClaims) at 11 seeds
-# each, s0 + 100k for k = 0…10, and rewrites
+# each (claimSeeds), s0 + 100k for k = 0…10, and rewrites
 # internal/figures/testdata/claims_seeds.txt: per claim its k/N, a pass mark
 # per seed and the first failing assertion. EXPERIMENTS.md's Seeds column
 # quotes the k/N and TestClaimsLedger checks it. About 41 s on 2 CPUs, so it
-# stays out of tier1; the same N gives the same file at any parallelism.
+# stays out of tier1; it gives the same file at any parallelism.
 claims:
-	E2E_CLAIM_SEEDS=11 $(GO) test -count=1 -run '^TestClaims$$' ./internal/figures
+	E2E_CLAIM_SEEDS=1 $(GO) test -count=1 -run '^TestClaims$$' ./internal/figures
 
 clean:
 	$(GO) clean ./...

@@ -101,11 +101,7 @@ func TestChaosSoakMatrix(t *testing.T) {
 // (TestClaims/faults checks its retreat): the same seed reproduces it byte
 // for byte, -race clean.
 func TestDegradedFallbackUnderLossAndMetaDrop(t *testing.T) {
-	dur := 200 * time.Millisecond
-	if testing.Short() {
-		dur = 120 * time.Millisecond
-	}
-	spec := degradedSpec(7, dur)
+	spec := degradedSpec(7, degradedDur())
 	a := Run(spec)
 	checkChaosSane(t, "loss+metadrop", a)
 	if b := Run(spec); !reflect.DeepEqual(a, b) {

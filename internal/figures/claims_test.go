@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"strconv"
 	"strings"
 	"testing"
 	"text/tabwriter"
@@ -20,23 +19,26 @@ import (
 
 // The claims of the paper that a simulated sweep backs: one table, one
 // driver. TestClaims runs each entry at its pinned seeds as the subtest
-// TestClaims/<name> that EXPERIMENTS.md's ledger cites. With E2E_CLAIM_SEEDS=N
-// (`make claims`: 11) it instead runs each entry at seeds s0+100k, k = 0…N-1,
-// s0 its first pinned seed, and rewrites seedsFile, whose k/N the ledger's
-// Seeds column must quote.
+// TestClaims/<name> that EXPERIMENTS.md's ledger cites. With E2E_CLAIM_SEEDS
+// set (`make claims`) it instead runs each entry at seeds s0+100k,
+// k = 0…claimSeeds-1, s0 its first pinned seed, and rewrites seedsFile, whose
+// k/N the ledger's Seeds column must quote.
 
 const (
-	testDur   = 300 * time.Millisecond
-	seedsFile = "testdata/claims_seeds.txt"
+	testDur    = 300 * time.Millisecond
+	claimSeeds = 11
+	seedsFile  = "testdata/claims_seeds.txt"
 )
 
-// A claim is one entry: the sweep it runs at a seed and the predicate its
-// finished sweep must satisfy. short keeps it in -short mode (the race leg).
+// A claim is one entry: the sweep it runs for the Params of a seed and its
+// run length dur, and the predicate its finished sweep must satisfy. short
+// keeps it in -short mode (the race leg).
 type claim struct {
 	name  string
 	seeds []int64
+	dur   time.Duration
 	short bool
-	sweep func(seed int64) *Sweep
+	sweep func(p Params) *Sweep
 	check func(t checker, s *Sweep)
 }
 
@@ -49,51 +51,47 @@ type checker interface {
 }
 
 func claims() []claim {
-	at := func(seed int64, dur time.Duration, rates ...float64) Params {
-		return Params{Calib: DefaultCalib(), Dur: dur, Seed: seed, Rates: rates}
+	at := func(f func(Params) *Sweep, rates ...float64) func(Params) *Sweep {
+		return func(p Params) *Sweep { p.Rates = rates; return f(p) }
 	}
 	const long = 500 * time.Millisecond
 	return []claim{
-		{"fig2", []int64{11}, false, func(s int64) *Sweep { return fig2(at(s, testDur)) }, checkFig2},
-		{"fig4a", []int64{7}, false, func(s int64) *Sweep {
-			return fig4a(at(s, testDur, 5000, 20000, 35000, 50000, 70000, 85000))
-		}, checkFig4a},
-		{"headline", []int64{19, 101}, false, func(s int64) *Sweep {
-			p := at(s, 200*time.Millisecond)
+		{"fig2", []int64{11}, testDur, false, fig2, checkFig2},
+		{"fig4a", []int64{7}, testDur, false, at(fig4a, 5000, 20000, 35000, 50000, 70000, 85000), checkFig4a},
+		{"headline", []int64{19, 101}, 200 * time.Millisecond, false, func(p Params) *Sweep {
 			return &Sweep{Rows: vary([]float64{5000, 60000}, func(rate float64) []RunSpec { return offOn(p.spec(rate)) })}
 		}, checkHeadline},
-		{"fig4b", []int64{7}, false, func(s int64) *Sweep { return fig4b(at(s, testDur, 5000, 35000, 50000)) }, checkFig4b},
-		{"toggle", []int64{7}, false, func(s int64) *Sweep { return toggle(at(s, long, 10000, 50000)) }, checkToggle},
-		{"hints", []int64{7}, false, func(s int64) *Sweep { p := at(s, testDur, 10000, 30000); p.SyscallBatch = 4; return hintsSweep(p) }, checkHints},
-		{"aimd", []int64{7}, false, func(s int64) *Sweep { return aimdSweep(at(s, long, 10000, 60000)) }, checkAIMD},
-		{"tick", []int64{7}, false, func(s int64) *Sweep {
-			return tick(at(s, long), 50000, []time.Duration{200 * time.Microsecond, 20 * time.Millisecond})
+		{"fig4b", []int64{7}, testDur, false, at(fig4b, 5000, 35000, 50000), checkFig4b},
+		{"toggle", []int64{7}, long, false, at(toggle, 10000, 50000), checkToggle},
+		{"hints", []int64{7}, testDur, false, func(p Params) *Sweep {
+			p.Rates, p.SyscallBatch = []float64{10000, 30000}, 4
+			return hintsSweep(p)
+		}, checkHints},
+		{"aimd", []int64{7}, long, false, at(aimdSweep, 10000, 60000), checkAIMD},
+		{"tick", []int64{7}, long, false, func(p Params) *Sweep {
+			return tick(p, 50000, []time.Duration{200 * time.Microsecond, 20 * time.Millisecond})
 		}, checkTick},
-		{"exchange", []int64{7}, false, func(s int64) *Sweep {
-			return exchange(at(s, testDur), 35000, []time.Duration{0, time.Millisecond, 50 * time.Millisecond})
+		{"exchange", []int64{7}, testDur, false, func(p Params) *Sweep {
+			return exchange(p, 35000, []time.Duration{0, time.Millisecond, 50 * time.Millisecond})
 		}, checkExchange},
-		{"multiconn", []int64{7}, false, func(s int64) *Sweep { return multiConn(at(s, testDur), 4, 50000) }, checkMultiConn},
-		{"aggregate", []int64{3}, true, func(s int64) *Sweep { return multiConn(at(s, 200*time.Millisecond), 2, 20000) }, checkAggregate},
+		{"multiconn", []int64{7}, testDur, false, func(p Params) *Sweep { return multiConn(p, 4, 50000) }, checkMultiConn},
+		{"aggregate", []int64{3}, 200 * time.Millisecond, true, func(p Params) *Sweep { return multiConn(p, 2, 20000) }, checkAggregate},
 		// Only up to 2x: beyond that the slow client itself saturates under
 		// batching-off and batching flips back to helpful (it cuts the
 		// client's per-wakeup work) — richer than Figure 1, verified by the
 		// CLI's wider sweep.
-		{"cscan", []int64{11}, false, func(s int64) *Sweep { return cscan(at(s, testDur), []float64{1, 1.5, 2}) }, checkCScan},
-		{"bandits", []int64{7}, false, func(s int64) *Sweep { return bandits(at(s, long), []float64{45000}) }, checkBandits},
-		{"loss", []int64{7}, true, func(s int64) *Sweep { return loss(at(s, testDur), 20000, []float64{0, 0.01}) }, checkLoss},
-		{"faults", []int64{7}, true, func(s int64) *Sweep {
-			return &Sweep{Rows: []Row{row(degradedSpec(s, 200*time.Millisecond))}}
+		{"cscan", []int64{11}, testDur, false, func(p Params) *Sweep { return cscan(p, []float64{1, 1.5, 2}) }, checkCScan},
+		{"bandits", []int64{7}, long, false, func(p Params) *Sweep { return bandits(p, []float64{45000}) }, checkBandits},
+		{"loss", []int64{7}, testDur, true, func(p Params) *Sweep { return loss(p, 20000, []float64{0, 0.01}) }, checkLoss},
+		{"faults", []int64{7}, degradedDur(), true, func(p Params) *Sweep {
+			return &Sweep{Rows: []Row{row(degradedSpec(p.Seed, p.Dur))}}
 		}, checkFaults},
 	}
 }
 
 func TestClaims(t *testing.T) {
-	if v := os.Getenv("E2E_CLAIM_SEEDS"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 1 {
-			t.Fatalf("E2E_CLAIM_SEEDS=%q: want a seed count >= 1", v)
-		}
-		if err := os.WriteFile(seedsFile, seedTable(claims(), n), 0o644); err != nil {
+	if os.Getenv("E2E_CLAIM_SEEDS") != "" {
+		if err := os.WriteFile(seedsFile, seedTable(claims(), claimSeeds), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -126,7 +124,7 @@ func TestClaims(t *testing.T) {
 
 // verify runs c's sweep at seed and checks it, and that a figure renders.
 func (c claim) verify(t checker, seed int64) {
-	s := c.sweep(seed).run()
+	s := c.sweep(Params{Calib: DefaultCalib(), Dur: c.dur, Seed: seed}).run()
 	c.check(t, s)
 	if s.title != nil {
 		var buf bytes.Buffer
@@ -189,17 +187,17 @@ func (r *recorder) catch(f func()) {
 	f()
 }
 
-// TestClaimSeedSweepDeterministic: the seed sweep of the loss and exchange
-// claims at two seeds, their runs cut to goldenDur to keep it cheap, gives
-// the same bytes on one worker and on four.
+// TestClaimSeedSweepDeterministic: the seed sweep of the table's loss and
+// exchange entries at two seeds, their runs cut to goldenDur to keep it
+// cheap, gives the same bytes on one worker and on four.
 func TestClaimSeedSweepDeterministic(t *testing.T) {
 	skipIfShort(t)
-	p := func(seed int64) Params { return Params{Calib: DefaultCalib(), Dur: goldenDur(), Seed: seed} }
-	cs := []claim{
-		{"loss", []int64{7}, true, func(s int64) *Sweep { return loss(p(s), 20000, []float64{0, 0.01}) }, checkLoss},
-		{"exchange", []int64{7}, false, func(s int64) *Sweep {
-			return exchange(p(s), 35000, []time.Duration{0, time.Millisecond, 50 * time.Millisecond})
-		}, checkExchange},
+	var cs []claim
+	for _, c := range claims() {
+		if c.name == "loss" || c.name == "exchange" {
+			c.dur = goldenDur()
+			cs = append(cs, c)
+		}
 	}
 	at := func(workers int) []byte {
 		defer SetParallelism(SetParallelism(workers))
@@ -239,62 +237,75 @@ func estLat(e core.Estimate) time.Duration {
 	return e.Latency
 }
 
-// errorIf reports through t.Errorf when bad holds, fatalIf through t.Fatalf.
-func errorIf(t checker, bad bool, format string, args ...any) {
-	t.Helper()
-	if bad {
-		t.Errorf(format, args...)
-	}
-}
-
-func fatalIf(t checker, bad bool, format string, args ...any) {
-	t.Helper()
-	if bad {
-		t.Fatalf(format, args...)
-	}
-}
-
 // checkFig2: the bare-metal/VM outcome flip at the fixed load — same
 // server-side behaviour, opposite best batching mode.
 func checkFig2(t checker, s *Sweep) {
 	nagle, cli, srv := col[string](t, s, "nagle"), col[float64](t, s, "cliCPU"), col[float64](t, s, "srvCPU")
 	off, on := col[time.Duration](t, s, "lat (off)"), col[time.Duration](t, s, "lat (on)")
-	errorIf(t, nagle[0] != "helps", "bare metal: Nagle should help (off=%v on=%v)", off[0], on[0])
-	errorIf(t, nagle[1] == "helps", "VM client: Nagle should hurt (off=%v on=%v)", off[1], on[1])
+	if nagle[0] != "helps" {
+		t.Errorf("bare metal: Nagle should help (off=%v on=%v)", off[0], on[0])
+	}
+	if nagle[1] == "helps" {
+		t.Errorf("VM client: Nagle should hurt (off=%v on=%v)", off[1], on[1])
+	}
 	// Figure 2a: the VM client burns noticeably more CPU.
-	errorIf(t, cli[1] < 1.3*cli[0], "VM client CPU %.2f vs bare %.2f: expected a clear increase", cli[1], cli[0])
+	if cli[1] < 1.3*cli[0] {
+		t.Errorf("VM client CPU %.2f vs bare %.2f: expected a clear increase", cli[1], cli[0])
+	}
 	// Figure 2b: the server sees the same workload either way.
 	ratio := srv[1] / srv[0]
-	errorIf(t, ratio < 0.9 || ratio > 1.1, "server CPU changed with client config: %.2f vs %.2f", srv[1], srv[0])
+	if ratio < 0.9 || ratio > 1.1 {
+		t.Errorf("server CPU changed with client config: %.2f vs %.2f", srv[1], srv[0])
+	}
 }
 
 // checkFig4a: batching hurts at low load, wins past a cutoff and extends the
 // SLO range, and the estimates find the same cutoff.
 func checkFig4a(t checker, s *Sweep) {
 	off, on := col[time.Duration](t, s, "meas off"), col[time.Duration](t, s, "meas on")
-	errorIf(t, on[0] <= off[0], "at 5k: batching should hurt (off=%v on=%v)", off[0], on[0])
-	errorIf(t, on[4]*3 >= off[4], "at 70k: batching should win by >3x (off=%v on=%v)", off[4], on[4])
+	if on[0] <= off[0] {
+		t.Errorf("at 5k: batching should hurt (off=%v on=%v)", off[0], on[0])
+	}
+	if on[4]*3 >= off[4] {
+		t.Errorf("at 70k: batching should win by >3x (off=%v on=%v)", off[4], on[4])
+	}
 
 	// The stats under the table read in kRPS.
 	measCut, estCut := statOf[float64](t, s, "measured cutoff"), statOf[float64](t, s, "estimated cutoff")
-	fatalIf(t, measCut == 0 || estCut == 0, "cutoffs missing: measured=%v estimated=%v", measCut, estCut)
-	errorIf(t, math.Abs(measCut-estCut) > 15, "cutoffs diverge: measured=%v estimated=%v", measCut, estCut)
+	if measCut == 0 || estCut == 0 {
+		t.Fatalf("cutoffs missing: measured=%v estimated=%v", measCut, estCut)
+	}
+	if math.Abs(measCut-estCut) > 15 {
+		t.Errorf("cutoffs diverge: measured=%v estimated=%v", measCut, estCut)
+	}
 	offMax, onMax := statOf[float64](t, s, "off SLO max"), statOf[float64](t, s, "on SLO max")
-	errorIf(t, offMax > 40, "off-mode SLO range extends to %vk, want <= 40k", offMax)
-	errorIf(t, onMax < 70, "on-mode SLO range only %vk, want >= 70k", onMax)
+	if offMax > 40 {
+		t.Errorf("off-mode SLO range extends to %vk, want <= 40k", offMax)
+	}
+	if onMax < 70 {
+		t.Errorf("on-mode SLO range only %vk, want >= 70k", onMax)
+	}
 	x, g := statOf[float64](t, s, "extension"), statOf[float64](t, s, "latency gain")
-	errorIf(t, x < 1.5, "SLO extension %.2fx, want >= 1.5x (paper: 1.93x)", x)
-	errorIf(t, g < 1.2, "latency gain at boundary %.2fx, want >= 1.2x (paper: 2.80x)", g)
+	if x < 1.5 {
+		t.Errorf("SLO extension %.2fx, want >= 1.5x (paper: 1.93x)", x)
+	}
+	if g < 1.2 {
+		t.Errorf("latency gain at boundary %.2fx, want >= 1.2x (paper: 2.80x)", g)
+	}
 
 	// Estimates must be valid at every swept point and track the
 	// measured value tightly once queueing dominates.
 	estOff, estOn := col[core.Estimate](t, s, "est(B) off"), col[core.Estimate](t, s, "est(B) on")
 	for i, r := range s.Rows {
-		fatalIf(t, !estOff[i].Valid || !estOn[i].Valid, "invalid byte estimate at %v", r.Specs[0].Rate)
+		if !estOff[i].Valid || !estOn[i].Valid {
+			t.Fatalf("invalid byte estimate at %v", r.Specs[0].Rate)
+		}
 	}
 	// 85 kRPS, deep saturation.
 	e := relErr(estOff[5].Latency, off[5])
-	errorIf(t, e > 0.30, "saturated estimate error %.0f%%, want <= 30%%", 100*e)
+	if e > 0.30 {
+		t.Errorf("saturated estimate error %.0f%%, want <= 30%%", 100*e)
+	}
 }
 
 // checkHeadline: the Figure 4a ordering claims hold for seeds other than
@@ -303,17 +314,27 @@ func checkHeadline(t checker, s *Sweep) {
 	seed := s.Rows[0].Specs[0].Seed
 	m := func(row, arm int) time.Duration { return s.Rows[row].Runs[arm].Res.Latency.Mean() }
 	e := func(row, arm int) time.Duration { return s.Rows[row].Runs[arm].Est[0].Latency }
-	errorIf(t, m(0, 1) <= m(0, 0), "seed %d: batching should hurt at 5k (off=%v on=%v)", seed, m(0, 0), m(0, 1))
-	errorIf(t, m(1, 1)*3 >= m(1, 0), "seed %d: batching should win >3x at 60k (off=%v on=%v)", seed, m(1, 0), m(1, 1))
+	if m(0, 1) <= m(0, 0) {
+		t.Errorf("seed %d: batching should hurt at 5k (off=%v on=%v)", seed, m(0, 0), m(0, 1))
+	}
+	if m(1, 1)*3 >= m(1, 0) {
+		t.Errorf("seed %d: batching should win >3x at 60k (off=%v on=%v)", seed, m(1, 0), m(1, 1))
+	}
 	// Estimate ordering must match measured ordering at both ends.
-	errorIf(t, (e(0, 1) < e(0, 0)) != (m(0, 1) < m(0, 0)), "seed %d: estimate ordering wrong at 5k", seed)
-	errorIf(t, (e(1, 1) < e(1, 0)) != (m(1, 1) < m(1, 0)), "seed %d: estimate ordering wrong at 60k", seed)
+	if (e(0, 1) < e(0, 0)) != (m(0, 1) < m(0, 0)) {
+		t.Errorf("seed %d: estimate ordering wrong at 5k", seed)
+	}
+	if (e(1, 1) < e(1, 0)) != (m(1, 1) < m(1, 0)) {
+		t.Errorf("seed %d: estimate ordering wrong at 60k", seed)
+	}
 }
 
 // checkFig4b: the 95:5 mix sweep produces valid estimates, a cutoff, and
 // per-kind splits.
 func checkFig4b(t checker, s *Sweep) {
-	fatalIf(t, statOf[float64](t, s, "measured cutoff") == 0, "no measured cutoff on the mixed sweep")
+	if statOf[float64](t, s, "measured cutoff") == 0 {
+		t.Fatalf("no measured cutoff on the mixed sweep")
+	}
 	// The per-kind split is no column: it is read from the runs.
 	kind := func(r Row, arm, k int) time.Duration {
 		if h := r.Runs[arm].Res.ByKind[k]; h != nil {
@@ -322,13 +343,19 @@ func checkFig4b(t checker, s *Sweep) {
 		return 0
 	}
 	for _, r := range s.Rows {
-		fatalIf(t, kind(r, 0, loadgen.KindSet) == 0 || kind(r, 0, loadgen.KindGet) == 0, "per-kind latencies missing at %v", r.Specs[0].Rate)
-		fatalIf(t, !r.Runs[0].Est[tcpsim.UnitBytes].Valid || !r.Runs[1].Est[tcpsim.UnitBytes].Valid, "invalid estimate at %v", r.Specs[0].Rate)
+		if kind(r, 0, loadgen.KindSet) == 0 || kind(r, 0, loadgen.KindGet) == 0 {
+			t.Fatalf("per-kind latencies missing at %v", r.Specs[0].Rate)
+		}
+		if !r.Runs[0].Est[tcpsim.UnitBytes].Valid || !r.Runs[1].Est[tcpsim.UnitBytes].Valid {
+			t.Fatalf("invalid estimate at %v", r.Specs[0].Rate)
+		}
 	}
 	// GETs (tiny requests, 16 KiB responses) must be cheaper than SETs
 	// without batching at low load.
 	get, set := kind(s.Rows[0], 0, loadgen.KindGet), kind(s.Rows[0], 0, loadgen.KindSet)
-	errorIf(t, get >= set, "at 5k off: GET %v should beat SET %v", get, set)
+	if get >= set {
+		t.Errorf("at 5k off: GET %v should beat SET %v", get, set)
+	}
 }
 
 // checkToggle: the toggler lands near whichever static mode wins at each
@@ -344,27 +371,45 @@ func checkToggle(t checker, s *Sweep) {
 	// toggler may sit anywhere; at 50k only batch-on does, so the
 	// toggler must live there and keep the run under the SLO despite
 	// exploration excursions through the unstable mode.
-	errorIf(t, dyn[0] > slo, "at 10k dynamic %v violates the %v SLO", dyn[0], slo)
+	if dyn[0] > slo {
+		t.Errorf("at 10k dynamic %v violates the %v SLO", dyn[0], slo)
+	}
 	best := min(off[0], on[0])
-	errorIf(t, dyn[0] > 5*best/2, "at 10k dynamic %v vs best static %v", dyn[0], best)
-	errorIf(t, off[1] <= slo, "at 50k static-off %v unexpectedly meets the SLO", off[1])
-	errorIf(t, dyn[1] > slo, "at 50k dynamic %v violates the %v SLO (static-on achieves %v)", dyn[1], slo, on[1])
-	errorIf(t, share[1] < 60, "at 50k batch-on residency = %.0f%%, want > 60%%", share[1])
-	errorIf(t, dyn[1]*5 > off[1], "at 50k dynamic %v should be >=5x below static-off %v", dyn[1], off[1])
+	if dyn[0] > 5*best/2 {
+		t.Errorf("at 10k dynamic %v vs best static %v", dyn[0], best)
+	}
+	if off[1] <= slo {
+		t.Errorf("at 50k static-off %v unexpectedly meets the SLO", off[1])
+	}
+	if dyn[1] > slo {
+		t.Errorf("at 50k dynamic %v violates the %v SLO (static-on achieves %v)", dyn[1], slo, on[1])
+	}
+	if share[1] < 60 {
+		t.Errorf("at 50k batch-on residency = %.0f%%, want > 60%%", share[1])
+	}
+	if dyn[1]*5 > off[1] {
+		t.Errorf("at 50k dynamic %v should be >=5x below static-off %v", dyn[1], off[1])
+	}
 }
 
 // checkHints: §3.3 — with a syscall-batching client on the 95:5 mix every
 // kernel-side unit drifts, while the hints stay within a few percent.
 func checkHints(t checker, s *Sweep) {
-	fatalIf(t, len(s.Rows) != 4, "rows = %d", len(s.Rows))
+	if len(s.Rows) != 4 {
+		t.Fatalf("rows = %d", len(s.Rows))
+	}
 	meas, hints := col[time.Duration](t, s, "measured"), col[core.Estimate](t, s, "hints")
 	for i, r := range s.Rows {
 		rate, on := r.Specs[0].Rate, r.Specs[0].BatchOn
 		hintErr := relErr(estLat(hints[i]), meas[i])
-		errorIf(t, hintErr > 0.05, "rate %v on=%v: hint error %.0f%%, want <= 5%%", rate, on, 100*hintErr)
+		if hintErr > 0.05 {
+			t.Errorf("rate %v on=%v: hint error %.0f%%, want <= 5%%", rate, on, 100*hintErr)
+		}
 		for u := tcpsim.Unit(0); u < tcpsim.NumUnits; u++ {
 			kernErr := relErr(estLat(col[core.Estimate](t, s, u.String())[i]), meas[i])
-			errorIf(t, kernErr < 0.15, "rate %v on=%v unit %v: kernel-unit error %.0f%% unexpectedly low — semantic gap should show", rate, on, u, 100*kernErr)
+			if kernErr < 0.15 {
+				t.Errorf("rate %v on=%v unit %v: kernel-unit error %.0f%% unexpectedly low — semantic gap should show", rate, on, u, 100*kernErr)
+			}
 		}
 	}
 }
@@ -374,11 +419,21 @@ func checkHints(t checker, s *Sweep) {
 func checkAIMD(t checker, s *Sweep) {
 	off, on, aimd := col[time.Duration](t, s, "off"), col[time.Duration](t, s, "on"), col[time.Duration](t, s, "aimd")
 	cork := col[int](t, s, "final cork")
-	errorIf(t, cork[0] > 1448, "at 10k final cork = %d, want floor (1448)", cork[0])
-	errorIf(t, aimd[0] > off[0]+off[0]/4, "at 10k AIMD %v should track static-off %v", aimd[0], off[0])
-	errorIf(t, cork[1] <= 1448, "at 60k final cork = %d, want grown above the floor", cork[1])
-	errorIf(t, aimd[1]*5 > off[1], "at 60k AIMD %v should be >=5x below static-off %v", aimd[1], off[1])
-	errorIf(t, aimd[1] > 3*on[1], "at 60k AIMD %v vs static-on %v", aimd[1], on[1])
+	if cork[0] > 1448 {
+		t.Errorf("at 10k final cork = %d, want floor (1448)", cork[0])
+	}
+	if aimd[0] > off[0]+off[0]/4 {
+		t.Errorf("at 10k AIMD %v should track static-off %v", aimd[0], off[0])
+	}
+	if cork[1] <= 1448 {
+		t.Errorf("at 60k final cork = %d, want grown above the floor", cork[1])
+	}
+	if aimd[1]*5 > off[1] {
+		t.Errorf("at 60k AIMD %v should be >=5x below static-off %v", aimd[1], off[1])
+	}
+	if aimd[1] > 3*on[1] {
+		t.Errorf("at 60k AIMD %v vs static-on %v", aimd[1], on[1])
+	}
 }
 
 // checkTick: §5 — fine ticks track the winning mode where the losing one
@@ -386,22 +441,38 @@ func checkAIMD(t checker, s *Sweep) {
 func checkTick(t checker, s *Sweep) {
 	staticOn := s.Base.Runs[0].Res.Latency.Mean()
 	dyn, share := col[time.Duration](t, s, "dynamic"), col[float64](t, s, "on-share") // percent
-	errorIf(t, dyn[0] > 2*staticOn, "fine tick: dynamic %v vs static-on %v", dyn[0], staticOn)
-	errorIf(t, share[0] < 60, "fine tick: on-share %.0f%%, want majority", share[0])
-	errorIf(t, share[1] >= share[0], "coarse tick reacted as fast as fine: %.0f%% vs %.0f%%", share[1], share[0])
-	errorIf(t, dyn[1] <= dyn[0], "coarse tick latency %v should exceed fine %v at this load", dyn[1], dyn[0])
+	if dyn[0] > 2*staticOn {
+		t.Errorf("fine tick: dynamic %v vs static-on %v", dyn[0], staticOn)
+	}
+	if share[0] < 60 {
+		t.Errorf("fine tick: on-share %.0f%%, want majority", share[0])
+	}
+	if share[1] >= share[0] {
+		t.Errorf("coarse tick reacted as fast as fine: %.0f%% vs %.0f%%", share[1], share[0])
+	}
+	if dyn[1] <= dyn[0] {
+		t.Errorf("coarse tick latency %v should exceed fine %v at this load", dyn[1], dyn[0])
+	}
 }
 
 // checkExchange: §5 — the online estimate stays put while the exchange
 // count drops by orders of magnitude.
 func checkExchange(t checker, s *Sweep) {
-	fatalIf(t, len(s.Rows) != 3, "rows = %d", len(s.Rows))
+	if len(s.Rows) != 3 {
+		t.Fatalf("rows = %d", len(s.Rows))
+	}
 	ex, online, ticks := col[uint64](t, s, "exchanges"), col[time.Duration](t, s, "online est"), col[int](t, s, "ticks")
-	fatalIf(t, ticks[0] == 0 || online[0] == 0, "baseline produced no online estimates: %d ticks, %v", ticks[0], online[0])
+	if ticks[0] == 0 || online[0] == 0 {
+		t.Fatalf("baseline produced no online estimates: %d ticks, %v", ticks[0], online[0])
+	}
 	for i := 1; i < len(s.Rows); i++ {
 		iv, e := s.Rows[i].Specs[0].ExchangeInterval, relErr(online[i], online[0])
-		errorIf(t, ex[i] >= ex[0]/10, "interval %v: %d exchanges vs baseline %d — rate limit ineffective", iv, ex[i], ex[0])
-		errorIf(t, e > 0.10, "interval %v: online estimate %v vs baseline %v (%.0f%% drift)", iv, online[i], online[0], 100*e)
+		if ex[i] >= ex[0]/10 {
+			t.Errorf("interval %v: %d exchanges vs baseline %d — rate limit ineffective", iv, ex[i], ex[0])
+		}
+		if e > 0.10 {
+			t.Errorf("interval %v: online estimate %v vs baseline %v (%.0f%% drift)", iv, online[i], online[0], 100*e)
+		}
 	}
 }
 
@@ -410,30 +481,46 @@ func checkExchange(t checker, s *Sweep) {
 // connections rescues the SLO.
 func checkMultiConn(t checker, s *Sweep) {
 	perConn := s.Base.Runs[0].conns
-	fatalIf(t, len(perConn) != 4, "per-conn estimates = %d", len(perConn))
+	if len(perConn) != 4 {
+		t.Fatalf("per-conn estimates = %d", len(perConn))
+	}
 	for i, e := range perConn {
-		fatalIf(t, !e.Valid, "conn %d estimate invalid", i)
+		if !e.Valid {
+			t.Fatalf("conn %d estimate invalid", i)
+		}
 	}
 	agg := statOf[core.Estimate](t, s, "aggregate")
-	fatalIf(t, !agg.Valid, "aggregate invalid")
+	if !agg.Valid {
+		t.Fatalf("aggregate invalid")
+	}
 	measured, dynamic := statOf[time.Duration](t, s, "measured"), statOf[time.Duration](t, s, "dynamic")
 	// Deep in overload, queueing dominates and the aggregate must track
 	// the measured mean closely.
 	e := relErr(agg.Latency, measured)
-	errorIf(t, e > 0.25, "aggregate %v vs measured %v (%.0f%% error)", agg.Latency, measured, 100*e)
+	if e > 0.25 {
+		t.Errorf("aggregate %v vs measured %v (%.0f%% error)", agg.Latency, measured, 100*e)
+	}
 	// Aggregate-driven toggling across all four connections must rescue
 	// the workload from the multi-ms collapse.
 	slo, share := s.Base.Specs[0].Calib.SLO, statOf[float64](t, s, "on-share")
-	errorIf(t, dynamic > slo, "dynamic mean %v violates SLO %v", dynamic, slo)
-	errorIf(t, share < 60, "batch-on residency %.0f%%, want majority", share)
-	errorIf(t, dynamic*10 > measured, "dynamic %v should be >=10x below static-off %v", dynamic, measured)
+	if dynamic > slo {
+		t.Errorf("dynamic mean %v violates SLO %v", dynamic, slo)
+	}
+	if share < 60 {
+		t.Errorf("batch-on residency %.0f%%, want majority", share)
+	}
+	if dynamic*10 > measured {
+		t.Errorf("dynamic %v should be >=10x below static-off %v", dynamic, measured)
+	}
 	// The per-connection estimates should be mutually consistent (same
 	// workload share): max/min within 2x.
 	lo, hi := perConn[0].Latency, perConn[0].Latency
 	for _, e := range perConn[1:] {
 		lo, hi = min(lo, e.Latency), max(hi, e.Latency)
 	}
-	errorIf(t, hi > 2*lo, "per-conn estimates diverge: min %v max %v", lo, hi)
+	if hi > 2*lo {
+		t.Errorf("per-conn estimates diverge: min %v max %v", lo, hi)
+	}
 }
 
 // checkAggregate: the aggregate's throughput is the sum of the
@@ -444,7 +531,9 @@ func checkAggregate(t checker, s *Sweep) {
 		sum += e.Throughput
 	}
 	agg := statOf[core.Estimate](t, s, "aggregate")
-	fatalIf(t, agg.Throughput != sum, "aggregate throughput %v != sum %v", agg.Throughput, sum)
+	if agg.Throughput != sum {
+		t.Fatalf("aggregate throughput %v != sum %v", agg.Throughput, sum)
+	}
 }
 
 // checkCScan: Figure 1's c-axis in the full system — batching helps the fast
@@ -453,10 +542,16 @@ func checkCScan(t checker, s *Sweep) {
 	verdict := col[string](t, s, "batching")
 	off, on := col[time.Duration](t, s, "lat (off)"), col[time.Duration](t, s, "lat (on)")
 	last := len(s.Rows) - 1
-	errorIf(t, verdict[0] != "helps", "scale 1: batching should help (off=%v on=%v)", off[0], on[0])
-	errorIf(t, verdict[last] == "helps", "scale %.1f: batching should hurt (off=%v on=%v)", s.Rows[last].Specs[0].ClientScale, off[last], on[last])
+	if verdict[0] != "helps" {
+		t.Errorf("scale 1: batching should help (off=%v on=%v)", off[0], on[0])
+	}
+	if verdict[last] == "helps" {
+		t.Errorf("scale %.1f: batching should hurt (off=%v on=%v)", s.Rows[last].Specs[0].ClientScale, off[last], on[last])
+	}
 	flip := statOf[float64](t, s, "flip scale")
-	errorIf(t, flip <= 1 || flip > 2, "flip scale = %v, want within (1, 2]", flip)
+	if flip <= 1 || flip > 2 {
+		t.Errorf("flip scale = %v, want within (1, 2]", flip)
+	}
 }
 
 // checkBandits: both bandits hold the mid-load point where batching clearly
@@ -464,25 +559,48 @@ func checkCScan(t checker, s *Sweep) {
 // its bounded-reward assumption).
 func checkBandits(t checker, s *Sweep) {
 	slo, eps, ucb := s.Rows[0].Specs[0].Calib.SLO, col[time.Duration](t, s, "ε-greedy")[0], col[time.Duration](t, s, "ucb1")[0]
-	errorIf(t, eps > slo, "ε-greedy %v violates SLO at 45k", eps)
-	errorIf(t, ucb > slo, "UCB1 %v violates SLO at 45k", ucb)
+	if eps > slo {
+		t.Errorf("ε-greedy %v violates SLO at 45k", eps)
+	}
+	if ucb > slo {
+		t.Errorf("UCB1 %v violates SLO at 45k", ucb)
+	}
 	// Both arms head an "on-share" column, so the residency is read from
 	// the runs.
 	epsOn, ucbOn := s.Rows[0].Runs[0].OnShare, s.Rows[0].Runs[1].OnShare
-	errorIf(t, epsOn < 0.6 || ucbOn < 0.6, "residency: eps %.0f%% ucb %.0f%%", 100*epsOn, 100*ucbOn)
+	if epsOn < 0.6 || ucbOn < 0.6 {
+		t.Errorf("residency: eps %.0f%% ucb %.0f%%", 100*epsOn, 100*ucbOn)
+	}
 }
 
 // checkLoss: under loss with recovery, measured and estimated latency
 // inflate together rather than diverge.
 func checkLoss(t checker, s *Sweep) {
 	meas, est := col[time.Duration](t, s, "measured"), col[core.Estimate](t, s, "est (bytes)")
-	fatalIf(t, col[uint64](t, s, "retransmits")[1] == 0, "no retransmissions at 1%% loss")
-	fatalIf(t, meas[1] < 5*meas[0], "1%% loss measured %v vs clean %v: recovery delay missing", meas[1], meas[0])
+	if col[uint64](t, s, "retransmits")[1] == 0 {
+		t.Fatalf("no retransmissions at 1%% loss")
+	}
+	if meas[1] < 5*meas[0] {
+		t.Fatalf("1%% loss measured %v vs clean %v: recovery delay missing", meas[1], meas[0])
+	}
 	clean, lossy := estLat(est[0]), estLat(est[1])
-	fatalIf(t, lossy < 5*clean, "1%% loss estimate %v vs clean %v: estimator blind to recovery", lossy, clean)
+	if lossy < 5*clean {
+		t.Fatalf("1%% loss estimate %v vs clean %v: estimator blind to recovery", lossy, clean)
+	}
 	// Same order of magnitude: the estimate must track the blowup.
 	e := relErr(lossy, meas[1])
-	fatalIf(t, e > 0.6, "lossy estimate %v vs measured %v (%.0f%%)", lossy, meas[1], 100*e)
+	if e > 0.6 {
+		t.Fatalf("lossy estimate %v vs measured %v (%.0f%%)", lossy, meas[1], 100*e)
+	}
+}
+
+// degradedDur is the length of degradedSpec's runs: 120 ms in -short mode,
+// where TestDegradedFallbackUnderLossAndMetaDrop reruns it under -race.
+func degradedDur() time.Duration {
+	if testing.Short() {
+		return 120 * time.Millisecond
+	}
+	return 200 * time.Millisecond
 }
 
 // degradedSpec is a dynamic run at 30 kRPS under a 5% loss burst combined
@@ -503,7 +621,13 @@ func degradedSpec(seed int64, dur time.Duration) RunSpec {
 func checkFaults(t checker, s *Sweep) {
 	a := s.Rows[0].Runs[0]
 	checkChaosSane(t, "loss+metadrop", a)
-	fatalIf(t, a.DegradedTicks == 0, "estimator never reported degraded mode under metadata drops")
-	fatalIf(t, a.TogglerStats.SafeFallbacks == 0, "policy never fell back to its safe default (stats %+v)", a.TogglerStats)
-	fatalIf(t, a.FinalMode != policy.BatchOff, "final mode = %v, want the safe default BatchOff held", a.FinalMode)
+	if a.DegradedTicks == 0 {
+		t.Fatalf("estimator never reported degraded mode under metadata drops")
+	}
+	if a.TogglerStats.SafeFallbacks == 0 {
+		t.Fatalf("policy never fell back to its safe default (stats %+v)", a.TogglerStats)
+	}
+	if a.FinalMode != policy.BatchOff {
+		t.Fatalf("final mode = %v, want the safe default BatchOff held", a.FinalMode)
+	}
 }

@@ -33,6 +33,51 @@ func TestStoreSetGet(t *testing.T) {
 	}
 }
 
+// TestStoreOverwriteCopiesExactly: an in-place overwrite writes exactly the
+// value's bytes, whatever the source's alignment and at the lengths either
+// side of copyValue's piece boundaries.
+func TestStoreOverwriteCopiesExactly(t *testing.T) {
+	src := make([]byte, 16384+16)
+	for i := range src {
+		src[i] = byte(i*7 + i>>8)
+	}
+	s, _ := newTestStore()
+	key := []byte("key0000000000000")
+	for _, n := range []int{1, 2046, 2047, 2048, 4095, 16384} {
+		for off := 0; off < 16; off++ {
+			buf := bytes.Repeat([]byte{0xA5}, 16384+1)
+			s.Set(string(key), buf, 0)
+			value := src[off : off+n]
+			if !s.overwrite(key, value, 0) {
+				t.Fatalf("len %d offset %d: overwrite refused a buffer that fits", n, off)
+			}
+			if got, _ := s.Get(string(key)); !bytes.Equal(got, value) {
+				t.Fatalf("len %d offset %d: the stored value differs from the one written", n, off)
+			}
+			if tail := buf[n:]; bytes.Count(tail, []byte{0xA5}) != len(tail) {
+				t.Fatalf("len %d offset %d: the copy wrote past the value", n, off)
+			}
+		}
+	}
+}
+
+// BenchmarkStoreOverwrite times a 16 KiB SET's in-place copy from a source at
+// offset 0 and at offset 44, where a SET's value starts in its request.
+func BenchmarkStoreOverwrite(b *testing.B) {
+	for _, off := range []int{0, 44} {
+		b.Run(fmt.Sprintf("offset=%d", off), func(b *testing.B) {
+			s, _ := newTestStore()
+			key := []byte("key0000000000000")
+			s.Set(string(key), make([]byte, 16384), 0)
+			value := make([]byte, 16384+64)[off : off+16384]
+			b.SetBytes(int64(len(value)))
+			for i := 0; i < b.N; i++ {
+				s.overwrite(key, value, 0)
+			}
+		})
+	}
+}
+
 func TestStoreTTLExpiry(t *testing.T) {
 	s, c := newTestStore()
 	s.Set("k", []byte("v"), time.Second)

@@ -306,8 +306,10 @@ func clampCount(n int64) uint32 {
 	return uint32(n)
 }
 
-// Hist returns the cumulative delay histogram recorded so far.
-func (t *DelayTracker) Hist() DelayHist { return t.hist }
+// Hist returns the cumulative delay histogram recorded so far: the tracker's
+// own, which the next Track updates, so a caller that keeps it copies it once,
+// straight into its destination.
+func (t *DelayTracker) Hist() *DelayHist { return &t.hist }
 
 // Outstanding returns the number of items currently tracked as queued.
 func (t *DelayTracker) Outstanding() int64 { return t.arrived - t.departed }

@@ -153,7 +153,7 @@ func TestDelayTrackerFIFOExact(t *testing.T) {
 				dt.Track(now, int64(n))
 			}
 		}
-		if got := dt.Hist(); got != want {
+		if got := *dt.Hist(); got != want {
 			t.Fatalf("trial %d: tracker histogram diverged from brute force", trial)
 		}
 		if dt.Outstanding() != int64(len(fifo)) {

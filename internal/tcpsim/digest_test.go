@@ -12,8 +12,9 @@ import (
 )
 
 // digestOf is the one-shot reference, written without fold: a plain loop over
-// the whole slice — word i of every whole 32-byte block to lane i mod 4 —
-// then the lanes, the zero-padded tail and the length in one chain.
+// the whole 128-byte blocks — words j and j+8 of each to lane j of eight, as
+// (lane ^ w_j)*prime + w_{j+8} — then one chain over each lane and the two
+// words of the zero-padded tail it would fold next, and the length.
 func digestOf(data []byte) uint64 {
 	word := func(b []byte) (w uint64) {
 		for i := 7; i >= 0; i-- {
@@ -21,23 +22,26 @@ func digestOf(data []byte) uint64 {
 		}
 		return w
 	}
-	var lane [4]uint64
-	whole := len(data) - len(data)%32
-	for i := 0; i < whole/8; i++ {
-		lane[i%4] = (lane[i%4] ^ word(data[8*i:])) * digestPrime
+	var lane [8]uint64
+	whole := len(data) - len(data)%128
+	for b := 0; b < whole; b += 128 {
+		for j := range lane {
+			lane[j] = (lane[j]^word(data[b+8*j:]))*digestPrime + word(data[b+64+8*j:])
+		}
 	}
-	tail := append(append([]byte(nil), data[whole:]...), make([]byte, 32)...)
+	tail := append(append([]byte(nil), data[whole:]...), make([]byte, 128)...)
 	h := uint64(0)
-	for i := range lane {
-		h = (h ^ lane[i]) * digestPrime
-		h = (h ^ word(tail[8*i:])) * digestPrime
+	for j := range lane {
+		h = (h ^ lane[j]) * digestPrime
+		h = (h ^ word(tail[8*j:])) * digestPrime
+		h = (h ^ word(tail[64+8*j:])) * digestPrime
 	}
 	return digestBasis ^ (h^uint64(len(data)))*digestPrime
 }
 
 // TestDigestSplitInvariance: however a stream is cut into Send- or Read-sized
 // pieces, the digest is the one-shot reference's. Exhaustively: every length
-// from nothing to three blocks and a 31-byte tail, cut in two at every offset;
+// from nothing to three blocks and a 127-byte tail, cut in two at every offset;
 // the longest also cut in three at every pair of offsets. Then random cuts
 // with empty pieces, single bytes and pieces one either side of the word and
 // block sizes.
@@ -69,15 +73,15 @@ func TestDigestSplitInvariance(t *testing.T) {
 			}
 		}
 	}
-	sizes := []int{0, 1, 7, 8, 9, 31, 32, 33}
+	sizes := []int{0, 1, 7, 8, 9, 15, 16, 17, 127, 128, 129}
 	for trial := 0; trial < 500; trial++ {
-		data := make([]byte, rng.Intn(400))
+		data := make([]byte, rng.Intn(1000))
 		rng.Read(data)
 		var d digest
 		for rest := data; len(rest) > 0; {
 			n := sizes[rng.Intn(len(sizes))]
 			if rng.Intn(3) == 0 {
-				n = rng.Intn(100)
+				n = rng.Intn(300)
 			}
 			n = min(n, len(rest))
 			d.fold(rest[:n])
@@ -96,6 +100,7 @@ func TestDigestSplitInvariance(t *testing.T) {
 func FuzzDigestSplit(f *testing.F) {
 	f.Add([]byte("hello stream"), uint(5))
 	f.Add(make([]byte, 17), uint(8))
+	f.Add(payload(300), uint(130))
 	f.Add([]byte{}, uint(0))
 	f.Fuzz(func(t *testing.T, data []byte, cut uint) {
 		at := int(cut % uint(len(data)+1))
@@ -120,7 +125,7 @@ func foldOf(data []byte) uint64 {
 // have lost.
 func TestDigestSensitivity(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{1, 7, 8, 9, 16, 31, 32, 33, 61, 64, 96, 127, 130} {
+	for _, n := range []int{1, 7, 8, 9, 16, 63, 64, 65, 72, 127, 128, 129, 200, 256, 300} {
 		data := make([]byte, n)
 		rng.Read(data)
 		want := foldOf(data)
@@ -143,7 +148,7 @@ func TestDigestSensitivity(t *testing.T) {
 	// All-zero streams never move a lane or the tail; only the length tells
 	// them apart.
 	seen := map[uint64]int{}
-	for n := 0; n <= 130; n++ {
+	for n := 0; n <= 300; n++ {
 		d := foldOf(make([]byte, n))
 		if m, dup := seen[d]; dup {
 			t.Fatalf("zero streams of %d and %d bytes share digest %#x", m, n, d)
@@ -151,31 +156,41 @@ func TestDigestSensitivity(t *testing.T) {
 		seen[d] = n
 	}
 	// Transpositions: the lanes are independent, so order has to survive in
-	// which lane a word went to, in each lane's own chain, and in sum's chain
-	// over the lanes.
+	// which lane a word went to, in the order of a lane's two words per step,
+	// in each lane's own chain, and in sum's chain over the lanes. Each case
+	// swaps one or two pairs of equal-length ranges.
 	data := make([]byte, 4*digestBlock+5)
 	rng.Read(data)
 	want := foldOf(data)
+	type swap struct{ a, b, n int }
 	for _, c := range []struct {
-		name    string
-		a, b, n int
+		name  string
+		swaps []swap
 	}{
-		{"two adjacent words (different lanes)", 40, 48, 8},
-		{"two words 32 bytes apart (same lane)", 40, 72, 8},
-		{"two whole blocks", 32, 64, digestBlock},
-		{"a lane word and the tail's", 96, 128, 5},
+		{"two adjacent words (different lanes)", []swap{{136, 144, 8}}},
+		{"a lane's multiplied word and its added word", []swap{{152, 152 + 64, 8}}},
+		{"two words one block apart (same lane)", []swap{{152, 152 + digestBlock, 8}}},
+		{"a lane's two words in one block and in the next", []swap{{152, 152 + digestBlock, 8}, {216, 216 + digestBlock, 8}}},
+		{"two whole blocks", []swap{{digestBlock, 2 * digestBlock, digestBlock}}},
+		{"a lane word and the tail's", []swap{{400, 4 * digestBlock, 5}}},
 	} {
 		swapped := append([]byte(nil), data...)
-		copy(swapped[c.a:], data[c.b:c.b+c.n])
-		copy(swapped[c.b:], data[c.a:c.a+c.n])
+		for _, w := range c.swaps {
+			copy(swapped[w.a:], data[w.b:w.b+w.n])
+			copy(swapped[w.b:], data[w.a:w.a+w.n])
+		}
 		if foldOf(swapped) == want {
 			t.Errorf("swapping %s left the digest unchanged", c.name)
 		}
 	}
-	// In a stream of one block a word is a lane's whole history: swapping two
-	// swaps two lanes, which only sum's chain over the lanes can tell.
-	one := append(append([]byte(nil), data[8:16]...), data[:8]...)
-	one = append(one, data[16:digestBlock]...)
+	// In a stream of one block a lane's two words are its whole history:
+	// swapping lane 0's pair with lane 1's swaps two lanes, which only sum's
+	// chain over the lanes can tell.
+	one := append([]byte(nil), data[:digestBlock]...)
+	copy(one[0:], data[8:16])
+	copy(one[8:], data[0:8])
+	copy(one[64:], data[72:80])
+	copy(one[72:], data[64:72])
 	if foldOf(one) == foldOf(data[:digestBlock]) {
 		t.Error("swapping two whole lanes left the digest unchanged")
 	}

@@ -70,12 +70,13 @@ func (in *Instrumentation) WireState(now sim.Time) qstate.WireState {
 }
 
 // WireTails writes the three queues' cumulative byte-delay histograms —
-// what a tails-carrying exchange hands the peer, in memory — into t: a
-// segment's tails field is filled where it is.
+// what a tails-carrying exchange hands the peer, in memory — into t, each
+// copied once from its tracker: a segment's tails buffer is filled where it
+// is, and the receiver takes it over by pointer swap.
 func (in *Instrumentation) WireTails(t *qstate.WireTails) {
-	t.Unacked = in.unacked.delay.Hist()
-	t.Unread = in.unread.delay.Hist()
-	t.AckDelay = in.ackdelay.delay.Hist()
+	t.Unacked = *in.unacked.delay.Hist()
+	t.Unread = *in.unread.delay.Hist()
+	t.AckDelay = *in.ackdelay.delay.Hist()
 }
 
 // Sizes returns the instantaneous sizes of the three queues in the given

@@ -6,6 +6,7 @@ import (
 	"e2ebatch/internal/cpumodel"
 	"e2ebatch/internal/kv"
 	"e2ebatch/internal/resp"
+	"e2ebatch/internal/sim"
 )
 
 // SimServerConfig prices the server application's work in the paper's α/β
@@ -54,10 +55,23 @@ type SimServer struct {
 	pending [][][]byte
 	head    int
 	reply   []byte // wire form of the reply whose send cost is being paid
+	owned   bool   // reply is a buffer of the server's own, not okWire
+	// sent holds the reply buffers Send still references, oldest first, each
+	// with the stream offset just past its last byte. Once the client has
+	// read that far the connection holds no reference to it (byteFIFO.take),
+	// and the buffer is reused for a later reply.
+	sent    sim.FIFO[sentReply]
 	busy    bool
 	stalled bool
 
 	stats SimServerStats
+}
+
+// sentReply is a reply buffer handed to Send and the stream offset its last
+// byte ends at.
+type sentReply struct {
+	end int64
+	buf []byte
 }
 
 // NewSimServer attaches a server to conn, executing against engine.
@@ -116,14 +130,17 @@ func (s *SimServer) HandleEvent(kind int, _ any) {
 		s.head++
 		s.stats.Requests++
 		// Send keeps the slice it is given, so "+OK" is one shared slice and
-		// any other reply gets its own.
-		s.reply = okWire
+		// any other reply is built in a buffer the client has finished reading.
+		s.reply, s.owned = okWire, false
 		if reply.Type != resp.SimpleString || string(reply.Str) != "OK" {
-			s.reply = resp.AppendValue(nil, reply)
+			s.reply, s.owned = resp.AppendValue(s.spareReply(), reply), true
 		}
 		s.conn.Stack().AppCPU.Exec(s.cfg.WriteCosts.Item(len(s.reply)), s, evWrite, nil)
 	case evWrite:
 		s.send(s.reply)
+		if s.owned {
+			s.sent.Push(sentReply{end: s.conn.sndNxt + s.conn.unsent, buf: s.reply})
+		}
 		s.processNext()
 	}
 }
@@ -169,6 +186,16 @@ func (s *SimServer) processNext() {
 	}
 	cost := s.cfg.ReadCosts.PerItem + time.Duration(float64(wireSize(s.pending[s.head]))*s.cfg.ReadCosts.PerByteNS)
 	s.conn.Stack().AppCPU.Exec(cost, s, evExec, nil)
+}
+
+// spareReply returns an empty buffer for the next reply: the oldest sent one
+// once the client has read its last byte, else nil, for AppendValue to
+// allocate.
+func (s *SimServer) spareReply() []byte {
+	if live := s.sent.Live(); len(live) > 0 && live[0].end <= s.conn.peer.rqStart {
+		return s.sent.Pop().buf[:0]
+	}
+	return nil
 }
 
 func (s *SimServer) send(wire []byte) {

@@ -1,6 +1,8 @@
 package tcpsim
 
 import (
+	"bytes"
+	"fmt"
 	"strconv"
 	"testing"
 	"time"
@@ -89,6 +91,64 @@ func TestSimServerSetGetRoundTrip(t *testing.T) {
 	}
 	if st.BytesIn == 0 || st.BytesOut == 0 {
 		t.Fatalf("byte counters zero: %+v", st)
+	}
+}
+
+// TestSimServerReusesRepliesOnlyOnceRead: a GET reply's buffer builds a later
+// reply only after the client has read its last byte. A client reads eight
+// replies eagerly, then none of eight more, then part of a backlog while
+// eight more GETs arrive; every value it finally parses must be intact.
+func TestSimServerReusesRepliesOnlyOnceRead(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Nagle = false
+	r := newSimRig(t, cfg, DefaultSimServerConfig())
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key%013d", i)) }
+	val := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, 4096+i) }
+	for i := 0; i < 8; i++ {
+		r.client.Send(resp.AppendCommand(nil, []byte("SET"), key(i), val(i)))
+	}
+	r.s.RunFor(10 * time.Millisecond)
+	if got := r.replies(t); len(got) != 8 {
+		t.Fatalf("%d SET replies, want 8", len(got))
+	}
+	var want []int // the key each GET sent so far asks for, in order
+	parsed := 0
+	get := func(keys ...int) {
+		for _, k := range keys {
+			r.client.Send(resp.AppendCommand(nil, []byte("GET"), key(k)))
+			want = append(want, k)
+		}
+		r.s.RunFor(10 * time.Millisecond)
+	}
+	read := func(max int) {
+		if data := r.client.Read(max); len(data) > 0 {
+			r.parser.Feed(data)
+		}
+		for {
+			v, ok, err := r.parser.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			if k := want[parsed]; !bytes.Equal(v.Str, val(k)) {
+				t.Fatalf("reply %d (GET of key %d) is %d bytes of %q, want %d of %q", parsed, k, len(v.Str), v.Str[:1], len(val(k)), val(k)[:1])
+			}
+			parsed++
+		}
+		r.s.RunFor(10 * time.Millisecond)
+	}
+	get(0, 1, 2, 3, 4, 5, 6, 7)
+	read(0)
+	get(7, 6, 5, 4, 3, 2, 1, 0)
+	read(3*4096 + 100)
+	get(0, 1, 2, 3, 4, 5, 6, 7)
+	for r.client.Readable() > 0 {
+		read(0)
+	}
+	if parsed != len(want) {
+		t.Fatalf("parsed %d replies, want %d", parsed, len(want))
 	}
 }
 

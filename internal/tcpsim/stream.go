@@ -6,16 +6,18 @@ import (
 	"e2ebatch/internal/sim"
 )
 
-// digest is a running 64-bit digest of a byte stream: four independent FNV-1a
-// word lanes, one (h ^ w) * prime per 8 little-endian bytes, word i of the
-// stream to lane i mod 4 — four multiply chains in flight instead of one. A
-// word's lane follows from its absolute stream offset and up to 31 bytes that
-// do not fill a 32-byte block yet wait in buf, so the value depends on the
-// bytes alone, never on how Send or Read calls cut the stream. Each step is a
-// bijection of the word it folds, so changing any one byte changes the digest.
-// The zero digest is the empty stream.
+// digest is a running 64-bit digest of a byte stream: eight independent word
+// lanes that each take 16 bytes per multiply. The stream is cut into 128-byte
+// blocks of sixteen little-endian words; words j and j+8 of a block go to
+// lane j as h = (h ^ w_j)*prime + w_{j+8}, so eight multiply chains are in
+// flight and each folds two words per step. A word's lane follows from its
+// absolute stream offset, and up to 127 bytes that do not fill a block yet
+// wait in buf, so the value depends on the bytes alone, never on how Send or
+// Read calls cut the stream. Each step is a bijection of either word it folds
+// (the prime is odd), so changing any one byte changes the digest. The zero
+// digest is the empty stream.
 type digest struct {
-	lane [4]uint64
+	lane [digestLanes]uint64
 	buf  [digestBlock]byte // the last size % digestBlock bytes of the stream
 	size uint64            // stream length in bytes
 }
@@ -23,7 +25,8 @@ type digest struct {
 const (
 	digestBasis = 14695981039346656037 // FNV-1a 64-bit offset basis: the empty stream
 	digestPrime = 1099511628211        // FNV 64-bit prime
-	digestBlock = 32                   // one word per lane
+	digestLanes = 8
+	digestBlock = 16 * digestLanes // two words per lane
 )
 
 // fold appends data to the digested stream.
@@ -52,20 +55,25 @@ func (d *digest) fold(data []byte) {
 //go:norace
 func (d *digest) blocks(data []byte) []byte {
 	raceReadBlocks(data)
-	h0, h1, h2, h3 := d.lane[0], d.lane[1], d.lane[2], d.lane[3]
-	for len(data) >= digestBlock {
-		h0 = (h0 ^ binary.LittleEndian.Uint64(data)) * digestPrime
-		h1 = (h1 ^ binary.LittleEndian.Uint64(data[8:])) * digestPrime
-		h2 = (h2 ^ binary.LittleEndian.Uint64(data[16:])) * digestPrime
-		h3 = (h3 ^ binary.LittleEndian.Uint64(data[24:])) * digestPrime
-		data = data[digestBlock:]
+	h0, h1, h2, h3, h4, h5, h6, h7 := d.lane[0], d.lane[1], d.lane[2], d.lane[3], d.lane[4], d.lane[5], d.lane[6], d.lane[7]
+	le := binary.LittleEndian
+	for ; len(data) >= digestBlock; data = data[digestBlock:] {
+		b := (*[digestBlock]byte)(data)
+		h0 = (h0^le.Uint64(b[0:]))*digestPrime + le.Uint64(b[64:])
+		h1 = (h1^le.Uint64(b[8:]))*digestPrime + le.Uint64(b[72:])
+		h2 = (h2^le.Uint64(b[16:]))*digestPrime + le.Uint64(b[80:])
+		h3 = (h3^le.Uint64(b[24:]))*digestPrime + le.Uint64(b[88:])
+		h4 = (h4^le.Uint64(b[32:]))*digestPrime + le.Uint64(b[96:])
+		h5 = (h5^le.Uint64(b[40:]))*digestPrime + le.Uint64(b[104:])
+		h6 = (h6^le.Uint64(b[48:]))*digestPrime + le.Uint64(b[112:])
+		h7 = (h7^le.Uint64(b[56:]))*digestPrime + le.Uint64(b[120:])
 	}
-	d.lane = [4]uint64{h0, h1, h2, h3}
+	d.lane = [digestLanes]uint64{h0, h1, h2, h3, h4, h5, h6, h7}
 	return data
 }
 
-// sum returns the digest of everything folded so far: one more FNV-1a chain
-// over each lane and the word of the zero-padded pending block that lane
+// sum returns the digest of everything folded so far: one FNV-1a chain over
+// each lane and the two words of the zero-padded pending block that lane
 // would fold next, then the stream length — so lanes do not commute and
 // trailing zero bytes count. The chain starts at zero and the offset basis
 // goes in last, which makes the empty stream read digestBasis.
@@ -73,9 +81,10 @@ func (d *digest) sum() uint64 {
 	var tail [digestBlock]byte
 	copy(tail[:], d.buf[:d.size%digestBlock])
 	var h uint64
-	for i, lane := range d.lane {
+	for j, lane := range d.lane {
 		h = (h ^ lane) * digestPrime
-		h = (h ^ binary.LittleEndian.Uint64(tail[8*i:])) * digestPrime
+		h = (h ^ binary.LittleEndian.Uint64(tail[8*j:])) * digestPrime
+		h = (h ^ binary.LittleEndian.Uint64(tail[8*(j+digestLanes):])) * digestPrime
 	}
 	return digestBasis ^ (h^d.size)*digestPrime
 }

@@ -130,34 +130,54 @@ func TestEnginePortComposesTailInSim(t *testing.T) {
 }
 
 // TestDelayedExchangeOutlivesItsSegment: a v2 exchange the fault hook defers
-// is applied long after the segment that carried it was recycled and reused
-// for later exchanges, so it must have travelled on in a copy: what lands is
-// the sender's histograms as of the deferred segment, not of whichever
-// exchange the pooled segment carried last.
+// (delays, duplicates, or both) is applied long after the segment that carried
+// it was recycled and reused for later exchanges, and the receiver takes a
+// segment's tails buffer over by swap. So each deferred application must carry
+// a copy of its own: what lands is the sender's histograms as of the deferred
+// segment, not of whichever exchange the pooled segment or the buffer carried
+// last. Each application lands past the 4 ms of sending, so no newer exchange
+// lands beside it, and cb's peer tails are read just after it.
 func TestDelayedExchangeOutlivesItsSegment(t *testing.T) {
-	cfg := fastCfg()
-	cfg.Nagle, cfg.ExchangeTails = false, true
-	s, ca, cb := testNet(t, cfg)
-	var sentTails []qstate.WireTails // ca's histograms at each exchange cb saw
-	cb.SetStateFault(func(qstate.WireState) StateFaultAction {
-		sentTails = append(sentTails, ca.LocalTails())
-		if len(sentTails) == 20 {
-			return StateFaultAction{Delay: 5 * time.Millisecond}
+	for _, act := range []StateFaultAction{
+		{Delay: 5 * time.Millisecond},
+		{Duplicate: true, DupDelay: 5 * time.Millisecond},
+		{Delay: 5 * time.Millisecond, Duplicate: true, DupDelay: 2 * time.Millisecond},
+		{Delay: 5 * time.Millisecond, Duplicate: true},
+	} {
+		cfg := fastCfg()
+		cfg.Nagle, cfg.ExchangeTails = false, true
+		s, ca, cb := testNet(t, cfg)
+		var due []time.Duration // after the 20th exchange, when its applications land
+		if act.Delay > 0 {
+			due = append(due, act.Delay)
 		}
-		return StateFaultAction{}
-	})
-	pingPong(s, ca, cb, 200, 512, 20*time.Microsecond) // runs 10 ms past the last send
-	if cb.Stats().StatesDelayed != 1 || len(sentTails) < 100 {
-		t.Fatalf("delayed %d of %d exchanges, want 1 of 100+", cb.Stats().StatesDelayed, len(sentTails))
-	}
-	got, ok := cb.PeerTails()
-	if !ok || got.Unacked.Count() == 0 {
-		t.Fatal("no peer tails after the run")
-	}
-	// The deferred exchange landed last (5 ms after the 20th, past the 4 ms
-	// of sending), carrying the 20th exchange's counters.
-	if want := sentTails[19]; got != want {
-		t.Fatalf("deferred exchange applied %d unacked departures, want the %d it was sent with (latest %d)",
-			got.Unacked.Count(), want.Unacked.Count(), sentTails[len(sentTails)-1].Unacked.Count())
+		if act.Duplicate {
+			due = append(due, act.Delay+act.DupDelay)
+		}
+		var sentTails []qstate.WireTails // ca's histograms at each exchange cb saw
+		landed := 0
+		cb.SetStateFault(func(qstate.WireState) StateFaultAction {
+			sentTails = append(sentTails, ca.LocalTails())
+			if len(sentTails) != 20 {
+				return StateFaultAction{}
+			}
+			for _, d := range due {
+				s.At(s.Now().Add(d+time.Nanosecond), func() {
+					landed++
+					got, _ := cb.PeerTails()
+					if want := sentTails[19]; got != want {
+						t.Errorf("%+v: deferred exchange applied %d unacked departures, want the %d it was sent with (latest %d)",
+							act, got.Unacked.Count(), want.Unacked.Count(), sentTails[len(sentTails)-1].Unacked.Count())
+					}
+				})
+			}
+			return act
+		})
+		pingPong(s, ca, cb, 200, 512, 20*time.Microsecond) // runs 10 ms past the last send
+		st := cb.Stats()
+		if len(sentTails) < 100 || landed != len(due) || st.StatesDelayed+st.StatesDuped != uint64(len(due)) {
+			t.Fatalf("%+v: %d exchanges, %d of %d deferred applications read, %d delayed, %d duplicated",
+				act, len(sentTails), landed, len(due), st.StatesDelayed, st.StatesDuped)
+		}
 	}
 }

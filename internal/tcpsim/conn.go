@@ -275,12 +275,13 @@ func (c *Conn) SetStateFault(fn func(qstate.WireState) StateFaultAction) { c.sta
 //
 // The connection keeps data by reference until the peer application has read
 // it: the caller must not modify data after Send. Sending the same slice
-// again is allowed.
+// again is allowed. Send returns the stream offset just past data's last
+// byte; once PeerRead reaches it, the connection holds data no longer.
 //
 //e2e:hotpath
-func (c *Conn) Send(data []byte) {
+func (c *Conn) Send(data []byte) int64 {
 	if len(data) == 0 {
-		return
+		return c.sndNxt + c.unsent
 	}
 	now := c.stack.Sim.Now()
 	c.sndBuf.push(data)
@@ -292,7 +293,12 @@ func (c *Conn) Send(data []byte) {
 	c.stats.Sends++
 	c.sent.fold(data)
 	c.flush(false)
+	return end
 }
+
+// PeerRead returns the stream offset up to which the peer application has
+// read what this end sent.
+func (c *Conn) PeerRead() int64 { return c.peer.rqStart }
 
 // Readable returns the number of delivered, unread bytes.
 func (c *Conn) Readable() int { return int(c.rcvNxt - c.rqStart) }

@@ -57,9 +57,9 @@ type SimServer struct {
 	reply   []byte // wire form of the reply whose send cost is being paid
 	owned   bool   // reply is a buffer of the server's own, not okWire
 	// sent holds the reply buffers Send still references, oldest first, each
-	// with the stream offset just past its last byte. Once the client has
-	// read that far the connection holds no reference to it (byteFIFO.take),
-	// and the buffer is reused for a later reply.
+	// with the stream offset Send returned for it. Once Conn.PeerRead reaches
+	// that offset the connection holds the buffer no longer, and it is reused
+	// for a later reply.
 	sent    sim.FIFO[sentReply]
 	busy    bool
 	stalled bool
@@ -67,8 +67,8 @@ type SimServer struct {
 	stats SimServerStats
 }
 
-// sentReply is a reply buffer handed to Send and the stream offset its last
-// byte ends at.
+// sentReply is a reply buffer handed to Send and the stream offset Send
+// returned for it, just past its last byte.
 type sentReply struct {
 	end int64
 	buf []byte
@@ -137,9 +137,9 @@ func (s *SimServer) HandleEvent(kind int, _ any) {
 		}
 		s.conn.Stack().AppCPU.Exec(s.cfg.WriteCosts.Item(len(s.reply)), s, evWrite, nil)
 	case evWrite:
-		s.send(s.reply)
+		end := s.send(s.reply)
 		if s.owned {
-			s.sent.Push(sentReply{end: s.conn.sndNxt + s.conn.unsent, buf: s.reply})
+			s.sent.Push(sentReply{end: end, buf: s.reply})
 		}
 		s.processNext()
 	}
@@ -192,15 +192,15 @@ func (s *SimServer) processNext() {
 // once the client has read its last byte, else nil, for AppendValue to
 // allocate.
 func (s *SimServer) spareReply() []byte {
-	if live := s.sent.Live(); len(live) > 0 && live[0].end <= s.conn.peer.rqStart {
+	if live := s.sent.Live(); len(live) > 0 && live[0].end <= s.conn.PeerRead() {
 		return s.sent.Pop().buf[:0]
 	}
 	return nil
 }
 
-func (s *SimServer) send(wire []byte) {
+func (s *SimServer) send(wire []byte) int64 {
 	s.stats.BytesOut += uint64(len(wire))
-	s.conn.Send(wire)
+	return s.conn.Send(wire)
 }
 
 // finishCycle ends the current cycle and immediately starts another if data
